@@ -64,6 +64,9 @@ EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
   std::uint64_t client_mem =
       cfg.clients_per_host * client_arena + (16u << 10);
 
+  // Every host gets the larger size, so each client host also spans the
+  // server's READ table. Arenas are zeroed lazily, so those untouched bytes
+  // cost address space, not RSS.
   cluster_ = std::make_unique<cluster::Cluster>(
       cfg.cluster, 1 + n_client_hosts, std::max(server_mem, client_mem),
       cfg.seed);

@@ -103,7 +103,9 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
   std::uint64_t client_mem =
       std::uint64_t{cfg_.clients_per_host} * HerdClient::arena_bytes(h) +
       (16u << 10);
-  // Build all hosts with the larger size for simplicity.
+  // Every host gets the larger size: arenas are zeroed lazily, so a host's
+  // untouched bytes cost address space, not RSS, and peak RSS tracks the
+  // pages the run writes, not this size.
   std::uint64_t mem = std::max(server_mem, client_mem);
 
   // The cluster attaches checkers at host construction, before any QP/MR

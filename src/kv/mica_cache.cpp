@@ -20,6 +20,16 @@ MicaCache::MicaCache(const Config& cfg)
   }
 }
 
+MicaCache::MicaCache(const MicaCache& other)
+    : cfg_(other.cfg_),
+      buckets_(other.buckets_, other.buckets_.size()),
+      // Below capacity the head has never wrapped, so every byte at or past
+      // it is still zero; the prefix copy clamps at capacity once it has.
+      log_(other.log_, other.log_head_),
+      log_head_(other.log_head_),
+      stats_(other.stats_),
+      rng_state_(other.rng_state_) {}
+
 MicaCache::Bucket& MicaCache::bucket_for(const KeyHash& key) {
   std::uint64_t mask = (std::uint64_t{1} << cfg_.bucket_count_log2) - 1;
   return buckets_[key.lo & mask];

@@ -11,9 +11,9 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "kv/keyhash.hpp"
+#include "sim/lazy_zero_array.hpp"
 
 namespace herd::kv {
 
@@ -51,7 +51,12 @@ class MicaCache {
     std::uint8_t accesses = 0;
   };
 
+  /// The index and log read as zeros; a page costs RSS only once touched.
   explicit MicaCache(const Config& cfg);
+  /// Replica snapshot: copies the index and only the log's written prefix,
+  /// so the copy's untouched log pages stay untouched too.
+  MicaCache(const MicaCache& other);
+  MicaCache& operator=(const MicaCache&) = delete;
 
   /// Looks up `key`; on hit, copies the value into `out` (must be large
   /// enough) and reports its length.
@@ -94,8 +99,8 @@ class MicaCache {
                            std::span<const std::byte> value);
 
   Config cfg_;
-  std::vector<Bucket> buckets_;
-  std::vector<std::byte> log_;
+  sim::LazyZeroArray<Bucket> buckets_;
+  sim::LazyZeroArray<std::byte> log_;
   std::uint64_t log_head_ = 0;  // monotonic; head % size = write position
   Stats stats_;
   std::uint64_t rng_state_;

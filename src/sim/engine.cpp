@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -10,7 +11,15 @@ void Engine::schedule_at(Tick t, Callback cb) {
   if (t < now_) {
     throw std::logic_error("Engine::schedule_at: time in the past");
   }
-  queue_.push(Event{t, next_seq_++, std::move(cb)});
+  queue_.push_back(Event{t, next_seq_++, std::move(cb)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
+}
+
+Engine::Event Engine::pop() {
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event e = std::move(queue_.back());
+  queue_.pop_back();
+  return e;
 }
 
 void Engine::dispatch(Event e) {
@@ -20,22 +29,13 @@ void Engine::dispatch(Event e) {
 }
 
 void Engine::run() {
-  while (!queue_.empty()) {
-    // priority_queue::top() returns const&; move out via const_cast is UB-free
-    // here because we immediately pop. Copy instead for clarity: callbacks can
-    // be heavy, so extract by moving from a mutable copy of top.
-    Event e = queue_.top();
-    queue_.pop();
-    dispatch(std::move(e));
-  }
+  while (!queue_.empty()) dispatch(pop());
 }
 
 std::uint64_t Engine::run_until(Tick t) {
   std::uint64_t n = 0;
-  while (!queue_.empty() && queue_.top().t <= t) {
-    Event e = queue_.top();
-    queue_.pop();
-    dispatch(std::move(e));
+  while (!queue_.empty() && queue_.front().t <= t) {
+    dispatch(pop());
     ++n;
   }
   if (t > now_) now_ = t;
@@ -44,9 +44,7 @@ std::uint64_t Engine::run_until(Tick t) {
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  Event e = queue_.top();
-  queue_.pop();
-  dispatch(std::move(e));
+  dispatch(pop());
   return true;
 }
 

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -66,9 +65,13 @@ class Engine {
     }
   };
 
+  Event pop();
   void dispatch(Event e);
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // A binary min-heap under Later, kept by hand rather than in a
+  // std::priority_queue: top() is const, which would force a copy of every
+  // callback and its captured payload out of the queue.
+  std::vector<Event> queue_;
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

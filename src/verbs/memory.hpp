@@ -11,10 +11,13 @@
 #include <span>
 #include <vector>
 
+#include "sim/lazy_zero_array.hpp"
+
 namespace herd::verbs {
 
 class HostMemory {
  public:
+  /// The arena reads as zeros; a page costs RSS only once touched.
   explicit HostMemory(std::size_t bytes) : data_(bytes) {}
 
   std::size_t size() const { return data_.size(); }
@@ -41,7 +44,7 @@ class HostMemory {
     int handle;
   };
 
-  std::vector<std::byte> data_;
+  sim::LazyZeroArray<std::byte> data_;
   std::vector<Watch> watches_;
   int next_watch_ = 1;
 };

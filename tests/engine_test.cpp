@@ -113,6 +113,45 @@ TEST(Engine, StepProcessesOneEvent) {
   EXPECT_FALSE(eng.step());
 }
 
+// A capture that counts its copies; moves are free.
+struct CopyCounter {
+  int* copies;
+  explicit CopyCounter(int* c) : copies(c) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+  CopyCounter(CopyCounter&& o) noexcept : copies(o.copies) {}
+  CopyCounter& operator=(const CopyCounter& o) {
+    copies = o.copies;
+    ++*copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&& o) noexcept {
+    copies = o.copies;
+    return *this;
+  }
+};
+
+// Callbacks carry captured payloads (a SendWr and its bytes, say), so the
+// queue moves each one from schedule_at to dispatch and never copies it, on
+// all three dispatch paths.
+TEST(Engine, CallbacksAreMovedNotCopiedAndTiesStayFifo) {
+  Engine eng;
+  int copies = 0;
+  std::vector<int> order;
+  for (int i = 0; i < 8; ++i) {
+    // Alternate timestamps so the heap reorders between pushes.
+    eng.schedule_at(ns(i % 2 == 0 ? 20 : 10),
+                    [&order, i, c = CopyCounter(&copies)] {
+                      (void)c;
+                      order.push_back(i);
+                    });
+  }
+  EXPECT_EQ(eng.run_until(ns(10)), 4u);
+  EXPECT_TRUE(eng.step());
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7, 0, 2, 4, 6}));
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(Resource, FifoServiceAccumulates) {
   Engine eng;
   Resource r(eng, "u");
