@@ -7,18 +7,16 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/time.hpp"
 
 namespace herd::sim {
 
 class Engine {
  public:
-  using Callback = std::function<void()>;
-
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -44,7 +42,7 @@ class Engine {
   /// Runs at most one event. Returns false if the queue was empty.
   bool step();
 
-  bool empty() const { return queue_.empty(); }
+  bool empty() const { return heap_.empty(); }
   std::uint64_t events_processed() const { return events_processed_; }
 
   /// Total events ever scheduled. Together with events_processed() and
@@ -53,25 +51,25 @@ class Engine {
   std::uint64_t events_scheduled() const { return next_seq_; }
 
  private:
-  struct Event {
+  // A pending event's place in the order. Trivially copyable, so sifting
+  // the heap moves 24-byte keys and never touches a callback.
+  struct Key {
     Tick t;
-    std::uint64_t seq;  // FIFO tie-break for equal timestamps
-    Callback cb;
+    std::uint64_t seq;   // FIFO tie-break for equal timestamps
+    std::uint32_t slot;  // index into slots_
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.t != b.t) return a.t > b.t;
       return a.seq > b.seq;
     }
   };
 
-  Event pop();
-  void dispatch(Event e);
+  void dispatch_next();
 
-  // A binary min-heap under Later, kept by hand rather than in a
-  // std::priority_queue: top() is const, which would force a copy of every
-  // callback and its captured payload out of the queue.
-  std::vector<Event> queue_;
+  std::vector<Key> heap_;         // binary min-heap under Later
+  std::vector<Callback> slots_;   // callbacks of pending events, in place
+  std::vector<std::uint32_t> free_slots_;
   Tick now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

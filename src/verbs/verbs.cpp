@@ -1,5 +1,6 @@
 #include "verbs/verbs.hpp"
 
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -8,6 +9,9 @@
 namespace herd::verbs {
 
 namespace {
+// What a UD receive buffer holds where the GRH would be.
+constexpr std::array<std::byte, kGrhBytes> kZeroGrh{};
+
 const char* opcode_name(Opcode op) {
   switch (op) {
     case Opcode::kWrite:
@@ -114,12 +118,11 @@ Qp* Context::find_qp(std::uint32_t qpn) {
 // ---------------------------------------------------------------------------
 // Qp
 
+// The requester's WR carries everything the responder reads (opcode, rkey,
+// remote address, READ length), so nothing is copied out of it: the message
+// plus its UD routing must fit a sim::Callback's inline buffer.
 struct Qp::Inbound {
-  Opcode opcode = Opcode::kSend;
   std::vector<std::byte> payload;  // empty for READ requests
-  std::uint32_t length = 0;        // requested length for READs
-  std::uint64_t remote_addr = 0;
-  std::uint32_t rkey = 0;
   SendWr wr{};       // requester's WR, echoed back for completion routing
   Qp* src = nullptr; // requester QP (valid for the run's lifetime)
 };
@@ -454,28 +457,23 @@ void Qp::tx_stage(SendWr wr, std::vector<std::byte> payload, sim::Tick ready) {
     departed += sim::Tick{attempts} * cal.retransmit_delay;
   }
 
-  Inbound in;
-  in.opcode = wr.opcode;
-  in.payload = std::move(payload);
-  in.length = wr.sge.length;
-  in.remote_addr = wr.remote_addr;
-  in.rkey = wr.rkey;
-  in.wr = wr;
-  in.src = this;
+  Inbound in{std::move(payload), wr, this};
 
   if (datagram) {
     Context* dst_ctx = wr.ah.ctx;
     std::uint32_t dst_qpn = wr.ah.qpn;
-    ctx_->fabric().transmit_at(
-        departed, ctx_->port(), dst_ctx->port(), wire,
-        [dst_ctx, dst_qpn, in = std::move(in)]() mutable {
-          Qp* dst = dst_ctx->find_qp(dst_qpn);
-          if (dst == nullptr || dst->transport() != Transport::kUd) {
-            ++dst_ctx->rnic().counters().dropped_packets;
-            return;
-          }
-          dst->rx_arrive(std::move(in));
-        });
+    auto arrive = [dst_ctx, dst_qpn, in = std::move(in)]() mutable {
+      Qp* dst = dst_ctx->find_qp(dst_qpn);
+      if (dst == nullptr || dst->transport() != Transport::kUd) {
+        ++dst_ctx->rnic().counters().dropped_packets;
+        return;
+      }
+      dst->rx_arrive(std::move(in));
+    };
+    // Every HERD response takes this hop; it must not allocate.
+    static_assert(sim::Callback::kStoredInline<decltype(arrive)>);
+    ctx_->fabric().transmit_at(departed, ctx_->port(), dst_ctx->port(), wire,
+                               std::move(arrive));
   } else {
     Qp* dst = remote_;
     ctx_->fabric().transmit_at(departed, ctx_->port(),
@@ -509,7 +507,7 @@ void Qp::rx_arrive(Inbound in) {
   const auto& cal = rn.cal();
 
   sim::Tick occ;
-  switch (in.opcode) {
+  switch (in.wr.opcode) {
     case Opcode::kWrite:
       occ = cal.rx_write;
       break;
@@ -539,11 +537,11 @@ void Qp::rx_arrive(Inbound in) {
                tc);
     }
     tr->span(rn.dispatch().name(), "dispatch", disp.start, disp.done,
-             opcode_name(in.opcode), tc);
+             opcode_name(in.wr.opcode), tc);
     if (rx.queued() > 0) {
       tr->span(rn.rx().name(), "queued", rx.arrival, rx.start, {}, tc);
     }
-    tr->span(rn.rx().name(), std::string("rx_") + opcode_name(in.opcode),
+    tr->span(rn.rx().name(), std::string("rx_") + opcode_name(in.wr.opcode),
              rx.start, rx.done, {}, tc);
     if (penalty > 0) {
       tr->instant(rn.rx().name(), "qp_cache_miss", rx.start, {}, tc);
@@ -555,7 +553,7 @@ void Qp::rx_arrive(Inbound in) {
   ctx_->engine().schedule_at(done,
                              [this]() { ++ctx_->rnic().counters().rx_ops; });
 
-  switch (in.opcode) {
+  switch (in.wr.opcode) {
     case Opcode::kWrite:
       rx_write(in, done);
       break;
@@ -571,8 +569,8 @@ void Qp::rx_arrive(Inbound in) {
 void Qp::rx_write(Inbound& in, sim::Tick done) {
   auto& rn = ctx_->rnic();
   const Mr* mr = ctx_->check_remote_access(
-      in.rkey, in.remote_addr, static_cast<std::uint32_t>(in.payload.size()),
-      /*write=*/true);
+      in.wr.rkey, in.wr.remote_addr,
+      static_cast<std::uint32_t>(in.payload.size()), /*write=*/true);
   if (mr == nullptr) {
     ++rn.counters().access_errors;
     if (attr_.transport == Transport::kRc) {
@@ -593,7 +591,7 @@ void Qp::rx_write(Inbound& in, sim::Tick done) {
       ctx_->pcie()
           .dma_write(done, static_cast<std::uint32_t>(in.payload.size()))
           .visible;
-  std::uint64_t addr = in.remote_addr;
+  std::uint64_t addr = in.wr.remote_addr;
   ctx_->engine().schedule_at(
       applied, [this, addr, payload = std::move(in.payload)]() {
         ctx_->memory().dma_apply(addr, payload);
@@ -663,8 +661,7 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
       applied, [this, addr, grh, payload = std::move(in.payload)]() {
         if (grh > 0) {
           // Zeroed GRH placeholder, as the payload lands at offset 40.
-          std::vector<std::byte> hdr(grh, std::byte{0});
-          ctx_->memory().dma_apply(addr, hdr);
+          ctx_->memory().dma_apply(addr, kZeroGrh);
         }
         ctx_->memory().dma_apply(addr + grh, payload);
       });
@@ -696,7 +693,9 @@ void Qp::rx_read(Inbound& in, sim::Tick done) {
   auto& rn = ctx_->rnic();
   const auto& cal = rn.cal();
 
-  const Mr* mr = ctx_->check_remote_access(in.rkey, in.remote_addr, in.length,
+  std::uint64_t addr = in.wr.remote_addr;
+  std::uint32_t length = in.wr.sge.length;
+  const Mr* mr = ctx_->check_remote_access(in.wr.rkey, addr, length,
                                            /*write=*/false);
   if (mr == nullptr) {
     ++rn.counters().access_errors;
@@ -712,9 +711,7 @@ void Qp::rx_read(Inbound& in, sim::Tick done) {
 
   // The responder RNIC DMA-reads the data (no CPU involvement — the defining
   // property of one-sided verbs), then transmits it back.
-  sim::Tick data_ready = ctx_->pcie().dma_read(done, in.length).visible;
-  std::uint64_t addr = in.remote_addr;
-  std::uint32_t length = in.length;
+  sim::Tick data_ready = ctx_->pcie().dma_read(done, length).visible;
   SendWr wr = in.wr;
   Qp* src = in.src;
   ctx_->engine().schedule_at(data_ready, [this, addr, length, wr, src]() {
@@ -771,8 +768,8 @@ void Qp::deliver_requester_completion(const SendWr& wr, WcStatus status,
                              [scq, wc, reserved]() { scq->push(wc, reserved); });
 }
 
-void Qp::send_ack_path(sim::Tick when, Qp* requester,
-                       std::function<void(sim::Tick)> on_acked) {
+template <class OnAcked>
+void Qp::send_ack_path(sim::Tick when, Qp* requester, OnAcked on_acked) {
   // ACK/NAK: small occupancy on the responder TX unit, the wire, and the
   // requester RX unit. Cheap, but real — this is the RC-vs-UC difference.
   auto& rn = ctx_->rnic();

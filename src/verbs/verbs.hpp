@@ -152,8 +152,11 @@ class Qp {
   void read_response(SendWr wr, std::vector<std::byte> payload);
   void deliver_requester_completion(const SendWr& wr, WcStatus status,
                                     sim::Tick when);
-  void send_ack_path(sim::Tick when, Qp* requester,
-                     std::function<void(sim::Tick)> on_acked);
+  /// Sends an ACK/NAK to `requester`; `on_acked(tick)` runs when it has been
+  /// received. The closure is taken by type and captured straight into the
+  /// arrival callback, so it is wrapped once, not twice.
+  template <class OnAcked>
+  void send_ack_path(sim::Tick when, Qp* requester, OnAcked on_acked);
 
   /// Send-queue ordering: WQEs are processed in post order, so a later
   /// verb's TX processing never starts before an earlier one's (a READ must

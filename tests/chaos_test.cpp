@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -350,6 +353,57 @@ TEST(ChaosRun, VanillaSweepIsLinearizable) {
     EXPECT_TRUE(o.counters.has("chaos.ops_checked"));
     EXPECT_TRUE(o.counters.has("fault.crashes"));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden fingerprints: a change that claims to leave simulated behaviour
+// alone must reproduce these bit for bit. Each fingerprint folds the
+// history, the engine's event counts and clock, and the trace bytes. The
+// refresh protocol is in EXPERIMENTS.md.
+
+std::string golden_fingerprints() {
+  struct Mode {
+    const char* name;
+    bool crash_primary;
+    bool overload_burst;
+  };
+  std::string out;
+  for (Mode m : {Mode{"plain", false, false}, Mode{"crash-primary", true, false},
+                 Mode{"overload-burst", false, true}}) {
+    // The envelopes chaos_runner builds for the same flags.
+    ScenarioEnvelope env;
+    if (m.crash_primary) {
+      env.force_crash_primary = true;
+      env.min_server_procs = 2;
+    }
+    env.force_overload_burst = m.overload_burst;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Scenario sc = chaos::generate_scenario(seed, env);
+      sc.trace_sample_every = 32;
+      chaos::RunOutcome o = chaos::run_scenario(sc);
+      char line[128];
+      std::snprintf(line, sizeof line, "%s seed=%llu fingerprint=%016llx "
+                    "events=%llu applies=%llu\n", m.name,
+                    static_cast<unsigned long long>(seed),
+                    static_cast<unsigned long long>(o.fingerprint),
+                    static_cast<unsigned long long>(o.events),
+                    static_cast<unsigned long long>(o.applies));
+      out += line;
+    }
+  }
+  return out;
+}
+
+TEST(ChaosGolden, FingerprintsMatchCommittedGoldens) {
+  std::string got = golden_fingerprints();
+  // Left next to the test binary, for copying over the golden file when a
+  // change to simulated behaviour is deliberate.
+  std::ofstream("chaos_fingerprints.actual.txt") << got;
+  std::ifstream in(HERD_GOLDEN_DIR "/chaos_fingerprints.txt");
+  ASSERT_TRUE(in) << "missing " HERD_GOLDEN_DIR "/chaos_fingerprints.txt";
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(want.str(), got);
 }
 
 // ---------------------------------------------------------------------------

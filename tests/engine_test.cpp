@@ -1,11 +1,19 @@
 // Unit tests: discrete-event engine, resources, sequential cores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <functional>
+#include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/core.hpp"
+#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace herd::sim {
@@ -150,6 +158,127 @@ TEST(Engine, CallbacksAreMovedNotCopiedAndTiesStayFifo) {
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7, 0, 2, 4, 6}));
   EXPECT_EQ(copies, 0);
+}
+
+// The queue may only move a callback, never duplicate its captures.
+static_assert(!std::is_copy_constructible_v<Callback>);
+static_assert(!std::is_copy_assignable_v<Callback>);
+static_assert(std::is_nothrow_move_constructible_v<Callback>);
+
+// Property: whatever callbacks schedule while they run (at now(), later,
+// or bursts that grow the callback pool under the running callback), events
+// run exactly once each, at their own time, in (time, schedule order).
+TEST(Engine, RandomSchedulesRunInTimeThenScheduleOrder) {
+  constexpr std::size_t kMaxEvents = 3000;  // per seed
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Engine eng;
+    Pcg32 rng(seed);
+    std::vector<Tick> at;          // index: event id, which is schedule order
+    std::vector<std::size_t> ran;  // ids in the order they ran
+    // Schedules event `at.size()` at `t`; when it runs, it first schedules
+    // `burst` more, then a random follow-up.
+    std::function<void(Tick, std::size_t)> add = [&](Tick t,
+                                                     std::size_t burst) {
+      std::size_t id = at.size();
+      at.push_back(t);
+      // A heap-owning capture, checked after the body schedules: the pool
+      // may have grown and relocated every slot in the meantime.
+      std::vector<std::size_t> mark(3, id);
+      eng.schedule_at(t, [&, id, burst, mark] {
+        EXPECT_EQ(eng.now(), at[id]);
+        ran.push_back(id);
+        for (std::size_t i = 0; i < burst && at.size() < kMaxEvents; ++i) {
+          add(eng.now() + rng.next_below(100), 0);
+        }
+        std::size_t pending = at.size() - ran.size();
+        if (at.size() < kMaxEvents) {
+          std::uint32_t roll = rng.next_below(10);
+          if (roll < 3) {
+            add(eng.now(), 0);
+          } else if (roll < 8) {
+            add(eng.now() + rng.next_below(40), 0);
+          } else if (roll == 9) {
+            add(eng.now() + rng.next_below(20), 2 * pending + 8);
+          }
+        }
+        EXPECT_EQ(mark, std::vector<std::size_t>(3, id));
+      });
+    };
+    // The first callback grows the pool from one slot to hundreds while it
+    // runs; later bursts double the pending count again.
+    add(0, 256);
+    eng.run();
+
+    std::vector<std::size_t> want(at.size());
+    std::iota(want.begin(), want.end(), std::size_t{0});
+    std::stable_sort(want.begin(), want.end(),
+                     [&](std::size_t a, std::size_t b) { return at[a] < at[b]; });
+    EXPECT_EQ(ran, want) << "seed " << seed;
+    EXPECT_EQ(eng.events_processed(), at.size());
+    EXPECT_EQ(eng.events_scheduled(), at.size());
+  }
+}
+
+// Tracks one logical capture across moves: a move passes ownership on, so
+// each id must be destroyed exactly once while owning it.
+struct DestroyLog {
+  std::vector<int> destroyed;  // ids, one per owning destruction
+  int live = 0;                // Tracked objects alive, owning or not
+};
+
+struct Tracked {
+  DestroyLog* log;
+  int id;
+  bool owner = true;
+  Tracked(DestroyLog* l, int i) : log(l), id(i) { ++log->live; }
+  Tracked(Tracked&& o) noexcept : log(o.log), id(o.id), owner(o.owner) {
+    o.owner = false;
+    ++log->live;
+  }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    --log->live;
+    if (owner) log->destroyed.push_back(id);
+  }
+};
+
+TEST(Engine, EveryCaptureIsDestroyedExactlyOnce) {
+  DestroyLog log;
+  int ran = 0;
+  {
+    Engine eng;
+    for (int i = 0; i < 40; ++i) {
+      Tracked t(&log, i);
+      if (i % 2 == 0) {
+        auto small = [&ran, c = std::move(t)] {
+          (void)c;
+          ++ran;
+        };
+        static_assert(Callback::kStoredInline<decltype(small)>);
+        eng.schedule_at(ns(i % 7), std::move(small));
+      } else {
+        auto big = [&ran, c = std::move(t), pad = std::array<std::byte, 256>{}] {
+          (void)c;
+          (void)pad;
+          ++ran;
+        };
+        static_assert(!Callback::kStoredInline<decltype(big)>);
+        eng.schedule_at(ns(i % 7), std::move(big));
+      }
+    }
+    // Run part of the queue; the rest is still pending when `eng` dies.
+    eng.run_until(ns(3));
+    EXPECT_EQ(ran, 24);
+    EXPECT_EQ(log.destroyed.size(), 24u);
+  }
+  EXPECT_EQ(ran, 24);
+  EXPECT_EQ(log.live, 0);
+  std::sort(log.destroyed.begin(), log.destroyed.end());
+  std::vector<int> all(40);
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_EQ(log.destroyed, all);
 }
 
 TEST(Resource, FifoServiceAccumulates) {
