@@ -142,8 +142,8 @@ struct HerdConfig {
   /// Planted-bug canary for the chaos harness: skip replication forwarding
   /// while still acking writes. After a promotion, acknowledged writes are
   /// simply gone — the linearizability checker MUST fail. Never enable in
-  /// production configurations. (The HERD_DROP_REPLICATION build flag
-  /// forces this on for the CI canary build.)
+  /// production configurations. (chaos_runner --drop-replication sets it
+  /// for the CI canary sweep.)
   bool drop_replication = false;
 
   // --- Overload robustness (herd/overload.hpp) ----------------------------

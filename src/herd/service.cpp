@@ -229,10 +229,10 @@ void HerdService::crash_proc(std::uint32_t s) {
   p.resp_coalesce = false;
   if (!cfg_.replicate) return;
 
-  // Replicated mode: the replicas are process memory — gone too. (The
-  // legacy single-copy model keeps the cache alive across crashes as a
-  // modeling shortcut; with real replication the data's durability comes
-  // from the copy on another process, so the shortcut is retired.)
+  // Replicated mode: the replicas are process memory — gone too.
+  // (Unreplicated mode keeps the cache alive across crashes as a modelling
+  // shortcut; with real replication the data's durability comes from the
+  // copy on another process, so the shortcut is retired.)
   p.replicas.clear();
   auto& engine = host_->ctx().engine();
   for (std::uint32_t sh = 0; sh < shard_map_.n_shards(); ++sh) {
@@ -264,67 +264,52 @@ void HerdService::recover_proc(std::uint32_t s) {
   p.alive = true;
   ++p.stats.recoveries;
 
-  if (!cfg_.replicate) {
-    if (cfg_.mode != RequestMode::kWriteUc) return;
+  if (cfg_.mode == RequestMode::kWriteUc) {
     // Remap the request region and rescan this chunk: WRITEs that the NIC
     // DMA-ed while the process was down are still sitting in the slots.
     for (std::uint32_t c = 0; c < cfg_.n_clients; ++c) {
       for (std::uint32_t r = 0; r < cfg_.window; ++r) {
         std::uint64_t slot_addr = region_.slot_addr(s, c, r);
         auto slot = host_->memory().span(slot_addr, kSlotBytes);
-        auto req = decode_request(slot, cfg_.request_tokens,
-                                  /*with_epoch=*/false, cfg_.overload.enable,
-                                  cfg_.trace);
+        auto req = decode_request(slot, cfg_.request_tokens, cfg_.replicate,
+                                  cfg_.overload.enable, cfg_.trace);
         if (!req) continue;
-        if (cfg_.request_tokens && cfg_.mutation_dedup &&
+        // Replicated: the process restarts empty and is no longer a
+        // primary, so every landed-while-dead request was failed over or is
+        // still being retried — clear it, never serve it.
+        bool serve_it = !cfg_.replicate;
+        if (serve_it && cfg_.request_tokens && cfg_.mutation_dedup &&
             (req->is_put || req->is_delete)) {
           // A rescanned mutation may be arbitrarily stale: the client often
           // failed it over to a survivor while this process was down, and if
           // enough newer mutations followed, its dedup entry has aged out.
           // Apply only what is provably new (newer than every recorded
           // mutation from that client); for the rest, a duplicate entry
-          // replays in complete(), and the ambiguous remainder is dropped —
+          // replays in serve(), and the ambiguous remainder is dropped —
           // re-applying risks a lost update, while a client that still wants
           // the op is still retrying it.
           std::uint32_t part = shard_map_.shard_of(req->key);
           const TokenRing& ring =
               procs_[part]->replicas.at(part).seen_tokens.at(c);
-          if (!ring.find(req->token) && !ring.provably_new(req->token)) {
-            ++p.stats.rescan_dropped;
-            clear_slot(slot);
-            continue;
-          }
+          serve_it = ring.find(req->token) || ring.provably_new(req->token);
         }
-        Pending pend;
-        pend.client = c;
-        pend.request = *req;
-        pend.value.assign(req->value.begin(), req->value.end());
-        pend.request.value = {};
+        if (!serve_it) {
+          ++p.stats.rescan_dropped;
+          clear_slot(slot);
+          continue;
+        }
+        Pending pend = make_pending(c, *req);
         pend.slot_addr = slot_addr;
-        pend.detected = host_->ctx().engine().now();
         p.arrivals.push_back(std::move(pend));
       }
     }
+  }
+  if (!cfg_.replicate) {
+    // The MICA partition survived the crash: serve what the rescan found.
     if (!p.arrivals.empty()) schedule_advance(s, 0);
     return;
   }
 
-  // Replicated mode: the process restarts empty. Landed-while-dead slots
-  // are cleared, not served — this process is not a primary anymore, so
-  // every one of those requests was failed over or is still being retried.
-  if (cfg_.mode == RequestMode::kWriteUc) {
-    for (std::uint32_t c = 0; c < cfg_.n_clients; ++c) {
-      for (std::uint32_t r = 0; r < cfg_.window; ++r) {
-        auto slot =
-            host_->memory().span(region_.slot_addr(s, c, r), kSlotBytes);
-        if (decode_request(slot, cfg_.request_tokens, cfg_.replicate,
-                           cfg_.overload.enable, cfg_.trace)) {
-          ++p.stats.rescan_dropped;
-          clear_slot(slot);
-        }
-      }
-    }
-  }
   auto& engine = host_->ctx().engine();
   for (std::uint32_t sh = 0; sh < shard_map_.n_shards(); ++sh) {
     const ShardInfo si = shard_map_.at(sh);
@@ -508,6 +493,17 @@ void HerdService::reset_stats() {
   migration_stats_ = MigrationStats{};
 }
 
+HerdService::Pending HerdService::make_pending(std::uint32_t client,
+                                               const Request& req) const {
+  Pending pend;
+  pend.client = client;
+  pend.request = req;
+  pend.value.assign(req.value.begin(), req.value.end());
+  pend.request.value = {};
+  pend.detected = host_->ctx().engine().now();
+  return pend;
+}
+
 void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr) {
   Proc& p = *procs_[s];
   if (!p.alive) {
@@ -531,13 +527,8 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr) {
   }
   p.next_r[id.client]++;
 
-  Pending pend;
-  pend.client = id.client;
-  pend.request = *req;
-  pend.value.assign(req->value.begin(), req->value.end());
-  pend.request.value = {};
+  Pending pend = make_pending(id.client, *req);
   pend.slot_addr = slot_addr;
-  pend.detected = host_->ctx().engine().now();
   if (req->trace_id != 0) {
     if (obs::TailProfiler* tp = host_->ctx().tail()) {
       tp->stage(req->trace_id, "net_in", pend.detected);
@@ -627,17 +618,22 @@ void HerdService::on_recv_ready(std::uint32_t s) {
   while ((n = p.recv_cq->poll(wcs)) > 0) {
     for (std::size_t i = 0; i < n; ++i) {
       const verbs::Wc& wc = wcs[i];
+      std::uint64_t addr = wc.wr_id;
+      // Every CQE consumed one RECV credit. A message that will not be
+      // served (errored, dropped while dead, malformed, or from a QP that
+      // is not a client's) still gives its credit back — otherwise
+      // n_clients * window rejected SENDs exhaust the queue and every later
+      // request is an RNR drop.
       if (wc.status != verbs::WcStatus::kSuccess) {
         ++p.stats.bad_requests;
+        repost_recv(s, addr);
         continue;
       }
-      std::uint64_t addr = wc.wr_id;
       if (!p.alive) {
         // Fail-stop over SEND/SEND: the message was consumed by the NIC but
-        // no process will ever see it. Repost so credits survive recovery.
+        // no process will ever see it.
         ++p.stats.dropped_while_dead;
-        p.ud_qp->post_recv(
-            {.wr_id = addr, .sge = {addr, kRecvStride, scratch_mr_.lkey}});
+        repost_recv(s, addr);
         continue;
       }
       auto buf = host_->memory().span(addr, kRecvStride);
@@ -646,28 +642,18 @@ void HerdService::on_recv_ready(std::uint32_t s) {
           buf.subspan(verbs::kGrhBytes, wc.byte_len - verbs::kGrhBytes);
       auto req = decode_request(frame, cfg_.request_tokens, cfg_.replicate,
                                 cfg_.overload.enable, cfg_.trace);
-      if (!req) {
-        ++p.stats.bad_requests;
-        continue;
-      }
-      Pending pend;
-      pend.request = *req;
-      pend.value.assign(req->value.begin(), req->value.end());
-      pend.request.value = {};
-      pend.recv_addr = addr;
-      pend.recv_wr_id = wc.wr_id;
       // Identify the client by the (port, QPN) of the sending UD QP —
       // clients in SEND mode send requests from the same UD QP they receive
       // responses on, which they registered via set_client_ah().
-      std::uint64_t sender =
-          (std::uint64_t{wc.src_port} << 32) | wc.src_qp;
-      auto it = sender_to_client_.find(sender);
-      if (it == sender_to_client_.end()) {
+      auto it = sender_to_client_.find(
+          (std::uint64_t{wc.src_port} << 32) | wc.src_qp);
+      if (!req || it == sender_to_client_.end()) {
         ++p.stats.bad_requests;
+        repost_recv(s, addr);
         continue;
       }
-      pend.client = it->second;
-      pend.detected = host_->ctx().engine().now();
+      Pending pend = make_pending(it->second, *req);
+      pend.recv_addr = addr;
       if (req->trace_id != 0) {
         if (obs::TailProfiler* tp = host_->ctx().tail()) {
           tp->stage(req->trace_id, "net_in", pend.detected);
@@ -843,11 +829,13 @@ void HerdService::rearm(std::uint32_t s, const Pending& p) {
     clear_slot(host_->memory().span(p.slot_addr, kSlotBytes));
   } else {
     if (p.recv_addr == kNoRearm) return;
-    // Repost the consumed RECV.
-    procs_[s]->ud_qp->post_recv({.wr_id = p.recv_addr,
-                                 .sge = {p.recv_addr, kRecvStride,
-                                         scratch_mr_.lkey}});
+    repost_recv(s, p.recv_addr);
   }
+}
+
+void HerdService::repost_recv(std::uint32_t s, std::uint64_t addr) {
+  procs_[s]->ud_qp->post_recv(
+      {.wr_id = addr, .sge = {addr, kRecvStride, scratch_mr_.lkey}});
 }
 
 void HerdService::send_redirect(std::uint32_t s, std::uint32_t client,
@@ -870,10 +858,6 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
       tp->stage(p.request.trace_id, "mica_op", host_->ctx().engine().now());
     }
   }
-  if (!cfg_.replicate) {
-    complete_legacy(s, p);
-    return;
-  }
   Proc& proc = *procs_[s];
   ++proc.stats.requests;
   {
@@ -889,9 +873,18 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
     }
   }
 
+  // The two modes differ only in which replica serves. Unreplicated, the
+  // map is the identity (shard x on process x) and never changes: EREW
+  // normally guarantees s == x, and under failover a client re-targets a
+  // surviving process, which serves the crashed process's partition from
+  // the owner's replica — still one writer per partition, because the
+  // crashed owner is not running. Replicated, only the current primary
+  // serves; anyone else parks or redirects.
   std::uint32_t shard = shard_map_.shard_of(p.request.key);
   const ShardInfo si = shard_map_.at(shard);
-  if (si.primary != s) {
+  if (!cfg_.replicate) {
+    if (si.primary != s) ++proc.stats.foreign_serves;
+  } else if (si.primary != s) {
     if (si.backup == s && !procs_[si.primary]->alive) {
       // We are the backup and the primary is down: the failure detector
       // will promote us shortly. Hold the request instead of bouncing the
@@ -911,13 +904,12 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
                   p.request.parent_span);
     rearm(s, p);
     return;
-  }
-  if (p.request.epoch < static_cast<std::uint32_t>(si.epoch)) {
+  } else if (p.request.epoch < static_cast<std::uint32_t>(si.epoch)) {
     // Routed correctly despite an old epoch (the client's map lagged but
     // pointed here anyway) — serve it, count it.
     ++proc.stats.stale_epoch_serves;
   }
-  serve(s, shard, procs_[s]->replicas.at(shard), p);
+  serve(s, shard, procs_[si.primary]->replicas.at(shard), p);
   rearm(s, p);
 }
 
@@ -965,73 +957,50 @@ void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
                           /*applied=*/true, now);
     }
 
-    bool drop = cfg_.drop_replication;
-#ifdef HERD_DROP_REPLICATION
-    // Planted-bug canary build: replication forwarding silently dropped.
-    // A promotion after a primary crash now loses acknowledged writes —
-    // CI asserts the linearizability checker catches exactly this.
-    drop = true;
-#endif
+    // Replication: ship the applied mutation to `to` over the cross-core
+    // ring; with `ack`, the client's response waits for `to` to apply it.
+    auto forward = [&](std::uint32_t to, bool ack, const char* event,
+                       const char* peer) {
+      if (p.request.trace_id != 0) {
+        obs::Tracer* tr = host_->ctx().tracer();
+        if (obs::tracing(tr)) {
+          tr->instant(proc.core->name(), event, now,
+                      peer + std::to_string(to),
+                      obs::TraceCtx{p.request.trace_id,
+                                    p.request.parent_span});
+        }
+      }
+      forward_mutation(Fwd{.from = s,
+                           .to = to,
+                           .shard = shard,
+                           .client = p.client,
+                           .key = p.request.key,
+                           .is_delete = p.request.is_delete,
+                           .token = token,
+                           .value = p.value,
+                           .status = status,
+                           .ack = ack,
+                           .trace_id = p.request.trace_id,
+                           .parent_span = p.request.parent_span});
+    };
+    const bool drop = cfg_.drop_replication;
     const ShardInfo si = shard_map_.at(shard);
     const Migration& m = migrations_[shard];
     if (!drop && m.active && procs_[m.dest]->alive) {
       // Dual-write window: the migration destination stays current.
       ++migration_stats_.dual_writes;
-      if (p.request.trace_id != 0) {
-        obs::Tracer* tr = host_->ctx().tracer();
-        if (obs::tracing(tr)) {
-          tr->instant(proc.core->name(), "migration_dual_write", now,
-                      "dest=" + std::to_string(m.dest),
-                      obs::TraceCtx{p.request.trace_id,
-                                    p.request.parent_span});
-        }
-      }
-      Fwd f;
-      f.from = s;
-      f.to = m.dest;
-      f.shard = shard;
-      f.client = p.client;
-      f.key = p.request.key;
-      f.is_delete = p.request.is_delete;
-      f.token = token;
-      f.value = p.value;
-      f.status = status;
-      f.ack = false;
-      f.trace_id = p.request.trace_id;
-      f.parent_span = p.request.parent_span;
-      forward_mutation(std::move(f));
+      forward(m.dest, /*ack=*/false, "migration_dual_write", "dest=");
     }
     if (!drop && si.backup != kNoBackup && procs_[si.backup]->alive) {
       // Acknowledged-write semantics: the response waits for the backup's
       // ack, so every acked mutation survives a promotion.
       ++proc.stats.repl_forwards;
-      if (p.request.trace_id != 0) {
-        obs::Tracer* tr = host_->ctx().tracer();
-        if (obs::tracing(tr)) {
-          tr->instant(proc.core->name(), "repl_forward", now,
-                      "backup=" + std::to_string(si.backup),
-                      obs::TraceCtx{p.request.trace_id,
-                                    p.request.parent_span});
-        }
-      }
-      Fwd f;
-      f.from = s;
-      f.to = si.backup;
-      f.shard = shard;
-      f.client = p.client;
-      f.key = p.request.key;
-      f.is_delete = p.request.is_delete;
-      f.token = token;
-      f.value = p.value;
-      f.status = status;
-      f.ack = true;
-      f.trace_id = p.request.trace_id;
-      f.parent_span = p.request.parent_span;
-      forward_mutation(std::move(f));
+      forward(si.backup, /*ack=*/true, "repl_forward", "backup=");
     } else {
-      // No live backup (lost redundancy, or the canary dropped the
-      // forward): ack directly, degraded.
-      ++proc.stats.repl_degraded;
+      // No live backup: ack directly. Replicated, that is a degraded ack
+      // (lost redundancy, or the drop-replication canary skipped the
+      // forward); unreplicated, it is the only ack there is.
+      if (cfg_.replicate) ++proc.stats.repl_degraded;
       post_response(s, p.client, status, {}, token, p.request.trace_id,
                     p.request.parent_span);
     }
@@ -1144,87 +1113,6 @@ void HerdService::deliver_forward(const Fwd& f) {
         }
         post_response(from, client, status, {}, token, trace_id, parent);
       });
-}
-
-void HerdService::complete_legacy(std::uint32_t s, const Pending& p) {
-  Proc& proc = *procs_[s];
-  ++proc.stats.requests;
-  {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      const char* kind = p.request.is_delete ? "delete"
-                         : p.request.is_put  ? "put"
-                                             : "get";
-      tr->instant(proc.core->name(), std::string("serve_") + kind,
-                  host_->ctx().engine().now(),
-                  "client=" + std::to_string(p.client),
-                  obs::TraceCtx{p.request.trace_id, p.request.parent_span});
-    }
-  }
-
-  // EREW normally guarantees s == the key's shard. Under failover a
-  // client re-targets a surviving process, which serves the crashed
-  // process's partition from its replica (owner below) — still one writer
-  // per partition because the crashed owner is not running.
-  std::uint32_t part = shard_map_.shard_of(p.request.key);
-  Replica& owner = procs_[part]->replicas.at(part);
-  if (part != s) ++proc.stats.foreign_serves;
-
-  std::byte value_buf[kv::MicaCache::kMaxValue];
-  std::uint32_t token = p.request.token;
-  bool is_mutation = p.request.is_put || p.request.is_delete;
-  bool dedup = cfg_.request_tokens && cfg_.mutation_dedup && is_mutation;
-  sim::Tick now = host_->ctx().engine().now();
-  std::optional<std::uint8_t> replay =
-      dedup ? owner.seen_tokens.at(p.client).find(token) : std::nullopt;
-  if (replay) {
-    // Retry of an already-applied mutation (the original response was lost,
-    // or a failover re-sent it): replay the recorded result without
-    // re-applying. Replaying — not synthesizing kOk — matters: a DELETE of
-    // an absent key returned kNotFound, and acking its retry with kOk
-    // reports a deletion that never happened.
-    ++proc.stats.duplicate_mutations;
-    if (observer_ != nullptr) {
-      observer_->on_apply(s, p.client, p.request.key, p.request.is_delete,
-                          /*applied=*/false, now);
-    }
-    post_response(s, p.client, static_cast<RespStatus>(*replay), {}, token,
-                  p.request.trace_id, p.request.parent_span);
-  } else if (is_mutation) {
-    RespStatus status = RespStatus::kOk;
-    if (p.request.is_delete) {
-      ++proc.stats.deletes;
-      bool erased = owner.cache->erase(p.request.key);
-      if (!erased) status = RespStatus::kNotFound;
-    } else {
-      ++proc.stats.puts;
-      owner.cache->put(p.request.key, p.value);
-    }
-    if (dedup) {
-      owner.seen_tokens.at(p.client).insert(
-          token, static_cast<std::uint8_t>(status), now);
-    }
-    if (observer_ != nullptr) {
-      observer_->on_apply(s, p.client, p.request.key, p.request.is_delete,
-                          /*applied=*/true, now);
-    }
-    post_response(s, p.client, status, {}, token, p.request.trace_id,
-                  p.request.parent_span);
-  } else {
-    ++proc.stats.gets;
-    auto r = owner.cache->get(p.request.key, value_buf);
-    if (r.found) {
-      ++proc.stats.get_hits;
-      post_response(s, p.client, RespStatus::kOk,
-                    std::span<const std::byte>(value_buf, r.value_len),
-                    token, p.request.trace_id, p.request.parent_span);
-    } else {
-      post_response(s, p.client, RespStatus::kNotFound, {}, token,
-                    p.request.trace_id, p.request.parent_span);
-    }
-  }
-
-  rearm(s, p);
 }
 
 void HerdService::post_response(std::uint32_t s, std::uint32_t client,

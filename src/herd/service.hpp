@@ -10,15 +10,21 @@
 //    partition and one UD queue pair for responses, polling its chunk of the
 //    request region and running the two-stage prefetch pipeline (§4.1.1).
 //
-// With HerdConfig::replicate on, the EREW partitions become *shards* with
-// primary-backup replication (herd/shard.hpp): each process hosts the
-// primary replica of its own shard plus the backup replica of a neighbor's.
-// Primaries forward committed mutations to backups over a cross-core
-// shared-memory ring and ack only after the backup applied; a crashed
-// primary's backup promotes itself after a failure-detector grace period; a
-// recovered process re-replicates lost shards by streaming them back from
-// their current primaries; and a control path migrates shards between
-// healthy processes with a bounded dual-write handoff window.
+// The EREW partitions are *shards* (herd/shard.hpp), and one serving path
+// handles every request: complete() picks the replica, serve() replays a
+// duplicate or runs the MICA op and answers with one UD SEND, rearm() frees
+// the slot or RECV. Unreplicated mode is a shard map with no backups; it
+// differs from replicated mode only in replica lookup (see complete()) and
+// in recovery (see recover_proc()).
+//
+// With HerdConfig::replicate on, each process hosts the primary replica of
+// its own shard plus the backup replica of a neighbor's. Primaries forward
+// committed mutations to backups over a cross-core shared-memory ring and
+// ack only after the backup applied; a crashed primary's backup promotes
+// itself after a failure-detector grace period; a recovered process
+// re-replicates lost shards by streaming them back from their current
+// primaries; and a control path migrates shards between healthy processes
+// with a bounded dual-write handoff window.
 #pragma once
 
 #include <cstdint>
@@ -96,14 +102,15 @@ class HerdService {
   /// primary of is promoted onto its backup after promotion_delay.
   void crash_proc(std::uint32_t s);
 
-  /// Restarts process `s`. Unreplicated: remaps the request region and
-  /// rescans its chunk for requests that landed while it was dead (the
-  /// MICA partition survives — the legacy recovery-from-replica model).
-  /// Replicated: the process comes back empty and rejoins by streaming
-  /// each shard that lost redundancy back from its current primary
-  /// (re-replication); landed-while-dead slots are cleared, not served —
-  /// this process is no longer a primary, so clients have failed the
-  /// requests over or are still retrying them.
+  /// Restarts process `s`. In WRITE mode both modes rescan its region chunk
+  /// for requests that landed while it was dead; they differ in what they
+  /// do with them. Unreplicated: the MICA partition survived the crash (a
+  /// single-copy modelling shortcut), so the process serves what it finds,
+  /// minus mutations too stale to apply safely. Replicated: the process
+  /// comes back empty, clears the landed slots without serving them — it is
+  /// no longer a primary, so clients have failed the requests over or are
+  /// still retrying them — and rejoins by streaming each shard that lost
+  /// redundancy back from its current primary (re-replication).
   void recover_proc(std::uint32_t s);
 
   bool proc_alive(std::uint32_t s) const;
@@ -203,7 +210,6 @@ class HerdService {
     std::vector<std::byte> value;
     std::uint64_t slot_addr = 0;     // WRITE mode: slot to re-arm
     std::uint64_t recv_addr = 0;     // SEND mode: recv buffer to repost
-    std::uint64_t recv_wr_id = 0;
     /// Detection tick: when the poll loop (or recv CQ) first saw this
     /// request. The DRR-wait span runs from here to pipeline admission.
     sim::Tick detected = 0;
@@ -292,6 +298,9 @@ class HerdService {
 
   Replica make_replica() const;
   Replica* find_replica(std::uint32_t proc, std::uint32_t shard);
+  /// A request the poll loop (or recv CQ) just found: copies the PUT
+  /// payload out of the slot/recv buffer and stamps the detection tick.
+  Pending make_pending(std::uint32_t client, const Request& req) const;
   void on_region_write(std::uint32_t s, std::uint64_t addr);
   void on_recv_ready(std::uint32_t s);
   /// Admission control: enqueues `pend` (DRR tenant queues in overload
@@ -305,11 +314,15 @@ class HerdService {
   void schedule_advance(std::uint32_t s, sim::Tick extra_delay);
   void arm_noop_timer(std::uint32_t s);
   void advance(std::uint32_t s);
+  /// Picks the replica that serves `p` (or parks/redirects it), serve()s
+  /// it, and re-arms its slot — for both modes.
   void complete(std::uint32_t s, const Pending& p);
-  void complete_legacy(std::uint32_t s, const Pending& p);
+  /// Dedup replay or MICA op against `rep`, then the response: sent now,
+  /// or after the backup acks the forward.
   void serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
              const Pending& p);
   void rearm(std::uint32_t s, const Pending& p);
+  void repost_recv(std::uint32_t s, std::uint64_t addr);
   void send_redirect(std::uint32_t s, std::uint32_t client,
                      std::uint32_t token, const ShardInfo& si,
                      std::uint64_t trace_id = 0, std::uint32_t parent_span = 0);

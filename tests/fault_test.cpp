@@ -27,6 +27,24 @@ using fault::ProcCrashFault;
 using fault::Window;
 using fault::WireLossFault;
 
+// Unreplicated failover shares the serving path with replicated mode, but
+// none of replication's bookkeeping: while survivors serve a crashed
+// process's partition, every replication-only counter on every process
+// stays zero. Read from proc_stats() directly — the metric registry only
+// exports these when replication is on.
+void expect_no_replication_counters(core::HerdTestbed& bed) {
+  core::HerdService& svc = bed.service();
+  for (std::uint32_t s = 0; s < svc.config().n_server_procs; ++s) {
+    const core::HerdService::ProcStats& st = svc.proc_stats(s);
+    EXPECT_EQ(st.repl_forwards, 0u) << "proc " << s;
+    EXPECT_EQ(st.repl_degraded, 0u) << "proc " << s;
+    EXPECT_EQ(st.repl_acks, 0u) << "proc " << s;
+    EXPECT_EQ(st.stale_epoch_rejects, 0u) << "proc " << s;
+    EXPECT_EQ(st.stale_epoch_serves, 0u) << "proc " << s;
+    EXPECT_EQ(st.parked, 0u) << "proc " << s;
+  }
+}
+
 TEST(FaultPlanWindows, UniformLossDropsOnlyInsideWindow) {
   sim::Engine engine;
   FaultPlan plan;
@@ -316,6 +334,7 @@ TEST(HerdFaults, CrashFailoverGracefulDegradation) {
   EXPECT_EQ(rep.value("fault.recoveries"), 1u);
   EXPECT_GT(rep.value("service.foreign_serves"), 0u);
   EXPECT_GT(rep.value("service.duplicate_mutations"), 0u);
+  expect_no_replication_counters(bed);
 
   // Drain: stop issuing and let every in-flight request reach a terminal
   // state (response, retry-then-response, or deadline). No hung requests.
@@ -455,6 +474,7 @@ TEST(HerdFaults, FailoverRecreditsRecvOnFullyOccupiedSurvivor) {
   EXPECT_EQ(rep.value("fault.crashes"), 1u);
   EXPECT_EQ(rep.value("fault.recoveries"), 0u);
   EXPECT_GT(rep.value("service.foreign_serves"), 0u);
+  expect_no_replication_counters(bed);
 
   bed.client(0).stop();
   bed.cluster().engine().run();

@@ -53,6 +53,56 @@ TEST(HerdEndToEnd, SendSendModeIsCorrect) {
   EXPECT_EQ(r.bad, 0u);
 }
 
+TEST(HerdEndToEnd, SendSendModeRejectedRequestsReturnRecvCredits) {
+  // SEND/SEND mode keeps exactly n_clients * window RECVs posted. A SEND
+  // the server rejects still consumed one, so every rejection path must
+  // repost it: otherwise a handful of stray SENDs drains the receive queue
+  // and every later client request is RNR-dropped.
+  TestbedConfig cfg = small_config();
+  cfg.herd.mode = RequestMode::kSendUd;
+  cfg.herd.n_server_procs = 1;
+  cfg.herd.n_clients = 1;
+  cfg.herd.window = 2;
+  HerdTestbed bed(cfg);
+
+  // A UD QP on the client host that never registered with the service,
+  // using the arena a second client on that host would own.
+  cluster::Host& host = bed.cluster().host(1);
+  auto scq = host.ctx().create_cq();
+  auto rcq = host.ctx().create_cq();
+  auto rogue = host.ctx().create_qp({verbs::Transport::kUd, scq.get(),
+                                     rcq.get()});
+  const std::uint64_t base = HerdClient::arena_bytes(cfg.herd);
+  const std::uint32_t oversized = kSlotBytes + 64;  // > a server RECV buffer
+  verbs::Mr mr = host.ctx().register_mr(base, oversized, {});
+  auto send = [&](std::uint32_t len) {
+    verbs::SendWr wr;
+    wr.opcode = verbs::Opcode::kSend;
+    wr.sge = {base, len, mr.lkey};
+    wr.signaled = false;
+    wr.ah = bed.service().proc_ah(0);
+    rogue->post_send(wr);
+    bed.cluster().engine().run();  // one at a time: each finds a credit
+  };
+  // Two frames that do not decode (zero keyhash)...
+  send(64);
+  send(64);
+  // ...two well-formed GETs from a sender that is not a client...
+  Request get;
+  get.key = kv::hash_of_rank(0);
+  encode_request(host.memory().span(base, 64), get);
+  send(64);
+  send(64);
+  // ...and one too large for the RECV buffer (an error CQE).
+  send(oversized);
+  EXPECT_EQ(bed.service().proc_stats(0).bad_requests, 5u);
+
+  auto r = bed.run(sim::ms(1), sim::ms(1));
+  EXPECT_GT(r.ops, 100u);
+  EXPECT_EQ(r.value_mismatches, 0u);
+  EXPECT_EQ(bed.cluster().host(0).rnic().counters().rnr_drops, 0u);
+}
+
 TEST(HerdEndToEnd, RequestsArriveInPollOrder) {
   // The §4.2 polling formula assumes per-(client, proc) round-robin slot
   // order; UC WRITEs on one QP are ordered, so no violations should occur.
