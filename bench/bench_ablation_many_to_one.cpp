@@ -20,15 +20,15 @@ using microbench::TputSpec;
 void Ablation_ManyToOne(benchmark::State& state) {
   auto n_procs = static_cast<std::uint32_t>(state.range(0));
   TputSpec spec{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 4, 4};
-  double mops = 0;
+  microbench::RunRecord r;
   for (auto _ : state) {
-    mops = microbench::many_to_one_tput(bench::apt(), spec, n_procs, 16,
-                                        bench::measure_ticks());
+    r = microbench::many_to_one_tput(bench::apt(), spec, n_procs, 16,
+                                     bench::measure_ticks());
   }
-  state.counters["Mops"] = mops;
+  state.counters["Mops"] = r.value;
   state.SetLabel(std::to_string(n_procs) + " client procs / 16 machines");
-  bench::micro_point("WRITE_UC", n_procs, {{"Mops", mops}});
-  bench::snapshot_last_microbench();
+  bench::report().add_point("WRITE_UC", n_procs, {{"Mops", r.value}}, r.attr,
+                            bench::publish(r));
 }
 
 }  // namespace

@@ -7,17 +7,27 @@
 // just the cost of running the simulator.
 //
 // Each binary additionally declares an obs::BenchSpec and records its
-// series points into a process-wide obs::BenchReport; with --bench-out=DIR
-// the binary writes schema-versioned BENCH_<figure>.json (and, when a trace
-// was captured, TRACE_<figure>.json) there. Binary-specific flags — all
-// stripped before google-benchmark sees argv:
+// series points into a process-wide obs::BenchReport. A run reaches the
+// report one way: a microbench driver returns a microbench::RunRecord, a
+// HERD experiment leaves its evidence on the core::HerdTestbed, and
+// publish() takes either, sets the report's registry snapshot, flight
+// recording and trace, and hands back the p99 tail for the point (whose
+// attribution comes from the record or the testbed). The emulated
+// baselines (run_emulated) publish nothing yet.
+//
+// With --bench-out=DIR the binary writes schema-versioned
+// BENCH_<figure>.json (plus TIMESERIES_<figure>.json and, when a trace was
+// captured, TRACE_<figure>.json) there. Binary-specific flags — all
+// stripped before google-benchmark sees argv; a value that does not parse
+// in full exits 1:
 //
 //   --bench-out=DIR         write BENCH_<figure>.json into DIR
 //   --git-rev=SHA           provenance stamp for the JSON ("unknown" if unset)
 //   --bench-measure-ms=M    per-point measurement window (default 2 ms of
 //                           simulated time; CI smoke passes 0.25)
-//   --bench-trace=N         sample every Nth request into a Chrome trace
-//                           (end-to-end benches only)
+//   --bench-trace=N         sample every Nth HERD request into a Chrome
+//                           trace; any N > 0 also records the microbench
+//                           drivers' whole measure windows
 //
 // Use HERD_BENCH_MAIN(figure, title, {series...}) instead of
 // BENCHMARK_MAIN().
@@ -26,11 +36,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -72,28 +84,29 @@ inline sim::Tick warmup_ticks() {
   return sim::ms(std::max(0.25, options().measure_ms / 2));
 }
 
-/// Copies the most recent microbench run's registry snapshot into the
-/// report (the per-layer evidence behind the figure's headline numbers),
-/// plus its Chrome trace when --bench-trace captured one.
-inline void snapshot_last_microbench() {
-  if (!report_slot()) return;
-  report().set_snapshot(microbench::last_run().snapshot);
-  if (options().trace_every > 0 &&
-      !microbench::last_run().trace_json.empty()) {
-    report().set_trace(microbench::last_run().trace_json);
+/// The one publish path: puts a measured run's registry snapshot, its
+/// flight recording (when one was taken) and, under --bench-trace, its
+/// Chrome trace into the report, and returns its p99 "ok" tail breakdown
+/// (Null when nothing was sampled) for the caller's point. Each call
+/// overwrites the last, so a figure's files carry the evidence of the last
+/// run it published.
+inline obs::Json publish(const microbench::RunRecord& r) {
+  report().set_snapshot(r.snapshot);
+  if (!r.timeseries.is_null()) report().set_timeseries(r.timeseries);
+  if (options().trace_every > 0 && !r.trace_json.empty()) {
+    report().set_trace(r.trace_json);
   }
+  return r.tail;
 }
 
-/// Adds a point annotated with the most recent microbench run's bottleneck
-/// attribution ("bottleneck" / "bottleneck_util" / "breakdown") and its
-/// per-op p99 "tail" stage breakdown, and keeps that run's flight recording
-/// as the report's TIMESERIES_ sidecar.
-inline void micro_point(const std::string& series, double x,
-                        std::vector<std::pair<std::string, double>> metrics) {
-  if (!report_slot()) return;
-  const microbench::RunRecord& r = microbench::last_run();
-  report().add_point(series, x, std::move(metrics), r.attr, r.tail);
-  if (!r.timeseries.is_null()) report().set_timeseries(r.timeseries);
+/// As above, for a HERD testbed's last run().
+inline obs::Json publish(const core::HerdTestbed& bed) {
+  microbench::RunRecord r;
+  r.snapshot = bed.snapshot();
+  r.timeseries = bed.timeseries_json();
+  if (options().trace_every > 0) r.trace_json = bed.trace_json();
+  r.tail = obs::tail_json(bed.tail().quantile("ok", 0.99));
+  return publish(r);
 }
 
 // --- end-to-end drivers ----------------------------------------------------
@@ -152,17 +165,8 @@ inline E2e run_herd(const cluster::ClusterConfig& cc, const E2eParams& p,
   cfg.flight_interval = measure / 16 > 0 ? measure / 16 : 1;
   core::HerdTestbed bed(cfg);
   auto r = bed.run(warmup, measure);
-  if (report_slot()) {
-    report().set_snapshot(bed.snapshot());
-    report().set_timeseries(bed.timeseries_json());
-    if (options().trace_every > 0) report().set_trace(bed.trace_json());
-  }
-  obs::Json tail;
-  if (bed.tail().count("ok") > 0) {
-    tail = obs::tail_json(bed.tail().quantile("ok", 0.99));
-  }
-  return E2e{r.mops,     r.avg_latency_us, r.p5_latency_us,
-             r.p95_latency_us, bed.attribution(), std::move(tail)};
+  return E2e{r.mops,           r.avg_latency_us,  r.p5_latency_us,
+             r.p95_latency_us, bed.attribution(), publish(bed)};
 }
 
 /// Emulated Pilaf / FaRM-KV under the same workload parameters.
@@ -209,6 +213,14 @@ inline bool consume_flag(std::string_view arg, std::string_view prefix,
   return true;
 }
 
+/// Parses all of `v` as a T; false on an empty value, trailing junk, a
+/// sign on an unsigned T, or overflow.
+template <typename T>
+bool parse_whole(std::string_view v, T& out) {
+  auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  return ec == std::errc() && end == v.data() + v.size();
+}
+
 inline int bench_main(int argc, char** argv, obs::BenchSpec spec) {
   report_slot().emplace(std::move(spec));
   BenchOptions& opt = options();
@@ -222,11 +234,16 @@ inline int bench_main(int argc, char** argv, obs::BenchSpec spec) {
     } else if (consume_flag(argv[i], "--git-rev=", v)) {
       opt.git_rev = v;
     } else if (consume_flag(argv[i], "--bench-trace=", v)) {
-      opt.trace_every = std::strtoull(v.c_str(), nullptr, 10);
+      if (!parse_whole(v, opt.trace_every)) {
+        std::fprintf(stderr, "--bench-trace wants an unsigned integer, got "
+                             "'%s'\n", v.c_str());
+        return 1;
+      }
     } else if (consume_flag(argv[i], "--bench-measure-ms=", v)) {
-      opt.measure_ms = std::strtod(v.c_str(), nullptr);
-      if (opt.measure_ms <= 0) {
-        std::fprintf(stderr, "--bench-measure-ms must be > 0\n");
+      if (!parse_whole(v, opt.measure_ms) || !std::isfinite(opt.measure_ms) ||
+          opt.measure_ms <= 0) {
+        std::fprintf(stderr, "--bench-measure-ms wants a number > 0, got "
+                             "'%s'\n", v.c_str());
         return 1;
       }
     } else {

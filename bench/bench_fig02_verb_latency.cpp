@@ -25,10 +25,10 @@ void Fig02_VerbLatency(benchmark::State& state) {
   state.counters["WR_INLINE_us"] = r.write_inline_us;
   state.counters["ECHO_us"] = r.echo_us;
   state.counters["ECHO_half_us"] = r.echo_us / 2.0;
-  // The driver keeps the LAST cluster's tail breakdown (same convention as
-  // the snapshot): the ECHO cluster when the payload fits inline, the
-  // signaled-WRITE cluster otherwise. Attach it to the matching series.
-  const obs::Json& tail = microbench::last_run().tail;
+  // The record is the LAST cluster's (snapshot and tail alike): the ECHO
+  // cluster when the payload fits inline, the signaled-WRITE cluster
+  // otherwise. Attach its tail to the matching series.
+  obs::Json tail = bench::publish(r.record);
   bench::report().add_point("READ", payload, {{"us", r.read_us}});
   if (r.write_inline_us > 0) {
     bench::report().add_point("WRITE", payload, {{"us", r.write_us}});
@@ -39,7 +39,6 @@ void Fig02_VerbLatency(benchmark::State& state) {
     bench::report().add_point("WRITE", payload, {{"us", r.write_us}}, {},
                               tail);
   }
-  bench::snapshot_last_microbench();
 }
 
 }  // namespace

@@ -23,19 +23,21 @@ void Fig03_Inbound(benchmark::State& state) {
   TputSpec read_rc{verbs::Opcode::kRead, verbs::Transport::kRc, false,
                    payload, 16, 1};
   sim::Tick measure = bench::measure_ticks();
-  double wuc = 0, wrc = 0, rrc = 0;
+  microbench::RunRecord wuc, wrc, rrc;
   for (auto _ : state) {
     wuc = microbench::inbound_tput(bench::apt(), write_uc, 16, measure);
-    bench::micro_point("WRITE_UC", payload, {{"Mops", wuc}});
+    bench::report().add_point("WRITE_UC", payload, {{"Mops", wuc.value}},
+                              wuc.attr, bench::publish(wuc));
     wrc = microbench::inbound_tput(bench::apt(), write_rc, 16, measure);
-    bench::micro_point("WRITE_RC", payload, {{"Mops", wrc}});
+    bench::report().add_point("WRITE_RC", payload, {{"Mops", wrc.value}},
+                              wrc.attr, bench::publish(wrc));
     rrc = microbench::inbound_tput(bench::apt(), read_rc, 16, measure);
-    bench::micro_point("READ_RC", payload, {{"Mops", rrc}});
+    bench::report().add_point("READ_RC", payload, {{"Mops", rrc.value}},
+                              rrc.attr, bench::publish(rrc));
   }
-  state.counters["WRITE_UC_Mops"] = wuc;
-  state.counters["WRITE_RC_Mops"] = wrc;
-  state.counters["READ_RC_Mops"] = rrc;
-  bench::snapshot_last_microbench();
+  state.counters["WRITE_UC_Mops"] = wuc.value;
+  state.counters["WRITE_RC_Mops"] = wrc.value;
+  state.counters["READ_RC_Mops"] = rrc.value;
 }
 
 }  // namespace

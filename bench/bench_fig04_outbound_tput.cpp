@@ -28,27 +28,30 @@ void Fig04_Outbound(benchmark::State& state) {
   TputSpec read_rc{verbs::Opcode::kRead, verbs::Transport::kRc, false,
                    payload, 16, 1};
   sim::Tick measure = bench::measure_ticks();
-  double wi = 0, su = 0, wp = 0, rd = 0;
+  microbench::RunRecord wi, su, wp, rd;
   for (auto _ : state) {
-    // micro_point right after each run: the point carries that run's own
-    // bottleneck attribution (Fig. 4's flip from RNIC-bound to PIO-bound
-    // across the inline/WQE-cacheline threshold is the whole story here).
+    // Each point carries its own run's bottleneck attribution (Fig. 4's
+    // flip from RNIC-bound to PIO-bound across the inline/WQE-cacheline
+    // threshold is the whole story here).
     if (payload <= 256) {
       wi = microbench::outbound_tput(bench::apt(), wr_inline, 16, measure);
-      bench::micro_point("WR_UC_INLINE", payload, {{"Mops", wi}});
+      bench::report().add_point("WR_UC_INLINE", payload, {{"Mops", wi.value}},
+                                wi.attr, bench::publish(wi));
       su = microbench::outbound_tput(bench::apt(), send_ud, 16, measure);
-      bench::micro_point("SEND_UD", payload, {{"Mops", su}});
+      bench::report().add_point("SEND_UD", payload, {{"Mops", su.value}},
+                                su.attr, bench::publish(su));
     }
     wp = microbench::outbound_tput(bench::apt(), wr_plain, 16, measure);
-    bench::micro_point("WRITE_UC", payload, {{"Mops", wp}});
+    bench::report().add_point("WRITE_UC", payload, {{"Mops", wp.value}},
+                              wp.attr, bench::publish(wp));
     rd = microbench::outbound_tput(bench::apt(), read_rc, 16, measure);
-    bench::micro_point("READ_RC", payload, {{"Mops", rd}});
+    bench::report().add_point("READ_RC", payload, {{"Mops", rd.value}},
+                              rd.attr, bench::publish(rd));
   }
-  state.counters["WR_UC_INLINE_Mops"] = wi;
-  state.counters["SEND_UD_Mops"] = su;
-  state.counters["WRITE_UC_Mops"] = wp;
-  state.counters["READ_RC_Mops"] = rd;
-  bench::snapshot_last_microbench();
+  state.counters["WR_UC_INLINE_Mops"] = wi.value;
+  state.counters["SEND_UD_Mops"] = su.value;
+  state.counters["WRITE_UC_Mops"] = wp.value;
+  state.counters["READ_RC_Mops"] = rd.value;
 }
 
 }  // namespace

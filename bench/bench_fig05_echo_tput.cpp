@@ -22,20 +22,20 @@ void Fig05_EchoThroughput(benchmark::State& state) {
   EchoOpts opts;
   opts.opt_level = static_cast<int>(state.range(1));
   opts.payload = 32;
-  double mops = 0;
+  microbench::RunRecord r;
   for (auto _ : state) {
-    mops = microbench::echo_tput(bench::apt(), kind, opts,
-                                 bench::measure_ticks());
+    r = microbench::echo_tput(bench::apt(), kind, opts,
+                              bench::measure_ticks());
   }
-  state.counters["Mops"] = mops;
+  state.counters["Mops"] = r.value;
   static const char* lvl[] = {"basic", "+unreliable", "+unsignaled",
                               "+inlined"};
   state.SetLabel(std::string(microbench::echo_kind_name(kind)) + " " +
                  lvl[state.range(1)]);
   // One series per verb combination; x = optimization level 0..3.
-  bench::micro_point(microbench::echo_kind_name(kind),
-                     static_cast<double>(opts.opt_level), {{"Mops", mops}});
-  bench::snapshot_last_microbench();
+  bench::report().add_point(microbench::echo_kind_name(kind),
+                            static_cast<double>(opts.opt_level),
+                            {{"Mops", r.value}}, r.attr, bench::publish(r));
 }
 
 }  // namespace

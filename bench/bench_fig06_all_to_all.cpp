@@ -20,19 +20,21 @@ void Fig06_AllToAll(benchmark::State& state) {
   TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 32, 4};
   TputSpec ud{verbs::Opcode::kSend, verbs::Transport::kUd, true, 32, 32, 4};
   sim::Tick measure = bench::measure_ticks();
-  double in_wr = 0, out_wr = 0, out_ud = 0;
+  microbench::RunRecord in_wr, out_wr, out_ud;
   for (auto _ : state) {
     in_wr = microbench::all_to_all_inbound(bench::apt(), wr, n, measure);
-    bench::micro_point("In_WRITE_UC", n, {{"Mops", in_wr}});
+    bench::report().add_point("In_WRITE_UC", n, {{"Mops", in_wr.value}},
+                              in_wr.attr, bench::publish(in_wr));
     out_wr = microbench::all_to_all_outbound(bench::apt(), wr, n, measure);
-    bench::micro_point("Out_WRITE_UC", n, {{"Mops", out_wr}});
+    bench::report().add_point("Out_WRITE_UC", n, {{"Mops", out_wr.value}},
+                              out_wr.attr, bench::publish(out_wr));
     out_ud = microbench::all_to_all_outbound(bench::apt(), ud, n, measure);
-    bench::micro_point("Out_SEND_UD", n, {{"Mops", out_ud}});
+    bench::report().add_point("Out_SEND_UD", n, {{"Mops", out_ud.value}},
+                              out_ud.attr, bench::publish(out_ud));
   }
-  state.counters["In_WRITE_UC_Mops"] = in_wr;
-  state.counters["Out_WRITE_UC_Mops"] = out_wr;
-  state.counters["Out_SEND_UD_Mops"] = out_ud;
-  bench::snapshot_last_microbench();
+  state.counters["In_WRITE_UC_Mops"] = in_wr.value;
+  state.counters["Out_WRITE_UC_Mops"] = out_wr.value;
+  state.counters["Out_SEND_UD_Mops"] = out_ud.value;
 }
 
 }  // namespace

@@ -24,18 +24,18 @@ void Fig07_Prefetch(benchmark::State& state) {
   opts.prefetch = state.range(2) != 0;
   opts.n_clients = 24;
   opts.window = 8;
-  double mops = 0;
+  microbench::RunRecord r;
   for (auto _ : state) {
-    mops = microbench::echo_tput(bench::apt(), EchoKind::kWriteSend, opts,
-                                 bench::measure_ticks());
+    r = microbench::echo_tput(bench::apt(), EchoKind::kWriteSend, opts,
+                              bench::measure_ticks());
   }
-  state.counters["Mops"] = mops;
+  state.counters["Mops"] = r.value;
   state.SetLabel(std::string("N=") + std::to_string(state.range(0)) +
                  (opts.prefetch ? " prefetch" : " no-prefetch"));
   std::string series = "N=" + std::to_string(state.range(0)) +
                        (opts.prefetch ? "/prefetch" : "/no-prefetch");
-  bench::micro_point(series, opts.n_server_procs, {{"Mops", mops}});
-  bench::snapshot_last_microbench();
+  bench::report().add_point(series, opts.n_server_procs, {{"Mops", r.value}},
+                            r.attr, bench::publish(r));
 }
 
 }  // namespace

@@ -42,14 +42,7 @@ void Fig14_Skew(benchmark::State& state) {
     total = r.mops;
     per_core = bed.per_proc_mops();
     attr = bed.attribution();
-    bench::report().set_snapshot(bed.snapshot());
-    bench::report().set_timeseries(bed.timeseries_json());
-    if (bench::options().trace_every > 0) {
-      bench::report().set_trace(bed.trace_json());
-    }
-    if (bed.tail().count("ok") > 0) {
-      tail = obs::tail_json(bed.tail().quantile("ok", 0.99));
-    }
+    tail = bench::publish(bed);
   }
   state.counters["total_Mops"] = total;
   const char* series = zipf ? "Zipf(.99)" : "Uniform";

@@ -65,13 +65,7 @@ void Fig15_Failover(benchmark::State& state) {
       promotions += r.promotions;
       failovers += r.failovers;
     }
-    bench::report().set_snapshot(bed.snapshot());
-    if (bench::options().trace_every > 0) {
-      bench::report().set_trace(bed.trace_json());
-    }
-    if (bed.tail().count("ok") > 0) {
-      tail = obs::tail_json(bed.tail().quantile("ok", 0.99));
-    }
+    tail = bench::publish(bed);
   }
 
   double pre = 0;

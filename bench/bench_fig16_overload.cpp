@@ -117,15 +117,9 @@ void Fig16_Overload(benchmark::State& state) {
         attrs[i] = bed.attribution();
         sheds += r.overload_sheds;
         shed_deadline += r.shed_deadline;
-        if (bed.tail().count("ok") > 0) {
-          tails[i] = obs::tail_json(bed.tail().quantile("ok", 0.99));
-        }
-        if (i == kN - 1) {
-          bench::report().set_snapshot(bed.snapshot());
-          if (bench::options().trace_every > 0) {
-            bench::report().set_trace(bed.trace_json());
-          }
-        }
+        // Every shielded point publishes; the deepest-overload one, last,
+        // is the snapshot and trace the report keeps.
+        tails[i] = bench::publish(bed);
       }
       {
         core::HerdTestbed bed(overload_bench_cfg(false, kClients[i]));

@@ -37,8 +37,7 @@ void Table2_ClusterPreset(benchmark::State& state) {
        {"pcie_dma_GBps", cfg.pcie.dma_read_gbps},
        {"half_rtt_us", lat.echo_us / 2.0},
        {"read_us", lat.read_us}},
-      {}, microbench::last_run().tail);
-  bench::snapshot_last_microbench();
+      {}, bench::publish(lat.record));
 }
 
 }  // namespace

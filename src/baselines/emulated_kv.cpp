@@ -13,6 +13,10 @@ constexpr std::uint32_t kReadStride = 4096;       // READ landing buffers
 constexpr std::uint32_t kAckStride = 64;          // FaRM PUT completions
 constexpr std::uint32_t kReplyStride = 64;        // Pilaf PUT replies
 constexpr sim::Tick kComposeCost = sim::ns(20);
+constexpr std::uint32_t kKeySize = 16;     // SK
+constexpr std::uint32_t kPointerSize = 8;  // SP (FaRM-em-VAR)
+/// Pilaf: expected bucket READs per GET ("1.6 average probes", §5.1.1).
+constexpr double kPilafAvgProbes = 1.6;
 }  // namespace
 
 const char* system_name(System s) {
@@ -29,9 +33,9 @@ const char* system_name(System s) {
 
 std::uint32_t EmulatedKvTestbed::farm_read_bytes() const {
   // FaRM-em: 6*(SK+SV); FaRM-em-VAR: 6*(SK+SP) (§5.1.2).
-  std::uint32_t per = cfg_.key_size + (cfg_.system == System::kFarmEm
-                                           ? cfg_.value_size
-                                           : cfg_.pointer_size);
+  std::uint32_t per =
+      kKeySize +
+      (cfg_.system == System::kFarmEm ? cfg_.value_size : kPointerSize);
   return 6 * per;
 }
 
@@ -297,7 +301,7 @@ void EmulatedKvTestbed::client_issue(Client& c) {
   }
 
   ++c.puts;
-  std::uint32_t msg = cfg_.key_size + cfg_.value_size;
+  std::uint32_t msg = kKeySize + cfg_.value_size;
   if (cfg_.system == System::kPilafEmOpt) {
     c.core->run(
         cpu_.post_recv + kComposeCost + cpu_.post_send, [this, &c, id, msg]() {
@@ -401,7 +405,7 @@ void EmulatedKvTestbed::client_on_cq(Client& c) {
             // probability avg_probes - 1, sequentially (§5.1.1: issuing
             // both concurrently costs throughput).
             bool second = c.rng.next_double() <
-                          (cfg_.pilaf_avg_probes - 1.0);
+                          (kPilafAvgProbes - 1.0);
             op.stage = second ? 1 : 2;
           } else if (op.stage == 1) {
             op.stage = 2;

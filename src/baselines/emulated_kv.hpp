@@ -48,11 +48,7 @@ struct EmulatedConfig {
   std::uint32_t clients_per_host = 3;
   std::uint32_t window = 4;          // outstanding ops per client
   double get_fraction = 0.95;
-  std::uint32_t key_size = 16;       // SK
   std::uint32_t value_size = 32;     // SV
-  std::uint32_t pointer_size = 8;    // SP (FaRM-em-VAR)
-  /// Pilaf: expected bucket READs per GET ("1.6 average probes", §5.1.1).
-  double pilaf_avg_probes = 1.6;
   std::uint64_t seed = 9;
 };
 

@@ -62,6 +62,26 @@ struct OverloadConfig {
   bool drop_shedding = false;
 };
 
+// Server-loop and replication timings every deployment shares.
+
+/// "if a server fails for 100 iterations consecutively, it pushes a no-op"
+inline constexpr std::uint32_t kNoopTimeoutPolls = 100;
+/// Idle-poll quantization: detection delay for a request landing while the
+/// server is idle is uniform in [0, kPollScanSlots * poll_iteration].
+inline constexpr std::uint32_t kPollScanSlots = 64;
+/// One-way latency of the primary <-> backup forwarding hop. The server
+/// processes share a machine (the paper's NS-processes-one-box layout),
+/// so this is a cross-core shared-memory ring, not a fabric round trip.
+inline constexpr sim::Tick kReplForwardDelay = sim::us(1);
+/// Failure-detector grace: how long after a primary's crash its backup
+/// waits before promoting itself (models lease expiry — promoting
+/// instantly would split-brain against a primary that was merely slow).
+inline constexpr sim::Tick kPromotionDelay = sim::us(100);
+/// Re-replication: how long a recovered process streams a shard from its
+/// current primary before rejoining as backup (snapshot + delta catch-up,
+/// modeled as an atomic state copy at stream end).
+inline constexpr sim::Tick kRejoinStreamTime = sim::us(400);
+
 struct HerdConfig {
   /// NS: server processes, each pinned to a core, each owning one EREW
   /// keyspace partition (paper's evaluation: 6).
@@ -81,11 +101,6 @@ struct HerdConfig {
   RequestMode mode = RequestMode::kWriteUc;
   /// Per-process MICA cache sizing (scaled-down defaults; see DESIGN.md).
   kv::MicaCache::Config mica{};
-  /// "if a server fails for 100 iterations consecutively, it pushes a no-op"
-  std::uint32_t noop_timeout_polls = 100;
-  /// Idle-poll quantization: detection delay for a request landing while the
-  /// server is idle is uniform in [0, poll_scan_slots * poll_iteration].
-  std::uint32_t poll_scan_slots = 64;
   /// Per-process response staging ring (reuse horizon for non-inlined SENDs).
   std::uint32_t response_ring = 64;
   /// Carry a 4-byte correlation token in requests and responses. Required
@@ -122,18 +137,6 @@ struct HerdConfig {
   /// ring is what makes post-promotion retries exactly-once) and at least
   /// two server processes. Adds a 4-byte epoch header to every request.
   bool replicate = false;
-  /// One-way latency of the primary <-> backup forwarding hop. The server
-  /// processes share a machine (the paper's NS-processes-one-box layout),
-  /// so this is a cross-core shared-memory ring, not a fabric round trip.
-  sim::Tick repl_forward_delay = sim::us(1);
-  /// Failure-detector grace: how long after a primary's crash its backup
-  /// waits before promoting itself (models lease expiry — promoting
-  /// instantly would split-brain against a primary that was merely slow).
-  sim::Tick promotion_delay = sim::us(100);
-  /// Re-replication: how long a recovered process streams a shard from its
-  /// current primary before rejoining as backup (snapshot + delta catch-up,
-  /// modeled as an atomic state copy at stream end).
-  sim::Tick rejoin_stream_time = sim::us(400);
   /// Live migration: length of the dual-write handoff window. The
   /// destination takes a snapshot at migration start; mutations during the
   /// window are forwarded to it as well; at the end the epoch bumps and the

@@ -244,10 +244,10 @@ void HerdService::crash_proc(std::uint32_t s) {
     }
     if (si.primary == s && si.backup != kNoBackup &&
         procs_[si.backup]->alive) {
-      // The failure detector needs promotion_delay to be sure (lease
+      // The failure detector needs kPromotionDelay to be sure (lease
       // expiry); promote_shard re-checks the world when it fires.
       engine.schedule_after(
-          cfg_.promotion_delay,
+          kPromotionDelay,
           [this, sh, ep = si.epoch]() { promote_shard(sh, ep); });
     }
     if (migrations_[sh].active && migrations_[sh].dest == s) {
@@ -326,7 +326,7 @@ void HerdService::recover_proc(std::uint32_t s) {
       // The copy lands atomically at stream end (snapshot + delta
       // catch-up); finish_rejoin re-checks the world when it fires.
       engine.schedule_after(
-          cfg_.rejoin_stream_time,
+          kRejoinStreamTime,
           [this, s, sh, pe = p.epoch]() { finish_rejoin(s, sh, pe); });
     }
   }
@@ -539,7 +539,7 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr) {
   // to a partial scan of the chunk.
   sim::Tick jitter = 0;
   if (p.core->busy_until() <= host_->ctx().engine().now()) {
-    sim::Tick scan = cfg_.poll_scan_slots * cpu_.poll_iteration;
+    sim::Tick scan = kPollScanSlots * cpu_.poll_iteration;
     jitter = poll_jitter_rng_.next_u64() % (scan + 1);
   }
   schedule_advance(s, jitter);
@@ -682,7 +682,7 @@ void HerdService::arm_noop_timer(std::uint32_t s) {
   Proc& p = *procs_[s];
   if (p.pipeline.empty()) return;
   std::uint64_t gen = p.advance_gen;
-  sim::Tick timeout = cfg_.noop_timeout_polls * cpu_.poll_iteration;
+  sim::Tick timeout = kNoopTimeoutPolls * cpu_.poll_iteration;
   host_->ctx().engine().schedule_after(timeout, [this, s, gen]() {
     Proc& pp = *procs_[s];
     if (pp.advance_gen != gen || pp.pipeline.empty() || !pp.alive) return;
@@ -1021,7 +1021,7 @@ void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
 
 void HerdService::forward_mutation(Fwd f) {
   host_->ctx().engine().schedule_after(
-      cfg_.repl_forward_delay,
+      kReplForwardDelay,
       [this, f = std::move(f)]() { deliver_forward(f); });
 }
 
@@ -1087,7 +1087,7 @@ void HerdService::deliver_forward(const Fwd& f) {
     return;
   }
   engine.schedule_after(
-      cfg_.repl_forward_delay,
+      kReplForwardDelay,
       [this, from = f.from, client = f.client, status = f.status,
        token = f.token, trace_id = f.trace_id, parent = f.parent_span,
        applied = engine.now()]() {

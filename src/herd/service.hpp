@@ -99,7 +99,7 @@ class HerdService {
   /// The NIC keeps DMA-ing WRITEs into the (shmget) request region — that
   /// memory outlives the process. With replication on, the process's
   /// replicas die with it (they are process memory) and each shard it was
-  /// primary of is promoted onto its backup after promotion_delay.
+  /// primary of is promoted onto its backup after kPromotionDelay.
   void crash_proc(std::uint32_t s);
 
   /// Restarts process `s`. In WRITE mode both modes rescan its region chunk

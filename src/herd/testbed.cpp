@@ -365,22 +365,16 @@ HerdTestbed::RunResult HerdTestbed::run(sim::Tick warmup, sim::Tick measure) {
 
   for (auto& c : clients_) c->reset_stats();
   service_->reset_stats();
-  cluster_->resources().begin_window();
-  if (cfg_.flight_interval > 0) {
-    if (!flight_) {
-      obs::FlightConfig fc;
-      fc.interval = cfg_.flight_interval;
-      fc.ring = cfg_.flight_ring;
-      fc.source = "herd-testbed";
-      flight_ = std::make_unique<obs::FlightRecorder>(
-          engine, cluster_->resources(), &cluster_->metrics(), fc);
-    }
-    flight_->start();
+  if (cfg_.flight_interval > 0 && !flight_) {
+    obs::FlightConfig fc;
+    fc.interval = cfg_.flight_interval;
+    fc.ring = cfg_.flight_ring;
+    fc.source = "herd-testbed";
+    flight_ = std::make_unique<obs::FlightRecorder>(
+        engine, cluster_->resources(), &cluster_->metrics(), fc);
   }
-  sim::Tick start = engine.now();
-  engine.run_until(start + measure);
-  attr_ = obs::attribute(cluster_->resources());
-  if (flight_) flight_->stop();
+  attr_ = obs::measure_window(engine, cluster_->resources(), flight_.get(),
+                              measure);
   last_window_ = measure;
 
   RunResult r;

@@ -281,8 +281,6 @@ class HerdTestbed {
 
   /// Bottleneck attribution over the last run()'s measure window.
   const obs::Attribution& attribution() const { return attr_; }
-  /// Flight recorder of the last run() (nullptr when flight_interval == 0).
-  const obs::FlightRecorder* flight() const { return flight_.get(); }
   /// "herd-timeseries/1" document of the last run()'s measure window
   /// (Null when flight_interval == 0).
   obs::Json timeseries_json() const {
@@ -307,6 +305,8 @@ class HerdTestbed {
   std::unique_ptr<fault::FaultInjector> fault_;
   std::unique_ptr<HerdService> service_;
   std::vector<std::unique_ptr<HerdClient>> clients_;
+  /// One recorder for every run(): its stopped ticks stay queued on the
+  /// engine across windows, so it lives as long as the testbed.
   std::unique_ptr<obs::FlightRecorder> flight_;
   obs::Attribution attr_;
   sim::Tick last_window_ = 0;

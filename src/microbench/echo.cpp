@@ -73,7 +73,6 @@ struct Deployment {
   /// aren't tagged, but a single client's echoes complete in issue order in
   /// the simulator, so a FIFO of (issue index, profiler id) matches them.
   static constexpr std::uint64_t kTailSampleEvery = 16;
-  obs::TailProfiler* tail = nullptr;
   std::deque<std::pair<std::uint64_t, std::uint64_t>> tail_fifo;
 
   std::uint64_t req_base(std::uint32_t c, std::uint32_t w) const {
@@ -150,14 +149,14 @@ void Deployment::client_issue(Client& cc) {
   std::uint64_t idx = cc.slot;  // issue index of this echo
   std::uint32_t w = cc.slot++ % opts.window;
   std::uint64_t tail_id = 0;
-  if (tail != nullptr && cc.id == 0 && idx % kTailSampleEvery == 0) {
+  if (cc.id == 0 && idx % kTailSampleEvery == 0) {
     tail_id = idx + 1;  // profiler key; 0 means "unsampled"
-    tail->begin(tail_id, cl->engine().now());
+    cl->tail().begin(tail_id, cl->engine().now());
     tail_fifo.emplace_back(idx, tail_id);
   }
   cc.core->run(cost, [this, &cc, w, recv_response, tail_id]() {
     if (tail_id != 0) {
-      tail->stage(tail_id, "client_post", cl->engine().now());
+      cl->tail().stage(tail_id, "client_post", cl->engine().now());
     }
     if (recv_response) {
       std::uint64_t rbuf = cc.arena + 8192 + w * kSlot;
@@ -183,10 +182,10 @@ void Deployment::client_issue(Client& cc) {
 
 void Deployment::client_done(Client& cc) {
   ++cc.completed;
-  if (cc.id == 0 && tail != nullptr) {
+  if (cc.id == 0) {
     sim::Tick now = cl->engine().now();
     while (!tail_fifo.empty() && tail_fifo.front().first < cc.completed) {
-      tail->finish(tail_fifo.front().second, "ok", now, "echo_rtt");
+      cl->tail().finish(tail_fifo.front().second, "ok", now, "echo_rtt");
       tail_fifo.pop_front();
     }
   }
@@ -217,6 +216,7 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
   cl = std::make_unique<cluster::Cluster>(cfg, 1 + n_hosts,
                                           std::max<std::uint64_t>(
                                               server_mem, 1u << 20));
+  cl->tail().enable();
   auto& server = cl->host(0);
   smr = server.ctx().register_mr(0, server_mem, {.remote_write = true});
 
@@ -345,51 +345,31 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
   }
 }
 
-/// ECHO rate = client-observed completions (an echo isn't done until the
-/// response lands back at the issuer, so RNIC op counts would overcount).
-class EchoBench final : public Microbench {
- public:
-  EchoBench(EchoKind kind, const EchoOpts& opts, sim::Tick measure)
-      : Microbench("echo_tput", "Mops"),
-        kind_(kind),
-        opts_(opts),
-        measure_(measure) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override {
-    Deployment d;
-    d.kind = kind_;
-    d.opts = opts_;
-    d.unreliable = opts_.opt_level >= 1;
-    d.unsignaled = opts_.opt_level >= 2;
-    d.inlined = opts_.opt_level >= 3;
-    d.tail = &tail();
-    d.build(cfg);
-
-    for (auto& c : d.clients) {
-      while (c->outstanding < opts_.window) d.client_issue(*c);
-    }
-    return measure_rate(
-        *d.cl,
-        [&d]() {
-          std::uint64_t n = 0;
-          for (auto& c : d.clients) n += c->completed;
-          return n;
-        },
-        measure_);
-  }
-
- private:
-  EchoKind kind_;
-  EchoOpts opts_;
-  sim::Tick measure_;
-};
-
 }  // namespace
 
-double echo_tput(const cluster::ClusterConfig& cfg, EchoKind kind,
-                 const EchoOpts& opts, sim::Tick measure) {
-  return EchoBench(kind, opts, measure).run(cfg);
+/// ECHO rate = client-observed completions (an echo isn't done until the
+/// response lands back at the issuer, so RNIC op counts would overcount).
+RunRecord echo_tput(const cluster::ClusterConfig& cfg, EchoKind kind,
+                    const EchoOpts& opts, sim::Tick measure) {
+  Deployment d;
+  d.kind = kind;
+  d.opts = opts;
+  d.unreliable = opts.opt_level >= 1;
+  d.unsignaled = opts.opt_level >= 2;
+  d.inlined = opts.opt_level >= 3;
+  d.build(cfg);
+
+  for (auto& c : d.clients) {
+    while (c->outstanding < opts.window) d.client_issue(*c);
+  }
+  return measure_rate(
+      *d.cl, "echo_tput",
+      [&d]() {
+        std::uint64_t n = 0;
+        for (auto& c : d.clients) n += c->completed;
+        return n;
+      },
+      measure);
 }
 
 }  // namespace herd::microbench

@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "cluster/cluster.hpp"
+#include "microbench/microbench.hpp"
 
 namespace herd::microbench {
 
@@ -40,8 +41,8 @@ struct EchoOpts {
   bool prefetch = true;
 };
 
-/// Returns echo throughput in millions of echoes per second.
-double echo_tput(const cluster::ClusterConfig& cfg, EchoKind kind,
-                 const EchoOpts& opts, sim::Tick measure = sim::ms(2));
+/// The record's value is echo throughput in millions of echoes per second.
+RunRecord echo_tput(const cluster::ClusterConfig& cfg, EchoKind kind,
+                    const EchoOpts& opts, sim::Tick measure = sim::ms(2));
 
 }  // namespace herd::microbench

@@ -5,36 +5,14 @@
 namespace herd::microbench {
 
 namespace {
-RunRecord g_last;            // NOLINT: process-wide last-run record
-bool g_trace_capture = false;     // NOLINT: --bench-trace knob
-std::uint32_t g_next_pump = 0;    // NOLINT: per-run pump ordinal counter
+bool g_trace_capture = false;  // NOLINT: --bench-trace knob
 }  // namespace
 
-const RunRecord& last_run() { return g_last; }
-
 void set_trace_capture(bool on) { g_trace_capture = on; }
-bool trace_capture() { return g_trace_capture; }
 
-std::uint32_t next_pump_ordinal() { return ++g_next_pump; }
-
-double Microbench::run(const cluster::ClusterConfig& cfg) {
-  record_.value = 0;
-  record_.snapshot = {};
-  record_.attr = {};
-  record_.timeseries = {};
-  record_.tail = {};
-  record_.trace_json.clear();
-  g_next_pump = 0;  // identical runs hand out identical trace-id salts
-  tail_.clear();
-  tail_.enable();
-  record_.value = execute(cfg);
-  g_last = record_;
-  return record_.value;
-}
-
-double Microbench::measure_rate(cluster::Cluster& cl,
-                                const std::function<std::uint64_t()>& count,
-                                sim::Tick measure) {
+RunRecord measure_rate(cluster::Cluster& cl, const char* source,
+                       const std::function<std::uint64_t()>& count,
+                       sim::Tick measure) {
   auto& eng = cl.engine();
   eng.run_until(eng.now() + sim::ms(1));  // warm-up
   if (g_trace_capture) {
@@ -45,32 +23,29 @@ double Microbench::measure_rate(cluster::Cluster& cl,
     cl.tracer().sample();
   }
   std::uint64_t before = count();
-  sim::Tick start = eng.now();
   // Flight-record the measurement window: 16 fixed-width windows however
-  // small `measure` is, so tiny CI runs still carry a usable timeline.
-  cl.resources().begin_window();
+  // small `measure` is, so tiny CI runs still carry a usable timeline. The
+  // recorder may end with this call: a driver's engine never runs again
+  // after its one measured window.
   obs::FlightConfig fc;
   fc.interval = measure / 16 > 0 ? measure / 16 : 1;
-  fc.source = record_.name;
+  fc.source = source;
   obs::FlightRecorder flight(eng, cl.resources(), &cl.metrics(), fc);
-  flight.start();
-  eng.run_until(start + measure);
-  record_.attr = obs::attribute(cl.resources());
-  flight.stop();
-  record_.timeseries = flight.to_json();
-  finish(cl);
-  return static_cast<double>(count() - before) / sim::to_sec(measure) / 1e6;
+  RunRecord rec;
+  rec.attr = obs::measure_window(eng, cl.resources(), &flight, measure);
+  rec.timeseries = flight.to_json();
+  finish(cl, rec);
+  rec.value =
+      static_cast<double>(count() - before) / sim::to_sec(measure) / 1e6;
+  return rec;
 }
 
-void Microbench::finish(cluster::Cluster& cl) {
+void finish(cluster::Cluster& cl, RunRecord& rec) {
   cluster::require_contract_clean(cl);
-  record_.snapshot = cl.snapshot();
-  if (tail_.count("ok") > 0) {
-    record_.tail = obs::tail_json(tail_.quantile("ok", 0.99));
-  }
-  tail_.clear();
+  rec.snapshot = cl.snapshot();
+  rec.tail = obs::tail_json(cl.tail().quantile("ok", 0.99));
   if (g_trace_capture && cl.tracer().enabled()) {
-    record_.trace_json = cl.tracer().chrome_json();
+    rec.trace_json = cl.tracer().chrome_json();
     cl.tracer().release();
     cl.tracer().disable();
   }

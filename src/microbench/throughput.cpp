@@ -37,16 +37,18 @@ class WindowPump {
 
   static constexpr std::uint32_t kTailSampleEvery = 16;  // of signaled verbs
 
-  WindowPump(sim::Engine& eng, cluster::SequentialCore& core, verbs::Cq& cq,
-             const TputSpec& spec, const cluster::CpuModel& cpu,
-             obs::TailProfiler* tail, MakeFn make)
-      : eng_(&eng),
+  /// `ordinal` numbers the run's pumps from 1; it salts the trace ids of
+  /// sampled verbs so concurrent pumps never collide.
+  WindowPump(cluster::Cluster& cl, cluster::SequentialCore& core,
+             verbs::Cq& cq, const TputSpec& spec, std::uint32_t ordinal,
+             MakeFn make)
+      : eng_(&cl.engine()),
         core_(&core),
         cq_(&cq),
         spec_(spec),
-        cpu_(cpu),
-        tail_(tail),
-        ordinal_(next_pump_ordinal()),
+        cpu_(cl.config().cpu),
+        tail_(&cl.tail()),
+        ordinal_(ordinal),
         make_(std::move(make)) {
     cq_->set_notify([this]() { on_cq(); });
   }
@@ -62,8 +64,7 @@ class WindowPump {
       ++seq_;
       bool signaled = seq_ % spec_.signal_every == 0;
       batch.push_back(make_(signaled));
-      if (tail_ != nullptr && signaled &&
-          (seq_ / spec_.signal_every) % kTailSampleEvery == 0) {
+      if (signaled && (seq_ / spec_.signal_every) % kTailSampleEvery == 0) {
         batch.back().second.wr_id = seq_;
         // One trace id per sampled verb (ordinal salt keeps concurrent
         // pumps apart); the RNIC pipeline spans on both hosts carry it.
@@ -82,11 +83,9 @@ class WindowPump {
       verbs::Qp* qp = batch[i].first;
       core_->run(cpu_.chained_post_cost(chain.size()),
                  [this, qp, chain = std::move(chain)]() {
-                   if (tail_ != nullptr) {
-                     for (const verbs::SendWr& w : chain) {
-                       if (w.wr_id != 0) {
-                         tail_->stage(w.wr_id, "post_cpu", eng_->now());
-                       }
+                   for (const verbs::SendWr& w : chain) {
+                     if (w.wr_id != 0) {
+                       tail_->stage(w.wr_id, "post_cpu", eng_->now());
                      }
                    }
                    qp->post_send(std::span<const verbs::SendWr>(chain));
@@ -101,12 +100,10 @@ class WindowPump {
     std::array<verbs::Wc, 16> wcs;
     std::size_t n;
     while ((n = cq_->poll(wcs)) > 0) {
-      if (tail_ != nullptr) {
-        sim::Tick now = eng_->now();
-        for (std::size_t k = 0; k < n; ++k) {
-          if (wcs[k].wr_id != 0) {
-            tail_->finish(wcs[k].wr_id, "ok", now, "net_rtt");
-          }
+      sim::Tick now = eng_->now();
+      for (std::size_t k = 0; k < n; ++k) {
+        if (wcs[k].wr_id != 0) {
+          tail_->finish(wcs[k].wr_id, "ok", now, "net_rtt");
         }
       }
       post_batch(static_cast<std::uint32_t>(n) * spec_.signal_every);
@@ -166,38 +163,13 @@ std::function<std::uint64_t()> rnic_ops(cluster::Cluster& cl,
   };
 }
 
-/// The five throughput experiments share everything but the deployment;
-/// each is a thin Microbench whose execute() builds it and counts one
-/// direction of the server RNIC's pipeline.
-class TputBench : public Microbench {
- public:
-  TputBench(const char* name, const TputSpec& spec, sim::Tick measure)
-      : Microbench(name, "Mops"),
-        spec_(normalized(spec)),
-        measure_(measure) {}
+}  // namespace
 
- protected:
-  TputSpec spec_;
-  sim::Tick measure_;
-};
-
-class InboundTputBench final : public TputBench {
- public:
-  InboundTputBench(const TputSpec& spec, std::uint32_t n_clients,
-                   sim::Tick measure)
-      : TputBench("inbound_tput", spec, measure), n_clients_(n_clients) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override;
-
- private:
-  std::uint32_t n_clients_;
-};
-
-double InboundTputBench::execute(const cluster::ClusterConfig& cfg) {
-  const TputSpec& spec = spec_;
-  std::uint32_t n_clients = n_clients_;
+RunRecord inbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& raw,
+                       std::uint32_t n_clients, sim::Tick measure) {
+  const TputSpec spec = normalized(raw);
   cluster::Cluster cl(cfg, 1 + n_clients, 1u << 20);
+  cl.tail().enable();
   auto& server = cl.host(0);
   auto server_cq = server.ctx().create_cq();
   auto smr = server.ctx().register_mr(
@@ -222,32 +194,20 @@ double InboundTputBench::execute(const cluster::ClusterConfig& cfg) {
     std::uint64_t target = std::uint64_t{i} * 4096;
     verbs::Qp* qp = r.qps[0].get();
     r.pump = std::make_unique<WindowPump>(
-        cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
+        cl, *r.core, *r.scq, spec, i + 1,
         [qp, spec, &r, smr, target](bool signaled) {
           return std::pair{qp, make_wr(spec, r.mr, smr, target, signaled)};
         });
   }
   for (auto& r : reqs) r.pump->start();
-  return measure_rate(cl, rnic_ops(cl, true), measure_);
+  return measure_rate(cl, "inbound_tput", rnic_ops(cl, true), measure);
 }
 
-class OutboundTputBench final : public TputBench {
- public:
-  OutboundTputBench(const TputSpec& spec, std::uint32_t n_procs,
-                    sim::Tick measure)
-      : TputBench("outbound_tput", spec, measure), n_procs_(n_procs) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override;
-
- private:
-  std::uint32_t n_procs_;
-};
-
-double OutboundTputBench::execute(const cluster::ClusterConfig& cfg) {
-  const TputSpec& spec = spec_;
-  std::uint32_t n_procs = n_procs_;
+RunRecord outbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& raw,
+                        std::uint32_t n_procs, sim::Tick measure) {
+  const TputSpec spec = normalized(raw);
   cluster::Cluster cl(cfg, 1 + n_procs, 1u << 20);
+  cl.tail().enable();
   auto& server = cl.host(0);
 
   struct ClientSide {
@@ -298,7 +258,7 @@ double OutboundTputBench::execute(const cluster::ClusterConfig& cfg) {
       verbs::Ah ah{&chost.ctx(), rq->qpn()};
       r.qps.push_back(std::move(ud));
       r.pump = std::make_unique<WindowPump>(
-          cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
+          cl, *r.core, *r.scq, spec, i + 1,
           [uq, spec, &r, ah](bool signaled) {
             verbs::SendWr wr;
             wr.opcode = verbs::Opcode::kSend;
@@ -318,33 +278,22 @@ double OutboundTputBench::execute(const cluster::ClusterConfig& cfg) {
       verbs::Mr cmr = cs.mr;
       r.qps.push_back(std::move(sqp));
       r.pump = std::make_unique<WindowPump>(
-          cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
+          cl, *r.core, *r.scq, spec, i + 1,
           [qp, spec, &r, cmr](bool signaled) {
             return std::pair{qp, make_wr(spec, r.mr, cmr, 0, signaled)};
           });
     }
   }
   for (auto& r : procs) r.pump->start();
-  return measure_rate(cl, rnic_ops(cl, false), measure_);
+  return measure_rate(cl, "outbound_tput", rnic_ops(cl, false), measure);
 }
 
-class AllToAllInboundBench final : public TputBench {
- public:
-  AllToAllInboundBench(const TputSpec& spec, std::uint32_t n,
-                       sim::Tick measure)
-      : TputBench("all_to_all_inbound", spec, measure), n_(n) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override;
-
- private:
-  std::uint32_t n_;
-};
-
-double AllToAllInboundBench::execute(const cluster::ClusterConfig& cfg) {
-  const TputSpec& spec = spec_;
-  std::uint32_t n = n_;
+RunRecord all_to_all_inbound(const cluster::ClusterConfig& cfg,
+                             const TputSpec& raw, std::uint32_t n,
+                             sim::Tick measure) {
+  const TputSpec spec = normalized(raw);
   cluster::Cluster cl(cfg, 1 + n, 4u << 20);
+  cl.tail().enable();
   auto& server = cl.host(0);
   auto server_cq = server.ctx().create_cq();
   auto smr = server.ctx().register_mr(
@@ -371,7 +320,7 @@ double AllToAllInboundBench::execute(const cluster::ClusterConfig& cfg) {
       server_qps.push_back(std::move(sqp));
     }
     r.pump = std::make_unique<WindowPump>(
-        cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
+        cl, *r.core, *r.scq, spec, i + 1,
         [&r, spec, smr, i, n](bool signaled) {
           std::uint32_t j = r.rng.next_below(n);
           std::uint64_t target = (std::uint64_t{i} * n + j) * 256;
@@ -380,26 +329,15 @@ double AllToAllInboundBench::execute(const cluster::ClusterConfig& cfg) {
         });
   }
   for (auto& r : reqs) r.pump->start();
-  return measure_rate(cl, rnic_ops(cl, true), measure_);
+  return measure_rate(cl, "all_to_all_inbound", rnic_ops(cl, true), measure);
 }
 
-class AllToAllOutboundBench final : public TputBench {
- public:
-  AllToAllOutboundBench(const TputSpec& spec, std::uint32_t n,
-                        sim::Tick measure)
-      : TputBench("all_to_all_outbound", spec, measure), n_(n) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override;
-
- private:
-  std::uint32_t n_;
-};
-
-double AllToAllOutboundBench::execute(const cluster::ClusterConfig& cfg) {
-  const TputSpec& spec = spec_;
-  std::uint32_t n = n_;
+RunRecord all_to_all_outbound(const cluster::ClusterConfig& cfg,
+                              const TputSpec& raw, std::uint32_t n,
+                              sim::Tick measure) {
+  const TputSpec spec = normalized(raw);
   cluster::Cluster cl(cfg, 1 + n, 4u << 20);
+  cl.tail().enable();
   auto& server = cl.host(0);
 
   struct ClientSide {
@@ -447,7 +385,7 @@ double AllToAllOutboundBench::execute(const cluster::ClusterConfig& cfg) {
       verbs::Qp* uq = ud.get();
       r.qps.push_back(std::move(ud));
       r.pump = std::make_unique<WindowPump>(
-          cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
+          cl, *r.core, *r.scq, spec, s + 1,
           [&r, uq, spec, &clients, &cl, n](bool signaled) {
             std::uint32_t j = r.rng.next_below(n);
             verbs::SendWr wr;
@@ -469,7 +407,7 @@ double AllToAllOutboundBench::execute(const cluster::ClusterConfig& cfg) {
         clients[j].qps.push_back(std::move(cqp));
       }
       r.pump = std::make_unique<WindowPump>(
-          cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
+          cl, *r.core, *r.scq, spec, s + 1,
           [&r, spec, &clients, s, n](bool signaled) {
             std::uint32_t j = r.rng.next_below(n);
             std::uint64_t target = std::uint64_t{s} * 256;
@@ -480,32 +418,17 @@ double AllToAllOutboundBench::execute(const cluster::ClusterConfig& cfg) {
     }
   }
   for (auto& r : procs) r.pump->start();
-  return measure_rate(cl, rnic_ops(cl, false), measure_);
+  return measure_rate(cl, "all_to_all_outbound", rnic_ops(cl, false), measure);
 }
 
-class ManyToOneTputBench final : public TputBench {
- public:
-  ManyToOneTputBench(const TputSpec& spec, std::uint32_t n_processes,
-                     std::uint32_t n_machines, sim::Tick measure)
-      : TputBench("many_to_one_tput", spec, measure),
-        n_processes_(n_processes),
-        n_machines_(n_machines) {}
-
- protected:
-  double execute(const cluster::ClusterConfig& cfg) override;
-
- private:
-  std::uint32_t n_processes_;
-  std::uint32_t n_machines_;
-};
-
-double ManyToOneTputBench::execute(const cluster::ClusterConfig& cfg) {
-  const TputSpec& spec = spec_;
-  std::uint32_t n_processes = n_processes_;
-  std::uint32_t n_machines = n_machines_;
+RunRecord many_to_one_tput(const cluster::ClusterConfig& cfg,
+                           const TputSpec& raw, std::uint32_t n_processes,
+                           std::uint32_t n_machines, sim::Tick measure) {
+  const TputSpec spec = normalized(raw);
   std::uint64_t server_mem = std::uint64_t{n_processes} * 256 + 4096;
   cluster::Cluster cl(cfg, 1 + n_machines, std::max<std::uint64_t>(
                                                server_mem, 1u << 20));
+  cl.tail().enable();
   auto& server = cl.host(0);
   auto server_cq = server.ctx().create_cq();
   auto smr = server.ctx().register_mr(0, server_mem, {.remote_write = true});
@@ -530,43 +453,13 @@ double ManyToOneTputBench::execute(const cluster::ClusterConfig& cfg) {
     std::uint64_t target = std::uint64_t{i} * 256;
     verbs::Qp* qp = r.qps[0].get();
     r.pump = std::make_unique<WindowPump>(
-        cl.engine(), *r.core, *r.scq, spec, cfg.cpu, &tail(),
+        cl, *r.core, *r.scq, spec, i + 1,
         [qp, spec, &r, smr, target](bool signaled) {
           return std::pair{qp, make_wr(spec, r.mr, smr, target, signaled)};
         });
   }
   for (auto& r : reqs) r.pump->start();
-  return measure_rate(cl, rnic_ops(cl, true), measure_);
-}
-
-}  // namespace
-
-double inbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& spec,
-                    std::uint32_t n_clients, sim::Tick measure) {
-  return InboundTputBench(spec, n_clients, measure).run(cfg);
-}
-
-double outbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& spec,
-                     std::uint32_t n_procs, sim::Tick measure) {
-  return OutboundTputBench(spec, n_procs, measure).run(cfg);
-}
-
-double all_to_all_inbound(const cluster::ClusterConfig& cfg,
-                          const TputSpec& spec, std::uint32_t n,
-                          sim::Tick measure) {
-  return AllToAllInboundBench(spec, n, measure).run(cfg);
-}
-
-double all_to_all_outbound(const cluster::ClusterConfig& cfg,
-                           const TputSpec& spec, std::uint32_t n,
-                           sim::Tick measure) {
-  return AllToAllOutboundBench(spec, n, measure).run(cfg);
-}
-
-double many_to_one_tput(const cluster::ClusterConfig& cfg,
-                        const TputSpec& spec, std::uint32_t n_processes,
-                        std::uint32_t n_machines, sim::Tick measure) {
-  return ManyToOneTputBench(spec, n_processes, n_machines, measure).run(cfg);
+  return measure_rate(cl, "many_to_one_tput", rnic_ops(cl, true), measure);
 }
 
 }  // namespace herd::microbench

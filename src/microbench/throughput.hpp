@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "cluster/cluster.hpp"
+#include "microbench/microbench.hpp"
 #include "verbs/types.hpp"
 
 namespace herd::microbench {
@@ -25,35 +26,35 @@ struct TputSpec {
   std::uint32_t signal_every = 4;  // selective signaling cadence
 };
 
-/// Fig. 3: N remote processes issue verbs to one server. Returns Mops
-/// observed at the server RNIC.
-double inbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& spec,
+/// Fig. 3: N remote processes issue verbs to one server. The record's value
+/// is the Mops observed at the server RNIC.
+RunRecord inbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& spec,
                     std::uint32_t n_clients = 16,
                     sim::Tick measure = sim::ms(2));
 
 /// Fig. 4: N server processes issue verbs, process i to client machine i.
-double outbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& spec,
-                     std::uint32_t n_procs = 16,
-                     sim::Tick measure = sim::ms(2));
+RunRecord outbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& spec,
+                        std::uint32_t n_procs = 16,
+                        sim::Tick measure = sim::ms(2));
 
 /// Fig. 6: all-to-all. N client procs -> N server procs over N*N QPs,
-/// random targets. Returns inbound Mops at the server.
-double all_to_all_inbound(const cluster::ClusterConfig& cfg,
-                          const TputSpec& spec, std::uint32_t n,
-                          sim::Tick measure = sim::ms(2));
+/// random targets. The record's value is the inbound Mops at the server.
+RunRecord all_to_all_inbound(const cluster::ClusterConfig& cfg,
+                             const TputSpec& spec, std::uint32_t n,
+                             sim::Tick measure = sim::ms(2));
 
 /// Fig. 6: N server procs -> N clients; connected transports use N*N QPs,
 /// UD uses one QP per server process ("a single UD queue can be used to
 /// issue operations to multiple remote UD queues").
-double all_to_all_outbound(const cluster::ClusterConfig& cfg,
-                           const TputSpec& spec, std::uint32_t n,
-                           sim::Tick measure = sim::ms(2));
+RunRecord all_to_all_outbound(const cluster::ClusterConfig& cfg,
+                              const TputSpec& spec, std::uint32_t n,
+                              sim::Tick measure = sim::ms(2));
 
 /// §3.3: "we used 1600 client processes spread over 16 machines to issue
 /// WRITEs over UC to one server process... also achieves 30 Mops."
-double many_to_one_tput(const cluster::ClusterConfig& cfg,
-                        const TputSpec& spec, std::uint32_t n_processes,
-                        std::uint32_t n_machines,
-                        sim::Tick measure = sim::ms(2));
+RunRecord many_to_one_tput(const cluster::ClusterConfig& cfg,
+                           const TputSpec& spec, std::uint32_t n_processes,
+                           std::uint32_t n_machines,
+                           sim::Tick measure = sim::ms(2));
 
 }  // namespace herd::microbench

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "cluster/cluster.hpp"
+#include "microbench/microbench.hpp"
 
 namespace herd::microbench {
 
@@ -19,6 +20,9 @@ struct LatencyResult {
   double write_us = 0;         // signaled, non-inlined
   double write_inline_us = 0;  // signaled, inlined (payload <= 256)
   double echo_us = 0;          // unsignaled inlined WRITE echo (<= 256)
+  /// The last cluster's evidence: the ECHO cluster when the payload fits
+  /// inline, the signaled-WRITE cluster otherwise.
+  RunRecord record;
 };
 
 /// Measures mean latency for `payload` bytes over `iters` operations.

@@ -282,6 +282,19 @@ Json FlightRecorder::to_json(std::size_t last_n) const {
   return j;
 }
 
+// --- Measurement window -----------------------------------------------------
+
+Attribution measure_window(sim::Engine& engine,
+                           const ResourceRegistry& resources,
+                           FlightRecorder* flight, sim::Tick measure) {
+  resources.begin_window();
+  if (flight != nullptr) flight->start();
+  engine.run_until(engine.now() + measure);
+  Attribution attr = attribute(resources);
+  if (flight != nullptr) flight->stop();
+  return attr;
+}
+
 // --- Schema check -----------------------------------------------------------
 
 std::vector<std::string> validate_timeseries_json(const Json& doc) {

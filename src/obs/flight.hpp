@@ -104,8 +104,7 @@ struct Attribution {
 
 /// Computes the attribution over all registered resources at engine-now,
 /// using each resource's current measurement window (begin_window() marks
-/// the start; HerdTestbed::run and Microbench::measure_rate do this at
-/// measure start).
+/// the start; measure_window() does this at measure start).
 Attribution attribute(const ResourceRegistry& reg);
 
 struct FlightConfig {
@@ -174,6 +173,17 @@ class FlightRecorder {
   std::uint64_t dropped_ = 0;
   std::deque<Window> ring_;
 };
+
+/// The measurement protocol every experiment shares: opens a fresh window
+/// on every registered resource, starts `flight` (nullptr = no recording),
+/// runs the engine for `measure` of simulated time, attributes the window
+/// and stops the recorder. The recorder stays the caller's: one engine may
+/// run several windows, and a stopped recorder's queued ticks still fire
+/// later (as epoch-checked no-ops), so it must stay alive for as long as
+/// the engine runs.
+Attribution measure_window(sim::Engine& engine,
+                           const ResourceRegistry& resources,
+                           FlightRecorder* flight, sim::Tick measure);
 
 /// Schema check for a "herd-timeseries/1" document (the shared checker used
 /// by tests and tools/bench_schema_check, mirroring validate_bench_json).

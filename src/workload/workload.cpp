@@ -1,5 +1,8 @@
 #include "workload/workload.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace herd::workload {
 
 WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& cfg)
@@ -27,8 +30,19 @@ Op WorkloadGenerator::next() {
 
 void WorkloadGenerator::fill_value(std::uint64_t rank,
                                    std::span<std::byte> out) {
+  // Every 8-byte step draws one splitmix64 word and lays it out least
+  // significant byte first, on every platform. Little-endian hosts store
+  // whole words; the byte loop finishes the tail (and does everything on
+  // big-endian hosts).
   std::uint64_t state = kv::detail::splitmix64(rank ^ 0x5bd1e995);
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  std::size_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; i + 8 <= out.size(); i += 8) {
+      state = kv::detail::splitmix64(state);
+      std::memcpy(out.data() + i, &state, sizeof state);
+    }
+  }
+  for (; i < out.size(); ++i) {
     if (i % 8 == 0) state = kv::detail::splitmix64(state);
     out[i] = static_cast<std::byte>((state >> ((i % 8) * 8)) & 0xff);
   }

@@ -8,9 +8,13 @@
 // replay and the CI artifact diffing both lean on.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.hpp"
+#include "herd/testbed.hpp"
 #include "microbench/microbench.hpp"
 #include "microbench/throughput.hpp"
 #include "obs/flight.hpp"
@@ -305,9 +309,8 @@ microbench::TputSpec outbound_inline_spec(std::uint32_t payload) {
 // so the bottleneck moves out to the wire. (The HERD_NO_DOORBELL_BATCH canary
 // build restores per-WR doorbells and with them the pcie.pio ceiling.)
 TEST(AttributionE2E, OutboundLargeInlineWriteNoLongerPioBound) {
-  microbench::outbound_tput(cluster::ClusterConfig::apt(),
-                            outbound_inline_spec(192), 16, us(250));
-  const microbench::RunRecord& r = microbench::last_run();
+  const microbench::RunRecord r = microbench::outbound_tput(
+      cluster::ClusterConfig::apt(), outbound_inline_spec(192), 16, us(250));
   ASSERT_FALSE(r.attr.empty());
   EXPECT_NE(r.attr.bottleneck, "pcie.pio");
   EXPECT_EQ(r.attr.bottleneck, "fabric.tx");
@@ -316,9 +319,8 @@ TEST(AttributionE2E, OutboundLargeInlineWriteNoLongerPioBound) {
 // Fig. 4's left side: a 4 B inline WRITE is one cacheline; the RNIC tx
 // pipeline, not PIO, limits throughput.
 TEST(AttributionE2E, OutboundSmallInlineWriteIsRnicBound) {
-  microbench::outbound_tput(cluster::ClusterConfig::apt(),
-                            outbound_inline_spec(4), 16, us(250));
-  const microbench::RunRecord& r = microbench::last_run();
+  const microbench::RunRecord r = microbench::outbound_tput(
+      cluster::ClusterConfig::apt(), outbound_inline_spec(4), 16, us(250));
   ASSERT_FALSE(r.attr.empty());
   EXPECT_EQ(r.attr.bottleneck, "rnic.tx");
 }
@@ -336,8 +338,8 @@ TEST(AttributionE2E, InboundWriteWithStarvedDmaIsDmaBound) {
   spec.inlined = false;
   spec.payload = 256;
   spec.window = 8;
-  microbench::inbound_tput(cc, spec, 1, us(250));
-  const microbench::RunRecord& r = microbench::last_run();
+  const microbench::RunRecord r =
+      microbench::inbound_tput(cc, spec, 1, us(250));
   ASSERT_FALSE(r.attr.empty());
   EXPECT_EQ(r.attr.bottleneck, "pcie.dma_wr");
 }
@@ -345,16 +347,65 @@ TEST(AttributionE2E, InboundWriteWithStarvedDmaIsDmaBound) {
 // Same seed, same config => byte-identical flight recorder export. Chaos
 // replay and CI artifact diffing both assume this.
 TEST(AttributionE2E, TimeseriesByteIdenticalAcrossRuns) {
-  microbench::outbound_tput(cluster::ClusterConfig::apt(),
-                            outbound_inline_spec(64), 8, us(250));
-  ASSERT_FALSE(microbench::last_run().timeseries.is_null());
-  std::string first = microbench::last_run().timeseries.dump(2);
-  microbench::outbound_tput(cluster::ClusterConfig::apt(),
-                            outbound_inline_spec(64), 8, us(250));
-  std::string second = microbench::last_run().timeseries.dump(2);
-  EXPECT_EQ(first, second);
-  EXPECT_TRUE(obs::validate_timeseries_json(microbench::last_run().timeseries)
-                  .empty());
+  const microbench::RunRecord a = microbench::outbound_tput(
+      cluster::ClusterConfig::apt(), outbound_inline_spec(64), 8, us(250));
+  ASSERT_FALSE(a.timeseries.is_null());
+  const microbench::RunRecord b = microbench::outbound_tput(
+      cluster::ClusterConfig::apt(), outbound_inline_spec(64), 8, us(250));
+  EXPECT_EQ(a.timeseries.dump(2), b.timeseries.dump(2));
+  EXPECT_TRUE(obs::validate_timeseries_json(b.timeseries).empty());
+}
+
+// perfbench's pattern: a warm-up run() and then a measured run() on one
+// testbed. The second window's attribution and flight recording must cover
+// only that window; the first window's recorder ticks are still queued on
+// the engine when it opens (they no-op by epoch, and ASan would flag a
+// recorder that did not outlive them).
+TEST(AttributionE2E, SecondRunCoversOnlyItsOwnWindow) {
+  core::TestbedConfig cfg = core::TestbedConfigBuilder()
+                                .server_procs(2)
+                                .clients(6)
+                                .window(2)
+                                .n_keys(1024)
+                                .mica_buckets_log2(12)
+                                .mica_log_bytes(1u << 20)
+                                .flight_interval(us(25))
+                                .build();
+  core::HerdTestbed bed(cfg);
+  bed.run(0, us(300));
+  const sim::Tick second_start = bed.cluster().engine().now();
+  const auto r = bed.run(0, us(200));
+  ASSERT_GT(r.ops, 0u);
+
+  obs::Json ts = bed.timeseries_json();
+  ASSERT_TRUE(obs::validate_timeseries_json(ts).empty());
+  EXPECT_EQ(u64(ts, "start_ns"), static_cast<std::uint64_t>(second_start));
+  const std::vector<obs::Json>& windows = ts["windows"].elements();
+  ASSERT_EQ(windows.size(), 8u);
+  EXPECT_EQ(u64(windows.front(), "t_begin_ns"),
+            static_cast<std::uint64_t>(second_start));
+  EXPECT_EQ(u64(windows.back(), "t_end_ns"),
+            static_cast<std::uint64_t>(second_start + us(200)));
+
+  // Per resource class, the attributed ops are exactly the ops the second
+  // window's flight recording saw.
+  const obs::Attribution& attr = bed.attribution();
+  ASSERT_FALSE(attr.empty());
+  const std::vector<obs::Json>& names = ts["resources"].elements();
+  std::map<std::string, std::uint64_t> recorded;
+  for (const obs::Json& w : windows) {
+    const std::vector<obs::Json>& ops = w.find("ops")->elements();
+    for (std::size_t k = 0; k < names.size(); ++k) {
+      recorded[obs::resource_class(names[k].as_string())] +=
+          ops[k].as_uint();
+    }
+  }
+  std::uint64_t attributed = 0;
+  for (const obs::StageBreakdown& st : attr.stages) {
+    EXPECT_EQ(st.ops, recorded[st.stage]) << st.stage;
+    attributed += st.ops;
+  }
+  EXPECT_GT(attributed, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // these double as regression tests for the calibrated substrate.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "microbench/echo.hpp"
 #include "microbench/throughput.hpp"
 #include "microbench/verb_latency.hpp"
@@ -38,13 +41,75 @@ TEST(VerbLatency, GrowsWithPayload) {
   EXPECT_GT(large.write_us, small.write_us);
 }
 
+// The stage names of a record's p99 tail, in emission order.
+std::vector<std::string> tail_stages(const RunRecord& r) {
+  std::vector<std::string> out;
+  if (const obs::Json* stages = r.tail.find("stages")) {
+    for (const auto& [name, us] : stages->items()) out.push_back(name);
+  }
+  return out;
+}
+
+TEST(VerbLatency, RecordCarriesLastClusterTail) {
+  // A payload that fits inline ends on the ECHO cluster, a larger one on
+  // the signaled-WRITE cluster; one op is in flight at a time, so the p99
+  // sits at the mean.
+  auto inl = verb_latency(kApt, 32, 300);
+  ASSERT_FALSE(inl.record.tail.is_null());
+  EXPECT_EQ(tail_stages(inl.record), std::vector<std::string>{"echo_rtt"});
+  EXPECT_NEAR(inl.record.tail.find("p99_total_us")->as_double(), inl.echo_us,
+              inl.echo_us * 0.1);
+
+  auto big = verb_latency(kApt, 1024, 300);
+  ASSERT_FALSE(big.record.tail.is_null());
+  EXPECT_EQ(tail_stages(big.record), std::vector<std::string>{"net_rtt"});
+  EXPECT_NEAR(big.record.tail.find("p99_total_us")->as_double(),
+              big.write_us, big.write_us * 0.1);
+}
+
+TEST(RunRecord, BackToBackRunsShareNoEvidence) {
+  // Each record comes from its own run's cluster: a run that follows
+  // another carries exactly what it would carry alone. Trace ids are
+  // salted with per-run pump ordinals, so a counter leaking between runs
+  // would show in the trace.
+  set_trace_capture(true);
+  TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 8, 4};
+  EchoOpts eo;
+  const RunRecord alone = inbound_tput(kApt, wr, 2, sim::us(250));
+  const RunRecord echo =
+      echo_tput(kApt, EchoKind::kWriteSend, eo, sim::us(250));
+  const RunRecord after = inbound_tput(kApt, wr, 2, sim::us(250));
+  const LatencyResult lat = verb_latency(kApt, 32, 64);
+  set_trace_capture(false);
+
+  ASSERT_FALSE(echo.tail.is_null());
+  ASSERT_FALSE(echo.trace_json.empty());
+  EXPECT_EQ(tail_stages(echo),
+            (std::vector<std::string>{"client_post", "echo_rtt"}));
+  EXPECT_EQ(tail_stages(after),
+            (std::vector<std::string>{"post_cpu", "net_rtt"}));
+  // EXPECT_TRUE, not EXPECT_EQ: gtest's line diff of two multi-megabyte
+  // traces would take quadratic memory.
+  EXPECT_EQ(after.tail.dump(), alone.tail.dump());
+  EXPECT_TRUE(after.trace_json == alone.trace_json);
+  EXPECT_TRUE(after.timeseries.dump() == alone.timeseries.dump());
+  EXPECT_TRUE(after.snapshot.format() == alone.snapshot.format());
+
+  // A driver that measures no rate window and traces nothing carries no
+  // window, attribution or trace from the run before it.
+  EXPECT_TRUE(lat.record.timeseries.is_null());
+  EXPECT_TRUE(lat.record.attr.empty());
+  EXPECT_TRUE(lat.record.trace_json.empty());
+  EXPECT_EQ(tail_stages(lat.record), std::vector<std::string>{"echo_rtt"});
+}
+
 TEST(InboundTput, WritesBeatReadsByAboutATHird) {
   // "WRITEs achieve 35 Mops, which is about 34% higher than the maximum
   //  READ throughput (26 Mops)" (§3.2.2).
   TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 32, 4};
   TputSpec rd{verbs::Opcode::kRead, verbs::Transport::kRc, false, 32, 16, 1};
-  double w = inbound_tput(kApt, wr);
-  double r = inbound_tput(kApt, rd);
+  double w = inbound_tput(kApt, wr).value;
+  double r = inbound_tput(kApt, rd).value;
   EXPECT_NEAR(w, 35.0, 1.5);
   EXPECT_NEAR(r, 26.0, 1.5);
   EXPECT_GT(w / r, 1.25);
@@ -53,14 +118,14 @@ TEST(InboundTput, WritesBeatReadsByAboutATHird) {
 TEST(InboundTput, UcAndRcWritesNearlyIdentical) {
   TputSpec uc{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 32, 4};
   TputSpec rc{verbs::Opcode::kWrite, verbs::Transport::kRc, true, 32, 32, 4};
-  double u = inbound_tput(kApt, uc);
-  double r = inbound_tput(kApt, rc);
+  double u = inbound_tput(kApt, uc).value;
+  double r = inbound_tput(kApt, rc).value;
   EXPECT_NEAR(u, r, u * 0.1);
 }
 
 TEST(OutboundTput, ReadsHoldTwentyTwoMops) {
   TputSpec rd{verbs::Opcode::kRead, verbs::Transport::kRc, false, 32, 16, 1};
-  EXPECT_NEAR(outbound_tput(kApt, rd), 22.0, 1.5);
+  EXPECT_NEAR(outbound_tput(kApt, rd).value, 22.0, 1.5);
 }
 
 TEST(OutboundTput, DoorbellBatchingFlattensInlineWriteKnee) {
@@ -71,8 +136,8 @@ TEST(OutboundTput, DoorbellBatchingFlattensInlineWriteKnee) {
   // The HERD_NO_DOORBELL_BATCH canary restores the staircase.
   TputSpec below{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 28, 8, 4};
   TputSpec above{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 40, 8, 4};
-  double b = outbound_tput(kApt, below);
-  double a = outbound_tput(kApt, above);
+  double b = outbound_tput(kApt, below).value;
+  double a = outbound_tput(kApt, above).value;
   EXPECT_NEAR(b, a, b * 0.1);  // knee gone: no staircase between 28 and 40 B
   EXPECT_GT(b, 28.0);          // and both clear the old PIO-capped plateau
 }
@@ -84,8 +149,8 @@ TEST(OutboundTput, DoorbellBatchingClosesUdSendGap) {
   // SEND-UD pulls even with WRITE at the same payload.
   TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 24, 8, 4};
   TputSpec ud{verbs::Opcode::kSend, verbs::Transport::kUd, true, 24, 8, 4};
-  double w = outbound_tput(kApt, wr);
-  double u = outbound_tput(kApt, ud);
+  double w = outbound_tput(kApt, wr).value;
+  double u = outbound_tput(kApt, ud).value;
   EXPECT_NEAR(w, u, w * 0.1);
 }
 
@@ -96,7 +161,7 @@ TEST(Echo, OptimizationLadderIsMonotonic) {
     for (int lvl = 0; lvl <= 3; ++lvl) {
       EchoOpts o;
       o.opt_level = lvl;
-      double m = echo_tput(kApt, kind, o);
+      double m = echo_tput(kApt, kind, o).value;
       EXPECT_GE(m, prev * 0.98) << echo_kind_name(kind) << " lvl " << lvl;
       prev = m;
     }
@@ -105,9 +170,9 @@ TEST(Echo, OptimizationLadderIsMonotonic) {
 
 TEST(Echo, FullyOptimizedMatchesPaperAnchors) {
   EchoOpts o;  // fully optimized by default
-  double ss = echo_tput(kApt, EchoKind::kSendSend, o);
-  double ww = echo_tput(kApt, EchoKind::kWriteWrite, o);
-  double ws = echo_tput(kApt, EchoKind::kWriteSend, o);
+  double ss = echo_tput(kApt, EchoKind::kSendSend, o).value;
+  double ww = echo_tput(kApt, EchoKind::kWriteWrite, o).value;
+  double ws = echo_tput(kApt, EchoKind::kWriteSend, o).value;
   EXPECT_NEAR(ss, 21.0, 1.5);  // "21 Mops" (§3.2.2)
   EXPECT_NEAR(ww, 26.0, 1.5);  // "maximum throughput (26 Mops)"
   EXPECT_NEAR(ws, 26.0, 1.5);  // "this hybrid also achieves 26 Mops"
@@ -117,14 +182,14 @@ TEST(Echo, SendSendBeatsThreeQuartersOfReadRate) {
   // The paper's refutation: optimized SEND/RECV echoes beat 3/4 of the
   // 26 Mops READ rate, so one echo beats 2.6 READs.
   EchoOpts o;
-  EXPECT_GT(echo_tput(kApt, EchoKind::kSendSend, o), 26.0 * 0.75);
+  EXPECT_GT(echo_tput(kApt, EchoKind::kSendSend, o).value, 26.0 * 0.75);
 }
 
 TEST(AllToAll, InboundScalesOutboundCollapses) {
   TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 32, 4};
-  double in16 = all_to_all_inbound(kApt, wr, 16);
-  double out16 = all_to_all_outbound(kApt, wr, 16);
-  double out4 = all_to_all_outbound(kApt, wr, 4);
+  double in16 = all_to_all_inbound(kApt, wr, 16).value;
+  double out16 = all_to_all_outbound(kApt, wr, 16).value;
+  double out4 = all_to_all_outbound(kApt, wr, 4).value;
   EXPECT_NEAR(in16, 35.0, 2.0);        // inbound flat at 256 QPs
   EXPECT_LT(out16, out4 * 0.45);       // outbound collapses
   EXPECT_NEAR(out16 / 35.0, 0.21, 0.08);  // "degrades to 21% of the maximum"
@@ -132,8 +197,8 @@ TEST(AllToAll, InboundScalesOutboundCollapses) {
 
 TEST(AllToAll, UdOutboundScales) {
   TputSpec ud{verbs::Opcode::kSend, verbs::Transport::kUd, true, 32, 32, 4};
-  double out4 = all_to_all_outbound(kApt, ud, 4);
-  double out16 = all_to_all_outbound(kApt, ud, 16);
+  double out4 = all_to_all_outbound(kApt, ud, 4).value;
+  double out16 = all_to_all_outbound(kApt, ud, 16).value;
   // §3.3 promises only a slight sag. Doorbell batching lifts the 4-proc
   // number above the old PIO cap, while at 16 procs the chained WQE fetches
   // of all procs contend on the DMA-read path, so the relative sag widens a
@@ -145,7 +210,7 @@ TEST(AllToAll, UdOutboundScales) {
 TEST(ManyToOne, SixteenHundredClientsSustainLineRate) {
   // §3.3: 1600 processes over 16 machines, WRITEs over UC -> ~30 Mops.
   TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 4, 4};
-  EXPECT_GT(many_to_one_tput(kApt, wr, 1600, 16), 28.0);
+  EXPECT_GT(many_to_one_tput(kApt, wr, 1600, 16).value, 28.0);
 }
 
 TEST(Prefetch, FiveCoresReachPeakWithPrefetching) {
@@ -153,9 +218,9 @@ TEST(Prefetch, FiveCoresReachPeakWithPrefetching) {
   o.mem_accesses = 8;
   o.n_server_procs = 5;
   o.prefetch = true;
-  double with = echo_tput(kApt, EchoKind::kWriteSend, o);
+  double with = echo_tput(kApt, EchoKind::kWriteSend, o).value;
   o.prefetch = false;
-  double without = echo_tput(kApt, EchoKind::kWriteSend, o);
+  double without = echo_tput(kApt, EchoKind::kWriteSend, o).value;
   EXPECT_GT(with, 18.0);        // "5 cores can deliver the peak... N = 8"
   EXPECT_GT(with, without * 2); // prefetching pays
 }

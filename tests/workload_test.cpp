@@ -146,5 +146,35 @@ TEST(Workload, FillValuePrefixStable) {
   EXPECT_TRUE(std::equal(small.begin(), small.end(), large.begin()));
 }
 
+// The byte-at-a-time definition of the value pattern: byte i is byte
+// (i % 8) of the (i / 8 + 1)-th splitmix64 step, least significant first.
+std::vector<std::byte> fill_value_bytewise(std::uint64_t rank,
+                                           std::size_t len) {
+  std::vector<std::byte> out(len);
+  std::uint64_t state = kv::detail::splitmix64(rank ^ 0x5bd1e995);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (i % 8 == 0) state = kv::detail::splitmix64(state);
+    out[i] = static_cast<std::byte>((state >> ((i % 8) * 8)) & 0xff);
+  }
+  return out;
+}
+
+TEST(Workload, FillValueMatchesBytewiseReference) {
+  // Word-at-a-time filling must reproduce the byte loop exactly: every
+  // stored value and every client-side check depends on these bytes.
+  const std::uint64_t ranks[] = {0,      1,      2,          3,
+                                 5,      9,      42,         255,
+                                 256,    1000,   65535,      65536,
+                                 999983, 1u << 20, ~0ULL >> 1, ~0ULL};
+  for (std::uint64_t rank : ranks) {
+    for (std::size_t len = 0; len <= 70; ++len) {
+      std::vector<std::byte> got(len);
+      WorkloadGenerator::fill_value(rank, got);
+      EXPECT_EQ(got, fill_value_bytewise(rank, len))
+          << "rank " << rank << " len " << len;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace herd::workload
