@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "herd/testbed.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/json.hpp"
+#include "obs/tail.hpp"
 
 namespace herd {
 namespace {
@@ -618,6 +620,86 @@ TEST(ChaosTrace, SingleTraceIdSurvivesPrimaryCrashAndFailover) {
   }
   EXPECT_TRUE(crossed_failover)
       << "no sampled trace id spans a client track and two server procs";
+}
+
+// ---------------------------------------------------------------------------
+// Fault-path trace golden: one seeded, traced run through every path a
+// sampled request can take — admission sheds and retry-after holds,
+// replication forwards and acks, a primary crash with failover, timer
+// retries, kWrongEpoch redirects once the crashed primary rejoins, and
+// chained response flushes. The run drains to idle before the export, so
+// no request is in flight and every span is closed. The golden pins the
+// Chrome trace bytes (by hash) and the ordered tail stages of every
+// finished sample; the refresh protocol is the chaos goldens' (EXPERIMENTS.md).
+
+core::TestbedConfig fault_path_traced() {
+  core::TestbedConfig cfg = crash_primary_traced(sim::us(300));
+  cfg.fault_plan.proc_crash.front().recover_at = sim::us(600);
+  cfg.herd.window = 4;
+  cfg.herd.overload.enable = true;
+  cfg.herd.overload.n_tenants = 2;
+  cfg.herd.overload.ticks_per_token = sim::ns(300);
+  cfg.herd.overload.burst = 8;
+  cfg.herd.overload.queue_high = 12;
+  cfg.herd.overload.queue_low = 4;
+  cfg.herd.overload.degraded_retry_after = sim::us(20);
+  // Probe the crashed primary soon after it rejoins as a backup: requests
+  // that reach it are redirected with kWrongEpoch.
+  cfg.resilience.probe_interval = sim::us(100);
+  cfg.trace_sample_every = 7;
+  return cfg;
+}
+
+std::string fault_path_golden(core::HerdTestbed& bed) {
+  std::string json = bed.trace_json();
+  char line[64];
+  std::snprintf(line, sizeof line, "trace_fnv=%016llx\n",
+                static_cast<unsigned long long>(chaos::fnv1a(
+                    std::as_bytes(std::span<const char>(json)))));
+  std::string out = line;
+  for (const obs::TailProfiler::Sample& s : bed.tail().samples()) {
+    out += s.outcome;
+    char sep = ':';
+    for (const auto& [name, ticks] : s.stages) {
+      out += sep;
+      out += name;
+      sep = ',';
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(ChaosTrace, FaultPathTraceMatchesGolden) {
+  core::HerdTestbed bed(fault_path_traced());
+  auto r = bed.run(sim::us(200), sim::us(800));
+  for (std::size_t i = 0; i < bed.num_clients(); ++i) bed.client(i).stop();
+  bed.cluster().engine().run();
+  EXPECT_EQ(bed.tracer().open_spans(), 0u);
+  EXPECT_EQ(bed.tail().in_flight(), 0u);
+  // Every fault path the golden claims to pin was actually taken.
+  EXPECT_GT(r.retries, 0u);
+  EXPECT_GT(r.failovers, 0u);
+  EXPECT_GT(r.promotions, 0u);
+  EXPECT_GT(r.stale_epoch_retries, 0u);
+  EXPECT_GT(r.overload_sheds, 0u);
+  std::set<std::string> stages;
+  for (const obs::TailProfiler::Sample& s : bed.tail().samples()) {
+    for (const auto& [name, ticks] : s.stages) stages.insert(name);
+  }
+  for (const char* want : {"retry_wait", "failover_wait", "redirect_rtt",
+                           "backoff_hold", "repl_fwd", "chain_hold",
+                           "doorbell"}) {
+    EXPECT_EQ(stages.count(want), 1u) << "no sample passed through " << want;
+  }
+
+  std::string got = fault_path_golden(bed);
+  std::ofstream("fault_path_trace.actual.txt") << got;
+  std::ifstream in(HERD_GOLDEN_DIR "/fault_path_trace.txt");
+  ASSERT_TRUE(in) << "missing " HERD_GOLDEN_DIR "/fault_path_trace.txt";
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(want.str(), got);
 }
 
 }  // namespace
