@@ -28,6 +28,11 @@
 //   --bench-trace=N         sample every Nth HERD request into a Chrome
 //                           trace; any N > 0 also records the microbench
 //                           drivers' whole measure windows
+//   --bench-canary=NAME     plant a known bug so CI can prove a gate
+//                           catches it. The only NAME is drop-shedding:
+//                           fig16's admission control never sheds, and its
+//                           bench_compare gate MUST fail. Never publish a
+//                           baseline from a canary run.
 //
 // Use HERD_BENCH_MAIN(figure, title, {series...}) instead of
 // BENCHMARK_MAIN().
@@ -62,6 +67,7 @@ struct BenchOptions {
   std::string git_rev = "unknown";  // --git-rev
   std::uint64_t trace_every = 0;    // --bench-trace
   double measure_ms = 2.0;          // --bench-measure-ms
+  bool drop_shedding = false;       // --bench-canary=drop-shedding
 };
 
 inline BenchOptions& options() {
@@ -239,6 +245,13 @@ inline int bench_main(int argc, char** argv, obs::BenchSpec spec) {
                              "'%s'\n", v.c_str());
         return 1;
       }
+    } else if (consume_flag(argv[i], "--bench-canary=", v)) {
+      if (v != "drop-shedding") {
+        std::fprintf(stderr, "--bench-canary wants drop-shedding, got "
+                             "'%s'\n", v.c_str());
+        return 1;
+      }
+      opt.drop_shedding = true;
     } else if (consume_flag(argv[i], "--bench-measure-ms=", v)) {
       if (!parse_whole(v, opt.measure_ms) || !std::isfinite(opt.measure_ms) ||
           opt.measure_ms <= 0) {

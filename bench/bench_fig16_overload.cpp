@@ -21,7 +21,7 @@
 //    the retry timer. The goodput curve stays FLAT at the quota.
 //
 //  * Shedding OFF (OverloadConfig.drop_shedding — the same knob the
-//    HERD_DROP_SHEDDING canary build forces on): every arrival is served,
+//    --bench-canary=drop-shedding run forces on): every arrival is served,
 //    every response carries 1000 B, and the region drains only as fast as
 //    the fabric. Past saturation the region wait crosses the clients'
 //    retry timer, the retransmission storm adds duplicate attempts the
@@ -65,7 +65,7 @@ core::TestbedConfig overload_bench_cfg(bool shed, std::uint32_t n_clients) {
   cfg.herd.overload.queue_high = 48;
   cfg.herd.overload.queue_low = 12;
   cfg.herd.overload.degraded_retry_after = sim::us(50);
-  cfg.herd.overload.drop_shedding = !shed;
+  cfg.herd.overload.drop_shedding = !shed || bench::options().drop_shedding;
   cfg.workload.n_keys = 2048;
   // All GETs of 1000-byte values: serving is outbound-wire-bound, so a
   // header-only shed reply is ~10x cheaper than a served response. (With

@@ -531,17 +531,17 @@ bool range_mentions(const std::vector<Token>& code, std::size_t begin,
   return false;
 }
 
-/// One span_begin call site plus what the rule learned about its id.
+/// One open call site plus what the rule learned about its id.
 struct SpanOpen {
   std::uint32_t line = 0;
-  std::string receiver;             // identifier assigned the SpanId
+  std::string receiver;             // identifier assigned the id
   bool discarded = false;           // no assignment at all
   bool returned = false;            // `return tr->span_begin(...)`: caller owns
   std::size_t open_end = 0;         // token after the call's ')'
 };
 
 /// Recovers `recv = obj->span_begin` / `return tr.span_begin` shape by
-/// walking backwards from the `span_begin` token over the object chain.
+/// walking backwards from the open call's token over the object chain.
 SpanOpen classify_open(const std::vector<Token>& code, std::size_t begin_tok,
                        std::size_t body_begin) {
   SpanOpen open;
@@ -569,20 +569,20 @@ SpanOpen classify_open(const std::vector<Token>& code, std::size_t begin_tok,
   return open;
 }
 
-}  // namespace
-
-void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
-  // Everything any span_end call in the tree names. A span id stowed into a
+/// Pairs every `b` call in src/herd with the `e` calls that close it.
+void check_span_pair(const FlowContext& ctx, const std::string& b,
+                     const std::string& e, std::vector<Violation>& out) {
+  // Everything any close call in the tree names. An id stowed into a
   // member counts as closed when some function — any TU, the close is often
-  // in a different method of the same class — passes that member to
-  // span_end ("root_span" pairs `fl.root_span = root` with
-  // `tr->span_end(it->root_span, ...)`).
+  // in a different method of the same class — passes that member to the
+  // close ("trace" pairs `fl.trace = trace` with
+  // `probe->end_request(it->trace, ...)`).
   std::set<std::string, std::less<>> ended;
   for (const TuIndex& tu : ctx.tus) {
     const std::vector<Token>& code = tu.code;
     for (const FunctionDef& fn : tu.functions) {
       for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
-        if (code[i].kind != Tok::kIdent || code[i].text != "span_end" ||
+        if (code[i].kind != Tok::kIdent || code[i].text != e ||
             !tok_is(code[i + 1], "(")) {
           continue;
         }
@@ -600,7 +600,7 @@ void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
     const std::vector<Token>& code = tu.code;
     for (const FunctionDef& fn : tu.functions) {
       for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
-        if (code[i].kind != Tok::kIdent || code[i].text != "span_begin" ||
+        if (code[i].kind != Tok::kIdent || code[i].text != b ||
             !tok_is(code[i + 1], "(")) {
           continue;
         }
@@ -611,17 +611,17 @@ void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
         if (open.discarded) {
           out.push_back(
               {fn.file, open.line, "span-pairing",
-               "result of span_begin in " + fn.name +
+               "result of " + b + " in " + fn.name +
                    " is discarded: the span can never be closed and exports "
                    "as a lone \"B\" event"});
           continue;
         }
-        // Uses of the receiver after the begin call.
-        std::size_t first_end = 0;      // first local span_end naming it
+        // Uses of the receiver after the open call.
+        std::size_t first_end = 0;      // first local close naming it
         std::vector<std::string> members;  // `obj.member = receiver` stores
         bool other_use = false;
         for (std::size_t k = open.open_end; k < fn.body_end; ++k) {
-          if (code[k].kind == Tok::kIdent && code[k].text == "span_end" &&
+          if (code[k].kind == Tok::kIdent && code[k].text == e &&
               k + 1 < fn.body_end && tok_is(code[k + 1], "(")) {
             std::size_t close = match_close(code, k + 1, fn.body_end);
             if (range_mentions(code, k + 2, close, open.receiver) &&
@@ -643,14 +643,14 @@ void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
           }
         }
         if (first_end != 0) {
-          // Locally paired — but every return between the begin and its
+          // Locally paired — but every return between the open and its
           // first close leaves the function with the span open.
           for (std::size_t k = open.open_end; k < first_end; ++k) {
             if (code[k].kind == Tok::kIdent && code[k].text == "return") {
               out.push_back(
                   {fn.file, code[k].line, "span-pairing",
-                   "return leaves " + fn.name + " before span_end closes '" +
-                       open.receiver +
+                   "return leaves " + fn.name + " before " + e +
+                       " closes '" + open.receiver +
                        "' (begin at line " + std::to_string(open.line) +
                        "): the span leaks on this path"});
             }
@@ -665,9 +665,9 @@ void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
           if (!closed) {
             out.push_back(
                 {fn.file, open.line, "span-pairing",
-                 "span id from span_begin in " + fn.name +
+                 "span id from " + b + " in " + fn.name +
                      " is stored into '" + members.front() +
-                     "' but nothing in the tree ever passes it to span_end"});
+                     "' but nothing in the tree ever passes it to " + e});
           }
           continue;
         }
@@ -677,13 +677,22 @@ void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
         if (!other_use) {
           out.push_back(
               {fn.file, open.line, "span-pairing",
-               "'" + open.receiver + "' is opened by span_begin in " +
+               "'" + open.receiver + "' is opened by " + b + " in " +
                    fn.name +
                    " but never closed or used again: the span leaks"});
         }
       }
     }
   }
+}
+
+}  // namespace
+
+void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out) {
+  // The tracer's own spans, and request roots opened and closed through
+  // obs::RequestProbe.
+  check_span_pair(ctx, "span_begin", "span_end", out);
+  check_span_pair(ctx, "begin_request", "end_request", out);
 }
 
 void run_flow_rules(const FlowContext& ctx, std::vector<Violation>& out) {

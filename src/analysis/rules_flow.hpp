@@ -13,11 +13,13 @@
 //                     outside the simulation directories (the per-file
 //                     determinism rule cannot see the transitive leak)
 //   span-pairing      every obs::Tracer::span_begin in src/herd must reach
-//                     a span_end on all paths: an early return between the
-//                     begin and its local end leaks the span, and a span id
-//                     stowed into a member must be closed somewhere in the
-//                     tree (an open span exports as a lone "B" event and
-//                     the trace tooling downstream rejects the file)
+//                     a span_end on all paths, and every request root
+//                     opened by obs::RequestProbe::begin_request must reach
+//                     end_request: an early return between the open and its
+//                     local close leaks the span, and an id stowed into a
+//                     member must be closed somewhere in the tree (an open
+//                     span exports as a lone "B" event and the trace
+//                     tooling downstream rejects the file)
 //
 // All four consume the per-TU indexes plus the cross-TU constant table and
 // call graph; none of them re-reads source text.

@@ -44,8 +44,9 @@ constexpr std::array<RuleMeta, 11> kRules = {{
      "Simulation-path function reaches a wall-clock/entropy sink through a "
      "helper defined outside the simulation tree."},
     {"span-pairing",
-     "Tracer span_begin in src/herd with a path that never reaches "
-     "span_end; the open span exports as a lone \"B\" event."},
+     "Tracer span_begin (or RequestProbe begin_request) in src/herd with "
+     "a path that never reaches span_end (end_request); the open span "
+     "exports as a lone \"B\" event."},
 }};
 
 void append_escaped(std::string& out, std::string_view s) {

@@ -75,13 +75,13 @@ ClusterConfig ClusterConfigBuilder::build() const {
 
 Host::Host(sim::Engine& engine, fabric::Fabric& fabric,
            const ClusterConfig& cfg, std::string name, std::size_t mem_bytes,
-           std::uint64_t seed)
+           std::uint64_t seed, obs::RequestProbe& probe)
     : name_(std::move(name)),
       memory_(mem_bytes),
       pcie_(engine, cfg.pcie, name_),
       rnic_(engine, cfg.rnic, name_, seed),
       port_(fabric.attach(name_)),
-      ctx_(engine, rnic_, pcie_, fabric, port_, memory_) {}
+      ctx_(engine, rnic_, pcie_, fabric, port_, memory_, probe) {}
 
 Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
                  std::size_t mem_per_host, std::uint64_t seed)
@@ -93,17 +93,17 @@ Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
   for (std::size_t i = 0; i < n_hosts; ++i) {
     hosts_.push_back(std::make_unique<Host>(
         engine_, fabric_, cfg_, cfg.name + "/host" + std::to_string(i),
-        mem_per_host, seed + i * 7919));
+        mem_per_host, seed + i * 7919, probe_));
     if (cfg_.contract_check) {
       hosts_.back()->ctx().enable_contract(
           verbs::ContractChecker::Mode::kCollect);
     }
   }
 
-  // One registry + tracer for the whole cluster. Host display names carry
+  // One registry + probe for the whole cluster. Host display names carry
   // '/' (illegal in metric names), so per-host prefixes are positional.
   fabric_.register_metrics(registry_, "fabric");
-  fabric_.set_tracer(&tracer_);
+  fabric_.set_tracer(&probe_.tracer());
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     Host& h = *hosts_[i];
     std::string idx = std::to_string(i);
@@ -113,9 +113,7 @@ Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
                            [&h] { return h.ctx().chain_len_histogram(); });
     h.pcie().register_resources(resources_, "pcie.host" + idx);
     h.rnic().register_resources(resources_, "rnic.host" + idx);
-    h.pcie().set_tracer(&tracer_);
-    h.ctx().set_tracer(&tracer_);
-    h.ctx().set_tail(&tail_);
+    h.pcie().set_tracer(&probe_.tracer());
   }
   registry_.counter_fn("contract.violations",
                        [this] { return contract_violations(); });

@@ -1,5 +1,9 @@
 // Cluster wiring: hosts (memory + PCIe + RNIC + verbs context) on a fabric.
 //
+// Every host shares the cluster's metric registry, resource registry and
+// obs::RequestProbe (tracer + tail profiler); the probe reaches the HERD
+// client and service through each host's verbs::Context.
+//
 // `ClusterConfig` presets mirror Table 2: Apt (56 Gbps InfiniBand,
 // ConnectX-3 on PCIe 3.0 x8) and Susitna (40 Gbps RoCE, ConnectX-3 on
 // PCIe 2.0 x8).
@@ -13,8 +17,7 @@
 #include "cluster/cpu.hpp"
 #include "fabric/fabric.hpp"
 #include "obs/metrics.hpp"
-#include "obs/tail.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "pcie/pcie.hpp"
 #include "rnic/calibration.hpp"
 #include "rnic/rnic.hpp"
@@ -106,7 +109,8 @@ class ClusterConfigBuilder {
 class Host {
  public:
   Host(sim::Engine& engine, fabric::Fabric& fabric, const ClusterConfig& cfg,
-       std::string name, std::size_t mem_bytes, std::uint64_t seed);
+       std::string name, std::size_t mem_bytes, std::uint64_t seed,
+       obs::RequestProbe& probe);
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -149,17 +153,15 @@ class Cluster {
   /// Point-in-time snapshot of every linked metric.
   obs::Snapshot snapshot() const { return registry_.snapshot(); }
 
-  /// The cluster-wide tracer, pre-wired into fabric, PCIe, and verb flows.
-  /// Off until Tracer::enable() is called.
-  obs::Tracer& tracer() { return tracer_; }
-  const obs::Tracer& tracer() const { return tracer_; }
-
-  /// The cluster-wide per-request tail profiler. Producers on both sides
-  /// of the wire (HERD client and service) mark stages against the same
-  /// sampled trace ids; sim time is global, so the telescoping stage sums
-  /// equal end-to-end latency exactly. Off until TailProfiler::enable().
-  obs::TailProfiler& tail() { return tail_; }
-  const obs::TailProfiler& tail() const { return tail_; }
+  /// The cluster-wide request probe. Its tracer is pre-wired into fabric,
+  /// PCIe, and verb flows, off until Tracer::enable() is called; its tail
+  /// profiler holds the per-stage breakdowns of sampled requests.
+  obs::RequestProbe& probe() { return probe_; }
+  const obs::RequestProbe& probe() const { return probe_; }
+  obs::Tracer& tracer() { return probe_.tracer(); }
+  const obs::Tracer& tracer() const { return probe_.tracer(); }
+  obs::TailProfiler& tail() { return probe_.tail(); }
+  const obs::TailProfiler& tail() const { return probe_.tail(); }
 
   /// The flight recorder's resource directory. Every contended
   /// sim::Resource (fabric link directions, per-host PCIe paths and RNIC
@@ -180,8 +182,7 @@ class Cluster {
   sim::Engine engine_;
   obs::MetricRegistry registry_;
   obs::ResourceRegistry resources_;
-  obs::Tracer tracer_;
-  obs::TailProfiler tail_;
+  obs::RequestProbe probe_;
   fabric::Fabric fabric_;
   std::vector<std::unique_ptr<Host>> hosts_;
 };

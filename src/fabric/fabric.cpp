@@ -77,16 +77,9 @@ void Fabric::transmit_at(sim::Tick start, std::uint32_t src, std::uint32_t dst,
   sim::Resource::Admission rx = ports_[dst].rx->admit_at(at_switch, ser);
   sim::Tick arrival = rx.done;
   if (obs::tracing(tracer_)) {
-    if (tx.queued() > 0) {
-      tracer_->span(ports_[src].tx->name(), "queued", tx.arrival, tx.start);
-    }
-    tracer_->span(ports_[src].tx->name(), "wire_tx", tx.start, tx.done,
-                  std::to_string(wire_bytes) + "B");
-    if (rx.queued() > 0) {
-      tracer_->span(ports_[dst].rx->name(), "queued", rx.arrival, rx.start);
-    }
-    tracer_->span(ports_[dst].rx->name(), "wire_rx", rx.start, rx.done,
-                  std::to_string(wire_bytes) + "B");
+    std::string bytes = std::to_string(wire_bytes) + "B";
+    tracer_->admission(ports_[src].tx->name(), "wire_tx", tx, bytes);
+    tracer_->admission(ports_[dst].rx->name(), "wire_rx", rx, bytes);
   }
   engine_->schedule_at(arrival, std::move(on_arrival));
 }

@@ -25,6 +25,7 @@ HerdClient::HerdClient(cluster::Host& host, std::uint32_t id,
                        const workload::WorkloadConfig& wl,
                        std::uint64_t mem_base)
     : host_(&host),
+      probe_(&host.ctx().probe()),
       id_(id),
       service_(&service),
       cfg_(service.config()),
@@ -165,33 +166,20 @@ void HerdClient::issue(const workload::Op& op) {
 
     sim::Tick now = host_->ctx().engine().now();
     std::uint64_t seq = next_seq_++;
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (tr != nullptr && trace_seq_ == 0 && tr->sample()) {
-      // This request is sampled: the window stays open (and every layer
-      // records) until it reaches a terminal state.
-      trace_seq_ = seq;
+    auto seq_args = [seq] { return "seq=" + std::to_string(seq); };
+    // One sampled request per client at a time: every layer records until
+    // its terminal state, and its trace context rides every re-send.
+    obs::TraceCtx trace;
+    if (!sampling_) {
+      trace = probe_->begin_request(core_.name(),
+                                    (std::uint64_t{id_} << 32) | seq,
+                                    now - cost, seq_args);
+      sampling_ = trace.sampled();
     }
-    // The sampled request's causal identity, kept across every re-send.
-    std::uint64_t trace_id =
-        trace_seq_ == seq ? (std::uint64_t{id_} << 32) | seq : 0;
-    obs::SpanId root = 0;
-    if (obs::tracing(tr)) {
-      if (trace_id != 0) {
-        // Root span: opened here, closed at the terminal state — every hop
-        // of the request's lifetime nests under it.
-        root = tr->span_begin(core_.name(), "request", now - cost,
-                              "seq=" + std::to_string(seq),
-                              obs::TraceCtx{trace_id, 0});
-      }
-      tr->span(core_.name(), "client_post", now - cost, now,
-               "seq=" + std::to_string(seq), obs::TraceCtx{trace_id, root});
-    }
-    if (trace_id != 0) {
-      if (obs::TailProfiler* tp = host_->ctx().tail()) {
-        tp->begin(trace_id, now - cost);
-        tp->stage(trace_id, "client_post", now);
-      }
-    }
+    probe_->mark(trace, core_.name(),
+                 {.trace = "client_post", .tail = "client_post",
+                  .ambient = true},
+                 now - cost, now, seq_args);
     if (observer_ != nullptr) observer_->on_invoke(id_, seq, op, now);
     InFlight fl;
     fl.sent = now;
@@ -200,10 +188,8 @@ void HerdClient::issue(const workload::Op& op) {
     fl.r = r;
     fl.target = s;
     fl.posts = 1;
-    fl.trace_id = trace_id;
-    fl.root_span = root;
+    fl.trace = trace;
     fl.op = op;
-    sim::Tick deadline = fl.deadline;
     inflight_[s].push_back(fl);
     switch (op.type) {
       case workload::OpType::kPut:
@@ -217,7 +203,7 @@ void HerdClient::issue(const workload::Op& op) {
         break;
     }
 
-    post_request(s, r, op, seq, deadline, trace_id, root);
+    post_request(s, fl);
     arm_timer(s, seq);
   });
 }
@@ -264,10 +250,8 @@ void HerdClient::resume_held() {
 
 // Composes the request into a staging slot and ships it (steps 2-3 of §4.2;
 // shared by first transmission, retries, and failover re-issues).
-void HerdClient::post_request(std::uint32_t s, std::uint64_t r,
-                              const workload::Op& op, std::uint64_t seq,
-                              sim::Tick deadline, std::uint64_t trace_id,
-                              std::uint32_t parent_span) {
+void HerdClient::post_request(std::uint32_t s, const InFlight& fl) {
+  const workload::Op& op = fl.op;
   auto& mem = host_->memory();
   std::uint64_t stage = req_base_ + (req_slot_++ % kReqRing) * kSlotBytes;
   auto slot = mem.span(stage, kSlotBytes);
@@ -276,7 +260,7 @@ void HerdClient::post_request(std::uint32_t s, std::uint64_t r,
   req.key = op.key;
   req.is_put = op.type == workload::OpType::kPut;
   req.is_delete = op.type == workload::OpType::kDelete;
-  req.token = static_cast<std::uint32_t>(seq);
+  req.token = static_cast<std::uint32_t>(fl.seq);
   if (cfg_.replicate) {
     // Stamp the believed shard epoch; retries re-encode, so a map refresh
     // between attempts is picked up automatically.
@@ -288,13 +272,13 @@ void HerdClient::post_request(std::uint32_t s, std::uint64_t r,
     // absolute deadline lets it drop this attempt unserved once the client
     // will no longer accept the answer.
     req.tenant = static_cast<std::uint16_t>(id_ % cfg_.overload.n_tenants);
-    req.deadline = deadline;
+    req.deadline = fl.deadline;
   }
   if (cfg_.trace) {
     // Every re-send re-encodes the SAME trace id: retries, redirects, and
     // failover re-sends are hops of one trace, not new traces.
-    req.trace_id = trace_id;
-    req.parent_span = parent_span;
+    req.trace_id = fl.trace.trace_id;
+    req.parent_span = fl.trace.parent;
   }
   if (req.is_put) {
     value.resize(op.value_len);
@@ -314,7 +298,7 @@ void HerdClient::post_request(std::uint32_t s, std::uint64_t r,
     wr.opcode = verbs::Opcode::kWrite;
     wr.sge = {stage + start, wire, arena_mr_.lkey};
     wr.remote_addr =
-        service_->region().slot_addr(s, id_, r) + (kSlotBytes - wire);
+        service_->region().slot_addr(s, id_, fl.r) + (kSlotBytes - wire);
     wr.rkey = service_->region_mr().rkey;
     wr.inline_data = wire <= cal.max_inline;
     wr.signaled = false;
@@ -414,23 +398,12 @@ void HerdClient::on_timer(std::uint32_t s, std::uint64_t seq,
         observer_->on_deadline(id_, it->seq, now);
       }
     }
-    if (trace_seq_ == it->seq) {
-      obs::Tracer* tr = host_->ctx().tracer();
-      if (tr != nullptr) {
-        tr->instant(core_.name(), "deadline_exceeded", now, {},
-                    obs::TraceCtx{it->trace_id, it->root_span});
-        if (it->root_span != 0) tr->span_end(it->root_span, now);
-        tr->release();
-      }
-      trace_seq_ = 0;
-    }
-    if (it->trace_id != 0) {
-      if (obs::TailProfiler* tp = host_->ctx().tail()) {
-        tp->finish(it->trace_id,
-                   never_applied ? "shed_never_applied" : "deadline", now,
-                   "deadline_wait");
-      }
-    }
+    probe_->mark(it->trace, core_.name(), {.trace = "deadline_exceeded"},
+                 now);
+    probe_->end_request(it->trace, now,
+                        never_applied ? "shed_never_applied" : "deadline",
+                        "deadline_wait");
+    if (it->trace.sampled()) sampling_ = false;
     inflight_[s].erase(it);
     ++stats_.deadline_exceeded;
     assert(outstanding_ > 0);
@@ -490,28 +463,13 @@ void HerdClient::on_timer(std::uint32_t s, std::uint64_t seq,
   ++it->attempt;
   ++it->posts;
   ++stats_.retries;
-  std::uint64_t r = it->r;
-  workload::Op op = it->op;
-  sim::Tick deadline = it->deadline;
-  std::uint64_t trace_id = it->trace_id;
-  std::uint32_t root = it->root_span;
-  if (trace_id != 0) {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      tr->instant(core_.name(), "retry", now,
-                  "attempt=" + std::to_string(it->attempt),
-                  obs::TraceCtx{trace_id, root});
-    }
-    // The silent interval since the last mark was spent waiting out the
-    // lost attempt — charge it to the retry, not to whatever came before.
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->stage(trace_id, "retry_wait", now);
-    }
-  }
+  // The silent interval since the last mark was spent waiting out the lost
+  // attempt — charge it to the retry, not to whatever came before.
+  probe_->mark(it->trace, core_.name(),
+               {.trace = "retry", .tail = "retry_wait"}, now,
+               [&] { return "attempt=" + std::to_string(it->attempt); });
   core_.run(kComposeCost + cpu_.post_send,
-            [this, target, r, op, seq, deadline, trace_id, root]() {
-              post_request(target, r, op, seq, deadline, trace_id, root);
-            });
+            [this, target, fl = *it]() { post_request(target, fl); });
   arm_timer(s, seq);
 }
 
@@ -527,25 +485,12 @@ void HerdClient::reissue(InFlight fl, std::uint32_t to, const char* stage) {
   fl.attempt = 0;
   ++fl.posts;
   std::uint64_t seq = fl.seq;
-  std::uint64_t r = fl.r;
-  workload::Op op = fl.op;
-  sim::Tick deadline = fl.deadline;
-  std::uint64_t trace_id = fl.trace_id;
-  std::uint32_t root = fl.root_span;
-  if (trace_id != 0) {
-    sim::Tick now = host_->ctx().engine().now();
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      tr->instant(core_.name(), stage, now, "to=" + std::to_string(to),
-                  obs::TraceCtx{trace_id, root});
-    }
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->stage(trace_id, stage, now);
-    }
-  }
-  inflight_[to].push_back(std::move(fl));
+  probe_->mark(fl.trace, core_.name(), {.trace = stage, .tail = stage},
+               host_->ctx().engine().now(),
+               [to] { return "to=" + std::to_string(to); });
+  inflight_[to].push_back(fl);
   core_.run(cpu_.post_recv + kComposeCost + cpu_.post_send,
-            [this, to, r, op, seq, deadline, trace_id, root]() {
+            [this, to, fl = std::move(fl)]() {
               // The RECV credit posted at issue() time sits on the old
               // target's QP; the response now arrives on `to`'s UD QP, and a
               // UD SEND with no posted RECV is silently dropped (RNR). Post
@@ -556,7 +501,7 @@ void HerdClient::reissue(InFlight fl, std::uint32_t to, const char* stage) {
                                        kRespStride;
               ud_qps_[to]->post_recv(
                   {.wr_id = rbuf, .sge = {rbuf, kRespStride, arena_mr_.lkey}});
-              post_request(to, r, op, seq, deadline, trace_id, root);
+              post_request(to, fl);
             });
   arm_timer(to, seq);
 }
@@ -603,26 +548,11 @@ void HerdClient::retry_after_shed(std::uint32_t s, std::uint64_t seq) {
   it->hold_until = 0;
   ++it->posts;
   ++stats_.retries;
-  std::uint64_t r = it->r;
-  workload::Op op = it->op;
-  sim::Tick deadline = it->deadline;
-  std::uint64_t trace_id = it->trace_id;
-  std::uint32_t root = it->root_span;
-  if (trace_id != 0) {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      tr->instant(core_.name(), "shed_retry", now, {},
-                  obs::TraceCtx{trace_id, root});
-    }
-    // Time parked waiting out the server's retry-after hint.
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->stage(trace_id, "backoff_hold", now);
-    }
-  }
+  // Time parked waiting out the server's retry-after hint.
+  probe_->mark(it->trace, core_.name(),
+               {.trace = "shed_retry", .tail = "backoff_hold"}, now);
   core_.run(kComposeCost + cpu_.post_send,
-            [this, s, r, op, seq, deadline, trace_id, root]() {
-              post_request(s, r, op, seq, deadline, trace_id, root);
-            });
+            [this, s, fl = *it]() { post_request(s, fl); });
 }
 
 void HerdClient::repost_recv(std::uint32_t s, std::uint64_t buf) {
@@ -711,18 +641,10 @@ void HerdClient::handle_response(const verbs::Wc& wc) {
     repost_recv(s, wc.wr_id);
     ++stats_.overload_sheds;
     ++fl.sheds;
-    if (fl.trace_id != 0) {
-      sim::Tick now = host_->ctx().engine().now();
-      obs::Tracer* tr = host_->ctx().tracer();
-      if (obs::tracing(tr)) {
-        tr->instant(core_.name(), "overload_shed", now, {},
-                    obs::TraceCtx{fl.trace_id, fl.root_span});
-      }
-      // The shed reply's flight back to us since the server's last mark.
-      if (obs::TailProfiler* tp = host_->ctx().tail()) {
-        tp->stage(fl.trace_id, "net_out", now);
-      }
-    }
+    // The shed reply's flight back to us since the server's last mark.
+    probe_->mark(fl.trace, core_.name(),
+                 {.trace = "overload_shed", .tail = "net_out"},
+                 host_->ctx().engine().now());
     breaker_on_shed(s);
     sim::Tick hint = 0;
     if (auto ra = decode_retry_after(resp->value)) {
@@ -778,26 +700,8 @@ void HerdClient::handle_response(const verbs::Wc& wc) {
   ++stats_.completed;
   sim::Tick done = host_->ctx().engine().now();
   latency_.record(done - fl.sent);
-  if (trace_seq_ == fl.seq) {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (tr != nullptr) {
-      if (tr->active()) {
-        if (fl.root_span != 0) {
-          tr->span_end(fl.root_span, done, "seq=" + std::to_string(fl.seq));
-        } else {
-          tr->span(core_.name(), "request", fl.sent, done,
-                   "seq=" + std::to_string(fl.seq));
-        }
-      }
-      tr->release();
-    }
-    trace_seq_ = 0;
-  }
-  if (fl.trace_id != 0) {
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->finish(fl.trace_id, "ok", done);
-    }
-  }
+  probe_->end_request(fl.trace, done, "ok", "net_out");
+  if (fl.trace.sampled()) sampling_ = false;
   assert(outstanding_ > 0);
   --outstanding_;
   pump();

@@ -150,20 +150,18 @@ class HerdClient {
     /// Retry-after hold: on_timer must not re-post before this tick (set
     /// from a kOverloaded hint; 0 = no hold).
     sim::Tick hold_until = 0;
-    /// Causal identity of the sampled request: (client id << 32) | seq of
-    /// the FIRST attempt, preserved verbatim across retries, redirects,
-    /// failover re-sends, and shed/backoff cycles (0 = not sampled).
-    std::uint64_t trace_id = 0;
-    /// The open "request" root span (closed at the terminal state).
-    obs::SpanId root_span = 0;
+    /// Causal identity of the sampled request: trace id (client id << 32) |
+    /// seq of the FIRST attempt and the open "request" root span, preserved
+    /// verbatim across retries, redirects, failover re-sends, and
+    /// shed/backoff cycles; closed at the terminal state ({} = unsampled).
+    obs::TraceCtx trace;
     workload::Op op{};
   };
 
   void pump();                    // fill the request window
   void issue(const workload::Op& op);
-  void post_request(std::uint32_t s, std::uint64_t r, const workload::Op& op,
-                    std::uint64_t seq, sim::Tick deadline,
-                    std::uint64_t trace_id = 0, std::uint32_t parent_span = 0);
+  /// Puts `fl` on the wire to process `s` (into slot ring entry fl.r).
+  void post_request(std::uint32_t s, const InFlight& fl);
   void arm_timer(std::uint32_t s, std::uint64_t seq);
   void on_timer(std::uint32_t s, std::uint64_t seq,
                 std::uint32_t armed_attempt);
@@ -198,13 +196,14 @@ class HerdClient {
   std::uint32_t failover_target(const InFlight& fl, std::uint32_t s) const;
   /// Moves every outstanding request off suspected-dead process `s`.
   void fail_over_outstanding(std::uint32_t s);
-  /// `stage` names both the tracer instant and the tail-profiler stage the
-  /// elapsed wait is charged to ("redirect_rtt" / "failover_wait").
+  /// `stage` names both the trace instant and the tail stage the elapsed
+  /// wait is charged to ("redirect_rtt" / "failover_wait").
   void reissue(InFlight fl, std::uint32_t to,
                const char* stage = "failover_wait");
   void repost_recv(std::uint32_t s, std::uint64_t buf);
 
   cluster::Host* host_;
+  obs::RequestProbe* probe_;  // the cluster's, via host_->ctx()
   std::uint32_t id_;
   HerdService* service_;
   HerdConfig cfg_;
@@ -253,11 +252,10 @@ class HerdClient {
   HistoryObserver* observer_ = nullptr;
   Stats stats_;
   sim::LatencyHistogram latency_;
-  /// seq of the request currently holding a tracer sampling window open
-  /// (0 = none). The client is the sampling driver: it opens the window
-  /// when a sampled request is posted, so every downstream layer records,
-  /// and releases it when the request reaches a terminal state.
-  std::uint64_t trace_seq_ = 0;
+  /// A sampled request of this client is in flight (holding a sampling
+  /// window open). The client rolls the probe's sampler only while none
+  /// is, so it samples one request at a time.
+  bool sampling_ = false;
 };
 
 }  // namespace herd::core

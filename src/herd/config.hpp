@@ -57,8 +57,8 @@ struct OverloadConfig {
   /// quota, no watermark, no deadline shedding) while leaving the wire
   /// format unchanged, so overload collapses goodput exactly as an
   /// unprotected server would. The fig16 bench_compare gate MUST catch
-  /// the collapse. Never enable in production configurations. (The
-  /// HERD_DROP_SHEDDING build flag forces this on for the CI canary.)
+  /// the collapse. Never enable in production configurations. (The bench
+  /// flag --bench-canary=drop-shedding forces this on for fig16 in CI.)
   bool drop_shedding = false;
 };
 

@@ -24,6 +24,7 @@ constexpr std::uint64_t kNoRearm = ~0ull;
 HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
                          const cluster::CpuModel& cpu)
     : host_(&host),
+      probe_(&host.ctx().probe()),
       cfg_(cfg),
       cpu_(cpu),
       // One UD QP per server process, QP s pinned to core s. Built once and
@@ -49,13 +50,6 @@ HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
         "HerdConfigBuilder::validate)");
   }
   shed_enabled_ = cfg.overload.enable && !cfg.overload.drop_shedding;
-#ifdef HERD_DROP_SHEDDING
-  // Planted-bug canary build: admission control, the degraded-mode
-  // watermark, and deadline drops are all disarmed. Overload now collapses
-  // goodput exactly as an unprotected server's would — CI asserts the
-  // fig16 bench_compare gate catches the collapse.
-  shed_enabled_ = false;
-#endif
   auto& ctx = host.ctx();
   std::uint64_t cursor = region_.size_bytes();
 
@@ -442,8 +436,7 @@ void HerdService::drain_parked(std::uint32_t s) {
       admitted = true;
     } else if (procs_[si.primary]->alive) {
       ++p.stats.stale_epoch_rejects;
-      send_redirect(s, pend.client, pend.request.token, si,
-                    pend.request.trace_id, pend.request.parent_span);
+      send_redirect(s, pend.client, pend.request.token, si, pend.trace);
     } else {
       keep.push_back(std::move(pend));
     }
@@ -500,6 +493,7 @@ HerdService::Pending HerdService::make_pending(std::uint32_t client,
   pend.request = req;
   pend.value.assign(req.value.begin(), req.value.end());
   pend.request.value = {};
+  pend.trace = obs::TraceCtx{req.trace_id, req.parent_span};
   pend.detected = host_->ctx().engine().now();
   return pend;
 }
@@ -529,11 +523,7 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr) {
 
   Pending pend = make_pending(id.client, *req);
   pend.slot_addr = slot_addr;
-  if (req->trace_id != 0) {
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->stage(req->trace_id, "net_in", pend.detected);
-    }
-  }
+  probe_->mark(pend.trace, p.core->name(), {.tail = "net_in"}, pend.detected);
   if (!try_admit(s, std::move(pend))) return;  // shed at the door
   // Idle-poll quantization: if the process was mid-round, detection costs up
   // to a partial scan of the chunk.
@@ -559,20 +549,14 @@ bool HerdService::try_admit(std::uint32_t s, Pending&& pend) {
   std::size_t depth = p.arrivals.size() + p.tenant_queues.size();
   sim::Tick now = host_->ctx().engine().now();
   overload::Admit a = p.gate.admit(tenant, depth, now);
-  if (pend.request.trace_id != 0) {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      const char* decision = a == overload::Admit::kAdmit ? "admit"
-                             : a == overload::Admit::kShedQuota
-                                 ? "shed_quota"
-                                 : "shed_degraded";
-      tr->instant(p.core->name(), std::string("admission_") + decision, now,
-                  "tenant=" + std::to_string(tenant) +
-                      " depth=" + std::to_string(depth),
-                  obs::TraceCtx{pend.request.trace_id,
-                                pend.request.parent_span});
-    }
-  }
+  const char* decision = a == overload::Admit::kAdmit ? "admission_admit"
+                         : a == overload::Admit::kShedQuota
+                             ? "admission_shed_quota"
+                             : "admission_shed_degraded";
+  probe_->mark(pend.trace, p.core->name(), {.trace = decision}, now, [&] {
+    return "tenant=" + std::to_string(tenant) +
+           " depth=" + std::to_string(depth);
+  });
   if (a != overload::Admit::kAdmit) {
     if (a == overload::Admit::kShedQuota) {
       ++p.stats.shed_quota;
@@ -602,7 +586,7 @@ void HerdService::shed(std::uint32_t s, const Pending& p,
   proc.core->charge(cpu_.poll_iteration + cpu_.post_send);
   post_response(s, p.client, RespStatus::kOverloaded,
                 std::span<const std::byte>(buf, kRetryAfterBytes),
-                p.request.token, p.request.trace_id, p.request.parent_span);
+                p.request.token, p.trace);
   rearm(s, p);
 }
 
@@ -654,11 +638,8 @@ void HerdService::on_recv_ready(std::uint32_t s) {
       }
       Pending pend = make_pending(it->second, *req);
       pend.recv_addr = addr;
-      if (req->trace_id != 0) {
-        if (obs::TailProfiler* tp = host_->ctx().tail()) {
-          tp->stage(req->trace_id, "net_in", pend.detected);
-        }
-      }
+      probe_->mark(pend.trace, p.core->name(), {.tail = "net_in"},
+                   pend.detected);
       if (!try_admit(s, std::move(pend))) continue;  // shed at the door
       admitted = true;
     }
@@ -701,6 +682,7 @@ void HerdService::advance(std::uint32_t s) {
   while (!admitted) {
     std::optional<Pending> next = pop_arrival(p);
     if (!next) break;
+    auto client_args = [&] { return "client=" + std::to_string(next->client); };
     if (shed_enabled_ && next->request.deadline != 0 &&
         now > static_cast<sim::Tick>(next->request.deadline)) {
       // Deadline-aware shed: the client already retired this op, so
@@ -708,33 +690,15 @@ void HerdService::advance(std::uint32_t s) {
       // MICA/dedup ever see it; no response (nobody is listening), just
       // free the slot. The expiry check costs one header compare.
       ++p.stats.shed_deadline;
-      if (next->request.trace_id != 0) {
-        if (obs::TailProfiler* tp = host_->ctx().tail()) {
-          tp->stage(next->request.trace_id, "drr_wait", now);
-        }
-        obs::Tracer* tr = host_->ctx().tracer();
-        if (obs::tracing(tr)) {
-          tr->instant(p.core->name(), "deadline_drop", now,
-                      "client=" + std::to_string(next->client),
-                      obs::TraceCtx{next->request.trace_id,
-                                    next->request.parent_span});
-        }
-      }
+      probe_->mark(next->trace, p.core->name(),
+                   {.trace = "deadline_drop", .tail = "drr_wait"}, now,
+                   client_args);
       rearm(s, *next);
       continue;
     }
-    if (next->request.trace_id != 0) {
-      if (obs::TailProfiler* tp = host_->ctx().tail()) {
-        tp->stage(next->request.trace_id, "drr_wait", now);
-      }
-      obs::Tracer* tr = host_->ctx().tracer();
-      if (obs::tracing(tr) && now > next->detected) {
-        tr->span(p.core->name(), "drr_wait", next->detected, now,
-                 "client=" + std::to_string(next->client),
-                 obs::TraceCtx{next->request.trace_id,
-                               next->request.parent_span});
-      }
-    }
+    probe_->mark(next->trace, p.core->name(),
+                 {.trace = "drr_wait", .tail = "drr_wait"}, next->detected,
+                 now, client_args);
     p.pipeline.push_back(std::move(*next));
     cost += cpu_.prefetch_issue;  // stage 1: prefetch the index bucket
     admitted = true;
@@ -773,20 +737,16 @@ void HerdService::advance(std::uint32_t s) {
                      done = std::move(done)]() {
     Proc& pp = *procs_[s];
     if (pp.epoch != epoch || !pp.alive) return;
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (!done.empty() && obs::tracing(tr)) {
+    if (!done.empty()) {
       sim::Tick end = host_->ctx().engine().now();
-      // The batch span carries the sampled member's trace context (at most
-      // one — the client samples a single request at a time).
-      obs::TraceCtx bctx{};
-      for (const Pending& d : done) {
-        if (d.request.trace_id != 0) {
-          bctx = obs::TraceCtx{d.request.trace_id, d.request.parent_span};
-          break;
-        }
-      }
-      tr->span(pp.core->name(), "mica_op", end - cost, end,
-               std::to_string(done.size()) + " op(s)", bctx);
+      // The batch span carries the first sampled member's trace context.
+      auto it = std::find_if(done.begin(), done.end(), [](const Pending& d) {
+        return d.trace.sampled();
+      });
+      probe_->mark(it == done.end() ? obs::TraceCtx{} : it->trace,
+                   pp.core->name(),
+                   {.trace = "mica_op", .ambient = true}, end - cost, end,
+                   [&] { return std::to_string(done.size()) + " op(s)"; });
     }
     // Coalescing window: every response this quantum produces (serves,
     // redirects, replays) lands in resp_chain. The backlog lives in the
@@ -840,38 +800,27 @@ void HerdService::repost_recv(std::uint32_t s, std::uint64_t addr) {
 
 void HerdService::send_redirect(std::uint32_t s, std::uint32_t client,
                                 std::uint32_t token, const ShardInfo& si,
-                                std::uint64_t trace_id,
-                                std::uint32_t parent_span) {
+                                obs::TraceCtx trace) {
   std::byte buf[kRedirectBytes];
   encode_redirect(std::span<std::byte>(buf, kRedirectBytes), si.primary,
                   si.epoch);
   post_response(s, client, RespStatus::kWrongEpoch,
                 std::span<const std::byte>(buf, kRedirectBytes), token,
-                trace_id, parent_span);
+                trace);
 }
 
 void HerdService::complete(std::uint32_t s, const Pending& p) {
-  if (p.request.trace_id != 0) {
-    // The pipeline residency — from DRR dequeue to this quantum's end —
-    // is the request's MICA share of the breakdown.
-    if (obs::TailProfiler* tp = host_->ctx().tail()) {
-      tp->stage(p.request.trace_id, "mica_op", host_->ctx().engine().now());
-    }
-  }
   Proc& proc = *procs_[s];
   ++proc.stats.requests;
-  {
-    obs::Tracer* tr = host_->ctx().tracer();
-    if (obs::tracing(tr)) {
-      const char* kind = p.request.is_delete ? "delete"
-                         : p.request.is_put  ? "put"
-                                             : "get";
-      tr->instant(proc.core->name(), std::string("serve_") + kind,
-                  host_->ctx().engine().now(),
-                  "client=" + std::to_string(p.client),
-                  obs::TraceCtx{p.request.trace_id, p.request.parent_span});
-    }
-  }
+  // The pipeline residency — from DRR dequeue to this quantum's end — is
+  // the request's MICA share of the breakdown.
+  const char* served = p.request.is_delete ? "serve_delete"
+                      : p.request.is_put  ? "serve_put"
+                                          : "serve_get";
+  probe_->mark(p.trace, proc.core->name(),
+               {.trace = served, .tail = "mica_op", .ambient = true},
+               host_->ctx().engine().now(),
+               [&] { return "client=" + std::to_string(p.client); });
 
   // The two modes differ only in which replica serves. Unreplicated, the
   // map is the identity (shard x on process x) and never changes: EREW
@@ -900,8 +849,7 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
     // Stale shard map (promotion or migration moved the shard): reject
     // with the authoritative (primary, epoch) so the client refreshes.
     ++proc.stats.stale_epoch_rejects;
-    send_redirect(s, p.client, p.request.token, si, p.request.trace_id,
-                  p.request.parent_span);
+    send_redirect(s, p.client, p.request.token, si, p.trace);
     rearm(s, p);
     return;
   } else if (p.request.epoch < static_cast<std::uint32_t>(si.epoch)) {
@@ -935,7 +883,7 @@ void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
                           /*applied=*/false, now);
     }
     post_response(s, p.client, static_cast<RespStatus>(*replay), {}, token,
-                  p.request.trace_id, p.request.parent_span);
+                  p.trace);
     return;
   }
   if (is_mutation) {
@@ -961,15 +909,8 @@ void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
     // ring; with `ack`, the client's response waits for `to` to apply it.
     auto forward = [&](std::uint32_t to, bool ack, const char* event,
                        const char* peer) {
-      if (p.request.trace_id != 0) {
-        obs::Tracer* tr = host_->ctx().tracer();
-        if (obs::tracing(tr)) {
-          tr->instant(proc.core->name(), event, now,
-                      peer + std::to_string(to),
-                      obs::TraceCtx{p.request.trace_id,
-                                    p.request.parent_span});
-        }
-      }
+      probe_->mark(p.trace, proc.core->name(), {.trace = event}, now,
+                   [&] { return peer + std::to_string(to); });
       forward_mutation(Fwd{.from = s,
                            .to = to,
                            .shard = shard,
@@ -980,8 +921,7 @@ void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
                            .value = p.value,
                            .status = status,
                            .ack = ack,
-                           .trace_id = p.request.trace_id,
-                           .parent_span = p.request.parent_span});
+                           .trace = p.trace});
     };
     const bool drop = cfg_.drop_replication;
     const ShardInfo si = shard_map_.at(shard);
@@ -1001,8 +941,7 @@ void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
       // (lost redundancy, or the drop-replication canary skipped the
       // forward); unreplicated, it is the only ack there is.
       if (cfg_.replicate) ++proc.stats.repl_degraded;
-      post_response(s, p.client, status, {}, token, p.request.trace_id,
-                    p.request.parent_span);
+      post_response(s, p.client, status, {}, token, p.trace);
     }
   } else {
     ++proc.stats.gets;
@@ -1011,10 +950,9 @@ void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
       ++proc.stats.get_hits;
       post_response(s, p.client, RespStatus::kOk,
                     std::span<const std::byte>(value_buf, r.value_len),
-                    token, p.request.trace_id, p.request.parent_span);
+                    token, p.trace);
     } else {
-      post_response(s, p.client, RespStatus::kNotFound, {}, token,
-                    p.request.trace_id, p.request.parent_span);
+      post_response(s, p.client, RespStatus::kNotFound, {}, token, p.trace);
     }
   }
 }
@@ -1060,15 +998,11 @@ void HerdService::deliver_forward(const Fwd& f) {
         observer_->on_apply(f.to, f.client, f.key, f.is_delete,
                             /*applied=*/!dup, now);
       }
-      if (f.trace_id != 0) {
-        obs::Tracer* tr = host_->ctx().tracer();
-        if (obs::tracing(tr)) {
-          tr->instant(b.core->name(), "repl_apply", now,
-                      "shard=" + std::to_string(f.shard) +
-                          (dup ? " dup" : ""),
-                      obs::TraceCtx{f.trace_id, f.parent_span});
-        }
-      }
+      probe_->mark(f.trace, b.core->name(), {.trace = "repl_apply"}, now,
+                   [&] {
+                     return "shard=" + std::to_string(f.shard) +
+                            (dup ? " dup" : "");
+                   });
       ++b.stats.repl_applies;
       delivered = true;
     }
@@ -1082,44 +1016,33 @@ void HerdService::deliver_forward(const Fwd& f) {
     Proc& prim = *procs_[f.from];
     if (!prim.alive) return;
     ++prim.stats.repl_degraded;
-    post_response(f.from, f.client, f.status, {}, f.token, f.trace_id,
-                  f.parent_span);
+    post_response(f.from, f.client, f.status, {}, f.token, f.trace);
     return;
   }
   engine.schedule_after(
       kReplForwardDelay,
       [this, from = f.from, client = f.client, status = f.status,
-       token = f.token, trace_id = f.trace_id, parent = f.parent_span,
-       applied = engine.now()]() {
+       token = f.token, trace = f.trace, applied = engine.now()]() {
         Proc& prim = *procs_[from];
         // Primary died before acking: the client never hears back, retries
         // against the promoted backup, and the replicated dedup ring
         // replays the recorded result — the maybe-applied path.
         if (!prim.alive) return;
         ++prim.stats.repl_acks;
-        if (trace_id != 0) {
-          sim::Tick now = host_->ctx().engine().now();
-          // The whole forward round trip — primary send through backup
-          // apply to this ack — is the request's replication share.
-          if (obs::TailProfiler* tp = host_->ctx().tail()) {
-            tp->stage(trace_id, "repl_fwd", now);
-          }
-          obs::Tracer* tr = host_->ctx().tracer();
-          if (obs::tracing(tr)) {
-            tr->span(prim.core->name(), "repl_ack", applied, now,
-                     "client=" + std::to_string(client),
-                     obs::TraceCtx{trace_id, parent});
-          }
-        }
-        post_response(from, client, status, {}, token, trace_id, parent);
+        // The whole forward round trip — primary send through backup apply
+        // to this ack — is the request's replication share.
+        probe_->mark(trace, prim.core->name(),
+                     {.trace = "repl_ack", .tail = "repl_fwd"}, applied,
+                     host_->ctx().engine().now(),
+                     [&] { return "client=" + std::to_string(client); });
+        post_response(from, client, status, {}, token, trace);
       });
 }
 
 void HerdService::post_response(std::uint32_t s, std::uint32_t client,
                                 RespStatus status,
                                 std::span<const std::byte> value,
-                                std::uint32_t token, std::uint64_t trace_id,
-                                std::uint32_t parent_span) {
+                                std::uint32_t token, obs::TraceCtx trace) {
   Proc& p = *procs_[s];
   const verbs::Ah& ah = client_ah_.at(client).at(s);
   if (ah.ctx == nullptr) {
@@ -1135,7 +1058,7 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kSend;
   wr.sge = {addr, len, scratch_mr_.lkey};
-  wr.trace_id = trace_id;
+  wr.trace_id = trace.trace_id;
   // Responses are unsignaled: "HERD uses SENDs for responding to requests,
   // it can use new requests as an indication of the completion of old SENDs"
   wr.signaled = false;
@@ -1147,8 +1070,7 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
     // staging ring (response_ring slots) is far deeper than the chain cap,
     // so slots stay live until the chained post captures/DMAs them.
     p.resp_chain.push_back(wr);
-    p.resp_chain_meta.push_back(
-        {trace_id, parent_span, host_->ctx().engine().now()});
+    p.resp_chain_meta.push_back({trace, host_->ctx().engine().now()});
     return;
   }
   p.ud_qp->post_send(wr);
@@ -1172,19 +1094,13 @@ void HerdService::flush_responses(std::uint32_t s) {
   sim::Tick now = host_->ctx().engine().now();
   auto share =
       cpu_.post_send / static_cast<sim::Tick>(p.resp_chain.size());
-  obs::TailProfiler* tp = host_->ctx().tail();
-  obs::Tracer* tr = host_->ctx().tracer();
   for (const Proc::RespMeta& m : p.resp_chain_meta) {
-    if (m.trace_id == 0) continue;
-    if (tp != nullptr) {
-      tp->stage(m.trace_id, "chain_hold", now);
-      tp->charge(m.trace_id, "doorbell", share);
-    }
-    if (obs::tracing(tr) && now > m.appended) {
-      tr->span(p.core->name(), "chain_hold", m.appended, now,
-               "chain_len=" + std::to_string(p.resp_chain.size()),
-               obs::TraceCtx{m.trace_id, m.parent_span});
-    }
+    probe_->mark(m.trace, p.core->name(),
+                 {.trace = "chain_hold", .tail = "chain_hold"}, m.appended,
+                 now, [&] {
+                   return "chain_len=" + std::to_string(p.resp_chain.size());
+                 });
+    probe_->charge(m.trace, "doorbell", share);
   }
   p.resp_chain.clear();
   p.resp_chain_meta.clear();

@@ -213,6 +213,9 @@ class HerdService {
     /// Detection tick: when the poll loop (or recv CQ) first saw this
     /// request. The DRR-wait span runs from here to pipeline admission.
     sim::Tick detected = 0;
+    /// Causal trace context the client put on the wire ({} = unsampled):
+    /// every server-side step of the request marks against it.
+    obs::TraceCtx trace;
   };
 
   /// One copy of one shard's state: cache plus the per-client
@@ -263,8 +266,7 @@ class HerdService {
     /// per-request breakdown sums correctly instead of billing the whole
     /// chained post to the last member.
     struct RespMeta {
-      std::uint64_t trace_id = 0;
-      std::uint32_t parent_span = 0;
+      obs::TraceCtx trace;
       sim::Tick appended = 0;
     };
     std::vector<RespMeta> resp_chain_meta;
@@ -289,11 +291,10 @@ class HerdService {
     std::vector<std::byte> value;  // PUT payload
     RespStatus status = RespStatus::kOk;
     bool ack = false;  // true: primary responds to the client on ack
-    /// Causal trace context of the originating request (0 = unsampled):
+    /// Causal trace context of the originating request ({} = unsampled):
     /// replication forwards, backup applies, and the ack-path response all
     /// record against the same trace id the client put on the wire.
-    std::uint64_t trace_id = 0;
-    std::uint32_t parent_span = 0;
+    obs::TraceCtx trace;
   };
 
   Replica make_replica() const;
@@ -325,7 +326,7 @@ class HerdService {
   void repost_recv(std::uint32_t s, std::uint64_t addr);
   void send_redirect(std::uint32_t s, std::uint32_t client,
                      std::uint32_t token, const ShardInfo& si,
-                     std::uint64_t trace_id = 0, std::uint32_t parent_span = 0);
+                     obs::TraceCtx trace);
   void forward_mutation(Fwd f);
   void deliver_forward(const Fwd& f);
   void promote_shard(std::uint32_t shard, std::uint64_t expected_epoch);
@@ -337,7 +338,7 @@ class HerdService {
   void drain_parked(std::uint32_t s);
   void post_response(std::uint32_t s, std::uint32_t client, RespStatus status,
                      std::span<const std::byte> value, std::uint32_t token,
-                     std::uint64_t trace_id = 0, std::uint32_t parent_span = 0);
+                     obs::TraceCtx trace);
   /// Posts process `s`'s accumulated response chain as one post_send(span)
   /// — one doorbell for the whole burst — and clears it.
   void flush_responses(std::uint32_t s);
@@ -348,6 +349,7 @@ class HerdService {
   static constexpr std::size_t kRespChainCap = 16;
 
   cluster::Host* host_;
+  obs::RequestProbe* probe_;  // the cluster's, via host_->ctx()
   HerdConfig cfg_;
   cluster::CpuModel cpu_;
   cluster::CoreAffinityMap affinity_;
@@ -371,7 +373,7 @@ class HerdService {
   MigrationStats migration_stats_;
 
   /// Overload shedding active: OverloadConfig::enable minus the
-  /// drop-shedding canary (runtime flag or HERD_DROP_SHEDDING build).
+  /// drop-shedding canary (OverloadConfig::drop_shedding).
   /// When the canary disarms shedding, the wire format keeps its overload
   /// header but admission, watermark, and deadline drops all vanish — the
   /// unprotected server the fig16 bench_compare gate must expose.

@@ -350,11 +350,10 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
   reg.counter_fn("service.resp_chained",
                  sum_proc(&HerdService::ProcStats::resp_chained));
 
+  // The tail profiler rides the same sampling: the probe begins a profile
+  // for exactly the requests whose trace id goes on the wire.
   if (cfg_.trace_sample_every > 0) {
     cluster_->tracer().enable(cfg_.trace_sample_every);
-    // The tail profiler rides the same sampling window: the client begins a
-    // profile for exactly the requests whose trace id goes on the wire.
-    cluster_->tail().enable();
   }
 }
 

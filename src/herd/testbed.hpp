@@ -269,15 +269,17 @@ class HerdTestbed {
   /// The cluster tracer (enabled when TestbedConfig::trace_sample_every is
   /// nonzero, or by hand via tracer().enable()).
   obs::Tracer& tracer() { return cluster_->tracer(); }
-  /// The cluster tail profiler (enabled alongside the tracer when
-  /// trace_sample_every is nonzero). Sampled requests' per-stage latency
+  /// The cluster tail profiler: sampled requests' per-stage latency
   /// breakdowns accumulate here; quantile("ok", 0.99) is the p99 cut the
   /// bench reports publish.
   obs::TailProfiler& tail() { return cluster_->tail(); }
   const obs::TailProfiler& tail() const { return cluster_->tail(); }
   /// Chrome trace_event JSON of everything recorded so far (load in
-  /// chrome://tracing or Perfetto).
-  std::string trace_json() const { return cluster_->tracer().chrome_json(); }
+  /// chrome://tracing or Perfetto). Sampled requests still in flight
+  /// export their root span closed now, marked "incomplete": true.
+  std::string trace_json() const {
+    return cluster_->probe().chrome_json(cluster_->engine().now());
+  }
 
   /// Bottleneck attribution over the last run()'s measure window.
   const obs::Attribution& attribution() const { return attr_; }

@@ -216,7 +216,6 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
   cl = std::make_unique<cluster::Cluster>(cfg, 1 + n_hosts,
                                           std::max<std::uint64_t>(
                                               server_mem, 1u << 20));
-  cl->tail().enable();
   auto& server = cl->host(0);
   smr = server.ctx().register_mr(0, server_mem, {.remote_write = true});
 

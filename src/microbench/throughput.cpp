@@ -169,7 +169,6 @@ RunRecord inbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& raw,
                        std::uint32_t n_clients, sim::Tick measure) {
   const TputSpec spec = normalized(raw);
   cluster::Cluster cl(cfg, 1 + n_clients, 1u << 20);
-  cl.tail().enable();
   auto& server = cl.host(0);
   auto server_cq = server.ctx().create_cq();
   auto smr = server.ctx().register_mr(
@@ -207,7 +206,6 @@ RunRecord outbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& raw,
                         std::uint32_t n_procs, sim::Tick measure) {
   const TputSpec spec = normalized(raw);
   cluster::Cluster cl(cfg, 1 + n_procs, 1u << 20);
-  cl.tail().enable();
   auto& server = cl.host(0);
 
   struct ClientSide {
@@ -293,7 +291,6 @@ RunRecord all_to_all_inbound(const cluster::ClusterConfig& cfg,
                              sim::Tick measure) {
   const TputSpec spec = normalized(raw);
   cluster::Cluster cl(cfg, 1 + n, 4u << 20);
-  cl.tail().enable();
   auto& server = cl.host(0);
   auto server_cq = server.ctx().create_cq();
   auto smr = server.ctx().register_mr(
@@ -337,7 +334,6 @@ RunRecord all_to_all_outbound(const cluster::ClusterConfig& cfg,
                               sim::Tick measure) {
   const TputSpec spec = normalized(raw);
   cluster::Cluster cl(cfg, 1 + n, 4u << 20);
-  cl.tail().enable();
   auto& server = cl.host(0);
 
   struct ClientSide {
@@ -428,7 +424,6 @@ RunRecord many_to_one_tput(const cluster::ClusterConfig& cfg,
   std::uint64_t server_mem = std::uint64_t{n_processes} * 256 + 4096;
   cluster::Cluster cl(cfg, 1 + n_machines, std::max<std::uint64_t>(
                                                server_mem, 1u << 20));
-  cl.tail().enable();
   auto& server = cl.host(0);
   auto server_cq = server.ctx().create_cq();
   auto smr = server.ctx().register_mr(0, server_mem, {.remote_write = true});

@@ -22,7 +22,6 @@ double signaled_latency(cluster::Cluster& cl, verbs::Opcode opcode,
                         bool inlined, std::uint32_t payload,
                         std::uint32_t iters) {
   obs::TailProfiler& tail = cl.tail();
-  tail.enable();
   auto& client = cl.host(0);
   auto& server = cl.host(1);
   auto scq = client.ctx().create_cq();
@@ -85,7 +84,6 @@ double signaled_latency(cluster::Cluster& cl, verbs::Opcode opcode,
 double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
                     std::uint32_t iters) {
   obs::TailProfiler& tail = cl.tail();
-  tail.enable();
   auto& client = cl.host(0);
   auto& server = cl.host(1);
   auto ccq = client.ctx().create_cq();

@@ -1,0 +1,128 @@
+// One request probe: the only way a request's path reaches the tracer and
+// the tail profiler. Each step of the path the paper argues along (client
+// WRITE, server poll, MICA, SEND response) is both a trace event and a tail
+// stage, and is marked once for both:
+//
+//   begin_request  the sampling roll; a sampled request opens its root
+//                  "request" span and its tail profile, and carries the
+//                  returned TraceCtx {trace id, root span} on every hop
+//   mark           one step: a trace instant or span plus a tail stage
+//   charge         a tail stage of a fixed length (a doorbell share)
+//   end_request    root span end, tail finish, sampling window release
+//
+// Marks of unsampled requests cost one branch, except `ambient` steps,
+// which trace every request while any sampling window is open (as the RNIC,
+// PCIe and fabric layers do). Trace args are built only when recorded.
+//
+// An export while sampled requests are in flight closes their roots at the
+// export time, marked "incomplete": true, without changing any state. Spans
+// opened outside the probe still export as lone "B" events.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "obs/tail.hpp"
+#include "obs/trace.hpp"
+#include "sim/time.hpp"
+
+namespace herd::obs {
+
+/// One step of a request's path: the trace event it records and the tail
+/// stage it charges ("" = none).
+struct Stage {
+  std::string_view trace = {};
+  std::string_view tail = {};
+  bool ambient = false;  // trace unsampled requests too (never their tail)
+};
+
+/// Trace args of a step that has none.
+struct NoArgs {
+  std::string_view operator()() const { return {}; }
+};
+
+class RequestProbe {
+ public:
+  Tracer& tracer() { return tracer_; }
+  const Tracer& tracer() const { return tracer_; }
+  TailProfiler& tail() { return tail_; }
+  const TailProfiler& tail() const { return tail_; }
+
+  /// Rolls the sampler for a request posted on `track` at `start`; a hit
+  /// returns {trace_id, root}. Every sampled request must reach
+  /// end_request() (herd_lint's span-pairing rule checks the pair).
+  template <typename Args>
+  TraceCtx begin_request(std::string_view track, std::uint64_t trace_id,
+                         sim::Tick start, Args&& args) {
+    if (!tracer_.sample()) return {};
+    SpanId root = tracer_.span_begin(track, "request", start, args(),
+                                     TraceCtx{trace_id, 0});
+    open_roots_.push_back(root);
+    tail_.begin(trace_id, start);
+    return TraceCtx{trace_id, root};
+  }
+
+  /// A step at `at`: a trace instant, and a tail stage ending there.
+  template <typename Args = NoArgs>
+  void mark(TraceCtx ctx, std::string_view track, Stage stage, sim::Tick at,
+            Args&& args = {}) {
+    if (!stage_tail(ctx, stage, at)) return;
+    if (!stage.trace.empty() && tracer_.active()) {
+      tracer_.instant(track, stage.trace, at, args(), ctx);
+    }
+  }
+
+  /// A step over [start, end]: a trace span (none if empty), and a tail
+  /// stage ending at `end`.
+  template <typename Args = NoArgs>
+  void mark(TraceCtx ctx, std::string_view track, Stage stage,
+            sim::Tick start, sim::Tick end, Args&& args = {}) {
+    if (!stage_tail(ctx, stage, end)) return;
+    if (!stage.trace.empty() && end > start && tracer_.active()) {
+      tracer_.span(track, stage.trace, start, end, args(), ctx);
+    }
+  }
+
+  void charge(TraceCtx ctx, std::string_view stage, sim::Tick amount) {
+    if (ctx.sampled()) tail_.charge(ctx.trace_id, stage, amount);
+  }
+
+  /// Retires a sampled request: its root span ends at `now` and its tail
+  /// profile finishes under `outcome`, the residue since the last mark
+  /// charged to `residual`.
+  void end_request(TraceCtx ctx, sim::Tick now, std::string_view outcome,
+                   std::string_view residual) {
+    if (!ctx.sampled()) return;
+    tracer_.span_end(ctx.parent, now);
+    tracer_.release();
+    tail_.finish(ctx.trace_id, outcome, now, residual);
+    auto it = std::find(open_roots_.begin(), open_roots_.end(), ctx.parent);
+    if (it != open_roots_.end()) open_roots_.erase(it);
+  }
+
+  /// Sampled requests begun and not yet ended.
+  std::size_t in_flight() const { return open_roots_.size(); }
+
+  /// The Chrome export at `now`, in-flight roots closed as incomplete.
+  std::string chrome_json(sim::Tick now) const {
+    return tracer_.chrome_json(open_roots_, now);
+  }
+
+ private:
+  /// Charges a sampled request's tail stage; false when the step records
+  /// nothing at all (unsampled, and not ambient while tracing).
+  bool stage_tail(TraceCtx ctx, Stage stage, sim::Tick at) {
+    if (!ctx.sampled()) return stage.ambient && tracer_.active();
+    if (!stage.tail.empty()) tail_.stage(ctx.trace_id, stage.tail, at);
+    return true;
+  }
+
+  Tracer tracer_;
+  TailProfiler tail_;
+  std::vector<SpanId> open_roots_;
+};
+
+}  // namespace herd::obs

@@ -11,15 +11,16 @@ TailProfiler::Live* TailProfiler::find(std::uint64_t trace_id) {
   return nullptr;
 }
 
-const TailProfiler::Live* TailProfiler::find(std::uint64_t trace_id) const {
-  for (const Live& l : live_) {
-    if (l.trace_id == trace_id) return &l;
+void TailProfiler::add(Live& l, std::string_view stage, sim::Tick dur) {
+  if (!l.stages.empty() && l.stages.back().first == stage) {
+    l.stages.back().second += dur;
+  } else {
+    l.stages.emplace_back(std::string(stage), dur);
   }
-  return nullptr;
 }
 
 void TailProfiler::begin(std::uint64_t trace_id, sim::Tick now) {
-  if (!enabled_ || trace_id == 0) return;
+  if (trace_id == 0) return;
   if (Live* l = find(trace_id)) {
     l->begin = now;
     l->mark = now;
@@ -33,12 +34,7 @@ void TailProfiler::stage(std::uint64_t trace_id, std::string_view stage,
                          sim::Tick now) {
   Live* l = find(trace_id);
   if (l == nullptr) return;
-  sim::Tick dur = now > l->mark ? now - l->mark : 0;
-  if (!l->stages.empty() && l->stages.back().first == stage) {
-    l->stages.back().second += dur;
-  } else {
-    l->stages.emplace_back(std::string(stage), dur);
-  }
+  add(*l, stage, now > l->mark ? now - l->mark : 0);
   if (now > l->mark) l->mark = now;
 }
 
@@ -46,11 +42,7 @@ void TailProfiler::charge(std::uint64_t trace_id, std::string_view stage,
                           sim::Tick amount) {
   Live* l = find(trace_id);
   if (l == nullptr) return;
-  if (!l->stages.empty() && l->stages.back().first == stage) {
-    l->stages.back().second += amount;
-  } else {
-    l->stages.emplace_back(std::string(stage), amount);
-  }
+  add(*l, stage, amount);
   l->mark += amount;
 }
 
@@ -58,27 +50,11 @@ void TailProfiler::finish(std::uint64_t trace_id, std::string_view outcome,
                           sim::Tick now, std::string_view residual_stage) {
   Live* l = find(trace_id);
   if (l == nullptr) return;
-  if (now > l->mark) stage(trace_id, residual_stage, now);
-  Sample s;
-  s.trace_id = l->trace_id;
-  s.outcome = std::string(outcome);
-  s.total = now > l->begin ? now - l->begin : 0;
-  s.stages = std::move(l->stages);
-  done_.push_back(std::move(s));
-  drop(trace_id);
-}
-
-void TailProfiler::drop(std::uint64_t trace_id) {
-  for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (live_[i].trace_id == trace_id) {
-      live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-}
-
-bool TailProfiler::tracking(std::uint64_t trace_id) const {
-  return find(trace_id) != nullptr;
+  if (now > l->mark) add(*l, residual_stage, now - l->mark);
+  done_.push_back(Sample{l->trace_id, std::string(outcome),
+                         now > l->begin ? now - l->begin : 0,
+                         std::move(l->stages)});
+  live_.erase(live_.begin() + (l - live_.data()));
 }
 
 TailProfiler::QuantileCut TailProfiler::quantile(std::string_view outcome,
@@ -121,16 +97,6 @@ TailProfiler::QuantileCut TailProfiler::quantile(std::string_view outcome,
   }
   for (const auto& [n, us] : cut.stages_us) cut.stage_sum_us += us;
   return cut;
-}
-
-std::vector<std::string> TailProfiler::outcomes() const {
-  std::vector<std::string> out;
-  for (const Sample& s : done_) {
-    if (std::find(out.begin(), out.end(), s.outcome) == out.end()) {
-      out.push_back(s.outcome);
-    }
-  }
-  return out;
 }
 
 std::size_t TailProfiler::count(std::string_view outcome) const {

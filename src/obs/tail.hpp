@@ -10,10 +10,13 @@
 // the property bench_compare's 1% consistency gate checks on every figure.
 //
 // Producers on both sides of the wire (client issue/retire, service
-// admission/DRR/MICA/replication/chain flush) mark the same sample; sim
-// time is global, so cross-host telescoping is exact. The chain-flush
-// amortizer uses charge() to bill each coalesced response its share of the
-// doorbell post cost without breaking the telescope.
+// admission/DRR/MICA/replication/chain flush) mark the same sample through
+// obs::RequestProbe (obs/probe.hpp), which begins a profile for exactly the
+// requests its sampler picks; sim time is global, so cross-host
+// telescoping is exact. The chain-flush amortizer uses charge() to bill
+// each coalesced response its share of the doorbell post cost without
+// breaking the telescope. The microbenchmarks profile their own verb round
+// trips here directly.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +50,6 @@ class TailProfiler {
     std::vector<std::pair<std::string, double>> stages_us;
   };
 
-  void enable() { enabled_ = true; }
-  void disable() { enabled_ = false; }
-  bool enabled() const { return enabled_; }
-
   /// Starts tracking a sampled request. Re-beginning an id restarts it.
   void begin(std::uint64_t trace_id, sim::Tick now);
 
@@ -71,10 +70,6 @@ class TailProfiler {
   void finish(std::uint64_t trace_id, std::string_view outcome,
               sim::Tick now, std::string_view residual_stage = "net_out");
 
-  /// Forgets an in-flight id without recording (stale duplicate, reset).
-  void drop(std::uint64_t trace_id);
-
-  bool tracking(std::uint64_t trace_id) const;
   std::size_t finished() const { return done_.size(); }
   std::size_t in_flight() const { return live_.size(); }
   const std::vector<Sample>& samples() const { return done_; }
@@ -84,14 +79,7 @@ class TailProfiler {
   /// if no sample finished with that outcome.
   QuantileCut quantile(std::string_view outcome, double q) const;
 
-  /// All outcomes seen, in first-finish order (deterministic).
-  std::vector<std::string> outcomes() const;
   std::size_t count(std::string_view outcome) const;
-
-  void clear() {
-    live_.clear();
-    done_.clear();
-  }
 
  private:
   struct Live {
@@ -102,9 +90,9 @@ class TailProfiler {
   };
 
   Live* find(std::uint64_t trace_id);
-  const Live* find(std::uint64_t trace_id) const;
+  /// Appends `dur` to `stage`, merging into the last stage of that name.
+  static void add(Live& l, std::string_view stage, sim::Tick dur);
 
-  bool enabled_ = false;
   std::vector<Live> live_;
   std::vector<Sample> done_;
 };

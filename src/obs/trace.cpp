@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <map>
 
 namespace herd::obs {
@@ -44,8 +45,10 @@ void append_hex(std::string& out, std::uint64_t v) {
 
 }  // namespace
 
-std::string Tracer::chrome_json() const {
-  // tid per track, in first-appearance order (stable across replays).
+std::string Tracer::chrome_json(std::span<const SpanId> cut,
+                                sim::Tick cut_at) const {
+  // tid per track, numbered in first-appearance order (stable across
+  // replays): each new track gets the map's size before its insertion.
   std::map<std::string, int> tids;
   std::vector<const std::string*> track_order;
   for (const Event& e : events_) {
@@ -53,10 +56,6 @@ std::string Tracer::chrome_json() const {
       track_order.push_back(&e.track);
     }
   }
-  // emplace above assigned sizes pre-insertion; rebuild ids from order so
-  // tid 1 is the first track seen, not map order.
-  int next = 1;
-  for (const std::string* t : track_order) tids[*t] = next++;
 
   std::string out;
   out += "{\"schema\":\"";
@@ -72,21 +71,25 @@ std::string Tracer::chrome_json() const {
     out += "}}";
   }
   for (const Event& e : events_) {
+    bool incomplete =
+        e.open && std::find(cut.begin(), cut.end(), e.span_id) != cut.end();
+    bool open = e.open && !incomplete;
+    sim::Tick end = incomplete ? cut_at : e.end;
     out += ",\n{\"name\":";
     append_escaped(out, e.name);
     out += ",\"ph\":\"";
-    // A span_begin never span_end'ed exports as a lone "B": visible in
-    // viewers, rejected by bench_schema_check.
-    out += e.instant ? 'i' : (e.open ? 'B' : 'X');
+    // A span_begin never span_end'ed (and not cut) exports as a lone "B":
+    // visible in viewers, rejected by bench_schema_check.
+    out += e.instant ? 'i' : (open ? 'B' : 'X');
     out += "\",\"pid\":0,\"tid\":";
     out += std::to_string(tids[e.track]);
     out += ",\"ts\":";
     append_us(out, e.start);
     if (e.instant) {
       out += ",\"s\":\"t\"";
-    } else if (!e.open) {
+    } else if (!open) {
       out += ",\"dur\":";
-      append_us(out, e.end > e.start ? e.end - e.start : 0);
+      append_us(out, end > e.start ? end - e.start : 0);
     }
     bool traced = e.trace_id != 0 || e.span_id != 0;
     if (!e.args.empty() || traced) {
@@ -95,6 +98,11 @@ std::string Tracer::chrome_json() const {
       if (!e.args.empty()) {
         out += "\"detail\":";
         append_escaped(out, e.args);
+        first = false;
+      }
+      if (incomplete) {
+        if (!first) out += ',';
+        out += "\"incomplete\":true";
         first = false;
       }
       if (traced) {

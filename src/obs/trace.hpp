@@ -17,17 +17,21 @@
 // rejects — unpaired spans are a bug, not a rendering quirk.
 //
 // Sampling: tracing every request of a multi-million-op run would swamp
-// memory, so the sampler (the HERD client) opens a window around every Nth
-// request via sample()/release(); producers record only while a window is
-// open. With tracing disabled, the producer-side gate
-// `tracing(tracer_ptr)` costs one predictable branch on the hot path.
+// memory, so a window opens around every Nth request via sample()/release();
+// producers record only while a window is open. With tracing disabled, the
+// producer-side gate `tracing(tracer_ptr)` costs one predictable branch on
+// the hot path. HERD requests reach the tracer only through
+// obs::RequestProbe (obs/probe.hpp), which owns it next to the tail
+// profiler and samples, opens and closes each request's root span.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sim/resource.hpp"
 #include "sim/time.hpp"
 
 namespace herd::obs {
@@ -91,6 +95,16 @@ class Tracer {
                             ctx.parent, false, false});
     return id;
   }
+  /// A resource admission: its wait as a "queued" span (when it waited),
+  /// then its service as `name`.
+  void admission(std::string_view track, std::string_view name,
+                 const sim::Resource::Admission& adm,
+                 std::string_view args = {}, TraceCtx ctx = {}) {
+    if (adm.queued() > 0) {
+      span(track, "queued", adm.arrival, adm.start, {}, ctx);
+    }
+    span(track, name, adm.start, adm.done, args, ctx);
+  }
   void instant(std::string_view track, std::string_view name, sim::Tick at,
                std::string_view args = {}, TraceCtx ctx = {}) {
     events_.push_back(Event{std::string(track), std::string(name),
@@ -115,13 +129,12 @@ class Tracer {
   }
 
   /// Closes a span opened by span_begin. Unknown/already-closed ids are
-  /// ignored (the begin may predate a clear()).
-  void span_end(SpanId id, sim::Tick end, std::string_view args = {}) {
+  /// ignored.
+  void span_end(SpanId id, sim::Tick end) {
     for (std::size_t i = open_.size(); i-- > 0;) {
       if (open_[i].id != id) continue;
       Event& e = events_[open_[i].index];
       e.end = end >= e.start ? end : e.start;
-      if (!args.empty()) e.args = std::string(args);
       e.open = false;
       open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(i));
       return;
@@ -133,21 +146,17 @@ class Tracer {
 
   const std::vector<Event>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
-  void clear() {
-    events_.clear();
-    open_.clear();
-    seen_ = 0;
-    next_span_ = 0;
-    active_windows_ = 0;
-  }
 
   /// Chrome trace_event JSON, schema "herd-trace/2": complete ("X") events
   /// with ts/dur in microseconds of simulated time, one metadata-named
   /// thread per track, and per-event args carrying trace/span/parent ids.
-  /// Spans left open export as "B" phase events. Deterministic: timestamps
-  /// are formatted from integer ticks, span ids follow emission order, and
-  /// tids follow first-appearance order.
-  std::string chrome_json() const;
+  /// Spans left open export as "B" phase events, except those listed in
+  /// `cut`: they export closed at `cut_at` with an "incomplete": true arg
+  /// (the tracer itself is not changed). Deterministic: timestamps are
+  /// formatted from integer ticks, span ids follow emission order, and tids
+  /// follow first-appearance order.
+  std::string chrome_json(std::span<const SpanId> cut = {},
+                          sim::Tick cut_at = 0) const;
 
  private:
   struct OpenSpan {

@@ -87,11 +87,8 @@ class PcieLink {
     sim::Tick occ = static_cast<sim::Tick>(lines) * cfg_.pio_per_cacheline;
     sim::Resource::Admission adm = pio_.admit(occ);
     if (obs::tracing(tracer_)) {
-      if (adm.queued() > 0) {
-        tracer_->span(pio_.name(), "queued", adm.arrival, adm.start);
-      }
-      tracer_->span(pio_.name(), "pio_write", adm.start, adm.done,
-                    std::to_string(bytes) + "B");
+      tracer_->admission(pio_.name(), "pio_write", adm,
+                         std::to_string(bytes) + "B");
     }
     return adm.done + cfg_.pio_latency;
   }
@@ -126,11 +123,8 @@ class PcieLink {
         cfg_.dma_read_per_op + sim::bytes_at_gbps(bytes, cfg_.dma_read_gbps);
     sim::Resource::Admission adm = dma_rd_.admit_at(start, occ);
     if (obs::tracing(tracer_)) {
-      if (adm.queued() > 0) {
-        tracer_->span(dma_rd_.name(), "queued", adm.arrival, adm.start);
-      }
-      tracer_->span(dma_rd_.name(), "dma_read", adm.start, adm.done,
-                    std::to_string(bytes) + "B");
+      tracer_->admission(dma_rd_.name(), "dma_read", adm,
+                         std::to_string(bytes) + "B");
     }
     return {adm.done, adm.done + cfg_.dma_read_latency};
   }
@@ -143,11 +137,8 @@ class PcieLink {
         cfg_.dma_write_per_op + sim::bytes_at_gbps(bytes, cfg_.dma_write_gbps);
     sim::Resource::Admission adm = dma_wr_.admit_at(start, occ);
     if (obs::tracing(tracer_)) {
-      if (adm.queued() > 0) {
-        tracer_->span(dma_wr_.name(), "queued", adm.arrival, adm.start);
-      }
-      tracer_->span(dma_wr_.name(), "dma_write", adm.start, adm.done,
-                    std::to_string(bytes) + "B");
+      tracer_->admission(dma_wr_.name(), "dma_write", adm,
+                         std::to_string(bytes) + "B");
     }
     return {adm.done, adm.done + cfg_.dma_write_latency};
   }

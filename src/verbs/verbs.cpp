@@ -23,6 +23,22 @@ const char* opcode_name(Opcode op) {
       return "SEND";
   }
 }
+
+// One pass through the RNIC pipeline on the trace: the dispatch stage, then
+// the TX or RX unit (`unit_prefix` "tx_" / "rx_"), each after its queueing
+// delay, plus an instant when the QP context missed the RNIC's cache.
+void trace_pipeline(obs::Tracer& tr, sim::Resource& dispatch,
+                    const sim::Resource::Admission& disp, sim::Resource& unit,
+                    const sim::Resource::Admission& adm,
+                    const char* unit_prefix, Opcode op, bool cache_miss,
+                    std::uint64_t trace_id) {
+  if (!tr.active()) return;
+  obs::TraceCtx tc{trace_id, 0};
+  tr.admission(dispatch.name(), "dispatch", disp, opcode_name(op), tc);
+  tr.admission(unit.name(), std::string(unit_prefix) + opcode_name(op), adm,
+               {}, tc);
+  if (cache_miss) tr.instant(unit.name(), "qp_cache_miss", adm.start, {}, tc);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -55,13 +71,14 @@ void Cq::push(const Wc& wc, bool reserved) {
 
 Context::Context(sim::Engine& engine, rnic::Rnic& rnic, pcie::PcieLink& pcie,
                  fabric::Fabric& fabric, std::uint32_t port,
-                 HostMemory& memory)
+                 HostMemory& memory, obs::RequestProbe& probe)
     : engine_(&engine),
       rnic_(&rnic),
       pcie_(&pcie),
       fabric_(&fabric),
       port_(port),
-      memory_(&memory) {}
+      memory_(&memory),
+      probe_(&probe) {}
 
 ContractChecker& Context::enable_contract(ContractChecker::Mode mode) {
   if (contract_ == nullptr) {
@@ -376,24 +393,8 @@ void Qp::tx_stage(SendWr wr, std::vector<std::byte> payload, sim::Tick ready) {
   sim::Tick tx_done = tx.done;
   sim::Tick departed = tx_done + cal.tx_latency;
 
-  if (obs::tracing(ctx_->tracer())) {
-    auto* tr = ctx_->tracer();
-    obs::TraceCtx tc{wr.trace_id, 0};
-    if (disp.queued() > 0) {
-      tr->span(rn.dispatch().name(), "queued", disp.arrival, disp.start, {},
-               tc);
-    }
-    tr->span(rn.dispatch().name(), "dispatch", disp.start, disp.done,
-             opcode_name(wr.opcode), tc);
-    if (tx.queued() > 0) {
-      tr->span(rn.tx().name(), "queued", tx.arrival, tx.start, {}, tc);
-    }
-    tr->span(rn.tx().name(), std::string("tx_") + opcode_name(wr.opcode),
-             tx.start, tx.done, {}, tc);
-    if (penalty > 0) {
-      tr->instant(rn.tx().name(), "qp_cache_miss", tx.start, {}, tc);
-    }
-  }
+  trace_pipeline(ctx_->probe().tracer(), rn.dispatch(), disp, rn.tx(), tx,
+                 "tx_", wr.opcode, penalty > 0, wr.trace_id);
 
   // Outbound throughput is the *service* rate of the TX unit, so count at
   // completion (arrival-time counting would measure the posting rate).
@@ -529,24 +530,8 @@ void Qp::rx_arrive(Inbound in) {
   sim::Tick rx_end = rx.done;
   sim::Tick done = rx_end + cal.rx_latency;
 
-  if (obs::tracing(ctx_->tracer())) {
-    auto* tr = ctx_->tracer();
-    obs::TraceCtx tc{in.wr.trace_id, 0};
-    if (disp.queued() > 0) {
-      tr->span(rn.dispatch().name(), "queued", disp.arrival, disp.start, {},
-               tc);
-    }
-    tr->span(rn.dispatch().name(), "dispatch", disp.start, disp.done,
-             opcode_name(in.wr.opcode), tc);
-    if (rx.queued() > 0) {
-      tr->span(rn.rx().name(), "queued", rx.arrival, rx.start, {}, tc);
-    }
-    tr->span(rn.rx().name(), std::string("rx_") + opcode_name(in.wr.opcode),
-             rx.start, rx.done, {}, tc);
-    if (penalty > 0) {
-      tr->instant(rn.rx().name(), "qp_cache_miss", rx.start, {}, tc);
-    }
-  }
+  trace_pipeline(ctx_->probe().tracer(), rn.dispatch(), disp, rn.rx(), rx,
+                 "rx_", in.wr.opcode, penalty > 0, in.wr.trace_id);
   // Inbound throughput = RX service rate. The fabric is lossless (credit
   // flow control): when arrivals outpace service the wire backpressures, so
   // the sustainable rate is what the RX unit retires.

@@ -11,6 +11,10 @@
 // via cluster::SequentialCore — but it immediately engages the PIO path and
 // schedules the verb's hardware flow. Completions become pollable at the
 // tick their CQE DMA lands.
+//
+// Each context carries its cluster's obs::RequestProbe: the RNIC dispatch
+// and TX/RX stages trace on it, and the HERD client and service built on
+// the context mark every step of a request through it.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +27,7 @@
 #include <vector>
 
 #include "fabric/fabric.hpp"
-#include "obs/tail.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "pcie/pcie.hpp"
 #include "rnic/rnic.hpp"
 #include "sim/engine.hpp"
@@ -188,7 +191,8 @@ class Qp {
 class Context {
  public:
   Context(sim::Engine& engine, rnic::Rnic& rnic, pcie::PcieLink& pcie,
-          fabric::Fabric& fabric, std::uint32_t port, HostMemory& memory);
+          fabric::Fabric& fabric, std::uint32_t port, HostMemory& memory,
+          obs::RequestProbe& probe);
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
@@ -229,17 +233,8 @@ class Context {
 
   Qp* find_qp(std::uint32_t qpn);
 
-  /// Installs (or clears) the tracer the verb flows record RNIC pipeline
-  /// spans and QP-cache-miss instants on. The PCIe link is wired by its
-  /// owner; this only covers the verbs-layer stages.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  obs::Tracer* tracer() { return tracer_; }
-
-  /// Installs (or clears) the cluster-wide per-request tail profiler.
-  /// The verbs layer itself never marks stages — this is the conduit the
-  /// HERD client/service use to reach the profiler their Cluster owns.
-  void set_tail(obs::TailProfiler* tail) { tail_ = tail; }
-  obs::TailProfiler* tail() { return tail_; }
+  /// The cluster's request probe.
+  obs::RequestProbe& probe() { return *probe_; }
 
   /// WR-chain length per post_send across every QP on this context (the
   /// value recorded is a count, not a latency). A mean near 1 in a hot path
@@ -259,8 +254,7 @@ class Context {
   fabric::Fabric* fabric_;
   std::uint32_t port_;
   HostMemory* memory_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::TailProfiler* tail_ = nullptr;
+  obs::RequestProbe* probe_;
   sim::LatencyHistogram chain_len_;
   std::unique_ptr<ContractChecker> contract_;
   std::unordered_map<std::uint32_t, Qp*> qps_;

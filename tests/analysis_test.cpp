@@ -480,6 +480,58 @@ TEST(SpanPairing, ReturnedIdAndOutsideHerdAreNotThisRulesJob) {
   EXPECT_TRUE(rule_violations(engine, "span-pairing").empty());
 }
 
+TEST(SpanPairing, RequestRootStoredAndEndedElsewhereIsClean) {
+  // The client's shape: begin_request's context rides in the in-flight
+  // record and a different method ends the request at its terminal state.
+  Engine engine;
+  engine.add_file("src/herd/cl.hpp",
+                  "void issue(P& probe, F& fl, long now) {\n"
+                  "  TraceCtx trace = probe.begin_request(\"c\", 1, now, a);\n"
+                  "  fl.trace = trace;\n"
+                  "}\n"
+                  "void retire(P& probe, F& fl, long now) {\n"
+                  "  probe.end_request(fl.trace, now, \"ok\", \"net_out\");\n"
+                  "}\n");
+  engine.run();
+  EXPECT_TRUE(rule_violations(engine, "span-pairing").empty());
+}
+
+TEST(SpanPairing, RequestRootNeverEndedCaught) {
+  // A span_end naming the member does not close a request root: only
+  // end_request does.
+  Engine engine;
+  engine.add_file("src/herd/cl.hpp",
+                  "void issue(P& probe, F& fl, long now) {\n"
+                  "  TraceCtx trace = probe.begin_request(\"c\", 1, now, a);\n"
+                  "  fl.trace = trace;\n"
+                  "}\n"
+                  "void retire(T& tr, F& fl, long now) {\n"
+                  "  tr.span_end(fl.trace, now);\n"
+                  "}\n");
+  engine.run();
+  std::vector<Violation> v = rule_violations(engine, "span-pairing");
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_NE(v[0].detail.find("begin_request"), std::string::npos);
+  EXPECT_NE(v[0].detail.find("passes it to end_request"), std::string::npos);
+}
+
+TEST(SpanPairing, RequestRootEarlyReturnCaught) {
+  Engine engine;
+  engine.add_file("src/herd/cl.hpp",
+                  "bool f(P& probe, bool full, long now) {\n"
+                  "  TraceCtx t = probe.begin_request(\"c\", 1, now, a);\n"
+                  "  if (full) return false;\n"
+                  "  probe.end_request(t, now, \"ok\", \"net_out\");\n"
+                  "  return true;\n"
+                  "}\n");
+  engine.run();
+  std::vector<Violation> v = rule_violations(engine, "span-pairing");
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].line, 3u);
+  EXPECT_NE(v[0].detail.find("before end_request closes 't'"),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Legacy rules: golden diagnostics (v1 byte-compatibility)
 // ---------------------------------------------------------------------------

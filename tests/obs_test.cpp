@@ -7,6 +7,8 @@
 //     byte-identical Chrome trace exports;
 //   - a traced request's spans appear in simulated-time order (client post,
 //     RNIC RX/dispatch/TX, PCIe DMA, MICA op);
+//   - the request probe closes the roots of requests still in flight at
+//     export, marked incomplete, and leaves other open spans as "B";
 //   - Snapshot round-trips through JSON;
 //   - validate_bench_json accepts what BenchReport writes and rejects
 //     documents that drift from the herd-bench/1 schema.
@@ -23,6 +25,7 @@
 #include "obs/bench_report.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "obs/trace.hpp"
 
 namespace herd::obs {
@@ -224,6 +227,78 @@ TEST(Tracer, OpenSpanExportsBPhaseWhichValidatorRejects) {
   EXPECT_NE(problems[0].find("unpaired begin-span"), std::string::npos);
 }
 
+// The "request" events of an export (pointers into `doc`).
+std::vector<const Json*> request_events(const Json& doc) {
+  std::vector<const Json*> out;
+  for (const Json& e : doc.find("traceEvents")->elements()) {
+    const Json* name = e.find("name");
+    if (name != nullptr && name->as_string() == "request") out.push_back(&e);
+  }
+  return out;
+}
+
+bool marked_incomplete(const Json& e) {
+  const Json* args = e.find("args");
+  return args != nullptr && args->find("incomplete") != nullptr;
+}
+
+TEST(RequestProbe, ExportClosesOnlyInFlightRequestRoots) {
+  RequestProbe probe;
+  probe.tracer().enable(1);
+  auto args = [] { return std::string("seq=1"); };
+  TraceCtx ctx = probe.begin_request("client0", 7, sim::us(1), args);
+  ASSERT_TRUE(ctx.sampled());
+  EXPECT_EQ(probe.in_flight(), 1u);
+
+  // Mid-flight export: the root exports closed at the export time and
+  // marked incomplete; nothing in the tracer or profiler changes.
+  Json doc = Json::parse(probe.chrome_json(sim::us(4)));
+  EXPECT_TRUE(validate_trace_json(doc).empty());
+  std::vector<const Json*> req = request_events(doc);
+  ASSERT_EQ(req.size(), 1u);
+  EXPECT_EQ(req[0]->find("ph")->as_string(), "X");
+  EXPECT_EQ(req[0]->find("dur")->as_double(), 3.0);
+  EXPECT_TRUE(marked_incomplete(*req[0]));
+  EXPECT_EQ(req[0]->find("args")->find("detail")->as_string(), "seq=1");
+  EXPECT_EQ(probe.tracer().open_spans(), 1u);
+  EXPECT_EQ(probe.tail().finished(), 0u);
+  EXPECT_EQ(probe.tail().in_flight(), 1u);
+
+  // A span opened outside the probe is not the probe's to close.
+  probe.tracer().span_begin("proc0", "drr_wait", sim::us(2));
+  std::vector<std::string> problems =
+      validate_trace_json(Json::parse(probe.chrome_json(sim::us(4))));
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("unpaired begin-span \"drr_wait\""),
+            std::string::npos);
+
+  // The request ends later and closes its root as usual.
+  probe.end_request(ctx, sim::us(6), "ok", "net_out");
+  EXPECT_EQ(probe.in_flight(), 0u);
+  EXPECT_EQ(probe.tail().finished(), 1u);
+  probe.end_request(ctx, sim::us(9), "ok", "net_out");  // no effect
+  doc = Json::parse(probe.chrome_json(sim::us(10)));
+  req = request_events(doc);
+  ASSERT_EQ(req.size(), 1u);
+  EXPECT_EQ(req[0]->find("dur")->as_double(), 5.0);
+  EXPECT_FALSE(marked_incomplete(*req[0]));
+}
+
+TEST(RequestProbe, UnsampledMarksRecordOnlyAmbientSteps) {
+  RequestProbe probe;
+  probe.tracer().enable(1);
+  TraceCtx sampled = probe.begin_request("client0", 7, 0, NoArgs{});
+  probe.mark(TraceCtx{}, "proc0", {.trace = "drr_wait", .tail = "drr_wait"},
+             sim::us(1), sim::us(2));
+  probe.mark(TraceCtx{}, "proc0", {.trace = "mica_op", .ambient = true},
+             sim::us(1), sim::us(2));
+  probe.mark(sampled, "proc0", {.trace = "drr_wait"}, sim::us(2), sim::us(2));
+  // root span + the ambient mica_op; the empty span is not recorded.
+  ASSERT_EQ(probe.tracer().size(), 2u);
+  EXPECT_EQ(probe.tracer().events()[1].name, "mica_op");
+  probe.end_request(sampled, sim::us(3), "ok", "net_out");
+}
+
 TEST(TraceValidator, RejectsSchemaDrift) {
   Tracer t;
   t.span("client", "request", sim::us(1), sim::us(5));
@@ -237,7 +312,6 @@ TEST(TraceValidator, RejectsSchemaDrift) {
 
 TEST(TailProfiler, StagesTelescopeExactlyToTotal) {
   TailProfiler tp;
-  tp.enable();
   tp.begin(7, sim::us(10));
   tp.stage(7, "client_post", sim::us(11));
   tp.stage(7, "net_in", sim::us(14));
@@ -255,7 +329,6 @@ TEST(TailProfiler, ChargeAmortizesWithoutBreakingTheTelescope) {
   // charge() bills a fixed share (the chain-amortization hook) and advances
   // the mark by the same amount, so the residual stage picks up the rest.
   TailProfiler tp;
-  tp.enable();
   tp.begin(9, 0);
   tp.charge(9, "doorbell", sim::us(2));
   tp.finish(9, "ok", sim::us(10), "net_rtt");
@@ -270,7 +343,6 @@ TEST(TailProfiler, ChargeAmortizesWithoutBreakingTheTelescope) {
 
 TEST(TailProfiler, QuantileCutMergesRepeatedStages) {
   TailProfiler tp;
-  tp.enable();
   // One slow request with a stage name charged twice (retry loop shape).
   tp.begin(1, 0);
   tp.stage(1, "backoff_hold", sim::us(3));
@@ -297,7 +369,6 @@ TEST(TailProfiler, QuantileCutMergesRepeatedStages) {
 
 TEST(TailProfiler, TailJsonRoundTripsThroughBenchValidator) {
   TailProfiler tp;
-  tp.enable();
   tp.begin(5, 0);
   tp.stage(5, "client_post", sim::us(1));
   tp.finish(5, "ok", sim::us(6), "net_out");
@@ -459,6 +530,41 @@ TEST(TraceE2E, ExportValidatesAndKeepsOneTraceIdAcrossClientAndServer) {
     crossed = crossed || (client && server);
   }
   EXPECT_TRUE(crossed);
+}
+
+TEST(TraceE2E, ExportWithRequestsInFlightMarksThemIncomplete) {
+  // Every client keeps a sampled request in flight, so the window ends
+  // with open request roots.
+  core::TestbedConfig cfg = wire_traced_config();
+  cfg.trace_sample_every = 1;
+  core::HerdTestbed bed(cfg);
+  bed.run(sim::us(50), sim::us(100));
+  ASSERT_GT(bed.cluster().probe().in_flight(), 0u);
+  std::size_t finished = bed.tail().finished();
+
+  Json doc = Json::parse(bed.trace_json());
+  EXPECT_TRUE(validate_trace_json(doc).empty());
+  std::size_t incomplete = 0;
+  double end_us = sim::to_us(bed.cluster().engine().now());
+  for (const Json* e : request_events(doc)) {
+    if (!marked_incomplete(*e)) continue;
+    ++incomplete;
+    EXPECT_EQ(e->find("ph")->as_string(), "X");
+    EXPECT_NEAR(e->find("ts")->as_double() + e->find("dur")->as_double(),
+                end_us, 1e-6);
+  }
+  EXPECT_EQ(incomplete, bed.cluster().probe().in_flight());
+  EXPECT_EQ(bed.tail().finished(), finished);  // the export finished none
+
+  // Drained, the same requests close for real: nothing is incomplete.
+  for (std::size_t i = 0; i < bed.num_clients(); ++i) bed.client(i).stop();
+  bed.cluster().engine().run();
+  EXPECT_EQ(bed.cluster().probe().in_flight(), 0u);
+  doc = Json::parse(bed.trace_json());
+  EXPECT_TRUE(validate_trace_json(doc).empty());
+  for (const Json* e : request_events(doc)) {
+    EXPECT_FALSE(marked_incomplete(*e));
+  }
 }
 
 TEST(TraceE2E, TailStagesSumExactlyToEndToEndLatency) {

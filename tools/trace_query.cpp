@@ -14,6 +14,10 @@
 //     +1.210  drr_wait         3.400 us  [proc1]
 //     ...
 //
+// A request still in flight when the trace was exported has its root marked
+// "incomplete": its duration only bounds its latency from below, so it
+// ranks after every finished request and prints flagged.
+//
 // Reads the same files bench binaries write under --bench-out, so a CI
 // artifact can carry the "slowest requests" report next to the trace.
 #include <algorithm>
@@ -43,6 +47,7 @@ struct Node {
   std::uint64_t span = 0;
   std::uint64_t parent = 0;
   bool instant = false;
+  bool incomplete = false;  // in flight at export (args.incomplete)
   std::vector<std::size_t> children;  // indices into Request::nodes
 };
 
@@ -54,6 +59,7 @@ struct Request {
   double total_us() const {
     return root == SIZE_MAX ? 0 : nodes[root].dur_us;
   }
+  bool finished() const { return root != SIZE_MAX && !nodes[root].incomplete; }
 };
 
 double num(const Json* v) { return v == nullptr ? 0 : v->as_double(); }
@@ -110,6 +116,7 @@ std::vector<Request> collect(const Json& doc) {
     n.span = static_cast<std::uint64_t>(num(args->find("span")));
     n.parent = static_cast<std::uint64_t>(num(args->find("parent")));
     n.instant = phase == "i";
+    n.incomplete = args->find("incomplete") != nullptr;
 
     Request& r = by_trace[tid];
     r.trace_id = tid;
@@ -209,10 +216,12 @@ int main(int argc, char** argv) {
       continue;
     }
 
-    // Slowest first by root-span duration; traces with no recognizable
-    // root (producer bug) sort last but still print, flagged.
+    // Slowest finished requests first by root-span duration; requests in
+    // flight at export, then traces with no recognizable root (producer
+    // bug), sort after them but still print, flagged.
     std::stable_sort(reqs.begin(), reqs.end(),
                      [](const Request& a, const Request& b) {
+                       if (a.finished() != b.finished()) return a.finished();
                        return a.total_us() > b.total_us();
                      });
     std::printf("%s: %zu traced request(s)\n", path, reqs.size());
@@ -226,9 +235,10 @@ int main(int argc, char** argv) {
         continue;
       }
       const Node& root = r.nodes[r.root];
-      std::printf("trace 0x%llx  %.3f us  (%s, %s)\n",
+      std::printf("trace 0x%llx  %.3f us  (%s, %s%s)\n",
                   static_cast<unsigned long long>(r.trace_id), root.dur_us,
-                  root.name.c_str(), root.track.c_str());
+                  root.name.c_str(), root.track.c_str(),
+                  root.incomplete ? ", incomplete" : "");
       for (std::size_t c : root.children) {
         print_node(r, c, root.ts_us, 0);
       }
