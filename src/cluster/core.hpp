@@ -27,14 +27,14 @@ class SequentialCore {
   /// (and never before previously queued work completes), then runs `fn`.
   /// Returns the completion tick.
   sim::Tick run_at(sim::Tick earliest, sim::Tick cost,
-                   sim::Callback fn) {
+                   sim::Callback&& fn) {
     sim::Tick start = earliest > engine_->now() ? earliest : engine_->now();
     sim::Tick done = res_.acquire_at(start, cost);
     if (fn) engine_->schedule_at(done, std::move(fn));
     return done;
   }
 
-  sim::Tick run(sim::Tick cost, sim::Callback fn) {
+  sim::Tick run(sim::Tick cost, sim::Callback&& fn) {
     return run_at(engine_->now(), cost, std::move(fn));
   }
 

@@ -52,7 +52,7 @@ std::uint32_t Fabric::wire_bytes(std::uint32_t payload, bool datagram) const {
 
 void Fabric::transmit_at(sim::Tick start, std::uint32_t src, std::uint32_t dst,
                          std::uint32_t wire_bytes,
-                         sim::Callback on_arrival) {
+                         sim::Callback&& on_arrival) {
   if (src >= ports_.size() || dst >= ports_.size()) {
     throw std::out_of_range("Fabric::transmit: bad port id");
   }

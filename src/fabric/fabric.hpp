@@ -88,14 +88,14 @@ class Fabric {
   /// Sends `wire_bytes` (already including transport headers) from `src` to
   /// `dst`; invokes `on_arrival` at full-message arrival time.
   void transmit(std::uint32_t src, std::uint32_t dst,
-                std::uint32_t wire_bytes, sim::Callback on_arrival) {
+                std::uint32_t wire_bytes, sim::Callback&& on_arrival) {
     transmit_at(engine_->now(), src, dst, wire_bytes, std::move(on_arrival));
   }
 
   /// As transmit(), but serialization onto the source link starts no earlier
   /// than `start` (used to chain from an upstream pipeline stage).
   void transmit_at(sim::Tick start, std::uint32_t src, std::uint32_t dst,
-                   std::uint32_t wire_bytes, sim::Callback on_arrival);
+                   std::uint32_t wire_bytes, sim::Callback&& on_arrival);
 
   /// Serialized wire size of a payload on the given transport family.
   std::uint32_t wire_bytes(std::uint32_t payload, bool datagram) const;

@@ -237,7 +237,7 @@ void HerdClient::breaker_on_shed(std::uint32_t s) {
 
 void HerdClient::resume_held() {
   resume_scheduled_ = false;
-  std::deque<workload::Op> held;
+  sim::RingDeque<workload::Op> held;
   held.swap(held_ops_);
   // issue() re-routes each op; ops whose target is still open re-hold
   // (and re-schedule the resume).
@@ -255,7 +255,7 @@ void HerdClient::post_request(std::uint32_t s, const InFlight& fl) {
   auto& mem = host_->memory();
   std::uint64_t stage = req_base_ + (req_slot_++ % kReqRing) * kSlotBytes;
   auto slot = mem.span(stage, kSlotBytes);
-  std::vector<std::byte> value;
+  std::byte value[kSlotBytes];  // a PUT value never outgrows its slot
   Request req;
   req.key = op.key;
   req.is_put = op.type == workload::OpType::kPut;
@@ -281,9 +281,8 @@ void HerdClient::post_request(std::uint32_t s, const InFlight& fl) {
     req.parent_span = fl.trace.parent;
   }
   if (req.is_put) {
-    value.resize(op.value_len);
-    workload::WorkloadGenerator::fill_value(op.rank, value);
-    req.value = value;
+    req.value = std::span<const std::byte>(value, op.value_len);
+    workload::WorkloadGenerator::fill_value(op.rank, {value, op.value_len});
   }
   std::uint32_t wire =
       request_wire_bytes(req.is_put ? op.value_len : 0, cfg_.request_tokens,
@@ -507,7 +506,7 @@ void HerdClient::reissue(InFlight fl, std::uint32_t to, const char* stage) {
 }
 
 void HerdClient::fail_over_outstanding(std::uint32_t s) {
-  std::deque<InFlight> moved;
+  sim::RingDeque<InFlight> moved;
   moved.swap(inflight_[s]);
   for (InFlight& fl : moved) {
     std::uint32_t b = failover_target(fl, s);
@@ -686,7 +685,8 @@ void HerdClient::handle_response(const verbs::Wc& wc) {
     if (resp->status == RespStatus::kOk) {
       ++stats_.get_hits;
       if (verify_) {
-        std::vector<std::byte> expect(resp->value.size());
+        std::byte expect_buf[kRespStride];  // the value came out of one
+        std::span<std::byte> expect(expect_buf, resp->value.size());
         workload::WorkloadGenerator::fill_value(fl.op.rank, expect);
         if (!std::equal(expect.begin(), expect.end(),
                         resp->value.begin())) {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "herd/observer.hpp"
 #include "herd/protocol.hpp"
 #include "herd/service.hpp"
+#include "sim/ring_deque.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "workload/workload.hpp"
@@ -228,7 +228,8 @@ class HerdClient {
   /// through it (an identity map when replication is off). Refreshed from
   /// kWrongEpoch redirect payloads — never by guessing.
   ShardMap shards_;
-  std::vector<std::deque<InFlight>> inflight_;  // per target proc, FIFO
+  /// Per target proc, FIFO; each holds at most the client's window.
+  std::vector<sim::RingDeque<InFlight>> inflight_;
   std::uint64_t next_seq_ = 1;
   ClientResilience res_;
   sim::Pcg32 jitter_rng_;
@@ -244,7 +245,7 @@ class HerdClient {
   /// Ops generated while their target's breaker was open, waiting for the
   /// cooldown. Bounded by the client's window (each held op keeps its
   /// outstanding_ slot).
-  std::deque<workload::Op> held_ops_;
+  sim::RingDeque<workload::Op> held_ops_;
   bool resume_scheduled_ = false;
   std::uint32_t outstanding_ = 0;
   bool running_ = false;

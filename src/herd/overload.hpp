@@ -27,11 +27,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "herd/config.hpp"
+#include "sim/ring_deque.hpp"
 #include "sim/time.hpp"
 
 namespace herd::overload {
@@ -133,7 +133,7 @@ class DrrQueue {
 
  private:
   struct Q {
-    std::deque<T> items;
+    sim::RingDeque<T> items;
     std::uint64_t deficit = 0;
     std::uint32_t weight = 1;
   };

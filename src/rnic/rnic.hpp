@@ -67,7 +67,7 @@ class Rnic {
   /// Touches per-destination address/route state for a UD SEND. `dest_key`
   /// identifies the remote (port, QPN).
   sim::Tick destination_penalty(std::uint64_t dest_key) {
-    std::uint64_t key = 0x8000000000000000ULL | dest_key;
+    std::uint64_t key = QpContextCache::kDestination | dest_key;
     if (cache_.touch(key, cal_.weight_ud_dest)) return 0;
     return cal_.miss_requester;
   }

@@ -3,7 +3,7 @@
 // Every modelled message hop (a SEND, a WQE fetch, a DMA, a CQE) is one
 // scheduled callback, so the cost of storing and moving one is paid per
 // event. Most closures on the verbs path carry a SendWr and a payload
-// vector, far more than `std::function`'s 16-byte inline buffer, and none
+// handle, far more than `std::function`'s 16-byte inline buffer, and none
 // needs to be copied. A Callback holds closures up to kInlineBytes in place
 // and only falls back to the heap beyond that.
 #pragma once
@@ -20,7 +20,7 @@ class Callback {
  public:
   /// Inline capacity: sized for the largest verbs hot-path closure, the
   /// in-flight UD message (destination context and QPN plus an Inbound
-  /// holding a SendWr and its payload vector), so no hop allocates.
+  /// holding a SendWr and its payload handle), so no hop allocates.
   static constexpr std::size_t kInlineBytes = 120;
 
   /// True when a callable of type F is held in place, without allocating.

@@ -16,4 +16,8 @@ void unmap_zero_pages(void* p, std::size_t bytes) {
   if (p != nullptr) ::munmap(p, bytes);
 }
 
+void advise_huge_pages(void* p, std::size_t bytes) {
+  if (p != nullptr) ::madvise(p, bytes, MADV_HUGEPAGE);
+}
+
 }  // namespace herd::sim::detail

@@ -18,11 +18,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 
 #include "sim/engine.hpp"
+#include "sim/ring_deque.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
@@ -180,7 +180,7 @@ class Resource {
   // Clamped-busy accounting: disjoint, time-ordered busy segments not yet
   // fully in the past, plus the folded total of everything before them.
   // Mutable so const sampling (utilization from metric callbacks) can fold.
-  mutable std::deque<Segment> segments_;
+  mutable RingDeque<Segment> segments_;
   mutable Tick folded_busy_ = 0;
   Tick window_start_ = 0;
   Tick window_busy_base_ = 0;

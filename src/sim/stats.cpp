@@ -11,19 +11,6 @@ LatencyHistogram::LatencyHistogram()
                    (static_cast<std::size_t>(kOctaves) << kSubBits),
                0) {}
 
-std::size_t LatencyHistogram::bucket_index(Tick t) const {
-  constexpr std::size_t base = 1u << kSubBits;
-  if (t < base) return static_cast<std::size_t>(t);
-  // Values in [2^(kSubBits+o), 2^(kSubBits+o+1)) form octave o, split into
-  // 2^kSubBits linear sub-buckets by the bits below the leading one.
-  int msb = 63 - std::countl_zero(static_cast<std::uint64_t>(t));
-  auto octave = static_cast<std::size_t>(msb - kSubBits);
-  auto sub =
-      static_cast<std::size_t>(t >> (msb - kSubBits)) & (base - 1);
-  std::size_t idx = base + (octave << kSubBits) + sub;
-  return std::min(idx, buckets_.size() - 1);
-}
-
 Tick LatencyHistogram::bucket_upper(std::size_t idx) const {
   constexpr std::size_t base = 1u << kSubBits;
   if (idx < base) return static_cast<Tick>(idx);
@@ -33,14 +20,6 @@ Tick LatencyHistogram::bucket_upper(std::size_t idx) const {
   Tick lo = static_cast<Tick>(base) << octave;  // start of the octave
   Tick width = lo >> kSubBits;                  // linear sub-bucket width
   return lo + (static_cast<Tick>(sub) + 1) * width - 1;
-}
-
-void LatencyHistogram::record(Tick t) {
-  ++buckets_[bucket_index(t)];
-  ++count_;
-  min_ = std::min(min_, t);
-  max_ = std::max(max_, t);
-  sum_ns_ += to_ns(t);
 }
 
 void LatencyHistogram::clear() {

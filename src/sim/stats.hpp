@@ -3,6 +3,8 @@
 // typed obs::Counter handles and link them into a MetricRegistry.)
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -18,7 +20,15 @@ class LatencyHistogram {
  public:
   LatencyHistogram();
 
-  void record(Tick t);
+  /// Inline: resources record into their stage histograms on every
+  /// admission.
+  void record(Tick t) {
+    ++buckets_[bucket_index(t)];
+    ++count_;
+    min_ = std::min(min_, t);
+    max_ = std::max(max_, t);
+    sum_ns_ += to_ns(t);
+  }
   void clear();
 
   /// Accumulates another histogram (same fixed bucket layout).
@@ -38,7 +48,17 @@ class LatencyHistogram {
  private:
   static constexpr int kSubBits = 5;   // 32 linear sub-buckets per octave
   static constexpr int kOctaves = 52;  // covers ticks up to ~2^57 ps
-  std::size_t bucket_index(Tick t) const;
+  std::size_t bucket_index(Tick t) const {
+    constexpr std::size_t base = 1u << kSubBits;
+    if (t < base) return static_cast<std::size_t>(t);
+    // Values in [2^(kSubBits+o), 2^(kSubBits+o+1)) form octave o, split
+    // into 2^kSubBits linear sub-buckets by the bits below the leading one.
+    int msb = 63 - std::countl_zero(static_cast<std::uint64_t>(t));
+    auto octave = static_cast<std::size_t>(msb - kSubBits);
+    auto sub = static_cast<std::size_t>(t >> (msb - kSubBits)) & (base - 1);
+    std::size_t idx = base + (octave << kSubBits) + sub;
+    return std::min(idx, buckets_.size() - 1);
+  }
   Tick bucket_upper(std::size_t idx) const;
 
   std::vector<std::uint64_t> buckets_;

@@ -62,9 +62,18 @@ void ContractChecker::record(ContractViolation v) {
 }
 
 ContractChecker::CqAccount& ContractChecker::account(const Cq& cq) {
-  auto [it, inserted] = cq_accounts_.try_emplace(&cq);
-  if (inserted) it->second.capacity = cq.capacity();
-  return it->second;
+  if (cq.cqn() >= cq_accounts_.size()) cq_accounts_.resize(cq.cqn() + 1);
+  CqAccount& a = cq_accounts_[cq.cqn()];
+  if (!a.open) {
+    a.open = true;
+    a.capacity = cq.capacity();
+  }
+  return a;
+}
+
+ContractChecker::QpAccount& ContractChecker::account(const Qp& qp) {
+  if (qp.qpn() >= qp_accounts_.size()) qp_accounts_.resize(qp.qpn() + 1);
+  return qp_accounts_[qp.qpn()];
 }
 
 namespace {
@@ -96,7 +105,7 @@ void ContractChecker::on_post_chain(const Qp& qp,
   if (!flushing) {
     // The whole chain must fit the send queue's free depth at once — the
     // incremental per-WR check only trips after the queue already wrapped.
-    const std::uint32_t inflight = qp_accounts_[&qp].sq_inflight;
+    const std::uint32_t inflight = account(qp).sq_inflight;
     if (inflight + len > attr.max_send_wr) {
       f.add(ContractRule::kChainTooLong, qpn, chain.front().wr_id,
             "chain of " + std::to_string(len) + " WRs + " +
@@ -194,7 +203,7 @@ void ContractChecker::on_post_send(const Qp& qp, const SendWr& wr) {
                 std::to_string(wr.sge.length) +
                 ") not covered by lkey " + std::to_string(wr.sge.lkey));
     }
-    const std::uint32_t inflight = qp_accounts_[&qp].sq_inflight;
+    const std::uint32_t inflight = account(qp).sq_inflight;
     if (inflight >= attr.max_send_wr) {
       f.add(ContractRule::kSendQueueOverflow, qpn, wr.wr_id,
             std::to_string(inflight) + " WQEs in flight >= max_send_wr " +
@@ -222,7 +231,7 @@ void ContractChecker::on_post_send(const Qp& qp, const SendWr& wr) {
     // the WR never reaches the (simulated) hardware.
     if (mode_ == Mode::kFailFast) throw ContractError(f.list.front());
   }
-  if (!flushing) ++qp_accounts_[&qp].sq_inflight;
+  if (!flushing) ++account(qp).sq_inflight;
   if (reserves && attr.send_cq != nullptr) ++account(*attr.send_cq).reserved;
 }
 
@@ -288,10 +297,8 @@ void ContractChecker::on_register_mr(std::uint64_t addr,
 }
 
 void ContractChecker::on_send_retired(const Qp& qp) {
-  auto it = qp_accounts_.find(&qp);
-  if (it != qp_accounts_.end() && it->second.sq_inflight > 0) {
-    --it->second.sq_inflight;
-  }
+  QpAccount& a = account(qp);
+  if (a.sq_inflight > 0) --a.sq_inflight;
 }
 
 void ContractChecker::on_cqe(const Cq& cq, bool reserved) {
@@ -318,11 +325,11 @@ void ContractChecker::on_poll(const Cq& cq, std::size_t n) {
 }
 
 void ContractChecker::on_cq_destroyed(const Cq& cq) {
-  cq_accounts_.erase(&cq);
+  if (cq.cqn() < cq_accounts_.size()) cq_accounts_[cq.cqn()] = CqAccount{};
 }
 
 void ContractChecker::on_qp_destroyed(const Qp& qp) {
-  qp_accounts_.erase(&qp);
+  if (qp.qpn() < qp_accounts_.size()) qp_accounts_[qp.qpn()] = QpAccount{};
 }
 
 }  // namespace herd::verbs

@@ -27,7 +27,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "verbs/types.hpp"
 
@@ -143,9 +143,10 @@ class ContractChecker {
 
  private:
   // Per-CQ accounting: CQEs currently queued plus CQE slots reserved by
-  // posted-but-uncompleted signaled WRs and RECVs. Keyed by the Cq object;
-  // never iterated (pointer keys are fine for lookup, not ordering).
+  // posted-but-uncompleted signaled WRs and RECVs. Indexed by the CQ's
+  // number on the checker's context; opened on first use.
   struct CqAccount {
+    bool open = false;
     std::uint32_t capacity = 0;
     std::uint32_t queued = 0;    // CQEs pushed, not yet polled
     std::uint32_t reserved = 0;  // future CQEs from in-flight WRs
@@ -156,6 +157,7 @@ class ContractChecker {
 
   void record(ContractViolation v);
   CqAccount& account(const Cq& cq);
+  QpAccount& account(const Qp& qp);
   void reserve_cqe(const Qp& qp, const Cq& cq, std::uint64_t wr_id);
 
   static constexpr std::size_t kMaxRetained = 256;
@@ -163,8 +165,8 @@ class ContractChecker {
   Mode mode_;
   std::array<std::uint64_t, kContractRuleCount> counters_{};
   std::deque<ContractViolation> violations_;
-  std::unordered_map<const Cq*, CqAccount> cq_accounts_;
-  std::unordered_map<const Qp*, QpAccount> qp_accounts_;
+  std::vector<CqAccount> cq_accounts_;  // by cqn
+  std::vector<QpAccount> qp_accounts_;  // by qpn
 };
 
 }  // namespace herd::verbs

@@ -1,0 +1,121 @@
+// Allocation budget of the simulator's per-event path.
+//
+// Every modelled hop is one engine event, so a heap allocation on the hop
+// path costs a malloc and a free per event. Payloads come from per-context
+// slabs, queues are rings that stop growing at their working depth, and
+// the verbs tables are dense vectors, so a steady-state HERD window should
+// allocate almost nothing. This executable replaces the global operator
+// new/delete with counting versions and pins the allocations per processed
+// event on a closed-loop window shaped like the perfbench herd_get_small
+// workload.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+
+#include "herd/testbed.hpp"
+#include "kv/partition.hpp"
+
+namespace {
+
+bool g_counting = false;
+std::uint64_t g_allocations = 0;
+
+void* counted_alloc(std::size_t n) noexcept {
+  if (g_counting) ++g_allocations;
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_alloc_or_throw(std::size_t n) {
+  void* p = counted_alloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+// Every replaceable non-aligned form, so no block is allocated by one
+// allocator and freed by another.
+void* operator new(std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace herd {
+namespace {
+
+// Heap allocations made while `fn` runs.
+template <class Fn>
+std::uint64_t allocations_in(Fn&& fn) {
+  std::uint64_t before = g_allocations;
+  g_counting = true;
+  fn();
+  g_counting = false;
+  return g_allocations - before;
+}
+
+TEST(AllocBudget, CounterSeesAllocations) {
+  std::uint64_t n = allocations_in([] {
+    auto p = std::make_unique<std::uint64_t>(7);
+    EXPECT_EQ(*p, 7u);
+  });
+  EXPECT_EQ(n, 1u);
+}
+
+// perfbench's herd_get_small: HERD on Apt, 6 server processes, 51 clients
+// with 4 requests outstanding each, 95% GETs of 32-byte values over 2^16
+// uniform keys, the fig09 MICA sizing, values verified on every GET.
+TEST(AllocBudget, HerdGetSmallWindowStaysUnderBudget) {
+  core::TestbedConfig base;
+  base.cluster = cluster::ClusterConfig::apt();
+  kv::MicaCache::Config machine;
+  machine.bucket_count_log2 = 18;
+  machine.log_bytes = 192u << 20;
+  base.herd.mica = kv::PartitionPlan::split(machine, 6).partition(0);
+  core::TestbedConfig cfg = core::TestbedConfigBuilder(base)
+                                .server_procs(6)
+                                .clients(51)
+                                .window(4)
+                                .inline_threshold(144)
+                                .n_keys(1u << 16)
+                                .verify_values(true)
+                                .get_fraction(0.95)
+                                .value_len(32)
+                                .zipf(false)
+                                .seed(3)
+                                .build();
+  core::HerdTestbed bed(cfg);
+  // Warm-up grows every slab, ring and table to its working size.
+  bed.run(0, sim::ms(1));
+
+  sim::Engine& engine = bed.cluster().engine();
+  const std::uint64_t events0 = engine.events_processed();
+  core::HerdTestbed::RunResult r{};
+  const std::uint64_t allocations =
+      allocations_in([&] { r = bed.run(0, sim::us(500)); });
+  const std::uint64_t events = engine.events_processed() - events0;
+
+  ASSERT_GT(r.ops, 5000u);
+  ASSERT_EQ(r.value_mismatches, 0u);
+  const double per_event =
+      static_cast<double>(allocations) / static_cast<double>(events);
+  EXPECT_LE(per_event, 0.05) << allocations << " allocations over " << events
+                             << " events (" << r.ops << " ops)";
+}
+
+}  // namespace
+}  // namespace herd
