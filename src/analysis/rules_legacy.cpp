@@ -187,13 +187,14 @@ bool mentions_queue_bound(const std::string& stripped) {
          has_identifier(stripped, "DegradedMode", /*allow_qualified=*/true);
 }
 
-/// Flags std::deque / std::queue declarations in src/herd files that never
-/// reference a bound (see mentions_queue_bound). File-granular on purpose.
+/// Flags std::deque / std::queue / sim::RingDeque declarations in src/herd
+/// files that never reference a bound (see mentions_queue_bound).
+/// RingDeque matches qualified or not. File-granular on purpose.
 void check_bounded_queue(const std::string& path, std::string_view line,
                          std::size_t lineno, bool bound_aware,
                          std::vector<Violation>& out) {
   if (bound_aware || path.find("src/herd/") == std::string::npos) return;
-  for (const char* kw : {"std::deque", "std::queue"}) {
+  for (const char* kw : {"std::deque", "std::queue", "RingDeque"}) {
     std::size_t pos = line.find(kw);
     while (pos != std::string_view::npos) {
       std::size_t end = pos + std::string_view(kw).size();

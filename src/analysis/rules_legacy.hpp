@@ -11,7 +11,8 @@
 //   ptr-key-iter      range-for over pointer-keyed unordered containers
 //   raw-new           raw new/delete in simulation paths
 //   resource-registry sim::Resource constructed but never registered
-//   bounded-queue     std::deque/std::queue in src/herd with no named bound
+//   bounded-queue     std::deque/std::queue/sim::RingDeque in src/herd with
+//                     no named bound
 //   shard-route       key-to-process routing that bypasses the ShardMap
 //   chain-post        per-WR post_send() loops in src/herd hot paths that
 //                     should batch WRs into one chained post_send(span)

@@ -26,8 +26,9 @@ constexpr std::array<RuleMeta, 11> kRules = {{
      "sim::Resource constructed in a file that never registers with "
      "obs::ResourceRegistry; invisible to the flight recorder."},
     {"bounded-queue",
-     "std::deque/std::queue in src/herd with no named capacity or "
-     "watermark; unbounded queues turn overload into congestion collapse."},
+     "std::deque/std::queue/sim::RingDeque in src/herd with no named "
+     "capacity or watermark; unbounded queues turn overload into "
+     "congestion collapse."},
     {"shard-route",
      "Key-to-process routing that bypasses the ShardMap; promotions and "
      "migrations move primaries."},

@@ -75,13 +75,14 @@ ClusterConfig ClusterConfigBuilder::build() const {
 
 Host::Host(sim::Engine& engine, fabric::Fabric& fabric,
            const ClusterConfig& cfg, std::string name, std::size_t mem_bytes,
-           std::uint64_t seed, obs::RequestProbe& probe)
+           std::uint64_t seed, obs::RequestProbe& probe,
+           verbs::PayloadSlab& payloads)
     : name_(std::move(name)),
       memory_(mem_bytes),
       pcie_(engine, cfg.pcie, name_),
       rnic_(engine, cfg.rnic, name_, seed),
       port_(fabric.attach(name_)),
-      ctx_(engine, rnic_, pcie_, fabric, port_, memory_, probe) {}
+      ctx_(engine, rnic_, pcie_, fabric, port_, memory_, probe, payloads) {}
 
 Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
                  std::size_t mem_per_host, std::uint64_t seed)
@@ -93,7 +94,7 @@ Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
   for (std::size_t i = 0; i < n_hosts; ++i) {
     hosts_.push_back(std::make_unique<Host>(
         engine_, fabric_, cfg_, cfg.name + "/host" + std::to_string(i),
-        mem_per_host, seed + i * 7919, probe_));
+        mem_per_host, seed + i * 7919, probe_, payloads_));
     if (cfg_.contract_check) {
       hosts_.back()->ctx().enable_contract(
           verbs::ContractChecker::Mode::kCollect);

@@ -572,6 +572,33 @@ TEST(LegacyRules, RawNewOnlyInSimPaths) {
   EXPECT_TRUE(b.violations().empty());
 }
 
+TEST(LegacyRules, UnboundedRingDequeIsFlagged) {
+  // sim::RingDeque grows without limit like std::deque, so the rule sees it
+  // qualified and unqualified.
+  for (const char* decl : {"sim::RingDeque<Req> q_;\n", "RingDeque<Req> q_;\n",
+                           "std::deque<Req> q_;\n"}) {
+    Engine engine;
+    engine.add_file("src/herd/q.hpp", std::string("struct Q {\n  ") + decl +
+                                          "};\n");
+    engine.run();
+    std::vector<Violation> v = rule_violations(engine, "bounded-queue");
+    ASSERT_EQ(v.size(), 1u) << decl;
+    EXPECT_EQ(v[0].line, 2u);
+  }
+}
+
+TEST(LegacyRules, BoundedRingDequeIsClean) {
+  Engine engine;
+  engine.add_file("src/herd/q.hpp",
+                  "struct Q {\n"
+                  "  sim::RingDeque<Req> q_;\n"
+                  "  std::size_t capacity = 8;\n"
+                  "};\n");
+  engine.add_file("src/verbs/q.hpp", "sim::RingDeque<Req> q_;\n");
+  engine.run();
+  EXPECT_TRUE(rule_violations(engine, "bounded-queue").empty());
+}
+
 TEST(ChainPost, PerWrLoopIsFlagged) {
   Engine engine;
   engine.add_file("src/herd/s.cpp",

@@ -1,6 +1,8 @@
 // Unit tests: RNIC QP-context cache model.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "rnic/qp_cache.hpp"
 #include "sim/engine.hpp"
 
@@ -109,6 +111,22 @@ TEST(QpCache, DeterministicPerSeed) {
       EXPECT_EQ(a.touch(k, 1), b.touch(k, 1));
     }
   }
+}
+
+TEST(QpCache, DestinationKeysAreSeparateAndHugeKeysThrow) {
+  sim::Engine eng;
+  QpContextCache cache(eng, small_cfg(), 1);
+  // QP key 5 and the destination (port 0, qpn 5) are two entries.
+  cache.touch(5, 1);
+  cache.touch(QpContextCache::kDestination | 5, 2);
+  cache.touch(QpContextCache::kDestination | (std::uint64_t{3} << 32) | 5, 4);
+  EXPECT_DOUBLE_EQ(cache.working_set(), 7.0);
+  // Keys are dense ids; one far past any real qpn or port is a bug.
+  EXPECT_THROW(cache.touch(std::uint64_t{1} << 40, 1), std::out_of_range);
+  EXPECT_THROW(
+      cache.touch(QpContextCache::kDestination | (std::uint64_t{1} << 60), 1),
+      std::out_of_range);
+  EXPECT_DOUBLE_EQ(cache.working_set(), 7.0);
 }
 
 }  // namespace
