@@ -7,8 +7,6 @@
 //
 // Demonstrates why HERD's request side scales: responder-side UC state is
 // tiny, so even 1600 connected QPs keep inbound WRITEs at line rate.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "microbench/throughput.hpp"
 
@@ -17,25 +15,18 @@ namespace {
 using namespace herd;
 using microbench::TputSpec;
 
-void Ablation_ManyToOne(benchmark::State& state) {
-  auto n_procs = static_cast<std::uint32_t>(state.range(0));
-  TputSpec spec{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 4, 4};
-  microbench::RunRecord r;
-  for (auto _ : state) {
-    r = microbench::many_to_one_tput(bench::apt(), spec, n_procs, 16,
-                                     bench::measure_ticks());
+void run() {
+  for (std::uint32_t n_procs : {100u, 400u, 800u, 1600u}) {
+    TputSpec spec{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 4,
+                  4};
+    microbench::RunRecord r = microbench::many_to_one_tput(
+        bench::apt(), spec, n_procs, 16, bench::measure_ticks());
+    bench::report().add_point("WRITE_UC", n_procs, {{"Mops", r.value}},
+                              r.attr, bench::publish(r));
   }
-  state.counters["Mops"] = r.value;
-  state.SetLabel(std::to_string(n_procs) + " client procs / 16 machines");
-  bench::report().add_point("WRITE_UC", n_procs, {{"Mops", r.value}}, r.attr,
-                            bench::publish(r));
 }
 
 }  // namespace
 
-BENCHMARK(Ablation_ManyToOne)
-    ->Arg(100)->Arg(400)->Arg(800)->Arg(1600)
-    ->Iterations(1);
-
 HERD_BENCH_MAIN("ablation_many_to_one", "Many-to-one inbound WRITE scaling",
-                {"WRITE_UC"})
+                {"WRITE_UC"}, run)

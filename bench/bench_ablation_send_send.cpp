@@ -8,8 +8,6 @@
 // We run full HERD in both request modes and sweep client counts: WRITE/SEND
 // wins below the connection-scaling knee; SEND/SEND costs ~4-5 Mops at peak
 // but its curve stays flat as clients grow (no connected state at all).
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -17,33 +15,25 @@ namespace {
 using namespace herd;
 using herd::bench::E2eParams;
 
-void Ablation_SendSend(benchmark::State& state) {
-  E2eParams p;
-  p.put_fraction = 0.05;
-  p.value_size = 32;
-  p.n_clients = static_cast<std::uint32_t>(state.range(1));
-  p.mode = state.range(0) == 0 ? core::RequestMode::kWriteUc
-                               : core::RequestMode::kSendUd;
-
-  bench::E2e r{};
-  for (auto _ : state) {
-    r = bench::run_herd(bench::apt(), p);
+void run() {
+  for (std::uint32_t n_clients : {51u, 260u, 400u, 500u}) {
+    for (bool send_send : {false, true}) {
+      E2eParams p;
+      p.put_fraction = 0.05;
+      p.value_size = 32;
+      p.n_clients = n_clients;
+      p.mode = send_send ? core::RequestMode::kSendUd
+                         : core::RequestMode::kWriteUc;
+      bench::E2e r = bench::run_herd(bench::apt(), p);
+      bench::report().add_point(send_send ? "SEND/SEND" : "WRITE/SEND",
+                                p.n_clients,
+                                {{"Mops", r.mops}, {"avg_us", r.avg_us}},
+                                r.attr, r.tail);
+    }
   }
-  state.counters["Mops"] = r.mops;
-  state.counters["avg_us"] = r.avg_us;
-  const char* series = state.range(0) == 0 ? "WRITE/SEND" : "SEND/SEND";
-  state.SetLabel(std::string(series) + " clients=" +
-                 std::to_string(p.n_clients));
-  bench::report().add_point(series, p.n_clients,
-                            {{"Mops", r.mops}, {"avg_us", r.avg_us}}, r.attr,
-                            r.tail);
 }
 
 }  // namespace
 
-BENCHMARK(Ablation_SendSend)
-    ->ArgsProduct({{0, 1}, {51, 260, 400, 500}})
-    ->Iterations(1);
-
 HERD_BENCH_MAIN("ablation_send_send", "WRITE/SEND vs SEND/SEND over UD",
-                {"WRITE/SEND", "SEND/SEND"})
+                {"WRITE/SEND", "SEND/SEND"}, run)

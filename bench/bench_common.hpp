@@ -1,25 +1,27 @@
 // Shared plumbing for the per-figure benchmark binaries.
 //
 // Every binary regenerates one table or figure from the paper's evaluation.
-// Simulated time is what matters, so each benchmark runs its experiment once
-// (google-benchmark Iterations(1)) and reports the paper's series as
-// counters: `Mops`, `avg_us`, etc. Wall time measured by the framework is
-// just the cost of running the simulator.
+// Only simulated time matters, so a binary is a plain run() function: nested
+// loops over the figure's points, each point one simulator run whose numbers
+// go into a process-wide obs::BenchReport via report().add_point(). The
+// loops are the figure's point order, and that order is part of the output:
+// points land in their series in the order they ran, and the last run that
+// publishes supplies the registry snapshot, flight recording and trace.
 //
-// Each binary additionally declares an obs::BenchSpec and records its
-// series points into a process-wide obs::BenchReport. A run reaches the
-// report one way: a microbench driver returns a microbench::RunRecord, a
-// HERD experiment leaves its evidence on the core::HerdTestbed, and
-// publish() takes either, sets the report's registry snapshot, flight
-// recording and trace, and hands back the p99 tail for the point (whose
-// attribution comes from the record or the testbed). The emulated
-// baselines (run_emulated) publish nothing yet.
+// A run reaches the report one way: a microbench driver returns a
+// microbench::RunRecord, a HERD experiment leaves its evidence on the
+// core::HerdTestbed, and publish() takes either, sets the report's registry
+// snapshot, flight recording and trace, and hands back the p99 tail for the
+// point (whose attribution comes from the record or the testbed). The
+// emulated baselines (run_emulated) publish nothing yet.
 //
-// With --bench-out=DIR the binary writes schema-versioned
+// After run() returns, the binary prints one line per report point (series,
+// x, metrics) to stdout. Those are simulated numbers only, so stdout is
+// deterministic. With --bench-out=DIR it also writes schema-versioned
 // BENCH_<figure>.json (plus TIMESERIES_<figure>.json and, when a trace was
-// captured, TRACE_<figure>.json) there. Binary-specific flags — all
-// stripped before google-benchmark sees argv; a value that does not parse
-// in full exits 1:
+// captured, TRACE_<figure>.json) there.
+//
+// Flags; any other argument, or a value that does not parse in full, exits 1:
 //
 //   --bench-out=DIR         write BENCH_<figure>.json into DIR
 //   --git-rev=SHA           provenance stamp for the JSON ("unknown" if unset)
@@ -34,11 +36,8 @@
 //                           bench_compare gate MUST fail. Never publish a
 //                           baseline from a canary run.
 //
-// Use HERD_BENCH_MAIN(figure, title, {series...}) instead of
-// BENCHMARK_MAIN().
+// Each binary ends with HERD_BENCH_MAIN(figure, title, {series...}, run).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <charconv>
@@ -142,10 +141,8 @@ struct E2eParams {
 /// Full HERD (real MICA backend) under the paper's §5.1 setup. Folds the
 /// testbed's registry snapshot (and, under --bench-trace, its Chrome trace)
 /// into the report.
-inline E2e run_herd(const cluster::ClusterConfig& cc, const E2eParams& p,
-                    sim::Tick warmup = 0, sim::Tick measure = 0) {
-  if (warmup == 0) warmup = warmup_ticks();
-  if (measure == 0) measure = measure_ticks();
+inline E2e run_herd(const cluster::ClusterConfig& cc, const E2eParams& p) {
+  const sim::Tick measure = measure_ticks();
   core::TestbedConfig cfg;
   cfg.cluster = cc;
   cfg.herd.n_server_procs = p.n_server_procs;
@@ -170,17 +167,14 @@ inline E2e run_herd(const cluster::ClusterConfig& cc, const E2eParams& p,
   // 16 flight windows per measure window, however tiny the CI run.
   cfg.flight_interval = measure / 16 > 0 ? measure / 16 : 1;
   core::HerdTestbed bed(cfg);
-  auto r = bed.run(warmup, measure);
+  auto r = bed.run(warmup_ticks(), measure);
   return E2e{r.mops,           r.avg_latency_us,  r.p5_latency_us,
              r.p95_latency_us, bed.attribution(), publish(bed)};
 }
 
 /// Emulated Pilaf / FaRM-KV under the same workload parameters.
 inline E2e run_emulated(const cluster::ClusterConfig& cc,
-                        baselines::System sys, const E2eParams& p,
-                        sim::Tick warmup = 0, sim::Tick measure = 0) {
-  if (warmup == 0) warmup = warmup_ticks();
-  if (measure == 0) measure = measure_ticks();
+                        baselines::System sys, const E2eParams& p) {
   baselines::EmulatedConfig cfg;
   cfg.system = sys;
   cfg.cluster = cc;
@@ -190,7 +184,7 @@ inline E2e run_emulated(const cluster::ClusterConfig& cc,
   cfg.get_fraction = 1.0 - p.put_fraction;
   cfg.value_size = p.value_size;
   baselines::EmulatedKvTestbed bed(cfg);
-  auto r = bed.run(warmup, measure);
+  auto r = bed.run(warmup_ticks(), measure_ticks());
   // Emulated testbeds do not register their resources yet; attribution stays
   // empty and the bench point simply carries no `bottleneck` field.
   return E2e{r.mops, r.avg_latency_us, r.p5_latency_us, r.p95_latency_us,
@@ -200,12 +194,6 @@ inline E2e run_emulated(const cluster::ClusterConfig& cc,
 inline cluster::ClusterConfig apt() { return cluster::ClusterConfig::apt(); }
 inline cluster::ClusterConfig susitna() {
   return cluster::ClusterConfig::susitna();
-}
-
-/// Applies the standard single-run setup to a benchmark.
-inline benchmark::internal::Benchmark* one_shot(
-    benchmark::internal::Benchmark* b) {
-  return b->Iterations(1)->Unit(benchmark::kMillisecond);
 }
 
 // --- main ------------------------------------------------------------------
@@ -227,12 +215,30 @@ bool parse_whole(std::string_view v, T& out) {
   return ec == std::errc() && end == v.data() + v.size();
 }
 
-inline int bench_main(int argc, char** argv, obs::BenchSpec spec) {
-  report_slot().emplace(std::move(spec));
+/// Prints one line per report point: its series, x and metrics.
+inline void print_points(const obs::BenchReport& rep) {
+  obs::Json doc = rep.to_json();
+  for (const obs::Json& s : doc.find("series")->elements()) {
+    const std::string& name = s.find("name")->as_string();
+    for (const obs::Json& p : s.find("points")->elements()) {
+      std::printf("%s x=%g", name.c_str(), p.find("x")->as_double());
+      for (const auto& [key, v] : p.items()) {
+        if (key != "x" && key != "bottleneck_util" && v.is_number()) {
+          std::printf(" %s=%g", key.c_str(), v.as_double());
+        }
+      }
+      std::printf("\n");
+    }
+  }
+}
+
+inline int bench_main(int argc, char** argv, std::string figure,
+                      std::string title, std::vector<std::string> series,
+                      void (*run)()) {
+  report_slot().emplace(
+      obs::BenchSpec{std::move(figure), std::move(title), std::move(series)});
   BenchOptions& opt = options();
 
-  std::vector<char*> keep;
-  keep.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (consume_flag(argv[i], "--bench-out=", v)) {
@@ -260,39 +266,28 @@ inline int bench_main(int argc, char** argv, obs::BenchSpec spec) {
         return 1;
       }
     } else {
-      keep.push_back(argv[i]);
+      std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
+      return 1;
     }
   }
   microbench::set_trace_capture(opt.trace_every > 0);
-  int kept = static_cast<int>(keep.size());
-  benchmark::Initialize(&kept, keep.data());
-  if (benchmark::ReportUnrecognizedArguments(kept, keep.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  run();
 
   obs::BenchReport& rep = report();
   rep.set_git_rev(opt.git_rev);
   rep.set_config("measure_ms", obs::Json(opt.measure_ms));
-  if (!opt.out_dir.empty()) {
-    if (!rep.has_points()) {
-      std::fprintf(stderr,
-                   "--bench-out given but no series points were recorded "
-                   "(did a --benchmark_filter exclude everything?)\n");
-      return 1;
-    }
-    std::string path = rep.write(opt.out_dir);
-    std::printf("bench report: %s\n", path.c_str());
-  }
+  print_points(rep);
+  if (!opt.out_dir.empty()) rep.write(opt.out_dir);
   return 0;
 }
 
 }  // namespace herd::bench
 
-/// Replaces BENCHMARK_MAIN(): declares the figure's BenchSpec and installs
-/// the flag-stripping main. Usage:
-///   HERD_BENCH_MAIN("fig03", "Inbound throughput", {"WRITE_UC", "READ_RC"})
-#define HERD_BENCH_MAIN(...)                                             \
-  int main(int argc, char** argv) {                                      \
-    return herd::bench::bench_main(argc, argv,                           \
-                                   herd::obs::BenchSpec{__VA_ARGS__});   \
+/// Declares the figure's BenchSpec and a main() that parses the flags and
+/// calls `run`. Usage:
+///   HERD_BENCH_MAIN("fig03", "Inbound throughput", {"WRITE_UC", "READ_RC"},
+///                   run)
+#define HERD_BENCH_MAIN(...)                                   \
+  int main(int argc, char** argv) {                            \
+    return herd::bench::bench_main(argc, argv, __VA_ARGS__);   \
   }

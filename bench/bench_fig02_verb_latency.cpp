@@ -5,8 +5,6 @@
 // inlining cuts ~0.4 us off small WRITEs; ECHO ~= READ for <= 64 B payloads
 // so one unsignaled WRITE ~= 1/2 READ (~1 us); WR-INLINE/ECHO series stop at
 // the 256 B inline limit.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "microbench/verb_latency.hpp"
 
@@ -14,39 +12,30 @@ namespace {
 
 using namespace herd;
 
-void Fig02_VerbLatency(benchmark::State& state) {
-  auto payload = static_cast<std::uint32_t>(state.range(0));
-  microbench::LatencyResult r{};
-  for (auto _ : state) {
-    r = microbench::verb_latency(bench::apt(), payload, 1000);
-  }
-  state.counters["READ_us"] = r.read_us;
-  state.counters["WRITE_us"] = r.write_us;
-  state.counters["WR_INLINE_us"] = r.write_inline_us;
-  state.counters["ECHO_us"] = r.echo_us;
-  state.counters["ECHO_half_us"] = r.echo_us / 2.0;
-  // The record is the LAST cluster's (snapshot and tail alike): the ECHO
-  // cluster when the payload fits inline, the signaled-WRITE cluster
-  // otherwise. Attach its tail to the matching series.
-  obs::Json tail = bench::publish(r.record);
-  bench::report().add_point("READ", payload, {{"us", r.read_us}});
-  if (r.write_inline_us > 0) {
-    bench::report().add_point("WRITE", payload, {{"us", r.write_us}});
-    bench::report().add_point("WR_INLINE", payload,
-                              {{"us", r.write_inline_us}});
-    bench::report().add_point("ECHO", payload, {{"us", r.echo_us}}, {}, tail);
-  } else {
-    bench::report().add_point("WRITE", payload, {{"us", r.write_us}}, {},
-                              tail);
+void run() {
+  for (std::uint32_t payload : {4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u,
+                                1024u}) {
+    microbench::LatencyResult r =
+        microbench::verb_latency(bench::apt(), payload, 1000);
+    // The record is the LAST cluster's (snapshot and tail alike): the ECHO
+    // cluster when the payload fits inline, the signaled-WRITE cluster
+    // otherwise. Attach its tail to the matching series.
+    obs::Json tail = bench::publish(r.record);
+    bench::report().add_point("READ", payload, {{"us", r.read_us}});
+    if (r.write_inline_us > 0) {
+      bench::report().add_point("WRITE", payload, {{"us", r.write_us}});
+      bench::report().add_point("WR_INLINE", payload,
+                                {{"us", r.write_inline_us}});
+      bench::report().add_point("ECHO", payload, {{"us", r.echo_us}}, {},
+                                tail);
+    } else {
+      bench::report().add_point("WRITE", payload, {{"us", r.write_us}}, {},
+                                tail);
+    }
   }
 }
 
 }  // namespace
 
-BENCHMARK(Fig02_VerbLatency)
-    ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)
-    ->Arg(512)->Arg(1024)
-    ->Iterations(1);
-
 HERD_BENCH_MAIN("fig02", "Verb and ECHO latency vs payload size",
-                {"READ", "WRITE", "WR_INLINE", "ECHO"})
+                {"READ", "WRITE", "WR_INLINE", "ECHO"}, run)

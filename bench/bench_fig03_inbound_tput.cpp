@@ -4,8 +4,6 @@
 // (Fig. 3b): WRITEs reach 35 Mops for payloads up to 128 B — ~34% above the
 // 26 Mops READ ceiling; WRITE-UC ~= WRITE-RC ("nearly identical"); all
 // series converge to the wire bandwidth at large payloads.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "microbench/throughput.hpp"
 
@@ -14,38 +12,29 @@ namespace {
 using namespace herd;
 using microbench::TputSpec;
 
-void Fig03_Inbound(benchmark::State& state) {
-  auto payload = static_cast<std::uint32_t>(state.range(0));
-  TputSpec write_uc{verbs::Opcode::kWrite, verbs::Transport::kUc,
-                    /*inlined=*/payload <= 256, payload, 32, 4};
-  TputSpec write_rc{verbs::Opcode::kWrite, verbs::Transport::kRc,
-                    payload <= 256, payload, 32, 4};
-  TputSpec read_rc{verbs::Opcode::kRead, verbs::Transport::kRc, false,
-                   payload, 16, 1};
-  sim::Tick measure = bench::measure_ticks();
-  microbench::RunRecord wuc, wrc, rrc;
-  for (auto _ : state) {
-    wuc = microbench::inbound_tput(bench::apt(), write_uc, 16, measure);
+void run() {
+  const sim::Tick measure = bench::measure_ticks();
+  for (std::uint32_t payload : {4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u,
+                                1024u}) {
+    TputSpec write_uc{verbs::Opcode::kWrite, verbs::Transport::kUc,
+                      /*inlined=*/payload <= 256, payload, 32, 4};
+    TputSpec write_rc{verbs::Opcode::kWrite, verbs::Transport::kRc,
+                      payload <= 256, payload, 32, 4};
+    TputSpec read_rc{verbs::Opcode::kRead, verbs::Transport::kRc, false,
+                     payload, 16, 1};
+    auto wuc = microbench::inbound_tput(bench::apt(), write_uc, 16, measure);
     bench::report().add_point("WRITE_UC", payload, {{"Mops", wuc.value}},
                               wuc.attr, bench::publish(wuc));
-    wrc = microbench::inbound_tput(bench::apt(), write_rc, 16, measure);
+    auto wrc = microbench::inbound_tput(bench::apt(), write_rc, 16, measure);
     bench::report().add_point("WRITE_RC", payload, {{"Mops", wrc.value}},
                               wrc.attr, bench::publish(wrc));
-    rrc = microbench::inbound_tput(bench::apt(), read_rc, 16, measure);
+    auto rrc = microbench::inbound_tput(bench::apt(), read_rc, 16, measure);
     bench::report().add_point("READ_RC", payload, {{"Mops", rrc.value}},
                               rrc.attr, bench::publish(rrc));
   }
-  state.counters["WRITE_UC_Mops"] = wuc.value;
-  state.counters["WRITE_RC_Mops"] = wrc.value;
-  state.counters["READ_RC_Mops"] = rrc.value;
 }
 
 }  // namespace
 
-BENCHMARK(Fig03_Inbound)
-    ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)
-    ->Arg(512)->Arg(1024)
-    ->Iterations(1);
-
 HERD_BENCH_MAIN("fig03", "Inbound verbs throughput vs payload size",
-                {"WRITE_UC", "WRITE_RC", "READ_RC"})
+                {"WRITE_UC", "WRITE_RC", "READ_RC"}, run)

@@ -6,8 +6,6 @@
 // optimized WR/WR and WR/SEND reach 26 M echoes/s; fully optimized
 // SEND/SEND reaches 21 Mops — "more than three-fourths of the peak inbound
 // READ throughput", refuting Pilaf/FaRM's SEND/RECV-is-slow assumption.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "microbench/echo.hpp"
 
@@ -17,32 +15,24 @@ using namespace herd;
 using microbench::EchoKind;
 using microbench::EchoOpts;
 
-void Fig05_EchoThroughput(benchmark::State& state) {
-  auto kind = static_cast<EchoKind>(state.range(0));
-  EchoOpts opts;
-  opts.opt_level = static_cast<int>(state.range(1));
-  opts.payload = 32;
-  microbench::RunRecord r;
-  for (auto _ : state) {
-    r = microbench::echo_tput(bench::apt(), kind, opts,
-                              bench::measure_ticks());
+void run() {
+  for (int level = 0; level < 4; ++level) {
+    for (EchoKind kind : {EchoKind::kSendSend, EchoKind::kWriteWrite,
+                          EchoKind::kWriteSend}) {
+      EchoOpts opts;
+      opts.opt_level = level;
+      opts.payload = 32;
+      microbench::RunRecord r = microbench::echo_tput(
+          bench::apt(), kind, opts, bench::measure_ticks());
+      // One series per verb combination; x = optimization level 0..3.
+      bench::report().add_point(microbench::echo_kind_name(kind), level,
+                                {{"Mops", r.value}}, r.attr,
+                                bench::publish(r));
+    }
   }
-  state.counters["Mops"] = r.value;
-  static const char* lvl[] = {"basic", "+unreliable", "+unsignaled",
-                              "+inlined"};
-  state.SetLabel(std::string(microbench::echo_kind_name(kind)) + " " +
-                 lvl[state.range(1)]);
-  // One series per verb combination; x = optimization level 0..3.
-  bench::report().add_point(microbench::echo_kind_name(kind),
-                            static_cast<double>(opts.opt_level),
-                            {{"Mops", r.value}}, r.attr, bench::publish(r));
 }
 
 }  // namespace
 
-BENCHMARK(Fig05_EchoThroughput)
-    ->ArgsProduct({{0, 1, 2}, {0, 1, 2, 3}})
-    ->Iterations(1);
-
 HERD_BENCH_MAIN("fig05", "ECHO throughput across the optimization ladder",
-                {"SEND/SEND", "WR/WR", "WR/SEND"})
+                {"SEND/SEND", "WR/WR", "WR/SEND"}, run)

@@ -7,8 +7,6 @@
 // "surprisingly", the emulated systems' PUT throughput beats their GET
 // throughput — messaging, done right, outruns multiple READs. Susitna
 // numbers are lower across the board (PCIe 2.0 x8).
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -16,47 +14,38 @@ namespace {
 using namespace herd;
 using herd::bench::E2eParams;
 
-const double kPutFracs[] = {0.05, 0.50, 1.00};
-
-void Fig09_EndToEnd(benchmark::State& state) {
-  cluster::ClusterConfig cc =
-      state.range(0) == 0 ? bench::apt() : bench::susitna();
-  E2eParams p;
-  p.put_fraction = kPutFracs[state.range(1)];
-  p.value_size = 32;
-  int sys = static_cast<int>(state.range(2));  // 0=HERD, 1..3 = emulated
-
-  bench::E2e r{};
-  const char* name = "HERD";
-  for (auto _ : state) {
-    if (sys == 0) {
-      r = bench::run_herd(cc, p);
-    } else {
-      auto s = static_cast<baselines::System>(sys - 1);
-      name = baselines::system_name(s);
-      p.window = 8;  // READ-based clients need deeper windows to saturate
-      r = bench::run_emulated(cc, s, p);
+void run() {
+  for (int sys = 0; sys < 4; ++sys) {  // 0 = HERD, 1..3 = emulated
+    for (double put_fraction : {0.05, 0.50, 1.00}) {
+      for (const auto& cc : {bench::apt(), bench::susitna()}) {
+        E2eParams p;
+        p.put_fraction = put_fraction;
+        p.value_size = 32;
+        bench::E2e r;
+        const char* name = "HERD";
+        if (sys == 0) {
+          r = bench::run_herd(cc, p);
+        } else {
+          auto s = static_cast<baselines::System>(sys - 1);
+          name = baselines::system_name(s);
+          p.window = 8;  // READ-based clients need deeper windows to saturate
+          r = bench::run_emulated(cc, s, p);
+        }
+        // One series per cluster x system; x = PUT percentage.
+        bench::report().add_point(std::string(cc.name) + "/" + name,
+                                  p.put_fraction * 100,
+                                  {{"Mops", r.mops}, {"avg_us", r.avg_us}},
+                                  r.attr, r.tail);
+      }
     }
   }
-  state.counters["Mops"] = r.mops;
-  state.SetLabel(std::string(cc.name) + " " + name + " PUT=" +
-                 std::to_string(static_cast<int>(p.put_fraction * 100)) +
-                 "%");
-  // One series per cluster x system; x = PUT percentage.
-  std::string series = std::string(cc.name) + "/" + name;
-  bench::report().add_point(series, p.put_fraction * 100,
-                            {{"Mops", r.mops}, {"avg_us", r.avg_us}}, r.attr,
-                            r.tail);
 }
 
 }  // namespace
-
-BENCHMARK(Fig09_EndToEnd)
-    ->ArgsProduct({{0, 1}, {0, 1, 2}, {0, 1, 2, 3}})
-    ->Iterations(1);
 
 HERD_BENCH_MAIN("fig09", "End-to-end throughput, 48 B items, both clusters",
                 {"Apt-IB/HERD", "Apt-IB/Pilaf-em-OPT", "Apt-IB/FaRM-em",
                  "Apt-IB/FaRM-em-VAR", "Susitna-RoCE/HERD",
                  "Susitna-RoCE/Pilaf-em-OPT", "Susitna-RoCE/FaRM-em",
-                 "Susitna-RoCE/FaRM-em-VAR"})
+                 "Susitna-RoCE/FaRM-em-VAR"},
+                run)

@@ -7,8 +7,6 @@
 // grows as 6*(SV+16) — saturating the 56 Gbps link by 32 B values on Apt
 // (PCIe 2.0 by 4 B on Susitna); for ~1 KB values all systems converge
 // within ~10% of each other.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -16,43 +14,37 @@ namespace {
 using namespace herd;
 using herd::bench::E2eParams;
 
-void Fig10_ValueSize(benchmark::State& state) {
-  cluster::ClusterConfig cc =
-      state.range(0) == 0 ? bench::apt() : bench::susitna();
-  E2eParams p;
-  p.put_fraction = 0.05;
-  p.value_size = static_cast<std::uint32_t>(state.range(1));
-  int sys = static_cast<int>(state.range(2));
-
-  bench::E2e r{};
-  const char* name = "HERD";
-  for (auto _ : state) {
-    if (sys == 0) {
-      r = bench::run_herd(cc, p);
-    } else {
-      auto s = static_cast<baselines::System>(sys - 1);
-      name = baselines::system_name(s);
-      p.window = 8;
-      r = bench::run_emulated(cc, s, p);
+void run() {
+  for (int sys = 0; sys < 4; ++sys) {  // 0 = HERD, 1..3 = emulated
+    for (std::uint32_t value_size : {4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u,
+                                     1000u}) {
+      for (const auto& cc : {bench::apt(), bench::susitna()}) {
+        E2eParams p;
+        p.put_fraction = 0.05;
+        p.value_size = value_size;
+        bench::E2e r;
+        const char* name = "HERD";
+        if (sys == 0) {
+          r = bench::run_herd(cc, p);
+        } else {
+          auto s = static_cast<baselines::System>(sys - 1);
+          name = baselines::system_name(s);
+          p.window = 8;
+          r = bench::run_emulated(cc, s, p);
+        }
+        bench::report().add_point(std::string(cc.name) + "/" + name,
+                                  value_size, {{"Mops", r.mops}}, r.attr,
+                                  r.tail);
+      }
     }
   }
-  state.counters["Mops"] = r.mops;
-  state.SetLabel(std::string(cc.name) + " " + name + " SV=" +
-                 std::to_string(state.range(1)));
-  bench::report().add_point(std::string(cc.name) + "/" + name,
-                            static_cast<double>(p.value_size),
-                            {{"Mops", r.mops}}, r.attr, r.tail);
 }
 
 }  // namespace
-
-BENCHMARK(Fig10_ValueSize)
-    ->ArgsProduct({{0, 1}, {4, 8, 16, 32, 64, 128, 256, 512, 1000},
-                   {0, 1, 2, 3}})
-    ->Iterations(1);
 
 HERD_BENCH_MAIN("fig10", "End-to-end throughput vs value size",
                 {"Apt-IB/HERD", "Apt-IB/Pilaf-em-OPT", "Apt-IB/FaRM-em",
                  "Apt-IB/FaRM-em-VAR", "Susitna-RoCE/HERD",
                  "Susitna-RoCE/Pilaf-em-OPT", "Susitna-RoCE/FaRM-em",
-                 "Susitna-RoCE/FaRM-em-VAR"})
+                 "Susitna-RoCE/FaRM-em-VAR"},
+                run)

@@ -8,8 +8,6 @@
 // multiple RTTs per GET; FaRM-em (one READ, no server CPU) has the lowest
 // unloaded latency; at their respective peak throughputs HERD's latency is
 // over 2x lower.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -17,51 +15,39 @@ namespace {
 using namespace herd;
 using herd::bench::E2eParams;
 
-const std::uint32_t kClientSteps[] = {3, 6, 12, 24, 36, 51};
-
-void Fig11_LatencyVsTput(benchmark::State& state) {
-  E2eParams p;
-  p.put_fraction = 0.05;
-  p.value_size = 32;
-  p.n_clients = kClientSteps[state.range(1)];
-  int sys = static_cast<int>(state.range(0));
-
-  bench::E2e r{};
-  const char* name = "HERD";
-  for (auto _ : state) {
-    if (sys == 0) {
-      r = bench::run_herd(bench::apt(), p);
-    } else {
-      auto s = static_cast<baselines::System>(sys - 1);
-      name = baselines::system_name(s);
-      p.window = 8;
-      r = bench::run_emulated(bench::apt(), s, p);
+void run() {
+  for (std::uint32_t n_clients : {3u, 6u, 12u, 24u, 36u, 51u}) {
+    for (int sys = 0; sys < 4; ++sys) {  // 0 = HERD, 1..3 = emulated
+      E2eParams p;
+      p.put_fraction = 0.05;
+      p.value_size = 32;
+      p.n_clients = n_clients;
+      bench::E2e r;
+      const char* name = "HERD";
+      if (sys == 0) {
+        r = bench::run_herd(bench::apt(), p);
+      } else {
+        auto s = static_cast<baselines::System>(sys - 1);
+        name = baselines::system_name(s);
+        p.window = 8;
+        r = bench::run_emulated(bench::apt(), s, p);
+      }
+      // Latency-vs-throughput curve. x = client count (the independent
+      // variable, unique per point); achieved Mops rides as a metric so the
+      // perf gate covers throughput too — plot Mops vs avg_us to reproduce
+      // the paper's axes. Saturated systems repeat the same Mops across
+      // client counts, so Mops cannot serve as the point identity.
+      bench::report().add_point(name, n_clients,
+                                {{"avg_us", r.avg_us},
+                                 {"p5_us", r.p5_us},
+                                 {"p95_us", r.p95_us},
+                                 {"Mops", r.mops}},
+                                r.attr, r.tail);
     }
   }
-  state.counters["Mops"] = r.mops;
-  state.counters["avg_us"] = r.avg_us;
-  state.counters["p5_us"] = r.p5_us;
-  state.counters["p95_us"] = r.p95_us;
-  state.SetLabel(std::string(name) + " clients=" +
-                 std::to_string(p.n_clients));
-  // Latency-vs-throughput curve. x = client count (the independent
-  // variable, unique per point); achieved Mops rides as a metric so the
-  // perf gate covers throughput too — plot Mops vs avg_us to reproduce the
-  // paper's axes. Saturated systems repeat the same Mops across client
-  // counts, so Mops cannot serve as the point identity.
-  bench::report().add_point(name, static_cast<double>(p.n_clients),
-                            {{"avg_us", r.avg_us},
-                             {"p5_us", r.p5_us},
-                             {"p95_us", r.p95_us},
-                             {"Mops", r.mops}},
-                            r.attr, r.tail);
 }
 
 }  // namespace
 
-BENCHMARK(Fig11_LatencyVsTput)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2, 3, 4, 5}})
-    ->Iterations(1);
-
 HERD_BENCH_MAIN("fig11", "End-to-end latency vs throughput",
-                {"HERD", "Pilaf-em-OPT", "FaRM-em", "FaRM-em-VAR"})
+                {"HERD", "Pilaf-em-OPT", "FaRM-em", "FaRM-em-VAR"}, run)

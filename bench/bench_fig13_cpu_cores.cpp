@@ -7,8 +7,6 @@
 // delivers >95% of peak with 5 cores (one core alone: ~6.3 Mops);
 // Pilaf-em-OPT needs more cores than FaRM-em because posting RECVs beats
 // request-region polling in cost.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -16,38 +14,31 @@ namespace {
 using namespace herd;
 using herd::bench::E2eParams;
 
-void Fig13_CpuCores(benchmark::State& state) {
-  E2eParams p;
-  p.value_size = 32;
-  p.n_server_procs = static_cast<std::uint32_t>(state.range(1));
-  int sys = static_cast<int>(state.range(0));
-
-  bench::E2e r{};
-  const char* name = "HERD";
-  for (auto _ : state) {
-    if (sys == 0) {
-      p.put_fraction = 0.50;
-      r = bench::run_herd(bench::apt(), p);
-    } else {
-      auto s = static_cast<baselines::System>(sys - 1);
-      name = baselines::system_name(s);
-      p.put_fraction = 1.0;  // 100% PUT provisioning
-      p.window = 8;
-      r = bench::run_emulated(bench::apt(), s, p);
+void run() {
+  for (std::uint32_t cores = 1; cores <= 7; ++cores) {
+    for (int sys = 0; sys < 3; ++sys) {  // 0 = HERD, 1..2 = emulated
+      E2eParams p;
+      p.value_size = 32;
+      p.n_server_procs = cores;
+      bench::E2e r;
+      const char* name = "HERD";
+      if (sys == 0) {
+        p.put_fraction = 0.50;
+        r = bench::run_herd(bench::apt(), p);
+      } else {
+        auto s = static_cast<baselines::System>(sys - 1);
+        name = baselines::system_name(s);
+        p.put_fraction = 1.0;  // 100% PUT provisioning
+        p.window = 8;
+        r = bench::run_emulated(bench::apt(), s, p);
+      }
+      bench::report().add_point(name, cores, {{"Mops", r.mops}}, r.attr,
+                                r.tail);
     }
   }
-  state.counters["Mops"] = r.mops;
-  state.SetLabel(std::string(name) + " cores=" +
-                 std::to_string(p.n_server_procs));
-  bench::report().add_point(name, p.n_server_procs, {{"Mops", r.mops}},
-                            r.attr, r.tail);
 }
 
 }  // namespace
 
-BENCHMARK(Fig13_CpuCores)
-    ->ArgsProduct({{0, 1, 2}, {1, 2, 3, 4, 5, 6, 7}})
-    ->Iterations(1);
-
 HERD_BENCH_MAIN("fig13", "Throughput vs server CPU cores",
-                {"HERD", "Pilaf-em-OPT", "FaRM-em"})
+                {"HERD", "Pilaf-em-OPT", "FaRM-em"}, run)

@@ -10,15 +10,13 @@
 // return to ~100% of the pre-crash level — the summary series carries
 // `recovery_rate` (post/pre, must not drop) and `recovery_us` (crash to
 // first recovered slice, must not rise) for the bench_compare gate.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
 
 using namespace herd;
 
-void Fig15_Failover(benchmark::State& state) {
+void run() {
   core::TestbedConfig cfg;
   cfg.cluster = bench::apt();
   cfg.herd.n_server_procs = 2;
@@ -55,18 +53,15 @@ void Fig15_Failover(benchmark::State& state) {
   std::vector<obs::Attribution> attrs(kSlices);
   std::uint64_t promotions = 0;
   std::uint64_t failovers = 0;
-  obs::Json tail;
-  for (auto _ : state) {
-    core::HerdTestbed bed(cfg);
-    for (int i = 0; i < kSlices; ++i) {
-      auto r = bed.run(i == 0 ? warmup : 0, slice);
-      mops[static_cast<std::size_t>(i)] = r.mops;
-      attrs[static_cast<std::size_t>(i)] = bed.attribution();
-      promotions += r.promotions;
-      failovers += r.failovers;
-    }
-    tail = bench::publish(bed);
+  core::HerdTestbed bed(cfg);
+  for (int i = 0; i < kSlices; ++i) {
+    auto r = bed.run(i == 0 ? warmup : 0, slice);
+    mops[static_cast<std::size_t>(i)] = r.mops;
+    attrs[static_cast<std::size_t>(i)] = bed.attribution();
+    promotions += r.promotions;
+    failovers += r.failovers;
   }
+  const obs::Json tail = bench::publish(bed);
 
   double pre = 0;
   for (int i = 0; i < kCrashSlice; ++i) pre += mops[static_cast<std::size_t>(i)];
@@ -107,21 +102,13 @@ void Fig15_Failover(benchmark::State& state) {
        {"recovery_rate", pre > 0 ? post / pre : 0},
        {"recovery_us", recovery_us}},
       attrs[kSlices - 1], tail);
-
-  state.counters["pre_Mops"] = pre;
-  state.counters["dip_Mops"] = dip;
-  state.counters["post_Mops"] = post;
-  state.counters["recovery_rate"] = pre > 0 ? post / pre : 0;
-  state.counters["recovery_us"] = recovery_us;
-  state.counters["promotions"] = static_cast<double>(promotions);
-  state.counters["failovers"] = static_cast<double>(failovers);
-  state.SetLabel("crash at slice " + std::to_string(kCrashSlice) + "/" +
-                 std::to_string(kSlices));
+  // Event counts the BENCH file does not carry.
+  std::printf("promotions=%llu failovers=%llu\n",
+              static_cast<unsigned long long>(promotions),
+              static_cast<unsigned long long>(failovers));
 }
 
 }  // namespace
 
-BENCHMARK(Fig15_Failover)->Iterations(1);
-
 HERD_BENCH_MAIN("fig15", "Failover throughput timeline",
-                {"timeline", "summary"})
+                {"timeline", "summary"}, run)

@@ -33,8 +33,6 @@
 // the deepest overload point, as a fraction of the shed-ON peak): the
 // committed baseline holds >= 0.9, and a build whose shedding silently
 // stopped working (the canary) collapses it to the OFF curve's level.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 namespace {
@@ -88,7 +86,7 @@ core::TestbedConfig overload_bench_cfg(bool shed, std::uint32_t n_clients) {
   return cfg;
 }
 
-void Fig16_Overload(benchmark::State& state) {
+void run() {
   // Offered load sweep: total outstanding = clients x window. Saturation
   // of the single (doorbell-batched) process sits near the low end, so the
   // tail of the sweep is deep overload.
@@ -102,30 +100,28 @@ void Fig16_Overload(benchmark::State& state) {
   std::uint64_t sheds = 0;
   std::uint64_t shed_deadline = 0;
 
-  for (auto _ : state) {
-    for (int i = 0; i < kN; ++i) {
-      // Retry/backoff dynamics (120us timer, holds up to 360us) take a few
-      // backoff generations to reach steady state, so floor the windows:
-      // CI's tiny --bench-measure-ms would otherwise measure the cold-start
-      // sync-burst transient instead of the converged curves.
-      const sim::Tick warmup = std::max(bench::warmup_ticks(), sim::ms(1));
-      const sim::Tick measure = std::max(bench::measure_ticks(), sim::ms(2));
-      {
-        core::HerdTestbed bed(overload_bench_cfg(true, kClients[i]));
-        auto r = bed.run(warmup, measure);
-        on_mops[i] = r.mops;
-        attrs[i] = bed.attribution();
-        sheds += r.overload_sheds;
-        shed_deadline += r.shed_deadline;
-        // Every shielded point publishes; the deepest-overload one, last,
-        // is the snapshot and trace the report keeps.
-        tails[i] = bench::publish(bed);
-      }
-      {
-        core::HerdTestbed bed(overload_bench_cfg(false, kClients[i]));
-        auto r = bed.run(warmup, measure);
-        off_mops[i] = r.mops;
-      }
+  // Retry/backoff dynamics (120us timer, holds up to 360us) take a few
+  // backoff generations to reach steady state, so floor the windows: CI's
+  // tiny --bench-measure-ms would otherwise measure the cold-start
+  // sync-burst transient instead of the converged curves.
+  const sim::Tick warmup = std::max(bench::warmup_ticks(), sim::ms(1));
+  const sim::Tick measure = std::max(bench::measure_ticks(), sim::ms(2));
+  for (int i = 0; i < kN; ++i) {
+    {
+      core::HerdTestbed bed(overload_bench_cfg(true, kClients[i]));
+      auto r = bed.run(warmup, measure);
+      on_mops[i] = r.mops;
+      attrs[i] = bed.attribution();
+      sheds += r.overload_sheds;
+      shed_deadline += r.shed_deadline;
+      // Every shielded point publishes; the deepest-overload one, last, is
+      // the snapshot and trace the report keeps.
+      tails[i] = bench::publish(bed);
+    }
+    {
+      core::HerdTestbed bed(overload_bench_cfg(false, kClients[i]));
+      auto r = bed.run(warmup, measure);
+      off_mops[i] = r.mops;
     }
   }
 
@@ -154,19 +150,14 @@ void Fig16_Overload(benchmark::State& state) {
        // deepest overload point. Collapses to ~0 when shedding is broken.
        {"shed_gain_rate", on_retention - off_retention}},
       attrs[kN - 1]);
-
-  state.counters["peak_Mops"] = on_peak;
-  state.counters["on_retention_rate"] = on_retention;
-  state.counters["off_retention_rate"] = off_retention;
-  state.counters["overload_sheds"] = static_cast<double>(sheds);
-  state.counters["shed_deadline"] = static_cast<double>(shed_deadline);
-  state.SetLabel(
-      "1 proc, clients 4..48 x window 16, all-GET 1000B, deadline 600us");
+  // Shed counts and the unshielded arm's retention, which the BENCH file
+  // does not carry.
+  std::printf("overload_sheds=%llu shed_deadline=%llu off_retention_rate=%g\n",
+              static_cast<unsigned long long>(sheds),
+              static_cast<unsigned long long>(shed_deadline), off_retention);
 }
 
 }  // namespace
 
-BENCHMARK(Fig16_Overload)->Iterations(1);
-
 HERD_BENCH_MAIN("fig16", "Overload goodput: admission control on vs off",
-                {"goodput", "summary"})
+                {"goodput", "summary"}, run)

@@ -113,7 +113,6 @@ class Fabric {
 
   /// Installs (or clears, with nullptr) a time-varying fault model.
   void set_fault_model(WireFaultModel* m) { fault_ = m; }
-  WireFaultModel* fault_model() const { return fault_; }
 
   std::uint64_t messages_lost() const { return lost_; }
   std::uint64_t messages_degraded() const { return degraded_; }
@@ -136,9 +135,6 @@ class Fabric {
   }
 
   const FabricConfig& config() const { return cfg_; }
-  std::size_t num_ports() const { return ports_.size(); }
-  sim::Resource& tx_link(std::uint32_t port) { return *ports_[port].tx; }
-  sim::Resource& rx_link(std::uint32_t port) { return *ports_[port].rx; }
 
  private:
   struct Port {

@@ -446,10 +446,6 @@ void HerdService::drain_parked(std::uint32_t s) {
   if (admitted) schedule_advance(s, 0);
 }
 
-bool HerdService::proc_alive(std::uint32_t s) const {
-  return procs_.at(s)->alive;
-}
-
 const HerdService::ProcStats& HerdService::proc_stats(std::uint32_t s) const {
   return procs_.at(s)->stats;
 }
@@ -470,14 +466,6 @@ bool HerdService::any_cache_lossy() const {
     }
   }
   return false;
-}
-cluster::SequentialCore& HerdService::proc_core(std::uint32_t s) {
-  return *procs_.at(s)->core;
-}
-std::uint64_t HerdService::total_requests() const {
-  std::uint64_t n = 0;
-  for (const auto& p : procs_) n += p->stats.requests;
-  return n;
 }
 void HerdService::reset_stats() {
   for (auto& p : procs_) {

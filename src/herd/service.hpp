@@ -113,8 +113,6 @@ class HerdService {
   /// redundancy back from its current primary (re-replication).
   void recover_proc(std::uint32_t s);
 
-  bool proc_alive(std::uint32_t s) const;
-
   // --- Live shard migration ------------------------------------------------
 
   /// Starts migrating `shard` to `to_proc`: the destination snapshots the
@@ -192,8 +190,6 @@ class HerdService {
   /// reasons (lossy index eviction, log wrap, stale entry) — the chaos
   /// harness's "legitimate miss" escape hatch.
   bool any_cache_lossy() const;
-  cluster::SequentialCore& proc_core(std::uint32_t s);
-  std::uint64_t total_requests() const;
   void reset_stats();
 
   /// History hook for the chaos harness (nullptr = no recording).

@@ -94,7 +94,6 @@ class PilafCuckooTable {
 
   const Stats& stats() const { return stats_; }
   std::uint32_t n_buckets() const { return cfg_.n_buckets; }
-  std::size_t extent_used() const { return extent_head_; }
   double average_probes() const {
     return stats_.gets == 0
                ? 0.0

@@ -74,13 +74,6 @@ Json tail_json(const TailProfiler::QuantileCut& cut) {
   return t;
 }
 
-bool BenchReport::has_points() const {
-  for (const Series& s : series_) {
-    if (!s.points.empty()) return true;
-  }
-  return false;
-}
-
 Json BenchReport::to_json() const {
   Json j = Json::object();
   j["schema"] = Json(std::string(kBenchSchema));

@@ -94,8 +94,6 @@ class BenchReport {
   void set_trace(std::string chrome_json) { trace_ = std::move(chrome_json); }
   const std::string& trace() const { return trace_; }
 
-  bool has_points() const;
-
   Json to_json() const;
 
   /// Writes BENCH_<figure>.json (plus TRACE_<figure>.json when a trace was

@@ -145,8 +145,6 @@ class PcieLink {
 
   const PcieConfig& config() const { return cfg_; }
   const std::string& name() const { return name_; }
-  sim::Resource& pio_resource() { return pio_; }
-  sim::Resource& dma_read_resource() { return dma_rd_; }
   sim::Resource& dma_write_resource() { return dma_wr_; }
 
   PcieCounters& counters() { return counters_; }

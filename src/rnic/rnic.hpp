@@ -118,9 +118,6 @@ class Rnic {
                ? cal_.unsignaled_penalty
                : 0;
   }
-  std::uint32_t outstanding_unsignaled() const {
-    return outstanding_unsignaled_;
-  }
 
  private:
   sim::Engine* engine_;
