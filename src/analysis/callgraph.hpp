@@ -56,7 +56,7 @@ class CallGraph {
 };
 
 /// True for paths under the simulation-deterministic directories (shared
-/// with the legacy determinism rule).
+/// with the per-file determinism rule).
 bool in_sim_path(const std::string& path);
 
 }  // namespace herd::analysis

@@ -1,14 +1,34 @@
 #include "analysis/engine.hpp"
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <tuple>
 #include <utility>
 
 #include "analysis/callgraph.hpp"
+#include "analysis/rules_file.hpp"
 #include "analysis/rules_flow.hpp"
-#include "analysis/rules_legacy.hpp"
+
+namespace fs = std::filesystem;
 
 namespace herd::analysis {
+
+namespace {
+
+bool lintable(const fs::path& p) {
+  std::string ext = p.extension().string();
+  return ext == ".cpp" || ext == ".hpp" || ext == ".cc" || ext == ".h";
+}
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+}  // namespace
 
 void Engine::add_file(std::string path, std::string source) {
   File f;
@@ -17,30 +37,53 @@ void Engine::add_file(std::string path, std::string source) {
   files_.push_back(std::move(f));
 }
 
+bool Engine::add_path(const fs::path& root) {
+  std::error_code ec;
+  if (!fs::exists(root, ec)) return false;
+  if (fs::is_regular_file(root, ec)) {
+    if (lintable(root)) add_file(root.generic_string(), read_file(root));
+    return true;
+  }
+  std::vector<fs::path> paths;
+  for (auto it = fs::recursive_directory_iterator(root, ec);
+       it != fs::recursive_directory_iterator(); ++it) {
+    if (it->is_directory() &&
+        it->path().filename().string().rfind("lint_fixtures", 0) == 0) {
+      it.disable_recursion_pending();
+      continue;
+    }
+    if (it->is_regular_file() && lintable(it->path())) {
+      paths.push_back(it->path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  for (const fs::path& p : paths) add_file(p.generic_string(), read_file(p));
+  return true;
+}
+
 void Engine::run() {
   violations_.clear();
   tus_.clear();
   tus_.reserve(files_.size());
   for (File& f : files_) {
     f.stream = lex(f.source);
-    run_legacy_rules(f.path, f.stream.stripped, violations_);
+    run_file_rules(f.path, f.stream.tokens, violations_);
     tus_.push_back(build_index(f.path, f.stream));
   }
-  ConstantTable table;
-  for (const TuIndex& tu : tus_) {
-    for (const ConstantDef& def : tu.constants) table.add(def);
-  }
   CallGraph graph(tus_);
-  std::vector<Violation> flow;
-  run_flow_rules({tus_, table, graph}, flow);
-  std::sort(flow.begin(), flow.end(),
-            [](const Violation& a, const Violation& b) {
-              return std::tie(a.file, a.line, a.rule, a.detail) <
-                     std::tie(b.file, b.line, b.rule, b.detail);
+  run_flow_rules({tus_, graph}, violations_);
+  auto key = [](const Violation& v) {
+    return std::tie(v.file, v.line, v.rule, v.detail);
+  };
+  std::sort(violations_.begin(), violations_.end(),
+            [&](const Violation& a, const Violation& b) {
+              return key(a) < key(b);
             });
-  violations_.insert(violations_.end(),
-                     std::make_move_iterator(flow.begin()),
-                     std::make_move_iterator(flow.end()));
+  violations_.erase(std::unique(violations_.begin(), violations_.end(),
+                                [&](const Violation& a, const Violation& b) {
+                                  return key(a) == key(b);
+                                }),
+                    violations_.end());
 }
 
 }  // namespace herd::analysis

@@ -1,18 +1,16 @@
-// herd::analysis — the v2 lint engine.
+// herd::analysis — the lint engine.
 //
-// Owns the full pipeline: lex each file once, run the six legacy rules over
-// the stripped view (byte-identical verdicts with herd_lint v1), build the
-// per-TU indexes, then run the three flow-aware rules over the cross-TU
-// constant table and call graph. Violations come out in a stable order:
-// the legacy section first (files in the order they were added, line-major
-// within a file — exactly v1's emission order), then the flow section
-// sorted by (file, line, rule).
+// Owns the full pipeline: lex each file once into a token stream, run the
+// seven per-file rules over it, build the per-TU indexes, then run the three
+// flow-aware rules over the cross-TU call graph. Every rule reads the same
+// token stream. Violations come out in one stable order: sorted by
+// (file, line, rule, detail), exact duplicates dropped.
 #pragma once
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
-#include "analysis/fold.hpp"
 #include "analysis/index.hpp"
 #include "analysis/lexer.hpp"
 #include "analysis/violation.hpp"
@@ -21,10 +19,16 @@ namespace herd::analysis {
 
 class Engine {
  public:
-  /// Registers one file's source text. Order is the legacy emission order.
+  /// Registers one file's source text.
   void add_file(std::string path, std::string source);
 
-  /// Runs everything. Call once, after all add_file() calls.
+  /// Registers a source file, or every .cpp/.hpp/.cc/.h file under a
+  /// directory in sorted order. Planted-violation fixture directories
+  /// (`lint_fixtures*`) below `root` are skipped: they lint only when named
+  /// as a root. False when `root` does not exist.
+  bool add_path(const std::filesystem::path& root);
+
+  /// Runs everything. Call once, after all files are added.
   void run();
 
   const std::vector<Violation>& violations() const { return violations_; }

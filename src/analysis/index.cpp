@@ -1,33 +1,27 @@
 #include "analysis/index.hpp"
 
-#include <array>
+#include <algorithm>
 
 namespace herd::analysis {
 
 namespace {
 
-/// Wall-clock / entropy sinks, matched in function bodies. Call-form names
-/// must be followed by '(' and not be member accesses; name-form names
-/// count wherever they appear (std::chrono::steady_clock::now is a
-/// qualified mention, not a call of "steady_clock").
-constexpr std::array<std::string_view, 10> kSinkCalls = {
-    "time",    "clock_gettime", "gettimeofday", "rand",    "srand",
-    "random",  "rand_r",        "drand48",      "lrand48", "getpid"};
-constexpr std::array<std::string_view, 4> kSinkNames = {
-    "random_device", "system_clock", "steady_clock", "high_resolution_clock"};
-
-bool is_sink_call(std::string_view name) {
-  for (std::string_view s : kSinkCalls) {
-    if (s == name) return true;
-  }
-  return false;
-}
-bool is_sink_name(std::string_view name) {
-  for (std::string_view s : kSinkNames) {
-    if (s == name) return true;
-  }
-  return false;
-}
+constexpr Sink kSinks[] = {
+    {"time", "wall clock breaks seeded replay"},
+    {"clock_gettime", "wall clock breaks seeded replay"},
+    {"gettimeofday", "wall clock breaks seeded replay"},
+    {"rand", "unseeded libc entropy breaks seeded replay"},
+    {"srand", "global libc PRNG state breaks seeded replay"},
+    {"random", "unseeded libc entropy breaks seeded replay"},
+    {"rand_r", "libc PRNG breaks seeded replay"},
+    {"drand48", "libc PRNG breaks seeded replay"},
+    {"lrand48", "libc PRNG breaks seeded replay"},
+    {"getpid", "process id is not part of the seed"},
+    {"random_device", "hardware entropy breaks seeded replay", false},
+    {"system_clock", "wall clock breaks seeded replay", false},
+    {"steady_clock", "host clock breaks seeded replay", false},
+    {"high_resolution_clock", "host clock breaks seeded replay", false},
+};
 
 /// Identifiers whose `.name(` / `->name(` invocation mutates the object
 /// left of the access (metric handles and histograms).
@@ -56,7 +50,7 @@ class Indexer {
   const Token& tok(std::size_t i) const { return idx_.code[i]; }
   std::size_t size() const { return idx_.code.size(); }
   bool punct_at(std::size_t i, std::string_view p) const {
-    return i < size() && tok(i).kind == Tok::kPunct && tok(i).text == p;
+    return i < size() && is_punct(tok(i), p);
   }
   bool ident_at(std::size_t i) const {
     return i < size() && tok(i).kind == Tok::kIdent;
@@ -65,23 +59,13 @@ class Indexer {
     return ident_at(i) && tok(i).text == w;
   }
 
-  /// Index one past the matching closer for the opener at `i`; `>>` counts
-  /// as two `>` closers when matching angle brackets.
-  std::size_t match(std::size_t i, std::string_view open,
-                    std::string_view close) const {
-    int depth = 0;
-    bool angles = open == "<";
-    for (; i < size(); ++i) {
-      if (tok(i).kind != Tok::kPunct) continue;
-      if (tok(i).text == open) ++depth;
-      else if (tok(i).text == close) --depth;
-      else if (angles && tok(i).text == ">>") depth -= 2;
-      if (depth <= 0) return i + 1;
-    }
-    return size();
+  /// Index one past the closer matching the opener at `i` (size() when
+  /// unbalanced).
+  std::size_t past(std::size_t i) const {
+    return std::min(match_bracket(idx_.code, i) + 1, size());
   }
 
-  // -- Scope walk: namespaces, classes, functions, constants ---------------
+  // -- Scope walk: namespaces, classes, functions ---------------------------
 
   struct Scope {
     std::string name;  // empty for plain braces
@@ -126,15 +110,6 @@ class Indexer {
       }
       if (t.text == "struct" || t.text == "class" || t.text == "union") {
         i = scan_class_head(i);
-        continue;
-      }
-      if (t.text == "constexpr") {
-        std::size_t after = try_constant(i);
-        if (after != i) {
-          i = after;
-          continue;
-        }
-        ++i;
         continue;
       }
       if (is_keyword(t.text)) {
@@ -182,53 +157,12 @@ class Indexer {
       }
       if (punct_at(i, ";") || punct_at(i, "(")) return i;
       if (punct_at(i, "<")) {
-        i = match(i, "<", ">");
+        i = past(i);
         continue;
       }
       ++i;
     }
     return i;
-  }
-
-  /// `constexpr ... kName = expr;` at declaration scope. Returns the index
-  /// past the `;` on success, or `i` unchanged (constexpr function etc.).
-  std::size_t try_constant(std::size_t i) {
-    std::size_t j = i + 1;
-    std::size_t eq = 0;
-    while (j < size()) {
-      if (punct_at(j, "=")) {
-        eq = j;
-        break;
-      }
-      if (punct_at(j, ";") || punct_at(j, "(") || punct_at(j, "{")) return i;
-      if (punct_at(j, "<")) {
-        j = match(j, "<", ">");
-        continue;
-      }
-      ++j;
-    }
-    if (eq == 0 || eq == i + 1 || !ident_at(eq - 1)) return i;
-    std::string_view name = tok(eq - 1).text;
-    std::size_t expr_begin = eq + 1;
-    std::size_t k = expr_begin;
-    int depth = 0;
-    while (k < size()) {
-      if (tok(k).kind == Tok::kPunct) {
-        std::string_view p = tok(k).text;
-        if (p == "(" || p == "{" || p == "[") ++depth;
-        else if (p == ")" || p == "}" || p == "]") --depth;
-        else if (p == ";" && depth == 0) break;
-      }
-      ++k;
-    }
-    if (k >= size() || k == expr_begin) return i;
-    ConstantDef def;
-    def.qualified = qualify(name);
-    def.file = idx_.file;
-    def.begin = idx_.code.data() + expr_begin;
-    def.end = idx_.code.data() + k;
-    idx_.constants.push_back(def);
-    return k + 1;
   }
 
   /// Function-definition attempt at identifier `i`: `name(params) specs {`.
@@ -238,14 +172,14 @@ class Indexer {
     std::size_t j = i;
     std::string name(tok(j).text);
     ++j;
-    if (punct_at(j, "<")) j = match(j, "<", ">");
+    if (punct_at(j, "<")) j = past(j);
     while (punct_at(j, "::") && ident_at(j + 1)) {
       name = tok(j + 1).text;
       j += 2;
-      if (punct_at(j, "<")) j = match(j, "<", ">");
+      if (punct_at(j, "<")) j = past(j);
     }
     if (!punct_at(j, "(")) return i;
-    std::size_t params_end = match(j, "(", ")");  // one past ')'
+    std::size_t params_end = past(j);  // one past ')'
     if (params_end >= size()) return i;
     // Specifier tail up to the body `{`, an aborting token, or a ctor-init.
     // Only known specifiers are allowed as bare identifiers; arbitrary
@@ -271,11 +205,11 @@ class Indexer {
         break;
       }
       if (t.text == "(") {
-        k = match(k, "(", ")");  // noexcept(...)
+        k = past(k);  // noexcept(...)
         continue;
       }
       if (t.text == "<") {
-        k = match(k, "<", ">");
+        k = past(k);
         continue;
       }
       if (t.text == "->") {
@@ -291,7 +225,7 @@ class Indexer {
       return i;  // ';' declaration, '=' default/delete/pure, ',' ...
     }
     if (!punct_at(k, "{")) return i;
-    std::size_t body_end = match(k, "{", "}");  // one past '}'
+    std::size_t body_end = past(k);  // one past '}'
     FunctionDef fn;
     fn.name = name;
     fn.qualified = qualify(name);
@@ -311,9 +245,9 @@ class Indexer {
       if (!ident_at(i)) return i;
       ++i;
       while (punct_at(i, "::") && ident_at(i + 1)) i += 2;
-      if (punct_at(i, "<")) i = match(i, "<", ">");
-      if (punct_at(i, "(")) i = match(i, "(", ")");
-      else if (punct_at(i, "{")) i = match(i, "{", "}");
+      if (punct_at(i, "<")) i = past(i);
+      if (punct_at(i, "(")) i = past(i);
+      else if (punct_at(i, "{")) i = past(i);
       else return i;
       if (punct_at(i, ",")) {
         ++i;
@@ -328,7 +262,8 @@ class Indexer {
     for (std::size_t i = fn.body_begin; i < fn.body_end; ++i) {
       if (!ident_at(i)) continue;
       std::string_view w = tok(i).text;
-      if (is_sink_name(w)) {
+      const Sink* sink = find_sink(w);
+      if (sink != nullptr && !sink->call) {
         fn.sinks.emplace_back(w);
         continue;
       }
@@ -337,7 +272,7 @@ class Indexer {
       bool member_access =
           i > fn.body_begin && tok(i - 1).kind == Tok::kPunct &&
           (tok(i - 1).text == "." || tok(i - 1).text == "->");
-      if (is_sink_call(w)) {
+      if (sink != nullptr) {
         if (!member_access) fn.sinks.emplace_back(w);
         continue;
       }
@@ -381,11 +316,11 @@ class Indexer {
         continue;
       }
       if (p == "(") {
-        i = match(i, "(", ")");
+        i = past(i);
         continue;
       }
       if (p == "[") {
-        i = match(i, "[", "]");
+        i = past(i);
         continue;
       }
       break;
@@ -393,7 +328,7 @@ class Indexer {
     return term;
   }
 
-  /// Contents of the last string literal in [begin, end), quotes stripped —
+  /// Contents of the last string literal in [begin, end), without quotes —
   /// the metric-name hint for `prefix + ".suffix"` style names.
   std::string last_string_in(std::size_t begin, std::size_t end) const {
     std::string out;
@@ -446,7 +381,7 @@ class Indexer {
   /// capture `[&x]` never reads as a claim.
   void scan_claim(std::size_t i, bool require_qualifier) {
     std::size_t open = i + 1;
-    std::size_t close = match(open, "(", ")");  // one past ')'
+    std::size_t close = past(open);  // one past ')'
     if (close >= size() + 1 || close <= open + 1) return;
     std::string member;
     for (std::size_t j = open + 1; j + 1 < close; ++j) {
@@ -471,6 +406,13 @@ class Indexer {
 };
 
 }  // namespace
+
+const Sink* find_sink(std::string_view ident) {
+  for (const Sink& s : kSinks) {
+    if (s.name == ident) return &s;
+  }
+  return nullptr;
+}
 
 TuIndex build_index(const std::string& file, const TokenStream& ts) {
   return Indexer(file, ts).run();

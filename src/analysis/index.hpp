@@ -7,8 +7,6 @@
 //    visible), each with its body token range, outgoing call sites, and any
 //    determinism sinks (wall-clock / entropy calls) mentioned directly in
 //    the body — the raw material for the cross-TU call graph;
-//  - constexpr integer constant definitions with their defining expression
-//    token ranges, merged into a ConstantTable for folding;
 //  - metric registration sites (`reg.link("name", &member)` and
 //    `counter_fn("name", ...&Class::member...)`) and the set of identifiers
 //    this TU increments (++x / x += / x.inc() / .add/.set/.record), the
@@ -23,12 +21,26 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "analysis/fold.hpp"
 #include "analysis/lexer.hpp"
 
 namespace herd::analysis {
+
+/// A wall-clock or entropy source, shared by the per-file determinism rule
+/// and the index's sink scan. A call-form sink counts only when called and
+/// not as a member (`rand(`, not `r.rand(`); a name-form sink counts
+/// wherever it is named (std::chrono::steady_clock::now is a qualified
+/// mention, not a call of "steady_clock").
+struct Sink {
+  std::string_view name;
+  std::string_view reason;
+  bool call = true;
+};
+
+/// The sink named `ident`, or nullptr.
+const Sink* find_sink(std::string_view ident);
 
 struct CallSite {
   std::string callee;  // terminal identifier before the '('
@@ -64,7 +76,6 @@ struct TuIndex {
   /// passed to build_index, which must outlive the index.
   std::vector<Token> code;
   std::vector<FunctionDef> functions;
-  std::vector<ConstantDef> constants;
   std::vector<MetricClaim> claims;
   /// Identifiers this TU increments or otherwise feeds (see file comment).
   std::set<std::string> mutated;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <string>
 
 namespace herd::analysis {
 
@@ -46,9 +47,7 @@ std::size_t punct_len(std::string_view rest) {
 
 class Lexer {
  public:
-  explicit Lexer(std::string_view src) : src_(src) {
-    out_.stripped.reserve(src.size());
-  }
+  explicit Lexer(std::string_view src) : src_(src) {}
 
   TokenStream run() {
     while (pos_ < src_.size()) {
@@ -58,13 +57,11 @@ class Lexer {
         continue;
       }
       if (c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f') {
-        out_.stripped += c;  // whitespace: keep, but don't clear line-start
-        ++pos_;
+        ++pos_;  // whitespace: skip, but don't clear line-start
         continue;
       }
       if (c == '\\' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '\n') {
-        out_.stripped += '\\';  // line continuation: preproc survives it
-        ++pos_;
+        ++pos_;  // line continuation: preproc survives it
         newline(/*continuation=*/true);
         continue;
       }
@@ -107,27 +104,20 @@ class Lexer {
     return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
   }
 
-  /// Copies `n` source bytes into the stripped view verbatim.
+  /// Steps over `n` bytes of a token.
   void keep(std::size_t n) {
-    out_.stripped.append(src_.substr(pos_, n));
     pos_ += n;
     at_line_start_ = false;
   }
 
-  /// Blanks `n` source bytes to spaces (newlines preserved).
-  void blank(std::size_t n) {
+  /// Steps over `n` bytes of a comment or literal, counting its newlines.
+  void skip(std::size_t n) {
     for (std::size_t i = 0; i < n && pos_ < src_.size(); ++i, ++pos_) {
-      if (src_[pos_] == '\n') {
-        out_.stripped += '\n';
-        ++line_;
-      } else {
-        out_.stripped += ' ';
-      }
+      if (src_[pos_] == '\n') ++line_;
     }
   }
 
   void newline(bool continuation = false) {
-    out_.stripped += '\n';
     ++line_;
     ++pos_;
     if (!continuation) {
@@ -162,7 +152,7 @@ class Lexer {
       return;
     }
     if (next == '"' && is_literal_prefix(word)) {
-      keep(end - begin);  // prefix is code-ish; literal body gets blanked
+      keep(end - begin);  // the prefix belongs to the literal token
       string_literal(begin);
       return;
     }
@@ -221,7 +211,7 @@ class Lexer {
       ++end;
     }
     emit(Tok::kString, tok_begin, end);
-    blank(end - begin);
+    skip(end - begin);
     at_line_start_ = false;
   }
 
@@ -240,7 +230,7 @@ class Lexer {
       ++end;
     }
     emit(Tok::kChar, tok_begin, end);
-    blank(end - begin);
+    skip(end - begin);
     at_line_start_ = false;
   }
 
@@ -262,21 +252,21 @@ class Lexer {
         close == std::string_view::npos ? src_.size()
                                         : close + terminator.size();
     emit(Tok::kString, prefix_begin, end);
-    blank(end - pos_);
+    skip(end - pos_);
     at_line_start_ = false;
   }
 
   void line_comment() {
     std::size_t end = pos_;
     while (end < src_.size() && src_[end] != '\n') ++end;
-    blank(end - pos_);
+    skip(end - pos_);
     at_line_start_ = false;
   }
 
   void block_comment() {
     std::size_t close = src_.find("*/", pos_ + 2);
     std::size_t end = close == std::string_view::npos ? src_.size() : close + 2;
-    blank(end - pos_);
+    skip(end - pos_);
     at_line_start_ = false;
   }
 
@@ -291,6 +281,24 @@ class Lexer {
 }  // namespace
 
 TokenStream lex(std::string_view src) { return Lexer(src).run(); }
+
+std::size_t match_bracket(std::span<const Token> tokens, std::size_t open) {
+  std::string_view opener = tokens[open].text;
+  std::string_view closer = opener == "(" ? ")"
+                            : opener == "[" ? "]"
+                            : opener == "{" ? "}"
+                                            : ">";
+  int depth = 0;
+  for (std::size_t i = open; i < tokens.size(); ++i) {
+    if (tokens[i].kind != Tok::kPunct) continue;
+    std::string_view t = tokens[i].text;
+    if (t == opener) ++depth;
+    else if (t == closer) --depth;
+    else if (closer == ">" && t == ">>") depth -= 2;
+    if (depth <= 0) return i;
+  }
+  return tokens.size();
+}
 
 bool is_keyword(std::string_view ident) {
   static constexpr std::string_view kKeywords[] = {

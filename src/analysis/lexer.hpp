@@ -1,28 +1,25 @@
 // herd::analysis — C++ tokenizer.
 //
-// The lexical layer of the herd_lint v2 engine. One pass over a source file
-// produces two coordinated views:
-//
-//  - a token stream (identifiers, numbers, string/char literals,
-//    punctuators) with line numbers and byte offsets, consumed by the
-//    per-TU indexer, the constant folder, and the flow-aware rules;
-//  - a "stripped" copy of the source in which comments and the contents of
-//    string/char literals are blanked to spaces (newlines preserved), the
-//    view the line-oriented legacy rules match against — a `rand()` in a
-//    comment or a log string never fires.
+// The lexical layer of the herd_lint engine. One pass over a source file
+// produces the token stream (identifiers, numbers, string/char literals,
+// punctuators) with line numbers that every rule and the per-TU indexer
+// read. Comments produce no tokens and a literal is one token, so a
+// `rand()` in a comment or a log string never reaches a rule.
 //
 // The tokenizer handles the constructs a regex can't: raw string literals
 // with custom delimiters (R"x(...)x", including encoding prefixes u8R/LR),
 // digit separators (1'000'000 lexes as ONE number token, not a number and a
 // character literal), nested template argument lists (>> is emitted as a
-// single punctuator; consumers that match angle brackets split it), line
-// continuations in preprocessor directives, and escape sequences in
-// ordinary literals. Preprocessor directives are tokenized but flagged, so
-// the indexer can skip `#define` bodies without losing the stripped view.
+// single punctuator; match_bracket splits it when matching angle brackets),
+// line continuations in preprocessor directives, and escape sequences in
+// ordinary literals. Preprocessor directive tokens are kept but flagged, so
+// the indexer can skip `#define` bodies while the per-file rules still see
+// them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -45,8 +42,6 @@ struct Token {
 
 struct TokenStream {
   std::vector<Token> tokens;
-  /// Source with comments and literal contents blanked (see file comment).
-  std::string stripped;
 };
 
 /// Tokenizes `src`. Token text views point into `src`, which must outlive
@@ -54,6 +49,15 @@ struct TokenStream {
 /// stray bytes degrade to best-effort tokens, because a linter must keep
 /// walking the tree no matter what one file contains.
 TokenStream lex(std::string_view src);
+
+inline bool is_punct(const Token& t, std::string_view p) {
+  return t.kind == Tok::kPunct && t.text == p;
+}
+
+/// Index of the token closing the `(`, `[`, `{` or `<` at `open`, or
+/// tokens.size() when it is unbalanced. Only brackets of the opener's kind
+/// count; when matching angle brackets `>>` closes two levels.
+std::size_t match_bracket(std::span<const Token> tokens, std::size_t open);
 
 /// True for C++ keywords that can never be call targets or declared names
 /// the index cares about (if/for/while/return/sizeof/...).

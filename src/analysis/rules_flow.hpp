@@ -1,10 +1,5 @@
-// herd::analysis — the four flow-aware rules (herd_lint v2).
+// herd::analysis — the three flow-aware rules.
 //
-//   wire-symmetry     encode_X/decode_X pairs must copy the same fields at
-//                     the same folded offsets with the same sizes, bump
-//                     their write/read cursors by mirrored constants, and
-//                     account every header constant in the budget helpers
-//                     (max_value_bytes / request_wire_bytes)
 //   metric-pairing    a counter claimed via the obs registry must be
 //                     incremented somewhere in the tree; conventional
 //                     counter pairs must be claimed together
@@ -21,14 +16,13 @@
 //                     span exports as a lone "B" event and the trace
 //                     tooling downstream rejects the file)
 //
-// All four consume the per-TU indexes plus the cross-TU constant table and
-// call graph; none of them re-reads source text.
+// All three consume the per-TU indexes plus the cross-TU call graph; none
+// of them re-reads source text.
 #pragma once
 
 #include <vector>
 
 #include "analysis/callgraph.hpp"
-#include "analysis/fold.hpp"
 #include "analysis/index.hpp"
 #include "analysis/violation.hpp"
 
@@ -36,18 +30,16 @@ namespace herd::analysis {
 
 struct FlowContext {
   const std::vector<TuIndex>& tus;
-  const ConstantTable& constants;
   const CallGraph& graph;
 };
 
-void run_wire_symmetry(const FlowContext& ctx, std::vector<Violation>& out);
 void run_metric_pairing(const FlowContext& ctx, std::vector<Violation>& out);
 void run_determinism_taint(const FlowContext& ctx,
                            std::vector<Violation>& out);
 void run_span_pairing(const FlowContext& ctx, std::vector<Violation>& out);
 
-/// All four, in rule order. Appended violations are NOT sorted; the engine
-/// sorts the flow section by (file, line, rule).
+/// All three, in rule order. Appended violations are NOT sorted; the
+/// engine sorts every violation by (file, line, rule, detail).
 void run_flow_rules(const FlowContext& ctx, std::vector<Violation>& out);
 
 }  // namespace herd::analysis

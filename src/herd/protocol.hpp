@@ -82,10 +82,11 @@ inline constexpr std::uint32_t kRetryAfterBytes = 8;
 inline constexpr std::uint32_t kTraceBytes = 8 + 4;
 
 // Per-field offsets, shared by the encode/decode pairs below so the two
-// sides cannot drift apart (herd_lint's wire-symmetry rule constant-folds
-// these and cross-checks every copy). Request trailer fields are relative
-// to the trailer base (`tail`); optional-header fields are relative to
-// their block's start.
+// sides cannot drift apart (tests/overload_test.cpp's
+// OverloadWire.RequestHeaderRoundTripsInAllCombinations round-trips every
+// field under every header combination). Request trailer fields are
+// relative to the trailer base (`tail`); optional-header fields are
+// relative to their block's start.
 inline constexpr std::uint32_t kReqLenOff = 0;            // LEN (2)
 inline constexpr std::uint32_t kReqKeyHiOff = 2;          // keyhash.hi (8)
 inline constexpr std::uint32_t kReqKeyLoOff = 10;         // keyhash.lo (8)

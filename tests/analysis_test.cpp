@@ -1,24 +1,24 @@
-// Unit tests for the herd_lint v2 analysis engine (src/analysis/):
-// tokenizer edge cases, constant folding, per-TU indexing, call-graph taint
-// propagation, flow-rule verdicts, and a golden check that the legacy rules
-// still produce v1's exact diagnostics.
+// Unit tests for the herd_lint analysis engine (src/analysis/): tokenizer
+// edge cases, per-TU indexing, call-graph taint propagation, rule verdicts
+// and diagnostics, and the planted fixtures' expected verdicts.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/callgraph.hpp"
 #include "analysis/engine.hpp"
-#include "analysis/fold.hpp"
 #include "analysis/index.hpp"
 #include "analysis/lexer.hpp"
-#include "analysis/rules_flow.hpp"
-#include "analysis/rules_legacy.hpp"
-#include "analysis/sarif.hpp"
 
 namespace {
 
 using namespace herd::analysis;
+namespace fs = std::filesystem;
 
 std::vector<std::string> idents(const TokenStream& ts) {
   std::vector<std::string> out;
@@ -35,16 +35,14 @@ std::vector<std::string> idents(const TokenStream& ts) {
 TEST(Lexer, StripsLineAndBlockComments) {
   TokenStream ts = lex("int a; // trailing rand()\nint /* rand */ b;\n");
   EXPECT_EQ(idents(ts), (std::vector<std::string>{"int", "a", "int", "b"}));
-  EXPECT_EQ(ts.stripped.find("rand"), std::string::npos);
-  // Newlines survive stripping so line numbers stay aligned.
-  EXPECT_NE(ts.stripped.find('\n'), std::string::npos);
   EXPECT_EQ(ts.tokens.back().line, 2u);  // `b;` sits on line 2
 }
 
 TEST(Lexer, BlankedStringContentsKeepLineCount) {
   TokenStream ts = lex("auto s = \"rand() // not a comment\";\nint x;\n");
-  EXPECT_EQ(ts.stripped.find("rand"), std::string::npos);
-  EXPECT_NE(ts.stripped.find("int x;"), std::string::npos);
+  EXPECT_EQ(idents(ts), (std::vector<std::string>{"auto", "s", "int", "x"}));
+  ASSERT_EQ(ts.tokens[3].kind, Tok::kString);
+  EXPECT_EQ(ts.tokens[3].text, "\"rand() // not a comment\"");
   ASSERT_EQ(ts.tokens.back().text, ";");
   EXPECT_EQ(ts.tokens.back().line, 2u);
 }
@@ -52,7 +50,8 @@ TEST(Lexer, BlankedStringContentsKeepLineCount) {
 TEST(Lexer, RawStringWithCustomDelimiter) {
   TokenStream ts =
       lex("auto s = R\"ab( \"not the end\" )\" still raw )ab\"; int z;");
-  EXPECT_EQ(ts.stripped.find("still raw"), std::string::npos);
+  ASSERT_EQ(ts.tokens[3].kind, Tok::kString);
+  EXPECT_EQ(ts.tokens[3].text, "R\"ab( \"not the end\" )\" still raw )ab\"");
   std::vector<std::string> ids = idents(ts);
   ASSERT_EQ(ids.size(), 4u);
   EXPECT_EQ(ids[3], "z");
@@ -68,13 +67,17 @@ TEST(Lexer, DigitSeparatorsStayOneNumberToken) {
 }
 
 TEST(Lexer, NestedTemplateCloserSplitsForFolding) {
-  // `>>` lexes as one token; the fold parser re-splits it inside casts.
-  TokenStream ts = lex("std::vector<std::vector<int>> v;");
-  bool saw_shr = false;
-  for (const Token& t : ts.tokens) {
-    if (t.kind == Tok::kPunct && t.text == ">>") saw_shr = true;
-  }
-  EXPECT_TRUE(saw_shr);
+  // `>>` lexes as one token; matching angle brackets splits it, so it
+  // closes both template argument lists.
+  TokenStream ts = lex("std::vector<std::vector<int>> v; f((a), b);");
+  ASSERT_EQ(ts.tokens[9].text, ">>");
+  EXPECT_EQ(match_bracket(ts.tokens, 3), 9u);  // outer `<`
+  EXPECT_EQ(match_bracket(ts.tokens, 7), 9u);  // inner `<`
+  ASSERT_EQ(ts.tokens[13].text, "(");
+  EXPECT_EQ(ts.tokens[match_bracket(ts.tokens, 13)].text, ")");
+  EXPECT_EQ(match_bracket(ts.tokens, 13), 19u);
+  TokenStream open = lex("f((a);");
+  EXPECT_EQ(match_bracket(open.tokens, 1), open.tokens.size());  // unbalanced
 }
 
 TEST(Lexer, LineContinuationKeepsLineNumbers) {
@@ -95,60 +98,8 @@ TEST(Lexer, LineContinuationKeepsLineNumbers) {
 TEST(Lexer, CharLiteralAndEscapes) {
   TokenStream ts = lex("char c = '\\n'; char q = '\"'; int w;");
   EXPECT_EQ(idents(ts).back(), "w");
-  EXPECT_EQ(ts.stripped.find('"'), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Constant folding
-// ---------------------------------------------------------------------------
-
-TEST(Fold, LiteralsAndOperators) {
-  EXPECT_EQ(fold_expr("2 + 3 * 4"), 14);
-  EXPECT_EQ(fold_expr("(2 + 3) * 4"), 20);
-  EXPECT_EQ(fold_expr("1 << 10"), 1024);
-  EXPECT_EQ(fold_expr("0x10 | 0b1"), 17);
-  EXPECT_EQ(fold_expr("1'000'000 / 1000"), 1000);
-  EXPECT_EQ(fold_expr("-7 % 3"), -1);
-  EXPECT_EQ(fold_expr("~0 & 0xff"), 0xff);
-  EXPECT_EQ(fold_expr("1 > 2 ? 10 : 20"), 20);
-  EXPECT_EQ(fold_expr("static_cast<std::uint32_t>(6 * 7)"), 42);
-}
-
-TEST(Fold, UnfoldableYieldsNullopt) {
-  EXPECT_FALSE(fold_expr("vlen + 2").has_value());
-  EXPECT_FALSE(fold_expr("sizeof(Foo)").has_value());
-  EXPECT_FALSE(fold_expr("3.14").has_value());
-  EXPECT_FALSE(fold_expr("1 << 63").has_value());  // shift guard
-  EXPECT_FALSE(fold_expr("1 / 0").has_value());
-}
-
-TEST(Fold, ResolvesConstantsThroughTable) {
-  TokenStream ts = lex(
-      "namespace herd::core {\n"
-      "inline constexpr std::uint32_t kSlotBytes = 1024;\n"
-      "inline constexpr std::uint32_t kTrailer = 2 + 16;\n"
-      "inline constexpr std::uint32_t kMax = kSlotBytes - kTrailer;\n"
-      "}\n");
-  TuIndex tu = build_index("src/herd/protocol.hpp", ts);
-  ConstantTable table;
-  for (const ConstantDef& def : tu.constants) table.add(def);
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_EQ(fold_expr("kMax", &table), 1006);
-  EXPECT_EQ(fold_expr("herd::core::kSlotBytes", &table), 1024);
-  EXPECT_EQ(fold_expr("kTrailer + 4", &table), 22);
-}
-
-TEST(Fold, AmbiguousTerminalRefusesToResolve) {
-  TokenStream a = lex("namespace x { constexpr int kN = 1; }");
-  TokenStream b = lex("namespace y { constexpr int kN = 2; }");
-  TuIndex ta = build_index("a.hpp", a);
-  TuIndex tb = build_index("b.hpp", b);
-  ConstantTable table;
-  for (const ConstantDef& def : ta.constants) table.add(def);
-  for (const ConstantDef& def : tb.constants) table.add(def);
-  EXPECT_FALSE(fold_expr("kN", &table).has_value());
-  EXPECT_EQ(fold_expr("x::kN", &table), 1);
-  EXPECT_EQ(fold_expr("y::kN", &table), 2);
+  ASSERT_EQ(ts.tokens[8].kind, Tok::kChar);
+  EXPECT_EQ(ts.tokens[8].text, "'\"'");
 }
 
 // ---------------------------------------------------------------------------
@@ -244,87 +195,6 @@ std::vector<Violation> rule_violations(const Engine& engine,
     if (v.rule == rule) out.push_back(v);
   }
   return out;
-}
-
-TEST(WireSymmetry, CleanPairIsClean) {
-  Engine engine;
-  engine.add_file("src/proto/p.hpp",
-                  "constexpr unsigned kHdr = 10;\n"
-                  "void encode_m(unsigned char* p, const M& m) {\n"
-                  "  memcpy(p, &m.tenant, 2);\n"
-                  "  memcpy(p + 2, &m.deadline, 8);\n"
-                  "  p += kHdr;\n"
-                  "}\n"
-                  "void decode_m(const unsigned char* t, M& m) {\n"
-                  "  const unsigned char* p = t;\n"
-                  "  p -= kHdr;\n"
-                  "  memcpy(&m.tenant, p, 2);\n"
-                  "  memcpy(&m.deadline, p + 2, 8);\n"
-                  "}\n");
-  engine.run();
-  EXPECT_TRUE(rule_violations(engine, "wire-symmetry").empty());
-}
-
-TEST(WireSymmetry, TwoByteSkewCaught) {
-  Engine engine;
-  engine.add_file("src/proto/p.hpp",
-                  "constexpr unsigned kHdr = 10;\n"
-                  "void encode_m(unsigned char* p, const M& m) {\n"
-                  "  memcpy(p, &m.tenant, 2);\n"
-                  "  memcpy(p + 2, &m.deadline, 8);\n"
-                  "  p += kHdr;\n"
-                  "}\n"
-                  "void decode_m(const unsigned char* t, M& m) {\n"
-                  "  const unsigned char* p = t;\n"
-                  "  p -= kHdr;\n"
-                  "  memcpy(&m.tenant, p, 2);\n"
-                  "  memcpy(&m.deadline, p + 4, 8);\n"
-                  "}\n");
-  engine.run();
-  std::vector<Violation> v = rule_violations(engine, "wire-symmetry");
-  ASSERT_EQ(v.size(), 2u);  // offset divergence + block-budget overrun
-  EXPECT_NE(v[0].detail.find("overruns its header block"), std::string::npos);
-  EXPECT_NE(v[1].detail.find("offsets diverge"), std::string::npos);
-}
-
-TEST(WireSymmetry, MissingDecodeFieldCaught) {
-  Engine engine;
-  engine.add_file("src/proto/p.hpp",
-                  "void encode_m(unsigned char* p, const M& m) {\n"
-                  "  memcpy(p, &m.a, 4);\n"
-                  "  memcpy(p + 4, &m.b, 4);\n"
-                  "}\n"
-                  "void decode_m(const unsigned char* p, M& m) {\n"
-                  "  memcpy(&m.a, p, 4);\n"
-                  "}\n");
-  engine.run();
-  std::vector<Violation> v = rule_violations(engine, "wire-symmetry");
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_NE(v[0].detail.find("'b' is copied in encode_m"), std::string::npos);
-}
-
-TEST(WireSymmetry, ReversedHeaderOrderCaught) {
-  Engine engine;
-  engine.add_file("src/proto/p.hpp",
-                  "constexpr unsigned kA = 4;\n"
-                  "constexpr unsigned kB = 8;\n"
-                  "void encode_m(unsigned char* p, const M& m) {\n"
-                  "  memcpy(p, &m.a, 4);\n"
-                  "  p += kA;\n"
-                  "  memcpy(p, &m.b, 8);\n"
-                  "  p += kB;\n"
-                  "}\n"
-                  "void decode_m(const unsigned char* t, M& m) {\n"
-                  "  const unsigned char* p = t;\n"
-                  "  p -= kA;\n"
-                  "  memcpy(&m.a, p, 4);\n"
-                  "  p -= kB;\n"
-                  "  memcpy(&m.b, p, 8);\n"
-                  "}\n");
-  engine.run();
-  std::vector<Violation> v = rule_violations(engine, "wire-symmetry");
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_NE(v[0].detail.find("reverse encode order"), std::string::npos);
 }
 
 TEST(MetricPairing, GhostCounterCaughtAndBumpedCounterClean) {
@@ -533,7 +403,7 @@ TEST(SpanPairing, RequestRootEarlyReturnCaught) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy rules: golden diagnostics (v1 byte-compatibility)
+// Per-file rules
 // ---------------------------------------------------------------------------
 
 TEST(LegacyRules, GoldenDeterminismDiagnostic) {
@@ -547,6 +417,13 @@ TEST(LegacyRules, GoldenDeterminismDiagnostic) {
   EXPECT_EQ(v.detail,
             "rand() in a simulation path: unseeded libc entropy breaks "
             "seeded replay");
+  // Directive tokens are linted too: a macro body that calls time() fires.
+  Engine macro;
+  macro.add_file("src/sim/x.cpp", "#define NOW time(nullptr)\nint y;\n");
+  macro.run();
+  ASSERT_EQ(macro.violations().size(), 1u);
+  EXPECT_EQ(macro.violations()[0].detail,
+            "time() in a simulation path: wall clock breaks seeded replay");
 }
 
 TEST(LegacyRules, CommentedSinkDoesNotFire) {
@@ -672,17 +549,53 @@ TEST(ChainPost, OnlyHerdPathsAreChecked) {
   EXPECT_TRUE(rule_violations(engine, "chain-post").empty());
 }
 
-TEST(Sarif, WellFormedAndEscaped) {
-  std::vector<Violation> vs;
-  vs.push_back({"src/a.hpp", 7, "wire-symmetry", "detail with \"quotes\""});
-  std::string sarif = to_sarif(vs);
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"wire-symmetry\""), std::string::npos);
-  EXPECT_NE(sarif.find("detail with \\\"quotes\\\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 7"), std::string::npos);
-  // All nine rules carry metadata even with zero results.
-  EXPECT_NE(sarif.find("\"id\": \"determinism-taint\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"id\": \"bounded-queue\""), std::string::npos);
+// ---------------------------------------------------------------------------
+// Planted fixtures: expected verdicts
+// ---------------------------------------------------------------------------
+
+using Verdicts = std::set<std::tuple<std::string, std::size_t, std::string>>;
+
+/// (file, line, rule) for every `// expect: <rule>` marker under `root`.
+Verdicts expect_markers(const fs::path& root) {
+  Verdicts out;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path());
+    std::string line;
+    for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
+      static constexpr std::string_view kMarker = "// expect: ";
+      std::size_t at = line.find(kMarker);
+      if (at == std::string::npos) continue;
+      std::string rule = line.substr(at + kMarker.size());
+      rule = rule.substr(0, rule.find(' '));
+      out.emplace(entry.path().generic_string(), lineno, rule);
+    }
+  }
+  return out;
+}
+
+TEST(LintFixtures, EachRootReportsExactlyItsExpectMarkers) {
+  // Every line a planted fixture must trip carries `// expect: <rule>`.
+  // Each fixture root is linted on its own, so one rule's finding cannot
+  // hide another's miss, and a line no marker names must stay clean.
+  const fs::path tools = HERD_TOOLS_DIR;
+  std::vector<fs::path> roots = {tools / "lint_fixtures"};
+  for (const auto& f : fs::directory_iterator(tools / "lint_fixtures_flow")) {
+    roots.push_back(f.path());
+  }
+  std::set<std::string> rules_covered;
+  for (const fs::path& root : roots) {
+    Engine engine;
+    ASSERT_TRUE(engine.add_path(root)) << root;
+    engine.run();
+    Verdicts reported;
+    for (const Violation& v : engine.violations()) {
+      reported.emplace(v.file, v.line, v.rule);
+      rules_covered.insert(v.rule);
+    }
+    EXPECT_EQ(reported, expect_markers(root)) << root;
+  }
+  EXPECT_EQ(rules_covered.size(), 10u);  // every rule has a planted fixture
 }
 
 }  // namespace

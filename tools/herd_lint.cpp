@@ -1,31 +1,27 @@
-// herd_lint v2 — flow-aware lint driver.
+// herd_lint — project-invariant lint driver.
 //
 // Thin shell over the herd::analysis engine (src/analysis/): collects the
 // files under each root, feeds them to the engine (lexer, per-TU index,
-// cross-TU constant table + call graph, eleven rules), then applies the
-// suppression file and prints diagnostics exactly like v1 did.
+// cross-TU call graph, ten rules), then applies the suppression file and
+// prints one `file:line: [rule] detail` line per violation.
 //
-// Rules — see ANALYSIS.md for the catalog and provenance:
+// Rules — see ANALYSIS.md for the catalog:
 //   determinism, ptr-key-iter, raw-new, resource-registry, bounded-queue,
-//   shard-route                       (legacy, byte-identical with v1)
-//   chain-post                        (line-oriented, doorbell batching)
-//   wire-symmetry, metric-pairing, determinism-taint,
-//   span-pairing                      (flow-aware, v2)
+//   shard-route, chain-post            (per-file, one token stream)
+//   metric-pairing, determinism-taint,
+//   span-pairing                       (flow-aware, cross-TU)
 //
-// Usage: herd_lint [--supp FILE] [--verbose] [--sarif FILE]
-//                  [--strict-supp] PATH...
+// Usage: herd_lint [--supp FILE] [--verbose] [--strict-supp] PATH...
 //
 //   PATH          directory (recursive; `lint_fixtures` dirs are skipped
 //                 unless named as a root) or a single source file
 //   --supp FILE   suppression file: `path-substring rule` per line, `#`
 //                 comments, rule `*` matches all; unused entries warn
 //   --strict-supp promote unused-suppression warnings to errors (CI)
-//   --sarif FILE  also write the reported violations as SARIF 2.1.0
 //   --verbose     print suppressed violations and the summary line
 //
 // Exit: 0 clean, 1 violations reported (or unused suppressions under
 // --strict-supp), 64 usage/IO error.
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -34,7 +30,6 @@
 #include <vector>
 
 #include "analysis/engine.hpp"
-#include "analysis/sarif.hpp"
 #include "analysis/violation.hpp"
 
 namespace fs = std::filesystem;
@@ -46,7 +41,6 @@ namespace {
 struct Options {
   std::vector<fs::path> roots;
   fs::path supp_file;
-  fs::path sarif_file;
   bool verbose = false;
   bool strict_supp = false;
 };
@@ -76,19 +70,6 @@ bool suppressed(const std::vector<Suppression>& supps, const Violation& v) {
   return false;
 }
 
-bool lintable(const fs::path& p) {
-  std::string ext = p.extension().string();
-  return ext == ".cpp" || ext == ".hpp" || ext == ".cc" || ext == ".h";
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,16 +78,14 @@ int main(int argc, char** argv) {
     std::string a = argv[i];
     if (a == "--supp" && i + 1 < argc) {
       opt.supp_file = argv[++i];
-    } else if (a == "--sarif" && i + 1 < argc) {
-      opt.sarif_file = argv[++i];
     } else if (a == "--verbose") {
       opt.verbose = true;
     } else if (a == "--strict-supp") {
       opt.strict_supp = true;
     } else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr,
-                   "usage: %s [--supp FILE] [--verbose] [--sarif FILE] "
-                   "[--strict-supp] PATH...\n",
+                   "usage: %s [--supp FILE] [--verbose] [--strict-supp] "
+                   "PATH...\n",
                    argv[0]);
       return 64;
     } else {
@@ -127,43 +106,16 @@ int main(int argc, char** argv) {
 
   herd::analysis::Engine engine;
   for (const fs::path& root : opt.roots) {
-    std::error_code ec;
-    if (!fs::exists(root, ec)) {
+    if (!engine.add_path(root)) {
       std::fprintf(stderr, "herd_lint: no such directory: %s\n",
                    root.string().c_str());
       return 64;
-    }
-    if (fs::is_regular_file(root, ec)) {
-      if (lintable(root)) {
-        engine.add_file(root.generic_string(), read_file(root));
-      }
-      continue;
-    }
-    std::vector<fs::path> paths;
-    for (auto it = fs::recursive_directory_iterator(root, ec);
-         it != fs::recursive_directory_iterator(); ++it) {
-      // Planted-violation fixtures lint only when named as a root (the
-      // canary tests); a parent-directory sweep skips them. Matches both
-      // lint_fixtures/ (legacy corpus) and lint_fixtures_flow/ (per-rule).
-      if (it->is_directory() &&
-          it->path().filename().string().rfind("lint_fixtures", 0) == 0) {
-        it.disable_recursion_pending();
-        continue;
-      }
-      if (it->is_regular_file() && lintable(it->path())) {
-        paths.push_back(it->path());
-      }
-    }
-    std::sort(paths.begin(), paths.end());
-    for (const fs::path& p : paths) {
-      engine.add_file(p.generic_string(), read_file(p));
     }
   }
   engine.run();
 
   std::size_t reported = 0;
   std::size_t suppressed_count = 0;
-  std::vector<Violation> sarif_results;
   for (const Violation& v : engine.violations()) {
     if (suppressed(supps, v)) {
       ++suppressed_count;
@@ -176,7 +128,6 @@ int main(int argc, char** argv) {
     ++reported;
     std::printf("%s:%zu: [%s] %s\n", v.file.c_str(), v.line, v.rule.c_str(),
                 v.detail.c_str());
-    if (!opt.sarif_file.empty()) sarif_results.push_back(v);
   }
   std::size_t unused_supps = 0;
   for (const Suppression& s : supps) {
@@ -187,16 +138,6 @@ int main(int argc, char** argv) {
                    opt.strict_supp ? "error" : "warning",
                    s.path_substring.c_str(), s.rule.c_str());
     }
-  }
-
-  if (!opt.sarif_file.empty()) {
-    std::ofstream out(opt.sarif_file, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "herd_lint: cannot write SARIF file %s\n",
-                   opt.sarif_file.string().c_str());
-      return 64;
-    }
-    out << herd::analysis::to_sarif(sarif_results);
   }
 
   if (opt.verbose || reported > 0) {

@@ -3,9 +3,9 @@
 namespace herd::chaos {
 
 int planted_raw_new() {
-  int* p = new int(7);  // raw-new
+  int* p = new int(7);  // expect: raw-new
   int v = *p;
-  delete p;  // raw-new
+  delete p;  // expect: raw-new
   return v;
 }
 

@@ -20,10 +20,10 @@ struct FakeQp {
 
 void planted_post_send_loop(FakeQp& qp, const std::vector<FakeWr>& done) {
   for (const FakeWr& wr : done) {
-    qp.post_send(wr);  // chain-post
+    qp.post_send(wr);  // expect: chain-post
   }
   std::size_t i = 0;
-  while (i < done.size()) qp.post_send(done[i++]);  // chain-post
+  while (i < done.size()) qp.post_send(done[i++]);  // expect: chain-post
 
   // The fixed idiom: one chained post for the whole batch. Not flagged.
   qp.post_send(std::span<const FakeWr>(done));

@@ -18,8 +18,8 @@ struct FakeCfg {
 };
 
 std::uint32_t planted_shard_bypass(const FakeKey& key, const FakeCfg& cfg) {
-  std::uint32_t p = partition_of(key, cfg.n_server_procs);  // shard-route
-  p ^= static_cast<std::uint32_t>(key.lo % cfg.n_server_procs);  // shard-route
+  std::uint32_t p = partition_of(key, cfg.n_server_procs);  // expect: shard-route
+  p ^= static_cast<std::uint32_t>(key.lo % cfg.n_server_procs);  // expect: shard-route
   return p;
 }
 

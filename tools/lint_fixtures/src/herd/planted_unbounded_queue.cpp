@@ -16,7 +16,7 @@ class PlantedUnboundedQueue {
   void enqueue(const PlantedRequest& r) { pending_.push_back(r); }
 
  private:
-  std::deque<PlantedRequest> pending_;  // grows forever under overload
+  std::deque<PlantedRequest> pending_;  // expect: bounded-queue (grows forever)
 };
 
 }  // namespace herd::core

@@ -17,7 +17,7 @@ class PlantedUnboundedRing {
   void enqueue(const PlantedRingRequest& r) { pending_.push_back(r); }
 
  private:
-  sim::RingDeque<PlantedRingRequest> pending_;  // grows forever under overload
+  sim::RingDeque<PlantedRingRequest> pending_;  // expect: bounded-queue (grows forever)
 };
 
 }  // namespace herd::core

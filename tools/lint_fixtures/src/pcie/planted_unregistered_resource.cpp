@@ -15,7 +15,7 @@ class HiddenLink {
   sim::Tick push(sim::Tick cost) { return res_.acquire(cost); }
 
  private:
-  sim::Resource res_;
+  sim::Resource res_;  // expect: resource-registry
 };
 
 }  // namespace herd::pcie

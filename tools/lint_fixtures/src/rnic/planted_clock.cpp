@@ -5,8 +5,8 @@
 namespace herd::rnic {
 
 unsigned planted_clock() {
-  std::random_device rd;  // determinism: hardware entropy
-  auto now = std::chrono::steady_clock::now();  // determinism: host clock
+  std::random_device rd;  // expect: determinism (hardware entropy)
+  auto now = std::chrono::steady_clock::now();  // expect: determinism (host clock)
   return rd() ^ static_cast<unsigned>(now.time_since_epoch().count());
 }
 

@@ -7,10 +7,10 @@
 namespace herd::sim {
 
 unsigned long planted_entropy() {
-  unsigned long x = static_cast<unsigned long>(rand());  // determinism
-  x ^= static_cast<unsigned long>(time(nullptr));        // determinism
+  unsigned long x = static_cast<unsigned long>(rand());  // expect: determinism
+  x ^= static_cast<unsigned long>(time(nullptr));        // expect: determinism
   struct timespec ts {};
-  clock_gettime(0, &ts);  // determinism
+  clock_gettime(0, &ts);  // expect: determinism
   return x ^ static_cast<unsigned long>(ts.tv_nsec);
 }
 

@@ -9,7 +9,7 @@
 namespace fix {
 
 inline int schedule_retry_tick(int base) {
-  return base + fixutil::jitter_ms();  // PLANTED: transitive entropy
+  return base + fixutil::jitter_ms();  // expect: determinism-taint (transitive entropy)
 }
 
 }  // namespace fix

@@ -18,7 +18,7 @@ struct Stats {
 };
 
 inline void register_all(Registry& reg, Stats& s) {
-  reg.link("fix.ghost_reads", &s.ghost_reads);  // PLANTED: never bumped
+  reg.link("fix.ghost_reads", &s.ghost_reads);  // expect: metric-pairing (never bumped)
   reg.link("fix.real_reads", &s.real_reads);
 }
 

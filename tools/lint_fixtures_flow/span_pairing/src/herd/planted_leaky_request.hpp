@@ -17,14 +17,14 @@ struct InFlight {
 };
 
 inline void issue_once(RequestProbe& probe, InFlight& fl, long now) {
-  TraceCtx trace = probe.begin_request("client0", 1, now, seq_args);
-  fl.sampled = trace;  // PLANTED: never reaches end_request
+  TraceCtx trace = probe.begin_request("client0", 1, now, seq_args);  // expect: span-pairing
+  fl.sampled = trace;  // never reaches end_request
 }
 
 inline bool try_issue(RequestProbe& probe, bool full, long now) {
   TraceCtx trace = probe.begin_request("client0", 2, now, seq_args);
   if (full) {
-    return false;  // PLANTED: leaves the request root open
+    return false;  // expect: span-pairing (leaves the root open)
   }
   probe.end_request(trace, now, "ok", "net_out");
   return true;

@@ -14,14 +14,14 @@ namespace fix {
 inline unsigned drain_once(Tracer& tr, bool empty, long now) {
   unsigned span = tr.span_begin("proc0", "drr_wait", now);
   if (empty) {
-    return 0;  // PLANTED: leaves drr_wait open
+    return 0;  // expect: span-pairing (leaves drr_wait open)
   }
   tr.span_end(span, now);
   return 1;
 }
 
 inline void fire_forget(Tracer& tr, long now) {
-  tr.span_begin("proc0", "mica_op", now);  // PLANTED: id discarded
+  tr.span_begin("proc0", "mica_op", now);  // expect: span-pairing (id discarded)
 }
 
 }  // namespace fix
