@@ -15,6 +15,11 @@
 // point (whose attribution comes from the record or the testbed). The
 // emulated baselines (run_emulated) publish nothing yet.
 //
+// Every published run first passes cluster::require_contract_clean():
+// microbench drivers in microbench::finish, HERD testbeds in publish(), and
+// the emulated baselines in run_emulated. A run that misused the verbs API
+// throws instead of reporting.
+//
 // After run() returns, the binary prints one line per report point (series,
 // x, metrics) to stdout. Those are simulated numbers only, so stdout is
 // deterministic. With --bench-out=DIR it also writes schema-versioned
@@ -104,8 +109,10 @@ inline obs::Json publish(const microbench::RunRecord& r) {
   return r.tail;
 }
 
-/// As above, for a HERD testbed's last run().
+/// As above, for a HERD testbed's last run(). Throws if the run violated
+/// the verbs contract.
 inline obs::Json publish(const core::HerdTestbed& bed) {
+  cluster::require_contract_clean(bed.cluster());
   microbench::RunRecord r;
   r.snapshot = bed.snapshot();
   r.timeseries = bed.timeseries_json();
@@ -185,6 +192,7 @@ inline E2e run_emulated(const cluster::ClusterConfig& cc,
   cfg.value_size = p.value_size;
   baselines::EmulatedKvTestbed bed(cfg);
   auto r = bed.run(warmup_ticks(), measure_ticks());
+  cluster::require_contract_clean(bed.cluster());
   // Emulated testbeds do not register their resources yet; attribution stays
   // empty and the bench point simply carries no `bottleneck` field.
   return E2e{r.mops, r.avg_latency_us, r.p5_latency_us, r.p95_latency_us,

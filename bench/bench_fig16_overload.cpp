@@ -119,6 +119,10 @@ void run() {
       tails[i] = bench::publish(bed);
     }
     {
+      // Not gated on the verbs contract (it does not publish): with nothing
+      // shed, the deep-overload points post more responses than the UD send
+      // queue's declared depth. The model's queues are elastic, so the post
+      // never stalls the server the way a full queue would.
       core::HerdTestbed bed(overload_bench_cfg(false, kClients[i]));
       auto r = bed.run(warmup, measure);
       off_mops[i] = r.mops;

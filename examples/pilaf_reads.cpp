@@ -8,7 +8,9 @@
 // This demonstrates two things the paper discusses: the multi-RTT cost of
 // READ-based GETs (compare the latency printed here with quickstart's), and
 // the self-verification machinery Pilaf needs because nobody synchronizes
-// the reader with concurrent writers.
+// the reader with concurrent writers. Every cluster host runs the verbs
+// contract checker, and the example throws before printing if any READ
+// broke an ibverbs rule.
 #include <cstdio>
 #include <functional>
 #include <vector>
@@ -21,7 +23,7 @@
 int main() {
   using namespace herd;
 
-  cluster::Cluster cl(cluster::ClusterConfigBuilder().build(), 2, 8 << 20);
+  cluster::Cluster cl(cluster::ClusterConfig::apt(), 2, 8 << 20);
   auto& server = cl.host(0);
   auto& client = cl.host(1);
   auto& eng = cl.engine();
@@ -137,6 +139,7 @@ int main() {
 
   start_get();
   eng.run();
+  cluster::require_contract_clean(cl);
 
   std::printf("Pilaf-style GETs via raw RDMA READs (server CPU untouched)\n");
   std::printf("  GETs         : %llu, hits %llu, wrong values %llu\n",

@@ -8,6 +8,8 @@
 //   * the server polls its request region and answers with a SEND over UD,
 //   * selective signaling and inlining applied exactly as §3 prescribes.
 // Run it to see the one-RTT request-reply latency and per-verb behavior.
+// Every cluster host runs the verbs contract checker, and the example
+// throws before printing if any post broke an ibverbs rule.
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -18,8 +20,7 @@
 int main() {
   using namespace herd;
 
-  // ClusterConfigBuilder defaults to the Apt preset; build() validates.
-  cluster::Cluster cl(cluster::ClusterConfigBuilder().build(), 2, 1 << 20);
+  cluster::Cluster cl(cluster::ClusterConfig::apt(), 2, 1 << 20);
   auto& server = cl.host(0);
   auto& client = cl.host(1);
   auto& eng = cl.engine();
@@ -108,6 +109,7 @@ int main() {
 
   issue();
   eng.run();
+  cluster::require_contract_clean(cl);
 
   std::printf("raw-verbs echo service (WRITE-over-UC in, SEND-over-UD out)\n");
   std::printf("  echoes      : %llu (all payloads verified)\n",

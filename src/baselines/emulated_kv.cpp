@@ -17,6 +17,8 @@ constexpr std::uint32_t kKeySize = 16;     // SK
 constexpr std::uint32_t kPointerSize = 8;  // SP (FaRM-em-VAR)
 /// Pilaf: expected bucket READs per GET ("1.6 average probes", §5.1.1).
 constexpr double kPilafAvgProbes = 1.6;
+/// Seeds the cluster's host RNGs and the clients' workload streams.
+constexpr std::uint64_t kSeed = 9;
 }  // namespace
 
 const char* system_name(System s) {
@@ -48,8 +50,8 @@ std::uint64_t EmulatedKvTestbed::random_table_offset(Client& c,
 EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
     : cfg_(cfg), cpu_(cfg.cluster.cpu) {
   std::uint32_t n_client_hosts =
-      std::max(1u, (cfg.n_clients + cfg.clients_per_host - 1) /
-                       cfg.clients_per_host);
+      std::max(1u, (cfg.n_clients + cluster::kClientsPerHost - 1) /
+                       cluster::kClientsPerHost);
 
   // Server memory: READ area + per-client PUT slots + staging.
   std::uint64_t put_region =
@@ -66,14 +68,14 @@ EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
                                    kReplyStride) +
       (4u << 10);
   std::uint64_t client_mem =
-      cfg.clients_per_host * client_arena + (16u << 10);
+      cluster::kClientsPerHost * client_arena + (16u << 10);
 
   // Every host gets the larger size, so each client host also spans the
   // server's READ table. Arenas are zeroed lazily, so those untouched bytes
   // cost address space, not RSS.
   cluster_ = std::make_unique<cluster::Cluster>(
       cfg.cluster, 1 + n_client_hosts, std::max(server_mem, client_mem),
-      cfg.seed);
+      kSeed);
 
   auto& server = cluster_->host(0);
   auto& sctx = server.ctx();
@@ -104,15 +106,15 @@ EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
   for (std::uint32_t i = 0; i < cfg.n_clients; ++i) {
     auto c = std::make_unique<Client>();
     c->id = i;
-    c->host = &cluster_->host(1 + i / cfg.clients_per_host);
+    c->host = &cluster_->host(1 + i / cluster::kClientsPerHost);
     c->proc = i % cfg.n_server_procs;
     c->core = std::make_unique<cluster::SequentialCore>(
         cluster_->engine(),
         c->host->name() + "/client" + std::to_string(i));
     c->send_cq = c->host->ctx().create_cq();
     c->recv_cq = c->host->ctx().create_cq();
-    c->rng = sim::Pcg32(cfg.seed + i * 131, 77);
-    c->arena = (i % cfg.clients_per_host) * client_arena;
+    c->rng = sim::Pcg32(kSeed + i * 131, 77);
+    c->arena = (i % cluster::kClientsPerHost) * client_arena;
     c->arena_mr = c->host->ctx().register_mr(c->arena, client_arena,
                                              {.remote_write = true});
 
@@ -182,7 +184,6 @@ EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
       procs_[s].recv_cq->set_notify([this, s]() { pilaf_server_on_recv(s); });
     }
   }
-  (void)staging_base;
 }
 
 // --------------------------------------------------------------------------

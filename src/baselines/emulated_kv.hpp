@@ -45,11 +45,9 @@ struct EmulatedConfig {
   cluster::ClusterConfig cluster = cluster::ClusterConfig::apt();
   std::uint32_t n_server_procs = 6;  // CPU cores provisioned for PUTs
   std::uint32_t n_clients = 51;
-  std::uint32_t clients_per_host = 3;
   std::uint32_t window = 4;          // outstanding ops per client
   double get_fraction = 0.95;
   std::uint32_t value_size = 32;     // SV
-  std::uint64_t seed = 9;
 };
 
 class EmulatedKvTestbed {

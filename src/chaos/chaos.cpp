@@ -9,9 +9,10 @@ namespace herd::chaos {
 
 namespace {
 
+/// The server plus the client machines HerdTestbed packs n_clients onto.
 std::uint32_t hosts_for_clients(std::uint32_t n_clients) {
-  // Mirrors TestbedConfig.clients_per_host = 3 (see to_testbed_config).
-  return 1 + (n_clients + 2) / 3;
+  return 1 + (n_clients + cluster::kClientsPerHost - 1) /
+                 cluster::kClientsPerHost;
 }
 
 }  // namespace

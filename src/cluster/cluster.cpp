@@ -60,19 +60,6 @@ std::vector<std::string> ClusterConfig::validate() const {
   return problems;
 }
 
-ClusterConfig ClusterConfigBuilder::build() const {
-  std::vector<std::string> problems = cfg_.validate();
-  if (!problems.empty()) {
-    std::string msg = "ClusterConfig invalid:";
-    for (const std::string& p : problems) {
-      msg += "\n  - ";
-      msg += p;
-    }
-    throw std::invalid_argument(msg);
-  }
-  return cfg_;
-}
-
 Host::Host(sim::Engine& engine, fabric::Fabric& fabric,
            const ClusterConfig& cfg, std::string name, std::size_t mem_bytes,
            std::uint64_t seed, obs::RequestProbe& probe,
@@ -95,10 +82,8 @@ Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
     hosts_.push_back(std::make_unique<Host>(
         engine_, fabric_, cfg_, cfg.name + "/host" + std::to_string(i),
         mem_per_host, seed + i * 7919, probe_, payloads_));
-    if (cfg_.contract_check) {
-      hosts_.back()->ctx().enable_contract(
-          verbs::ContractChecker::Mode::kCollect);
-    }
+    hosts_.back()->ctx().enable_contract(
+        verbs::ContractChecker::Mode::kCollect);
   }
 
   // One registry + probe for the whole cluster. Host display names carry
@@ -124,11 +109,7 @@ Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
         "contract." + std::string(verbs::contract_rule_name(rule)),
         [this, rule] {
           std::uint64_t n = 0;
-          for (const auto& h : hosts_) {
-            if (const verbs::ContractChecker* ck = h->ctx().contract()) {
-              n += ck->count(rule);
-            }
-          }
+          for (const auto& h : hosts_) n += h->ctx().contract()->count(rule);
           return n;
         });
   }
@@ -136,19 +117,15 @@ Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
 
 std::uint64_t Cluster::contract_violations() const {
   std::uint64_t total = 0;
-  for (const auto& h : hosts_) {
-    const verbs::ContractChecker* ck = h->ctx().contract();
-    if (ck != nullptr) total += ck->total();
-  }
+  for (const auto& h : hosts_) total += h->ctx().contract()->total();
   return total;
 }
 
 std::string Cluster::contract_diagnostics() const {
   std::string out;
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    const verbs::ContractChecker* ck = hosts_[i]->ctx().contract();
-    if (ck == nullptr) continue;
-    for (const verbs::ContractViolation& v : ck->violations()) {
+    for (const verbs::ContractViolation& v :
+         hosts_[i]->ctx().contract()->violations()) {
       out += "host ";
       out += std::to_string(i);
       out += ' ';

@@ -33,10 +33,6 @@ struct ClusterConfig {
   pcie::PcieConfig pcie = pcie::PcieConfig::gen3_x8();
   fabric::FabricConfig fabric = fabric::FabricConfig::infiniband_56g();
   CpuModel cpu;
-  /// Attach a verbs contract checker (collect mode) to every host's
-  /// context. Free in simulated time; on by default so misuse surfaces in
-  /// every bench and test, not just the HERD testbed.
-  bool contract_check = true;
 
   /// Apt: Xeon E5-2450, ConnectX-3 MX354A 56 Gbps IB, PCIe 3.0 x8 (Table 2).
   static ClusterConfig apt();
@@ -44,66 +40,16 @@ struct ClusterConfig {
   static ClusterConfig susitna();
 
   /// Consistency checks; returns human-readable problems (empty = valid).
-  /// ClusterConfigBuilder::build() enforces this; constructing a Cluster
-  /// from a raw struct stays unchecked so tests can model broken setups.
+  /// TestbedConfig::validate() includes them; constructing a Cluster from
+  /// a raw struct stays unchecked so tests can model broken setups.
   std::vector<std::string> validate() const;
 };
 
-/// Fluent, validating construction of a ClusterConfig:
-///
-///   auto cfg = ClusterConfigBuilder(ClusterConfig::apt())
-///                  .link_gbps(3.9)
-///                  .loss_probability(1e-6)
-///                  .build();   // throws std::invalid_argument on nonsense
-class ClusterConfigBuilder {
- public:
-  explicit ClusterConfigBuilder(ClusterConfig base = ClusterConfig::apt())
-      : cfg_(std::move(base)) {}
-
-  ClusterConfigBuilder& name(std::string v) {
-    cfg_.name = std::move(v);
-    return *this;
-  }
-  ClusterConfigBuilder& rnic(const rnic::RnicCalibration& v) {
-    cfg_.rnic = v;
-    return *this;
-  }
-  ClusterConfigBuilder& pcie(const pcie::PcieConfig& v) {
-    cfg_.pcie = v;
-    return *this;
-  }
-  ClusterConfigBuilder& fabric(const fabric::FabricConfig& v) {
-    cfg_.fabric = v;
-    return *this;
-  }
-  ClusterConfigBuilder& cpu(const CpuModel& v) {
-    cfg_.cpu = v;
-    return *this;
-  }
-  ClusterConfigBuilder& link_gbps(double v) {
-    cfg_.fabric.link_gbps = v;
-    return *this;
-  }
-  ClusterConfigBuilder& mtu(std::uint32_t v) {
-    cfg_.fabric.mtu = v;
-    return *this;
-  }
-  ClusterConfigBuilder& loss_probability(double v) {
-    cfg_.fabric.loss_probability = v;
-    return *this;
-  }
-  ClusterConfigBuilder& contract_check(bool v) {
-    cfg_.contract_check = v;
-    return *this;
-  }
-
-  /// Validates and returns the config; throws std::invalid_argument
-  /// listing every problem when the setup is inconsistent.
-  ClusterConfig build() const;
-
- private:
-  ClusterConfig cfg_;
-};
+/// Client processes per client machine: "The 17 client machines run up to
+/// 3 client processes each" (§5.1). The HERD testbed, the emulated
+/// baselines, the echo microbench and the chaos harness all pack clients
+/// onto hosts this way.
+inline constexpr std::uint32_t kClientsPerHost = 3;
 
 /// One machine: DRAM, a PCIe link, an RNIC, and a verbs context.
 class Host {
@@ -170,8 +116,9 @@ class Cluster {
   obs::ResourceRegistry& resources() { return resources_; }
   const obs::ResourceRegistry& resources() const { return resources_; }
 
-  /// Total verbs-contract violations across all hosts (0 when the checker
-  /// is disabled).
+  /// Total verbs-contract violations across all hosts. Every host's context
+  /// carries a checker (collect mode) from construction, so misuse surfaces
+  /// in every bench and test.
   std::uint64_t contract_violations() const;
   /// Formatted violations, one per line, prefixed with the host index.
   std::string contract_diagnostics() const;
@@ -190,9 +137,9 @@ class Cluster {
 };
 
 /// Throws std::logic_error carrying the full diagnostics if any host's
-/// contract checker recorded a violation. Benches and examples call this
-/// before reporting numbers, so a latent verbs misuse fails the run
-/// instead of skewing it.
+/// contract checker recorded a violation. Published bench runs and the
+/// verbs examples pass through this before reporting numbers, so a latent
+/// verbs misuse fails the run instead of skewing it.
 void require_contract_clean(const Cluster& cl);
 
 }  // namespace herd::cluster

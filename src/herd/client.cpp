@@ -74,8 +74,8 @@ HerdClient::HerdClient(cluster::Host& host, std::uint32_t id,
 
 void HerdClient::set_resilience(const ClientResilience& r) {
   // Coupling rules (deadlines/failover need correlation tokens, failover
-  // needs a second process, ...) are enforced by HerdConfigBuilder::validate
-  // at config-build time, where the mistake is made — not here, where it
+  // needs a second process, ...) are enforced by core::validate at
+  // config-build time, where the mistake is made — not here, where it
   // would surface long after.
   res_ = r;
 }

@@ -100,8 +100,8 @@ class HerdClient {
   /// Full resilience policy: exponential backoff with jitter, per-request
   /// deadlines, and failover to a surviving server process. Deadlines and
   /// failover require HerdConfig::request_tokens — enforced at config-build
-  /// time by HerdConfigBuilder::validate() (which TestbedConfig::validate()
-  /// delegates to), not here.
+  /// time by core::validate() (which TestbedConfig::validate() delegates
+  /// to), not here.
   void set_resilience(const ClientResilience& r);
   const ClientResilience& resilience() const { return res_; }
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -96,13 +95,9 @@ struct HerdConfig {
   /// values (144 bytes on Apt, 192 on Susitna), HERD switches to using
   /// non-inlined SENDs", §5.3).
   std::uint32_t inline_threshold = 144;
-  /// Masking DRAM latency with the two-stage request pipeline (§4.1.1).
-  bool prefetch = true;
   RequestMode mode = RequestMode::kWriteUc;
   /// Per-process MICA cache sizing (scaled-down defaults; see DESIGN.md).
   kv::MicaCache::Config mica{};
-  /// Per-process response staging ring (reuse horizon for non-inlined SENDs).
-  std::uint32_t response_ring = 64;
   /// Carry a 4-byte correlation token in requests and responses. Required
   /// for correct response matching when application-level retries are in
   /// play (lossy fabric); off by default — it costs 4 bytes of inline-PIO
@@ -194,176 +189,88 @@ struct ClientResilience {
   sim::Tick breaker_cooldown = sim::us(100);
 };
 
-/// Fluent, validating construction of a (HerdConfig, ClientResilience)
-/// pair. The coupling rules between the two structs — failover needs
-/// somewhere to fail over to, deadlines/failover/replication need
-/// correlation tokens, dedup retention must outlive the retry horizon —
-/// are enforced here at config-build time, not deep inside the client at
+/// The coupling rules between the two structs: failover needs somewhere to
+/// fail over to, deadlines/failover/replication need correlation tokens,
+/// dedup retention must outlive the retry horizon. Checked at config time
+/// (TestbedConfig::validate()), not deep inside the client at
 /// set_resilience() time where the error surfaces long after the mistake.
-///
-///   auto built = HerdConfigBuilder()
-///                    .server_procs(6).request_tokens(true)
-///                    .failover_threshold(3).deadline(sim::us(500))
-///                    .build();   // throws std::invalid_argument on nonsense
-class HerdConfigBuilder {
- public:
-  explicit HerdConfigBuilder(HerdConfig herd = {}, ClientResilience res = {})
-      : herd_(herd), res_(res) {}
-
-  HerdConfigBuilder& server_procs(std::uint32_t v) {
-    herd_.n_server_procs = v;
-    return *this;
+/// Returns human-readable problems (empty = valid).
+inline std::vector<std::string> validate(const HerdConfig& h,
+                                         const ClientResilience& r) {
+  std::vector<std::string> problems;
+  if ((r.deadline > 0 || r.failover_threshold > 0) && !h.request_tokens) {
+    problems.push_back(
+        "resilience deadlines/failover require herd.request_tokens "
+        "(late or failed-over responses must carry a correlation token)");
   }
-  HerdConfigBuilder& clients(std::uint32_t v) {
-    herd_.n_clients = v;
-    return *this;
+  if (r.failover_threshold > 0 && h.n_server_procs < 2) {
+    problems.push_back(
+        "resilience.failover_threshold is set but herd.n_server_procs is " +
+        std::to_string(h.n_server_procs) +
+        " — failover needs a second server process to fail over to");
   }
-  HerdConfigBuilder& window(std::uint32_t v) {
-    herd_.window = v;
-    return *this;
+  if (h.replicate && h.n_server_procs < 2) {
+    problems.push_back(
+        "herd.replicate requires n_server_procs >= 2 (each shard's backup "
+        "must live on a different process than its primary)");
   }
-  HerdConfigBuilder& request_tokens(bool v) {
-    herd_.request_tokens = v;
-    return *this;
+  if (h.replicate && !h.request_tokens) {
+    problems.push_back(
+        "herd.replicate requires herd.request_tokens (the backup's "
+        "duplicate-suppression ring keys on correlation tokens; without "
+        "them a retry after promotion re-applies the mutation)");
   }
-  HerdConfigBuilder& replicate(bool v) {
-    herd_.replicate = v;
-    return *this;
+  if (h.request_tokens && h.mutation_dedup && r.retry_timeout > 0 &&
+      r.deadline > 0 &&
+      h.dedup_retention <= r.deadline + r.backoff_max) {
+    problems.push_back(
+        "herd.dedup_retention must exceed resilience.deadline + "
+        "resilience.backoff_max, or a late retry outlives its "
+        "duplicate-suppression entry and re-applies the mutation");
   }
-  HerdConfigBuilder& trace(bool v) {
-    herd_.trace = v;
-    return *this;
+  if (h.trace && !h.request_tokens) {
+    problems.push_back(
+        "herd.trace requires herd.request_tokens (a traced response must "
+        "be matchable to the exact attempt that carried the trace id, or "
+        "retries would fork the trace)");
   }
-  HerdConfigBuilder& dedup_retention(sim::Tick v) {
-    herd_.dedup_retention = v;
-    return *this;
+  if (h.overload.enable && !h.request_tokens) {
+    problems.push_back(
+        "herd.overload.enable requires herd.request_tokens (a kOverloaded "
+        "shed must be matchable to the exact attempt it refused, or the "
+        "client cannot prove the attempt was never applied)");
   }
-  HerdConfigBuilder& retry_timeout(sim::Tick v) {
-    res_.retry_timeout = v;
-    return *this;
+  if (h.overload.enable && h.overload.n_tenants == 0) {
+    problems.push_back("herd.overload.n_tenants must be >= 1");
   }
-  HerdConfigBuilder& deadline(sim::Tick v) {
-    res_.deadline = v;
-    return *this;
+  if (h.overload.enable && !h.overload.weights.empty() &&
+      h.overload.weights.size() != h.overload.n_tenants) {
+    problems.push_back(
+        "herd.overload.weights must be empty or have exactly n_tenants "
+        "entries");
   }
-  HerdConfigBuilder& failover_threshold(std::uint32_t v) {
-    res_.failover_threshold = v;
-    return *this;
-  }
-  HerdConfigBuilder& resilience(const ClientResilience& v) {
-    res_ = v;
-    return *this;
-  }
-  HerdConfigBuilder& overload(const OverloadConfig& v) {
-    herd_.overload = v;
-    return *this;
-  }
-
-  /// The coupling rules, reusable by TestbedConfig::validate(). Returns
-  /// human-readable problems (empty = valid).
-  static std::vector<std::string> validate(const HerdConfig& h,
-                                           const ClientResilience& r) {
-    std::vector<std::string> problems;
-    if ((r.deadline > 0 || r.failover_threshold > 0) && !h.request_tokens) {
-      problems.push_back(
-          "resilience deadlines/failover require herd.request_tokens "
-          "(late or failed-over responses must carry a correlation token)");
-    }
-    if (r.failover_threshold > 0 && h.n_server_procs < 2) {
-      problems.push_back(
-          "resilience.failover_threshold is set but herd.n_server_procs is " +
-          std::to_string(h.n_server_procs) +
-          " — failover needs a second server process to fail over to");
-    }
-    if (h.replicate && h.n_server_procs < 2) {
-      problems.push_back(
-          "herd.replicate requires n_server_procs >= 2 (each shard's backup "
-          "must live on a different process than its primary)");
-    }
-    if (h.replicate && !h.request_tokens) {
-      problems.push_back(
-          "herd.replicate requires herd.request_tokens (the backup's "
-          "duplicate-suppression ring keys on correlation tokens; without "
-          "them a retry after promotion re-applies the mutation)");
-    }
-    if (h.request_tokens && h.mutation_dedup && r.retry_timeout > 0 &&
-        r.deadline > 0 &&
-        h.dedup_retention <= r.deadline + r.backoff_max) {
-      problems.push_back(
-          "herd.dedup_retention must exceed resilience.deadline + "
-          "resilience.backoff_max, or a late retry outlives its "
-          "duplicate-suppression entry and re-applies the mutation");
-    }
-    if (h.trace && !h.request_tokens) {
-      problems.push_back(
-          "herd.trace requires herd.request_tokens (a traced response must "
-          "be matchable to the exact attempt that carried the trace id, or "
-          "retries would fork the trace)");
-    }
-    if (h.overload.enable && !h.request_tokens) {
-      problems.push_back(
-          "herd.overload.enable requires herd.request_tokens (a kOverloaded "
-          "shed must be matchable to the exact attempt it refused, or the "
-          "client cannot prove the attempt was never applied)");
-    }
-    if (h.overload.enable && h.overload.n_tenants == 0) {
-      problems.push_back("herd.overload.n_tenants must be >= 1");
-    }
-    if (h.overload.enable && !h.overload.weights.empty() &&
-        h.overload.weights.size() != h.overload.n_tenants) {
-      problems.push_back(
-          "herd.overload.weights must be empty or have exactly n_tenants "
-          "entries");
-    }
-    if (h.overload.enable) {
-      for (std::uint32_t w : h.overload.weights) {
-        if (w == 0) {
-          problems.push_back(
-              "herd.overload.weights entries must be >= 1 (a zero-weight "
-              "tenant would never be dequeued)");
-          break;
-        }
+  if (h.overload.enable) {
+    for (std::uint32_t w : h.overload.weights) {
+      if (w == 0) {
+        problems.push_back(
+            "herd.overload.weights entries must be >= 1 (a zero-weight "
+            "tenant would never be dequeued)");
+        break;
       }
     }
-    if (h.overload.enable && h.overload.queue_low >= h.overload.queue_high) {
-      problems.push_back(
-          "herd.overload.queue_low must be below queue_high (the hysteresis "
-          "band is what keeps degraded mode from flapping)");
-    }
-    if (r.breaker_threshold > 0 && !h.overload.enable) {
-      problems.push_back(
-          "resilience.breaker_threshold is set but herd.overload.enable is "
-          "false — the breaker trips on kOverloaded replies, which only an "
-          "overload-enabled service emits");
-    }
-    return problems;
   }
-
-  std::vector<std::string> validate() const { return validate(herd_, res_); }
-
-  struct Built {
-    HerdConfig herd;
-    ClientResilience resilience;
-  };
-
-  /// Validates and returns the pair; throws std::invalid_argument listing
-  /// every problem when the setup is inconsistent.
-  Built build() const {
-    std::vector<std::string> problems = validate();
-    if (!problems.empty()) {
-      std::string msg = "HerdConfig invalid:";
-      for (const std::string& p : problems) {
-        msg += "\n  - ";
-        msg += p;
-      }
-      throw std::invalid_argument(msg);
-    }
-    return {herd_, res_};
+  if (h.overload.enable && h.overload.queue_low >= h.overload.queue_high) {
+    problems.push_back(
+        "herd.overload.queue_low must be below queue_high (the hysteresis "
+        "band is what keeps degraded mode from flapping)");
   }
-
- private:
-  HerdConfig herd_;
-  ClientResilience res_;
-};
+  if (r.breaker_threshold > 0 && !h.overload.enable) {
+    problems.push_back(
+        "resilience.breaker_threshold is set but herd.overload.enable is "
+        "false — the breaker trips on kOverloaded replies, which only an "
+        "overload-enabled service emits");
+  }
+  return problems;
+}
 
 }  // namespace herd::core

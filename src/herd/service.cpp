@@ -14,6 +14,8 @@ namespace herd::core {
 
 namespace {
 constexpr std::uint32_t kRespStride = 1024;  // status+LEN+value, padded
+/// Per-process response staging ring (reuse horizon for non-inlined SENDs).
+constexpr std::uint32_t kResponseRing = 64;
 constexpr std::uint32_t kRecvStride = kSlotBytes + verbs::kGrhBytes;
 /// Sentinel slot/recv address: this Pending was already re-armed (it went
 /// through the parked queue); serving it again must not clear the slot or
@@ -38,7 +40,7 @@ HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
   if (cfg.replicate && (!cfg.request_tokens || cfg.n_server_procs < 2)) {
     throw std::invalid_argument(
         "HerdService: replicate requires request_tokens and >= 2 server "
-        "processes (see HerdConfigBuilder::validate)");
+        "processes (see core::validate)");
   }
   if (required_memory(cfg) > host.memory().size()) {
     throw std::invalid_argument(
@@ -47,7 +49,7 @@ HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
   if (cfg.overload.enable && !cfg.request_tokens) {
     throw std::invalid_argument(
         "HerdService: overload admission requires request_tokens (see "
-        "HerdConfigBuilder::validate)");
+        "core::validate)");
   }
   shed_enabled_ = cfg.overload.enable && !cfg.overload.drop_shedding;
   auto& ctx = host.ctx();
@@ -61,7 +63,7 @@ HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
   // Scratch: response staging rings, and recv buffers in SEND mode.
   std::uint64_t scratch_base = cursor;
   std::uint64_t per_proc_resp =
-      std::uint64_t{cfg.response_ring} * kRespStride;
+      std::uint64_t{kResponseRing} * kRespStride;
   std::uint64_t per_proc_recv =
       cfg.mode == RequestMode::kSendUd
           ? std::uint64_t{cfg.n_clients} * cfg.window * kRecvStride
@@ -179,7 +181,7 @@ std::uint64_t HerdService::required_memory(const HerdConfig& cfg) {
   std::uint64_t region = std::uint64_t{cfg.n_server_procs} * cfg.n_clients *
                          cfg.window * kSlotBytes;
   std::uint64_t resp =
-      std::uint64_t{cfg.n_server_procs} * cfg.response_ring * kRespStride;
+      std::uint64_t{cfg.n_server_procs} * kResponseRing * kRespStride;
   std::uint64_t recv = cfg.mode == RequestMode::kSendUd
                            ? std::uint64_t{cfg.n_server_procs} *
                                  cfg.n_clients * cfg.window * kRecvStride
@@ -705,9 +707,8 @@ void HerdService::advance(std::uint32_t s) {
   while (p.pipeline.size() > 2) retire();
   if (!admitted && !p.pipeline.empty()) retire();
 
-  sim::Tick access_cost =
-      cfg_.prefetch ? (cpu_.dram_access_prefetched + cpu_.prefetch_issue)
-                    : cpu_.dram_access;
+  const sim::Tick access_cost =
+      cpu_.dram_access_prefetched + cpu_.prefetch_issue;
   for (std::size_t i = p.in_core.size() - n_done; i < p.in_core.size(); ++i) {
     const Request& req = p.in_core[i].request;
     std::uint32_t accesses = req.is_put || req.is_delete ? 1 : 2;
@@ -1055,7 +1056,7 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
     return;
   }
   std::uint64_t addr =
-      p.resp_base + (p.resp_slot++ % cfg_.response_ring) * kRespStride;
+      p.resp_base + (p.resp_slot++ % kResponseRing) * kRespStride;
   auto buf = host_->memory().span(addr, kRespStride);
   std::uint32_t len =
       encode_response(buf, status, value, cfg_.request_tokens, token);
@@ -1072,7 +1073,7 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
   if (p.resp_coalesce) {
     // Inside a scheduling quantum: accumulate; the burst-ending
     // flush_responses() posts the accumulated WRs as one chain. The
-    // staging ring (response_ring slots) is far deeper than the chain cap,
+    // staging ring (kResponseRing slots) is far deeper than the chain cap,
     // so slots stay live until the chained post captures/DMAs them.
     p.resp_chain.push_back(wr);
     p.resp_chain_meta.push_back({trace, host_->ctx().engine().now()});

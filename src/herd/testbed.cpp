@@ -15,9 +15,6 @@ std::vector<std::string> TestbedConfig::validate() const {
   if (herd.n_clients == 0) {
     problems.push_back("herd.n_clients must be >= 1");
   }
-  if (clients_per_host == 0) {
-    problems.push_back("clients_per_host must be >= 1");
-  }
   if (herd.window == 0) {
     problems.push_back("herd.window must be >= 1 (no outstanding requests "
                        "means no traffic)");
@@ -41,9 +38,6 @@ std::vector<std::string> TestbedConfig::validate() const {
         "herd.inline_threshold " + std::to_string(herd.inline_threshold) +
         " > fabric.mtu " + std::to_string(cluster.fabric.mtu));
   }
-  if (herd.response_ring == 0) {
-    problems.push_back("herd.response_ring must be >= 1");
-  }
   std::uint32_t max_value = max_value_bytes(herd.request_tokens,
                                             herd.replicate,
                                             herd.overload.enable);
@@ -65,8 +59,7 @@ std::vector<std::string> TestbedConfig::validate() const {
   }
   // The HerdConfig <-> ClientResilience coupling rules (tokens, failover
   // targets, replication, dedup retention) live in one place.
-  std::vector<std::string> coupled =
-      HerdConfigBuilder::validate(herd, resilience);
+  std::vector<std::string> coupled = core::validate(herd, resilience);
   problems.insert(problems.end(), coupled.begin(), coupled.end());
   return problems;
 }
@@ -86,9 +79,9 @@ TestbedConfig TestbedConfigBuilder::build() const {
 
 HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
   const HerdConfig& h = cfg_.herd;
-  std::uint32_t n_client_hosts =
-      (h.n_clients + cfg_.clients_per_host - 1) / cfg_.clients_per_host;
-  n_client_hosts = std::max(n_client_hosts, 1u);
+  std::uint32_t n_client_hosts = std::max(
+      (h.n_clients + cluster::kClientsPerHost - 1) / cluster::kClientsPerHost,
+      1u);
 
   // A nonzero master seed perturbs every randomized layer in lockstep.
   std::uint64_t host_seed = 42;
@@ -101,7 +94,7 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
 
   std::uint64_t server_mem = HerdService::required_memory(h);
   std::uint64_t client_mem =
-      std::uint64_t{cfg_.clients_per_host} * HerdClient::arena_bytes(h) +
+      std::uint64_t{cluster::kClientsPerHost} * HerdClient::arena_bytes(h) +
       (16u << 10);
   // Every host gets the larger size: arenas are zeroed lazily, so a host's
   // untouched bytes cost address space, not RSS, and peak RSS tracks the
@@ -110,7 +103,6 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
 
   // The cluster attaches checkers at host construction, before any QP/MR
   // exists, so every registration and post is seen.
-  cfg_.cluster.contract_check = cfg_.contract_check;
   cluster_ = std::make_unique<cluster::Cluster>(
       cfg_.cluster, 1 + n_client_hosts, mem, host_seed);
   service_ = std::make_unique<HerdService>(cluster_->host(0), h,
@@ -151,9 +143,9 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
 
   clients_.reserve(h.n_clients);
   for (std::uint32_t c = 0; c < h.n_clients; ++c) {
-    auto& host = cluster_->host(1 + c / cfg_.clients_per_host);
+    auto& host = cluster_->host(1 + c / cluster::kClientsPerHost);
     std::uint64_t arena =
-        (c % cfg_.clients_per_host) * HerdClient::arena_bytes(h);
+        (c % cluster::kClientsPerHost) * HerdClient::arena_bytes(h);
     workload::WorkloadConfig wl = cfg_.workload;
     wl.seed = cfg_.workload.seed + 1000003ULL * c;
     clients_.push_back(

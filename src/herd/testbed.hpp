@@ -27,8 +27,6 @@ struct TestbedConfig {
   cluster::ClusterConfig cluster = cluster::ClusterConfig::apt();
   HerdConfig herd{};
   workload::WorkloadConfig workload{};
-  /// Client processes per client machine (paper: up to 3).
-  std::uint32_t clients_per_host = 3;
   /// Keys preloaded into the store before measurement (0 = workload.n_keys).
   std::uint64_t preload_keys = 0;
   bool verify_values = false;
@@ -43,10 +41,6 @@ struct TestbedConfig {
   /// History hook wired into the service and every client (chaos harness;
   /// must outlive the testbed). nullptr = no recording.
   HistoryObserver* observer = nullptr;
-  /// Attach the verbs contract checker (collect mode) to every host's
-  /// context. Violations surface in snapshot() as "contract.*" and
-  /// through contract_violations().
-  bool contract_check = true;
   /// Request-lifecycle tracing: when nonzero, the cluster tracer is enabled
   /// and every Nth client request opens a sampling window (all layers record
   /// spans while a sampled request is in flight). 0 = tracing off; the
@@ -84,24 +78,12 @@ class TestbedConfigBuilder {
     cfg_.cluster = v;
     return *this;
   }
-  TestbedConfigBuilder& herd(const HerdConfig& v) {
-    cfg_.herd = v;
-    return *this;
-  }
-  TestbedConfigBuilder& workload(const workload::WorkloadConfig& v) {
-    cfg_.workload = v;
-    return *this;
-  }
   TestbedConfigBuilder& server_procs(std::uint32_t v) {
     cfg_.herd.n_server_procs = v;
     return *this;
   }
   TestbedConfigBuilder& clients(std::uint32_t v) {
     cfg_.herd.n_clients = v;
-    return *this;
-  }
-  TestbedConfigBuilder& clients_per_host(std::uint32_t v) {
-    cfg_.clients_per_host = v;
     return *this;
   }
   TestbedConfigBuilder& window(std::uint32_t v) {
@@ -112,20 +94,8 @@ class TestbedConfigBuilder {
     cfg_.herd.inline_threshold = v;
     return *this;
   }
-  TestbedConfigBuilder& mode(RequestMode v) {
-    cfg_.herd.mode = v;
-    return *this;
-  }
   TestbedConfigBuilder& request_tokens(bool v) {
     cfg_.herd.request_tokens = v;
-    return *this;
-  }
-  TestbedConfigBuilder& replicate(bool v) {
-    cfg_.herd.replicate = v;
-    return *this;
-  }
-  TestbedConfigBuilder& overload(const OverloadConfig& v) {
-    cfg_.herd.overload = v;
     return *this;
   }
   TestbedConfigBuilder& value_len(std::uint32_t v) {
@@ -165,22 +135,6 @@ class TestbedConfigBuilder {
     cfg_.seed = v;
     return *this;
   }
-  TestbedConfigBuilder& fault_plan(fault::FaultPlan v) {
-    cfg_.fault_plan = std::move(v);
-    return *this;
-  }
-  TestbedConfigBuilder& resilience(const ClientResilience& v) {
-    cfg_.resilience = v;
-    return *this;
-  }
-  TestbedConfigBuilder& observer(HistoryObserver* v) {
-    cfg_.observer = v;
-    return *this;
-  }
-  TestbedConfigBuilder& contract_check(bool v) {
-    cfg_.contract_check = v;
-    return *this;
-  }
   TestbedConfigBuilder& trace_sample_every(std::uint64_t v) {
     cfg_.trace_sample_every = v;
     return *this;
@@ -194,10 +148,6 @@ class TestbedConfigBuilder {
   }
   TestbedConfigBuilder& flight_interval(sim::Tick v) {
     cfg_.flight_interval = v;
-    return *this;
-  }
-  TestbedConfigBuilder& flight_ring(std::size_t v) {
-    cfg_.flight_ring = v;
     return *this;
   }
 
@@ -216,6 +166,7 @@ class HerdTestbed {
   HerdTestbed& operator=(const HerdTestbed&) = delete;
 
   cluster::Cluster& cluster() { return *cluster_; }
+  const cluster::Cluster& cluster() const { return *cluster_; }
   HerdService& service() { return *service_; }
   HerdClient& client(std::size_t i) { return *clients_.at(i); }
   std::size_t num_clients() const { return clients_.size(); }
@@ -292,10 +243,9 @@ class HerdTestbed {
   /// The armed injector (nullptr when fault_plan was empty).
   fault::FaultInjector* fault() { return fault_.get(); }
 
-  /// Total ibverbs-contract violations recorded across all hosts (0 when
-  /// contract_check is off). A nonzero count means some component misused
-  /// the verbs layer — see snapshot()'s contract.* entries for the
-  /// per-rule breakdown and
+  /// Total ibverbs-contract violations recorded across all hosts. A nonzero
+  /// count means some component misused the verbs layer — see snapshot()'s
+  /// contract.* entries for the per-rule breakdown and
   /// contract_diagnostics() for the offending posts.
   std::uint64_t contract_violations() const;
   /// Formatted diagnostics of retained violations, one per line.

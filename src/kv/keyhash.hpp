@@ -71,10 +71,4 @@ inline std::uint32_t partition_of(const KeyHash& k, std::uint32_t n_parts) {
                                     n_parts);
 }
 
-struct KeyHashHasher {
-  std::size_t operator()(const KeyHash& k) const {
-    return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ULL));
-  }
-};
-
 }  // namespace herd::kv

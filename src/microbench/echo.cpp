@@ -207,7 +207,8 @@ void drain_on_notify(verbs::Cq& cq) {
 
 void Deployment::build(const cluster::ClusterConfig& cfg) {
   cpu = cfg.cpu;
-  std::uint32_t n_hosts = (opts.n_clients + 2) / 3;
+  std::uint32_t n_hosts = (opts.n_clients + cluster::kClientsPerHost - 1) /
+                          cluster::kClientsPerHost;
   std::uint64_t server_mem =
       (std::uint64_t{opts.n_clients} * opts.window +
        std::uint64_t{opts.n_server_procs} * 64) *
@@ -239,12 +240,13 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
     auto cc = std::make_unique<Client>();
     cc->id = c;
     cc->proc = c % opts.n_server_procs;
-    cc->host = &cl->host(1 + c / 3);
+    cc->host = &cl->host(1 + c / cluster::kClientsPerHost);
     cc->core = std::make_unique<cluster::SequentialCore>(cl->engine(), "c");
     cc->scq = cc->host->ctx().create_cq();
     cc->rcq = cc->host->ctx().create_cq();
     drain_on_notify(*cc->scq);
-    cc->arena = (c % 3) * (8192 + std::uint64_t{opts.window} * kSlot + 4096);
+    cc->arena = (c % cluster::kClientsPerHost) *
+                (8192 + std::uint64_t{opts.window} * kSlot + 4096);
     cc->mr = cc->host->ctx().register_mr(
         cc->arena, 8192 + std::uint64_t{opts.window} * kSlot + 4096,
         {.remote_write = true});
@@ -287,10 +289,6 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
   // Request arrival hooks at the server.
   if (kind == EchoKind::kSendSend) {
     // Pre-post RECVs per client channel; recv CQs are per proc.
-    std::uint64_t rbase =
-        (std::uint64_t{opts.n_clients} * opts.window +
-         std::uint64_t{opts.n_server_procs} * 64) *
-        kSlot;
     for (std::uint32_t c = 0; c < opts.n_clients; ++c) {
       for (std::uint32_t w = 0; w < opts.window; ++w) {
         // Reuse request-slot addresses as recv buffers.
@@ -300,7 +298,6 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
              .sge = {buf, kSlot, smr.lkey}});
       }
     }
-    (void)rbase;
     for (std::uint32_t s = 0; s < opts.n_server_procs; ++s) {
       procs[s].rcq->set_notify([this, s]() {
         // Batched CQ reaping: drain the backlog in wide polls.

@@ -68,24 +68,4 @@ class LatencyHistogram {
   double sum_ns_ = 0.0;
 };
 
-/// Counts completed operations over a simulated-time window and reports Mops.
-class ThroughputMeter {
- public:
-  void record(std::uint64_t n = 1) { ops_ += n; }
-  void start_window(Tick now) {
-    window_start_ = now;
-    ops_ = 0;
-  }
-  std::uint64_t ops() const { return ops_; }
-  /// Million ops per simulated second between start_window() and `now`.
-  double mops(Tick now) const {
-    Tick dt = now > window_start_ ? now - window_start_ : 1;
-    return static_cast<double>(ops_) / to_sec(dt) / 1e6;
-  }
-
- private:
-  std::uint64_t ops_ = 0;
-  Tick window_start_ = 0;
-};
-
 }  // namespace herd::sim

@@ -47,6 +47,13 @@ TEST(Cluster, ContextsAreWiredToTheirHosts) {
   EXPECT_EQ(&cl.host(0).ctx().engine(), &cl.engine());
 }
 
+TEST(Cluster, EveryHostRunsTheContractChecker) {
+  Cluster cl(ClusterConfig::apt(), 3, 4096);
+  for (std::size_t i = 0; i < cl.size(); ++i) {
+    EXPECT_NE(cl.host(i).ctx().contract(), nullptr) << "host " << i;
+  }
+}
+
 TEST(Cluster, HostOutOfRangeThrows) {
   Cluster cl(ClusterConfig::apt(), 2, 4096);
   EXPECT_THROW(cl.host(5), std::out_of_range);

@@ -17,11 +17,7 @@ namespace {
 
 class ContractTest : public ::testing::Test {
  protected:
-  ContractTest() : cl_(cluster::ClusterConfig::apt(), 3, 1u << 20) {
-    for (std::size_t i = 0; i < cl_.size(); ++i) {
-      cl_.host(i).ctx().enable_contract(ContractChecker::Mode::kCollect);
-    }
-  }
+  ContractTest() : cl_(cluster::ClusterConfig::apt(), 3, 1u << 20) {}
 
   struct Endpoint {
     std::unique_ptr<Cq> scq;
@@ -464,6 +460,27 @@ TEST(ContractCleanRun, BaselineSystemsAreViolationFree) {
     EXPECT_EQ(bed.cluster().contract_violations(), 0u)
         << baselines::system_name(sys) << "\n"
         << bed.cluster().contract_diagnostics();
+  }
+}
+
+// The canary for the gate every published bench run passes: one illegal
+// post must make require_contract_clean() throw, naming the broken rule.
+TEST(ContractCleanRun, RequireContractCleanThrowsOnAPlantedViolation) {
+  cluster::Cluster cl(cluster::ClusterConfig::apt(), 2, 1u << 20);
+  EXPECT_NO_THROW(cluster::require_contract_clean(cl));
+  auto& ctx = cl.host(0).ctx();
+  auto cq = ctx.create_cq();
+  auto qp = ctx.create_qp({Transport::kUd, cq.get(), cq.get()});
+  Mr mr = ctx.register_mr(0, 4096, {});
+  SendWr wr;
+  wr.sge = {0, 32, mr.lkey};  // a UD SEND without an address handle
+  EXPECT_THROW(qp->post_send(wr), std::invalid_argument);
+  try {
+    cluster::require_contract_clean(cl);
+    FAIL() << "expected require_contract_clean to throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("[missing-ah]"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -265,9 +265,9 @@ TEST(HerdFaults, ResilienceRequiresTokens) {
   cfg.workload.n_keys = 100;
   cfg.resilience.retry_timeout = sim::us(50);
   cfg.resilience.deadline = sim::ms(1);  // needs request_tokens
-  // The coupling rule is enforced at config-build time (HerdConfigBuilder
-  //::validate, which TestbedConfig::validate delegates to) — not deep in
-  // the client where the mistake would surface long after.
+  // The coupling rule is enforced at config-build time (core::validate,
+  // which TestbedConfig::validate delegates to) — not deep in the client
+  // where the mistake would surface long after.
   EXPECT_THROW(core::TestbedConfigBuilder(cfg).build(),
                std::invalid_argument);
 }

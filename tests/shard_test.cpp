@@ -1,5 +1,5 @@
 // Shard map, epoch-header wire protocol, and config coupling rules
-// (herd/shard.hpp, herd/protocol.hpp, HerdConfigBuilder).
+// (herd/shard.hpp, herd/protocol.hpp, core::validate).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,13 +8,13 @@
 #include "herd/config.hpp"
 #include "herd/protocol.hpp"
 #include "herd/shard.hpp"
+#include "herd/testbed.hpp"
 #include "kv/keyhash.hpp"
 
 namespace herd {
 namespace {
 
 using core::HerdConfig;
-using core::HerdConfigBuilder;
 using core::ClientResilience;
 using core::kNoBackup;
 using core::ShardMap;
@@ -133,72 +133,84 @@ TEST(Protocol, RedirectRoundTrips) {
   EXPECT_FALSE(core::decode_redirect(std::span<const std::byte>(buf, 4)));
 }
 
+// A default testbed carrying `h` and `r`: build() throws exactly when
+// core::validate(h, r) (or a testbed-level rule) reports a problem.
+core::TestbedConfig build(const HerdConfig& h, const ClientResilience& r) {
+  core::TestbedConfig cfg;
+  cfg.herd = h;
+  cfg.resilience = r;
+  return core::TestbedConfigBuilder(cfg).build();
+}
+
 TEST(ConfigBuilder, ValidSetupBuilds) {
-  auto built = HerdConfigBuilder()
-                   .server_procs(2)
-                   .request_tokens(true)
-                   .replicate(true)
-                   .retry_timeout(sim::us(30))
-                   .deadline(sim::ms(1))
-                   .failover_threshold(3)
-                   .build();
+  HerdConfig h;
+  h.n_server_procs = 2;
+  h.request_tokens = true;
+  h.replicate = true;
+  ClientResilience r;
+  r.retry_timeout = sim::us(30);
+  r.deadline = sim::ms(1);
+  r.failover_threshold = 3;
+  EXPECT_TRUE(core::validate(h, r).empty());
+  auto built = build(h, r);
   EXPECT_TRUE(built.herd.replicate);
   EXPECT_EQ(built.resilience.failover_threshold, 3u);
 }
 
 TEST(ConfigBuilder, DeadlinesAndFailoverRequireTokens) {
-  auto b = HerdConfigBuilder().server_procs(2).deadline(sim::ms(1));
-  EXPECT_FALSE(b.validate().empty());
-  EXPECT_THROW(b.build(), std::invalid_argument);
+  HerdConfig h;
+  h.n_server_procs = 2;
+  ClientResilience r;
+  r.deadline = sim::ms(1);
+  EXPECT_FALSE(core::validate(h, r).empty());
+  EXPECT_THROW(build(h, r), std::invalid_argument);
 }
 
 TEST(ConfigBuilder, FailoverNeedsASecondServerProcess) {
-  auto b = HerdConfigBuilder()
-               .server_procs(1)
-               .request_tokens(true)
-               .failover_threshold(3);
-  auto problems = b.validate();
+  HerdConfig h;
+  h.n_server_procs = 1;
+  h.request_tokens = true;
+  ClientResilience r;
+  r.failover_threshold = 3;
+  auto problems = core::validate(h, r);
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_NE(problems[0].find("second server process"), std::string::npos);
-  EXPECT_THROW(b.build(), std::invalid_argument);
+  EXPECT_THROW(build(h, r), std::invalid_argument);
 }
 
 TEST(ConfigBuilder, ReplicationNeedsTokensAndTwoProcs) {
-  EXPECT_THROW(
-      HerdConfigBuilder().server_procs(2).replicate(true).build(),
-      std::invalid_argument);
-  EXPECT_THROW(HerdConfigBuilder()
-                   .server_procs(1)
-                   .request_tokens(true)
-                   .replicate(true)
-                   .build(),
-               std::invalid_argument);
-  EXPECT_NO_THROW(HerdConfigBuilder()
-                      .server_procs(2)
-                      .request_tokens(true)
-                      .replicate(true)
-                      .build());
+  HerdConfig h;
+  h.n_server_procs = 2;
+  h.replicate = true;
+  EXPECT_THROW(build(h, {}), std::invalid_argument);
+  h.n_server_procs = 1;
+  h.request_tokens = true;
+  EXPECT_THROW(build(h, {}), std::invalid_argument);
+  h.n_server_procs = 2;
+  EXPECT_NO_THROW(build(h, {}));
 }
 
 TEST(ConfigBuilder, DedupRetentionMustOutliveRetryHorizon) {
-  auto b = HerdConfigBuilder()
-               .server_procs(2)
-               .request_tokens(true)
-               .retry_timeout(sim::us(30))
-               .deadline(sim::ms(10))
-               .dedup_retention(sim::ms(1));  // < deadline + backoff_max
-  EXPECT_FALSE(b.validate().empty());
-  EXPECT_THROW(b.build(), std::invalid_argument);
+  HerdConfig h;
+  h.n_server_procs = 2;
+  h.request_tokens = true;
+  h.dedup_retention = sim::ms(1);  // < deadline + backoff_max
+  ClientResilience r;
+  r.retry_timeout = sim::us(30);
+  r.deadline = sim::ms(10);
+  EXPECT_FALSE(core::validate(h, r).empty());
+  EXPECT_THROW(build(h, r), std::invalid_argument);
 }
 
 TEST(ConfigBuilder, AllProblemsReportedAtOnce) {
   // One build error lists every violated rule, not just the first.
+  HerdConfig h;
+  h.n_server_procs = 1;
+  h.replicate = true;
+  ClientResilience r;
+  r.failover_threshold = 2;
   try {
-    HerdConfigBuilder()
-        .server_procs(1)
-        .replicate(true)
-        .failover_threshold(2)
-        .build();
+    build(h, r);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     std::string msg = e.what();

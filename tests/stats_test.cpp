@@ -92,15 +92,6 @@ TEST(LatencyHistogram, ClearResets) {
   EXPECT_EQ(h.max(), 0u);
 }
 
-TEST(ThroughputMeter, ComputesMops) {
-  ThroughputMeter m;
-  m.start_window(0);
-  m.record(26000);  // 26k ops over 1 ms = 26 Mops
-  EXPECT_NEAR(m.mops(ms(1)), 26.0, 1e-9);
-  m.start_window(ms(1));
-  EXPECT_EQ(m.ops(), 0u);
-}
-
 TEST(Pcg32, DeterministicPerSeed) {
   Pcg32 a(42), b(42), c(43);
   for (int i = 0; i < 100; ++i) {
