@@ -24,9 +24,9 @@ void run() {
   cfg.herd.window = 1;
   cfg.herd.request_tokens = true;
   cfg.herd.replicate = true;
-  // Wire-level trace ids: a sampled request keeps one trace id across the
-  // original send, failover re-send, and the promoted primary's serve.
-  cfg.herd.trace = true;
+  // A sampled request keeps one trace id across the original send,
+  // failover re-send, and the promoted primary's serve: the id rides the
+  // work requests, not the wire.
   cfg.trace_sample_every = bench::options().trace_every;
   cfg.herd.mica.bucket_count_log2 = 13;
   cfg.herd.mica.log_bytes = 8u << 20;

@@ -46,10 +46,9 @@ core::TestbedConfig overload_bench_cfg(bool shed, std::uint32_t n_clients) {
   cfg.herd.n_clients = n_clients;
   cfg.herd.window = 16;
   cfg.herd.request_tokens = true;
-  // Wire-level trace ids: a sampled request keeps one trace id across
-  // kOverloaded shed replies, backoff holds, and the retry that finally
-  // lands.
-  cfg.herd.trace = true;
+  // A sampled request keeps one trace id across kOverloaded shed replies,
+  // backoff holds, and the retry that finally lands: the id rides the work
+  // requests, not the wire.
   cfg.trace_sample_every = bench::options().trace_every;
   cfg.herd.mica.bucket_count_log2 = 13;
   cfg.herd.mica.log_bytes = 8u << 20;

@@ -55,7 +55,7 @@ int main() {
 
   // Server: poll the request slot; on a request, SEND the bytes back over UD.
   server.memory().add_watch(
-      kReqSlot, kMsg, [&](std::uint64_t, std::uint32_t) {
+      kReqSlot, kMsg, [&](std::uint64_t, std::uint32_t, obs::TraceCtx) {
         eng.schedule_after(cpu.poll_iteration + cpu.post_send, [&]() {
           // Echo the payload from where the client's WRITE landed.
           std::memcpy(server.memory().span(1024, kMsg).data(),

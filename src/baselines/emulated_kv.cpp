@@ -149,7 +149,8 @@ EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
       std::uint64_t base = put_base + std::uint64_t{i} * cfg.window * kPutStride;
       server.memory().add_watch(
           base, std::uint64_t{cfg.window} * kPutStride,
-          [this, s = c->proc](std::uint64_t addr, std::uint32_t) {
+          [this, s = c->proc](std::uint64_t addr, std::uint32_t,
+                               obs::TraceCtx) {
             farm_server_on_write(s, addr);
           });
     }
@@ -162,7 +163,8 @@ EmulatedKvTestbed::EmulatedKvTestbed(const EmulatedConfig& cfg)
           c->arena + std::uint64_t{cfg.window} * (kReadStride + kPutStride);
       c->host->memory().add_watch(
           ack_base, std::uint64_t{cfg.window} * kAckStride,
-          [this, cp = c.get(), ack_base](std::uint64_t addr, std::uint32_t) {
+          [this, cp = c.get(), ack_base](std::uint64_t addr, std::uint32_t,
+                                         obs::TraceCtx) {
             // Ack for window slot (addr - base) / stride.
             auto slot = static_cast<std::uint32_t>((addr - ack_base) /
                                                    kAckStride);

@@ -274,22 +274,15 @@ void HerdClient::post_request(std::uint32_t s, const InFlight& fl) {
     req.tenant = static_cast<std::uint16_t>(id_ % cfg_.overload.n_tenants);
     req.deadline = fl.deadline;
   }
-  if (cfg_.trace) {
-    // Every re-send re-encodes the SAME trace id: retries, redirects, and
-    // failover re-sends are hops of one trace, not new traces.
-    req.trace_id = fl.trace.trace_id;
-    req.parent_span = fl.trace.parent;
-  }
   if (req.is_put) {
     req.value = std::span<const std::byte>(value, op.value_len);
     workload::WorkloadGenerator::fill_value(op.rank, {value, op.value_len});
   }
   std::uint32_t wire =
       request_wire_bytes(req.is_put ? op.value_len : 0, cfg_.request_tokens,
-                         cfg_.replicate, cfg_.overload.enable, cfg_.trace);
-  std::uint32_t start =
-      encode_request(slot, req, cfg_.request_tokens, cfg_.replicate,
-                     cfg_.overload.enable, cfg_.trace);
+                         cfg_.replicate, cfg_.overload.enable);
+  std::uint32_t start = encode_request(slot, req, cfg_.request_tokens,
+                                       cfg_.replicate, cfg_.overload.enable);
 
   const auto& cal = host_->rnic().cal();
   if (cfg_.mode == RequestMode::kWriteUc) {
@@ -301,7 +294,9 @@ void HerdClient::post_request(std::uint32_t s, const InFlight& fl) {
     wr.rkey = service_->region_mr().rkey;
     wr.inline_data = wire <= cal.max_inline;
     wr.signaled = false;
-    wr.trace_id = req.trace_id;
+    // Every post of the op stamps its one trace context: retries,
+    // redirects and failover re-sends are hops of one trace.
+    wr.trace = fl.trace;
     uc_qp_->post_send(wr);
   } else {
     verbs::SendWr wr;
@@ -310,7 +305,7 @@ void HerdClient::post_request(std::uint32_t s, const InFlight& fl) {
     wr.inline_data = wire <= cal.max_inline;
     wr.signaled = false;
     wr.ah = service_->proc_ah(s);
-    wr.trace_id = req.trace_id;
+    wr.trace = fl.trace;
     ud_qps_[s]->post_send(wr);
   }
 }

@@ -116,13 +116,6 @@ struct HerdConfig {
   /// configurations.
   bool mutation_dedup = true;
 
-  /// Carry a kTraceBytes trace-context header (64-bit trace id + issuing
-  /// span id) in every request, enabling causal per-request tracing and
-  /// tail attribution. Requires request_tokens: a traced response must be
-  /// matchable to the exact attempt that carried the id, or retries would
-  /// fork the trace. Costs 12 bytes of inline-PIO budget per request.
-  bool trace = false;
-
   // --- Primary-backup replication (herd/shard.hpp) ------------------------
 
   /// Replicate each shard on a backup server process: primaries forward
@@ -227,12 +220,6 @@ inline std::vector<std::string> validate(const HerdConfig& h,
         "herd.dedup_retention must exceed resilience.deadline + "
         "resilience.backoff_max, or a late retry outlives its "
         "duplicate-suppression entry and re-applies the mutation");
-  }
-  if (h.trace && !h.request_tokens) {
-    problems.push_back(
-        "herd.trace requires herd.request_tokens (a traced response must "
-        "be matchable to the exact attempt that carried the trace id, or "
-        "retries would fork the trace)");
   }
   if (h.overload.enable && !h.request_tokens) {
     problems.push_back(

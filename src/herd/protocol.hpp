@@ -9,7 +9,14 @@
 //
 // A GET carries only LEN = 0 + keyhash (18 bytes on the wire); a PUT carries
 // value + LEN + keyhash. A zero keyhash is reserved — the server zeroes the
-// field after serving a slot to re-arm it.
+// field after serving a slot to re-arm it. The optional headers sit between
+// the value and LEN, in this order:
+//
+//   [ value | tenant, deadline (overload) | token | epoch | LEN | KEYHASH ]
+//
+// A sampled request's trace context is not among them: it rides the
+// simulator's work requests and completions (verbs::SendWr::trace), never
+// the modelled bytes, so a traced run simulates the untraced one.
 //
 // Responses (UD SENDs) are [status (1) | LEN (2) | value]; the client's
 // receive buffer leaves 40 bytes in front for the GRH.
@@ -19,6 +26,7 @@
 #include <cstring>
 #include <optional>
 #include <span>
+#include <stdexcept>
 
 #include "kv/keyhash.hpp"
 
@@ -72,14 +80,6 @@ inline constexpr std::uint32_t kRedirectBytes = 8;
 inline constexpr std::uint32_t kOverloadBytes = 2 + 8;
 /// kOverloaded retry-after payload: hint in ticks (8 bytes).
 inline constexpr std::uint32_t kRetryAfterBytes = 8;
-/// Optional trace context (enabled by HerdConfig.trace): 64-bit trace id
-/// (0 = this request is not sampled) + the 32-bit span id of the client's
-/// issuing span, between the value and the overload header. The id is
-/// deterministic — (client id << 32) | sequence number of the FIRST
-/// attempt — and is preserved verbatim across retries, kWrongEpoch
-/// redirects, failover re-sends, and kOverloaded shed/backoff cycles, so
-/// every hop of a request's lifetime shares one trace id.
-inline constexpr std::uint32_t kTraceBytes = 8 + 4;
 
 // Per-field offsets, shared by the encode/decode pairs below so the two
 // sides cannot drift apart (tests/overload_test.cpp's
@@ -94,10 +94,6 @@ inline constexpr std::uint32_t kOvTenantOff = 0;          // tenant id
 inline constexpr std::uint32_t kOvTenantBytes = 2;
 inline constexpr std::uint32_t kOvDeadlineOff = kOvTenantOff + kOvTenantBytes;
 inline constexpr std::uint32_t kOvDeadlineBytes = 8;      // deadline tick
-inline constexpr std::uint32_t kTrIdOff = 0;              // trace id (8)
-inline constexpr std::uint32_t kTrIdBytes = 8;
-inline constexpr std::uint32_t kTrParentOff = kTrIdOff + kTrIdBytes;
-inline constexpr std::uint32_t kTrParentBytes = 4;        // parent span id
 inline constexpr std::uint32_t kRespStatusOff = 0;        // status (1)
 inline constexpr std::uint32_t kRespLenOff = 1;           // LEN (2)
 inline constexpr std::uint32_t kRedirectPrimaryOff = 0;   // primary (4)
@@ -111,10 +107,6 @@ static_assert(kReqKeyLoOff + 8 == kReqTrailer,
               "trailer fields must exactly fill kReqTrailer");
 static_assert(kOvDeadlineOff + kOvDeadlineBytes == kOverloadBytes,
               "overload header fields must exactly fill kOverloadBytes");
-static_assert(kTrParentOff == kTrIdBytes,
-              "parent span must start right after the trace id");
-static_assert(kTrParentOff + kTrParentBytes == kTraceBytes,
-              "trace header fields must exactly fill kTraceBytes");
 static_assert(kRespLenOff + 2 == kRespHeader,
               "response header fields must exactly fill kRespHeader");
 static_assert(kRedirectEpochOff + 4 == kRedirectBytes,
@@ -133,13 +125,11 @@ static_assert(kMaxValueReplicated <= kMaxValue,
 /// paper's 1000-byte cap).
 inline constexpr std::uint32_t max_value_bytes(bool with_token,
                                                bool with_epoch,
-                                               bool with_overload,
-                                               bool with_trace = false) {
+                                               bool with_overload) {
   std::uint32_t v = kSlotBytes - kReqTrailer -
                     (with_token ? kTokenBytes : 0) -
                     (with_epoch ? kEpochBytes : 0) -
-                    (with_overload ? kOverloadBytes : 0) -
-                    (with_trace ? kTraceBytes : 0);
+                    (with_overload ? kOverloadBytes : 0);
   return v > kMaxValue ? kMaxValue : v;
 }
 
@@ -151,8 +141,6 @@ struct Request {
   std::uint32_t epoch = 0;             // shard epoch (replicated mode only)
   std::uint16_t tenant = 0;            // tenant id (overload mode only)
   std::uint64_t deadline = 0;          // absolute deadline tick (0 = none)
-  std::uint64_t trace_id = 0;          // trace id (trace mode; 0=unsampled)
-  std::uint32_t parent_span = 0;       // client issuing span (trace mode)
   std::span<const std::byte> value{};  // PUT payload (views caller memory)
 };
 
@@ -160,36 +148,32 @@ struct Request {
 inline std::uint32_t request_wire_bytes(std::uint32_t value_len,
                                         bool with_token = false,
                                         bool with_epoch = false,
-                                        bool with_overload = false,
-                                        bool with_trace = false) {
+                                        bool with_overload = false) {
   return kReqTrailer + value_len + (with_token ? kTokenBytes : 0) +
          (with_epoch ? kEpochBytes : 0) +
-         (with_overload ? kOverloadBytes : 0) +
-         (with_trace ? kTraceBytes : 0);
+         (with_overload ? kOverloadBytes : 0);
 }
 
 /// Encodes a request right-aligned into `slot` (typically a full 1 KB slot;
 /// any frame >= the wire size works — SEND-mode frames are exactly-sized).
-/// Returns the offset within the slot where the encoded bytes begin.
+/// Returns the offset within the slot where the encoded bytes begin. A
+/// request larger than `slot` throws std::length_error before any byte is
+/// written.
 inline std::uint32_t encode_request(std::span<std::byte> slot,
                                     const Request& req,
                                     bool with_token = false,
                                     bool with_epoch = false,
-                                    bool with_overload = false,
-                                    bool with_trace = false) {
+                                    bool with_overload = false) {
   auto vlen = static_cast<std::uint32_t>(req.value.size());
-  std::uint32_t start =
-      static_cast<std::uint32_t>(slot.size()) -
-      request_wire_bytes(vlen, with_token, with_epoch, with_overload,
-                         with_trace);
+  std::uint32_t wire =
+      request_wire_bytes(vlen, with_token, with_epoch, with_overload);
+  if (wire > slot.size()) {
+    throw std::length_error("encode_request: request outgrows its frame");
+  }
+  auto start = static_cast<std::uint32_t>(slot.size() - wire);
   std::byte* p = slot.data() + start;
   if (vlen > 0) std::memcpy(p, req.value.data(), vlen);
   p += vlen;
-  if (with_trace) {
-    std::memcpy(p + kTrIdOff, &req.trace_id, kTrIdBytes);
-    std::memcpy(p + kTrParentOff, &req.parent_span, kTrParentBytes);
-    p += kTraceBytes;
-  }
   if (with_overload) {
     std::memcpy(p + kOvTenantOff, &req.tenant, kOvTenantBytes);
     std::memcpy(p + kOvDeadlineOff, &req.deadline, kOvDeadlineBytes);
@@ -218,12 +202,10 @@ inline std::uint32_t encode_request(std::span<std::byte> slot,
 inline std::optional<Request> decode_request(std::span<const std::byte> slot,
                                               bool with_token = false,
                                               bool with_epoch = false,
-                                              bool with_overload = false,
-                                              bool with_trace = false) {
+                                              bool with_overload = false) {
   std::uint32_t trailer = kReqTrailer + (with_token ? kTokenBytes : 0) +
                           (with_epoch ? kEpochBytes : 0) +
-                          (with_overload ? kOverloadBytes : 0) +
-                          (with_trace ? kTraceBytes : 0);
+                          (with_overload ? kOverloadBytes : 0);
   if (slot.size() < trailer) return std::nullopt;
   const std::byte* tail = slot.data() + slot.size() - kReqTrailer;
   Request req;
@@ -243,11 +225,6 @@ inline std::optional<Request> decode_request(std::span<const std::byte> slot,
     p -= kOverloadBytes;
     std::memcpy(&req.tenant, p + kOvTenantOff, kOvTenantBytes);
     std::memcpy(&req.deadline, p + kOvDeadlineOff, kOvDeadlineBytes);
-  }
-  if (with_trace) {
-    p -= kTraceBytes;
-    std::memcpy(&req.trace_id, p + kTrIdOff, kTrIdBytes);
-    std::memcpy(&req.parent_span, p + kTrParentOff, kTrParentBytes);
   }
   std::uint16_t len;
   std::memcpy(&len, tail + kReqLenOff, 2);
@@ -308,7 +285,7 @@ inline std::optional<Response> decode_response(std::span<const std::byte> buf,
   if (with_token) {
     std::memcpy(&r.token, buf.data() + kRespHeader, kTokenBytes);
   }
-  if (buf.size() < header + len) return std::nullopt;
+  if (len > kMaxValue || buf.size() < header + len) return std::nullopt;
   r.value = buf.subspan(header, len);
   return r;
 }

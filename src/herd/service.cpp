@@ -119,11 +119,12 @@ HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
   if (cfg.mode == RequestMode::kWriteUc) {
     // Each server process polls its chunk; model the poll loop by watching
     // the chunk for landing DMA writes (detection delay added below).
+    landed_trace_.assign(region_.size_bytes() / kSlotBytes, obs::TraceCtx{});
     for (std::uint32_t s = 0; s < cfg.n_server_procs; ++s) {
       host.memory().add_watch(
           region_.chunk_addr(s), region_.chunk_bytes(),
-          [this, s](std::uint64_t addr, std::uint32_t) {
-            on_region_write(s, addr);
+          [this, s](std::uint64_t addr, std::uint32_t, obs::TraceCtx trace) {
+            on_region_write(s, addr, trace);
           });
     }
   } else {
@@ -222,7 +223,7 @@ void HerdService::crash_proc(std::uint32_t s) {
   p.parked.clear();
   p.tenant_queues.clear();
   p.resp_chain.clear();  // unflushed responses die with the process
-  p.resp_chain_meta.clear();
+  p.resp_chain_appended.clear();
   p.resp_coalesce = false;
   if (!cfg_.replicate) return;
 
@@ -269,7 +270,7 @@ void HerdService::recover_proc(std::uint32_t s) {
         std::uint64_t slot_addr = region_.slot_addr(s, c, r);
         auto slot = host_->memory().span(slot_addr, kSlotBytes);
         auto req = decode_request(slot, cfg_.request_tokens, cfg_.replicate,
-                                  cfg_.overload.enable, cfg_.trace);
+                                  cfg_.overload.enable);
         if (!req) continue;
         // Replicated: the process restarts empty and is no longer a
         // primary, so every landed-while-dead request was failed over or is
@@ -295,7 +296,8 @@ void HerdService::recover_proc(std::uint32_t s) {
           clear_slot(slot);
           continue;
         }
-        Pending pend = make_pending(c, *req);
+        Pending pend =
+            make_pending(c, *req, landed_trace_[region_.slot_index(s, c, r)]);
         pend.slot_addr = slot_addr;
         p.arrivals.push_back(std::move(pend));
       }
@@ -478,41 +480,45 @@ void HerdService::reset_stats() {
 }
 
 HerdService::Pending HerdService::make_pending(std::uint32_t client,
-                                               const Request& req) const {
+                                               const Request& req,
+                                               obs::TraceCtx trace) const {
   Pending pend;
   pend.client = client;
   pend.request = req;
   pend.value.assign(req.value.begin(), req.value.end());
   pend.request.value = {};
-  pend.trace = obs::TraceCtx{req.trace_id, req.parent_span};
+  pend.trace = trace;
   pend.detected = host_->ctx().engine().now();
   return pend;
 }
 
-void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr) {
+void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr,
+                                  obs::TraceCtx trace) {
   Proc& p = *procs_[s];
+  std::uint64_t slot_addr = addr - (addr - region_.chunk_addr(s)) % kSlotBytes;
+  auto id = region_.locate(s, slot_addr);
+  // The slot's trace shadow: recovery's rescan finds the context here.
+  landed_trace_[region_.slot_index(s, id.client, id.wslot)] = trace;
   if (!p.alive) {
     // No process is polling this chunk, but the DMA landed anyway — the
     // request sits in the region until recovery rescans it.
     ++p.stats.dropped_while_dead;
     return;
   }
-  std::uint64_t slot_addr = addr - (addr - region_.chunk_addr(s)) % kSlotBytes;
   auto slot = host_->memory().span(slot_addr, kSlotBytes);
   auto req = decode_request(slot, cfg_.request_tokens, cfg_.replicate,
-                            cfg_.overload.enable, cfg_.trace);
+                            cfg_.overload.enable);
   if (!req) {
     ++p.stats.bad_requests;
     return;
   }
   // Round-robin poll-order bookkeeping (§4.2's formula).
-  auto id = region_.locate(s, slot_addr);
   if (id.wslot != p.next_r[id.client] % cfg_.window) {
     ++p.stats.order_violations;
   }
   p.next_r[id.client]++;
 
-  Pending pend = make_pending(id.client, *req);
+  Pending pend = make_pending(id.client, *req, trace);
   pend.slot_addr = slot_addr;
   probe_->mark(pend.trace, p.core->name(), {.tail = "net_in"}, pend.detected);
   if (!try_admit(s, std::move(pend))) return;  // shed at the door
@@ -616,7 +622,7 @@ void HerdService::on_recv_ready(std::uint32_t s) {
       auto frame =
           buf.subspan(verbs::kGrhBytes, wc.byte_len - verbs::kGrhBytes);
       auto req = decode_request(frame, cfg_.request_tokens, cfg_.replicate,
-                                cfg_.overload.enable, cfg_.trace);
+                                cfg_.overload.enable);
       // Identify the client by the (port, QPN) of the sending UD QP —
       // clients in SEND mode send requests from the same UD QP they receive
       // responses on, which they registered via set_client_ah().
@@ -627,7 +633,7 @@ void HerdService::on_recv_ready(std::uint32_t s) {
         repost_recv(s, addr);
         continue;
       }
-      Pending pend = make_pending(it->second, *req);
+      Pending pend = make_pending(it->second, *req, wc.trace);
       pend.recv_addr = addr;
       probe_->mark(pend.trace, p.core->name(), {.tail = "net_in"},
                    pend.detected);
@@ -1064,7 +1070,7 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kSend;
   wr.sge = {addr, len, scratch_mr_.lkey};
-  wr.trace_id = trace.trace_id;
+  wr.trace = trace;
   // Responses are unsignaled: "HERD uses SENDs for responding to requests,
   // it can use new requests as an indication of the completion of old SENDs"
   wr.signaled = false;
@@ -1076,7 +1082,7 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
     // staging ring (kResponseRing slots) is far deeper than the chain cap,
     // so slots stay live until the chained post captures/DMAs them.
     p.resp_chain.push_back(wr);
-    p.resp_chain_meta.push_back({trace, host_->ctx().engine().now()});
+    p.resp_chain_appended.push_back(host_->ctx().engine().now());
     return;
   }
   p.ud_qp->post_send(wr);
@@ -1100,16 +1106,17 @@ void HerdService::flush_responses(std::uint32_t s) {
   sim::Tick now = host_->ctx().engine().now();
   auto share =
       cpu_.post_send / static_cast<sim::Tick>(p.resp_chain.size());
-  for (const Proc::RespMeta& m : p.resp_chain_meta) {
-    probe_->mark(m.trace, p.core->name(),
-                 {.trace = "chain_hold", .tail = "chain_hold"}, m.appended,
-                 now, [&] {
+  for (std::size_t i = 0; i < p.resp_chain.size(); ++i) {
+    const obs::TraceCtx& trace = p.resp_chain[i].trace;
+    probe_->mark(trace, p.core->name(),
+                 {.trace = "chain_hold", .tail = "chain_hold"},
+                 p.resp_chain_appended[i], now, [&] {
                    return "chain_len=" + std::to_string(p.resp_chain.size());
                  });
-    probe_->charge(m.trace, "doorbell", share);
+    probe_->charge(trace, "doorbell", share);
   }
   p.resp_chain.clear();
-  p.resp_chain_meta.clear();
+  p.resp_chain_appended.clear();
 }
 
 }  // namespace herd::core

@@ -209,8 +209,9 @@ class HerdService {
     /// Detection tick: when the poll loop (or recv CQ) first saw this
     /// request. The DRR-wait span runs from here to pipeline admission.
     sim::Tick detected = 0;
-    /// Causal trace context the client put on the wire ({} = unsampled):
-    /// every server-side step of the request marks against it.
+    /// Causal trace context of the client's WR ({} = unsampled), handed
+    /// over with the landing WRITE or the RECV completion: every
+    /// server-side step of the request marks against it.
     obs::TraceCtx trace;
   };
 
@@ -260,17 +261,12 @@ class HerdService {
     /// burst-ending quantum (or the chain cap) flushes the accumulated
     /// responses as one WR chain — one doorbell for the whole burst.
     std::vector<verbs::SendWr> resp_chain;
-    /// Per-chain-member trace metadata, parallel to resp_chain: which
-    /// sampled request (if any) each parked response belongs to and when it
-    /// was appended. flush_responses() turns each entry into a chain_hold
-    /// stage plus an amortized share of the doorbell's post cost, so the
-    /// per-request breakdown sums correctly instead of billing the whole
-    /// chained post to the last member.
-    struct RespMeta {
-      obs::TraceCtx trace;
-      sim::Tick appended = 0;
-    };
-    std::vector<RespMeta> resp_chain_meta;
+    /// When each chain member was appended, parallel to resp_chain (each
+    /// WR carries its own trace context). flush_responses() turns a sampled
+    /// member into a chain_hold stage plus an amortized share of the
+    /// doorbell's post cost, so the per-request breakdown sums correctly
+    /// instead of billing the whole chained post to the last member.
+    std::vector<sim::Tick> resp_chain_appended;
     bool resp_coalesce = false;
     std::uint64_t recv_base = 0;    // SEND mode recv buffers
     bool alive = true;
@@ -294,16 +290,19 @@ class HerdService {
     bool ack = false;  // true: primary responds to the client on ack
     /// Causal trace context of the originating request ({} = unsampled):
     /// replication forwards, backup applies, and the ack-path response all
-    /// record against the same trace id the client put on the wire.
+    /// record against the client's trace id.
     obs::TraceCtx trace;
   };
 
   Replica make_replica() const;
   Replica* find_replica(std::uint32_t proc, std::uint32_t shard);
   /// A request the poll loop (or recv CQ) just found: copies the PUT
-  /// payload out of the slot/recv buffer and stamps the detection tick.
-  Pending make_pending(std::uint32_t client, const Request& req) const;
-  void on_region_write(std::uint32_t s, std::uint64_t addr);
+  /// payload out of the slot/recv buffer and stamps the detection tick and
+  /// the trace context its WR carried.
+  Pending make_pending(std::uint32_t client, const Request& req,
+                       obs::TraceCtx trace) const;
+  void on_region_write(std::uint32_t s, std::uint64_t addr,
+                       obs::TraceCtx trace);
   void on_recv_ready(std::uint32_t s);
   /// Admission control: enqueues `pend` (DRR tenant queues in overload
   /// mode, plain arrivals otherwise) or sheds it with a kOverloaded reply.
@@ -361,6 +360,11 @@ class HerdService {
   ShardMap shard_map_;
   verbs::Mr region_mr_{};
   std::unique_ptr<verbs::Cq> init_cq_;  // initializer's dummy CQ for UC QPs
+  /// WRITE mode: trace context of the WRITE that last landed in each
+  /// request slot (RequestRegion::slot_index order). Simulator metadata the
+  /// modelled bytes never see; it lets a recovery rescan keep the trace of
+  /// a request that landed while its process was dead.
+  std::vector<obs::TraceCtx> landed_trace_;
   std::vector<std::unique_ptr<verbs::Qp>> uc_qps_;  // one per client
   std::vector<std::unique_ptr<Proc>> procs_;
   std::vector<std::vector<verbs::Ah>> client_ah_;  // [client][proc]

@@ -343,7 +343,7 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
                  sum_proc(&HerdService::ProcStats::resp_chained));
 
   // The tail profiler rides the same sampling: the probe begins a profile
-  // for exactly the requests whose trace id goes on the wire.
+  // for exactly the requests whose trace context rides their WRs.
   if (cfg_.trace_sample_every > 0) {
     cluster_->tracer().enable(cfg_.trace_sample_every);
   }

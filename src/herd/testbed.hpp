@@ -139,13 +139,10 @@ class TestbedConfigBuilder {
     cfg_.trace_sample_every = v;
     return *this;
   }
-  /// Carry TraceCtx on the request wire (12 bytes after the value; needs
-  /// request_tokens). Without it, sampled requests still trace client-side,
-  /// but the server cannot attribute its stages to the trace id.
-  TestbedConfigBuilder& trace(bool v) {
-    cfg_.herd.trace = v;
-    return *this;
-  }
+  /// Sets nothing: a sampled request's trace context rides the simulator's
+  /// work requests, never the wire, so trace_sample_every() alone traces.
+  /// Kept because perfbench/driver.cpp calls it.
+  TestbedConfigBuilder& trace(bool) { return *this; }
   TestbedConfigBuilder& flight_interval(sim::Tick v) {
     cfg_.flight_interval = v;
     return *this;
@@ -197,6 +194,7 @@ class HerdTestbed {
     std::uint64_t shed_never_applied = 0;  // retired provably-never-applied
     std::uint64_t breaker_opens = 0;       // client circuit breakers tripped
     std::uint64_t degraded_windows = 0;    // degraded-mode entries (procs)
+    friend bool operator==(const RunResult&, const RunResult&) = default;
   };
 
   /// Starts the clients, warms up, measures for `measure` simulated time.

@@ -265,7 +265,7 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
     if (kind == EchoKind::kWriteWrite) {
       cc->host->memory().add_watch(
           cc->arena + 4096, kSlot,
-          [this, ccp = cc.get()](std::uint64_t, std::uint32_t) {
+          [this, ccp = cc.get()](std::uint64_t, std::uint32_t, obs::TraceCtx) {
             ccp->core->run(cpu.poll_iteration,
                            [this, ccp]() { client_done(*ccp); });
           });
@@ -323,7 +323,7 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
       std::uint32_t s = clients[c]->proc;
       cl->host(0).memory().add_watch(
           req_base(c, 0), std::uint64_t{opts.window} * kSlot,
-          [this, s, c](std::uint64_t, std::uint32_t) {
+          [this, s, c](std::uint64_t, std::uint32_t, obs::TraceCtx) {
             // Idle-poll quantization, as in HERD's request region.
             Proc& p = procs[s];
             sim::Tick extra = 0;

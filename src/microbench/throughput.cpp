@@ -68,7 +68,7 @@ class WindowPump {
         batch.back().second.wr_id = seq_;
         // One trace id per sampled verb (ordinal salt keeps concurrent
         // pumps apart); the RNIC pipeline spans on both hosts carry it.
-        batch.back().second.trace_id =
+        batch.back().second.trace.trace_id =
             (std::uint64_t{ordinal_} << 32) | seq_;
         tail_->begin(seq_, eng_->now());
       }

@@ -106,7 +106,8 @@ double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
   // an unsignaled inlined WRITE; a tight single-location poll loop detects
   // within ~one iteration.
   const auto& cpu = cl.config().cpu;
-  server.memory().add_watch(0, payload, [&](std::uint64_t, std::uint32_t) {
+  server.memory().add_watch(0, payload, [&](std::uint64_t, std::uint32_t,
+                                            obs::TraceCtx) {
     eng.schedule_after(cpu.poll_iteration + cpu.post_send, [&]() {
       verbs::SendWr wr;
       wr.opcode = verbs::Opcode::kWrite;
@@ -136,7 +137,7 @@ double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
     cqp->post_send(wr);
   };
   client.memory().add_watch(4096, payload,
-                            [&](std::uint64_t, std::uint32_t) {
+                            [&](std::uint64_t, std::uint32_t, obs::TraceCtx) {
                               hist.record(eng.now() - posted);
                               if (sampled != 0) {
                                 tail.finish(sampled, "ok", eng.now(),

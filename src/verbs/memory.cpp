@@ -22,12 +22,13 @@ std::span<const std::byte> HostMemory::span(std::uint64_t addr,
 }
 
 void HostMemory::dma_apply(std::uint64_t addr,
-                           std::span<const std::byte> bytes) {
+                           std::span<const std::byte> bytes,
+                           obs::TraceCtx trace) {
   auto dst = span(addr, static_cast<std::uint32_t>(bytes.size()));
   std::memcpy(dst.data(), bytes.data(), bytes.size());
   for (const Watch& w : watches_) {
     if (addr < w.addr + w.len && w.addr < addr + bytes.size()) {
-      w.fn(addr, static_cast<std::uint32_t>(bytes.size()));
+      w.fn(addr, static_cast<std::uint32_t>(bytes.size()), trace);
     }
   }
 }

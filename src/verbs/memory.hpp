@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/lazy_zero_array.hpp"
 
 namespace herd::verbs {
@@ -26,10 +27,13 @@ class HostMemory {
   std::span<std::byte> span(std::uint64_t addr, std::uint32_t len);
   std::span<const std::byte> span(std::uint64_t addr, std::uint32_t len) const;
 
-  /// Device-side write (DMA): copies bytes and fires overlapping watches.
-  void dma_apply(std::uint64_t addr, std::span<const std::byte> bytes);
+  /// Device-side write (DMA): copies bytes and fires overlapping watches,
+  /// handing them the trace context of the WR that carried the bytes.
+  void dma_apply(std::uint64_t addr, std::span<const std::byte> bytes,
+                 obs::TraceCtx trace = {});
 
-  using WatchFn = std::function<void(std::uint64_t addr, std::uint32_t len)>;
+  using WatchFn = std::function<void(std::uint64_t addr, std::uint32_t len,
+                                     obs::TraceCtx trace)>;
 
   /// Registers a callback for DMA writes overlapping [addr, addr+len).
   /// Returns a handle for remove_watch().

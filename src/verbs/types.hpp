@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "obs/trace.hpp"
+
 namespace herd::verbs {
 
 class Context;
@@ -47,6 +49,9 @@ struct Wc {
   /// src_qp / slid pair — together they identify the sender).
   std::uint32_t src_qp = 0;
   std::uint32_t src_port = 0;
+  /// For RECV completions: the trace context of the SEND that filled the
+  /// buffer (simulator-side metadata, never wire bytes; see SendWr::trace).
+  obs::TraceCtx trace{};
 };
 
 /// Size of the Global Routing Header prepended to UD receive payloads.
@@ -79,12 +84,14 @@ struct SendWr {
   bool signaled = true;
   /// UD SENDs: destination address handle.
   Ah ah{};
-  /// Causal-trace annotation (simulator-side, not wire bytes): the trace id
-  /// of the sampled request this WR belongs to, or 0. The RNIC pipeline
-  /// spans (dispatch/tx on the requester, dispatch/rx on the responder — the
-  /// WR is echoed across the wire) carry it so a request's RNIC hops group
-  /// under the same trace id as its client/service spans.
-  std::uint64_t trace_id = 0;
+  /// Causal-trace annotation (simulator-side, not wire bytes: nothing the
+  /// model times or delivers depends on it): the context of the sampled
+  /// request this WR belongs to, or unsampled. The RNIC pipeline spans on
+  /// both hosts carry it, and the responder hands it to the host with the
+  /// data: to the memory watch when a WRITE lands, and in Wc::trace on a
+  /// RECV completion. So a request's RNIC and server hops group under the
+  /// trace id of its client spans.
+  obs::TraceCtx trace{};
 };
 
 struct RecvWr {

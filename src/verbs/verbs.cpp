@@ -31,9 +31,8 @@ void trace_pipeline(obs::Tracer& tr, sim::Resource& dispatch,
                     const sim::Resource::Admission& disp, sim::Resource& unit,
                     const sim::Resource::Admission& adm,
                     const char* unit_prefix, Opcode op, bool cache_miss,
-                    std::uint64_t trace_id) {
+                    obs::TraceCtx tc) {
   if (!tr.active()) return;
-  obs::TraceCtx tc{trace_id, 0};
   tr.admission(dispatch.name(), "dispatch", disp, opcode_name(op), tc);
   tr.admission(unit.name(), std::string(unit_prefix) + opcode_name(op), adm,
                {}, tc);
@@ -410,7 +409,7 @@ void Qp::tx_stage(SendWr wr, Payload payload, sim::Tick ready) {
   sim::Tick departed = tx_done + cal.tx_latency;
 
   trace_pipeline(ctx_->probe().tracer(), rn.dispatch(), disp, rn.tx(), tx,
-                 "tx_", wr.opcode, penalty > 0, wr.trace_id);
+                 "tx_", wr.opcode, penalty > 0, wr.trace);
 
   // Outbound throughput is the *service* rate of the TX unit, so count at
   // completion (arrival-time counting would measure the posting rate).
@@ -546,7 +545,7 @@ void Qp::rx_arrive(Inbound in) {
   sim::Tick done = rx_end + cal.rx_latency;
 
   trace_pipeline(ctx_->probe().tracer(), rn.dispatch(), disp, rn.rx(), rx,
-                 "rx_", in.wr.opcode, penalty > 0, in.wr.trace_id);
+                 "rx_", in.wr.opcode, penalty > 0, in.wr.trace);
   // Inbound throughput = RX service rate. The fabric is lossless (credit
   // flow control): when arrivals outpace service the wire backpressures, so
   // the sustainable rate is what the RX unit retires.
@@ -590,8 +589,9 @@ void Qp::rx_write(Inbound& in, sim::Tick done) {
       ctx_->pcie().dma_write(done, in.payload.size()).visible;
   std::uint64_t addr = in.wr.remote_addr;
   ctx_->engine().schedule_at(
-      applied, [this, addr, payload = std::move(in.payload)]() {
-        ctx_->memory().dma_apply(addr, payload.bytes());
+      applied,
+      [this, addr, trace = in.wr.trace, payload = std::move(in.payload)]() {
+        ctx_->memory().dma_apply(addr, payload.bytes(), trace);
       });
 
   if (attr_.transport == Transport::kRc) {
@@ -655,12 +655,13 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
   std::uint64_t addr = rwr.sge.addr;
   std::uint32_t src_qpn = in.src->qpn();
   ctx_->engine().schedule_at(
-      applied, [this, addr, grh, payload = std::move(in.payload)]() {
+      applied, [this, addr, grh, trace = in.wr.trace,
+                payload = std::move(in.payload)]() {
         if (grh > 0) {
           // Zeroed GRH placeholder, as the payload lands at offset 40.
-          ctx_->memory().dma_apply(addr, kZeroGrh);
+          ctx_->memory().dma_apply(addr, kZeroGrh, trace);
         }
-        ctx_->memory().dma_apply(addr + grh, payload.bytes());
+        ctx_->memory().dma_apply(addr + grh, payload.bytes(), trace);
       });
 
   Wc wc;
@@ -670,6 +671,7 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
   wc.byte_len = len + grh;
   wc.src_qp = src_qpn;
   wc.src_port = in.src->context().port();
+  wc.trace = in.wr.trace;
   sim::Tick tc =
       ctx_->pcie().dma_write(payload_dma.free, cal.cqe_bytes).visible;
   Cq* rcq = attr_.recv_cq;
@@ -738,7 +740,7 @@ void Qp::read_response(SendWr wr, Payload payload) {
   ctx_->engine().schedule_at(
       payload_dma.visible,
       [this, wr, cqe_start, payload = std::move(payload)]() {
-        ctx_->memory().dma_apply(wr.sge.addr, payload.bytes());
+        ctx_->memory().dma_apply(wr.sge.addr, payload.bytes(), wr.trace);
         finish_read(wr.sge.length);
         if (wr.signaled) {
           deliver_requester_completion(wr, WcStatus::kSuccess, cqe_start);

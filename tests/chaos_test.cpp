@@ -522,13 +522,13 @@ TEST(ChaosRun, BrokenDedupCaughtAndShrunk) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace propagation under chaos: the wire-level trace id must survive the
-// same fault schedules the linearizability checker exercises. The chaos
+// Trace propagation under chaos: a sampled request's trace id must survive
+// the same fault schedules the linearizability checker exercises. The chaos
 // harness itself does not export traces (RunOutcome is a checker verdict),
 // so these tests script the crash-primary shape directly on a testbed.
 
-// A replicated 2-process deployment with wire-level trace ids, a scripted
-// primary crash mid-run, and failover tuned to fire well inside the window.
+// A replicated 2-process deployment with sampled tracing, a scripted primary
+// crash mid-run, and failover tuned to fire well inside the window.
 core::TestbedConfig crash_primary_traced(sim::Tick crash_at) {
   core::TestbedConfig cfg;
   cfg.herd.n_server_procs = 2;
@@ -536,7 +536,6 @@ core::TestbedConfig crash_primary_traced(sim::Tick crash_at) {
   cfg.herd.window = 1;
   cfg.herd.request_tokens = true;
   cfg.herd.replicate = true;
-  cfg.herd.trace = true;
   cfg.trace_sample_every = 16;
   cfg.herd.mica.bucket_count_log2 = 13;
   cfg.herd.mica.log_bytes = 8u << 20;
@@ -646,7 +645,9 @@ core::TestbedConfig fault_path_traced() {
   // Probe the crashed primary soon after it rejoins as a backup: requests
   // that reach it are redirected with kWrongEpoch.
   cfg.resilience.probe_interval = sim::us(100);
-  cfg.trace_sample_every = 7;
+  // Every 8th request: the run's few kWrongEpoch redirects include a sampled
+  // one, so every path below shows in the tail samples.
+  cfg.trace_sample_every = 8;
   return cfg;
 }
 

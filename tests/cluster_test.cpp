@@ -62,9 +62,8 @@ TEST(Cluster, HostOutOfRangeThrows) {
 TEST(HostMemory, WatchesFireOnOverlappingDmaOnly) {
   verbs::HostMemory mem(4096);
   int hits = 0;
-  int handle = mem.add_watch(100, 50, [&](std::uint64_t, std::uint32_t) {
-    ++hits;
-  });
+  int handle = mem.add_watch(
+      100, 50, [&](std::uint64_t, std::uint32_t, obs::TraceCtx) { ++hits; });
   std::vector<std::byte> data(10, std::byte{1});
   mem.dma_apply(0, data);    // below the window
   EXPECT_EQ(hits, 0);

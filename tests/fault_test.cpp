@@ -143,7 +143,7 @@ TEST(NicStall, TrafficQueuesBehindStallAndDrainsAfter) {
 
   sim::Tick landed = 0;
   cl.host(1).memory().add_watch(
-      0, 64, [&](std::uint64_t, std::uint32_t) {
+      0, 64, [&](std::uint64_t, std::uint32_t, obs::TraceCtx) {
         landed = cl.engine().now();
       });
   // Posted mid-stall: the WRITE must wait for the NIC to unfreeze.
@@ -343,6 +343,42 @@ TEST(HerdFaults, CrashFailoverGracefulDegradation) {
   for (std::size_t c = 0; c < bed.num_clients(); ++c) {
     EXPECT_EQ(bed.client(c).outstanding(), 0u) << "client " << c;
   }
+}
+
+TEST(HerdFaults, RescannedRequestsKeepTheirTrace) {
+  // Requests WRITE into process 0's chunk while it is dead; recovery
+  // rescans them. Their trace context is not in the slot bytes, so it must
+  // come from the service's per-slot shadow of the landing WRITE's
+  // context: a sampled request that waited out the crash still records
+  // its server-side stages.
+  core::TestbedConfig cfg;
+  cfg.herd.n_server_procs = 2;
+  cfg.herd.n_clients = 4;
+  cfg.herd.window = 4;
+  cfg.herd.mica.bucket_count_log2 = 12;
+  cfg.herd.mica.log_bytes = 4u << 20;
+  cfg.workload.n_keys = 500;
+  cfg.workload.value_len = 32;
+  cfg.trace_sample_every = 1;
+  cfg.fault_plan.proc_crash.push_back(
+      ProcCrashFault{0, sim::us(100), sim::us(300)});
+  core::HerdTestbed bed(cfg);
+  bed.run(sim::us(50), sim::us(450));
+  for (std::size_t c = 0; c < bed.num_clients(); ++c) bed.client(c).stop();
+  bed.cluster().engine().run();
+
+  std::size_t waited = 0;
+  for (const obs::TailProfiler::Sample& s : bed.tail().samples()) {
+    if (s.total < sim::us(150)) continue;  // did not wait out the crash
+    ++waited;
+    bool served = false;
+    for (const auto& [name, ticks] : s.stages) {
+      served = served || name == "mica_op";
+    }
+    EXPECT_TRUE(served) << "sample 0x" << std::hex << s.trace_id;
+  }
+  EXPECT_GT(waited, 0u);
+  EXPECT_GT(bed.snapshot().value("service.dropped_while_dead"), 0u);
 }
 
 TEST(Backoff, ScheduleIsMonotoneCappedAndOverflowFree) {

@@ -20,6 +20,26 @@ TestbedConfig small_config() {
   return cfg;
 }
 
+TEST(Testbed, MaxValuePutsWithSamplingStayInTheirSlot) {
+  // The largest PUT every optional request header leaves room for, with
+  // sampled tracing on: a sampled request is the same bytes as any other,
+  // so it fills its 1 KB slot exactly and writes nothing in front of it
+  // (under ASan, a byte past the staging slot faults).
+  TestbedConfig cfg = small_config();
+  cfg.herd.request_tokens = true;
+  cfg.herd.replicate = true;
+  cfg.herd.overload.enable = true;
+  cfg.workload.get_fraction = 0;
+  cfg.workload.value_len = max_value_bytes(true, true, true);
+  cfg.trace_sample_every = 4;
+  HerdTestbed bed(cfg);
+  auto r = bed.run(sim::us(200), sim::us(800));
+  EXPECT_GT(r.ops, 100u);
+  EXPECT_EQ(r.bad, 0u);
+  EXPECT_EQ(r.value_mismatches, 0u);
+  EXPECT_GT(bed.tail().finished(), 0u);
+}
+
 TEST(HerdEndToEnd, GetsReturnPutValues) {
   TestbedConfig cfg = small_config();
   HerdTestbed bed(cfg);

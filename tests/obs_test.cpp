@@ -19,9 +19,12 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "herd/testbed.hpp"
+#include "kv/partition.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -480,15 +483,15 @@ TEST(ObsDeterminism, TracedRequestSpansAppearInSimTimeOrder) {
 
 // ------------------------------------- causal propagation across the wire
 
-core::TestbedConfig wire_traced_config() {
+// Tokened requests, as the resilience and overload features run them.
+core::TestbedConfig tokened_traced_config() {
   core::TestbedConfig cfg = traced_config();
-  cfg.herd.request_tokens = true;  // trace header requires tokened requests
-  cfg.herd.trace = true;
+  cfg.herd.request_tokens = true;
   return cfg;
 }
 
 TEST(TraceE2E, ExportValidatesAndKeepsOneTraceIdAcrossClientAndServer) {
-  core::HerdTestbed bed(wire_traced_config());
+  core::HerdTestbed bed(tokened_traced_config());
   bed.run(sim::us(200), sim::us(800));
   EXPECT_EQ(bed.tracer().open_spans(), 0u);  // every begin reached its end
 
@@ -535,7 +538,7 @@ TEST(TraceE2E, ExportValidatesAndKeepsOneTraceIdAcrossClientAndServer) {
 TEST(TraceE2E, ExportWithRequestsInFlightMarksThemIncomplete) {
   // Every client keeps a sampled request in flight, so the window ends
   // with open request roots.
-  core::TestbedConfig cfg = wire_traced_config();
+  core::TestbedConfig cfg = tokened_traced_config();
   cfg.trace_sample_every = 1;
   core::HerdTestbed bed(cfg);
   bed.run(sim::us(50), sim::us(100));
@@ -568,7 +571,7 @@ TEST(TraceE2E, ExportWithRequestsInFlightMarksThemIncomplete) {
 }
 
 TEST(TraceE2E, TailStagesSumExactlyToEndToEndLatency) {
-  core::HerdTestbed bed(wire_traced_config());
+  core::HerdTestbed bed(tokened_traced_config());
   bed.run(sim::us(200), sim::us(800));
   ASSERT_GT(bed.tail().count("ok"), 0u);
   EXPECT_EQ(bed.tail().in_flight(), 0u);
@@ -588,6 +591,88 @@ TEST(TraceE2E, TailStagesSumExactlyToEndToEndLatency) {
     if (name == "mica_op" || name == "net_in") server_side = true;
   }
   EXPECT_TRUE(server_side);
+}
+
+// The fig09 point as bench::run_herd runs it (bench/bench_common.hpp) at 5%
+// PUT under --bench-trace=64: six processes, 51 clients, no request tokens.
+core::TestbedConfig bench_shaped_config(core::RequestMode mode) {
+  core::TestbedConfig cfg;
+  cfg.herd.n_server_procs = 6;
+  cfg.herd.n_clients = 51;
+  cfg.herd.window = 4;
+  cfg.herd.mode = mode;
+  kv::MicaCache::Config machine;
+  machine.bucket_count_log2 = 18;
+  machine.log_bytes = 192u << 20;
+  cfg.herd.mica = kv::PartitionPlan::split(machine, 6).partition(0);
+  cfg.workload.get_fraction = 0.95;
+  cfg.workload.value_len = 32;
+  cfg.workload.n_keys = 1u << 16;
+  cfg.trace_sample_every = 64;
+  return cfg;
+}
+
+// Every finished sampled request shows on a client track and a server proc
+// track under its one trace id, and the p99 request's breakdown holds the
+// server's stages: the trace context reached the server without any
+// request bytes to carry it.
+void expect_server_spans(core::RequestMode mode) {
+  core::HerdTestbed bed(bench_shaped_config(mode));
+  bed.run(sim::us(250), sim::us(250));
+  std::map<std::uint64_t, std::pair<bool, bool>> ends;  // client, proc
+  for (const Tracer::Event& e : bed.tracer().events()) {
+    if (e.trace_id == 0) continue;
+    // Tracks are "<fabric>/<host>/<unit>".
+    if (e.track.find("/client") != std::string::npos) {
+      ends[e.trace_id].first = true;
+    }
+    if (e.track.find("/proc") != std::string::npos) {
+      ends[e.trace_id].second = true;
+    }
+  }
+  ASSERT_GT(bed.tail().count("ok"), 0u);
+  for (const TailProfiler::Sample& s : bed.tail().samples()) {
+    EXPECT_TRUE(ends[s.trace_id].first) << "0x" << std::hex << s.trace_id;
+    EXPECT_TRUE(ends[s.trace_id].second) << "0x" << std::hex << s.trace_id;
+  }
+  TailProfiler::QuantileCut cut = bed.tail().quantile("ok", 0.99);
+  ASSERT_TRUE(cut.valid);
+  for (std::string_view stage : {"net_in", "mica_op", "chain_hold"}) {
+    EXPECT_TRUE(std::any_of(cut.stages_us.begin(), cut.stages_us.end(),
+                            [&](const auto& st) { return st.first == stage; }))
+        << stage;
+  }
+}
+
+TEST(TraceE2E, BenchShapedRequestsCarryServerSpans) {
+  expect_server_spans(core::RequestMode::kWriteUc);
+}
+
+TEST(TraceE2E, BenchShapedSendRequestsCarryServerSpans) {
+  expect_server_spans(core::RequestMode::kSendUd);
+}
+
+TEST(TraceE2E, TracedRunSimulatesTheUntracedRun) {
+  // The trace context is simulator metadata: sampling every 16th request
+  // must not move a single simulated event, with every optional request
+  // header on.
+  auto run = [](std::uint64_t sample_every) {
+    core::TestbedConfig cfg = tokened_traced_config();
+    cfg.herd.replicate = true;
+    cfg.herd.overload.enable = true;
+    cfg.trace_sample_every = sample_every;
+    core::HerdTestbed bed(cfg);
+    core::HerdTestbed::RunResult r = bed.run(sim::us(200), sim::us(800));
+    return std::tuple{r, bed.cluster().engine().events_processed(),
+                      bed.tail().finished()};
+  };
+  auto [untraced, untraced_events, untraced_samples] = run(0);
+  auto [traced, traced_events, traced_samples] = run(16);
+  EXPECT_EQ(untraced_samples, 0u);
+  EXPECT_GT(traced_samples, 0u);
+  EXPECT_GT(untraced.ops, 0u);
+  EXPECT_TRUE(untraced == traced);
+  EXPECT_EQ(untraced_events, traced_events);
 }
 
 // ------------------------------------------------------------ bench schema

@@ -2,11 +2,15 @@
 // (Fig. 8, §4.2).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "herd/protocol.hpp"
 #include "herd/request_region.hpp"
 #include "herd/token_ring.hpp"
+#include "sim/rng.hpp"
 #include "workload/workload.hpp"
 
 namespace herd::core {
@@ -259,62 +263,166 @@ TEST(Protocol, DeletedAckResponseWithTokenHasNoValue) {
   EXPECT_TRUE(dec->value.empty());
 }
 
-// ---------------------------------------------------------------------------
-// Request region layout (Fig. 8).
-
-TEST(Protocol, TraceHeaderRoundTripsWithAllOtherHeaders) {
-  // Trace mode rides along with token + epoch + overload headers: the 12-byte
-  // trace header sits closest to the value, so every other header decodes at
-  // its usual offset whether or not tracing is on.
-  std::vector<std::byte> slot(kSlotBytes, std::byte{0});
-  std::vector<std::byte> value(64);
-  workload::WorkloadGenerator::fill_value(64, value);
+TEST(Protocol, EncodeRejectsRequestLargerThanFrame) {
+  // A full-size value plus token, epoch and overload headers outgrows the
+  // 1 KB slot: the encoder must refuse it without writing a byte, inside
+  // the slot or in front of it.
+  ASSERT_GT(request_wire_bytes(kMaxValue, true, true, true), kSlotBytes);
+  std::vector<std::byte> value(kMaxValue, std::byte{1});
   Request req;
-  req.key = kv::hash_of_rank(11);
+  req.key = kv::hash_of_rank(9);
   req.is_put = true;
   req.value = value;
-  req.token = 0xfeed;
-  req.epoch = 7;
-  req.tenant = 3;
-  req.deadline = 123456;
-  req.trace_id = (std::uint64_t{5} << 32) | 99;  // client 5, seq 99
-  req.parent_span = 42;
-  std::uint32_t start = encode_request(slot, req, /*with_token=*/true,
-                                       /*with_epoch=*/true,
-                                       /*with_overload=*/true,
-                                       /*with_trace=*/true);
-  EXPECT_EQ(start,
-            kSlotBytes - request_wire_bytes(64, true, true, true, true));
-  auto dec = decode_request(slot, true, true, true, true);
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(dec->trace_id, req.trace_id);
-  EXPECT_EQ(dec->parent_span, 42u);
-  EXPECT_EQ(dec->token, 0xfeedu);
-  EXPECT_EQ(dec->epoch, 7u);
-  EXPECT_EQ(dec->tenant, 3u);
-  EXPECT_EQ(dec->deadline, 123456u);
-  ASSERT_EQ(dec->value.size(), 64u);
+  std::vector<std::byte> buf(2 * kSlotBytes, std::byte{0x5a});
+  std::span<std::byte> slot(buf.data() + kSlotBytes, kSlotBytes);
+  EXPECT_THROW(encode_request(slot, req, true, true, true), std::length_error);
+  for (std::byte b : buf) ASSERT_EQ(b, std::byte{0x5a});
+
+  // A SEND frame one byte short of the wire size is refused too; the exact
+  // size fits.
+  req.value = std::span<const std::byte>(value.data(), 40);
+  std::vector<std::byte> frame(request_wire_bytes(40, true) - 1);
+  EXPECT_THROW(encode_request(frame, req, true), std::length_error);
+  frame.resize(frame.size() + 1);
+  EXPECT_EQ(encode_request(frame, req, true), 0u);
 }
 
-TEST(Protocol, UnsampledTraceRequestCarriesZeroId) {
-  std::vector<std::byte> slot(kSlotBytes, std::byte{0});
-  Request req;
-  req.key = kv::hash_of_rank(4);
-  encode_request(slot, req, true, false, false, /*with_trace=*/true);
-  auto dec = decode_request(slot, true, false, false, true);
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(dec->trace_id, 0u);
-  EXPECT_EQ(dec->parent_span, 0u);
+// ---------------------------------------------------------------------------
+// Hostile wire bytes: seeded byte mutations of valid encodings. Whatever a
+// torn, corrupt or malicious buffer holds, a decoder either rejects it or
+// returns fields that lie inside it. Each mutated buffer is a fresh,
+// exactly-sized allocation, so under ASan a read past it faults.
+
+// `v` lies inside `buf`.
+bool inside(std::span<const std::byte> v, std::span<const std::byte> buf) {
+  return v.empty() || (v.data() >= buf.data() &&
+                       v.data() + v.size() <= buf.data() + buf.size());
 }
 
-TEST(Protocol, TraceHeaderShrinksMaxValueByTwelveBytes) {
-  EXPECT_EQ(request_wire_bytes(0, true, true, false, true) -
-                request_wire_bytes(0, true, true, false, false),
-            kTraceBytes);
-  std::uint32_t without = max_value_bytes(true, true, true, false);
-  std::uint32_t with = max_value_bytes(true, true, true, true);
-  EXPECT_EQ(without - with, kTraceBytes);
+// One hostile rewrite of `wire`: 1-4 bytes overwritten at random, one bit
+// flipped, or the buffer cut short at the front or the back.
+std::vector<std::byte> mutate(const std::vector<std::byte>& wire,
+                              sim::Pcg32& rng) {
+  std::vector<std::byte> out = wire;
+  switch (rng.next_u32() % 4) {
+    case 0:
+      for (std::uint32_t n = 1 + rng.next_u32() % 4; n > 0; --n) {
+        out[rng.next_u32() % out.size()] = std::byte(rng.next_u32());
+      }
+      break;
+    case 1:
+      out[rng.next_u32() % out.size()] ^= std::byte(1u << rng.next_u32() % 8);
+      break;
+    case 2:
+      out.erase(out.begin(), out.begin() + rng.next_u32() % (out.size() + 1));
+      break;
+    default:
+      out.resize(rng.next_u32() % (out.size() + 1));
+      break;
+  }
+  return {out.begin(), out.end()};
 }
+
+constexpr int kMutations = 3000;  // per header combination / payload kind
+
+TEST(ProtocolFuzz, MutatedRequestsDecodeInBoundsOrNotAtAll) {
+  sim::Pcg32 rng(0xfa57);
+  for (std::uint32_t combo = 0; combo < 8; ++combo) {
+    const bool tok = combo & 1, ep = combo & 2, ov = combo & 4;
+    SCOPED_TRACE(::testing::Message() << "token=" << tok << " epoch=" << ep
+                                      << " overload=" << ov);
+    int decoded = 0;
+    for (int i = 0; i < kMutations; ++i) {
+      std::vector<std::byte> value(rng.next_u32() %
+                                   (max_value_bytes(tok, ep, ov) + 1));
+      workload::WorkloadGenerator::fill_value(i, value);
+      Request req;
+      req.key = kv::hash_of_rank(i);
+      req.is_delete = rng.next_u32() % 8 == 0;
+      req.is_put = !req.is_delete && !value.empty();
+      if (req.is_put) req.value = value;
+      req.token = rng.next_u32();
+      req.epoch = rng.next_u32();
+      req.tenant = static_cast<std::uint16_t>(rng.next_u32());
+      req.deadline = rng.next_u64();
+      // WRITE mode polls a full slot; SEND mode gets an exact frame.
+      std::vector<std::byte> wire(
+          rng.next_u32() % 2 == 0
+              ? kSlotBytes
+              : request_wire_bytes(
+                    static_cast<std::uint32_t>(req.value.size()), tok, ep, ov));
+      encode_request(wire, req, tok, ep, ov);
+      std::vector<std::byte> hostile = mutate(wire, rng);
+      auto dec = decode_request(hostile, tok, ep, ov);
+      if (!dec) continue;
+      ++decoded;
+      EXPECT_FALSE(dec->key.is_zero());
+      EXPECT_FALSE(dec->is_put && dec->is_delete);
+      EXPECT_LE(dec->value.size(), kMaxValue);
+      EXPECT_TRUE(inside(dec->value, hostile));
+      EXPECT_EQ(dec->is_put, !dec->value.empty());
+    }
+    EXPECT_GT(decoded, 0);  // the property is not vacuous
+  }
+}
+
+TEST(ProtocolFuzz, MutatedResponsesDecodeInBoundsOrNotAtAll) {
+  sim::Pcg32 rng(0xbeef);
+  for (bool tok : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "token=" << tok);
+    int decoded = 0;
+    for (int i = 0; i < kMutations; ++i) {
+      // A value response, or a kWrongEpoch redirect / kOverloaded
+      // retry-after carrying its fixed payload.
+      std::vector<std::byte> value;
+      auto status = static_cast<RespStatus>(rng.next_u32() % 4);
+      if (status == RespStatus::kWrongEpoch) {
+        value.resize(kRedirectBytes);
+        encode_redirect(value, rng.next_u32(), rng.next_u64());
+      } else if (status == RespStatus::kOverloaded) {
+        value.resize(kRetryAfterBytes);
+        encode_retry_after(value, rng.next_u64());
+      } else if (status == RespStatus::kOk) {
+        value.resize(rng.next_u32() % (kMaxValue + 1));
+        workload::WorkloadGenerator::fill_value(i, value);
+      }
+      std::vector<std::byte> wire(kRespHeader + kTokenBytes + kMaxValue);
+      wire.resize(encode_response(wire, status, value, tok, rng.next_u32()));
+      std::vector<std::byte> hostile = mutate(wire, rng);
+      auto dec = decode_response(hostile, tok);
+      if (!dec) continue;
+      ++decoded;
+      EXPECT_LE(dec->value.size(), kMaxValue);
+      EXPECT_TRUE(inside(dec->value, hostile));
+      // The client decodes the payload of a redirect or shed reply next.
+      EXPECT_EQ(decode_redirect(dec->value).has_value(),
+                dec->value.size() >= kRedirectBytes);
+      EXPECT_EQ(decode_retry_after(dec->value).has_value(),
+                dec->value.size() >= kRetryAfterBytes);
+    }
+    EXPECT_GT(decoded, 0);
+  }
+}
+
+TEST(ProtocolFuzz, MutatedRedirectAndRetryAfterPayloadsDecodeInBounds) {
+  sim::Pcg32 rng(0xd1ce);
+  for (int i = 0; i < kMutations; ++i) {
+    std::vector<std::byte> redirect(kRedirectBytes);
+    encode_redirect(redirect, rng.next_u32(), rng.next_u64());
+    std::vector<std::byte> hostile = mutate(redirect, rng);
+    EXPECT_EQ(decode_redirect(hostile).has_value(),
+              hostile.size() >= kRedirectBytes);
+
+    std::vector<std::byte> retry(kRetryAfterBytes);
+    encode_retry_after(retry, rng.next_u64());
+    hostile = mutate(retry, rng);
+    EXPECT_EQ(decode_retry_after(hostile).has_value(),
+              hostile.size() >= kRetryAfterBytes);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Request region layout (Fig. 8).
 
 TEST(RequestRegion, PaperSizingExample) {
   // "With NC = 200, NS = 16 and W = 2, this is approximately 6 MB."

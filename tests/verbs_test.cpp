@@ -254,6 +254,47 @@ TEST_F(VerbsTest, UdSendPrependsGrh) {
   EXPECT_EQ(wc->src_port, cl_.host(0).port());
 }
 
+TEST_F(VerbsTest, TraceContextRidesTheWrToTheResponderHost) {
+  // Simulator metadata, not wire bytes: a WRITE hands its WR's context to
+  // the memory watch where it lands, a SEND to the RECV completion.
+  auto a = make(0, Transport::kUc);
+  auto b = make(1, Transport::kUc);
+  a.qp->connect(*b.qp);
+  fill(0, 0, 64, 5);
+  const obs::TraceCtx ctx{0x0000000700000009ULL, 42};
+  std::vector<obs::TraceCtx> landed;
+  cl_.host(1).memory().add_watch(
+      4000, 64, [&](std::uint64_t, std::uint32_t, obs::TraceCtx t) {
+        landed.push_back(t);
+      });
+  b.qp->post_recv({.wr_id = 1, .sge = {8000, 1024, b.mr.lkey}});
+
+  SendWr write;
+  write.opcode = Opcode::kWrite;
+  write.sge = {0, 64, a.mr.lkey};
+  write.remote_addr = 4000;
+  write.rkey = b.mr.rkey;
+  write.trace = ctx;
+  SendWr send;
+  send.opcode = Opcode::kSend;
+  send.sge = {0, 64, a.mr.lkey};
+  send.trace = ctx;
+  a.qp->post_send(write);
+  a.qp->post_send(send);
+  cl_.engine().run();
+
+  ASSERT_EQ(landed.size(), 1u);
+  EXPECT_EQ(landed[0].trace_id, ctx.trace_id);
+  EXPECT_EQ(landed[0].parent, ctx.parent);
+  auto wc = poll_one(*b.rcq);
+  ASSERT_TRUE(wc.has_value());
+  EXPECT_EQ(wc->trace.trace_id, ctx.trace_id);
+  EXPECT_EQ(wc->trace.parent, ctx.parent);
+  // Same bytes on the wire as an unannotated WR.
+  EXPECT_TRUE(matches(1, 4000, 64, 5));
+  EXPECT_TRUE(matches(1, 8000, 64, 5));
+}
+
 TEST_F(VerbsTest, InlinePayloadCapturedAtPostTime) {
   // The defining inline property: the buffer is reusable immediately after
   // post_send returns. HERD's clients depend on it.
