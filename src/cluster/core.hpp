@@ -11,7 +11,6 @@
 #include <string>
 #include <utility>
 
-#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 #include "sim/time.hpp"
@@ -25,17 +24,19 @@ class SequentialCore {
 
   /// Occupies the core for `cost` ticks starting no earlier than `earliest`
   /// (and never before previously queued work completes), then runs `fn`.
-  /// Returns the completion tick.
-  sim::Tick run_at(sim::Tick earliest, sim::Tick cost,
-                   sim::Callback&& fn) {
+  /// Returns the completion tick. `fn` goes to the engine as is, so its
+  /// closure is built once, in the engine's pool slot.
+  template <class F>
+  sim::Tick run_at(sim::Tick earliest, sim::Tick cost, F&& fn) {
     sim::Tick start = earliest > engine_->now() ? earliest : engine_->now();
     sim::Tick done = res_.acquire_at(start, cost);
-    if (fn) engine_->schedule_at(done, std::move(fn));
+    engine_->schedule_at(done, std::forward<F>(fn));
     return done;
   }
 
-  sim::Tick run(sim::Tick cost, sim::Callback&& fn) {
-    return run_at(engine_->now(), cost, std::move(fn));
+  template <class F>
+  sim::Tick run(sim::Tick cost, F&& fn) {
+    return run_at(engine_->now(), cost, std::forward<F>(fn));
   }
 
   /// Charges time without a continuation (e.g. accounting for poll work).

@@ -30,22 +30,25 @@ class Callback {
       alignof(F) <= alignof(std::max_align_t) &&
       std::is_nothrow_move_constructible_v<F>;
 
+  /// True for the callables a Callback can be built from: anything
+  /// invocable as `void()` except a Callback itself.
+  template <class F, class D = std::decay_t<F>>
+  static constexpr bool kWraps =
+      !std::is_same_v<D, Callback> && std::is_invocable_r_v<void, D&>;
+
   Callback() noexcept = default;
 
-  template <class F, class D = std::decay_t<F>,
-            class = std::enable_if_t<!std::is_same_v<D, Callback> &&
-                                     std::is_invocable_r_v<void, D&>>>
+  template <class F, class = std::enable_if_t<kWraps<F>>>
   Callback(F&& fn) {  // NOLINT(google-explicit-constructor): like std::function
-    if constexpr (kStoredInline<D>) {
-      std::construct_at(reinterpret_cast<D*>(buf_), std::forward<F>(fn));
-      ops_ = &kOps<D>;
-    } else {
-      // Too large for the buffer: the buffer holds the owning pointer.
-      using B = Boxed<D>;
-      std::construct_at(reinterpret_cast<B*>(buf_),
-                        B{std::make_unique<D>(std::forward<F>(fn))});
-      ops_ = &kOps<B>;
-    }
+    construct(std::forward<F>(fn));
+  }
+
+  /// Destroys the held callable, if any, and builds `fn` in its place. The
+  /// engine uses this to build each closure directly in its pool slot.
+  template <class F, class = std::enable_if_t<kWraps<F>>>
+  void emplace(F&& fn) {
+    reset();
+    construct(std::forward<F>(fn));
   }
 
   Callback(Callback&& o) noexcept : ops_(o.ops_) {
@@ -76,6 +79,14 @@ class Callback {
 
   /// Runs the callable. Precondition: non-empty.
   void operator()() { ops_->invoke(buf_); }
+
+  /// Destroys the held callable, leaving the Callback empty.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
 
  private:
   struct Ops {
@@ -108,10 +119,20 @@ class Callback {
       [](void* self) noexcept { std::destroy_at(held<T>(self)); },
   };
 
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
+  // Precondition: empty. Sets ops_ only once `fn` is built, so a throwing
+  // constructor leaves the Callback empty.
+  template <class F>
+  void construct(F&& fn) {
+    using D = std::decay_t<F>;
+    if constexpr (kStoredInline<D>) {
+      std::construct_at(reinterpret_cast<D*>(buf_), std::forward<F>(fn));
+      ops_ = &kOps<D>;
+    } else {
+      // Too large for the buffer: the buffer holds the owning pointer.
+      using B = Boxed<D>;
+      std::construct_at(reinterpret_cast<B*>(buf_),
+                        B{std::make_unique<D>(std::forward<F>(fn))});
+      ops_ = &kOps<B>;
     }
   }
 

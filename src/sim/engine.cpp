@@ -1,48 +1,152 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
 namespace herd::sim {
 
-void Engine::schedule_at(Tick t, Callback&& cb) {
+Engine::Engine() { head_.fill(kNone); }
+
+std::uint32_t Engine::claim(Tick t) {
   if (t < now_) {
     throw std::logic_error("Engine::schedule_at: time in the past");
   }
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(cb));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(cb);
+  if (free_ == kNone) {
+    // Grow by one chunk. Earlier chunks stay where they are, so a running
+    // callback and every pending closure keep their addresses.
+    constexpr std::uint32_t n = 1u << kChunkShift;
+    const auto first = static_cast<std::uint32_t>(entries_.size());
+    chunks_.push_back(std::make_unique<Callback[]>(n));
+    entries_.resize(entries_.size() + n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      entries_[first + i].next = i + 1 < n ? first + i + 1 : kNone;
+    }
+    free_ = first;
   }
-  heap_.push_back(Key{t, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const std::uint32_t slot = free_;
+  free_ = entries_[slot].next;
+  return slot;
+}
+
+void Engine::release(std::uint32_t slot) noexcept {
+  entries_[slot].next = free_;
+  free_ = slot;
+}
+
+void Engine::schedule_at(Tick t, Callback&& cb) {
+  if (!cb) {
+    throw std::logic_error("Engine::schedule_at: empty callback");
+  }
+  const std::uint32_t slot = claim(t);
+  callback(slot) = std::move(cb);
+  enqueue(t, slot);
+}
+
+void Engine::enqueue(Tick t, std::uint32_t slot) {
+  const std::uint64_t seq = next_seq_++;
+  const Tick bucket = t >> kBucketShift;
+  // t >= now() and the cursor never passes now()'s bucket, so
+  // bucket >= cursor_.
+  if (bucket == cursor_) {
+    // Every pending key is older, so this one goes after all keys at t.
+    auto at = std::partition_point(ready_.begin(), ready_.end(),
+                                   [t](const Key& k) { return k.t > t; });
+    ready_.insert(at, Key{t, seq, slot});
+  } else if (bucket - cursor_ < kBuckets) {
+    const std::size_t i = bucket & (kBuckets - 1);
+    entries_[slot] = Entry{t, seq, head_[i]};
+    head_[i] = slot;
+    occupied_[i / 64] |= std::uint64_t{1} << (i % 64);
+    ++ring_size_;
+  } else {
+    overflow_.push_back(Key{t, seq, slot});
+    std::push_heap(overflow_.begin(), overflow_.end(), Later{});
+  }
+}
+
+// The earliest bucket holding a pending event. Precondition: ready_ is
+// empty and some event is pending.
+Tick Engine::next_bucket() const {
+  Tick best = ~Tick{0};
+  if (ring_size_ > 0) {
+    // First occupied ring bucket after the cursor's, wrapping around. The
+    // cursor's own bucket is never occupied: its events are in ready_.
+    const std::size_t start = (cursor_ + 1) & (kBuckets - 1);
+    std::size_t w = start / 64;
+    std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
+    while (bits == 0) {
+      w = (w + 1) % kWords;
+      bits = occupied_[w];
+    }
+    const std::size_t i = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    best = cursor_ + ((i - cursor_) & (kBuckets - 1));
+  }
+  if (!overflow_.empty()) {
+    best = std::min(best, overflow_.front().t >> kBucketShift);
+  }
+  return best;
+}
+
+// Moves the cursor to `bucket` and sorts that bucket's events, from its
+// ring list and from the overflow heap, into ready_. Precondition: ready_
+// is empty and no event is pending before `bucket`.
+void Engine::advance_to(Tick bucket) {
+  cursor_ = bucket;
+  // Every ring event lies within one lap ahead of the old cursor, so this
+  // list holds only events of `bucket`.
+  const std::size_t i = bucket & (kBuckets - 1);
+  for (std::uint32_t s = head_[i]; s != kNone; s = entries_[s].next) {
+    ready_.push_back(Key{entries_[s].t, entries_[s].seq, s});
+  }
+  ring_size_ -= ready_.size();
+  head_[i] = kNone;
+  occupied_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+  while (!overflow_.empty() && (overflow_.front().t >> kBucketShift) == bucket) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
+    ready_.push_back(overflow_.back());
+    overflow_.pop_back();
+  }
+  std::sort(ready_.begin(), ready_.end(), Later{});
 }
 
 void Engine::dispatch_next() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Key k = heap_.back();
-  heap_.pop_back();
-  // Moved out before it runs: the callback may schedule events, and growing
-  // the pool relocates every slot, its own included.
-  Callback cb = std::move(slots_[k.slot]);
-  free_slots_.push_back(k.slot);
+  const Key k = ready_.back();
+  ready_.pop_back();
   now_ = k.t;
   ++events_processed_;
-  cb();
+  // The callback runs in its slot: chunks never move, so scheduling from
+  // inside it cannot relocate it. The slot is freed only once it returns
+  // (or throws), so it cannot be handed out while the callback runs.
+  struct Release {
+    Engine* eng;
+    std::uint32_t slot;
+    ~Release() {
+      eng->callback(slot).reset();
+      eng->release(slot);
+    }
+  } done{this, k.slot};
+  callback(k.slot)();
 }
 
 void Engine::run() {
-  while (!heap_.empty()) dispatch_next();
+  while (step()) {
+  }
 }
 
 std::uint64_t Engine::run_until(Tick t) {
   std::uint64_t n = 0;
-  while (!heap_.empty() && heap_.front().t <= t) {
+  for (;;) {
+    if (ready_.empty()) {
+      if (empty()) break;
+      // Leave the cursor where it is unless t's bucket reaches the next
+      // event, so it stays at or before now() once now() becomes t.
+      const Tick next = next_bucket();
+      if (next > (t >> kBucketShift)) break;
+      advance_to(next);
+    }
+    if (ready_.back().t > t) break;
     dispatch_next();
     ++n;
   }
@@ -51,7 +155,10 @@ std::uint64_t Engine::run_until(Tick t) {
 }
 
 bool Engine::step() {
-  if (heap_.empty()) return false;
+  if (ready_.empty()) {
+    if (empty()) return false;
+    advance_to(next_bucket());
+  }
   dispatch_next();
   return true;
 }

@@ -6,6 +6,8 @@
 #include <cstddef>
 #include <functional>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -146,7 +148,7 @@ TEST(Engine, CallbacksAreMovedNotCopiedAndTiesStayFifo) {
   int copies = 0;
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
-    // Alternate timestamps so the heap reorders between pushes.
+    // Alternate timestamps so the queue reorders between pushes.
     eng.schedule_at(ns(i % 2 == 0 ? 20 : 10),
                     [&order, i, c = CopyCounter(&copies)] {
                       (void)c;
@@ -165,6 +167,39 @@ static_assert(!std::is_copy_constructible_v<Callback>);
 static_assert(!std::is_copy_assignable_v<Callback>);
 static_assert(std::is_nothrow_move_constructible_v<Callback>);
 
+// A delay drawn from where a calendar queue can break: a tie at now(),
+// inside the cursor's 8 ns bucket, a few buckets on, across the ~8 µs ring,
+// around its horizon, and far past it.
+Tick random_delay(Pcg32& rng) {
+  auto below = [&rng](Tick bound) {
+    return static_cast<Tick>(rng.next_below(static_cast<std::uint32_t>(bound)));
+  };
+  switch (rng.next_below(6)) {
+    case 0:
+      return 0;
+    case 1:
+      return below(100);
+    case 2:
+      return below(ns(50));
+    case 3:
+      return below(us(8));
+    case 4:
+      return us(7) + below(us(3));
+    default:
+      return below(ms(2));
+  }
+}
+
+// The order the engine must run events in: event ids (schedule order),
+// stably sorted by time.
+std::vector<std::size_t> time_then_schedule_order(const std::vector<Tick>& at) {
+  std::vector<std::size_t> want(at.size());
+  std::iota(want.begin(), want.end(), std::size_t{0});
+  std::stable_sort(want.begin(), want.end(),
+                   [&](std::size_t a, std::size_t b) { return at[a] < at[b]; });
+  return want;
+}
+
 // Property: whatever callbacks schedule while they run (at now(), later,
 // or bursts that grow the callback pool under the running callback), events
 // run exactly once each, at their own time, in (time, schedule order).
@@ -182,13 +217,13 @@ TEST(Engine, RandomSchedulesRunInTimeThenScheduleOrder) {
       std::size_t id = at.size();
       at.push_back(t);
       // A heap-owning capture, checked after the body schedules: the pool
-      // may have grown and relocated every slot in the meantime.
+      // may have grown in the meantime.
       std::vector<std::size_t> mark(3, id);
       eng.schedule_at(t, [&, id, burst, mark] {
         EXPECT_EQ(eng.now(), at[id]);
         ran.push_back(id);
         for (std::size_t i = 0; i < burst && at.size() < kMaxEvents; ++i) {
-          add(eng.now() + rng.next_below(100), 0);
+          add(eng.now() + random_delay(rng), 0);
         }
         std::size_t pending = at.size() - ran.size();
         if (at.size() < kMaxEvents) {
@@ -196,27 +231,208 @@ TEST(Engine, RandomSchedulesRunInTimeThenScheduleOrder) {
           if (roll < 3) {
             add(eng.now(), 0);
           } else if (roll < 8) {
-            add(eng.now() + rng.next_below(40), 0);
+            add(eng.now() + random_delay(rng), 0);
           } else if (roll == 9) {
-            add(eng.now() + rng.next_below(20), 2 * pending + 8);
+            add(eng.now() + random_delay(rng), 2 * pending + 8);
           }
         }
         EXPECT_EQ(mark, std::vector<std::size_t>(3, id));
       });
     };
-    // The first callback grows the pool from one slot to hundreds while it
+    // The first callback grows the pool from one chunk to several while it
     // runs; later bursts double the pending count again.
-    add(0, 256);
+    add(0, 1024);
     eng.run();
 
-    std::vector<std::size_t> want(at.size());
-    std::iota(want.begin(), want.end(), std::size_t{0});
-    std::stable_sort(want.begin(), want.end(),
-                     [&](std::size_t a, std::size_t b) { return at[a] < at[b]; });
-    EXPECT_EQ(ran, want) << "seed " << seed;
+    EXPECT_EQ(ran, time_then_schedule_order(at)) << "seed " << seed;
     EXPECT_EQ(eng.events_processed(), at.size());
     EXPECT_EQ(eng.events_scheduled(), at.size());
   }
+}
+
+// Property: run_until(t) stops short of the next pending event, and events
+// then scheduled between t and that event (in its bucket, before it, or at
+// t itself) still run first, in (time, schedule order).
+TEST(Engine, SchedulesAfterRunUntilStopsShortKeepTheOrder) {
+  constexpr std::size_t kMaxEvents = 2000;  // per seed
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Engine eng;
+    Pcg32 rng(seed);
+    std::vector<Tick> at;
+    std::vector<std::size_t> ran;
+    std::function<void(Tick)> add = [&](Tick t) {
+      std::size_t id = at.size();
+      at.push_back(t);
+      eng.schedule_at(t, [&, id] {
+        EXPECT_EQ(eng.now(), at[id]);
+        ran.push_back(id);
+        if (at.size() < kMaxEvents && rng.next_below(2) == 0) {
+          add(eng.now() + random_delay(rng));
+        }
+      });
+    };
+    for (int i = 0; i < 8; ++i) add(random_delay(rng));
+    while (at.size() < kMaxEvents) {
+      const Tick stop = eng.now() + random_delay(rng);
+      eng.run_until(stop);
+      ASSERT_EQ(eng.now(), stop);
+      const auto due = static_cast<std::size_t>(
+          std::count_if(at.begin(), at.end(), [&](Tick t) { return t <= stop; }));
+      ASSERT_EQ(ran.size(), due) << "seed " << seed;
+      // Mostly just past `stop`: between it and the next pending event.
+      for (std::uint32_t n = rng.next_below(4); n > 0; --n) {
+        add(stop + (rng.next_below(2) == 0
+                        ? Tick{rng.next_below(static_cast<std::uint32_t>(ns(20)))}
+                        : random_delay(rng)));
+      }
+    }
+    eng.run();
+    EXPECT_EQ(ran, time_then_schedule_order(at)) << "seed " << seed;
+  }
+}
+
+TEST(Engine, RunUntilStopsShortThenScheduleBeforeTheNextEvent) {
+  Engine eng;
+  std::vector<int> order;
+  auto log = [&](int id) { return [&order, id] { order.push_back(id); }; };
+  eng.schedule_at(10'000, log(2));   // 8.192 ns buckets: bucket 1
+  eng.schedule_at(us(5), log(5));
+  // 9 ns is in the pending event's bucket, but before it.
+  EXPECT_EQ(eng.run_until(9'000), 0u);
+  eng.schedule_at(9'500, log(1));
+  eng.schedule_at(10'000, log(3));  // a tie behind the older event
+  EXPECT_EQ(eng.run_until(ns(20)), 3u);
+  // 1 µs is buckets before the next pending event (5 µs).
+  EXPECT_EQ(eng.run_until(us(1)), 0u);
+  eng.schedule_at(us(1), log(4));
+  eng.schedule_at(us(5), log(6));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(eng.now(), us(5));
+}
+
+TEST(Engine, OnlyEventsPastTheHorizonPending) {
+  Engine eng;
+  std::vector<int> order;
+  auto log = [&](int id) { return [&order, id] { order.push_back(id); }; };
+  eng.schedule_at(ms(3), log(5));
+  eng.schedule_at(ms(1), [&] {
+    order.push_back(1);
+    eng.schedule_after(0, log(3));
+    eng.schedule_after(ms(2) + 1, log(6));
+    eng.schedule_after(1, log(4));
+  });
+  eng.schedule_at(ms(1), log(2));
+  eng.schedule_at(sec(1), log(7));
+  EXPECT_EQ(eng.run_until(us(500)), 0u);
+  EXPECT_FALSE(eng.empty());
+  EXPECT_TRUE(eng.step());
+  EXPECT_EQ(eng.now(), ms(1));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(eng.now(), sec(1));
+  EXPECT_TRUE(eng.empty());
+}
+
+// A capture that counts the times it is moved.
+struct MoveCounter {
+  int* moves;
+  explicit MoveCounter(int* m) : moves(m) {}
+  MoveCounter(MoveCounter&& o) noexcept : moves(o.moves) { ++*moves; }
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+};
+
+// A closure is built in its pool slot, runs there and is destroyed there:
+// one move, from the call site into the slot, even when a running callback
+// grows the pool by several chunks while others are pending.
+TEST(Engine, CallbacksRunInPlaceWhileThePoolGrows) {
+  Engine eng;
+  int moves = 0;
+  int pending_moves = 0;
+  int ran = 0;
+  for (int i = 0; i < 100; ++i) {
+    eng.schedule_at(ns(2), [&ran, c = MoveCounter(&pending_moves)] {
+      (void)c;
+      ++ran;
+    });
+  }
+  eng.schedule_at(ns(1), [&, c = MoveCounter(&moves)] {
+    EXPECT_EQ(moves, 1);
+    for (int i = 0; i < 4096; ++i) {
+      eng.schedule_after(Tick(i % 3), [&ran, d = MoveCounter(&pending_moves)] {
+        (void)d;
+        ++ran;
+      });
+    }
+    EXPECT_EQ(c.moves, &moves);
+    EXPECT_EQ(moves, 1);
+  });
+  EXPECT_EQ(moves, 1);
+  EXPECT_EQ(pending_moves, 100);
+  eng.run();
+  EXPECT_EQ(ran, 4196);
+  EXPECT_EQ(moves, 1);
+  EXPECT_EQ(pending_moves, 4196);
+}
+
+// The message of the std::logic_error `fn` throws, or "" if it throws none.
+template <class Fn>
+std::string logic_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Engine, SchedulingAnEmptyCallbackThrowsAtTheCallSite) {
+  Engine eng;
+  EXPECT_EQ(logic_error_of([&] { eng.schedule_at(ns(1), Callback{}); }),
+            "Engine::schedule_at: empty callback");
+  EXPECT_EQ(logic_error_of([&] { eng.schedule_after(ns(1), Callback{}); }),
+            "Engine::schedule_at: empty callback");
+  EXPECT_TRUE(eng.empty());
+  EXPECT_EQ(eng.events_scheduled(), 0u);
+  int ran = 0;
+  eng.schedule_at(ns(1), Callback([&ran] { ++ran; }));
+  eng.run();
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(Engine, ScheduleAfterPastTheEndOfTimeThrowsOverflow) {
+  Engine eng;
+  eng.run_until(ns(10));
+  const Tick max = ~Tick{0};
+  EXPECT_EQ(logic_error_of([&] { eng.schedule_after(max, [] {}); }),
+            "Engine::schedule_after: now() + delay overflows");
+  EXPECT_EQ(logic_error_of([&] { eng.schedule_after(max - ns(10) + 1, [] {}); }),
+            "Engine::schedule_after: now() + delay overflows");
+  EXPECT_EQ(logic_error_of([&] { eng.schedule_at(ns(5), [] {}); }),
+            "Engine::schedule_at: time in the past");
+  EXPECT_TRUE(eng.empty());
+  // The last representable tick is still a valid time.
+  EXPECT_EQ(logic_error_of([&] { eng.schedule_after(max - ns(10), [] {}); }), "");
+  EXPECT_FALSE(eng.empty());
+}
+
+// A capture whose copy throws.
+struct ThrowsOnCopy {
+  ThrowsOnCopy() = default;
+  ThrowsOnCopy(const ThrowsOnCopy&) { throw std::runtime_error("copy"); }
+};
+
+TEST(Engine, ClosureThatThrowsWhileBuiltLeavesNothingPending) {
+  Engine eng;
+  auto fn = [t = ThrowsOnCopy{}] { (void)t; };
+  EXPECT_THROW(eng.schedule_at(ns(1), fn), std::runtime_error);
+  EXPECT_TRUE(eng.empty());
+  int ran = 0;
+  eng.schedule_at(ns(1), [&ran] { ++ran; });
+  eng.run();
+  EXPECT_EQ(ran, 1);
 }
 
 // Tracks one logical capture across moves: a move passes ownership on, so
