@@ -50,9 +50,8 @@ std::uint32_t Fabric::wire_bytes(std::uint32_t payload, bool datagram) const {
   return payload + packets * header;
 }
 
-void Fabric::transmit_at(sim::Tick start, std::uint32_t src, std::uint32_t dst,
-                         std::uint32_t wire_bytes,
-                         sim::Callback&& on_arrival) {
+sim::Tick Fabric::arrival(sim::Tick start, std::uint32_t src,
+                         std::uint32_t dst, std::uint32_t wire_bytes) {
   if (src >= ports_.size() || dst >= ports_.size()) {
     throw std::out_of_range("Fabric::transmit: bad port id");
   }
@@ -75,13 +74,12 @@ void Fabric::transmit_at(sim::Tick start, std::uint32_t src, std::uint32_t dst,
   sim::Resource::Admission tx = ports_[src].tx->admit_at(start, ser);
   sim::Tick at_switch = tx.done + hop;
   sim::Resource::Admission rx = ports_[dst].rx->admit_at(at_switch, ser);
-  sim::Tick arrival = rx.done;
   if (obs::tracing(tracer_)) {
     std::string bytes = std::to_string(wire_bytes) + "B";
     tracer_->admission(ports_[src].tx->name(), "wire_tx", tx, bytes);
     tracer_->admission(ports_[dst].rx->name(), "wire_rx", rx, bytes);
   }
-  engine_->schedule_at(arrival, std::move(on_arrival));
+  return rx.done;
 }
 
 }  // namespace herd::fabric

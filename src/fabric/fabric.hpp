@@ -20,7 +20,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/callback.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
@@ -87,15 +86,22 @@ class Fabric {
 
   /// Sends `wire_bytes` (already including transport headers) from `src` to
   /// `dst`; invokes `on_arrival` at full-message arrival time.
+  template <class F>
   void transmit(std::uint32_t src, std::uint32_t dst,
-                std::uint32_t wire_bytes, sim::Callback&& on_arrival) {
-    transmit_at(engine_->now(), src, dst, wire_bytes, std::move(on_arrival));
+                std::uint32_t wire_bytes, F&& on_arrival) {
+    transmit_at(engine_->now(), src, dst, wire_bytes,
+                std::forward<F>(on_arrival));
   }
 
   /// As transmit(), but serialization onto the source link starts no earlier
-  /// than `start` (used to chain from an upstream pipeline stage).
+  /// than `start` (used to chain from an upstream pipeline stage). The
+  /// closure is built once, in its engine pool slot.
+  template <class F>
   void transmit_at(sim::Tick start, std::uint32_t src, std::uint32_t dst,
-                   std::uint32_t wire_bytes, sim::Callback&& on_arrival);
+                   std::uint32_t wire_bytes, F&& on_arrival) {
+    engine_->schedule_at(arrival(start, src, dst, wire_bytes),
+                         std::forward<F>(on_arrival));
+  }
 
   /// Serialized wire size of a payload on the given transport family.
   std::uint32_t wire_bytes(std::uint32_t payload, bool datagram) const;
@@ -137,6 +143,10 @@ class Fabric {
   const FabricConfig& config() const { return cfg_; }
 
  private:
+  /// Admits one message to both links; returns its full arrival tick.
+  sim::Tick arrival(sim::Tick start, std::uint32_t src, std::uint32_t dst,
+                    std::uint32_t wire_bytes);
+
   struct Port {
     std::unique_ptr<sim::Resource> tx;
     std::unique_ptr<sim::Resource> rx;

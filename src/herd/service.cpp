@@ -659,13 +659,43 @@ void HerdService::schedule_advance(std::uint32_t s, sim::Tick extra_delay) {
 void HerdService::arm_noop_timer(std::uint32_t s) {
   Proc& p = *procs_[s];
   if (p.pipeline.empty()) return;
-  std::uint64_t gen = p.advance_gen;
-  sim::Tick timeout = kNoopTimeoutPolls * cpu_.poll_iteration;
-  host_->ctx().engine().schedule_after(timeout, [this, s, gen]() {
-    Proc& pp = *procs_[s];
-    if (pp.advance_gen != gen || pp.pipeline.empty() || !pp.alive) return;
-    advance(s);  // no-op advance: flushes the pipeline (§4.1.1)
-  });
+  auto& engine = host_->ctx().engine();
+  NoopArm arm{engine.now() + kNoopTimeoutPolls * cpu_.poll_iteration, 0,
+              p.advance_gen};
+  if (p.noop_event) {
+    // The pending timer went stale with the advance that armed this one.
+    arm.seq = engine.reserve_seq();
+    p.noop_next = arm;
+    return;
+  }
+  p.noop_event = arm;
+  engine.schedule_at(arm.deadline, [this, s]() { noop_timer(s); });
+}
+
+void HerdService::noop_timer(std::uint32_t s) {
+  Proc& p = *procs_[s];
+  if (p.noop_next) {
+    // Superseded: move to the latest arm's own place, unless something
+    // advanced after that arm too.
+    p.noop_event = std::exchange(p.noop_next, std::nullopt);
+    if (p.noop_event->gen == p.advance_gen) {
+      host_->ctx().engine().schedule_reserved(
+          p.noop_event->deadline, p.noop_event->seq,
+          [this, s]() { noop_timer(s); });
+      return;
+    }
+  }
+  const std::uint64_t gen = p.noop_event->gen;
+  p.noop_event.reset();
+  if (p.advance_gen != gen || p.pipeline.empty() || !p.alive) return;
+  advance(s);  // no-op advance: flushes the pipeline (§4.1.1)
+}
+
+std::optional<sim::Tick> HerdService::noop_deadline(std::uint32_t s) const {
+  const Proc& p = *procs_.at(s);
+  const std::optional<NoopArm>& arm = p.noop_next ? p.noop_next : p.noop_event;
+  if (!arm || arm->gen != p.advance_gen) return std::nullopt;
+  return arm->deadline;
 }
 
 void HerdService::advance(std::uint32_t s) {

@@ -180,6 +180,9 @@ class HerdService {
     std::uint64_t resp_chained = 0;  // responses carried by those chains
   };
   const ProcStats& proc_stats(std::uint32_t s) const;
+  /// When server process `s`'s no-op timer flushes its pipeline (§4.1.1)
+  /// unless it advances first; nullopt when no live timer is armed.
+  std::optional<sim::Tick> noop_deadline(std::uint32_t s) const;
   /// Process `s`'s admission gate (degraded-mode state, per-tenant tallies).
   /// Meaningful only when OverloadConfig::enable is on.
   const overload::AdmissionGate& proc_gate(std::uint32_t s) const;
@@ -224,6 +227,15 @@ class HerdService {
     std::vector<TokenRing> seen_tokens;  // per client (token mode)
   };
 
+  /// One no-op timer arm: its deadline, the advance_gen it belongs to, and,
+  /// for an arm that superseded the pending event, its reserved place in
+  /// the event order.
+  struct NoopArm {
+    sim::Tick deadline = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t gen = 0;
+  };
+
   struct Proc {
     /// Replicas hosted by this process, keyed by shard (std::map: hosted
     /// shards iterate in deterministic order — replay depends on it).
@@ -253,6 +265,13 @@ class HerdService {
     /// primary comes back first.
     sim::RingDeque<Pending> parked;
     std::uint64_t advance_gen = 0;  // invalidates stale no-op timers
+    /// No-op timers (§4.1.1). Every advance supersedes the arms before it,
+    /// so at most one engine event is pending per proc: `noop_event`'s. A
+    /// later arm only records its deadline and reserved place in the event
+    /// order in `noop_next`, and the pending event moves there when it
+    /// fires (noop_timer).
+    std::optional<NoopArm> noop_event;
+    std::optional<NoopArm> noop_next;
     std::uint64_t resp_base = 0;    // response staging ring
     std::uint32_t resp_slot = 0;
     /// Response coalescing (§4.3 doorbell batching): while a burst of
@@ -314,6 +333,8 @@ class HerdService {
   std::optional<Pending> pop_arrival(Proc& p);
   void schedule_advance(std::uint32_t s, sim::Tick extra_delay);
   void arm_noop_timer(std::uint32_t s);
+  /// The proc's pending no-op event (noop_event) fires.
+  void noop_timer(std::uint32_t s);
   void advance(std::uint32_t s);
   /// Host prefetch of the MICA bucket the serving replica will read for
   /// `key` (kv::MicaCache::prefetch_bucket).

@@ -41,19 +41,20 @@ void Engine::schedule_at(Tick t, Callback&& cb) {
   }
   const std::uint32_t slot = claim(t);
   callback(slot) = std::move(cb);
-  enqueue(t, slot);
+  enqueue(t, next_seq_++, slot);
 }
 
-void Engine::enqueue(Tick t, std::uint32_t slot) {
-  const std::uint64_t seq = next_seq_++;
+void Engine::enqueue(Tick t, std::uint64_t seq, std::uint32_t slot) {
   const Tick bucket = t >> kBucketShift;
   // t >= now() and the cursor never passes now()'s bucket, so
   // bucket >= cursor_.
   if (bucket == cursor_) {
-    // Every pending key is older, so this one goes after all keys at t.
-    auto at = std::partition_point(ready_.begin(), ready_.end(),
-                                   [t](const Key& k) { return k.t > t; });
-    ready_.insert(at, Key{t, seq, slot});
+    // A reserved seq may be older than pending keys at t, so compare both.
+    const Key key{t, seq, slot};
+    auto at = std::partition_point(
+        ready_.begin(), ready_.end(),
+        [&key](const Key& k) { return Later{}(k, key); });
+    ready_.insert(at, key);
   } else if (bucket - cursor_ < kBuckets) {
     const std::size_t i = bucket & (kBuckets - 1);
     entries_[slot] = Entry{t, seq, head_[i]};
@@ -115,6 +116,7 @@ void Engine::dispatch_next() {
   const Key k = ready_.back();
   ready_.pop_back();
   now_ = k.t;
+  reached_end_ = k.seq + 1;
   ++events_processed_;
   // The callback runs in its slot: chunks never move, so scheduling from
   // inside it cannot relocate it. The slot is freed only once it returns
@@ -133,6 +135,7 @@ void Engine::dispatch_next() {
 void Engine::run() {
   while (step()) {
   }
+  drained_ = next_seq_;
 }
 
 std::uint64_t Engine::run_until(Tick t) {
@@ -150,7 +153,12 @@ std::uint64_t Engine::run_until(Tick t) {
     dispatch_next();
     ++n;
   }
-  if (t > now_) now_ = t;
+  if (t >= now_) {
+    // Every event at or before t has run, so every place handed out so far
+    // at t is reached.
+    now_ = t;
+    reached_end_ = next_seq_;
+  }
   return n;
 }
 

@@ -9,6 +9,16 @@
 // schedule at now() itself; that event runs after every event already
 // pending at now().
 //
+// Reserved places: reserve_seq() takes the next place in the schedule order
+// without creating an event. A component whose work at tick t is only
+// bookkeeping keeps (t, seq) and applies that work lazily: before it reads
+// the state, it applies every entry the engine has reached(), exactly the
+// ones an event at that place would already have run. Or it can turn the
+// place into an event later with schedule_reserved(t, seq, fn), which runs
+// where an event scheduled at reservation time would have run. Reserving
+// counts as scheduling in events_scheduled(), so replacing an event with a
+// reserved place leaves every other event's (time, seq) unchanged.
+//
 // The queue is a calendar queue (Brown, CACM 1988). Time is cut into
 // buckets of 2^13 ps (8.192 ns), and a ring of 1024 buckets spans the
 // horizon, about 8.4 µs past the cursor bucket. An event inside the horizon
@@ -54,14 +64,8 @@ class Engine {
   /// built in its pool slot, so it is moved (or copied) exactly once.
   template <class F, class = std::enable_if_t<Callback::kWraps<F>>>
   void schedule_at(Tick t, F&& fn) {
-    const std::uint32_t slot = claim(t);
-    try {
-      callback(slot).emplace(std::forward<F>(fn));
-    } catch (...) {
-      release(slot);
-      throw;
-    }
-    enqueue(t, slot);
+    place(t, next_seq_, std::forward<F>(fn));
+    ++next_seq_;
   }
 
   /// As above, for a callback that is already built. Throws
@@ -76,6 +80,29 @@ class Engine {
       throw std::logic_error("Engine::schedule_after: now() + delay overflows");
     }
     schedule_at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Takes the next place in the schedule order, as schedule_at would, but
+  /// creates no event. See schedule_reserved() and reached().
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// True if an event at (t, seq) would already have run, seen from the
+  /// running callback, or else from the last step(), run_until() or run().
+  /// After run() every place reserved before it counts as reached.
+  bool reached(Tick t, std::uint64_t seq) const {
+    return seq < drained_ || t < now_ || (t == now_ && seq < reached_end_);
+  }
+
+  /// Schedules `fn` at the reserved place (t, seq): it runs after the events
+  /// at t scheduled before `seq` was reserved and before those scheduled
+  /// after. Throws std::logic_error if `seq` was never handed out or the
+  /// place is already reached().
+  template <class F, class = std::enable_if_t<Callback::kWraps<F>>>
+  void schedule_reserved(Tick t, std::uint64_t seq, F&& fn) {
+    if (seq >= next_seq_ || reached(t, seq)) {
+      throw std::logic_error("Engine::schedule_reserved: place already passed");
+    }
+    place(t, seq, std::forward<F>(fn));
   }
 
   /// Runs events until the queue is empty.
@@ -94,9 +121,10 @@ class Engine {
 
   std::uint64_t events_processed() const { return events_processed_; }
 
-  /// Total events ever scheduled. Together with events_processed() and
-  /// now(), a cheap run fingerprint: two runs of the same deterministic
-  /// schedule agree on all three (chaos replay asserts this).
+  /// Total events ever scheduled, reserved places included. Together with
+  /// events_processed() and now(), a cheap run fingerprint: two runs of the
+  /// same deterministic schedule agree on all three (chaos replay asserts
+  /// this).
   std::uint64_t events_scheduled() const { return next_seq_; }
 
  private:
@@ -130,9 +158,22 @@ class Engine {
   Callback& callback(std::uint32_t slot) {
     return chunks_[slot >> kChunkShift][slot & ((1u << kChunkShift) - 1)];
   }
+  /// Builds `fn` in a pool slot and queues it at (t, seq). A closure that
+  /// throws while built leaves nothing behind.
+  template <class F>
+  void place(Tick t, std::uint64_t seq, F&& fn) {
+    const std::uint32_t slot = claim(t);
+    try {
+      callback(slot).emplace(std::forward<F>(fn));
+    } catch (...) {
+      release(slot);
+      throw;
+    }
+    enqueue(t, seq, slot);
+  }
   std::uint32_t claim(Tick t);
   void release(std::uint32_t slot) noexcept;
-  void enqueue(Tick t, std::uint32_t slot);
+  void enqueue(Tick t, std::uint64_t seq, std::uint32_t slot);
   Tick next_bucket() const;
   void advance_to(Tick bucket);
   void dispatch_next();
@@ -148,6 +189,10 @@ class Engine {
   std::vector<std::unique_ptr<Callback[]>> chunks_;  // the callback pool
   std::uint32_t free_ = kNone;     // free slot list, linked through entries_
   std::uint64_t next_seq_ = 0;
+  // reached(): places at now() with seq below reached_end_ have passed, and
+  // after run() every place below drained_.
+  std::uint64_t reached_end_ = 0;
+  std::uint64_t drained_ = 0;
   std::uint64_t events_processed_ = 0;
 };
 

@@ -86,9 +86,19 @@ Context::Context(sim::Engine& engine, rnic::Rnic& rnic, pcie::PcieLink& pcie,
   if (port >> (32 - kKeyIndexBits) != 0) {
     throw std::invalid_argument("Context: port too large for the MR keys");
   }
+  rnic.set_retire_sink(this);
+}
+
+Context::~Context() { rnic_->set_retire_sink(nullptr); }
+
+void Context::wqe_retired(std::uint32_t qpn) {
+  if (contract_ == nullptr) return;
+  if (Qp* qp = find_qp(qpn)) contract_->on_send_retired(*qp);
 }
 
 ContractChecker& Context::enable_contract(ContractChecker::Mode mode) {
+  // Retirements reached before the checker existed are not its to count.
+  rnic_->settle();
   if (contract_ == nullptr) {
     contract_ = std::make_unique<ContractChecker>(mode);
   } else {
@@ -233,7 +243,12 @@ void Qp::post_send(std::span<const SendWr> chain) {
   // Chain-level contract rules first (length vs SQ depth, whole-chain CQE
   // arithmetic, illegal opcodes hidden mid-chain): fail-fast throws before
   // any prefix of the chain reaches the hardware.
-  if (auto* ck = ctx_->contract()) ck->on_post_chain(*this, chain);
+  auto* ck = ctx_->contract();
+  if (ck != nullptr) {
+    // The checker reads the send queue's in-flight count.
+    ctx_->rnic().settle();
+    ck->on_post_chain(*this, chain);
+  }
   ctx_->chain_len_.record(static_cast<sim::Tick>(chain.size()));
 
   // One doorbell per chain: the first non-READ WR pays the PIO transaction
@@ -244,7 +259,7 @@ void Qp::post_send(std::span<const SendWr> chain) {
   for (const SendWr& wr : chain) {
     // Per-WR contract accounting (SQ in-flight, CQE reserves) tracks each
     // WR as it is accepted, exactly as under single-WR posting.
-    if (auto* ck = ctx_->contract()) ck->on_post_send(*this, wr);
+    if (ck != nullptr) ck->on_post_send(*this, wr);
     if (state_ == QpState::kError) {
       // WRs posted to an errored QP are flushed: an immediate error CQE,
       // regardless of signaling, with no wire activity.
@@ -363,7 +378,10 @@ void Qp::issue_read(SendWr wr) {
 void Qp::finish_read(std::uint32_t /*length*/) {
   assert(outstanding_reads_ > 0);
   --outstanding_reads_;
-  if (auto* ck = ctx_->contract()) ck->on_send_retired(*this);
+  if (auto* ck = ctx_->contract()) {
+    ctx_->rnic().settle();
+    ck->on_send_retired(*this);
+  }
   if (!pending_reads_.empty()) {
     SendWr next = pending_reads_.front();
     pending_reads_.pop_front();
@@ -413,17 +431,10 @@ void Qp::tx_stage(SendWr wr, Payload payload, sim::Tick ready) {
 
   // Outbound throughput is the *service* rate of the TX unit, so count at
   // completion (arrival-time counting would measure the posting rate).
-  ctx_->engine().schedule_at(
-      tx_done, [this, signaled = wr.signaled, op = wr.opcode]() {
-        auto& rnic = ctx_->rnic();
-        ++rnic.counters().tx_ops;
-        if (!signaled) rnic.unsignaled_dec();
-        // SEND/WRITE WQEs leave the send queue once transmitted; READ WQEs
-        // stay outstanding until the response lands (see finish_read).
-        if (op != Opcode::kRead) {
-          if (auto* ck = ctx_->contract()) ck->on_send_retired(*this);
-        }
-      });
+  // SEND/WRITE WQEs leave the send queue once transmitted; READ WQEs stay
+  // outstanding until the response lands (see finish_read).
+  rn.retire_tx_at(tx_done, wr.opcode == Opcode::kRead ? 0 : qpn_,
+                  wr.signaled);
 
   // UC/UD verbs complete locally once transmitted ("fire and forget"); RC
   // completes on ACK / READ response, handled on the receive path.
@@ -549,8 +560,7 @@ void Qp::rx_arrive(Inbound in) {
   // Inbound throughput = RX service rate. The fabric is lossless (credit
   // flow control): when arrivals outpace service the wire backpressures, so
   // the sustainable rate is what the RX unit retires.
-  ctx_->engine().schedule_at(done,
-                             [this]() { ++ctx_->rnic().counters().rx_ops; });
+  rn.count_rx_at(done);
 
   switch (in.wr.opcode) {
     case Opcode::kWrite:

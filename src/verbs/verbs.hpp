@@ -194,11 +194,12 @@ class Qp {
   QpState state_ = QpState::kReady;
 };
 
-class Context {
+class Context final : public rnic::WqeRetireSink {
  public:
   Context(sim::Engine& engine, rnic::Rnic& rnic, pcie::PcieLink& pcie,
           fabric::Fabric& fabric, std::uint32_t port, HostMemory& memory,
           obs::RequestProbe& probe, PayloadSlab& payloads);
+  ~Context();
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
@@ -273,6 +274,9 @@ class Context {
     const Mr& mr = mrs_[index];
     return (remote ? mr.rkey : mr.lkey) == key ? &mr : nullptr;
   }
+
+  /// A TX retirement left QP `qpn`'s send queue; a destroyed QP is skipped.
+  void wqe_retired(std::uint32_t qpn) override;
 
   std::uint32_t next_qpn_ = 1;
   std::uint32_t next_cqn_ = 0;

@@ -497,6 +497,113 @@ TEST(Engine, EveryCaptureIsDestroyedExactlyOnce) {
   EXPECT_EQ(log.destroyed, all);
 }
 
+// A place reserved between two same-tick schedules and scheduled later, by
+// a callback that runs first, still runs between them: after the event
+// scheduled before the reservation, before every event scheduled after it.
+TEST(Engine, ReservedPlaceRunsBeforeLaterScheduledTies) {
+  Engine eng;
+  std::vector<int> order;
+  auto log = [&](int id) { return [&order, id] { order.push_back(id); }; };
+  const Tick t = us(2);  // several buckets past the scheduling callback
+  eng.schedule_at(t, log(1));
+  const std::uint64_t seq = eng.reserve_seq();
+  eng.schedule_at(t, log(3));
+  eng.schedule_at(ns(10), [&] {
+    eng.schedule_at(t, log(4));
+    eng.schedule_reserved(t, seq, log(2));
+  });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(eng.events_scheduled(), 5u);
+  EXPECT_EQ(eng.events_processed(), 5u);
+}
+
+// The running event's bucket is sorted into the cursor vector; a reserved
+// place with an older seq than keys already there is inserted in order.
+TEST(Engine, ScheduleReservedIntoTheCursorBucketWithAnOlderSeq) {
+  Engine eng;
+  std::vector<int> order;
+  auto log = [&](int id) { return [&order, id] { order.push_back(id); }; };
+  const Tick t = ns(100);
+  const std::uint64_t first = eng.reserve_seq();
+  eng.schedule_at(t, [&] {
+    order.push_back(1);
+    // Both places are older than the pending events at t and t + 1 ps.
+    eng.schedule_reserved(t + 1, first, log(5));
+  });
+  const std::uint64_t second = eng.reserve_seq();
+  eng.schedule_at(t, log(3));
+  eng.schedule_at(t + 1, log(6));
+  eng.schedule_at(t, [&] {
+    order.push_back(4);
+    EXPECT_THROW(eng.schedule_reserved(t, second, log(-1)), std::logic_error);
+  });
+  eng.run_until(t - 1);
+  eng.step();  // runs 1 at t: the cursor is t's bucket now
+  eng.schedule_reserved(t, second, log(2));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Engine, ReachedFollowsTheRunningEventAndTheLastRun) {
+  Engine eng;
+  const std::uint64_t before = eng.reserve_seq();
+  bool checked = false;
+  eng.schedule_at(ns(10), [&] {
+    // Mid-callback: places at earlier ticks, and at this tick before this
+    // event, have passed; later ones have not.
+    EXPECT_TRUE(eng.reached(ns(10), before));
+    EXPECT_TRUE(eng.reached(ns(9), eng.events_scheduled()));
+    EXPECT_FALSE(eng.reached(ns(11), before));
+    checked = true;
+  });
+  const std::uint64_t after = eng.reserve_seq();
+  eng.schedule_at(ns(20), [] {});
+  EXPECT_FALSE(eng.reached(0, before));
+
+  ASSERT_TRUE(eng.step());
+  EXPECT_TRUE(checked);
+  EXPECT_TRUE(eng.reached(ns(10), before));
+  EXPECT_FALSE(eng.reached(ns(10), after));  // no event at 10 ns after it ran
+
+  // run_until(t): every place handed out so far at t is reached, and a
+  // place reserved afterwards is not.
+  eng.run_until(ns(15));
+  EXPECT_TRUE(eng.reached(ns(15), after));
+  EXPECT_FALSE(eng.reached(ns(16), before));
+  const std::uint64_t later = eng.reserve_seq();
+  EXPECT_FALSE(eng.reached(ns(15), later));
+  bool ran = false;
+  eng.schedule_reserved(ns(15), later, [&] { ran = true; });
+  eng.run_until(ns(15));
+  EXPECT_TRUE(ran);
+
+  // run(): a place reserved before it counts as reached even past the last
+  // event, as an event there would have run too.
+  const std::uint64_t tail = eng.reserve_seq();
+  eng.run();
+  EXPECT_EQ(eng.now(), ns(20));
+  EXPECT_TRUE(eng.reached(ns(500), tail));
+  EXPECT_FALSE(eng.reached(ns(20), eng.reserve_seq()));
+}
+
+TEST(Engine, ScheduleReservedOnAPassedPlaceThrows) {
+  Engine eng;
+  const std::uint64_t seq = eng.reserve_seq();
+  eng.schedule_at(ns(10), [] {});
+  eng.run();
+  EXPECT_THROW(eng.schedule_reserved(ns(10), seq, [] {}), std::logic_error);
+  // Never handed out.
+  EXPECT_THROW(eng.schedule_reserved(ns(30), eng.events_scheduled(), [] {}),
+               std::logic_error);
+  // In the past.
+  const std::uint64_t fresh = eng.reserve_seq();
+  EXPECT_THROW(eng.schedule_reserved(ns(5), fresh, [] {}), std::logic_error);
+  EXPECT_TRUE(eng.empty());
+  eng.schedule_reserved(ns(10), fresh, [] {});  // a fresh place at now()
+  EXPECT_FALSE(eng.empty());
+}
+
 TEST(Resource, FifoServiceAccumulates) {
   Engine eng;
   Resource r(eng, "u");

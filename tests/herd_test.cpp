@@ -2,6 +2,8 @@
 // region -> MICA -> UD SEND -> client) on the simulated cluster.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "herd/testbed.hpp"
 
 namespace herd::core {
@@ -168,6 +170,56 @@ TEST(HerdEndToEnd, NoopsKeepPipelineDraining) {
     noops += bed.service().proc_stats(s).noops;
   }
   EXPECT_GT(noops, 0u);
+}
+
+TEST(HerdEndToEnd, NoopTimerFiresOnlyTheLatestArmAtItsDeadline) {
+  // Every advance re-arms the proc's no-op timer and supersedes the arm
+  // before it. Stepping event by event, a no-op advance must happen exactly
+  // at the deadline of the latest live arm, never at a superseded one's.
+  // SEND/SEND mode advances only on arrivals and on the timer, so every
+  // no-op seen here is the timer's.
+  TestbedConfig cfg = small_config();
+  cfg.herd.mode = RequestMode::kSendUd;
+  cfg.herd.n_server_procs = 1;
+  cfg.herd.n_clients = 2;
+  cfg.herd.window = 4;
+  HerdTestbed bed(cfg);
+  bed.run(0, sim::us(20));
+  const HerdService& service = bed.service();
+  sim::Engine& engine = bed.cluster().engine();
+
+  std::optional<sim::Tick> armed = service.noop_deadline(0);
+  std::uint64_t noops = service.proc_stats(0).noops;
+  int fired = 0;
+  int superseded = 0;
+  const sim::Tick stop = engine.now() + sim::us(200);
+  while (engine.now() < stop && engine.step()) {
+    const std::uint64_t n = service.proc_stats(0).noops;
+    if (n != noops) {
+      ASSERT_EQ(n, noops + 1);
+      ASSERT_TRUE(armed.has_value());
+      EXPECT_EQ(engine.now(), *armed);
+      ++fired;
+    } else if (armed) {
+      EXPECT_LE(engine.now(), *armed) << "a live arm's deadline passed";
+    }
+    const std::optional<sim::Tick> next = service.noop_deadline(0);
+    if (armed && next && *next != *armed && n == noops) ++superseded;
+    armed = next;
+    noops = n;
+  }
+  EXPECT_GT(fired, 10);
+  EXPECT_GT(superseded, fired);
+
+  // A live arm still flushes the pipeline: once the clients stop, every
+  // request completes and no timer is left armed.
+  for (std::size_t i = 0; i < bed.num_clients(); ++i) bed.client(i).stop();
+  engine.run();
+  for (std::size_t i = 0; i < bed.num_clients(); ++i) {
+    EXPECT_EQ(bed.client(i).outstanding(), 0u);
+  }
+  EXPECT_FALSE(service.noop_deadline(0).has_value());
+  EXPECT_GT(service.proc_stats(0).noops, noops);
 }
 
 TEST(HerdEndToEnd, UnloadedLatencyIsMicroseconds) {

@@ -1012,5 +1012,114 @@ TEST(Verbs, KeysAndIdsAreNotInterchangeable) {
       << ctx.contract()->violations().back().format();
 }
 
+// ---------------------------------------------------------------------------
+// TX retirements and RX counts: reserved places in the event order.
+
+// Two UD QPs on two hosts; host 0 sends unsignaled inline SENDs to
+// (host 1, `dst_qpn`).
+struct UdSender {
+  explicit UdSender(const cluster::ClusterConfig& cfg)
+      : cl(cfg, 2, 1u << 20) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      auto& ctx = cl.host(h).ctx();
+      scq[h] = ctx.create_cq();
+      rcq[h] = ctx.create_cq();
+      qp[h] = ctx.create_qp({Transport::kUd, scq[h].get(), rcq[h].get()});
+      mr[h] = ctx.register_mr(0, 64 << 10, {});
+    }
+    qp[1]->post_recv(RecvWr{1, Sge{0, 1024, mr[1].lkey}});
+  }
+
+  void send(std::uint32_t dst_qpn) {
+    SendWr wr;
+    wr.opcode = Opcode::kSend;
+    wr.sge = {0, 32, mr[0].lkey};
+    wr.inline_data = true;
+    wr.signaled = false;
+    wr.ah = Ah{&cl.host(1).ctx(), dst_qpn};
+    qp[0]->post_send(wr);
+  }
+
+  // Steps the engine until `unit` has admitted `n` operations in all.
+  void step_until_admitted(const sim::Resource& unit, std::uint64_t n) {
+    while (unit.total_ops() < n) ASSERT_TRUE(cl.engine().step());
+  }
+
+  cluster::Cluster cl;
+  std::unique_ptr<Cq> scq[2];
+  std::unique_ptr<Cq> rcq[2];
+  std::unique_ptr<Qp> qp[2];
+  Mr mr[2];
+};
+
+TEST(VerbsRetirement, EventsAtTheRetirementTickSeeItOnlyIfScheduledAfterTheStage) {
+  // A retirement sits where an event scheduled by its TX or RX stage would:
+  // an event at the same tick sees it only if it was scheduled after that
+  // stage ran.
+  cluster::ClusterConfig cfg = cluster::ClusterConfig::apt();
+  cfg.rnic.unsignaled_threshold = 0;  // one outstanding WQE is pressure
+  sim::Tick tx_done = 0;
+  sim::Tick rx_done = 0;
+  {
+    // Learn the two ticks on a first run; the second run is identical.
+    UdSender u(cfg);
+    u.send(u.qp[1]->qpn());
+    u.step_until_admitted(u.cl.host(0).rnic().tx(), 1);
+    tx_done = u.cl.host(0).rnic().tx().next_free();
+    u.step_until_admitted(u.cl.host(1).rnic().rx(), 1);
+    rx_done = u.cl.host(1).rnic().rx().next_free() + cfg.rnic.rx_latency;
+  }
+  UdSender u(cfg);
+  sim::Engine& eng = u.cl.engine();
+  rnic::Rnic& tx_nic = u.cl.host(0).rnic();
+  rnic::Rnic& rx_nic = u.cl.host(1).rnic();
+  std::vector<std::uint64_t> tx_seen;
+  std::vector<sim::Tick> pressure_seen;
+  std::vector<std::uint64_t> rx_seen;
+  auto probe_tx = [&] {
+    EXPECT_EQ(eng.now(), tx_done);
+    tx_seen.push_back(tx_nic.counters().tx_ops);
+    pressure_seen.push_back(tx_nic.unsignaled_pressure());
+  };
+  auto probe_rx = [&] {
+    EXPECT_EQ(eng.now(), rx_done);
+    rx_seen.push_back(rx_nic.counters().rx_ops);
+  };
+  eng.schedule_at(tx_done, probe_tx);
+  eng.schedule_at(rx_done, probe_rx);
+  u.send(u.qp[1]->qpn());
+  u.step_until_admitted(tx_nic.tx(), 1);
+  eng.schedule_at(tx_done, probe_tx);
+  u.step_until_admitted(rx_nic.rx(), 1);
+  eng.schedule_at(rx_done, probe_rx);
+  eng.run();
+
+  EXPECT_EQ(tx_seen, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(pressure_seen,
+            (std::vector<sim::Tick>{cfg.rnic.unsignaled_penalty, 0}));
+  EXPECT_EQ(rx_seen, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(tx_nic.counters().tx_ops, 1u);
+  EXPECT_EQ(rx_nic.counters().rx_ops, 1u);
+}
+
+TEST(VerbsRetirement, DestroyedQpWithRetirementsPendingIsNeverTouched) {
+  // The SENDs go to a QPN that does not exist, so host 1 drops them on
+  // arrival and only the TX retirements still name the sender. The QP is
+  // destroyed after its TX stages ran and before they retired; applying
+  // the retirements must not reach the freed QP (ASan catches it if it
+  // does).
+  UdSender u(cluster::ClusterConfig::apt());
+  rnic::Rnic& nic = u.cl.host(0).rnic();
+  for (int i = 0; i < 4; ++i) u.send(999);
+  u.step_until_admitted(nic.tx(), 4);
+  EXPECT_LT(nic.counters().tx_ops, 4u);  // not all retired yet
+  u.qp[0].reset();
+  u.cl.engine().run();
+
+  EXPECT_EQ(nic.counters().tx_ops, 4u);
+  EXPECT_EQ(u.cl.host(1).rnic().counters().dropped_packets, 4u);
+  EXPECT_EQ(u.cl.host(0).ctx().contract()->total(), 0u);
+}
+
 }  // namespace
 }  // namespace herd::verbs
