@@ -19,8 +19,9 @@ void run() {
   for (std::uint32_t n_procs : {100u, 400u, 800u, 1600u}) {
     TputSpec spec{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 4,
                   4};
-    microbench::RunRecord r = microbench::many_to_one_tput(
-        bench::apt(), spec, n_procs, 16, bench::measure_ticks());
+    microbench::RunRecord r = microbench::inbound_tput(
+        bench::apt(), spec, n_procs, bench::measure_ticks(),
+        /*n_machines=*/16);
     bench::report().add_point("WRITE_UC", n_procs, {{"Mops", r.value}},
                               r.attr, bench::publish(r));
   }

@@ -28,7 +28,8 @@
 //
 // Flags; any other argument, or a value that does not parse in full, exits 1:
 //
-//   --bench-out=DIR         write BENCH_<figure>.json into DIR
+//   --bench-out=DIR         write BENCH_<figure>.json into DIR, an existing
+//                           writable directory (checked before the run)
 //   --git-rev=SHA           provenance stamp for the JSON ("unknown" if unset)
 //   --bench-measure-ms=M    per-point measurement window (default 2 ms of
 //                           simulated time; CI smoke passes 0.25)
@@ -36,10 +37,15 @@
 //                           trace; any N > 0 also records the microbench
 //                           drivers' whole measure windows
 //   --bench-canary=NAME     plant a known bug so CI can prove a gate
-//                           catches it. The only NAME is drop-shedding:
-//                           fig16's admission control never sheds, and its
-//                           bench_compare gate MUST fail. Never publish a
-//                           baseline from a canary run.
+//                           catches it; its bench_compare gate MUST fail.
+//                           Never publish a baseline from a canary run.
+//                           NAME is one of:
+//                             drop-shedding: fig16's admission control
+//                               never sheds;
+//                             per-wr-doorbell: every posted WR rings its
+//                               own doorbell (RnicCalibration::
+//                               per_wr_doorbell), so fig04 falls back onto
+//                               the pre-batching pcie.pio curve.
 //
 // Each binary ends with HERD_BENCH_MAIN(figure, title, {series...}, run).
 #pragma once
@@ -48,12 +54,15 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "baselines/emulated_kv.hpp"
 #include "cluster/cluster.hpp"
@@ -72,6 +81,7 @@ struct BenchOptions {
   std::uint64_t trace_every = 0;    // --bench-trace
   double measure_ms = 2.0;          // --bench-measure-ms
   bool drop_shedding = false;       // --bench-canary=drop-shedding
+  bool per_wr_doorbell = false;     // --bench-canary=per-wr-doorbell
 };
 
 inline BenchOptions& options() {
@@ -199,9 +209,16 @@ inline E2e run_emulated(const cluster::ClusterConfig& cc,
              {},     {}};
 }
 
-inline cluster::ClusterConfig apt() { return cluster::ClusterConfig::apt(); }
+/// A cluster profile with the --bench-canary RNIC fault planted, if any.
+inline cluster::ClusterConfig with_canary(cluster::ClusterConfig c) {
+  c.rnic.per_wr_doorbell = options().per_wr_doorbell;
+  return c;
+}
+inline cluster::ClusterConfig apt() {
+  return with_canary(cluster::ClusterConfig::apt());
+}
 inline cluster::ClusterConfig susitna() {
-  return cluster::ClusterConfig::susitna();
+  return with_canary(cluster::ClusterConfig::susitna());
 }
 
 // --- main ------------------------------------------------------------------
@@ -221,6 +238,13 @@ template <typename T>
 bool parse_whole(std::string_view v, T& out) {
   auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
   return ec == std::errc() && end == v.data() + v.size();
+}
+
+/// True if `dir` is an existing directory this process may create files in.
+inline bool writable_dir(const std::string& dir) {
+  std::error_code ec;
+  return std::filesystem::is_directory(dir, ec) &&
+         ::access(dir.c_str(), W_OK | X_OK) == 0;
 }
 
 /// Prints one line per report point: its series, x and metrics.
@@ -260,12 +284,15 @@ inline int bench_main(int argc, char** argv, std::string figure,
         return 1;
       }
     } else if (consume_flag(argv[i], "--bench-canary=", v)) {
-      if (v != "drop-shedding") {
-        std::fprintf(stderr, "--bench-canary wants drop-shedding, got "
-                             "'%s'\n", v.c_str());
+      if (v == "drop-shedding") {
+        opt.drop_shedding = true;
+      } else if (v == "per-wr-doorbell") {
+        opt.per_wr_doorbell = true;
+      } else {
+        std::fprintf(stderr, "--bench-canary wants drop-shedding or "
+                             "per-wr-doorbell, got '%s'\n", v.c_str());
         return 1;
       }
-      opt.drop_shedding = true;
     } else if (consume_flag(argv[i], "--bench-measure-ms=", v)) {
       if (!parse_whole(v, opt.measure_ms) || !std::isfinite(opt.measure_ms) ||
           opt.measure_ms <= 0) {
@@ -277,6 +304,12 @@ inline int bench_main(int argc, char** argv, std::string figure,
       std::fprintf(stderr, "unknown argument '%s'\n", argv[i]);
       return 1;
     }
+  }
+  // Fail before the run, not after simulating the whole figure.
+  if (!opt.out_dir.empty() && !writable_dir(opt.out_dir)) {
+    std::fprintf(stderr, "--bench-out: '%s' is not a writable directory\n",
+                 opt.out_dir.c_str());
+    return 1;
   }
   microbench::set_trace_capture(opt.trace_every > 0);
   run();

@@ -18,13 +18,17 @@ void run() {
   TputSpec ud{verbs::Opcode::kSend, verbs::Transport::kUd, true, 32, 32, 4};
   const sim::Tick measure = bench::measure_ticks();
   for (std::uint32_t n : {1u, 2u, 4u, 6u, 8u, 10u, 12u, 14u, 16u}) {
-    auto in_wr = microbench::all_to_all_inbound(bench::apt(), wr, n, measure);
+    auto in_wr = microbench::inbound_tput(bench::apt(), wr, n, measure,
+                                           /*n_machines=*/0,
+                                           /*all_to_all=*/true);
     bench::report().add_point("In_WRITE_UC", n, {{"Mops", in_wr.value}},
                               in_wr.attr, bench::publish(in_wr));
-    auto out_wr = microbench::all_to_all_outbound(bench::apt(), wr, n, measure);
+    auto out_wr = microbench::outbound_tput(bench::apt(), wr, n, measure,
+                                            /*all_to_all=*/true);
     bench::report().add_point("Out_WRITE_UC", n, {{"Mops", out_wr.value}},
                               out_wr.attr, bench::publish(out_wr));
-    auto out_ud = microbench::all_to_all_outbound(bench::apt(), ud, n, measure);
+    auto out_ud = microbench::outbound_tput(bench::apt(), ud, n, measure,
+                                            /*all_to_all=*/true);
     bench::report().add_point("Out_SEND_UD", n, {{"Mops", out_ud.value}},
                               out_ud.attr, bench::publish(out_ud));
   }

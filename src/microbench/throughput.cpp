@@ -1,5 +1,6 @@
 #include "microbench/throughput.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <functional>
@@ -121,7 +122,7 @@ class WindowPump {
   std::uint64_t seq_ = 0;
 };
 
-/// One requester process: core + CQs + its QPs + buffers + pump.
+/// One requester process: core + CQs + its QPs + buffer + RNG + pump.
 struct Requester {
   std::unique_ptr<cluster::SequentialCore> core;
   std::unique_ptr<verbs::Cq> scq;
@@ -131,6 +132,20 @@ struct Requester {
   sim::Pcg32 rng{3, 5};
   std::unique_ptr<WindowPump> pump;
 };
+
+// One memory layout for every run. Each requester targets its own kSlot-byte
+// slots in the remote host's memory (one per QP under inbound all-to-all)
+// and posts from (or READs into) a kBuf-byte buffer at address 0 of its own
+// host, shared by co-located requesters. Nothing simulated depends on an
+// address, so slots may overlap when a payload outgrows its slot.
+constexpr std::uint64_t kSlot = 256;
+constexpr std::uint64_t kBuf = 8192;
+constexpr std::uint32_t kUdRecvs = 512;  // RECVs each UD receiver keeps posted
+
+/// Host memory for `slots` target slots (at least 1 MB).
+std::uint64_t host_bytes(std::uint64_t slots) {
+  return std::max<std::uint64_t>(slots * kSlot + kBuf, 1u << 20);
+}
 
 TputSpec normalized(TputSpec spec) {
   if (spec.opcode == verbs::Opcode::kRead) {
@@ -166,148 +181,30 @@ std::function<std::uint64_t()> rnic_ops(cluster::Cluster& cl,
 }  // namespace
 
 RunRecord inbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& raw,
-                       std::uint32_t n_clients, sim::Tick measure) {
+                       std::uint32_t n_procs, sim::Tick measure,
+                       std::uint32_t n_machines, bool all_to_all) {
   const TputSpec spec = normalized(raw);
-  cluster::Cluster cl(cfg, 1 + n_clients, 1u << 20);
+  if (n_machines == 0) n_machines = n_procs;
+  const std::uint32_t fanout = all_to_all ? n_procs : 1;
+  const std::uint64_t mem = host_bytes(std::uint64_t{n_procs} * fanout);
+  cluster::Cluster cl(cfg, 1 + n_machines, mem);
   auto& server = cl.host(0);
   auto server_cq = server.ctx().create_cq();
   auto smr = server.ctx().register_mr(
-      0, 1u << 20, {.remote_write = true, .remote_read = true});
+      0, mem, {.remote_write = true, .remote_read = true});
 
   std::vector<std::unique_ptr<verbs::Qp>> server_qps;
-  std::vector<Requester> reqs(n_clients);
-  for (std::uint32_t i = 0; i < n_clients; ++i) {
-    Requester& r = reqs[i];
-    auto& host = cl.host(1 + i);
-    r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "c");
-    r.scq = host.ctx().create_cq();
-    r.rcq = host.ctx().create_cq();
-    r.mr = host.ctx().register_mr(0, 8192, {});
-    auto cqp = host.ctx().create_qp({spec.transport, r.scq.get(), r.rcq.get()});
-    auto sqp = server.ctx().create_qp(
-        {spec.transport, server_cq.get(), server_cq.get()});
-    cqp->connect(*sqp);
-    r.qps.push_back(std::move(cqp));
-    server_qps.push_back(std::move(sqp));
-
-    std::uint64_t target = std::uint64_t{i} * 4096;
-    verbs::Qp* qp = r.qps[0].get();
-    r.pump = std::make_unique<WindowPump>(
-        cl, *r.core, *r.scq, spec, i + 1,
-        [qp, spec, &r, smr, target](bool signaled) {
-          return std::pair{qp, make_wr(spec, r.mr, smr, target, signaled)};
-        });
-  }
-  for (auto& r : reqs) r.pump->start();
-  return measure_rate(cl, "inbound_tput", rnic_ops(cl, true), measure);
-}
-
-RunRecord outbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& raw,
-                        std::uint32_t n_procs, sim::Tick measure) {
-  const TputSpec spec = normalized(raw);
-  cluster::Cluster cl(cfg, 1 + n_procs, 1u << 20);
-  auto& server = cl.host(0);
-
-  struct ClientSide {
-    std::unique_ptr<verbs::Cq> cq;
-    std::unique_ptr<verbs::Qp> qp;
-    verbs::Mr mr{};
-  };
-  std::vector<ClientSide> clients(n_procs);
-  std::vector<Requester> procs(n_procs);
-
+  std::vector<Requester> reqs(n_procs);
   for (std::uint32_t i = 0; i < n_procs; ++i) {
-    auto& chost = cl.host(1 + i);
-    ClientSide& cs = clients[i];
-    cs.cq = chost.ctx().create_cq();
-    cs.mr = chost.ctx().register_mr(
-        0, 1u << 20, {.remote_write = true, .remote_read = true});
-
-    Requester& r = procs[i];
-    r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "p");
-    r.scq = server.ctx().create_cq();
-    r.rcq = server.ctx().create_cq();
-    r.mr = server.ctx().register_mr(std::uint64_t{i} * 8192, 8192, {});
-
-    if (spec.transport == verbs::Transport::kUd) {
-      // UD SEND: receiver must keep RECVs posted.
-      cs.qp = chost.ctx().create_qp(
-          {verbs::Transport::kUd, cs.cq.get(), cs.cq.get()});
-      for (int k = 0; k < 256; ++k) {
-        cs.qp->post_recv({.wr_id = 0,
-                          .sge = {0, 4096, cs.mr.lkey}});
-      }
-      // Drain completions and repost (client CPU not modeled here:
-      // "client machines often perform enough other work", §4.3).
-      verbs::Qp* rq = cs.qp.get();
-      verbs::Mr cmr = cs.mr;
-      cs.cq->set_notify([rq, cmr, cq = cs.cq.get()]() {
-        verbs::Wc wc;
-        while (cq->poll({&wc, 1}) == 1) {
-          if (wc.opcode == verbs::WcOpcode::kRecv) {
-            rq->post_recv({.wr_id = 0, .sge = {0, 4096, cmr.lkey}});
-          }
-        }
-      });
-
-      auto ud = server.ctx().create_qp(
-          {verbs::Transport::kUd, r.scq.get(), r.rcq.get()});
-      verbs::Qp* uq = ud.get();
-      verbs::Ah ah{&chost.ctx(), rq->qpn()};
-      r.qps.push_back(std::move(ud));
-      r.pump = std::make_unique<WindowPump>(
-          cl, *r.core, *r.scq, spec, i + 1,
-          [uq, spec, &r, ah](bool signaled) {
-            verbs::SendWr wr;
-            wr.opcode = verbs::Opcode::kSend;
-            wr.sge = {r.mr.addr, spec.payload, r.mr.lkey};
-            wr.inline_data = spec.inlined;
-            wr.signaled = signaled;
-            wr.ah = ah;
-            return std::pair{uq, wr};
-          });
-    } else {
-      cs.qp = chost.ctx().create_qp(
-          {spec.transport, cs.cq.get(), cs.cq.get()});
-      auto sqp = server.ctx().create_qp(
-          {spec.transport, r.scq.get(), r.rcq.get()});
-      sqp->connect(*cs.qp);
-      verbs::Qp* qp = sqp.get();
-      verbs::Mr cmr = cs.mr;
-      r.qps.push_back(std::move(sqp));
-      r.pump = std::make_unique<WindowPump>(
-          cl, *r.core, *r.scq, spec, i + 1,
-          [qp, spec, &r, cmr](bool signaled) {
-            return std::pair{qp, make_wr(spec, r.mr, cmr, 0, signaled)};
-          });
-    }
-  }
-  for (auto& r : procs) r.pump->start();
-  return measure_rate(cl, "outbound_tput", rnic_ops(cl, false), measure);
-}
-
-RunRecord all_to_all_inbound(const cluster::ClusterConfig& cfg,
-                             const TputSpec& raw, std::uint32_t n,
-                             sim::Tick measure) {
-  const TputSpec spec = normalized(raw);
-  cluster::Cluster cl(cfg, 1 + n, 4u << 20);
-  auto& server = cl.host(0);
-  auto server_cq = server.ctx().create_cq();
-  auto smr = server.ctx().register_mr(
-      0, 4u << 20, {.remote_write = true, .remote_read = true});
-
-  std::vector<std::unique_ptr<verbs::Qp>> server_qps;
-  std::vector<Requester> reqs(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
     Requester& r = reqs[i];
-    auto& host = cl.host(1 + i);
+    auto& host = cl.host(1 + i % n_machines);
     r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "c");
     r.scq = host.ctx().create_cq();
     r.rcq = host.ctx().create_cq();
-    r.mr = host.ctx().register_mr(0, 8192, {});
+    r.mr = host.ctx().register_mr(0, kBuf, {});
     r.rng = sim::Pcg32(17 + i, 23);
-    // One QP to each of the N "server processes" (N*N QPs total at MS).
-    for (std::uint32_t j = 0; j < n; ++j) {
+    // One QP per server process it talks to.
+    for (std::uint32_t j = 0; j < fanout; ++j) {
       auto cqp = host.ctx().create_qp(
           {spec.transport, r.scq.get(), r.rcq.get()});
       auto sqp = server.ctx().create_qp(
@@ -318,22 +215,24 @@ RunRecord all_to_all_inbound(const cluster::ClusterConfig& cfg,
     }
     r.pump = std::make_unique<WindowPump>(
         cl, *r.core, *r.scq, spec, i + 1,
-        [&r, spec, smr, i, n](bool signaled) {
-          std::uint32_t j = r.rng.next_below(n);
-          std::uint64_t target = (std::uint64_t{i} * n + j) * 256;
+        [&r, spec, smr, i, fanout](bool signaled) {
+          std::uint32_t j = fanout > 1 ? r.rng.next_below(fanout) : 0;
+          std::uint64_t target = (std::uint64_t{i} * fanout + j) * kSlot;
           return std::pair{r.qps[j].get(),
                            make_wr(spec, r.mr, smr, target, signaled)};
         });
   }
   for (auto& r : reqs) r.pump->start();
-  return measure_rate(cl, "all_to_all_inbound", rnic_ops(cl, true), measure);
+  return measure_rate(cl, "inbound_tput", rnic_ops(cl, true), measure);
 }
 
-RunRecord all_to_all_outbound(const cluster::ClusterConfig& cfg,
-                              const TputSpec& raw, std::uint32_t n,
-                              sim::Tick measure) {
+RunRecord outbound_tput(const cluster::ClusterConfig& cfg, const TputSpec& raw,
+                        std::uint32_t n_procs, sim::Tick measure,
+                        bool all_to_all) {
   const TputSpec spec = normalized(raw);
-  cluster::Cluster cl(cfg, 1 + n, 4u << 20);
+  const bool ud = spec.transport == verbs::Transport::kUd;
+  const std::uint64_t mem = host_bytes(n_procs);
+  cluster::Cluster cl(cfg, 1 + n_procs, mem);
   auto& server = cl.host(0);
 
   struct ClientSide {
@@ -342,17 +241,20 @@ RunRecord all_to_all_outbound(const cluster::ClusterConfig& cfg,
     std::unique_ptr<verbs::Qp> ud;
     verbs::Mr mr{};
   };
-  std::vector<ClientSide> clients(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  std::vector<ClientSide> clients(n_procs);
+  for (std::uint32_t i = 0; i < n_procs; ++i) {
     auto& chost = cl.host(1 + i);
-    clients[i].cq = chost.ctx().create_cq();
-    clients[i].mr = chost.ctx().register_mr(
-        0, 1u << 20, {.remote_write = true, .remote_read = true});
-    if (spec.transport == verbs::Transport::kUd) {
-      auto& cs = clients[i];
+    ClientSide& cs = clients[i];
+    cs.cq = chost.ctx().create_cq();
+    cs.mr = chost.ctx().register_mr(
+        0, mem, {.remote_write = true, .remote_read = true});
+    if (ud) {
+      // UD SEND: the receiver must keep RECVs posted. Completions are
+      // drained and reposted at once (client CPU not modeled here: "client
+      // machines often perform enough other work", §4.3).
       cs.ud = chost.ctx().create_qp(
           {verbs::Transport::kUd, cs.cq.get(), cs.cq.get()});
-      for (int k = 0; k < 512; ++k) {
+      for (std::uint32_t k = 0; k < kUdRecvs; ++k) {
         cs.ud->post_recv({.wr_id = 0, .sge = {0, 4096, cs.mr.lkey}});
       }
       cs.cq->set_notify([&cs]() {
@@ -366,34 +268,24 @@ RunRecord all_to_all_outbound(const cluster::ClusterConfig& cfg,
     }
   }
 
-  std::vector<Requester> procs(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
+  std::vector<Requester> procs(n_procs);
+  for (std::uint32_t s = 0; s < n_procs; ++s) {
     Requester& r = procs[s];
     r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "p");
     r.scq = server.ctx().create_cq();
     r.rcq = server.ctx().create_cq();
-    r.mr = server.ctx().register_mr(std::uint64_t{s} * 8192, 8192, {});
+    r.mr = server.ctx().register_mr(0, kBuf, {});
     r.rng = sim::Pcg32(37 + s, 41);
-
-    if (spec.transport == verbs::Transport::kUd) {
-      auto ud = server.ctx().create_qp(
-          {verbs::Transport::kUd, r.scq.get(), r.rcq.get()});
-      verbs::Qp* uq = ud.get();
-      r.qps.push_back(std::move(ud));
-      r.pump = std::make_unique<WindowPump>(
-          cl, *r.core, *r.scq, spec, s + 1,
-          [&r, uq, spec, &clients, &cl, n](bool signaled) {
-            std::uint32_t j = r.rng.next_below(n);
-            verbs::SendWr wr;
-            wr.opcode = verbs::Opcode::kSend;
-            wr.sge = {r.mr.addr, spec.payload, r.mr.lkey};
-            wr.inline_data = spec.inlined;
-            wr.signaled = signaled;
-            wr.ah = verbs::Ah{&cl.host(1 + j).ctx(), clients[j].ud->qpn()};
-            return std::pair{uq, wr};
-          });
+    // The clients this process posts to: all of them, or client s.
+    const std::uint32_t first = all_to_all ? 0 : s;
+    const std::uint32_t count = all_to_all ? n_procs : 1;
+    if (ud) {
+      // "A single UD queue can be used to issue operations to multiple
+      // remote UD queues."
+      r.qps.push_back(server.ctx().create_qp(
+          {verbs::Transport::kUd, r.scq.get(), r.rcq.get()}));
     } else {
-      for (std::uint32_t j = 0; j < n; ++j) {
+      for (std::uint32_t j = first; j < first + count; ++j) {
         auto sqp = server.ctx().create_qp(
             {spec.transport, r.scq.get(), r.rcq.get()});
         auto cqp = cl.host(1 + j).ctx().create_qp(
@@ -402,59 +294,21 @@ RunRecord all_to_all_outbound(const cluster::ClusterConfig& cfg,
         r.qps.push_back(std::move(sqp));
         clients[j].qps.push_back(std::move(cqp));
       }
-      r.pump = std::make_unique<WindowPump>(
-          cl, *r.core, *r.scq, spec, s + 1,
-          [&r, spec, &clients, s, n](bool signaled) {
-            std::uint32_t j = r.rng.next_below(n);
-            std::uint64_t target = std::uint64_t{s} * 256;
-            return std::pair{
-                r.qps[j].get(),
-                make_wr(spec, r.mr, clients[j].mr, target, signaled)};
-          });
     }
-  }
-  for (auto& r : procs) r.pump->start();
-  return measure_rate(cl, "all_to_all_outbound", rnic_ops(cl, false), measure);
-}
-
-RunRecord many_to_one_tput(const cluster::ClusterConfig& cfg,
-                           const TputSpec& raw, std::uint32_t n_processes,
-                           std::uint32_t n_machines, sim::Tick measure) {
-  const TputSpec spec = normalized(raw);
-  std::uint64_t server_mem = std::uint64_t{n_processes} * 256 + 4096;
-  cluster::Cluster cl(cfg, 1 + n_machines, std::max<std::uint64_t>(
-                                               server_mem, 1u << 20));
-  auto& server = cl.host(0);
-  auto server_cq = server.ctx().create_cq();
-  auto smr = server.ctx().register_mr(0, server_mem, {.remote_write = true});
-
-  std::vector<std::unique_ptr<verbs::Qp>> server_qps;
-  std::vector<Requester> reqs(n_processes);
-  for (std::uint32_t i = 0; i < n_processes; ++i) {
-    Requester& r = reqs[i];
-    auto& host = cl.host(1 + i % n_machines);
-    r.core = std::make_unique<cluster::SequentialCore>(cl.engine(), "c");
-    r.scq = host.ctx().create_cq();
-    r.rcq = host.ctx().create_cq();
-    r.mr = host.ctx().register_mr((i / n_machines) * 512 % (1u << 19), 512,
-                                  {});
-    auto cqp = host.ctx().create_qp(
-        {spec.transport, r.scq.get(), r.rcq.get()});
-    auto sqp = server.ctx().create_qp(
-        {spec.transport, server_cq.get(), server_cq.get()});
-    cqp->connect(*sqp);
-    r.qps.push_back(std::move(cqp));
-    server_qps.push_back(std::move(sqp));
-    std::uint64_t target = std::uint64_t{i} * 256;
-    verbs::Qp* qp = r.qps[0].get();
     r.pump = std::make_unique<WindowPump>(
-        cl, *r.core, *r.scq, spec, i + 1,
-        [qp, spec, &r, smr, target](bool signaled) {
-          return std::pair{qp, make_wr(spec, r.mr, smr, target, signaled)};
+        cl, *r.core, *r.scq, spec, s + 1,
+        [&r, spec, &clients, &cl, ud, s, first, count](bool signaled) {
+          std::uint32_t k = count > 1 ? r.rng.next_below(count) : 0;
+          const ClientSide& peer = clients[first + k];
+          verbs::SendWr wr = make_wr(spec, r.mr, peer.mr,
+                                     std::uint64_t{s} * kSlot, signaled);
+          if (!ud) return std::pair{r.qps[k].get(), wr};
+          wr.ah = verbs::Ah{&cl.host(1 + first + k).ctx(), peer.ud->qpn()};
+          return std::pair{r.qps[0].get(), wr};
         });
   }
-  for (auto& r : reqs) r.pump->start();
-  return measure_rate(cl, "many_to_one_tput", rnic_ops(cl, true), measure);
+  for (auto& r : procs) r.pump->start();
+  return measure_rate(cl, "outbound_tput", rnic_ops(cl, false), measure);
 }
 
 }  // namespace herd::microbench

@@ -122,6 +122,12 @@ struct RnicCalibration {
   std::uint32_t unsignaled_threshold = 192;
   sim::Tick unsignaled_penalty = sim::ns(8);
 
+  // --- Planted-bug canary --------------------------------------------------
+  // Rings one doorbell per WR instead of one per chain: the pre-batching PIO
+  // cost model, which the fig04 bench_compare gate MUST catch
+  // (--bench-canary=per-wr-doorbell). Never publish a run with it set.
+  bool per_wr_doorbell = false;
+
   /// ConnectX-3 MX354A as in both clusters (Table 2). The clusters differ in
   /// the PCIe attach and fabric, configured separately.
   static RnicCalibration connectx3() { return RnicCalibration{}; }

@@ -302,12 +302,10 @@ void Qp::post_send(std::span<const SendWr> chain) {
       start_read(wr);
       continue;
     }
-#ifdef HERD_NO_DOORBELL_BATCH
-    // Canary build: forget the previous doorbell so every WR rings its own
-    // PIO transaction — the pre-batching cost model the fig04 bench_compare
+    // Canary: forget the previous doorbell so every WR rings its own PIO
+    // transaction — the pre-batching cost model the fig04 bench_compare
     // gate must catch.
-    doorbell_done = 0;
-#endif
+    if (cal.per_wr_doorbell) doorbell_done = 0;
     post_chained(wr, doorbell_done);
   }
 }

@@ -306,8 +306,9 @@ microbench::TputSpec outbound_inline_spec(std::uint32_t payload) {
 // Fig. 4's right side: a 192 B inline WRITE carries a 4-cacheline WQE. Before
 // doorbell batching the PIO path saturated first; with WR chains only the
 // head of each chain crosses PIO and the rest of the WQEs are fetched by DMA,
-// so the bottleneck moves out to the wire. (The HERD_NO_DOORBELL_BATCH canary
-// build restores per-WR doorbells and with them the pcie.pio ceiling.)
+// so the bottleneck moves out to the wire. (The per-WR doorbell canary,
+// --bench-canary=per-wr-doorbell, restores per-WR doorbells and with them
+// the pcie.pio ceiling.)
 TEST(AttributionE2E, OutboundLargeInlineWriteNoLongerPioBound) {
   const microbench::RunRecord r = microbench::outbound_tput(
       cluster::ClusterConfig::apt(), outbound_inline_spec(192), 16, us(250));

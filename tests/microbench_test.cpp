@@ -133,13 +133,32 @@ TEST(OutboundTput, DoorbellBatchingFlattensInlineWriteKnee) {
   // posting halves PIO throughput beyond that (§3.2.2's 64-byte staircase).
   // With doorbell batching only the chain head crosses PIO, so the knee
   // disappears and both payloads run at the (higher) wire-limited rate.
-  // The HERD_NO_DOORBELL_BATCH canary restores the staircase.
+  // The per-WR doorbell canary restores the staircase (next test).
   TputSpec below{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 28, 8, 4};
   TputSpec above{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 40, 8, 4};
   double b = outbound_tput(kApt, below).value;
   double a = outbound_tput(kApt, above).value;
   EXPECT_NEAR(b, a, b * 0.1);  // knee gone: no staircase between 28 and 40 B
   EXPECT_GT(b, 28.0);          // and both clear the old PIO-capped plateau
+}
+
+TEST(OutboundTput, PerWrDoorbellCanaryRestoresTheKnee) {
+  // RnicCalibration::per_wr_doorbell (--bench-canary=per-wr-doorbell) rings
+  // a doorbell per WR, the pre-batching cost model: past the 28 B knee a
+  // WQE spans two write-combining cachelines and PIO throughput drops, and
+  // the 192 B point is PIO-bound again. The fig04 gate must catch this.
+  cluster::ClusterConfig canary = kApt;
+  canary.rnic.per_wr_doorbell = true;
+  auto inline_write = [](std::uint32_t payload) {
+    return TputSpec{verbs::Opcode::kWrite, verbs::Transport::kUc, true,
+                    payload, 8, 4};
+  };
+  const sim::Tick w = sim::us(250);
+  double below = outbound_tput(canary, inline_write(28), 16, w).value;
+  double above = outbound_tput(canary, inline_write(40), 16, w).value;
+  EXPECT_LT(above, below * 0.9);
+  const RunRecord big = outbound_tput(canary, inline_write(192), 16, w);
+  EXPECT_EQ(big.attr.bottleneck, "pcie.pio");
 }
 
 TEST(OutboundTput, DoorbellBatchingClosesUdSendGap) {
@@ -185,11 +204,14 @@ TEST(Echo, SendSendBeatsThreeQuartersOfReadRate) {
   EXPECT_GT(echo_tput(kApt, EchoKind::kSendSend, o).value, 26.0 * 0.75);
 }
 
+constexpr bool kAllToAll = true;
+
 TEST(AllToAll, InboundScalesOutboundCollapses) {
   TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 32, 4};
-  double in16 = all_to_all_inbound(kApt, wr, 16).value;
-  double out16 = all_to_all_outbound(kApt, wr, 16).value;
-  double out4 = all_to_all_outbound(kApt, wr, 4).value;
+  const sim::Tick ms2 = sim::ms(2);
+  double in16 = inbound_tput(kApt, wr, 16, ms2, 0, kAllToAll).value;
+  double out16 = outbound_tput(kApt, wr, 16, ms2, kAllToAll).value;
+  double out4 = outbound_tput(kApt, wr, 4, ms2, kAllToAll).value;
   EXPECT_NEAR(in16, 35.0, 2.0);        // inbound flat at 256 QPs
   EXPECT_LT(out16, out4 * 0.45);       // outbound collapses
   EXPECT_NEAR(out16 / 35.0, 0.21, 0.08);  // "degrades to 21% of the maximum"
@@ -197,8 +219,8 @@ TEST(AllToAll, InboundScalesOutboundCollapses) {
 
 TEST(AllToAll, UdOutboundScales) {
   TputSpec ud{verbs::Opcode::kSend, verbs::Transport::kUd, true, 32, 32, 4};
-  double out4 = all_to_all_outbound(kApt, ud, 4).value;
-  double out16 = all_to_all_outbound(kApt, ud, 16).value;
+  double out4 = outbound_tput(kApt, ud, 4, sim::ms(2), kAllToAll).value;
+  double out16 = outbound_tput(kApt, ud, 16, sim::ms(2), kAllToAll).value;
   // §3.3 promises only a slight sag. Doorbell batching lifts the 4-proc
   // number above the old PIO cap, while at 16 procs the chained WQE fetches
   // of all procs contend on the DMA-read path, so the relative sag widens a
@@ -210,7 +232,8 @@ TEST(AllToAll, UdOutboundScales) {
 TEST(ManyToOne, SixteenHundredClientsSustainLineRate) {
   // §3.3: 1600 processes over 16 machines, WRITEs over UC -> ~30 Mops.
   TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 4, 4};
-  EXPECT_GT(many_to_one_tput(kApt, wr, 1600, 16).value, 28.0);
+  EXPECT_GT(inbound_tput(kApt, wr, 1600, sim::ms(2), /*n_machines=*/16).value,
+            28.0);
 }
 
 TEST(Prefetch, FiveCoresReachPeakWithPrefetching) {

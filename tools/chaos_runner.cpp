@@ -2,11 +2,13 @@
 //
 // For each seed: sample a scenario (topology + workload + composed fault
 // plan), run it, and check the recorded history for per-key
-// linearizability. Every Nth seed is re-run and its determinism
-// fingerprint compared (a mismatch means the simulator leaked
-// nondeterminism — as serious as a linearizability bug, since replay and
-// shrinking depend on it). On a violation the scenario is shrunk and the
-// minimal fault plan printed as JSON and as a C++ snippet.
+// linearizability. Seeds 1, 1 + N, 1 + 2N, ... (N = --replay-every) are
+// re-run and their determinism fingerprints compared, whatever --start-seed
+// is, so --start-seed shards replay the seeds one whole sweep would. A
+// mismatch means the simulator leaked nondeterminism — as serious as a
+// linearizability bug, since replay and shrinking depend on it. On a
+// violation the scenario is shrunk and the minimal fault plan printed as
+// JSON and as a C++ snippet.
 //
 // Exit codes: 0 = clean sweep, 1 = linearizability or verbs-contract
 //             violation, 2 = determinism mismatch, 64 = bad usage.
@@ -224,7 +226,9 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    if (opt.replay_every > 0 && i % opt.replay_every == 0) {
+    // By seed number, not position in this run (see the header).
+    if (opt.replay_every > 0 &&
+        seed % opt.replay_every == 1 % opt.replay_every) {
       ++replays;
       herd::chaos::RunOutcome again =
           herd::chaos::run_scenario(sc, opt.checker_budget);
@@ -255,6 +259,10 @@ int main(int argc, char** argv) {
             "differs on replay\nscenario: %s\n",
             static_cast<unsigned long long>(seed), sc.to_json().c_str());
         return 2;
+      }
+      if (opt.verbose) {
+        std::printf("seed %llu replayed bit-identically\n",
+                    static_cast<unsigned long long>(seed));
       }
     }
   }

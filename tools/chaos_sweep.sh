@@ -6,8 +6,9 @@
 #
 #   tools/chaos_sweep.sh build/tools/chaos_runner 100 --crash-primary
 #
-# Shards hold a multiple of 5 seeds, chaos_runner's default --replay-every,
-# so the same seeds are replayed as in a single-process sweep.
+# Shard sizes differ by at most one seed. chaos_runner picks the seeds it
+# replays by seed number, so the shards replay the same seeds as a
+# single-process sweep.
 set -u
 
 if [ $# -lt 2 ]; then
@@ -19,8 +20,8 @@ seeds=$2
 shift 2
 
 jobs=$(nproc)
-per=$(( (seeds + jobs - 1) / jobs ))
-per=$(( (per + 4) / 5 * 5 ))
+base=$(( seeds / jobs ))
+extra=$(( seeds % jobs ))
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
@@ -28,9 +29,8 @@ trap 'rm -rf "$out"' EXIT
 pids=()
 ranges=()
 start=1
-while [ "$start" -le "$seeds" ]; do
-  n=$(( seeds - start + 1 ))
-  if [ "$n" -gt "$per" ]; then n=$per; fi
+for (( shard = 0; shard < jobs && start <= seeds; ++shard )); do
+  n=$(( base + (shard < extra ? 1 : 0) ))
   "$runner" --seeds "$n" --start-seed "$start" "$@" \
     > "$out/${#pids[@]}.txt" 2>&1 &
   pids+=($!)
