@@ -99,8 +99,9 @@ class Cluster {
   obs::Snapshot snapshot() const { return registry_.snapshot(); }
 
   /// The cluster-wide request probe. Its tracer is pre-wired into fabric,
-  /// PCIe, and verb flows, off until Tracer::enable() is called; its tail
-  /// profiler holds the per-stage breakdowns of sampled requests.
+  /// PCIe, and verb flows, which record only work requests whose trace
+  /// context is sampled; its tail profiler holds the per-stage breakdowns
+  /// of sampled requests. RequestProbe::enable() turns sampling on.
   obs::RequestProbe& probe() { return probe_; }
   const obs::RequestProbe& probe() const { return probe_; }
   obs::Tracer& tracer() { return probe_.tracer(); }

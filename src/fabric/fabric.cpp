@@ -51,7 +51,8 @@ std::uint32_t Fabric::wire_bytes(std::uint32_t payload, bool datagram) const {
 }
 
 sim::Tick Fabric::arrival(sim::Tick start, std::uint32_t src,
-                         std::uint32_t dst, std::uint32_t wire_bytes) {
+                         std::uint32_t dst, std::uint32_t wire_bytes,
+                         obs::TraceCtx tc) {
   if (src >= ports_.size() || dst >= ports_.size()) {
     throw std::out_of_range("Fabric::transmit: bad port id");
   }
@@ -74,10 +75,10 @@ sim::Tick Fabric::arrival(sim::Tick start, std::uint32_t src,
   sim::Resource::Admission tx = ports_[src].tx->admit_at(start, ser);
   sim::Tick at_switch = tx.done + hop;
   sim::Resource::Admission rx = ports_[dst].rx->admit_at(at_switch, ser);
-  if (obs::tracing(tracer_)) {
+  if (tc.sampled() && tracer_ != nullptr) {
     std::string bytes = std::to_string(wire_bytes) + "B";
-    tracer_->admission(ports_[src].tx->name(), "wire_tx", tx, bytes);
-    tracer_->admission(ports_[dst].rx->name(), "wire_rx", rx, bytes);
+    tracer_->admission(ports_[src].tx->name(), "wire_tx", tx, bytes, tc);
+    tracer_->admission(ports_[dst].rx->name(), "wire_rx", rx, bytes, tc);
   }
   return rx.done;
 }

@@ -85,11 +85,13 @@ class Fabric {
   std::uint32_t attach(const std::string& name);
 
   /// Sends `wire_bytes` (already including transport headers) from `src` to
-  /// `dst`; invokes `on_arrival` at full-message arrival time.
+  /// `dst`; invokes `on_arrival` at full-message arrival time. `tc` is the
+  /// trace context of the work request the message carries; only a sampled
+  /// one traces the message's link admissions.
   template <class F>
   void transmit(std::uint32_t src, std::uint32_t dst,
-                std::uint32_t wire_bytes, F&& on_arrival) {
-    transmit_at(engine_->now(), src, dst, wire_bytes,
+                std::uint32_t wire_bytes, obs::TraceCtx tc, F&& on_arrival) {
+    transmit_at(engine_->now(), src, dst, wire_bytes, tc,
                 std::forward<F>(on_arrival));
   }
 
@@ -98,8 +100,9 @@ class Fabric {
   /// closure is built once, in its engine pool slot.
   template <class F>
   void transmit_at(sim::Tick start, std::uint32_t src, std::uint32_t dst,
-                   std::uint32_t wire_bytes, F&& on_arrival) {
-    engine_->schedule_at(arrival(start, src, dst, wire_bytes),
+                   std::uint32_t wire_bytes, obs::TraceCtx tc,
+                   F&& on_arrival) {
+    engine_->schedule_at(arrival(start, src, dst, wire_bytes, tc),
                          std::forward<F>(on_arrival));
   }
 
@@ -145,7 +148,7 @@ class Fabric {
  private:
   /// Admits one message to both links; returns its full arrival tick.
   sim::Tick arrival(sim::Tick start, std::uint32_t src, std::uint32_t dst,
-                    std::uint32_t wire_bytes);
+                    std::uint32_t wire_bytes, obs::TraceCtx tc);
 
   struct Port {
     std::unique_ptr<sim::Resource> tx;

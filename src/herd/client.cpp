@@ -167,8 +167,8 @@ void HerdClient::issue(const workload::Op& op) {
     sim::Tick now = host_->ctx().engine().now();
     std::uint64_t seq = next_seq_++;
     auto seq_args = [seq] { return "seq=" + std::to_string(seq); };
-    // One sampled request per client at a time: every layer records until
-    // its terminal state, and its trace context rides every re-send.
+    // One sampled request per client at a time: every layer records it
+    // until its terminal state, and its trace context rides every re-send.
     obs::TraceCtx trace;
     if (!sampling_) {
       trace = probe_->begin_request(core_.name(),
@@ -177,8 +177,7 @@ void HerdClient::issue(const workload::Op& op) {
       sampling_ = trace.sampled();
     }
     probe_->mark(trace, core_.name(),
-                 {.trace = "client_post", .tail = "client_post",
-                  .ambient = true},
+                 {.trace = "client_post", .tail = "client_post"},
                  now - cost, now, seq_args);
     if (observer_ != nullptr) observer_->on_invoke(id_, seq, op, now);
     InFlight fl;

@@ -765,7 +765,8 @@ void HerdService::advance(std::uint32_t s) {
     if (pp.epoch != epoch || !pp.alive) return;
     if (n_done > 0) {
       sim::Tick end = host_->ctx().engine().now();
-      // The batch span carries the first sampled member's trace context.
+      // The batch span carries the first sampled member's trace context; a
+      // batch with no sampled member records nothing.
       obs::TraceCtx trace;
       for (std::size_t i = 0; i < n_done; ++i) {
         if (pp.in_core[i].trace.sampled()) {
@@ -773,9 +774,8 @@ void HerdService::advance(std::uint32_t s) {
           break;
         }
       }
-      probe_->mark(trace, pp.core->name(),
-                   {.trace = "mica_op", .ambient = true}, end - cost, end,
-                   [&] { return std::to_string(n_done) + " op(s)"; });
+      probe_->mark(trace, pp.core->name(), {.trace = "mica_op"}, end - cost,
+                   end, [&] { return std::to_string(n_done) + " op(s)"; });
     }
     // Coalescing window: every response this quantum produces (serves,
     // redirects, replays) lands in resp_chain. The backlog lives in the
@@ -860,7 +860,7 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
                       : p.request.is_put  ? "serve_put"
                                           : "serve_get";
   probe_->mark(p.trace, proc.core->name(),
-               {.trace = served, .tail = "mica_op", .ambient = true},
+               {.trace = served, .tail = "mica_op"},
                host_->ctx().engine().now(),
                [&] { return "client=" + std::to_string(p.client); });
 

@@ -345,7 +345,7 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
   // The tail profiler rides the same sampling: the probe begins a profile
   // for exactly the requests whose trace context rides their WRs.
   if (cfg_.trace_sample_every > 0) {
-    cluster_->tracer().enable(cfg_.trace_sample_every);
+    cluster_->probe().enable(cfg_.trace_sample_every);
   }
 }
 

@@ -41,10 +41,10 @@ struct TestbedConfig {
   /// History hook wired into the service and every client (chaos harness;
   /// must outlive the testbed). nullptr = no recording.
   HistoryObserver* observer = nullptr;
-  /// Request-lifecycle tracing: when nonzero, the cluster tracer is enabled
-  /// and every Nth client request opens a sampling window (all layers record
-  /// spans while a sampled request is in flight). 0 = tracing off; the
-  /// hot-path cost of "off" is one branch per potential span.
+  /// Request-lifecycle tracing: when nonzero, every Nth client request is
+  /// sampled, and every layer records the spans of sampled requests only.
+  /// 0 = tracing off; the hot-path cost of an unsampled request is one
+  /// branch per potential span.
   std::uint64_t trace_sample_every = 0;
   /// Flight recorder: when nonzero, run() samples every registered
   /// resource (plus counter deltas) at this simulated-time interval during
@@ -215,8 +215,8 @@ class HerdTestbed {
   /// contract violations, client latency quantiles).
   obs::Snapshot snapshot() const { return cluster_->snapshot(); }
 
-  /// The cluster tracer (enabled when TestbedConfig::trace_sample_every is
-  /// nonzero, or by hand via tracer().enable()).
+  /// The cluster tracer: the sampled requests' events (see
+  /// TestbedConfig::trace_sample_every, or cluster().probe().enable()).
   obs::Tracer& tracer() { return cluster_->tracer(); }
   /// The cluster tail profiler: sampled requests' per-stage latency
   /// breakdowns accumulate here; quantile("ok", 0.99) is the p99 cut the

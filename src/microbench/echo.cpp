@@ -72,6 +72,8 @@ struct Deployment {
   /// doorbell ("client_post") -> response arrival ("echo_rtt"). Responses
   /// aren't tagged, but a single client's echoes complete in issue order in
   /// the simulator, so a FIFO of (issue index, profiler id) matches them.
+  /// Under trace capture the profiler id is also the echo's trace id: its
+  /// request WR carries it, and the server's response WR inherits it.
   static constexpr std::uint64_t kTailSampleEvery = 16;
   std::deque<std::pair<std::uint64_t, std::uint64_t>> tail_fifo;
 
@@ -79,8 +81,9 @@ struct Deployment {
     return (std::uint64_t{c} * opts.window + w) * kSlot;
   }
 
-  void respond(std::uint32_t s, std::uint32_t c);
-  void serve(std::uint32_t s, std::uint32_t c);  // charge CPU then respond
+  void respond(std::uint32_t s, std::uint32_t c, obs::TraceCtx trace);
+  // Charges the CPU, then responds.
+  void serve(std::uint32_t s, std::uint32_t c, obs::TraceCtx trace);
   void client_issue(Client& cc);
   void client_done(Client& cc);
   void build(const cluster::ClusterConfig& cfg);
@@ -103,7 +106,8 @@ struct Deployment {
   }
 };
 
-void Deployment::respond(std::uint32_t s, std::uint32_t c) {
+void Deployment::respond(std::uint32_t s, std::uint32_t c,
+                         obs::TraceCtx trace) {
   Proc& p = procs[s];
   Client& cc = *clients[c];
   std::uint64_t stage =
@@ -113,6 +117,7 @@ void Deployment::respond(std::uint32_t s, std::uint32_t c) {
   wr.sge = {stage, opts.payload, smr.lkey};
   wr.inline_data = inlined && opts.payload <= 256;
   wr.signaled = !unsignaled;
+  wr.trace = trace;
   switch (kind) {
     case EchoKind::kSendSend:
       wr.opcode = verbs::Opcode::kSend;
@@ -136,8 +141,10 @@ void Deployment::respond(std::uint32_t s, std::uint32_t c) {
   }
 }
 
-void Deployment::serve(std::uint32_t s, std::uint32_t c) {
-  procs[s].core->run(server_cost(), [this, s, c]() { respond(s, c); });
+void Deployment::serve(std::uint32_t s, std::uint32_t c,
+                       obs::TraceCtx trace) {
+  procs[s].core->run(server_cost(),
+                     [this, s, c, trace]() { respond(s, c, trace); });
 }
 
 void Deployment::client_issue(Client& cc) {
@@ -169,6 +176,7 @@ void Deployment::client_issue(Client& cc) {
     wr.sge = {cc.arena, opts.payload, cc.mr.lkey};
     wr.inline_data = inlined && opts.payload <= 256;
     wr.signaled = !unsignaled;
+    if (tail_id != 0 && trace_capture()) wr.trace.trace_id = tail_id;
     if (kind == EchoKind::kSendSend) {
       wr.opcode = verbs::Opcode::kSend;
     } else {
@@ -313,7 +321,7 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
             std::uint64_t buf = req_base(c, w);
             server_qps[c]->post_recv(
                 {.wr_id = wc.wr_id, .sge = {buf, kSlot, smr.lkey}});
-            serve(s, c);
+            serve(s, c, wc.trace);
           }
         }
       });
@@ -323,7 +331,7 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
       std::uint32_t s = clients[c]->proc;
       cl->host(0).memory().add_watch(
           req_base(c, 0), std::uint64_t{opts.window} * kSlot,
-          [this, s, c](std::uint64_t, std::uint32_t, obs::TraceCtx) {
+          [this, s, c](std::uint64_t, std::uint32_t, obs::TraceCtx trace) {
             // Idle-poll quantization, as in HERD's request region.
             Proc& p = procs[s];
             sim::Tick extra = 0;
@@ -331,10 +339,10 @@ void Deployment::build(const cluster::ClusterConfig& cfg) {
               extra = jitter.next_u64() % (64 * cpu.poll_iteration + 1);
             }
             if (extra == 0) {
-              serve(s, c);
+              serve(s, c, trace);
             } else {
-              cl->engine().schedule_after(extra,
-                                          [this, s, c]() { serve(s, c); });
+              cl->engine().schedule_after(
+                  extra, [this, s, c, trace]() { serve(s, c, trace); });
             }
           });
     }

@@ -9,19 +9,13 @@ bool g_trace_capture = false;  // NOLINT: --bench-trace knob
 }  // namespace
 
 void set_trace_capture(bool on) { g_trace_capture = on; }
+bool trace_capture() { return g_trace_capture; }
 
 RunRecord measure_rate(cluster::Cluster& cl, const char* source,
                        const std::function<std::uint64_t()>& count,
                        sim::Tick measure) {
   auto& eng = cl.engine();
   eng.run_until(eng.now() + sim::ms(1));  // warm-up
-  if (g_trace_capture) {
-    // One window over the whole measurement: every span the cluster's
-    // pre-wired tracer sees is recorded, and sampled ops (nonzero WR trace
-    // ids) group their RNIC pipeline hops under one trace id each.
-    cl.tracer().enable(1);
-    cl.tracer().sample();
-  }
   std::uint64_t before = count();
   // Flight-record the measurement window: 16 fixed-width windows however
   // small `measure` is, so tiny CI runs still carry a usable timeline. The
@@ -44,11 +38,9 @@ void finish(cluster::Cluster& cl, RunRecord& rec) {
   cluster::require_contract_clean(cl);
   rec.snapshot = cl.snapshot();
   rec.tail = obs::tail_json(cl.tail().quantile("ok", 0.99));
-  if (g_trace_capture && cl.tracer().enabled()) {
-    rec.trace_json = cl.tracer().chrome_json();
-    cl.tracer().release();
-    cl.tracer().disable();
-  }
+  // Only ops stamped under trace capture are recorded, so an untraced run
+  // exports nothing.
+  if (cl.tracer().size() > 0) rec.trace_json = cl.tracer().chrome_json();
 }
 
 }  // namespace herd::microbench

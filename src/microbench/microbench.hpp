@@ -40,16 +40,19 @@ struct RunRecord {
   /// Per-op p99 stage breakdown (obs::tail_json shape) of the sampled ops
   /// that completed "ok"; Null when the cluster sampled nothing.
   obs::Json tail;
-  /// Chrome-trace export ("herd-trace/2") of the measurement window when
-  /// trace capture was requested (set_trace_capture); empty otherwise.
+  /// Chrome-trace export ("herd-trace/2") of the run's tail-sampled ops
+  /// when trace capture was requested (set_trace_capture) and the driver
+  /// sampled any; empty otherwise.
   std::string trace_json;
 };
 
-/// Turns Chrome-trace capture on (true) or off for subsequent runs: the
-/// measurement window of each cluster is recorded through the cluster's
-/// pre-wired tracer and exported into RunRecord::trace_json. Bench binaries
-/// set this from --bench-trace.
+/// Turns Chrome-trace capture on (true) or off for subsequent runs. Under
+/// capture, the rate drivers stamp each tail-sampled op's work requests
+/// with a trace id, so the cluster's pre-wired tracer records those ops'
+/// PCIe, RNIC and wire hops (and nothing else); finish() exports them into
+/// RunRecord::trace_json. Bench binaries set this from --bench-trace.
 void set_trace_capture(bool on);
+bool trace_capture();
 
 /// Rate protocol: 1 ms warm-up, latch `count`, measure one window of
 /// `measure` simulated time under a flight recorder labelled `source`,
@@ -60,8 +63,9 @@ RunRecord measure_rate(cluster::Cluster& cl, const char* source,
 
 /// Contract gate + evidence: throws on any recorded verbs-contract
 /// violation, then copies the cluster's registry snapshot, its tail
-/// profiler's p99 "ok" breakdown and (under trace capture) its trace into
-/// `rec`. Call once per cluster, after its traffic is done.
+/// profiler's p99 "ok" breakdown and whatever its tracer recorded (the
+/// tail-sampled ops under trace capture, nothing otherwise) into `rec`.
+/// Call once per cluster, after its traffic is done.
 void finish(cluster::Cluster& cl, RunRecord& rec);
 
 }  // namespace herd::microbench

@@ -67,10 +67,13 @@ class WindowPump {
       batch.push_back(make_(signaled));
       if (signaled && (seq_ / spec_.signal_every) % kTailSampleEvery == 0) {
         batch.back().second.wr_id = seq_;
-        // One trace id per sampled verb (ordinal salt keeps concurrent
-        // pumps apart); the RNIC pipeline spans on both hosts carry it.
-        batch.back().second.trace.trace_id =
-            (std::uint64_t{ordinal_} << 32) | seq_;
+        // Under trace capture, one trace id per sampled verb (ordinal salt
+        // keeps concurrent pumps apart): its PCIe, RNIC and wire hops on
+        // both hosts carry it.
+        if (trace_capture()) {
+          batch.back().second.trace.trace_id =
+              (std::uint64_t{ordinal_} << 32) | seq_;
+        }
         tail_->begin(seq_, eng_->now());
       }
     }

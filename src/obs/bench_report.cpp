@@ -269,7 +269,6 @@ std::vector<std::string> validate_trace_json(const Json& doc) {
     problems.push_back("trace: missing, non-array, or empty \"traceEvents\"");
     return problems;
   }
-  std::size_t spans = 0;
   for (std::size_t i = 0; i < events->elements().size(); ++i) {
     const Json& e = events->elements()[i];
     std::string where = "traceEvents[" + std::to_string(i) + "]";
@@ -302,27 +301,29 @@ std::vector<std::string> validate_trace_json(const Json& doc) {
     if (ts == nullptr || !ts->is_number()) {
       problems.push_back(where + ": missing numeric \"ts\"");
     }
+    // A trace records sampled requests only: every event names the one it
+    // belongs to.
+    const Json* args = e.find("args");
+    const Json* trace = args != nullptr ? args->find("trace") : nullptr;
+    if (trace == nullptr || !trace->is_string() ||
+        trace->as_string() == "0x0") {
+      problems.push_back(where + ": event \"" + label +
+                         "\" carries no sampled trace id");
+    }
     if (phase == "X") {
       const Json* dur = e.find("dur");
       if (dur == nullptr || !dur->is_number()) {
         problems.push_back(where + ": \"X\" event missing numeric \"dur\"");
       }
-      // Causal spans carry ids in args; require internal consistency when
-      // present (span id must be nonzero if a trace id is attached).
-      if (const Json* args = e.find("args")) {
-        const Json* span = args->find("span");
-        const Json* trace = args->find("trace");
-        if (trace != nullptr &&
-            (span == nullptr || !span->is_number() ||
-             span->as_uint() == 0)) {
-          problems.push_back(where + ": traced span \"" + label +
-                             "\" has no span id");
-        }
-        if (span != nullptr) ++spans;
+      // A traced span needs its own nonzero span id.
+      const Json* span = args != nullptr ? args->find("span") : nullptr;
+      if (trace != nullptr &&
+          (span == nullptr || !span->is_number() || span->as_uint() == 0)) {
+        problems.push_back(where + ": traced span \"" + label +
+                           "\" has no span id");
       }
     }
   }
-  (void)spans;
   return problems;
 }
 

@@ -135,8 +135,10 @@ std::vector<std::string> validate_bench_json(const Json& doc);
 
 /// Schema check for a TRACE_*.json Chrome-trace document emitted by
 /// obs::Tracer ("herd-trace/2" via otherData.schema). Flags structural
-/// problems and any "B"-phase event: an unpaired span_begin exports as "B",
-/// so a trace containing one has a missing span_end on some path.
+/// problems, any "B"-phase event (an unpaired span_begin exports as "B", so
+/// a trace containing one has a missing span_end on some path), and any
+/// non-metadata event whose args.trace is missing or 0x0 (a trace holds
+/// sampled requests only).
 std::vector<std::string> validate_trace_json(const Json& doc);
 
 }  // namespace herd::obs

@@ -3,16 +3,17 @@
 // WRITE, server poll, MICA, SEND response) is both a trace event and a tail
 // stage, and is marked once for both:
 //
-//   begin_request  the sampling roll; a sampled request opens its root
-//                  "request" span and its tail profile, and carries the
-//                  returned TraceCtx {trace id, root span} on every hop
+//   begin_request  the sampling roll (every Nth call, see enable()); a
+//                  sampled request opens its root "request" span and its
+//                  tail profile, and carries the returned TraceCtx
+//                  {trace id, root span} on every hop
 //   mark           one step: a trace instant or span plus a tail stage
 //   charge         a tail stage of a fixed length (a doorbell share)
-//   end_request    root span end, tail finish, sampling window release
+//   end_request    root span end and tail finish
 //
-// Marks of unsampled requests cost one branch, except `ambient` steps,
-// which trace every request while any sampling window is open (as the RNIC,
-// PCIe and fabric layers do). Trace args are built only when recorded.
+// Only sampled requests record anything: a mark of an unsampled request
+// costs one branch and records nothing, as do the RNIC, PCIe and fabric
+// hops of its work requests. Trace args are built only when recorded.
 //
 // An export while sampled requests are in flight closes their roots at the
 // export time, marked "incomplete": true, without changing any state. Spans
@@ -36,7 +37,6 @@ namespace herd::obs {
 struct Stage {
   std::string_view trace = {};
   std::string_view tail = {};
-  bool ambient = false;  // trace unsampled requests too (never their tail)
 };
 
 /// Trace args of a step that has none.
@@ -51,13 +51,17 @@ class RequestProbe {
   TailProfiler& tail() { return tail_; }
   const TailProfiler& tail() const { return tail_; }
 
+  /// Samples every `sample_every`-th begin_request call; 1 samples every
+  /// request, 0 (the default) none.
+  void enable(std::uint64_t sample_every) { sample_every_ = sample_every; }
+
   /// Rolls the sampler for a request posted on `track` at `start`; a hit
   /// returns {trace_id, root}. Every sampled request must reach
   /// end_request() (herd_lint's span-pairing rule checks the pair).
   template <typename Args>
   TraceCtx begin_request(std::string_view track, std::uint64_t trace_id,
                          sim::Tick start, Args&& args) {
-    if (!tracer_.sample()) return {};
+    if (sample_every_ == 0 || ++seen_ % sample_every_ != 0) return {};
     SpanId root = tracer_.span_begin(track, "request", start, args(),
                                      TraceCtx{trace_id, 0});
     open_roots_.push_back(root);
@@ -69,8 +73,9 @@ class RequestProbe {
   template <typename Args = NoArgs>
   void mark(TraceCtx ctx, std::string_view track, Stage stage, sim::Tick at,
             Args&& args = {}) {
-    if (!stage_tail(ctx, stage, at)) return;
-    if (!stage.trace.empty() && tracer_.active()) {
+    if (!ctx.sampled()) return;
+    if (!stage.tail.empty()) tail_.stage(ctx.trace_id, stage.tail, at);
+    if (!stage.trace.empty()) {
       tracer_.instant(track, stage.trace, at, args(), ctx);
     }
   }
@@ -80,8 +85,9 @@ class RequestProbe {
   template <typename Args = NoArgs>
   void mark(TraceCtx ctx, std::string_view track, Stage stage,
             sim::Tick start, sim::Tick end, Args&& args = {}) {
-    if (!stage_tail(ctx, stage, end)) return;
-    if (!stage.trace.empty() && end > start && tracer_.active()) {
+    if (!ctx.sampled()) return;
+    if (!stage.tail.empty()) tail_.stage(ctx.trace_id, stage.tail, end);
+    if (!stage.trace.empty() && end > start) {
       tracer_.span(track, stage.trace, start, end, args(), ctx);
     }
   }
@@ -97,7 +103,6 @@ class RequestProbe {
                    std::string_view residual) {
     if (!ctx.sampled()) return;
     tracer_.span_end(ctx.parent, now);
-    tracer_.release();
     tail_.finish(ctx.trace_id, outcome, now, residual);
     auto it = std::find(open_roots_.begin(), open_roots_.end(), ctx.parent);
     if (it != open_roots_.end()) open_roots_.erase(it);
@@ -112,17 +117,11 @@ class RequestProbe {
   }
 
  private:
-  /// Charges a sampled request's tail stage; false when the step records
-  /// nothing at all (unsampled, and not ambient while tracing).
-  bool stage_tail(TraceCtx ctx, Stage stage, sim::Tick at) {
-    if (!ctx.sampled()) return stage.ambient && tracer_.active();
-    if (!stage.tail.empty()) tail_.stage(ctx.trace_id, stage.tail, at);
-    return true;
-  }
-
   Tracer tracer_;
   TailProfiler tail_;
   std::vector<SpanId> open_roots_;
+  std::uint64_t sample_every_ = 0;
+  std::uint64_t seen_ = 0;
 };
 
 }  // namespace herd::obs

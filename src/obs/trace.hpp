@@ -16,13 +16,13 @@
 // matching end exports as a Chrome "B" phase, which the schema checker
 // rejects — unpaired spans are a bug, not a rendering quirk.
 //
-// Sampling: tracing every request of a multi-million-op run would swamp
-// memory, so a window opens around every Nth request via sample()/release();
-// producers record only while a window is open. With tracing disabled, the
-// producer-side gate `tracing(tracer_ptr)` costs one predictable branch on
-// the hot path. HERD requests reach the tracer only through
-// obs::RequestProbe (obs/probe.hpp), which owns it next to the tail
-// profiler and samples, opens and closes each request's root span.
+// Sampling is decided once, at the root (Dapper-style): a request is
+// sampled when obs::RequestProbe's every-Nth roll picks it, and its
+// TraceCtx then rides every work request it causes. Producers record an
+// event only when the context it belongs to is sampled, so a trace holds
+// the sampled requests and nothing else; an unsampled hop costs one branch
+// on the trace id. The tracer itself is a plain recorder with no sampling
+// state.
 #pragma once
 
 #include <cstdint>
@@ -63,28 +63,6 @@ class Tracer {
     bool instant = false;
     bool open = false;  // span_begin with no span_end yet
   };
-
-  /// Turns sampling on: every `sample_every`-th sample() call opens a
-  /// recording window. 1 traces everything; 0 disables.
-  void enable(std::uint64_t sample_every) { sample_every_ = sample_every; }
-  void disable() { sample_every_ = 0; }
-  bool enabled() const { return sample_every_ != 0; }
-
-  /// True while at least one sampling window is open — the hot-path gate.
-  bool active() const { return active_windows_ != 0; }
-
-  /// Rolls the sampling counter. On a hit, opens a window (recording starts)
-  /// and returns true; the caller must release() when its sampled unit of
-  /// work retires.
-  bool sample() {
-    if (sample_every_ == 0) return false;
-    if (++seen_ % sample_every_ != 0) return false;
-    ++active_windows_;
-    return true;
-  }
-  void release() {
-    if (active_windows_ > 0) --active_windows_;
-  }
 
   /// Complete span: both endpoints known at emission time.
   SpanId span(std::string_view track, std::string_view name, sim::Tick start,
@@ -164,16 +142,9 @@ class Tracer {
     std::size_t index;
   };
 
-  std::uint64_t sample_every_ = 0;
-  std::uint64_t seen_ = 0;
-  std::uint32_t active_windows_ = 0;
   std::uint32_t next_span_ = 0;
   std::vector<Event> events_;
   std::vector<OpenSpan> open_;
 };
-
-/// The producer-side gate: record only when a tracer is attached and a
-/// sampling window is open.
-inline bool tracing(const Tracer* t) { return t != nullptr && t->active(); }
 
 }  // namespace herd::obs

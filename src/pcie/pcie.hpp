@@ -79,16 +79,18 @@ class PcieLink {
   }
 
   /// CPU -> device MMIO write of `bytes` (a WQE, possibly with inlined
-  /// payload). Returns the tick at which the device has the data.
-  sim::Tick pio_write(std::uint32_t bytes) {
+  /// payload). Returns the tick at which the device has the data. Every
+  /// transaction takes the trace context of the work request it serves;
+  /// only a sampled one is traced.
+  sim::Tick pio_write(std::uint32_t bytes, obs::TraceCtx tc) {
     std::uint32_t lines = cachelines(bytes);
     ++counters_.pio_writes;
     counters_.pio_cachelines += lines;
     sim::Tick occ = static_cast<sim::Tick>(lines) * cfg_.pio_per_cacheline;
     sim::Resource::Admission adm = pio_.admit(occ);
-    if (obs::tracing(tracer_)) {
+    if (tc.sampled() && tracer_ != nullptr) {
       tracer_->admission(pio_.name(), "pio_write", adm,
-                         std::to_string(bytes) + "B");
+                         std::to_string(bytes) + "B", tc);
     }
     return adm.done + cfg_.pio_latency;
   }
@@ -98,9 +100,9 @@ class PcieLink {
   /// post never touches the PIO path — the device fetches the linked WQEs
   /// with DMA reads — so the doorbell count, not the WQE count, is what the
   /// PIO path scales with.
-  sim::Tick doorbell(std::uint32_t bytes) {
+  sim::Tick doorbell(std::uint32_t bytes, obs::TraceCtx tc) {
     ++counters_.doorbells;
-    return pio_write(bytes);
+    return pio_write(bytes, tc);
   }
 
   /// A DMA transaction: the engine is free to accept the next transaction at
@@ -116,29 +118,30 @@ class PcieLink {
 
   /// Device reads `bytes` from host memory (non-posted). `start` lets callers
   /// chain from an earlier pipeline stage.
-  DmaResult dma_read(sim::Tick start, std::uint32_t bytes) {
+  DmaResult dma_read(sim::Tick start, std::uint32_t bytes, obs::TraceCtx tc) {
     ++counters_.dma_reads;
     counters_.dma_read_bytes += bytes;
     sim::Tick occ =
         cfg_.dma_read_per_op + sim::bytes_at_gbps(bytes, cfg_.dma_read_gbps);
     sim::Resource::Admission adm = dma_rd_.admit_at(start, occ);
-    if (obs::tracing(tracer_)) {
+    if (tc.sampled() && tracer_ != nullptr) {
       tracer_->admission(dma_rd_.name(), "dma_read", adm,
-                         std::to_string(bytes) + "B");
+                         std::to_string(bytes) + "B", tc);
     }
     return {adm.done, adm.done + cfg_.dma_read_latency};
   }
 
   /// Device writes `bytes` to host memory (posted).
-  DmaResult dma_write(sim::Tick start, std::uint32_t bytes) {
+  DmaResult dma_write(sim::Tick start, std::uint32_t bytes,
+                      obs::TraceCtx tc) {
     ++counters_.dma_writes;
     counters_.dma_write_bytes += bytes;
     sim::Tick occ =
         cfg_.dma_write_per_op + sim::bytes_at_gbps(bytes, cfg_.dma_write_gbps);
     sim::Resource::Admission adm = dma_wr_.admit_at(start, occ);
-    if (obs::tracing(tracer_)) {
+    if (tc.sampled() && tracer_ != nullptr) {
       tracer_->admission(dma_wr_.name(), "dma_write", adm,
-                         std::to_string(bytes) + "B");
+                         std::to_string(bytes) + "B", tc);
     }
     return {adm.done, adm.done + cfg_.dma_write_latency};
   }

@@ -24,15 +24,16 @@ const char* opcode_name(Opcode op) {
   }
 }
 
-// One pass through the RNIC pipeline on the trace: the dispatch stage, then
-// the TX or RX unit (`unit_prefix` "tx_" / "rx_"), each after its queueing
-// delay, plus an instant when the QP context missed the RNIC's cache.
+// One pass of a sampled WR through the RNIC pipeline on the trace: the
+// dispatch stage, then the TX or RX unit (`unit_prefix` "tx_" / "rx_"), each
+// after its queueing delay, plus an instant when the QP context missed the
+// RNIC's cache. Unsampled WRs record nothing.
 void trace_pipeline(obs::Tracer& tr, sim::Resource& dispatch,
                     const sim::Resource::Admission& disp, sim::Resource& unit,
                     const sim::Resource::Admission& adm,
                     const char* unit_prefix, Opcode op, bool cache_miss,
                     obs::TraceCtx tc) {
-  if (!tr.active()) return;
+  if (!tc.sampled()) return;
   tr.admission(dispatch.name(), "dispatch", disp, opcode_name(op), tc);
   tr.admission(unit.name(), std::string(unit_prefix) + opcode_name(op), adm,
                {}, tc);
@@ -316,14 +317,15 @@ void Qp::post_chained(const SendWr& wr, sim::Tick& doorbell_done) {
   if (doorbell_done == 0) {
     // The doorbell WR: its WQE (with any inlined payload) travels in the
     // PIO write itself.
-    doorbell_done = ctx_->pcie().doorbell(wqe_bytes(wr));
+    doorbell_done = ctx_->pcie().doorbell(wqe_bytes(wr), wr.trace);
     wqe_ready = doorbell_done;
     wqe_free = doorbell_done;
   } else {
     // A linked WQE: the device pulls it from the host send queue with a
     // non-posted DMA read once the doorbell told it the chain exists.
     ++ctx_->rnic().counters().wqe_fetches;
-    auto fetch = ctx_->pcie().dma_read(doorbell_done, wqe_bytes(wr));
+    auto fetch =
+        ctx_->pcie().dma_read(doorbell_done, wqe_bytes(wr), wr.trace);
     wqe_ready = fetch.visible;
     wqe_free = fetch.free;
   }
@@ -347,7 +349,7 @@ void Qp::post_chained(const SendWr& wr, sim::Tick& doorbell_done) {
     // back-to-back transactions, so a chain pays the 400ns read round-trip
     // once as latency, never per WR as throughput.
     sim::Tick dma_done =
-        ctx_->pcie().dma_read(wqe_free, wr.sge.length).visible;
+        ctx_->pcie().dma_read(wqe_free, wr.sge.length, wr.trace).visible;
     ctx_->engine().schedule_at(sq_order(dma_done), [this, wr]() {
       tx_stage(wr,
                ctx_->payloads_->copy(
@@ -367,7 +369,7 @@ void Qp::start_read(SendWr wr) {
 
 void Qp::issue_read(SendWr wr) {
   ++outstanding_reads_;
-  sim::Tick pio_done = ctx_->pcie().doorbell(wqe_bytes(wr));
+  sim::Tick pio_done = ctx_->pcie().doorbell(wqe_bytes(wr), wr.trace);
   ctx_->engine().schedule_at(sq_order(pio_done), [this, wr]() {
     tx_stage(wr, {}, ctx_->engine().now());
   });
@@ -497,11 +499,11 @@ void Qp::tx_stage(SendWr wr, Payload payload, sim::Tick ready) {
     // Every HERD response takes this hop; it must not allocate.
     static_assert(sim::Callback::kStoredInline<decltype(arrive)>);
     ctx_->fabric().transmit_at(departed, ctx_->port(), dst_ctx->port(), wire,
-                               std::move(arrive));
+                               wr.trace, std::move(arrive));
   } else {
     Qp* dst = remote_;
     ctx_->fabric().transmit_at(departed, ctx_->port(),
-                               dst->ctx_->port(), wire,
+                               dst->ctx_->port(), wire, wr.trace,
                                [dst, in = std::move(in)]() mutable {
                                  dst->rx_arrive(std::move(in));
                                });
@@ -583,7 +585,7 @@ void Qp::rx_write(Inbound& in, sim::Tick done) {
       // NAK back to the requester; error completions ignore signaling.
       Qp* src = in.src;
       SendWr wr = in.wr;
-      send_ack_path(done, src, [src, wr](sim::Tick when) {
+      send_ack_path(done, src, wr.trace, [src, wr](sim::Tick when) {
         src->deliver_requester_completion(wr, WcStatus::kRemoteAccessError,
                                           when);
       });
@@ -594,7 +596,7 @@ void Qp::rx_write(Inbound& in, sim::Tick done) {
   }
 
   sim::Tick applied =
-      ctx_->pcie().dma_write(done, in.payload.size()).visible;
+      ctx_->pcie().dma_write(done, in.payload.size(), in.wr.trace).visible;
   std::uint64_t addr = in.wr.remote_addr;
   ctx_->engine().schedule_at(
       applied,
@@ -609,7 +611,7 @@ void Qp::rx_write(Inbound& in, sim::Tick done) {
     // path travelled is identical").
     Qp* src = in.src;
     SendWr wr = in.wr;
-    send_ack_path(applied, src, [src, wr](sim::Tick when) {
+    send_ack_path(applied, src, wr.trace, [src, wr](sim::Tick when) {
       if (wr.signaled) {
         src->deliver_requester_completion(wr, WcStatus::kSuccess, when);
       }
@@ -628,10 +630,11 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
     if (attr_.transport == Transport::kRc) {
       Qp* src = in.src;
       SendWr wr = in.wr;
-      send_ack_path(done + sim::us(1), src, [src, wr](sim::Tick when) {
-        src->deliver_requester_completion(wr, WcStatus::kRnrRetryExceeded,
-                                          when);
-      });
+      send_ack_path(done + sim::us(1), src, wr.trace,
+                    [src, wr](sim::Tick when) {
+                      src->deliver_requester_completion(
+                          wr, WcStatus::kRnrRetryExceeded, when);
+                    });
     }
     return;
   }
@@ -648,7 +651,8 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
     wc.wr_id = rwr.wr_id;
     wc.status = WcStatus::kLocalLengthError;
     wc.opcode = WcOpcode::kRecv;
-    sim::Tick tc = ctx_->pcie().dma_write(done, cal.cqe_bytes).visible;
+    sim::Tick tc =
+        ctx_->pcie().dma_write(done, cal.cqe_bytes, in.wr.trace).visible;
     Cq* rcq = attr_.recv_cq;
     ctx_->engine().schedule_at(tc, [rcq, wc]() { rcq->push(wc); });
     return;
@@ -658,7 +662,7 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
   // enters the engine as soon as the payload transaction's occupancy ends
   // (chaining on `.visible` would wrongly stall the engine for the full PCIe
   // propagation latency per message).
-  auto payload_dma = ctx_->pcie().dma_write(done, grh + len);
+  auto payload_dma = ctx_->pcie().dma_write(done, grh + len, in.wr.trace);
   sim::Tick applied = payload_dma.visible;
   std::uint64_t addr = rwr.sge.addr;
   std::uint32_t src_qpn = in.src->qpn();
@@ -681,14 +685,16 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
   wc.src_port = in.src->context().port();
   wc.trace = in.wr.trace;
   sim::Tick tc =
-      ctx_->pcie().dma_write(payload_dma.free, cal.cqe_bytes).visible;
+      ctx_->pcie()
+          .dma_write(payload_dma.free, cal.cqe_bytes, in.wr.trace)
+          .visible;
   Cq* rcq = attr_.recv_cq;
   ctx_->engine().schedule_at(tc, [rcq, wc]() { rcq->push(wc); });
 
   if (attr_.transport == Transport::kRc) {
     Qp* src = in.src;
     SendWr wr = in.wr;
-    send_ack_path(done, src, [src, wr](sim::Tick when) {
+    send_ack_path(done, src, wr.trace, [src, wr](sim::Tick when) {
       if (wr.signaled) {
         src->deliver_requester_completion(wr, WcStatus::kSuccess, when);
       }
@@ -708,7 +714,7 @@ void Qp::rx_read(Inbound& in, sim::Tick done) {
     ++rn.counters().access_errors;
     Qp* src = in.src;
     SendWr wr = in.wr;
-    send_ack_path(done, src, [src, wr](sim::Tick when) {
+    send_ack_path(done, src, wr.trace, [src, wr](sim::Tick when) {
       src->finish_read(wr.sge.length);
       src->deliver_requester_completion(wr, WcStatus::kRemoteAccessError,
                                         when);
@@ -718,7 +724,8 @@ void Qp::rx_read(Inbound& in, sim::Tick done) {
 
   // The responder RNIC DMA-reads the data (no CPU involvement — the defining
   // property of one-sided verbs), then transmits it back.
-  sim::Tick data_ready = ctx_->pcie().dma_read(done, length).visible;
+  sim::Tick data_ready =
+      ctx_->pcie().dma_read(done, length, in.wr.trace).visible;
   SendWr wr = in.wr;
   Qp* src = in.src;
   ctx_->engine().schedule_at(data_ready, [this, addr, length, wr, src]() {
@@ -730,7 +737,7 @@ void Qp::rx_read(Inbound& in, sim::Tick done) {
                      cal2.tx_latency;
     std::uint32_t wire = ctx_->fabric().wire_bytes(length, false);
     ctx_->fabric().transmit_at(
-        sent, ctx_->port(), src->ctx_->port(), wire,
+        sent, ctx_->port(), src->ctx_->port(), wire, wr.trace,
         [src, wr, payload = std::move(payload)]() mutable {
           src->read_response(wr, std::move(payload));
         });
@@ -743,7 +750,7 @@ void Qp::read_response(SendWr wr, Payload payload) {
   const auto& cal = rn.cal();
   sim::Tick t1 = rn.dispatch().acquire(cal.dispatch);
   sim::Tick done = rn.rx().acquire_at(t1, cal.rx_read_resp) + cal.rx_latency;
-  auto payload_dma = ctx_->pcie().dma_write(done, payload.size());
+  auto payload_dma = ctx_->pcie().dma_write(done, payload.size(), wr.trace);
   sim::Tick cqe_start = payload_dma.free;
   ctx_->engine().schedule_at(
       payload_dma.visible,
@@ -764,7 +771,8 @@ void Qp::deliver_requester_completion(const SendWr& wr, WcStatus status,
   wc.status = status;
   wc.opcode = wc_opcode(wr.opcode);
   wc.byte_len = wr.sge.length;
-  sim::Tick tc = ctx_->pcie().dma_write(when, cal.cqe_bytes).visible;
+  sim::Tick tc =
+      ctx_->pcie().dma_write(when, cal.cqe_bytes, wr.trace).visible;
   Cq* scq = attr_.send_cq;
   // A CQE slot was reserved at post time for signaled and flushed WRs;
   // error completions of unsignaled WRs arrive unreserved.
@@ -774,7 +782,8 @@ void Qp::deliver_requester_completion(const SendWr& wr, WcStatus status,
 }
 
 template <class OnAcked>
-void Qp::send_ack_path(sim::Tick when, Qp* requester, OnAcked on_acked) {
+void Qp::send_ack_path(sim::Tick when, Qp* requester, obs::TraceCtx trace,
+                       OnAcked on_acked) {
   // ACK/NAK: small occupancy on the responder TX unit, the wire, and the
   // requester RX unit. Cheap, but real — this is the RC-vs-UC difference.
   auto& rn = ctx_->rnic();
@@ -782,7 +791,7 @@ void Qp::send_ack_path(sim::Tick when, Qp* requester, OnAcked on_acked) {
   sim::Tick sent = rn.tx().acquire_at(when, cal.tx_ack);
   std::uint32_t ack = ctx_->fabric().config().ack_bytes;
   ctx_->fabric().transmit_at(
-      sent, ctx_->port(), requester->ctx_->port(), ack,
+      sent, ctx_->port(), requester->ctx_->port(), ack, trace,
       [requester, on_acked = std::move(on_acked)]() {
         auto& rrn = requester->ctx_->rnic();
         sim::Tick done = rrn.rx().acquire(rrn.cal().rx_ack);

@@ -161,11 +161,12 @@ class Qp {
   void read_response(SendWr wr, Payload payload);
   void deliver_requester_completion(const SendWr& wr, WcStatus status,
                                     sim::Tick when);
-  /// Sends an ACK/NAK to `requester`; `on_acked(tick)` runs when it has been
-  /// received. The closure is taken by type and captured straight into the
+  /// Sends an ACK/NAK for a WR traced under `trace` to `requester`;
+  /// `on_acked(tick)` runs when it has been received. The closure is taken by type and captured straight into the
   /// arrival callback, so it is wrapped once, not twice.
   template <class OnAcked>
-  void send_ack_path(sim::Tick when, Qp* requester, OnAcked on_acked);
+  void send_ack_path(sim::Tick when, Qp* requester, obs::TraceCtx trace,
+                     OnAcked on_acked);
 
   /// Send-queue ordering: WQEs are processed in post order, so a later
   /// verb's TX processing never starts before an earlier one's (a READ must

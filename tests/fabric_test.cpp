@@ -38,7 +38,7 @@ TEST(Fabric, DeliversAfterStoreAndForwardLatency) {
   auto a = f.attach("a");
   auto b = f.attach("b");
   sim::Tick arrival = 0;
-  f.transmit(a, b, 100, [&] { arrival = eng.now(); });
+  f.transmit(a, b, 100, {}, [&] { arrival = eng.now(); });
   eng.run();
   // serialize twice (store-and-forward) + hop latency.
   sim::Tick ser = sim::bytes_at_gbps(100, f.config().link_gbps);
@@ -51,7 +51,7 @@ TEST(Fabric, TransmitAtDefersSerializationStart) {
   auto a = f.attach("a");
   auto b = f.attach("b");
   sim::Tick arrival = 0;
-  f.transmit_at(sim::us(1), a, b, 100, [&] { arrival = eng.now(); });
+  f.transmit_at(sim::us(1), a, b, 100, {}, [&] { arrival = eng.now(); });
   eng.run();
   sim::Tick ser = sim::bytes_at_gbps(100, f.config().link_gbps);
   EXPECT_EQ(arrival, sim::us(1) + 2 * ser + f.config().hop_latency);
@@ -64,7 +64,7 @@ TEST(Fabric, InOrderDeliveryPerPath) {
   auto b = f.attach("b");
   std::vector<int> order;
   for (int i = 0; i < 20; ++i) {
-    f.transmit(a, b, 64, [&, i] { order.push_back(i); });
+    f.transmit(a, b, 64, {}, [&, i] { order.push_back(i); });
   }
   eng.run();
   for (int i = 0; i < 20; ++i) EXPECT_EQ(order[i], i);
@@ -81,8 +81,8 @@ TEST(Fabric, IncastContendsOnReceiverLink) {
   sim::Tick last = 0;
   constexpr int kMsgs = 100;
   for (int i = 0; i < kMsgs; ++i) {
-    f.transmit(a, c, 4096, [&] { last = eng.now(); });
-    f.transmit(b, c, 4096, [&] { last = eng.now(); });
+    f.transmit(a, c, 4096, {}, [&] { last = eng.now(); });
+    f.transmit(b, c, 4096, {}, [&] { last = eng.now(); });
   }
   eng.run();
   sim::Tick ser = sim::bytes_at_gbps(4096, f.config().link_gbps);
@@ -97,8 +97,8 @@ TEST(Fabric, SendersShareNothingOnDisjointPaths) {
   auto c = f.attach("c");
   auto d = f.attach("d");
   sim::Tick t_ab = 0, t_cd = 0;
-  f.transmit(a, b, 1000, [&] { t_ab = eng.now(); });
-  f.transmit(c, d, 1000, [&] { t_cd = eng.now(); });
+  f.transmit(a, b, 1000, {}, [&] { t_ab = eng.now(); });
+  f.transmit(c, d, 1000, {}, [&] { t_cd = eng.now(); });
   eng.run();
   EXPECT_EQ(t_ab, t_cd);  // fully parallel
 }
@@ -107,7 +107,7 @@ TEST(Fabric, BadPortThrows) {
   sim::Engine eng;
   Fabric f(eng, FabricConfig::infiniband_56g());
   auto a = f.attach("a");
-  EXPECT_THROW(f.transmit(a, 99, 64, [] {}), std::out_of_range);
+  EXPECT_THROW(f.transmit(a, 99, 64, {}, [] {}), std::out_of_range);
 }
 
 TEST(Fabric, RoceHasLargerHeadersAndLessBandwidth) {

@@ -104,11 +104,11 @@ TEST(LinkDegrade, SlowsMessagesInsideWindowOnly) {
   cl.fabric().set_fault_model(&inj);
 
   sim::Tick a1 = 0, a2 = 0, a3 = 0;
-  cl.fabric().transmit_at(sim::us(10), 0, 1, 4096,
+  cl.fabric().transmit_at(sim::us(10), 0, 1, 4096, {},
                           [&]() { a1 = cl.engine().now(); });
-  cl.fabric().transmit_at(sim::us(110), 0, 1, 4096,
+  cl.fabric().transmit_at(sim::us(110), 0, 1, 4096, {},
                           [&]() { a2 = cl.engine().now(); });
-  cl.fabric().transmit_at(sim::us(210), 0, 1, 4096,
+  cl.fabric().transmit_at(sim::us(210), 0, 1, 4096, {},
                           [&]() { a3 = cl.engine().now(); });
   cl.engine().run();
 

@@ -8,6 +8,8 @@
 #include "microbench/echo.hpp"
 #include "microbench/throughput.hpp"
 #include "microbench/verb_latency.hpp"
+#include "obs/bench_report.hpp"
+#include "obs/json.hpp"
 
 namespace herd::microbench {
 namespace {
@@ -101,6 +103,25 @@ TEST(RunRecord, BackToBackRunsShareNoEvidence) {
   EXPECT_TRUE(lat.record.attr.empty());
   EXPECT_TRUE(lat.record.trace_json.empty());
   EXPECT_EQ(tail_stages(lat.record), std::vector<std::string>{"echo_rtt"});
+}
+
+TEST(OutboundTput, TracesOnlyUnderCapture) {
+  // finish() exports whatever the cluster's tracer recorded. Untraced, the
+  // driver stamps no trace ids, so nothing is recorded; under capture the
+  // tail-sampled verbs' hops are, each under its own trace id.
+  TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 8, 4};
+  const RunRecord untraced = outbound_tput(kApt, wr, 4, sim::us(50));
+  EXPECT_TRUE(untraced.trace_json.empty());
+  EXPECT_FALSE(untraced.tail.is_null());
+
+  set_trace_capture(true);
+  const RunRecord traced = outbound_tput(kApt, wr, 4, sim::us(50));
+  set_trace_capture(false);
+  ASSERT_FALSE(traced.trace_json.empty());
+  EXPECT_TRUE(
+      obs::validate_trace_json(obs::Json::parse(traced.trace_json)).empty());
+  EXPECT_EQ(traced.tail.dump(), untraced.tail.dump());
+  EXPECT_TRUE(traced.snapshot.format() == untraced.snapshot.format());
 }
 
 TEST(InboundTput, WritesBeatReadsByAboutATHird) {

@@ -5,8 +5,9 @@
 //     throw) and snapshots are deterministic;
 //   - two identically-seeded testbed runs produce identical snapshots and
 //     byte-identical Chrome trace exports;
-//   - a traced request's spans appear in simulated-time order (client post,
-//     RNIC RX/dispatch/TX, PCIe DMA, MICA op);
+//   - a trace holds sampled requests only, and one request's spans appear
+//     in simulated-time order (client post, PCIe, wire, RNIC RX, MICA op,
+//     TX);
 //   - the request probe closes the roots of requests still in flight at
 //     export, marked incomplete, and leaves other open spans as "B";
 //   - Snapshot round-trips through JSON;
@@ -123,36 +124,6 @@ TEST(Snapshot, SerializationIsSorted) {
 
 // ------------------------------------------------------------------ tracer
 
-TEST(Tracer, SamplingOpensEveryNthWindow) {
-  Tracer t;
-  EXPECT_FALSE(t.sample());  // disabled -> never samples
-  t.enable(3);
-  int hits = 0;
-  for (int i = 0; i < 9; ++i) {
-    if (t.sample()) {
-      ++hits;
-      EXPECT_TRUE(t.active());
-      t.release();
-    }
-  }
-  EXPECT_EQ(hits, 3);
-  EXPECT_FALSE(t.active());
-}
-
-TEST(Tracer, ProducerGateRecordsOnlyInsideWindow) {
-  Tracer t;
-  t.enable(1);
-  EXPECT_FALSE(tracing(&t));  // enabled but no window open
-  ASSERT_TRUE(t.sample());
-  EXPECT_TRUE(tracing(&t));
-  t.span("core", "work", 100, 200);
-  t.release();
-  EXPECT_FALSE(tracing(&t));
-  EXPECT_FALSE(tracing(nullptr));
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.events()[0].name, "work");
-}
-
 TEST(Tracer, ChromeJsonIsValidAndDeterministic) {
   auto build = [] {
     Tracer t;
@@ -247,7 +218,7 @@ bool marked_incomplete(const Json& e) {
 
 TEST(RequestProbe, ExportClosesOnlyInFlightRequestRoots) {
   RequestProbe probe;
-  probe.tracer().enable(1);
+  probe.enable(1);
   auto args = [] { return std::string("seq=1"); };
   TraceCtx ctx = probe.begin_request("client0", 7, sim::us(1), args);
   ASSERT_TRUE(ctx.sampled());
@@ -287,28 +258,63 @@ TEST(RequestProbe, ExportClosesOnlyInFlightRequestRoots) {
   EXPECT_FALSE(marked_incomplete(*req[0]));
 }
 
-TEST(RequestProbe, UnsampledMarksRecordOnlyAmbientSteps) {
+TEST(RequestProbe, SamplesEveryNthRequestAndRecordsOnlyItsMarks) {
   RequestProbe probe;
-  probe.tracer().enable(1);
-  TraceCtx sampled = probe.begin_request("client0", 7, 0, NoArgs{});
-  probe.mark(TraceCtx{}, "proc0", {.trace = "drr_wait", .tail = "drr_wait"},
-             sim::us(1), sim::us(2));
-  probe.mark(TraceCtx{}, "proc0", {.trace = "mica_op", .ambient = true},
-             sim::us(1), sim::us(2));
-  probe.mark(sampled, "proc0", {.trace = "drr_wait"}, sim::us(2), sim::us(2));
-  // root span + the ambient mica_op; the empty span is not recorded.
-  ASSERT_EQ(probe.tracer().size(), 2u);
-  EXPECT_EQ(probe.tracer().events()[1].name, "mica_op");
-  probe.end_request(sampled, sim::us(3), "ok", "net_out");
+  EXPECT_FALSE(probe.begin_request("client0", 1, 0, NoArgs{}).sampled());
+  probe.enable(3);
+  std::vector<std::uint64_t> sampled;
+  for (std::uint64_t id = 1; id <= 9; ++id) {
+    sim::Tick at = id * sim::us(1);
+    TraceCtx ctx = probe.begin_request("client0", id, at, NoArgs{});
+    probe.mark(ctx, "proc0", {.trace = "serve_get", .tail = "mica_op"},
+               at + 1);
+    probe.mark(ctx, "proc0", {.trace = "mica_op"}, at, at + 2);
+    if (ctx.sampled()) {
+      sampled.push_back(ctx.trace_id);
+      probe.end_request(ctx, at + 3, "ok", "net_out");
+    }
+  }
+  EXPECT_EQ(sampled, (std::vector<std::uint64_t>{3, 6, 9}));
+  // Three events per sampled request (root, serve_get, mica_op), none for
+  // the six unsampled ones; the empty span is not recorded either.
+  probe.mark(TraceCtx{3, 1}, "proc0", {.trace = "drr_wait"}, sim::us(5),
+             sim::us(5));
+  ASSERT_EQ(probe.tracer().size(), 9u);
+  for (const Tracer::Event& e : probe.tracer().events()) {
+    EXPECT_NE(std::find(sampled.begin(), sampled.end(), e.trace_id),
+              sampled.end())
+        << e.name;
+  }
+  EXPECT_EQ(probe.tail().finished(), 3u);
 }
 
 TEST(TraceValidator, RejectsSchemaDrift) {
   Tracer t;
-  t.span("client", "request", sim::us(1), sim::us(5));
+  t.span("client", "request", sim::us(1), sim::us(5), {}, TraceCtx{7, 0});
   Json doc = Json::parse(t.chrome_json());
   ASSERT_TRUE(validate_trace_json(doc).empty());
   doc["schema"] = Json("herd-trace/1");
   EXPECT_FALSE(validate_trace_json(doc).empty());
+}
+
+TEST(TraceValidator, RejectsEventsWithoutASampledTraceId) {
+  // A trace holds sampled requests only: an event with no trace id, or
+  // with id 0, belongs to none of them.
+  for (std::uint64_t id : {0, 7}) {
+    Tracer t;
+    t.span("rnic", "rx_WRITE", sim::us(1), sim::us(2), {}, TraceCtx{7, 0});
+    t.instant("rnic", "qp_cache_miss", sim::us(1), {}, TraceCtx{id, 0});
+    std::vector<std::string> problems =
+        validate_trace_json(Json::parse(t.chrome_json()));
+    if (id != 0) {
+      EXPECT_TRUE(problems.empty());
+      continue;
+    }
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find("\"qp_cache_miss\" carries no sampled trace"),
+              std::string::npos)
+        << problems[0];
+  }
 }
 
 // ----------------------------------------------- per-request tail profiler
@@ -439,46 +445,57 @@ TEST(ObsDeterminism, IdenticalSeedsIdenticalSnapshotsAndTraces) {
 TEST(ObsDeterminism, TracedRequestSpansAppearInSimTimeOrder) {
   core::HerdTestbed bed(traced_config());
   bed.run(sim::us(200), sim::us(800));
-  const auto& events = bed.tracer().events();
-  ASSERT_FALSE(events.empty());
+  // Every event of a sampled request carries its trace id, and nothing
+  // else is recorded, so one request's path reads straight off the
+  // tracer: follow the first request that finished "ok".
+  std::uint64_t id = 0;
+  for (const TailProfiler::Sample& s : bed.tail().samples()) {
+    if (s.outcome == "ok") {
+      id = s.trace_id;
+      break;
+    }
+  }
+  ASSERT_NE(id, 0u);
+  const Tracer::Event* root = nullptr;
+  for (const Tracer::Event& e : bed.tracer().events()) {
+    if (e.trace_id == id && e.name == "request") root = &e;
+  }
+  ASSERT_NE(root, nullptr);
 
-  // Sampling windows record every event while open, so spans of concurrent
-  // requests interleave. The lifecycle ordering we assert is causal, so we
-  // follow one chain: the first sampled client post, then the first instance
-  // of each later stage at or after the previous stage's start.
-  auto first_after = [&](sim::Tick t, auto pred) {
+  // Earliest start, at or after `t`, of this request's events named
+  // `prefix`*.
+  auto first = [&](const std::string& prefix, sim::Tick t) {
     sim::Tick best = 0;
     bool found = false;
-    for (const auto& e : events) {
-      if (e.start < t || !pred(e)) continue;
+    for (const Tracer::Event& e : bed.tracer().events()) {
+      if (e.trace_id != id || e.start < t ||
+          e.name.compare(0, prefix.size(), prefix) != 0) {
+        continue;
+      }
       if (!found || e.start < best) best = e.start;
       found = true;
     }
-    EXPECT_TRUE(found);
+    EXPECT_TRUE(found) << prefix;
     return best;
   };
-  auto named = [](const std::string& prefix) {
-    return [prefix](const Tracer::Event& e) {
-      return e.name.compare(0, prefix.size(), prefix) == 0;
-    };
-  };
 
-  sim::Tick client_post = first_after(0, named("client_post"));
-  sim::Tick rnic_rx = first_after(client_post, named("rx_"));
-  sim::Tick dispatch = first_after(client_post, named("dispatch"));
-  sim::Tick mica = first_after(rnic_rx, named("mica_op"));
-  sim::Tick rnic_tx = first_after(mica, named("tx_"));
-  sim::Tick dma = first_after(client_post, named("dma_"));
-
-  // client post -> RNIC RX (+ dispatch) -> MICA op -> response TX, with the
-  // PCIe DMA activity in between: each later stage exists and starts strictly
-  // after the client's post, and the chain is monotone in simulated time.
-  EXPECT_LT(client_post, rnic_rx);
-  EXPECT_LT(client_post, dispatch);
-  EXPECT_LT(rnic_rx, mica);
-  EXPECT_LE(mica, rnic_tx);
-  EXPECT_LT(client_post, dma);
-  EXPECT_LT(rnic_tx, client_post + sim::us(100));  // same neighborhood
+  // client post -> doorbell PIO -> wire -> RNIC RX -> DMA into the request
+  // region -> MICA -> response TX, monotone in simulated time and inside
+  // the request's root span.
+  sim::Tick post = first("client_post", root->start);
+  sim::Tick pio = first("pio_write", post);
+  sim::Tick wire = first("wire_tx", pio);
+  sim::Tick rx = first("rx_", wire);
+  sim::Tick dma = first("dma_write", rx);
+  sim::Tick serve = first("serve_", dma);
+  sim::Tick tx = first("tx_", serve);
+  EXPECT_LT(post, pio);
+  EXPECT_LT(pio, wire);
+  EXPECT_LT(wire, rx);
+  EXPECT_LT(rx, dma);
+  EXPECT_LT(dma, serve);
+  EXPECT_LE(serve, tx);
+  EXPECT_LT(tx, root->end);
 }
 
 // ------------------------------------- causal propagation across the wire
@@ -642,6 +659,40 @@ void expect_server_spans(core::RequestMode mode) {
                             [&](const auto& st) { return st.first == stage; }))
         << stage;
   }
+}
+
+TEST(TraceE2E, OnlySampledRequestsAreRecorded) {
+  // fig09's shape, sampling every 64th request: every event the tracer
+  // holds belongs to a request the probe sampled (its root "request" span
+  // names it), the PCIe and wire hops of its WRs included.
+  core::HerdTestbed bed(bench_shaped_config(core::RequestMode::kWriteUc));
+  bed.run(sim::us(250), sim::us(250));
+  std::set<std::uint64_t> sampled;
+  for (const Tracer::Event& e : bed.tracer().events()) {
+    if (e.name == "request") sampled.insert(e.trace_id);
+  }
+  ASSERT_FALSE(sampled.empty());
+  EXPECT_EQ(sampled.count(0), 0u);
+  std::size_t stray = 0;
+  std::set<std::string> names;
+  for (const Tracer::Event& e : bed.tracer().events()) {
+    if (sampled.count(e.trace_id) == 0) ++stray;
+    names.insert(e.name);
+  }
+  EXPECT_EQ(stray, 0u) << "of " << bed.tracer().size() << " events";
+  for (const char* hop : {"pio_write", "dma_write", "wire_tx", "wire_rx"}) {
+    EXPECT_EQ(names.count(hop), 1u) << hop;
+  }
+  EXPECT_TRUE(validate_trace_json(Json::parse(bed.trace_json())).empty());
+}
+
+TEST(TraceE2E, UntracedRunRecordsNothing) {
+  core::TestbedConfig cfg = bench_shaped_config(core::RequestMode::kWriteUc);
+  cfg.trace_sample_every = 0;
+  core::HerdTestbed bed(cfg);
+  bed.run(sim::us(100), sim::us(100));
+  EXPECT_EQ(bed.tracer().size(), 0u);
+  EXPECT_EQ(bed.tail().finished(), 0u);
 }
 
 TEST(TraceE2E, BenchShapedRequestsCarryServerSpans) {

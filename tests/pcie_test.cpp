@@ -27,16 +27,16 @@ TEST(Pcie, PioOccupancyPerCacheline) {
   sim::Engine eng;
   PcieLink link(eng, PcieConfig::gen3_x8(), "p");
   const auto& cfg = link.config();
-  sim::Tick t1 = link.pio_write(64);   // 1 CL
+  sim::Tick t1 = link.pio_write(64, {});  // 1 CL
   EXPECT_EQ(t1, cfg.pio_per_cacheline + cfg.pio_latency);
-  sim::Tick t2 = link.pio_write(128);  // 2 CLs, queued behind the first
+  sim::Tick t2 = link.pio_write(128, {});  // 2 CLs, queued behind the first
   EXPECT_EQ(t2, 3 * cfg.pio_per_cacheline + cfg.pio_latency);
 }
 
 TEST(Pcie, DmaWriteFreeBeforeVisible) {
   sim::Engine eng;
   PcieLink link(eng, PcieConfig::gen3_x8(), "p");
-  auto r = link.dma_write(0, 64);
+  auto r = link.dma_write(0, 64, {});
   EXPECT_LT(r.free, r.visible);
   EXPECT_EQ(r.visible - r.free, link.config().dma_write_latency);
 }
@@ -55,8 +55,8 @@ TEST(Pcie, ChainedDmaWritesPipelinePerOccupancy) {
   PcieLink link(eng, PcieConfig::gen3_x8(), "p");
   sim::Tick chain = 0;
   for (int i = 0; i < 1000; ++i) {
-    auto payload = link.dma_write(chain, 64);
-    auto cqe = link.dma_write(payload.free, 32);
+    auto payload = link.dma_write(chain, 64, {});
+    auto cqe = link.dma_write(payload.free, 32, {});
     chain = 0;  // next message enters immediately
     (void)cqe;
   }
@@ -80,10 +80,10 @@ TEST(Pcie, Gen2SlowerThanGen3) {
 TEST(Pcie, DmaBandwidthShapesLargeTransfers) {
   sim::Engine eng;
   PcieLink link(eng, PcieConfig::gen3_x8(), "p");
-  auto small = link.dma_read(0, 64);
+  auto small = link.dma_read(0, 64, {});
   sim::Engine eng2;
   PcieLink link2(eng2, PcieConfig::gen3_x8(), "p");
-  auto large = link2.dma_read(0, 4096);
+  auto large = link2.dma_read(0, 4096, {});
   EXPECT_GT(large.free, small.free);
   // 4 KB at 6.5 GB/s ~ 630 ns of occupancy beyond the fixed cost.
   EXPECT_NEAR(sim::to_ns(large.free - small.free), (4096 - 64) / 6.5, 5.0);

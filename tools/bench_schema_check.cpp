@@ -8,7 +8,8 @@
 // (TIMESERIES_*.json flight-recorder dumps, checked by
 // obs::validate_timeseries_json), and "herd-trace/2" (TRACE_*.json Chrome
 // traces, checked by obs::validate_trace_json — which rejects any "B"
-// phase event, because an unpaired span_begin exports as a lone "B"). A
+// phase event, because an unpaired span_begin exports as a lone "B", and
+// any event that carries no sampled trace id). A
 // document with any other schema string fails — an unknown schema means a
 // producer drifted without updating the gate. This is the CI gate behind
 // the bench-smoke job; it uses the same validators as tests/obs_test.cpp
