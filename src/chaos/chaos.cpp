@@ -1,6 +1,7 @@
 #include "chaos/chaos.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <span>
 
 #include "chaos/history.hpp"
@@ -16,6 +17,15 @@ std::uint32_t hosts_for_clients(std::uint32_t n_clients) {
 }
 
 }  // namespace
+
+std::string Fingerprint::format() const {
+  char buf[80];
+  std::snprintf(buf, sizeof buf, "history=%016llx engine=%016llx trace=%016llx",
+                static_cast<unsigned long long>(history),
+                static_cast<unsigned long long>(engine),
+                static_cast<unsigned long long>(trace));
+  return buf;
+}
 
 RunOutcome run_scenario(const Scenario& sc, std::uint64_t checker_budget) {
   HistoryRecorder recorder(sc.value_len);
@@ -41,22 +51,21 @@ RunOutcome run_scenario(const Scenario& sc, std::uint64_t checker_budget) {
 
     out.events = recorder.events().size();
     out.applies = recorder.applies();
-    out.fingerprint = recorder.fingerprint();
-    out.fingerprint = fnv1a_u64(engine.events_processed(), out.fingerprint);
-    out.fingerprint = fnv1a_u64(engine.events_scheduled(), out.fingerprint);
-    out.fingerprint = fnv1a_u64(engine.now(), out.fingerprint);
+    out.fingerprint.history = fnv1a_u64(engine.now(), recorder.fingerprint());
+    out.fingerprint.engine = fnv1a_u64(
+        engine.events_scheduled(),
+        fnv1a_u64(engine.events_processed(), kFnvBasis));
     out.contract_violations = bed.contract_violations();
     if (out.contract_violations > 0) {
       out.contract_diagnostics = bed.contract_diagnostics();
     }
     out.counters = bed.snapshot();
     if (sc.trace_sample_every > 0) {
-      // Fold the trace bytes into the fingerprint: replay divergence in
-      // *when* pipeline stages ran — not only what completed — is caught.
+      // Hash the trace bytes too: replay divergence in *when* pipeline
+      // stages ran — not only what completed — is caught.
       out.trace_json = bed.trace_json();
-      out.fingerprint =
-          fnv1a(std::as_bytes(std::span<const char>(out.trace_json)),
-                out.fingerprint);
+      out.fingerprint.trace =
+          fnv1a(std::as_bytes(std::span<const char>(out.trace_json)));
     }
     if (sc.flight_windows > 0) {
       obs::Json ts = bed.timeseries_json();

@@ -3,9 +3,10 @@
 // run_scenario executes one sampled scenario end to end: build the testbed
 // with a HistoryRecorder attached, run warmup + measurement, drain in-flight
 // requests, then check the recorded history for per-key linearizability.
-// Every run also produces a determinism fingerprint (trace hash + engine
-// event counts); re-running the same scenario must reproduce it bit for bit,
-// which is what makes a failing seed a complete bug report.
+// Every run also produces a determinism fingerprint in three columns
+// (history, engine event counts, trace bytes); re-running the same scenario
+// must reproduce it bit for bit, which is what makes a failing seed a
+// complete bug report.
 //
 // shrink() minimizes a violating scenario: greedily drop fault windows,
 // narrow the survivors, and shed clients while the violation persists. The
@@ -23,6 +24,19 @@
 
 namespace herd::chaos {
 
+/// A run's determinism fingerprint, in columns that move for different
+/// reasons: a change to what the clients and servers did moves `history`,
+/// a change to how many events the simulator spent on it moves only
+/// `engine`, and a change to what was traced moves only `trace`.
+struct Fingerprint {
+  std::uint64_t history = 0;  // recorder hash, then the engine's final now()
+  std::uint64_t engine = 0;   // events processed, then events scheduled
+  std::uint64_t trace = 0;    // trace bytes; 0 when the run traced nothing
+  friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
+  /// "history=<hex> engine=<hex> trace=<hex>", 16 hex digits each.
+  std::string format() const;
+};
+
 struct RunOutcome {
   Scenario scenario{};
   CheckResult check{};
@@ -31,8 +45,7 @@ struct RunOutcome {
   /// the run cannot assert linearizability of a strict store. Envelope
   /// sizing makes this rare; such runs are reported, not failed.
   bool cache_lossy = false;
-  /// Determinism fingerprint: history trace hash + engine event counts.
-  std::uint64_t fingerprint = 0;
+  Fingerprint fingerprint{};
   std::uint64_t events = 0;       // history events recorded
   std::uint64_t applies = 0;      // server-side mutation decisions
   /// Verbs contract violations flagged by the in-context checker (see
@@ -50,8 +63,7 @@ struct RunOutcome {
   /// flight_windows). Never folded into the fingerprint. Note that the
   /// sampler does schedule engine events, so a flight-enabled replay of a
   /// recorded seed reproduces the same history (same violation, same
-  /// history hash) but not the same engine-event counts — compare
-  /// fingerprints only between runs with equal flight_windows.
+  /// `history` column) but not the same `engine` column.
   std::string flight_json;
 };
 

@@ -43,9 +43,12 @@ struct Event {
   sim::Tick tick = 0;
 };
 
+/// FNV-1a's offset basis: the hash of nothing.
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
 /// FNV-1a over a byte span (the trace's value/fingerprint hash).
 inline std::uint64_t fnv1a(std::span<const std::byte> bytes,
-                           std::uint64_t h = 0xcbf29ce484222325ULL) {
+                           std::uint64_t h = kFnvBasis) {
   for (std::byte b : bytes) {
     h ^= static_cast<std::uint64_t>(b);
     h *= 0x100000001b3ULL;
@@ -146,7 +149,7 @@ class HistoryRecorder final : public core::HistoryObserver {
   /// stream). Equal fingerprints across two runs of the same scenario is
   /// the determinism check.
   std::uint64_t fingerprint() const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::uint64_t h = kFnvBasis;
     for (const Event& e : events_) {
       h = fnv1a_u64((static_cast<std::uint64_t>(e.type) << 56) ^
                         (static_cast<std::uint64_t>(e.client) << 40) ^ e.seq,

@@ -13,7 +13,9 @@ namespace {
 
 /// Every 16th ping is tail-profiled. One op is in flight at a time, so the
 /// whole latency is a single honest "net_rtt" (or "echo_rtt") stage — the
-/// breakdown trivially sums to the end-to-end number.
+/// breakdown trivially sums to the end-to-end number. Under trace capture
+/// the sampled ping's work requests carry its sequence number as trace id,
+/// so its PCIe, RNIC and wire hops are recorded.
 constexpr std::uint32_t kTailSampleEvery = 16;
 
 /// Ping-pong driver for one signaled verb type. Contract gating and
@@ -55,6 +57,7 @@ double signaled_latency(cluster::Cluster& cl, verbs::Opcode opcode,
     if (++seq % kTailSampleEvery == 0) {
       sampled = seq;
       tail.begin(sampled, posted);
+      if (trace_capture()) wr.trace.trace_id = sampled;
     }
     cqp->post_send(wr);
   };
@@ -107,8 +110,8 @@ double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
   // within ~one iteration.
   const auto& cpu = cl.config().cpu;
   server.memory().add_watch(0, payload, [&](std::uint64_t, std::uint32_t,
-                                            obs::TraceCtx) {
-    eng.schedule_after(cpu.poll_iteration + cpu.post_send, [&]() {
+                                            obs::TraceCtx trace) {
+    eng.schedule_after(cpu.poll_iteration + cpu.post_send, [&, trace]() {
       verbs::SendWr wr;
       wr.opcode = verbs::Opcode::kWrite;
       wr.sge = {smr.addr, payload, smr.lkey};
@@ -116,6 +119,7 @@ double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
       wr.rkey = cmr.rkey;
       wr.inline_data = true;
       wr.signaled = false;
+      wr.trace = trace;  // the echo is the sampled ping's second half
       sqp->post_send(wr);
     });
   });
@@ -133,6 +137,7 @@ double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
     if (++seq % kTailSampleEvery == 0) {
       sampled = seq;
       tail.begin(sampled, posted);
+      if (trace_capture()) wr.trace.trace_id = sampled;
     }
     cqp->post_send(wr);
   };

@@ -84,7 +84,7 @@ Attribution attribute(const ResourceRegistry& reg) {
     double max_util = 0.0;
     std::uint64_t ops = 0;
     sim::LatencyHistogram queue;
-    sim::LatencyHistogram service;
+    sim::TickMean service;
   };
   // Entries are name-sorted, so the aggregation map order (and every
   // tie-break below) is deterministic.

@@ -15,6 +15,11 @@
 // a true fraction of elapsed window time and can never exceed 1.0, and
 // reset_stats() opens a fresh measurement window that correctly splits a
 // busy segment spanning the reset point.
+//
+// Stage statistics (on for resources the flight recorder registers) keep a
+// histogram of queue waits and the mean service time. Most admissions find
+// the unit idle, so a zero wait is only counted, and stage_stats() folds the
+// count into the histogram when it is read.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +76,13 @@ class Resource {
     ++ops_;
     ++total_ops_;
     if (stage_ != nullptr) {
-      stage_->queue.record(start - arrival);
+      // Most admissions find the unit idle; their zero waits are only
+      // counted here and folded into the queue histogram at read.
+      if (start == arrival) {
+        ++zero_waits_;
+      } else {
+        stage_->queue.record(start - arrival);
+      }
       stage_->service.record(cost);
     }
     // Fold fully-elapsed history so the segment list stays O(queued future
@@ -142,20 +153,31 @@ class Resource {
       stage_->queue.clear();
       stage_->service.clear();
     }
+    zero_waits_ = 0;
   }
 
-  /// Per-stage queueing / service-time histograms (reset_stats() clears
-  /// them). Off by default — obs::ResourceRegistry enables them when the
-  /// resource registers for flight recording, so unregistered resources
+  /// Per-stage queueing histogram and mean service time (reset_stats()
+  /// clears them). Off by default — obs::ResourceRegistry enables them when
+  /// the resource registers for flight recording, so unregistered resources
   /// (per-process CPU cores) pay nothing.
   struct StageStats {
     LatencyHistogram queue;
-    LatencyHistogram service;
+    TickMean service;
   };
   void enable_stage_stats() {
     if (stage_ == nullptr) stage_ = std::make_unique<StageStats>();
   }
-  const StageStats* stage_stats() const { return stage_.get(); }
+  /// The stage statistics, with the zero waits counted since the last read
+  /// folded into `queue` first. Bucket counts, count and min do not depend
+  /// on the order of records, and a zero adds nothing to the sum, so the
+  /// result is the histogram that recording every wait in place would give.
+  const StageStats* stage_stats() const {
+    if (stage_ != nullptr) {
+      stage_->queue.record_zeros(zero_waits_);
+      zero_waits_ = 0;
+    }
+    return stage_.get();
+  }
 
  private:
   struct Segment {
@@ -185,6 +207,8 @@ class Resource {
   Tick window_start_ = 0;
   Tick window_busy_base_ = 0;
   std::unique_ptr<StageStats> stage_;
+  // Zero queue waits not yet folded into stage_->queue (see stage_stats()).
+  mutable std::uint64_t zero_waits_ = 0;
 };
 
 }  // namespace herd::sim

@@ -29,6 +29,15 @@ class LatencyHistogram {
     max_ = std::max(max_, t);
     sum_ns_ += to_ns(t);
   }
+  /// As `n` calls of record(0). Adding +0.0 leaves the sum's bits as they
+  /// were, so zeros folded in late give the same mean and quantiles as
+  /// zeros recorded in place.
+  void record_zeros(std::uint64_t n) {
+    if (n == 0) return;
+    buckets_[0] += n;
+    count_ += n;
+    min_ = 0;
+  }
   void clear();
 
   /// Accumulates another histogram (same fixed bucket layout).
@@ -65,6 +74,34 @@ class LatencyHistogram {
   std::uint64_t count_ = 0;
   Tick min_ = std::numeric_limits<Tick>::max();
   Tick max_ = 0;
+  double sum_ns_ = 0.0;
+};
+
+/// Count and sum of a series of ticks whose only read is its mean: what a
+/// LatencyHistogram keeps for mean_ns(), without its buckets. Records add to
+/// the sum in the same order and the same way, so the means agree bit for
+/// bit.
+class TickMean {
+ public:
+  void record(Tick t) {
+    ++count_;
+    sum_ns_ += to_ns(t);
+  }
+  void merge(const TickMean& other) {
+    count_ += other.count_;
+    sum_ns_ += other.sum_ns_;
+  }
+  void clear() {
+    count_ = 0;
+    sum_ns_ = 0.0;
+  }
+  std::uint64_t count() const { return count_; }
+  double mean_ns() const {
+    return count_ == 0 ? 0.0 : sum_ns_ / static_cast<double>(count_);
+  }
+
+ private:
+  std::uint64_t count_ = 0;
   double sum_ns_ = 0.0;
 };
 

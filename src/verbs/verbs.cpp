@@ -1,6 +1,5 @@
 #include "verbs/verbs.hpp"
 
-#include <array>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -9,9 +8,6 @@
 namespace herd::verbs {
 
 namespace {
-// What a UD receive buffer holds where the GRH would be.
-constexpr std::array<std::byte, kGrhBytes> kZeroGrh{};
-
 const char* opcode_name(Opcode op) {
   switch (op) {
     case Opcode::kWrite:
@@ -87,6 +83,7 @@ Context::Context(sim::Engine& engine, rnic::Rnic& rnic, pcie::PcieLink& pcie,
   if (port >> (32 - kKeyIndexBits) != 0) {
     throw std::invalid_argument("Context: port too large for the MR keys");
   }
+  memory.bind(engine);
   rnic.set_retire_sink(this);
 }
 
@@ -662,19 +659,13 @@ void Qp::rx_send(Inbound& in, sim::Tick done) {
   // enters the engine as soon as the payload transaction's occupancy ends
   // (chaining on `.visible` would wrongly stall the engine for the full PCIe
   // propagation latency per message).
+  // A UD buffer holds a zeroed GRH placeholder; the payload lands at
+  // offset 40. Unless a watch covers the buffer, the placement is no event:
+  // nothing can see it before the CQE, and readers settle it first.
   auto payload_dma = ctx_->pcie().dma_write(done, grh + len, in.wr.trace);
-  sim::Tick applied = payload_dma.visible;
-  std::uint64_t addr = rwr.sge.addr;
   std::uint32_t src_qpn = in.src->qpn();
-  ctx_->engine().schedule_at(
-      applied, [this, addr, grh, trace = in.wr.trace,
-                payload = std::move(in.payload)]() {
-        if (grh > 0) {
-          // Zeroed GRH placeholder, as the payload lands at offset 40.
-          ctx_->memory().dma_apply(addr, kZeroGrh, trace);
-        }
-        ctx_->memory().dma_apply(addr + grh, payload.bytes(), trace);
-      });
+  ctx_->memory().place_at(payload_dma.visible, rwr.sge.addr, grh,
+                          std::move(in.payload), in.wr.trace);
 
   Wc wc;
   wc.wr_id = rwr.wr_id;

@@ -119,7 +119,7 @@ TEST(AllocBudget, HerdGetSmallWindowStaysUnderBudget) {
                              << " events (" << r.ops << " ops)";
   const double per_op =
       static_cast<double>(events) / static_cast<double>(r.ops);
-  EXPECT_LE(per_op, 10.8) << events << " events over " << r.ops << " ops";
+  EXPECT_LE(per_op, 9.8) << events << " events over " << r.ops << " ops";
 }
 
 }  // namespace

@@ -720,6 +720,51 @@ TEST(Resource, StageStatsRecordOnlyWhenEnabled) {
   EXPECT_EQ(r.stage_stats()->queue.count(), 0u);
 }
 
+TEST(Resource, FoldedStageStatsEqualHistogramsFedEveryAdmission) {
+  // Zero waits are counted and folded in at read, and service keeps only a
+  // count and sum: every figure read from them must match, bit for bit,
+  // histograms that record each admission in place.
+  Engine eng;
+  Resource r(eng, "u");
+  r.enable_stage_stats();
+  LatencyHistogram queue;
+  LatencyHistogram service;
+  Pcg32 rng(11);
+  auto check = [&] {
+    const Resource::StageStats* st = r.stage_stats();
+    ASSERT_NE(st, nullptr);
+    EXPECT_EQ(st->queue.count(), queue.count());
+    EXPECT_EQ(st->queue.min(), queue.min());
+    EXPECT_EQ(st->queue.max(), queue.max());
+    EXPECT_EQ(st->queue.mean_ns(), queue.mean_ns());
+    EXPECT_EQ(st->queue.p50_ns(), queue.p50_ns());
+    EXPECT_EQ(st->queue.p99_ns(), queue.p99_ns());
+    EXPECT_EQ(st->service.count(), service.count());
+    EXPECT_EQ(st->service.mean_ns(), service.mean_ns());
+  };
+  for (int round = 0; round < 3; ++round) {
+    Tick arrival = eng.now();
+    for (int i = 0; i < 2000; ++i) {
+      // Gaps mostly longer than the service time, so most waits are zero
+      // and a minority queue behind a burst.
+      arrival += rng.next_u32() % 4 == 0 ? 0 : Tick{rng.next_u32() % 40000};
+      const Tick cost = Tick{1 + rng.next_u32() % 9000};
+      Resource::Admission a = r.admit_at(arrival, cost);
+      queue.record(a.queued());
+      service.record(cost);
+      if (i == 1000) check();  // a read in the middle folds early
+    }
+    ASSERT_GT(queue.count(), 0u);
+    // Odd rounds reset with zero waits not yet folded in.
+    if (round % 2 == 0) check();
+    eng.run_until(arrival);
+    r.reset_stats();
+    queue.clear();
+    service.clear();
+    check();
+  }
+}
+
 TEST(Resource, TotalOpsSurvivesResetStats) {
   Engine eng;
   Resource r(eng, "u");

@@ -36,6 +36,35 @@ TEST(VerbLatency, UnsignaledWriteIsHalfAnEcho) {
   EXPECT_NEAR(r.echo_us / 2.0, 1.0, 0.4);  // ~1 us half-RTT (§2.2.1)
 }
 
+TEST(VerbLatency, TracesItsSampledPingsOnlyUnderCapture) {
+  // Under capture each tail-sampled ping carries a trace id, so the record
+  // (the ECHO cluster's) holds a trace of both its halves; tracing moves no
+  // simulated number.
+  const LatencyResult untraced = verb_latency(kApt, 32, 64);
+  set_trace_capture(true);
+  const LatencyResult traced = verb_latency(kApt, 32, 64);
+  set_trace_capture(false);
+  EXPECT_TRUE(untraced.record.trace_json.empty());
+  ASSERT_FALSE(traced.record.trace_json.empty());
+  const obs::Json doc = obs::Json::parse(traced.record.trace_json);
+  EXPECT_TRUE(obs::validate_trace_json(doc).empty());
+  // 64 pings, every 16th sampled; each is a client WRITE and the server's
+  // echo WRITE.
+  std::size_t tx_writes = 0;
+  for (const obs::Json& e : doc.find("traceEvents")->elements()) {
+    const obs::Json* name = e.find("name");
+    if (name != nullptr && name->as_string() == "tx_WRITE") ++tx_writes;
+  }
+  EXPECT_EQ(tx_writes, 2u * (64 / 16));
+  EXPECT_EQ(traced.read_us, untraced.read_us);
+  EXPECT_EQ(traced.write_us, untraced.write_us);
+  EXPECT_EQ(traced.write_inline_us, untraced.write_inline_us);
+  EXPECT_EQ(traced.echo_us, untraced.echo_us);
+  EXPECT_EQ(traced.record.tail.dump(), untraced.record.tail.dump());
+  EXPECT_TRUE(traced.record.snapshot.format() ==
+              untraced.record.snapshot.format());
+}
+
 TEST(VerbLatency, GrowsWithPayload) {
   auto small = verb_latency(kApt, 16, 300);
   auto large = verb_latency(kApt, 1024, 300);
@@ -77,6 +106,7 @@ TEST(RunRecord, BackToBackRunsShareNoEvidence) {
   set_trace_capture(true);
   TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 8, 4};
   EchoOpts eo;
+  const LatencyResult lat_alone = verb_latency(kApt, 32, 64);
   const RunRecord alone = inbound_tput(kApt, wr, 2, sim::us(250));
   const RunRecord echo =
       echo_tput(kApt, EchoKind::kWriteSend, eo, sim::us(250));
@@ -97,11 +127,17 @@ TEST(RunRecord, BackToBackRunsShareNoEvidence) {
   EXPECT_TRUE(after.timeseries.dump() == alone.timeseries.dump());
   EXPECT_TRUE(after.snapshot.format() == alone.snapshot.format());
 
-  // A driver that measures no rate window and traces nothing carries no
-  // window, attribution or trace from the run before it.
+  // A driver that measures no rate window carries no window or
+  // attribution from the run before it, and traces only its own sampled
+  // pings: the trace it writes after three other runs is the one it
+  // writes alone.
   EXPECT_TRUE(lat.record.timeseries.is_null());
   EXPECT_TRUE(lat.record.attr.empty());
-  EXPECT_TRUE(lat.record.trace_json.empty());
+  ASSERT_FALSE(lat.record.trace_json.empty());
+  EXPECT_TRUE(lat.record.trace_json == lat_alone.record.trace_json);
+  EXPECT_TRUE(
+      obs::validate_trace_json(obs::Json::parse(lat.record.trace_json))
+          .empty());
   EXPECT_EQ(tail_stages(lat.record), std::vector<std::string>{"echo_rtt"});
 }
 

@@ -1121,5 +1121,168 @@ TEST(VerbsRetirement, DestroyedQpWithRetirementsPendingIsNeverTouched) {
   EXPECT_EQ(u.cl.host(0).ctx().contract()->total(), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// RECV placements: reserved places, applied when memory is read.
+
+// When a UdSender's SEND lands in host 1's RECV buffer and when its CQE is
+// pushed, learned from a run with (`watch`) or without a watch on the
+// buffer, plus the events that run processed. Host 0 sends 32 bytes of
+// kPattern(i) = i + 1, which land after the 40-byte GRH placeholder.
+struct RecvTicks {
+  sim::Tick placed = 0;
+  sim::Tick cqe = 0;
+  std::uint64_t events = 0;
+};
+
+std::byte recv_pattern(std::size_t i) { return static_cast<std::byte>(i + 1); }
+
+void fill_sender(UdSender& u) {
+  auto src = u.cl.host(0).memory().span(0, 32);
+  for (std::size_t i = 0; i < src.size(); ++i) src[i] = recv_pattern(i);
+}
+
+// True if host 1's buffer holds the SEND's bytes, false if it still holds
+// zeros; fails the test on anything else.
+bool payload_landed(UdSender& u) {
+  auto got = u.cl.host(1).memory().span(kGrhBytes, 32);
+  bool all_new = true;
+  bool all_old = true;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    all_new = all_new && got[i] == recv_pattern(i);
+    all_old = all_old && got[i] == std::byte{0};
+  }
+  EXPECT_TRUE(all_new || all_old);
+  return all_new;
+}
+
+RecvTicks learn_recv_ticks(bool watch) {
+  UdSender u(cluster::ClusterConfig::apt());
+  fill_sender(u);
+  sim::Engine& eng = u.cl.engine();
+  RecvTicks t;
+  if (watch) {
+    u.cl.host(1).memory().add_watch(
+        0, 1024, [&](std::uint64_t, std::uint32_t, obs::TraceCtx) {
+          if (t.placed == 0) t.placed = eng.now();
+        });
+  }
+  u.rcq[1]->set_notify([&] {
+    if (t.cqe == 0) t.cqe = eng.now();
+  });
+  u.send(u.qp[1]->qpn());
+  eng.run();
+  t.events = eng.events_processed();
+  return t;
+}
+
+TEST(RecvPlacement, ReadersSeeTheBytesFromThePlacementTickWithoutAnEvent) {
+  const RecvTicks watched = learn_recv_ticks(true);
+  const RecvTicks unwatched = learn_recv_ticks(false);
+  ASSERT_GT(watched.placed, 0u);
+  ASSERT_LT(watched.placed + 1, watched.cqe);
+  EXPECT_EQ(unwatched.cqe, watched.cqe);
+  // The watched placement is an event; the unwatched one is not.
+  EXPECT_EQ(watched.events, unwatched.events + 1);
+
+  UdSender u(cluster::ClusterConfig::apt());
+  fill_sender(u);
+  sim::Engine& eng = u.cl.engine();
+  std::vector<std::pair<sim::Tick, bool>> seen;
+  auto reader = [&] { seen.emplace_back(eng.now(), payload_landed(u)); };
+  const sim::Tick placed = watched.placed;
+  eng.schedule_at(placed - 1, reader);
+  eng.schedule_at(placed, reader);  // before the placement's place
+  u.send(u.qp[1]->qpn());
+  u.step_until_admitted(u.cl.host(1).rnic().rx(), 1);  // placement reserved
+  eng.schedule_at(placed, reader);  // after it
+  eng.schedule_at(watched.cqe - 1, reader);
+  eng.run();
+
+  EXPECT_EQ(seen, (std::vector<std::pair<sim::Tick, bool>>{
+                      {placed - 1, false},
+                      {placed, false},
+                      {placed, true},
+                      {watched.cqe - 1, true}}));
+  EXPECT_TRUE(payload_landed(u));
+}
+
+TEST(RecvPlacement, TwoPendingPlacementsToOneBufferApplyInPlaceOrder) {
+  // Two RECVs on one buffer, a 64-byte SEND then a 32-byte one, and no
+  // read of host 1's memory until both have landed: the one settle that
+  // applies both must apply the second last.
+  UdSender u(cluster::ClusterConfig::apt());
+  u.qp[1]->post_recv(RecvWr{2, Sge{0, 1024, u.mr[1].lkey}});
+  auto src = u.cl.host(0).memory().span(0, 128);
+  for (std::size_t i = 0; i < 64; ++i) {
+    src[i] = static_cast<std::byte>(0xa0 + i);
+    src[64 + i] = static_cast<std::byte>(0x10 + i);
+  }
+  for (std::uint32_t off : {0u, 64u}) {
+    SendWr wr;
+    wr.opcode = Opcode::kSend;
+    wr.sge = {off, off == 0 ? 64u : 32u, u.mr[0].lkey};
+    wr.inline_data = true;
+    wr.signaled = false;
+    wr.ah = Ah{&u.cl.host(1).ctx(), u.qp[1]->qpn()};
+    u.qp[0]->post_send(wr);
+  }
+  u.cl.engine().run();
+  ASSERT_EQ(u.rcq[1]->depth(), 2u);
+
+  auto got = u.cl.host(1).memory().span(kGrhBytes, 64);
+  for (std::size_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(got[i], static_cast<std::byte>(0x10 + i)) << i;  // second SEND
+  }
+  for (std::size_t i = 32; i < 64; ++i) {
+    EXPECT_EQ(got[i], static_cast<std::byte>(0xa0 + i)) << i;  // first's tail
+  }
+}
+
+TEST(RecvPlacement, WatchAddedOverAPendingPlacementFiresAtItsTick) {
+  const RecvTicks watched = learn_recv_ticks(true);
+  {
+    UdSender u(cluster::ClusterConfig::apt());
+    fill_sender(u);
+    sim::Engine& eng = u.cl.engine();
+    u.send(u.qp[1]->qpn());
+    u.step_until_admitted(u.cl.host(1).rnic().rx(), 1);
+    ASSERT_LT(eng.now(), watched.placed);
+    std::vector<sim::Tick> fired;
+    u.cl.host(1).memory().add_watch(
+        kGrhBytes, 32, [&](std::uint64_t, std::uint32_t len, obs::TraceCtx) {
+          EXPECT_EQ(len, 32u);
+          EXPECT_TRUE(payload_landed(u));
+          fired.push_back(eng.now());
+        });
+    u.cl.host(1).memory().add_watch(
+        512, 512, [&](std::uint64_t, std::uint32_t, obs::TraceCtx) {
+          ADD_FAILURE() << "a watch the placement does not overlap fired";
+        });
+    eng.run();
+    EXPECT_EQ(fired, (std::vector<sim::Tick>{watched.placed}));
+  }
+  {
+    // A watch added once the placement has been reached, even though no
+    // one has read it yet, comes too late to see it.
+    UdSender u(cluster::ClusterConfig::apt());
+    fill_sender(u);
+    u.send(u.qp[1]->qpn());
+    u.cl.engine().run_until(watched.placed);
+    u.cl.host(1).memory().add_watch(
+        0, 1024, [&](std::uint64_t, std::uint32_t, obs::TraceCtx) {
+          ADD_FAILURE() << "a watch saw a placement made before it existed";
+        });
+    u.cl.engine().run();
+    EXPECT_TRUE(payload_landed(u));
+  }
+  {
+    // A cluster torn down with a placement pending releases its payload
+    // before the slab goes (ASan checks).
+    UdSender u(cluster::ClusterConfig::apt());
+    u.send(u.qp[1]->qpn());
+    u.step_until_admitted(u.cl.host(1).rnic().rx(), 1);
+  }
+}
+
 }  // namespace
 }  // namespace herd::verbs

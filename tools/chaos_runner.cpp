@@ -234,15 +234,14 @@ int main(int argc, char** argv) {
           herd::chaos::run_scenario(sc, opt.checker_budget);
       if (again.fingerprint != out.fingerprint) {
         std::printf(
-            "\n=== DETERMINISM MISMATCH ===\nseed %llu: fingerprint "
-            "%016llx vs %016llx on replay\nscenario: %s\n",
+            "\n=== DETERMINISM MISMATCH ===\nseed %llu: fingerprint\n"
+            "  %s\n  %s on replay\nscenario: %s\n",
             static_cast<unsigned long long>(seed),
-            static_cast<unsigned long long>(out.fingerprint),
-            static_cast<unsigned long long>(again.fingerprint),
-            sc.to_json().c_str());
+            out.fingerprint.format().c_str(),
+            again.fingerprint.format().c_str(), sc.to_json().c_str());
         return 2;
       }
-      // The fingerprint already folds the trace bytes, but diverging
+      // The fingerprint already hashes the trace bytes, but diverging
       // exports with a colliding hash would slip through — compare the
       // bytes themselves, and the metric snapshots while we're at it.
       if (again.trace_json != out.trace_json) {
