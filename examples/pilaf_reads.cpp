@@ -122,10 +122,8 @@ int main() {
             0, kv::PilafCuckooTable::kExtentHeader + view.value_len);
         auto value = kv::PilafCuckooTable::verify_extent(raw, key,
                                                          view.value_len);
-        std::vector<std::byte> expect(view.value_len);
-        workload::WorkloadGenerator::fill_value(current_rank, expect);
-        if (!value || !std::equal(expect.begin(), expect.end(),
-                                  value->begin())) {
+        if (!value || !workload::WorkloadGenerator::value_matches(
+                          current_rank, *value)) {
           ++mismatches;
         } else {
           ++hits;

@@ -98,7 +98,8 @@ class HistoryRecorder final : public core::HistoryObserver {
       auto it = pending_rank_.find(pending_key(client, seq));
       if (it != pending_rank_.end()) {
         e.value_ok = value.size() == value_len_ &&
-                     e.value_hash == expected_hash(it->second, value.size());
+                     workload::WorkloadGenerator::value_matches(it->second,
+                                                                value);
       }
     } else {
       e.value_ok = true;  // no payload to corrupt
@@ -161,13 +162,6 @@ class HistoryRecorder final : public core::HistoryObserver {
       h = fnv1a_u64(e.tick, h);
     }
     return fnv1a_u64(apply_fp_, h) ^ applies_;
-  }
-
-  /// Canonical value hash for key `rank` at payload length `len`.
-  static std::uint64_t expected_hash(std::uint64_t rank, std::size_t len) {
-    std::vector<std::byte> v(len);
-    workload::WorkloadGenerator::fill_value(rank, v);
-    return fnv1a(v);
   }
 
  private:

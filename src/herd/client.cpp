@@ -678,14 +678,10 @@ void HerdClient::handle_response(const verbs::Wc& wc) {
   } else if (is_get) {
     if (resp->status == RespStatus::kOk) {
       ++stats_.get_hits;
-      if (verify_) {
-        std::byte expect_buf[kRespStride];  // the value came out of one
-        std::span<std::byte> expect(expect_buf, resp->value.size());
-        workload::WorkloadGenerator::fill_value(fl.op.rank, expect);
-        if (!std::equal(expect.begin(), expect.end(),
-                        resp->value.begin())) {
-          ++stats_.value_mismatches;
-        }
+      if (verify_ &&
+          !workload::WorkloadGenerator::value_matches(fl.op.rank,
+                                                      resp->value)) {
+        ++stats_.value_mismatches;
       }
     } else {
       ++stats_.get_misses;

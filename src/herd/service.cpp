@@ -217,10 +217,11 @@ void HerdService::crash_proc(std::uint32_t s) {
   ++p.stats.crashes;
   // Process state dies with the process: queued work and the two-stage
   // pipeline are gone. The request region itself survives (shmget memory).
-  p.arrivals.clear();
-  p.pipeline.clear();
-  p.in_core.clear();
-  p.parked.clear();
+  for (auto* q : {&p.arrivals, &p.pipeline, &p.in_core, &p.parked}) {
+    for (std::uint32_t i : *q) release(i);
+    q->clear();
+  }
+  while (std::optional<std::uint32_t> i = p.tenant_queues.pop()) release(*i);
   p.tenant_queues.clear();
   p.resp_chain.clear();  // unflushed responses die with the process
   p.resp_chain_appended.clear();
@@ -296,10 +297,10 @@ void HerdService::recover_proc(std::uint32_t s) {
           clear_slot(slot);
           continue;
         }
-        Pending pend =
+        std::uint32_t i =
             make_pending(c, *req, landed_trace_[region_.slot_index(s, c, r)]);
-        pend.slot_addr = slot_addr;
-        p.arrivals.push_back(std::move(pend));
+        pending(i).slot_addr = slot_addr;
+        p.arrivals.push_back(i);
       }
     }
   }
@@ -429,21 +430,23 @@ void HerdService::finish_migration(std::uint32_t shard,
 void HerdService::drain_parked(std::uint32_t s) {
   Proc& p = *procs_.at(s);
   if (!p.alive || p.parked.empty()) return;
-  sim::RingDeque<Pending> keep;
+  sim::RingDeque<std::uint32_t> keep;
   bool admitted = false;
   while (!p.parked.empty()) {
-    Pending pend = std::move(p.parked.front());
+    std::uint32_t i = p.parked.front();
     p.parked.pop_front();
+    const Pending& pend = pending(i);
     std::uint32_t shard = shard_map_.shard_of(pend.request.key);
     const ShardInfo si = shard_map_.at(shard);
     if (si.primary == s) {
-      p.arrivals.push_back(std::move(pend));
+      p.arrivals.push_back(i);
       admitted = true;
     } else if (procs_[si.primary]->alive) {
       ++p.stats.stale_epoch_rejects;
       send_redirect(s, pend.client, pend.request.token, si, pend.trace);
+      release(i);  // its slot was re-armed when it was parked
     } else {
-      keep.push_back(std::move(pend));
+      keep.push_back(i);
     }
   }
   p.parked = std::move(keep);
@@ -479,17 +482,30 @@ void HerdService::reset_stats() {
   migration_stats_ = MigrationStats{};
 }
 
-HerdService::Pending HerdService::make_pending(std::uint32_t client,
-                                               const Request& req,
-                                               obs::TraceCtx trace) const {
-  Pending pend;
+std::uint32_t HerdService::make_pending(std::uint32_t client,
+                                        const Request& req,
+                                        obs::TraceCtx trace) {
+  std::uint32_t i;
+  if (free_pending_.empty()) {
+    i = pending_size_++;
+    if ((i & kPendingChunkMask) == 0) {
+      pending_chunks_.push_back(
+          std::make_unique<Pending[]>(kPendingChunkMask + 1));
+    }
+  } else {
+    i = free_pending_.back();
+    free_pending_.pop_back();
+  }
+  Pending& pend = pending(i);
   pend.client = client;
   pend.request = req;
   pend.value.assign(req.value.begin(), req.value.end());
   pend.request.value = {};
-  pend.trace = trace;
+  pend.slot_addr = 0;
+  pend.recv_addr = 0;
   pend.detected = host_->ctx().engine().now();
-  return pend;
+  pend.trace = trace;
+  return i;
 }
 
 void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr,
@@ -518,10 +534,11 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr,
   }
   p.next_r[id.client]++;
 
-  Pending pend = make_pending(id.client, *req, trace);
-  pend.slot_addr = slot_addr;
-  probe_->mark(pend.trace, p.core->name(), {.tail = "net_in"}, pend.detected);
-  if (!try_admit(s, std::move(pend))) return;  // shed at the door
+  std::uint32_t i = make_pending(id.client, *req, trace);
+  pending(i).slot_addr = slot_addr;
+  probe_->mark(trace, p.core->name(), {.tail = "net_in"},
+               pending(i).detected);
+  if (!try_admit(s, i)) return;  // shed at the door
   // Idle-poll quantization: if the process was mid-round, detection costs up
   // to a partial scan of the chunk.
   sim::Tick jitter = 0;
@@ -532,14 +549,15 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr,
   schedule_advance(s, jitter);
 }
 
-bool HerdService::try_admit(std::uint32_t s, Pending&& pend) {
+bool HerdService::try_admit(std::uint32_t s, std::uint32_t i) {
   Proc& p = *procs_[s];
   if (!shed_enabled_) {
     // Overload off (or the drop-shedding canary disarmed it): the paper's
     // unprotected FIFO path, byte-for-byte.
-    p.arrivals.push_back(std::move(pend));
+    p.arrivals.push_back(i);
     return true;
   }
+  const Pending& pend = pending(i);
   std::uint32_t tenant = pend.request.tenant < cfg_.overload.n_tenants
                              ? pend.request.tenant
                              : 0;
@@ -564,10 +582,11 @@ bool HerdService::try_admit(std::uint32_t s, Pending&& pend) {
     // kOverloaded reply is a hard not-applied guarantee, and a later retry
     // of the same token must not be mistaken for a duplicate.
     shed(s, pend, a);
+    release(i);
     return false;
   }
   ++p.stats.admitted;
-  p.tenant_queues.push(tenant, std::move(pend));
+  p.tenant_queues.push(tenant, i);
   return true;
 }
 
@@ -633,11 +652,11 @@ void HerdService::on_recv_ready(std::uint32_t s) {
         repost_recv(s, addr);
         continue;
       }
-      Pending pend = make_pending(it->second, *req, wc.trace);
-      pend.recv_addr = addr;
-      probe_->mark(pend.trace, p.core->name(), {.tail = "net_in"},
-                   pend.detected);
-      if (!try_admit(s, std::move(pend))) continue;  // shed at the door
+      std::uint32_t pend = make_pending(it->second, *req, wc.trace);
+      pending(pend).recv_addr = addr;
+      probe_->mark(wc.trace, p.core->name(), {.tail = "net_in"},
+                   pending(pend).detected);
+      if (!try_admit(s, pend)) continue;  // shed at the door
       admitted = true;
     }
   }
@@ -707,28 +726,30 @@ void HerdService::advance(std::uint32_t s) {
   sim::Tick now = host_->ctx().engine().now();
   bool admitted = false;
   while (!admitted) {
-    std::optional<Pending> next = pop_arrival(p);
-    if (!next) break;
-    auto client_args = [&] { return "client=" + std::to_string(next->client); };
-    if (shed_enabled_ && next->request.deadline != 0 &&
-        now > static_cast<sim::Tick>(next->request.deadline)) {
+    std::optional<std::uint32_t> i = pop_arrival(p);
+    if (!i) break;
+    const Pending& next = pending(*i);
+    auto client_args = [&] { return "client=" + std::to_string(next.client); };
+    if (shed_enabled_ && next.request.deadline != 0 &&
+        now > static_cast<sim::Tick>(next.request.deadline)) {
       // Deadline-aware shed: the client already retired this op, so
       // serving it is pure waste. Drop it BEFORE the pipeline and before
       // MICA/dedup ever see it; no response (nobody is listening), just
       // free the slot. The expiry check costs one header compare.
       ++p.stats.shed_deadline;
-      probe_->mark(next->trace, p.core->name(),
+      probe_->mark(next.trace, p.core->name(),
                    {.trace = "deadline_drop", .tail = "drr_wait"}, now,
                    client_args);
-      rearm(s, *next);
+      rearm(s, next);
+      release(*i);
       continue;
     }
-    probe_->mark(next->trace, p.core->name(),
-                 {.trace = "drr_wait", .tail = "drr_wait"}, next->detected,
+    probe_->mark(next.trace, p.core->name(),
+                 {.trace = "drr_wait", .tail = "drr_wait"}, next.detected,
                  now, client_args);
-    p.pipeline.push_back(std::move(*next));
+    p.pipeline.push_back(*i);
     cost += cpu_.prefetch_issue;  // stage 1: prefetch the index bucket
-    prefetch(p.pipeline.back().request.key);
+    prefetch(next.request.key);
     admitted = true;
   }
   if (!admitted) ++p.stats.noops;
@@ -736,7 +757,7 @@ void HerdService::advance(std::uint32_t s) {
   // Requests leaving the two-stage pipeline on this advance.
   std::size_t n_done = 0;
   auto retire = [&] {
-    p.in_core.push_back(std::move(p.pipeline.front()));
+    p.in_core.push_back(p.pipeline.front());
     p.pipeline.pop_front();
     ++n_done;
   };
@@ -746,7 +767,7 @@ void HerdService::advance(std::uint32_t s) {
   const sim::Tick access_cost =
       cpu_.dram_access_prefetched + cpu_.prefetch_issue;
   for (std::size_t i = p.in_core.size() - n_done; i < p.in_core.size(); ++i) {
-    const Request& req = p.in_core[i].request;
+    const Request& req = pending(p.in_core[i]).request;
     std::uint32_t accesses = req.is_put || req.is_delete ? 1 : 2;
     cost += accesses * access_cost;
     if (cfg_.mode == RequestMode::kSendUd) cost += cpu_.post_recv;
@@ -769,8 +790,9 @@ void HerdService::advance(std::uint32_t s) {
       // batch with no sampled member records nothing.
       obs::TraceCtx trace;
       for (std::size_t i = 0; i < n_done; ++i) {
-        if (pp.in_core[i].trace.sampled()) {
-          trace = pp.in_core[i].trace;
+        const obs::TraceCtx& t = pending(pp.in_core[i]).trace;
+        if (t.sampled()) {
+          trace = t;
           break;
         }
       }
@@ -784,7 +806,7 @@ void HerdService::advance(std::uint32_t s) {
     // after it) rings the single doorbell for the whole run.
     pp.resp_coalesce = true;
     for (std::size_t i = 0; i < n_done; ++i) {
-      Pending d = std::move(pp.in_core.front());
+      std::uint32_t d = pp.in_core.front();
       pp.in_core.pop_front();
       complete(s, d);
     }
@@ -803,11 +825,11 @@ void HerdService::advance(std::uint32_t s) {
   }
 }
 
-std::optional<HerdService::Pending> HerdService::pop_arrival(Proc& p) {
+std::optional<std::uint32_t> HerdService::pop_arrival(Proc& p) {
   // Bypass queue first: recovery rescans and un-parked requests were
   // admitted before they got here. Then the DRR tenant queues.
   if (!p.arrivals.empty()) {
-    Pending next = std::move(p.arrivals.front());
+    std::uint32_t next = p.arrivals.front();
     p.arrivals.pop_front();
     return next;
   }
@@ -851,8 +873,9 @@ void HerdService::send_redirect(std::uint32_t s, std::uint32_t client,
                 trace);
 }
 
-void HerdService::complete(std::uint32_t s, const Pending& p) {
+void HerdService::complete(std::uint32_t s, std::uint32_t i) {
   Proc& proc = *procs_[s];
+  Pending& p = pending(i);
   ++proc.stats.requests;
   // The pipeline residency — from DRR dequeue to this quantum's end — is
   // the request's MICA share of the breakdown.
@@ -882,10 +905,9 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
       // client between a dead primary and a not-yet-promoted backup.
       ++proc.stats.parked;
       rearm(s, p);  // the Pending copied the payload; free the slot now
-      Pending held = p;
-      held.slot_addr = kNoRearm;
-      held.recv_addr = kNoRearm;
-      proc.parked.push_back(std::move(held));
+      p.slot_addr = kNoRearm;
+      p.recv_addr = kNoRearm;
+      proc.parked.push_back(i);
       return;
     }
     // Stale shard map (promotion or migration moved the shard): reject
@@ -893,6 +915,7 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
     ++proc.stats.stale_epoch_rejects;
     send_redirect(s, p.client, p.request.token, si, p.trace);
     rearm(s, p);
+    release(i);
     return;
   } else if (p.request.epoch < static_cast<std::uint32_t>(si.epoch)) {
     // Routed correctly despite an old epoch (the client's map lagged but
@@ -901,6 +924,7 @@ void HerdService::complete(std::uint32_t s, const Pending& p) {
   }
   serve(s, shard, procs_[si.primary]->replicas.at(shard), p);
   rearm(s, p);
+  release(i);
 }
 
 void HerdService::serve(std::uint32_t s, std::uint32_t shard, Replica& rep,

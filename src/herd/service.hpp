@@ -15,7 +15,9 @@
 // duplicate or runs the MICA op and answers with one UD SEND, rearm() frees
 // the slot or RECV. Unreplicated mode is a shard map with no backups; it
 // differs from replicated mode only in replica lookup (see complete()) and
-// in recovery (see recover_proc()).
+// in recovery (see recover_proc()). Each request the server detects lives
+// in one pooled slot until it is answered, dropped or lost to a crash; the
+// queues between detection and response carry the slot's index.
 //
 // With HerdConfig::replicate on, each process hosts the primary replica of
 // its own shard plus the backup replica of a neighbor's. Primaries forward
@@ -195,17 +197,27 @@ class HerdService {
   bool any_cache_lossy() const;
   void reset_stats();
 
+  /// Requests held in the slot pool: detected but not yet answered,
+  /// dropped, or lost to a crash. A run whose clients stopped and whose
+  /// engine drained ends at zero.
+  std::size_t pending_in_use() const {
+    return pending_size_ - free_pending_.size();
+  }
+
   /// History hook for the chaos harness (nullptr = no recording).
   void set_observer(HistoryObserver* obs) { observer_ = obs; }
 
  private:
+  /// One detected request, in its pool slot (pending()) from make_pending()
+  /// to release().
   struct Pending {
     std::uint32_t client = 0;
-    Request request{};  // after enqueue(), request.value is dead — use value
+    Request request{};  // request.value is dead — use value
     /// PUT payload, copied out of the slot/recv buffer at detection time.
     /// The server reads a request exactly once when its poll loop finds it;
     /// holding a span instead would let a client that abandoned the request
-    /// (deadline) reuse the slot and tear the bytes under the pipeline.
+    /// (deadline) reuse the slot and tear the bytes under the pipeline. The
+    /// buffer keeps its capacity when the slot is reused.
     std::vector<std::byte> value;
     std::uint64_t slot_addr = 0;     // WRITE mode: slot to re-arm
     std::uint64_t recv_addr = 0;     // SEND mode: recv buffer to repost
@@ -246,24 +258,26 @@ class HerdService {
     std::unique_ptr<verbs::Cq> recv_cq;
     std::unique_ptr<verbs::Qp> ud_qp;
     std::vector<std::uint64_t> next_r;  // per-client poll counter
+    // The request queues hold pool slot indices (see pending()).
     /// Already-admitted work that bypasses the gate (recovery rescans,
     /// un-parked requests, and the whole fast path when overload is off).
     /// Bounded by the gate's queue_high watermark in overload mode and by
     /// n_clients * window slots otherwise.
-    sim::RingDeque<Pending> arrivals;
-    sim::RingDeque<Pending> pipeline;  // two-stage §4.1.1 pipeline (capacity 2)
+    sim::RingDeque<std::uint32_t> arrivals;
+    /// Two-stage §4.1.1 pipeline (capacity 2).
+    sim::RingDeque<std::uint32_t> pipeline;
     /// Requests that left the pipeline and whose MICA op and response run
     /// when the core finishes their batch, oldest batch first: the core
     /// runs batches in order, so each batch's continuation takes its
     /// requests from the front. Dies with the process at a crash.
-    sim::RingDeque<Pending> in_core;
+    sim::RingDeque<std::uint32_t> in_core;
     /// Overload mode: admitted requests, fair-dequeued across tenants.
-    overload::DrrQueue<Pending> tenant_queues;
+    overload::DrrQueue<std::uint32_t> tenant_queues;
     overload::AdmissionGate gate;
     /// Requests this backup is holding for a shard whose primary is dead:
     /// served once the failure detector promotes us, redirected if the
     /// primary comes back first.
-    sim::RingDeque<Pending> parked;
+    sim::RingDeque<std::uint32_t> parked;
     std::uint64_t advance_gen = 0;  // invalidates stale no-op timers
     /// No-op timers (§4.1.1). Every advance supersedes the arms before it,
     /// so at most one engine event is pending per proc: `noop_event`'s. A
@@ -315,22 +329,27 @@ class HerdService {
 
   Replica make_replica() const;
   Replica* find_replica(std::uint32_t proc, std::uint32_t shard);
-  /// A request the poll loop (or recv CQ) just found: copies the PUT
-  /// payload out of the slot/recv buffer and stamps the detection tick and
-  /// the trace context its WR carried.
-  Pending make_pending(std::uint32_t client, const Request& req,
-                       obs::TraceCtx trace) const;
+  /// A request the poll loop (or recv CQ) just found: takes a free pool
+  /// slot, copies the PUT payload out of the slot/recv buffer, stamps the
+  /// detection tick and the trace context its WR carried, and returns the
+  /// slot's index. The caller sets slot_addr or recv_addr.
+  std::uint32_t make_pending(std::uint32_t client, const Request& req,
+                             obs::TraceCtx trace);
+  /// Returns pool slot `i` to the free list: the request was answered,
+  /// dropped, or died with its process.
+  void release(std::uint32_t i) { free_pending_.push_back(i); }
   void on_region_write(std::uint32_t s, std::uint64_t addr,
                        obs::TraceCtx trace);
   void on_recv_ready(std::uint32_t s);
-  /// Admission control: enqueues `pend` (DRR tenant queues in overload
-  /// mode, plain arrivals otherwise) or sheds it with a kOverloaded reply.
-  /// Returns true iff admitted. Runs BEFORE any MICA or dedup work.
-  bool try_admit(std::uint32_t s, Pending&& pend);
+  /// Admission control: enqueues request `i` (DRR tenant queues in
+  /// overload mode, plain arrivals otherwise) or sheds it with a
+  /// kOverloaded reply and releases it. Returns true iff admitted. Runs
+  /// BEFORE any MICA or dedup work.
+  bool try_admit(std::uint32_t s, std::uint32_t i);
   /// Replies kOverloaded with a retry-after hint and re-arms the slot.
   void shed(std::uint32_t s, const Pending& p, overload::Admit why);
   /// Next request to feed the pipeline: bypass queue first, then DRR.
-  std::optional<Pending> pop_arrival(Proc& p);
+  std::optional<std::uint32_t> pop_arrival(Proc& p);
   void schedule_advance(std::uint32_t s, sim::Tick extra_delay);
   void arm_noop_timer(std::uint32_t s);
   /// The proc's pending no-op event (noop_event) fires.
@@ -339,9 +358,10 @@ class HerdService {
   /// Host prefetch of the MICA bucket the serving replica will read for
   /// `key` (kv::MicaCache::prefetch_bucket).
   void prefetch(const kv::KeyHash& key) const;
-  /// Picks the replica that serves `p` (or parks/redirects it), serve()s
-  /// it, and re-arms its slot — for both modes.
-  void complete(std::uint32_t s, const Pending& p);
+  /// Picks the replica that serves request `i` (or parks/redirects it),
+  /// serve()s it, re-arms its slot and releases it — for both modes. A
+  /// parked request keeps its pool slot.
+  void complete(std::uint32_t s, std::uint32_t i);
   /// Dedup replay or MICA op against `rep`, then the response: sent now,
   /// or after the backup acks the forward.
   void serve(std::uint32_t s, std::uint32_t shard, Replica& rep,
@@ -381,6 +401,16 @@ class HerdService {
   ShardMap shard_map_;
   verbs::Mr region_mr_{};
   std::unique_ptr<verbs::Cq> init_cq_;  // initializer's dummy CQ for UC QPs
+  /// Slot pool of every detected request, across processes, in chunks that
+  /// never move, so a Pending& stays valid while the pool grows. Free slots
+  /// are reused last in, first out.
+  static constexpr std::uint32_t kPendingChunkMask = 63;
+  std::vector<std::unique_ptr<Pending[]>> pending_chunks_;
+  std::uint32_t pending_size_ = 0;
+  std::vector<std::uint32_t> free_pending_;
+  Pending& pending(std::uint32_t i) {
+    return pending_chunks_[i / (kPendingChunkMask + 1)][i & kPendingChunkMask];
+  }
   /// WRITE mode: trace context of the WRITE that last landed in each
   /// request slot (RequestRegion::slot_index order). Simulator metadata the
   /// modelled bytes never see; it lets a recovery rescan keep the trace of

@@ -28,13 +28,35 @@ Op WorkloadGenerator::next() {
   return op;
 }
 
+namespace {
+
+// The word before word 0 of rank's value pattern.
+std::uint64_t pattern_seed(std::uint64_t rank) {
+  return kv::detail::splitmix64(rank ^ 0x5bd1e995);
+}
+
+// Bytes [0, n) of `p` as a word, least significant byte first, n <= 8.
+std::uint64_t load_le(const std::byte* p, std::size_t n) {
+  std::uint64_t w = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&w, p, n);
+  } else {
+    for (std::size_t j = 0; j < n; ++j) {
+      w |= std::uint64_t{std::to_integer<std::uint8_t>(p[j])} << (8 * j);
+    }
+  }
+  return w;
+}
+
+}  // namespace
+
 void WorkloadGenerator::fill_value(std::uint64_t rank,
                                    std::span<std::byte> out) {
   // Every 8-byte step draws one splitmix64 word and lays it out least
   // significant byte first, on every platform. Little-endian hosts store
   // whole words; the byte loop finishes the tail (and does everything on
   // big-endian hosts).
-  std::uint64_t state = kv::detail::splitmix64(rank ^ 0x5bd1e995);
+  std::uint64_t state = pattern_seed(rank);
   std::size_t i = 0;
   if constexpr (std::endian::native == std::endian::little) {
     for (; i + 8 <= out.size(); i += 8) {
@@ -46,6 +68,32 @@ void WorkloadGenerator::fill_value(std::uint64_t rank,
     if (i % 8 == 0) state = kv::detail::splitmix64(state);
     out[i] = static_cast<std::byte>((state >> ((i % 8) * 8)) & 0xff);
   }
+}
+
+bool WorkloadGenerator::value_matches(std::uint64_t rank,
+                                      std::span<const std::byte> bytes) {
+  // By induction over the words: word 0 is right, and each later word is
+  // splitmix64 of the word stored before it, so every word is right. The
+  // differences are OR-ed together without a branch, so the word checks
+  // overlap in the pipeline instead of waiting on each other.
+  const std::byte* d = bytes.data();
+  const std::size_t words = bytes.size() / 8;
+  std::uint64_t prev = pattern_seed(rank);
+  std::uint64_t diff = 0;
+  if (words > 0) {
+    diff = load_le(d, 8) ^ kv::detail::splitmix64(prev);
+    for (std::size_t k = 1; k < words; ++k) {
+      diff |= load_le(d + 8 * k, 8) ^
+              kv::detail::splitmix64(load_le(d + 8 * (k - 1), 8));
+    }
+    prev = load_le(d + 8 * (words - 1), 8);
+  }
+  if (const std::size_t tail = bytes.size() % 8; tail > 0) {
+    const std::uint64_t mask = (std::uint64_t{1} << (8 * tail)) - 1;
+    diff |= (load_le(d + 8 * words, tail) ^ kv::detail::splitmix64(prev)) &
+            mask;
+  }
+  return diff == 0;
 }
 
 }  // namespace herd::workload

@@ -47,9 +47,19 @@ class WorkloadGenerator {
 
   Op next();
 
-  /// Deterministic value bytes for (rank, len): PUTs write this pattern and
-  /// correctness checks recompute it.
+  /// Deterministic value bytes for (rank, len): PUTs write this pattern.
+  /// Word k (bytes 8k..8k+7, least significant first) is splitmix64 of
+  /// word k-1, and word 0 is splitmix64(splitmix64(rank ^ 0x5bd1e995)); a
+  /// tail shorter than a word is the low bytes of the next word. A shorter
+  /// fill is a prefix of a longer one.
   static void fill_value(std::uint64_t rank, std::span<std::byte> out);
+
+  /// True iff `bytes` equals fill_value(rank, ...) of the same length. It
+  /// checks each word against the stored word before it, so the words are
+  /// independent checks rather than one serial chain, and nothing is
+  /// allocated or filled.
+  static bool value_matches(std::uint64_t rank,
+                            std::span<const std::byte> bytes);
 
   const WorkloadConfig& config() const { return cfg_; }
 

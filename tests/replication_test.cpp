@@ -195,5 +195,69 @@ TEST(Replication, DropReplicationCanarySkipsForwardingButStillAcks) {
   EXPECT_GT(rep.value("service.repl_degraded"), 0u);
 }
 
+// Every request the server detects holds one pool slot until it is
+// answered, redirected, shed, dropped at its deadline, or lost to a crash.
+// A replicated run under tight admission control crosses every one of
+// those paths, and once the clients stop and the engine drains, every slot
+// must be free again. Two crashes of shard 0's primary, each while it
+// holds requests in its pipeline and core batch: one that never recovers,
+// so the backup's parked requests wait for the promotion (and many outlive
+// their deadline meanwhile), and one that recovers before the promotion,
+// so the backup redirects what it parked.
+TEST(Replication, EveryDropPathReleasesItsRequestSlot) {
+  struct Crash {
+    sim::Tick recover_at;
+    bool promoted;
+  };
+  const sim::Tick crash_at = sim::ms(1) + sim::us(50);
+  for (const Crash& crash : {Crash{0, true},
+                             Crash{crash_at + sim::us(80), false}}) {
+    SCOPED_TRACE(crash.promoted ? "promotion" : "recovery");
+    auto cfg = replicated_cfg();
+    // Enough load that the primary is busy when it crashes.
+    cfg.herd.n_clients = 8;
+    cfg.herd.window = 4;
+    // Fail over after 5 + 10 + 20 us of silence, well inside the 100 us
+    // promotion delay, so the backup parks requests for the dead primary.
+    cfg.resilience.retry_timeout = sim::us(5);
+    cfg.resilience.backoff_max = sim::us(20);
+    cfg.resilience.deadline = sim::us(60);
+    cfg.herd.overload.enable = true;
+    cfg.herd.overload.ticks_per_token = sim::ns(250);
+    cfg.herd.overload.burst = 4;
+    cfg.herd.overload.queue_high = 8;
+    cfg.herd.overload.queue_low = 2;
+    cfg.fault_plan.proc_crash.push_back(
+        fault::ProcCrashFault{0, crash_at, crash.recover_at});
+    core::HerdTestbed bed(cfg);
+    bed.run(0, sim::ms(2));
+    for (std::size_t c = 0; c < bed.num_clients(); ++c) bed.client(c).stop();
+    bed.cluster().engine().run();
+
+    core::HerdService::ProcStats total;
+    for (std::uint32_t s = 0; s < cfg.herd.n_server_procs; ++s) {
+      const auto& st = bed.service().proc_stats(s);
+      total.requests += st.requests;
+      total.crashes += st.crashes;
+      total.promotions += st.promotions;
+      total.parked += st.parked;
+      total.stale_epoch_rejects += st.stale_epoch_rejects;
+      total.shed_quota += st.shed_quota;
+      total.shed_degraded += st.shed_degraded;
+      total.shed_deadline += st.shed_deadline;
+    }
+    EXPECT_GT(total.requests, 0u);
+    EXPECT_EQ(total.crashes, 1u);
+    EXPECT_EQ(total.promotions, crash.promoted ? 1u : 0u);
+    EXPECT_GT(total.parked, 0u);
+    if (!crash.promoted) {
+      EXPECT_GT(total.stale_epoch_rejects, 0u);
+    }
+    EXPECT_GT(total.shed_quota + total.shed_degraded, 0u);
+    EXPECT_GT(total.shed_deadline, 0u);
+    EXPECT_EQ(bed.service().pending_in_use(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace herd

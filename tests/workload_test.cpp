@@ -159,19 +159,57 @@ std::vector<std::byte> fill_value_bytewise(std::uint64_t rank,
   return out;
 }
 
+constexpr std::uint64_t kPatternRanks[] = {
+    0,    1,     2,     3,      5,       9,          42,   255,
+    256,  1000,  65535, 65536,  999983,  1u << 20,   ~0ULL >> 1, ~0ULL};
+
 TEST(Workload, FillValueMatchesBytewiseReference) {
   // Word-at-a-time filling must reproduce the byte loop exactly: every
   // stored value and every client-side check depends on these bytes.
-  const std::uint64_t ranks[] = {0,      1,      2,          3,
-                                 5,      9,      42,         255,
-                                 256,    1000,   65535,      65536,
-                                 999983, 1u << 20, ~0ULL >> 1, ~0ULL};
-  for (std::uint64_t rank : ranks) {
+  for (std::uint64_t rank : kPatternRanks) {
     for (std::size_t len = 0; len <= 70; ++len) {
       std::vector<std::byte> got(len);
       WorkloadGenerator::fill_value(rank, got);
       EXPECT_EQ(got, fill_value_bytewise(rank, len))
           << "rank " << rank << " len " << len;
+    }
+  }
+}
+
+TEST(Workload, ValueMatchesAgreesWithFillAndCompare) {
+  // value_matches must give the verdict of filling the expected value and
+  // comparing byte by byte, for the true value and for near misses: every
+  // single flipped byte, the last byte alone, and the neighbouring rank.
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 0; len <= 70; ++len) lens.push_back(len);
+  lens.push_back(512);
+  lens.push_back(1024);
+  for (std::uint64_t rank : kPatternRanks) {
+    for (std::size_t len : lens) {
+      std::vector<std::byte> expect(len);
+      WorkloadGenerator::fill_value(rank, expect);
+      auto agrees = [&](const std::vector<std::byte>& got) {
+        return WorkloadGenerator::value_matches(rank, got) == (got == expect);
+      };
+      EXPECT_TRUE(WorkloadGenerator::value_matches(rank, expect))
+          << "rank " << rank << " len " << len;
+      std::vector<std::byte> bytes = expect;
+      for (std::size_t i = 0; i < len; ++i) {
+        bytes[i] ^= std::byte{0xff};
+        EXPECT_TRUE(agrees(bytes))
+            << "rank " << rank << " len " << len << " flipped byte " << i;
+        bytes[i] ^= std::byte{0xff};
+      }
+      if (len > 0) {
+        bytes.back() ^= std::byte{0x01};
+        EXPECT_TRUE(agrees(bytes))
+            << "rank " << rank << " len " << len << " last byte";
+        bytes.back() ^= std::byte{0x01};
+      }
+      std::vector<std::byte> neighbour(len);
+      WorkloadGenerator::fill_value(rank + 1, neighbour);
+      EXPECT_TRUE(agrees(neighbour))
+          << "rank " << rank << " len " << len << " neighbour rank";
     }
   }
 }
