@@ -21,6 +21,11 @@ constexpr std::uint32_t kRecvStride = kSlotBytes + verbs::kGrhBytes;
 /// through the parked queue); serving it again must not clear the slot or
 /// double-post a RECV credit.
 constexpr std::uint64_t kNoRearm = ~0ull;
+/// preload's pipeline: ranks whose values are generated together, and how
+/// many ranks ahead of the one being stored a key is hashed, routed and
+/// has its buckets prefetched (set by timing preload's set-up).
+constexpr std::size_t kPreloadBatch = 8;
+constexpr std::size_t kPreloadAhead = 16;
 }  // namespace
 
 HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
@@ -195,16 +200,56 @@ verbs::Ah HerdService::proc_ah(std::uint32_t s) {
 }
 
 void HerdService::preload(std::uint64_t n_keys, std::uint32_t value_len) {
-  std::vector<std::byte> value(value_len);
-  for (std::uint64_t rank = 0; rank < n_keys; ++rank) {
-    kv::KeyHash key = kv::hash_of_rank(rank);
-    workload::WorkloadGenerator::fill_value(rank, value);
-    std::uint32_t shard = shard_map_.shard_of(key);
-    const ShardInfo& si = shard_map_.at(shard);
-    find_replica(si.primary, shard)->cache->put(key, value);
+  // HERD's prefetch pipeline (§4.1.1) run on the set-up itself: rank
+  // r + kPreloadAhead is hashed, routed and has its buckets prefetched while
+  // rank r is stored, and values are generated kPreloadBatch ranks at a
+  // time. The puts keep rank order, primary then backup, so every replica
+  // ends in the state a rank-by-rank loop leaves.
+  struct Route {
+    kv::KeyHash key{};
+    kv::MicaCache* primary = nullptr;
+    kv::MicaCache* backup = nullptr;
+  };
+  std::vector<Route> shard_caches(shard_map_.n_shards());
+  for (std::uint32_t sh = 0; sh < shard_map_.n_shards(); ++sh) {
+    const ShardInfo& si = shard_map_.at(sh);
+    shard_caches[sh].primary = find_replica(si.primary, sh)->cache.get();
     if (si.backup != kNoBackup) {
-      find_replica(si.backup, shard)->cache->put(key, value);
+      shard_caches[sh].backup = find_replica(si.backup, sh)->cache.get();
     }
+  }
+  auto route = [&](std::uint64_t rank) {
+    const kv::KeyHash key = kv::hash_of_rank(rank);
+    Route rt = shard_caches[shard_map_.shard_of(key)];
+    rt.key = key;
+    rt.primary->prefetch_bucket(rt.key);
+    if (rt.backup != nullptr) rt.backup->prefetch_bucket(rt.key);
+    return rt;
+  };
+  std::array<Route, kPreloadAhead> ahead;
+  for (std::uint64_t r = 0; r < std::min<std::uint64_t>(n_keys, kPreloadAhead);
+       ++r) {
+    ahead[r] = route(r);
+  }
+  std::array<std::uint64_t, kPreloadBatch> ranks{};
+  std::vector<std::byte> values(kPreloadBatch * value_len);
+  for (std::uint64_t r = 0; r < n_keys; ++r) {
+    const std::size_t lane = r % kPreloadBatch;
+    if (lane == 0) {
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(kPreloadBatch, n_keys - r));
+      for (std::size_t j = 0; j < n; ++j) ranks[j] = r + j;
+      workload::WorkloadGenerator::fill_values(
+          std::span(ranks).first(n), value_len,
+          std::span(values).first(n * value_len));
+    }
+    Route& slot = ahead[r % kPreloadAhead];
+    const Route rt = slot;
+    if (r + kPreloadAhead < n_keys) slot = route(r + kPreloadAhead);
+    const std::span<const std::byte> value(values.data() + lane * value_len,
+                                           value_len);
+    rt.primary->put(rt.key, value);
+    if (rt.backup != nullptr) rt.backup->put(rt.key, value);
   }
 }
 
@@ -462,6 +507,12 @@ const overload::AdmissionGate& HerdService::proc_gate(std::uint32_t s) const {
 const kv::MicaCache& HerdService::proc_cache(std::uint32_t s) const {
   const ShardInfo& si = shard_map_.at(s);
   return *procs_.at(si.primary)->replicas.at(s).cache;
+}
+const kv::MicaCache* HerdService::replica_cache(std::uint32_t proc,
+                                                std::uint32_t shard) const {
+  const auto& reps = procs_.at(proc)->replicas;
+  auto it = reps.find(shard);
+  return it == reps.end() ? nullptr : it->second.cache.get();
 }
 bool HerdService::any_cache_lossy() const {
   for (const auto& p : procs_) {

@@ -191,6 +191,10 @@ class HerdService {
   /// The cache of shard `s`'s *current primary* replica (in unreplicated
   /// mode: the partition cache of process `s`, as before).
   const kv::MicaCache& proc_cache(std::uint32_t s) const;
+  /// The cache of process `proc`'s copy of `shard`, primary or backup;
+  /// nullptr when the process hosts no copy of it.
+  const kv::MicaCache* replica_cache(std::uint32_t proc,
+                                     std::uint32_t shard) const;
   /// True if any replica's cache anywhere has dropped data for cache
   /// reasons (lossy index eviction, log wrap, stale entry) — the chaos
   /// harness's "legitimate miss" escape hatch.

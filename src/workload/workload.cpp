@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 
 namespace herd::workload {
 
@@ -48,25 +49,62 @@ std::uint64_t load_le(const std::byte* p, std::size_t n) {
   return w;
 }
 
+// Stores the low n bytes of `w` at `p`, least significant first, n <= 8.
+void store_le(std::byte* p, std::uint64_t w, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &w, n);
+  } else {
+    for (std::size_t j = 0; j < n; ++j) {
+      p[j] = static_cast<std::byte>((w >> (8 * j)) & 0xff);
+    }
+  }
+}
+
+// Chains fill_values advances in lockstep. Eight independent splitmix64
+// chains keep a core's multipliers busy; a serial chain leaves them waiting
+// on each step's latency.
+constexpr std::size_t kFillLanes = 8;
+
+// The value patterns of ranks[0..N), `len` bytes each, at out + j * len.
+// Every 8-byte step draws one splitmix64 word per lane; a tail shorter than
+// a word is the low bytes of the next one.
+template <std::size_t N>
+void fill_lanes(const std::uint64_t* ranks, std::size_t len, std::byte* out) {
+  std::uint64_t state[N];
+  for (std::size_t j = 0; j < N; ++j) state[j] = pattern_seed(ranks[j]);
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    for (std::size_t j = 0; j < N; ++j) {
+      state[j] = kv::detail::splitmix64(state[j]);
+      store_le(out + j * len + i, state[j], 8);
+    }
+  }
+  if (i < len) {
+    for (std::size_t j = 0; j < N; ++j) {
+      store_le(out + j * len + i, kv::detail::splitmix64(state[j]), len - i);
+    }
+  }
+}
+
 }  // namespace
 
 void WorkloadGenerator::fill_value(std::uint64_t rank,
                                    std::span<std::byte> out) {
-  // Every 8-byte step draws one splitmix64 word and lays it out least
-  // significant byte first, on every platform. Little-endian hosts store
-  // whole words; the byte loop finishes the tail (and does everything on
-  // big-endian hosts).
-  std::uint64_t state = pattern_seed(rank);
-  std::size_t i = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    for (; i + 8 <= out.size(); i += 8) {
-      state = kv::detail::splitmix64(state);
-      std::memcpy(out.data() + i, &state, sizeof state);
-    }
+  fill_lanes<1>(&rank, out.size(), out.data());
+}
+
+void WorkloadGenerator::fill_values(std::span<const std::uint64_t> ranks,
+                                    std::size_t len,
+                                    std::span<std::byte> out) {
+  if (out.size() != ranks.size() * len) {
+    throw std::invalid_argument("fill_values: out is not ranks x len bytes");
   }
-  for (; i < out.size(); ++i) {
-    if (i % 8 == 0) state = kv::detail::splitmix64(state);
-    out[i] = static_cast<std::byte>((state >> ((i % 8) * 8)) & 0xff);
+  std::size_t i = 0;
+  for (; i + kFillLanes <= ranks.size(); i += kFillLanes) {
+    fill_lanes<kFillLanes>(ranks.data() + i, len, out.data() + i * len);
+  }
+  for (; i < ranks.size(); ++i) {
+    fill_lanes<1>(ranks.data() + i, len, out.data() + i * len);
   }
 }
 

@@ -54,6 +54,16 @@ class WorkloadGenerator {
   /// fill is a prefix of a longer one.
   static void fill_value(std::uint64_t rank, std::span<std::byte> out);
 
+  /// fill_value for many ranks: value i (for ranks[i]) goes to bytes
+  /// [i * len, (i + 1) * len) of `out`, which must hold exactly
+  /// ranks.size() * len bytes (std::invalid_argument otherwise). The bytes
+  /// are exactly those of one fill_value(ranks[i], len) per rank, for any
+  /// ranks, repeated or unordered. Ranks are filled several at a time, their
+  /// splitmix64 chains advanced in lockstep, so the CPU overlaps chains that
+  /// fill_value would run one after another.
+  static void fill_values(std::span<const std::uint64_t> ranks,
+                          std::size_t len, std::span<std::byte> out);
+
   /// True iff `bytes` equals fill_value(rank, ...) of the same length. It
   /// checks each word against the stored word before it, so the words are
   /// independent checks rather than one serial chain, and nothing is

@@ -2,9 +2,14 @@
 // region -> MICA -> UD SEND -> client) on the simulated cluster.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "herd/testbed.hpp"
+#include "workload/workload.hpp"
 
 namespace herd::core {
 namespace {
@@ -257,6 +262,103 @@ TEST(HerdEndToEnd, ZipfWorkloadStaysCorrectAndBalanced) {
     hi = std::max(hi, m);
   }
   EXPECT_LT(hi / lo, 3.0);
+}
+
+// Builds a testbed (which preloads `n_keys` ranks) and checks that every
+// replica holds what a rank-by-rank loop of puts, routed through the same
+// shard map, leaves: the same log head, the same stats and the same get
+// verdict and bytes for every rank. Two buckets and a log of a few dozen
+// entries per cache make index evictions and log wraps happen on the way,
+// so a put out of rank order shows.
+void expect_preload_matches_rank_by_rank(bool replicate,
+                                         std::uint64_t n_keys) {
+  SCOPED_TRACE(testing::Message() << "replicate " << replicate << " n_keys "
+                                  << n_keys);
+  TestbedConfig cfg = small_config();
+  cfg.herd.replicate = replicate;
+  cfg.herd.request_tokens = replicate;
+  cfg.herd.mica.bucket_count_log2 = 1;
+  cfg.herd.mica.log_bytes = 4096;
+  cfg.workload.n_keys = n_keys;
+  cfg.workload.value_len = 100;
+  HerdTestbed bed(cfg);
+  const HerdService& svc = bed.service();
+  const ShardMap& map = svc.shards();
+
+  // Reference: one cache per (process, shard) copy, filled rank by rank.
+  std::map<std::pair<std::uint32_t, std::uint32_t>,
+           std::unique_ptr<kv::MicaCache>>
+      ref;
+  for (std::uint32_t sh = 0; sh < map.n_shards(); ++sh) {
+    const ShardInfo& si = map.at(sh);
+    ref[{si.primary, sh}] = std::make_unique<kv::MicaCache>(cfg.herd.mica);
+    if (si.backup != kNoBackup) {
+      ref[{si.backup, sh}] = std::make_unique<kv::MicaCache>(cfg.herd.mica);
+    }
+  }
+  EXPECT_EQ(ref.size(), replicate ? 2 * map.n_shards() : map.n_shards());
+  std::vector<std::byte> value(cfg.workload.value_len);
+  for (std::uint64_t rank = 0; rank < n_keys; ++rank) {
+    const kv::KeyHash key = kv::hash_of_rank(rank);
+    workload::WorkloadGenerator::fill_value(rank, value);
+    const std::uint32_t sh = map.shard_of(key);
+    const ShardInfo& si = map.at(sh);
+    ref.at({si.primary, sh})->put(key, value);
+    if (si.backup != kNoBackup) ref.at({si.backup, sh})->put(key, value);
+  }
+
+  bool evicted = false;
+  bool wrapped = false;
+  for (auto& [copy, want] : ref) {
+    const auto [proc, sh] = copy;
+    SCOPED_TRACE(testing::Message() << "proc " << proc << " shard " << sh);
+    const kv::MicaCache* got_ptr = svc.replica_cache(proc, sh);
+    ASSERT_NE(got_ptr, nullptr);
+    // get() drops stale index entries, so read a copy of the replica.
+    kv::MicaCache got(*got_ptr);
+    EXPECT_EQ(got.log_head(), want->log_head());
+    auto expect_same_stats = [&] {
+      const kv::MicaCache::Stats& g = got.stats();
+      const kv::MicaCache::Stats& w = want->stats();
+      EXPECT_EQ(g.gets, w.gets);
+      EXPECT_EQ(g.get_hits, w.get_hits);
+      EXPECT_EQ(g.get_misses, w.get_misses);
+      EXPECT_EQ(g.get_stale, w.get_stale);
+      EXPECT_EQ(g.puts, w.puts);
+      EXPECT_EQ(g.index_evictions, w.index_evictions);
+      EXPECT_EQ(g.log_wraps, w.log_wraps);
+    };
+    expect_same_stats();
+    evicted |= want->stats().index_evictions > 0;
+    wrapped |= want->stats().log_wraps > 0;
+    std::vector<std::byte> g(kv::MicaCache::kMaxValue);
+    std::vector<std::byte> w(kv::MicaCache::kMaxValue);
+    for (std::uint64_t rank = 0; rank < n_keys; ++rank) {
+      const kv::KeyHash key = kv::hash_of_rank(rank);
+      if (map.shard_of(key) != sh) continue;
+      const kv::MicaCache::GetResult gr = got.get(key, g);
+      const kv::MicaCache::GetResult wr = want->get(key, w);
+      EXPECT_EQ(gr.found, wr.found) << "rank " << rank;
+      EXPECT_EQ(gr.value_len, wr.value_len) << "rank " << rank;
+      EXPECT_EQ(gr.accesses, wr.accesses) << "rank " << rank;
+      EXPECT_EQ(g, w) << "rank " << rank;
+    }
+    expect_same_stats();
+  }
+  if (n_keys > 100) {
+    EXPECT_TRUE(evicted);
+    EXPECT_TRUE(wrapped);
+  }
+}
+
+TEST(HerdService, PreloadStoresWhatARankByRankLoopStores) {
+  // 1001 ranks fill no whole number of batches or of the lookahead; 11
+  // ranks are fewer than the lookahead holds.
+  for (bool replicate : {false, true}) {
+    for (std::uint64_t n_keys : {1001u, 11u}) {
+      expect_preload_matches_rank_by_rank(replicate, n_keys);
+    }
+  }
 }
 
 TEST(HerdService, RequiredMemoryIsSufficient) {

@@ -1,8 +1,12 @@
 // Unit tests: keyhash + workload generation.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "kv/keyhash.hpp"
 #include "workload/workload.hpp"
@@ -174,6 +178,41 @@ TEST(Workload, FillValueMatchesBytewiseReference) {
           << "rank " << rank << " len " << len;
     }
   }
+}
+
+TEST(Workload, FillValuesMatchesFillValue) {
+  // Batches of 1 to 17 ranks (up to two full lockstep groups of 8 plus
+  // one), unordered and with repeats, at every tail length: each value is
+  // exactly one fill_value of its rank, and the byte loop's pattern.
+  constexpr std::uint64_t kRanks[] = {9,  3, 9,    1u << 20, 0,  ~0ULL, 3, 42,
+                                      42, 7, 65536, 1,       5,  9,     2, 0,
+                                      255};
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 0; len <= 70; ++len) lens.push_back(len);
+  lens.push_back(512);
+  lens.push_back(1024);
+  for (std::size_t batch = 1; batch <= std::size(kRanks); ++batch) {
+    const std::span<const std::uint64_t> ranks(kRanks, batch);
+    for (std::size_t len : lens) {
+      std::vector<std::byte> got(batch * len, std::byte{0xa5});
+      WorkloadGenerator::fill_values(ranks, len, got);
+      for (std::size_t i = 0; i < batch; ++i) {
+        std::vector<std::byte> one(len);
+        WorkloadGenerator::fill_value(ranks[i], one);
+        const std::vector<std::byte> value(
+            got.begin() + static_cast<std::ptrdiff_t>(i * len),
+            got.begin() + static_cast<std::ptrdiff_t>((i + 1) * len));
+        EXPECT_EQ(value, one) << "batch " << batch << " len " << len
+                              << " value " << i;
+        EXPECT_EQ(value, fill_value_bytewise(ranks[i], len))
+            << "batch " << batch << " len " << len << " value " << i;
+      }
+    }
+  }
+  std::vector<std::byte> short_out(2 * 16 - 1);
+  EXPECT_THROW(WorkloadGenerator::fill_values(
+                   std::span<const std::uint64_t>(kRanks, 2), 16, short_out),
+               std::invalid_argument);
 }
 
 TEST(Workload, ValueMatchesAgreesWithFillAndCompare) {
