@@ -91,8 +91,16 @@ class HerdService {
   /// Host memory the service needs (request region + staging rings).
   static std::uint64_t required_memory(const HerdConfig& cfg);
 
-  /// Warms shard replicas with the first `n_keys` ranks (bench setup).
+  /// Warms shard replicas with the first `n_keys` ranks (bench setup). The
+  /// shards are stored by min(CPUs this process may run on, shards) threads
+  /// at once, or on the calling thread alone for a small store; the caches
+  /// end the same either way.
   void preload(std::uint64_t n_keys, std::uint32_t value_len);
+  /// preload with `workers` threads, clamped to [1, shards], in place of
+  /// the count preload picks (for tests). An exception thrown while storing
+  /// reaches the caller once every thread has finished.
+  void preload_with_workers(std::uint64_t n_keys, std::uint32_t value_len,
+                            std::uint32_t workers);
 
   // --- Fault injection -----------------------------------------------------
 

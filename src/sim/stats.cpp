@@ -6,12 +6,7 @@
 
 namespace herd::sim {
 
-LatencyHistogram::LatencyHistogram()
-    : buckets_((1u << kSubBits) +
-                   (static_cast<std::size_t>(kOctaves) << kSubBits),
-               0) {}
-
-Tick LatencyHistogram::bucket_upper(std::size_t idx) const {
+Tick LatencyHistogram::bucket_upper(std::size_t idx) {
   constexpr std::size_t base = 1u << kSubBits;
   if (idx < base) return static_cast<Tick>(idx);
   std::size_t rel = idx - base;
@@ -31,8 +26,11 @@ void LatencyHistogram::clear() {
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
+  if (!other.buckets_.empty()) {
+    if (buckets_.empty()) allocate();
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      buckets_[i] += other.buckets_[i];
+    }
   }
   count_ += other.count_;
   min_ = std::min(min_, other.min_);

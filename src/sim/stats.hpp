@@ -15,14 +15,15 @@ namespace herd::sim {
 
 /// Log-linear latency histogram over ticks, HdrHistogram-style: buckets are
 /// linear within a power-of-two range, giving a bounded (<~1.6%) relative
-/// quantile error with O(1) record cost and fixed memory.
+/// quantile error with O(1) record cost and fixed memory. The buckets are
+/// allocated by the first record, record_zeros or merge that adds a sample:
+/// most histograms a testbed registers never record one.
 class LatencyHistogram {
  public:
-  LatencyHistogram();
-
   /// Inline: resources record into their stage histograms on every
   /// admission.
   void record(Tick t) {
+    if (buckets_.empty()) allocate();
     ++buckets_[bucket_index(t)];
     ++count_;
     min_ = std::min(min_, t);
@@ -34,6 +35,7 @@ class LatencyHistogram {
   /// zeros recorded in place.
   void record_zeros(std::uint64_t n) {
     if (n == 0) return;
+    if (buckets_.empty()) allocate();
     buckets_[0] += n;
     count_ += n;
     min_ = 0;
@@ -57,7 +59,10 @@ class LatencyHistogram {
  private:
   static constexpr int kSubBits = 5;   // 32 linear sub-buckets per octave
   static constexpr int kOctaves = 52;  // covers ticks up to ~2^57 ps
-  std::size_t bucket_index(Tick t) const {
+  static constexpr std::size_t kBuckets =
+      (std::size_t{1} << kSubBits) +
+      (static_cast<std::size_t>(kOctaves) << kSubBits);
+  static std::size_t bucket_index(Tick t) {
     constexpr std::size_t base = 1u << kSubBits;
     if (t < base) return static_cast<std::size_t>(t);
     // Values in [2^(kSubBits+o), 2^(kSubBits+o+1)) form octave o, split
@@ -66,11 +71,12 @@ class LatencyHistogram {
     auto octave = static_cast<std::size_t>(msb - kSubBits);
     auto sub = static_cast<std::size_t>(t >> (msb - kSubBits)) & (base - 1);
     std::size_t idx = base + (octave << kSubBits) + sub;
-    return std::min(idx, buckets_.size() - 1);
+    return std::min(idx, kBuckets - 1);
   }
-  Tick bucket_upper(std::size_t idx) const;
+  static Tick bucket_upper(std::size_t idx);
+  void allocate() { buckets_.assign(kBuckets, 0); }
 
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  // empty until the first sample
   std::uint64_t count_ = 0;
   Tick min_ = std::numeric_limits<Tick>::max();
   Tick max_ = 0;

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -264,25 +265,38 @@ TEST(HerdEndToEnd, ZipfWorkloadStaysCorrectAndBalanced) {
   EXPECT_LT(hi / lo, 3.0);
 }
 
-// Builds a testbed (which preloads `n_keys` ranks) and checks that every
+// Config of a service whose MICA partitions are two buckets and a log of a
+// few dozen entries, so index evictions and log wraps happen while it is
+// preloaded and a put out of rank order shows.
+HerdConfig tiny_store_config(bool replicate) {
+  HerdConfig cfg = small_config().herd;
+  cfg.replicate = replicate;
+  cfg.request_tokens = replicate;
+  cfg.mica.bucket_count_log2 = 1;
+  cfg.mica.log_bytes = 4096;
+  return cfg;
+}
+
+// Preloads `n_keys` ranks of 100 bytes into a fresh service, with
+// `workers` threads (0: the count preload picks), and checks that every
 // replica holds what a rank-by-rank loop of puts, routed through the same
 // shard map, leaves: the same log head, the same stats and the same get
-// verdict and bytes for every rank. Two buckets and a log of a few dozen
-// entries per cache make index evictions and log wraps happen on the way,
-// so a put out of rank order shows.
-void expect_preload_matches_rank_by_rank(bool replicate,
-                                         std::uint64_t n_keys) {
+// verdict and bytes for every rank.
+void expect_preload_matches_rank_by_rank(bool replicate, std::uint64_t n_keys,
+                                         std::uint32_t workers) {
   SCOPED_TRACE(testing::Message() << "replicate " << replicate << " n_keys "
-                                  << n_keys);
-  TestbedConfig cfg = small_config();
-  cfg.herd.replicate = replicate;
-  cfg.herd.request_tokens = replicate;
-  cfg.herd.mica.bucket_count_log2 = 1;
-  cfg.herd.mica.log_bytes = 4096;
-  cfg.workload.n_keys = n_keys;
-  cfg.workload.value_len = 100;
-  HerdTestbed bed(cfg);
-  const HerdService& svc = bed.service();
+                                  << n_keys << " workers " << workers);
+  const HerdConfig cfg = tiny_store_config(replicate);
+  constexpr std::uint32_t kValueLen = 100;
+  cluster::Cluster cl(cluster::ClusterConfig::apt(), 1,
+                      HerdService::required_memory(cfg));
+  cluster::CpuModel cpu;
+  HerdService svc(cl.host(0), cfg, cpu);
+  if (workers == 0) {
+    svc.preload(n_keys, kValueLen);
+  } else {
+    svc.preload_with_workers(n_keys, kValueLen, workers);
+  }
   const ShardMap& map = svc.shards();
 
   // Reference: one cache per (process, shard) copy, filled rank by rank.
@@ -291,13 +305,13 @@ void expect_preload_matches_rank_by_rank(bool replicate,
       ref;
   for (std::uint32_t sh = 0; sh < map.n_shards(); ++sh) {
     const ShardInfo& si = map.at(sh);
-    ref[{si.primary, sh}] = std::make_unique<kv::MicaCache>(cfg.herd.mica);
+    ref[{si.primary, sh}] = std::make_unique<kv::MicaCache>(cfg.mica);
     if (si.backup != kNoBackup) {
-      ref[{si.backup, sh}] = std::make_unique<kv::MicaCache>(cfg.herd.mica);
+      ref[{si.backup, sh}] = std::make_unique<kv::MicaCache>(cfg.mica);
     }
   }
   EXPECT_EQ(ref.size(), replicate ? 2 * map.n_shards() : map.n_shards());
-  std::vector<std::byte> value(cfg.workload.value_len);
+  std::vector<std::byte> value(kValueLen);
   for (std::uint64_t rank = 0; rank < n_keys; ++rank) {
     const kv::KeyHash key = kv::hash_of_rank(rank);
     workload::WorkloadGenerator::fill_value(rank, value);
@@ -344,6 +358,25 @@ void expect_preload_matches_rank_by_rank(bool replicate,
       EXPECT_EQ(g, w) << "rank " << rank;
     }
     expect_same_stats();
+    // Put a key whose bucket and log slot are both taken on each side: the
+    // way evicted and the log's wrap follow the eviction RNG and the head,
+    // so a replica whose RNG state differs shows here.
+    for (std::uint64_t rank = n_keys; rank < n_keys + 64; ++rank) {
+      const kv::KeyHash key = kv::hash_of_rank(rank);
+      if (map.shard_of(key) != sh) continue;
+      workload::WorkloadGenerator::fill_value(rank, value);
+      const kv::MicaCache::PutResult gp = got.put(key, value);
+      const kv::MicaCache::PutResult wp = want->put(key, value);
+      EXPECT_EQ(gp.evicted, wp.evicted) << "rank " << rank;
+      EXPECT_EQ(gp.accesses, wp.accesses) << "rank " << rank;
+    }
+    expect_same_stats();
+    for (std::uint64_t rank = 0; rank < n_keys + 64; ++rank) {
+      const kv::KeyHash key = kv::hash_of_rank(rank);
+      if (map.shard_of(key) != sh) continue;
+      EXPECT_EQ(got.get(key, g).found, want->get(key, w).found)
+          << "rank " << rank;
+    }
   }
   if (n_keys > 100) {
     EXPECT_TRUE(evicted);
@@ -353,10 +386,33 @@ void expect_preload_matches_rank_by_rank(bool replicate,
 
 TEST(HerdService, PreloadStoresWhatARankByRankLoopStores) {
   // 1001 ranks fill no whole number of batches or of the lookahead; 11
-  // ranks are fewer than the lookahead holds.
+  // ranks are fewer than the lookahead holds, so some shards get none or
+  // one; 5000 are enough for preload to pick more than one worker where
+  // there is more than one CPU. The service has 3 shards: 5 workers are
+  // more than there are shards to give them.
   for (bool replicate : {false, true}) {
-    for (std::uint64_t n_keys : {1001u, 11u}) {
-      expect_preload_matches_rank_by_rank(replicate, n_keys);
+    for (std::uint64_t n_keys : {1001u, 11u, 5000u}) {
+      for (std::uint32_t workers : {0u, 1u, 2u, 3u, 5u}) {
+        expect_preload_matches_rank_by_rank(replicate, n_keys, workers);
+      }
+    }
+  }
+}
+
+TEST(HerdService, PreloadOfATooLargeValueThrowsToTheCaller) {
+  // MicaCache::put throws on a worker thread; preload must hand the
+  // exception to its caller rather than let it end the process.
+  for (bool replicate : {false, true}) {
+    const HerdConfig cfg = tiny_store_config(replicate);
+    cluster::Cluster cl(cluster::ClusterConfig::apt(), 1,
+                        HerdService::required_memory(cfg));
+    cluster::CpuModel cpu;
+    HerdService svc(cl.host(0), cfg, cpu);
+    EXPECT_THROW(svc.preload(1u << 13, 2000), std::length_error);
+    for (std::uint32_t workers : {1u, 2u, 3u, 5u}) {
+      EXPECT_THROW(svc.preload_with_workers(64, 2000, workers),
+                   std::length_error)
+          << "workers " << workers;
     }
   }
 }

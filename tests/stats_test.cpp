@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "sim/rng.hpp"
@@ -90,6 +91,48 @@ TEST(LatencyHistogram, ClearResets) {
   h.clear();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max(), 0u);
+}
+
+TEST(LatencyHistogram, NeverRecordedAnswersAsEmpty) {
+  // A histogram allocates its buckets on its first sample. Until then, and
+  // after merging only empty histograms or recording zero zeros, it answers
+  // every read as an empty one.
+  LatencyHistogram h;
+  LatencyHistogram empty;
+  h.record_zeros(0);
+  h.merge(empty);
+  for (const LatencyHistogram* x : {&h, &empty}) {
+    EXPECT_EQ(x->count(), 0u);
+    EXPECT_EQ(x->min(), 0u);
+    EXPECT_EQ(x->max(), 0u);
+    EXPECT_EQ(x->mean_ns(), 0.0);
+    for (double q : {0.0, 0.5, 0.99, 1.0}) EXPECT_EQ(x->quantile_ns(q), 0.0);
+  }
+  // Its first sample counts in full, whichever call brings it.
+  LatencyHistogram zeros;
+  zeros.record_zeros(3);
+  EXPECT_EQ(zeros.count(), 3u);
+  EXPECT_EQ(zeros.min(), 0u);
+  EXPECT_EQ(zeros.quantile_ns(1.0), 0.0);
+  LatencyHistogram src;
+  src.record(ns(700));
+  src.record(ns(90));
+  h.merge(src);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.min(), ns(90));
+  EXPECT_EQ(h.quantile_ns(0.5), src.quantile_ns(0.5));
+  EXPECT_EQ(h.quantile_ns(1.0), src.quantile_ns(1.0));
+}
+
+TEST(LatencyHistogram, LargestTickLandsInTheLastBucket) {
+  // The clamp in bucket_index holds on a histogram's first sample too.
+  LatencyHistogram h;
+  const Tick top = std::numeric_limits<Tick>::max();
+  h.record(top);
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.max(), top);
+  EXPECT_GT(h.quantile_ns(0.5), 0.0);
+  EXPECT_LE(h.quantile_ns(0.5), to_ns(top));
 }
 
 TEST(Pcg32, DeterministicPerSeed) {

@@ -73,7 +73,10 @@ void usage(const char* argv0) {
                "dedup state behind) violates.\n"
                "--drop-shedding: disable all shedding while keeping the\n"
                "overload wire format (goodput canary; collapse is caught by\n"
-               "the fig16 bench gate, not by this checker).\n",
+               "the fig16 bench gate, not by this checker).\n"
+               "--verbose: print every seed's summary, and its fingerprint\n"
+               "as 'seed N fingerprint history=<hex> engine=<hex>\n"
+               "trace=<hex>' (tools/same_bench_output.sh compares these).\n",
                argv0);
 }
 
@@ -209,6 +212,11 @@ int main(int argc, char** argv) {
 
     if (opt.verbose || herd::chaos::violation(out)) {
       std::printf("%s\n", herd::chaos::summarize(out).c_str());
+    }
+    if (opt.verbose) {
+      std::printf("seed %llu fingerprint %s\n",
+                  static_cast<unsigned long long>(seed),
+                  out.fingerprint.format().c_str());
     }
 
     for (const auto& [name, value] : out.counters.counters()) {

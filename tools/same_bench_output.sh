@@ -1,20 +1,28 @@
 #!/usr/bin/env bash
-# Runs the bench suite of two build trees and says whether they wrote the
-# same bytes: every build/bench/bench_* binary, untraced and with
-# --bench-trace=64, at --bench-measure-ms=0.25 and one fixed --git-rev,
-# $(nproc) binaries at a time. Prints one verdict per output class:
+# Runs the bench suite and the chaos sweeps of two build trees and says
+# whether they wrote the same bytes: every build/bench/bench_* binary,
+# untraced and with --bench-trace=64, at --bench-measure-ms=0.25 and one
+# fixed --git-rev, $(nproc) binaries at a time; then tools/chaos_runner
+# --seeds 100 --verbose, plain and with --crash-primary --overload-burst.
+# Prints one verdict per output class:
 #
-#   BENCH       BENCH_<figure>.json
-#   TIMESERIES  TIMESERIES_<figure>.json
-#   TRACE       TRACE_<figure>.json (traced runs only)
-#   stdout      each binary's stdout and exit status
+#   BENCH          BENCH_<figure>.json
+#   TIMESERIES     TIMESERIES_<figure>.json
+#   TRACE          TRACE_<figure>.json (traced runs only)
+#   stdout         each binary's stdout and exit status
+#   chaos-history  each seed's history= column, with the sweep's summary
+#                  lines, counters and exit status
+#   chaos-engine   each seed's engine= column (event counts)
+#   chaos-trace    each seed's trace= column (trace bytes)
 #
 #   tools/same_bench_output.sh /path/to/parent/build build
 #
 # Every output holds simulated results only, so a change that keeps the
-# model's behaviour writes the same bytes. Exits 0 when all four classes are
-# identical, 1 when any differs, 2 on a usage error. A binary that exits
-# nonzero is listed; its exit status is part of the stdout class.
+# model's behaviour writes the same bytes; a change to the engine's event
+# count alone moves only chaos-engine, one to the trace alone only
+# chaos-trace. Exits 0 when every class is identical, 1 when any differs, 2
+# on a usage error. A binary that exits nonzero is listed; its exit status is
+# part of the stdout class.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -26,8 +34,13 @@ for b in "$1" "$2"; do
     echo "$0: no bench binaries under $b/bench" >&2
     exit 2
   fi
+  if [ ! -x "$b/tools/chaos_runner" ]; then
+    echo "$0: no $b/tools/chaos_runner" >&2
+    exit 2
+  fi
 done
 
+build_a=$1
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
@@ -48,12 +61,31 @@ run() {
     ' sh "$dir"
 }
 
+# sweep SIDE BUILD MODE [chaos_runner flags...]: one chaos sweep into
+# $out/SIDE/chaos/MODE.txt, its exit status on the last line.
+sweep() {
+  local file="$out/$1/chaos/$3.txt"
+  local runner=$2/tools/chaos_runner
+  shift 3
+  mkdir -p "${file%/*}"
+  "$runner" --seeds 100 --verbose "$@" > "$file" 2> /dev/null
+  echo "exit=$?" >> "$file"
+}
+
 for side in a b; do
   build=$1
   [ "$side" = b ] && build=$2
   run "$side" "$build" untraced
   run "$side" "$build" traced --bench-trace=64
 done
+# The four sweeps run side by side; each is one process.
+for side in a b; do
+  build=$1
+  [ "$side" = b ] && build=$2
+  sweep "$side" "$build" plain &
+  sweep "$side" "$build" combined --crash-primary --overload-burst &
+done
+wait
 
 status=0
 # verdict CLASS SUBDIR GLOB: compares that class's files, both modes.
@@ -68,9 +100,9 @@ verdict() {
     done
   done
   if [ "${#diffs[@]}" -eq 0 ]; then
-    printf '%-10s identical (%d files)\n' "$class" "$n"
+    printf '%-14s identical (%d files)\n' "$class" "$n"
   else
-    printf '%-10s DIFFERENT in %d of %d files: %s\n' "$class" \
+    printf '%-14s DIFFERENT in %d of %d files: %s\n' "$class" \
       "${#diffs[@]}" "$n" "${diffs[*]}"
     status=1
   fi
@@ -80,7 +112,57 @@ verdict TIMESERIES files 'TIMESERIES_*.json'
 verdict TRACE files 'TRACE_*.json'
 verdict stdout stdout '*.txt'
 
-failed=$(cd "$out" && grep -L '^exit=0$' */*/stdout/*.txt)
+# column FILE COL: "SEED HEX" for each "seed N fingerprint ... COL=HEX ..."
+# line of a sweep; for history, also every line that is not a fingerprint
+# (summaries, counters, exit status), keyed by its position.
+column() {
+  awk -v col="$2" '
+    $3 == "fingerprint" {
+      for (i = 4; i <= NF; i++) {
+        if (index($i, col "=") == 1) print $2, substr($i, length(col) + 2)
+      }
+      next
+    }
+    col == "history" { line = $0; gsub(/ /, "_", line); print "line" NR, line }
+  ' "$1"
+}
+
+# chaos_verdict COL: compares that column of every seed, both sweeps.
+chaos_verdict() {
+  local col=$1 n=0 diffs=() mode key summary
+  for mode in plain combined; do
+    local a="$out/a/chaos/$mode.txt" b="$out/b/chaos/$mode.txt"
+    n=$((n + $(column "$a" "$col" | grep -c '^[0-9]')))
+    summary=
+    # Keys whose value differs, or that only one side printed.
+    for key in $(awk 'NR == FNR { a[$1] = $2; next }
+                      !($1 in a) || a[$1] != $2 { print $1 }
+                      { delete a[$1] }
+                      END { for (k in a) print k }' \
+                   <(column "$a" "$col") <(column "$b" "$col") | sort -n); do
+      case $key in
+        line*) summary=1 ;;
+        *) diffs+=("$mode/seed$key") ;;
+      esac
+    done
+    if [ -n "$summary" ]; then diffs+=("$mode/summary"); fi
+  done
+  if [ "$n" -eq 0 ]; then
+    printf '%-14s no fingerprints from %s\n' "chaos-$col" "$build_a"
+    status=1
+  elif [ "${#diffs[@]}" -eq 0 ]; then
+    printf '%-14s identical (%d seeds)\n' "chaos-$col" "$n"
+  else
+    printf '%-14s DIFFERENT (%d seeds): %s\n' "chaos-$col" "$n" \
+      "${diffs[*]}"
+    status=1
+  fi
+}
+chaos_verdict history
+chaos_verdict engine
+chaos_verdict trace
+
+failed=$(cd "$out" && grep -L '^exit=0$' */*/stdout/*.txt */chaos/*.txt)
 if [ -n "$failed" ]; then
   echo "binaries that exited nonzero:"
   printf '  %s\n' $failed
