@@ -38,10 +38,6 @@ std::vector<std::string> ClusterConfig::validate() const {
   if (fabric.mtu == 0) {
     problems.push_back("fabric.mtu must be > 0");
   }
-  if (fabric.loss_probability < 0.0 || fabric.loss_probability > 1.0) {
-    problems.push_back("fabric.loss_probability must be in [0, 1], got " +
-                       std::to_string(fabric.loss_probability));
-  }
   if (pcie.dma_read_gbps <= 0.0 || pcie.dma_write_gbps <= 0.0) {
     problems.push_back("pcie DMA bandwidths must be > 0");
   }
@@ -82,8 +78,6 @@ Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
     hosts_.push_back(std::make_unique<Host>(
         engine_, fabric_, cfg_, cfg.name + "/host" + std::to_string(i),
         mem_per_host, seed + i * 7919, probe_, payloads_));
-    hosts_.back()->ctx().enable_contract(
-        verbs::ContractChecker::Mode::kCollect);
   }
 
   // One registry + probe for the whole cluster. Host display names carry
@@ -109,7 +103,7 @@ Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
         "contract." + std::string(verbs::contract_rule_name(rule)),
         [this, rule] {
           std::uint64_t n = 0;
-          for (const auto& h : hosts_) n += h->ctx().contract()->count(rule);
+          for (const auto& h : hosts_) n += h->ctx().contract().count(rule);
           return n;
         });
   }
@@ -117,7 +111,7 @@ Cluster::Cluster(const ClusterConfig& cfg, std::size_t n_hosts,
 
 std::uint64_t Cluster::contract_violations() const {
   std::uint64_t total = 0;
-  for (const auto& h : hosts_) total += h->ctx().contract()->total();
+  for (const auto& h : hosts_) total += h->ctx().contract().total();
   return total;
 }
 
@@ -125,7 +119,7 @@ std::string Cluster::contract_diagnostics() const {
   std::string out;
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
     for (const verbs::ContractViolation& v :
-         hosts_[i]->ctx().contract()->violations()) {
+         hosts_[i]->ctx().contract().violations()) {
       out += "host ";
       out += std::to_string(i);
       out += ' ';

@@ -44,7 +44,6 @@ class SequentialCore {
 
   const std::string& name() const { return res_.name(); }
   sim::Tick busy_until() const { return res_.next_free(); }
-  sim::Tick busy_time() const { return res_.busy_time(); }
   double utilization() const { return res_.utilization(); }
   void reset_stats() { res_.reset_stats(); }
 

@@ -7,9 +7,8 @@
 // 150 ns").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <stdexcept>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -46,57 +45,6 @@ struct CpuModel {
     return post_send +
            static_cast<sim::Tick>(n - 1) * post_send_chain_wqe;
   }
-};
-
-/// Explicit core-to-QP affinity: which QPs each server core owns, pinned at
-/// construction. HERD's scaling story (Fig. 13) depends on every core
-/// touching only its own QPs — shared QPs would serialize doorbells and
-/// CQ polls across cores — so the testbed builds this map once and asserts
-/// against it instead of deriving ownership ad hoc at each call site.
-class CoreAffinityMap {
- public:
-  CoreAffinityMap() = default;
-
-  /// `n_cores` cores, QP ids [0, n_qps) dealt round-robin: QP q lives on
-  /// core q % n_cores. The layout every EREW partitioned server uses.
-  static CoreAffinityMap round_robin(std::uint32_t n_cores,
-                                     std::uint32_t n_qps) {
-    if (n_cores == 0) {
-      throw std::invalid_argument("CoreAffinityMap: n_cores must be > 0");
-    }
-    CoreAffinityMap m;
-    m.qps_of_core_.resize(n_cores);
-    m.core_of_qp_.resize(n_qps);
-    for (std::uint32_t q = 0; q < n_qps; ++q) {
-      std::uint32_t c = q % n_cores;
-      m.core_of_qp_[q] = c;
-      m.qps_of_core_[c].push_back(q);
-    }
-    return m;
-  }
-
-  std::uint32_t n_cores() const {
-    return static_cast<std::uint32_t>(qps_of_core_.size());
-  }
-  std::uint32_t n_qps() const {
-    return static_cast<std::uint32_t>(core_of_qp_.size());
-  }
-
-  /// The core that owns QP `qp`.
-  std::uint32_t core_of(std::uint32_t qp) const {
-    return core_of_qp_.at(qp);
-  }
-  /// The QP ids core `core` owns, in ascending order.
-  const std::vector<std::uint32_t>& qps_of(std::uint32_t core) const {
-    return qps_of_core_.at(core);
-  }
-  bool owns(std::uint32_t core, std::uint32_t qp) const {
-    return qp < core_of_qp_.size() && core_of_qp_[qp] == core;
-  }
-
- private:
-  std::vector<std::vector<std::uint32_t>> qps_of_core_;
-  std::vector<std::uint32_t> core_of_qp_;
 };
 
 }  // namespace herd::cluster

@@ -9,6 +9,9 @@
 // InfiniBand/RoCE link-level flow control is lossless (credit-based / PFC),
 // so the model never drops for buffer overflow; UC/UD "unreliability" only
 // means no transport-level ACKs (modeled in the RNIC layer), matching §2.2.3.
+// Wire losses ("bit errors on the wire and hardware failures, which are
+// extremely rare", §2.2.3) come only from an installed WireFaultModel —
+// fault::FaultInjector running a fault::FaultPlan.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +25,6 @@
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
-#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace herd::fabric {
@@ -43,14 +45,6 @@ struct FabricConfig {
   /// Path MTU; larger messages are segmented into multiple packets, each
   /// paying the per-packet header.
   std::uint32_t mtu = 4096;
-  /// Probability that a message is corrupted/lost on the wire. InfiniBand
-  /// links are lossless to congestion, but "reasons for packet loss include
-  /// bit errors on the wire and hardware failures, which are extremely
-  /// rare" (§2.2.3). 0 by default; failure-injection tests raise it.
-  double loss_probability = 0.0;
-  /// Seed for the wire-corruption RNG, so failure experiments can sweep
-  /// seeds deterministically (see also fault::FaultPlan::seed).
-  std::uint64_t seed = 0xFAB51C;
 
   static FabricConfig infiniband_56g();  // Apt
   static FabricConfig roce_40g();        // Susitna
@@ -76,7 +70,7 @@ class WireFaultModel {
 class Fabric {
  public:
   Fabric(sim::Engine& engine, const FabricConfig& cfg)
-      : engine_(&engine), cfg_(cfg), rng_(cfg.seed, 0x1357ULL) {}
+      : engine_(&engine), cfg_(cfg) {}
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -109,14 +103,10 @@ class Fabric {
   /// Serialized wire size of a payload on the given transport family.
   std::uint32_t wire_bytes(std::uint32_t payload, bool datagram) const;
 
-  /// Rolls the wire-corruption dice for one message. Transport layers
-  /// decide what a loss means: RC retransmits in hardware; UC/UD drop.
-  /// Combines the static baseline rate with any installed fault model.
+  /// Rolls the wire-corruption dice for one message: only an installed
+  /// fault model loses messages. Transport layers decide what a loss
+  /// means: RC retransmits in hardware; UC/UD drop.
   bool drop_roll() {
-    if (cfg_.loss_probability > 0.0 &&
-        rng_.next_double() < cfg_.loss_probability) {
-      return true;
-    }
     return fault_ != nullptr && fault_->drop(engine_->now());
   }
 
@@ -158,7 +148,6 @@ class Fabric {
   sim::Engine* engine_;
   FabricConfig cfg_;
   std::vector<Port> ports_;
-  sim::Pcg32 rng_;
   WireFaultModel* fault_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::ResourceRegistry* resources_ = nullptr;

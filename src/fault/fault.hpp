@@ -1,12 +1,13 @@
 // Deterministic, scriptable fault injection (`herd::fault`).
 //
 // HERD's correctness on UC/UD rests on §2.2.3's assumption that losses are
-// "extremely rare" and recovered by application-level retries. A uniform
-// loss knob cannot express how real RDMA deployments actually fail: losses
-// arrive in bursts (a flapping optic, a PFC storm), links renegotiate to
-// lower rates, NICs pause, and server processes crash and restart. A
-// `FaultPlan` scripts those events against the simulated clock with a
-// seeded RNG, so every failure experiment is reproducible and sweepable.
+// "extremely rare" and recovered by application-level retries. A
+// `FaultPlan` is the simulator's only source of wire loss, from uniform
+// Bernoulli loss (WireLossFault::uniform) to the ways real RDMA deployments
+// fail: losses arrive in bursts (a flapping optic, a PFC storm), links
+// renegotiate to lower rates, NICs pause, and server processes crash and
+// restart. The plan scripts those events against the simulated clock with
+// a seeded RNG, so every failure experiment is reproducible and sweepable.
 //
 // Fault types and where they inject:
 //   * WireLossFault     — fabric   (two-state Gilbert-Elliott loss process)

@@ -83,25 +83,15 @@ class HerdClient {
   /// enabled in tests, disabled in throughput benches).
   void set_verify_values(bool v) { verify_ = v; }
 
-  /// Enables application-level retries at a fixed interval: if a request
-  /// sees no response within `timeout`, the client re-WRITEs it into the
-  /// same slot. This is the paper's §2.2.3 tradeoff made concrete —
-  /// unreliable transports "sacrifice transport-level retransmission ... at
-  /// the cost of rare application-level retries". 0 disables (the default).
-  /// Legacy shim for set_resilience() with multiplier 1 and no jitter.
-  void set_retry_timeout(sim::Tick timeout) {
-    ClientResilience r;
-    r.retry_timeout = timeout;
-    r.backoff_multiplier = 1.0;
-    r.jitter = 0.0;
-    set_resilience(r);
-  }
-
-  /// Full resilience policy: exponential backoff with jitter, per-request
-  /// deadlines, and failover to a surviving server process. Deadlines and
-  /// failover require HerdConfig::request_tokens — enforced at config-build
-  /// time by core::validate() (which TestbedConfig::validate() delegates
-  /// to), not here.
+  /// Resilience policy: application-level retries (a request that sees no
+  /// response within the retry timeout is re-WRITTEN into the same slot —
+  /// the paper's §2.2.3 tradeoff: unreliable transports "sacrifice
+  /// transport-level retransmission ... at the cost of rare
+  /// application-level retries") with exponential backoff and jitter,
+  /// per-request deadlines, and failover to a surviving server process.
+  /// Deadlines and failover require HerdConfig::request_tokens — enforced
+  /// at config-build time by core::validate() (which
+  /// TestbedConfig::validate() delegates to), not here.
   void set_resilience(const ClientResilience& r);
   const ClientResilience& resilience() const { return res_; }
 

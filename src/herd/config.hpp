@@ -152,7 +152,7 @@ struct ClientResilience {
   /// Base retry interval (first backoff step); 0 disables retries.
   sim::Tick retry_timeout = 0;
   /// Exponential backoff: attempt k waits retry_timeout * multiplier^(k-1),
-  /// capped at backoff_max. 1.0 reproduces the legacy fixed interval.
+  /// capped at backoff_max. 1.0 gives a fixed interval.
   double backoff_multiplier = 2.0;
   sim::Tick backoff_max = sim::ms(2);
   /// Uniform +/- jitter fraction applied to each backoff interval, to

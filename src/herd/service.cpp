@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <exception>
 #include <numeric>
 #include <optional>
@@ -52,10 +51,6 @@ HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
       probe_(&host.ctx().probe()),
       cfg_(cfg),
       cpu_(cpu),
-      // One UD QP per server process, QP s pinned to core s. Built once and
-      // asserted against in the hot paths instead of re-derived ad hoc.
-      affinity_(cluster::CoreAffinityMap::round_robin(cfg.n_server_procs,
-                                                      cfg.n_server_procs)),
       region_(/*base=*/0, cfg.n_server_procs, cfg.n_clients, cfg.window),
       shard_map_(cfg.n_server_procs, cfg.replicate),
       client_ah_(cfg.n_clients, std::vector<verbs::Ah>(cfg.n_server_procs)),
@@ -733,7 +728,6 @@ void HerdService::shed(std::uint32_t s, const Pending& p,
 
 void HerdService::on_recv_ready(std::uint32_t s) {
   Proc& p = *procs_[s];
-  assert(affinity_.owns(s, s) && "EREW: proc s drains only its own QP's CQ");
   // Batched CQ reaping: drain the whole backlog with wide polls (one
   // cq_poll's worth of CQEs per call instead of one), admit everything,
   // then kick the pipeline once for the batch.
@@ -1270,7 +1264,6 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
 void HerdService::flush_responses(std::uint32_t s) {
   Proc& p = *procs_[s];
   if (p.resp_chain.empty()) return;
-  assert(affinity_.owns(s, s) && "EREW: proc s posts only on its own QP");
   ++p.stats.resp_chains;
   p.stats.resp_chained += p.resp_chain.size();
   // The per-WR WQE builds were charged by the quanta that produced the

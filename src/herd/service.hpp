@@ -83,11 +83,6 @@ class HerdService {
   /// their copies from kWrongEpoch redirects.
   const ShardMap& shards() const { return shard_map_; }
 
-  /// Core-to-QP ownership, pinned at construction: server process `s` runs
-  /// on core `s` and owns exactly UD QP `s` (EREW — no QP is ever shared
-  /// between cores, the precondition for Fig. 13's linear scaling).
-  const cluster::CoreAffinityMap& affinity() const { return affinity_; }
-
   /// Host memory the service needs (request region + staging rings).
   static std::uint64_t required_memory(const HerdConfig& cfg);
 
@@ -268,6 +263,8 @@ class HerdService {
     std::unique_ptr<cluster::SequentialCore> core;
     std::unique_ptr<verbs::Cq> send_cq;
     std::unique_ptr<verbs::Cq> recv_cq;
+    /// This process's own UD QP: no QP is shared between cores (EREW, the
+    /// precondition for Fig. 13's linear scaling).
     std::unique_ptr<verbs::Qp> ud_qp;
     std::vector<std::uint64_t> next_r;  // per-client poll counter
     // The request queues hold pool slot indices (see pending()).
@@ -408,7 +405,6 @@ class HerdService {
   obs::RequestProbe* probe_;  // the cluster's, via host_->ctx()
   HerdConfig cfg_;
   cluster::CpuModel cpu_;
-  cluster::CoreAffinityMap affinity_;
   RequestRegion region_;
   ShardMap shard_map_;
   verbs::Mr region_mr_{};

@@ -86,7 +86,6 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
   // A nonzero master seed perturbs every randomized layer in lockstep.
   std::uint64_t host_seed = 42;
   if (cfg_.seed != 0) {
-    cfg_.cluster.fabric.seed ^= cfg_.seed * 0x9E3779B97F4A7C15ULL;
     cfg_.workload.seed += cfg_.seed;
     cfg_.fault_plan.seed ^= cfg_.seed * 0xC2B2AE3D27D4EB4FULL;
     host_seed ^= cfg_.seed;
@@ -101,8 +100,8 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
   // pages the run writes, not this size.
   std::uint64_t mem = std::max(server_mem, client_mem);
 
-  // The cluster attaches checkers at host construction, before any QP/MR
-  // exists, so every registration and post is seen.
+  // Every host's context checks the verbs contract from construction,
+  // before any QP/MR exists, so every registration and post is seen.
   cluster_ = std::make_unique<cluster::Cluster>(
       cfg_.cluster, 1 + n_client_hosts, mem, host_seed);
   service_ = std::make_unique<HerdService>(cluster_->host(0), h,

@@ -178,7 +178,7 @@ class HerdTestbed {
     std::uint64_t get_misses = 0;
     std::uint64_t value_mismatches = 0;
     std::uint64_t bad = 0;  // bad requests/responses anywhere
-    std::uint64_t messages_lost = 0;  // wire losses (static + fault plan)
+    std::uint64_t messages_lost = 0;  // wire losses (fault plan)
     std::uint64_t retries = 0;
     std::uint64_t deadline_exceeded = 0;
     std::uint64_t failovers = 0;

@@ -82,14 +82,6 @@ class TokenRing {
     }
   }
 
-  /// True if the mutation carrying wire token `tok` was already recorded;
-  /// records it (with result 0, at time `now`) otherwise.
-  bool seen_or_insert(std::uint32_t tok, sim::Tick now = 0) {
-    if (find(tok)) return true;
-    insert(tok, 0, now);
-    return false;
-  }
-
   /// True if `tok` is newer than every mutation ever recorded — so it
   /// cannot be a re-delivery of an entry that aged out of the cache. The
   /// recovery rescan refuses to apply mutations for which this is false

@@ -145,17 +145,6 @@ void MetricRegistry::claim(const std::string& name) {
   names_.emplace(name, entries_.size());
 }
 
-Counter& MetricRegistry::counter(std::string name) {
-  claim(name);
-  owned_.push_back(std::make_unique<Counter>());
-  Entry e;
-  e.name = std::move(name);
-  e.kind = Kind::kCounter;
-  e.counter = owned_.back().get();
-  entries_.push_back(std::move(e));
-  return *owned_.back();
-}
-
 void MetricRegistry::link(std::string name, const Counter* c) {
   claim(name);
   Entry e;

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -119,11 +118,6 @@ class Snapshot {
 
 class MetricRegistry {
  public:
-  /// Registers a registry-owned counter (for producers with no natural
-  /// struct to put one in). The reference stays valid for the registry's
-  /// lifetime.
-  Counter& counter(std::string name);
-
   // Links producer-owned handles. The registry does not take ownership; the
   // producer must outlive it (components and their registry share an owner —
   // the Cluster or Testbed — so this holds by construction).
@@ -169,9 +163,6 @@ class MetricRegistry {
 
   std::map<std::string, std::size_t, std::less<>> names_;
   std::vector<Entry> entries_;
-  // Deque-like stability for registry-owned counters: entries_ may grow, so
-  // owned counters live in node-stable storage.
-  std::vector<std::unique_ptr<Counter>> owned_;
 };
 
 }  // namespace herd::obs

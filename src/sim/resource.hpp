@@ -72,7 +72,6 @@ class Resource {
       segments_.push_back(Segment{start, start + cost});
     }
     next_free_ = start + cost;
-    busy_ += cost;
     ++ops_;
     ++total_ops_;
     if (stage_ != nullptr) {
@@ -101,11 +100,6 @@ class Resource {
     Tick now = engine_->now();
     return next_free_ > now ? next_free_ - now : 0;
   }
-
-  /// Total service time enqueued since the last reset_stats() — including
-  /// work scheduled beyond now(). For a now-clamped measure use
-  /// cumulative_busy()/utilization().
-  Tick busy_time() const { return busy_; }
 
   /// Operations served since the last reset_stats().
   std::uint64_t ops() const { return ops_; }
@@ -139,13 +133,12 @@ class Resource {
   const std::string& name() const { return name_; }
 
   /// Opens a fresh measurement window at now() (not touching the queue
-  /// position): clears busy_time()/ops(), re-bases utilization(), and
+  /// position): clears ops(), re-bases utilization(), and
   /// clears the stage histograms. A busy segment spanning the reset point
   /// is split — the part before now stays in the old window, the rest
   /// accrues to the new one.
   void reset_stats() {
     Tick now = engine_->now();
-    busy_ = 0;
     ops_ = 0;
     window_start_ = now;
     window_busy_base_ = cumulative_busy(now);
@@ -196,7 +189,6 @@ class Resource {
   Engine* engine_;
   std::string name_;
   Tick next_free_ = 0;
-  Tick busy_ = 0;           // window total, unclamped (legacy meter)
   std::uint64_t ops_ = 0;   // window op count
   std::uint64_t total_ops_ = 0;
   // Clamped-busy accounting: disjoint, time-ordered busy segments not yet

@@ -1,4 +1,4 @@
-// Debug-mode ibverbs contract checker.
+// The ibverbs contract checker.
 //
 // The paper's performance recipe — unsignaled verbs, inlined WRITEs under
 // the PIO knee, UC/UD transports — only works when the application honors
@@ -11,11 +11,11 @@
 // it, and reports violations with enough context (rule, QP number, WR id)
 // to find the offending post site.
 //
-// The checker is attached to a `Context` (see `Context::enable_contract`)
-// and is off by default: production paths pay one null-pointer test per
-// verb. Two active modes:
-//   * kCollect  — record the violation (counter + diagnostic ring) and let
-//                 the model proceed; runs "what would the RNIC have done".
+// Every `Context` owns one (`Context::contract()`), built with it, so no
+// verb goes unchecked. Two modes:
+//   * kCollect  — the default: record the violation (counter + diagnostic
+//                 ring) and let the model proceed; runs "what would the
+//                 RNIC have done".
 //   * kFailFast — throw ContractError at the post site, which carries the
 //                 same diagnostic. For tests and debugging.
 #pragma once

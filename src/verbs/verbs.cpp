@@ -43,9 +43,7 @@ void trace_pipeline(obs::Tracer& tr, sim::Resource& dispatch,
 Cq::Cq(Context& ctx, std::uint32_t capacity)
     : ctx_(&ctx), capacity_(capacity), cqn_(ctx.next_cqn_++) {}
 
-Cq::~Cq() {
-  if (auto* ck = ctx_->contract()) ck->on_cq_destroyed(*this);
-}
+Cq::~Cq() { ctx_->contract().on_cq_destroyed(*this); }
 
 int Cq::poll(std::span<Wc> out) {
   std::size_t n = std::min(out.size(), q_.size());
@@ -53,14 +51,12 @@ int Cq::poll(std::span<Wc> out) {
     out[i] = q_.front();
     q_.pop_front();
   }
-  if (n > 0) {
-    if (auto* ck = ctx_->contract()) ck->on_poll(*this, n);
-  }
+  if (n > 0) ctx_->contract().on_poll(*this, n);
   return static_cast<int>(n);
 }
 
 void Cq::push(const Wc& wc, bool reserved) {
-  if (auto* ck = ctx_->contract()) ck->on_cqe(*this, reserved);
+  ctx_->contract().on_cqe(*this, reserved);
   q_.push_back(wc);
   if (notify_) notify_();
 }
@@ -90,24 +86,12 @@ Context::Context(sim::Engine& engine, rnic::Rnic& rnic, pcie::PcieLink& pcie,
 Context::~Context() { rnic_->set_retire_sink(nullptr); }
 
 void Context::wqe_retired(std::uint32_t qpn) {
-  if (contract_ == nullptr) return;
-  if (Qp* qp = find_qp(qpn)) contract_->on_send_retired(*qp);
-}
-
-ContractChecker& Context::enable_contract(ContractChecker::Mode mode) {
-  // Retirements reached before the checker existed are not its to count.
-  rnic_->settle();
-  if (contract_ == nullptr) {
-    contract_ = std::make_unique<ContractChecker>(mode);
-  } else {
-    contract_->set_mode(mode);
-  }
-  return *contract_;
+  if (Qp* qp = find_qp(qpn)) contract_.on_send_retired(*qp);
 }
 
 Mr Context::register_mr(std::uint64_t addr, std::uint64_t length,
                         MrAccess access) {
-  if (contract_ != nullptr) contract_->on_register_mr(addr, length);
+  contract_.on_register_mr(addr, length);
   if (addr > memory_->size() || length > memory_->size() - addr) {
     throw std::out_of_range("register_mr: region escapes host memory");
   }
@@ -175,7 +159,7 @@ Qp::Qp(Context& ctx, const QpAttr& attr)
 }
 
 Qp::~Qp() {
-  if (auto* ck = ctx_->contract()) ck->on_qp_destroyed(*this);
+  ctx_->contract().on_qp_destroyed(*this);
   ctx_->qps_[qpn_] = nullptr;
 }
 
@@ -241,12 +225,10 @@ void Qp::post_send(std::span<const SendWr> chain) {
   // Chain-level contract rules first (length vs SQ depth, whole-chain CQE
   // arithmetic, illegal opcodes hidden mid-chain): fail-fast throws before
   // any prefix of the chain reaches the hardware.
-  auto* ck = ctx_->contract();
-  if (ck != nullptr) {
-    // The checker reads the send queue's in-flight count.
-    ctx_->rnic().settle();
-    ck->on_post_chain(*this, chain);
-  }
+  ContractChecker& ck = ctx_->contract();
+  // The checker reads the send queue's in-flight count.
+  ctx_->rnic().settle();
+  ck.on_post_chain(*this, chain);
   ctx_->chain_len_.record(static_cast<sim::Tick>(chain.size()));
 
   // One doorbell per chain: the first non-READ WR pays the PIO transaction
@@ -257,7 +239,7 @@ void Qp::post_send(std::span<const SendWr> chain) {
   for (const SendWr& wr : chain) {
     // Per-WR contract accounting (SQ in-flight, CQE reserves) tracks each
     // WR as it is accepted, exactly as under single-WR posting.
-    if (ck != nullptr) ck->on_post_send(*this, wr);
+    ck.on_post_send(*this, wr);
     if (state_ == QpState::kError) {
       // WRs posted to an errored QP are flushed: an immediate error CQE,
       // regardless of signaling, with no wire activity.
@@ -375,10 +357,8 @@ void Qp::issue_read(SendWr wr) {
 void Qp::finish_read(std::uint32_t /*length*/) {
   assert(outstanding_reads_ > 0);
   --outstanding_reads_;
-  if (auto* ck = ctx_->contract()) {
-    ctx_->rnic().settle();
-    ck->on_send_retired(*this);
-  }
+  ctx_->rnic().settle();
+  ctx_->contract().on_send_retired(*this);
   if (!pending_reads_.empty()) {
     SendWr next = pending_reads_.front();
     pending_reads_.pop_front();
@@ -508,7 +488,7 @@ void Qp::tx_stage(SendWr wr, Payload payload, sim::Tick ready) {
 }
 
 void Qp::post_recv(const RecvWr& wr) {
-  if (auto* ck = ctx_->contract()) ck->on_post_recv(*this, wr);
+  ctx_->contract().on_post_recv(*this, wr);
   if (wr.sge.length == 0 ||
       !ctx_->check_local_access(wr.sge.lkey, wr.sge.addr, wr.sge.length)) {
     throw std::invalid_argument("post_recv: bad lkey / local bounds");

@@ -85,7 +85,7 @@ struct QpAttr {
   Cq* send_cq = nullptr;
   Cq* recv_cq = nullptr;
   /// Declared queue depths (ibv_qp_cap). The model's queues are elastic;
-  /// the contract checker enforces these bounds when enabled.
+  /// the contract checker enforces these bounds.
   std::uint32_t max_send_wr = 1024;
   std::uint32_t max_recv_wr = 4096;
 };
@@ -127,7 +127,7 @@ class Qp {
   ///    (Table 1 legality, oversized inline, missing AH, unconnected
   ///    RC/UC, bad lkey) after the WRs before it were already posted —
   ///    exactly ibverbs' bad_wr contract. The chain-aware contract rules
-  ///    (enable_contract) flag illegal opcodes *before* the prefix posts.
+  ///    flag illegal opcodes *before* the prefix posts.
   ///  * READ WRs are never doorbell-coalesced: the outstanding-READ window
   ///    (§3.2.2) may defer them long past this doorbell, so each issues
   ///    with its own PIO transaction when flow control releases it.
@@ -219,13 +219,10 @@ class Context final : public rnic::WqeRetireSink {
     return std::make_unique<Qp>(*this, attr);
   }
 
-  /// Attaches (or returns the already-attached) contract checker. All posts,
-  /// polls, and registrations on this context are validated from then on.
-  ContractChecker& enable_contract(
-      ContractChecker::Mode mode = ContractChecker::Mode::kCollect);
-  /// The attached checker, or nullptr when checking is off.
-  ContractChecker* contract() { return contract_.get(); }
-  const ContractChecker* contract() const { return contract_.get(); }
+  /// The context's contract checker, built with it (collecting), so every
+  /// post, poll and registration on the context is validated.
+  ContractChecker& contract() { return contract_; }
+  const ContractChecker& contract() const { return contract_; }
 
   /// Registers [addr, addr+length) for RDMA access. Keys index this
   /// context's MR table and carry its port in their high bits, so an lkey
@@ -290,7 +287,7 @@ class Context final : public rnic::WqeRetireSink {
   HostMemory* memory_;
   obs::RequestProbe* probe_;
   sim::LatencyHistogram chain_len_;
-  std::unique_ptr<ContractChecker> contract_;
+  ContractChecker contract_;
   std::vector<Qp*> qps_;  // by qpn; qpn 0 is never issued
   std::vector<Mr> mrs_;   // by key index
   PayloadSlab* payloads_;  // the cluster's, shared by every context

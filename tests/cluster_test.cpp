@@ -50,7 +50,9 @@ TEST(Cluster, ContextsAreWiredToTheirHosts) {
 TEST(Cluster, EveryHostRunsTheContractChecker) {
   Cluster cl(ClusterConfig::apt(), 3, 4096);
   for (std::size_t i = 0; i < cl.size(); ++i) {
-    EXPECT_NE(cl.host(i).ctx().contract(), nullptr) << "host " << i;
+    EXPECT_EQ(cl.host(i).ctx().contract().mode(),
+              verbs::ContractChecker::Mode::kCollect)
+        << "host " << i;
   }
 }
 
@@ -83,46 +85,6 @@ TEST(HostMemory, SpanBoundsChecked) {
   EXPECT_NO_THROW(mem.span(0, 1024));
   EXPECT_THROW(mem.span(1, 1024), std::out_of_range);
   EXPECT_THROW(mem.span(1024, 1), std::out_of_range);
-}
-
-// ---------------------------------------------------------------------------
-// Core-to-QP affinity (EREW partitioning, Fig. 13).
-
-TEST(CoreAffinityMap, RoundRobinDealsQpsEvenly) {
-  auto m = CoreAffinityMap::round_robin(4, 10);
-  EXPECT_EQ(m.n_cores(), 4u);
-  EXPECT_EQ(m.n_qps(), 10u);
-  for (std::uint32_t q = 0; q < 10; ++q) {
-    EXPECT_EQ(m.core_of(q), q % 4);
-    EXPECT_TRUE(m.owns(q % 4, q));
-  }
-  // Every QP appears exactly once across the per-core lists.
-  std::uint32_t total = 0;
-  for (std::uint32_t c = 0; c < 4; ++c) {
-    for (std::uint32_t q : m.qps_of(c)) {
-      EXPECT_EQ(q % 4, c);
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, 10u);
-}
-
-TEST(CoreAffinityMap, OneQpPerCoreIsTheIdentityMap) {
-  auto m = CoreAffinityMap::round_robin(6, 6);
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    EXPECT_TRUE(m.owns(i, i));
-    ASSERT_EQ(m.qps_of(i).size(), 1u);
-    EXPECT_EQ(m.qps_of(i).front(), i);
-  }
-  EXPECT_FALSE(m.owns(0, 1));  // EREW: no cross-core sharing
-}
-
-TEST(CoreAffinityMap, RejectsZeroCoresAndBoundsChecks) {
-  EXPECT_THROW(CoreAffinityMap::round_robin(0, 4), std::invalid_argument);
-  auto m = CoreAffinityMap::round_robin(2, 4);
-  EXPECT_THROW(m.core_of(4), std::out_of_range);
-  EXPECT_THROW(m.qps_of(2), std::out_of_range);
-  EXPECT_FALSE(m.owns(0, 99));  // out-of-range QP is owned by nobody
 }
 
 }  // namespace

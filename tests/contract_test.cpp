@@ -3,10 +3,12 @@
 // arithmetic, and clean runs over the full HERD integration flows.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "baselines/emulated_kv.hpp"
 #include "cluster/cluster.hpp"
+#include "fault/fault.hpp"
 #include "herd/testbed.hpp"
 #include "microbench/echo.hpp"
 #include "verbs/contract.hpp"
@@ -41,7 +43,7 @@ class ContractTest : public ::testing::Test {
   }
 
   ContractChecker& checker(std::size_t host) {
-    return *cl_.host(host).ctx().contract();
+    return cl_.host(host).ctx().contract();
   }
 
   /// The single retained violation's formatted diagnostic.
@@ -307,12 +309,15 @@ TEST_F(ContractTest, FlagsUdRecvWithoutGrhRoom) {
 // Rule 11: posting to a QP that has left RTS (error state).
 
 TEST_F(ContractTest, FlagsPostToErroredQp) {
-  cluster::ClusterConfig cfg = cluster::ClusterConfig::apt();
-  cfg.fabric.loss_probability = 1.0;  // every attempt lost: RC errors out
-  cluster::Cluster cl(cfg, 2, 64 << 10);
+  cluster::Cluster cl(cluster::ClusterConfig::apt(), 2, 64 << 10);
+  fault::FaultPlan plan;  // every attempt lost: RC errors out
+  plan.wire_loss.push_back(fault::WireLossFault::uniform(
+      {0, std::numeric_limits<sim::Tick>::max()}, 1.0));
+  fault::FaultInjector loss(cl.engine(), plan);
+  cl.fabric().set_fault_model(&loss);
   auto& ctx = cl.host(0).ctx();
   auto& ctx_b = cl.host(1).ctx();
-  ContractChecker& ck = ctx.enable_contract(ContractChecker::Mode::kCollect);
+  ContractChecker& ck = ctx.contract();
 
   auto scq = ctx.create_cq();
   auto rcq = ctx.create_cq();
@@ -437,7 +442,8 @@ TEST(ContractCleanRun, SendUdModeIsViolationFree) {
 
 TEST(ContractCleanRun, ResilientLossyRunIsViolationFree) {
   core::TestbedConfig cfg = small_testbed(core::RequestMode::kWriteUc);
-  cfg.cluster.fabric.loss_probability = 0.005;
+  cfg.fault_plan.wire_loss.push_back(fault::WireLossFault::uniform(
+      {0, std::numeric_limits<sim::Tick>::max()}, 0.005));
   cfg.herd.request_tokens = true;
   cfg.resilience.retry_timeout = sim::us(60);
   core::HerdTestbed bed(cfg);

@@ -610,7 +610,7 @@ TEST(Resource, FifoServiceAccumulates) {
   EXPECT_EQ(r.acquire(ns(10)), ns(10));
   EXPECT_EQ(r.acquire(ns(10)), ns(20));  // queued behind the first
   EXPECT_EQ(r.ops(), 2u);
-  EXPECT_EQ(r.busy_time(), ns(20));
+  EXPECT_EQ(r.cumulative_busy(ns(20)), ns(20));
 }
 
 TEST(Resource, IdleGapThenAcquireStartsAtArrival) {
@@ -638,8 +638,9 @@ TEST(Resource, UtilizationTracksBusyFraction) {
   eng.run_until(ns(100));
   EXPECT_NEAR(r.utilization(), 0.25, 1e-9);
   r.reset_stats();
-  EXPECT_EQ(r.busy_time(), 0u);
   EXPECT_EQ(r.ops(), 0u);
+  eng.run_until(ns(200));
+  EXPECT_EQ(r.utilization(), 0.0);  // the new window saw no work
 }
 
 // Regression: pipeline stages enqueue service time that lies in the future
@@ -651,7 +652,6 @@ TEST(Resource, UtilizationNeverExceedsOneWithQueuedFutureWork) {
   for (int i = 0; i < 10; ++i) r.acquire(ns(100));  // 1000 ns of backlog
   eng.run_until(ns(100));
   EXPECT_NEAR(r.utilization(), 1.0, 1e-9);  // not 10.0
-  EXPECT_EQ(r.busy_time(), ns(1000));       // unclamped meter still full
   eng.run_until(ns(2000));
   EXPECT_NEAR(r.utilization(), 0.5, 1e-9);  // 1000 busy / 2000 elapsed
 }
@@ -801,7 +801,8 @@ TEST(SequentialCore, ChargeWithoutContinuation) {
   cluster::SequentialCore core(eng, "c");
   EXPECT_EQ(core.charge(ns(30)), ns(30));
   EXPECT_EQ(core.busy_until(), ns(30));
-  EXPECT_EQ(core.busy_time(), ns(30));
+  eng.run_until(ns(60));
+  EXPECT_NEAR(core.utilization(), 0.5, 1e-9);  // 30 busy / 60 elapsed
 }
 
 }  // namespace

@@ -6,23 +6,30 @@
 //  performance at the cost of rare application-level retries."
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cluster/cluster.hpp"
+#include "fault/fault.hpp"
 #include "herd/testbed.hpp"
 
 namespace herd {
 namespace {
 
-cluster::ClusterConfig lossy_apt(double p) {
-  auto cfg = cluster::ClusterConfig::apt();
-  cfg.fabric.loss_probability = p;
-  return cfg;
+/// Uniform wire loss at probability `p` over the whole run.
+fault::FaultPlan lossy_plan(double p) {
+  fault::FaultPlan plan;
+  plan.wire_loss.push_back(fault::WireLossFault::uniform(
+      {0, std::numeric_limits<sim::Tick>::max()}, p));
+  return plan;
 }
 
 TEST(FailureInjection, RcRecoversLossesInHardware) {
   // Every RC WRITE completes successfully despite 5% wire loss — the RNIC
   // retransmits (§2.2.1: "reliable delivery ... hardware-based
   // retransmission of lost packets").
-  cluster::Cluster cl(lossy_apt(0.05), 2, 64 << 10);
+  cluster::Cluster cl(cluster::ClusterConfig::apt(), 2, 64 << 10);
+  fault::FaultInjector loss(cl.engine(), lossy_plan(0.05));
+  cl.fabric().set_fault_model(&loss);
   auto scq = cl.host(0).ctx().create_cq();
   auto rcq = cl.host(0).ctx().create_cq();
   auto dcq = cl.host(1).ctx().create_cq();
@@ -57,7 +64,9 @@ TEST(FailureInjection, RcRecoversLossesInHardware) {
 }
 
 TEST(FailureInjection, UcLosesSilently) {
-  cluster::Cluster cl(lossy_apt(0.20), 2, 64 << 10);
+  cluster::Cluster cl(cluster::ClusterConfig::apt(), 2, 64 << 10);
+  fault::FaultInjector loss(cl.engine(), lossy_plan(0.20));
+  cl.fabric().set_fault_model(&loss);
   auto scq = cl.host(0).ctx().create_cq();
   auto rcq = cl.host(0).ctx().create_cq();
   auto dcq = cl.host(1).ctx().create_cq();
@@ -91,7 +100,7 @@ TEST(FailureInjection, HerdRetriesRecoverLostRequests) {
   // Full HERD under 0.5% loss with application-level retries: every
   // operation eventually completes with correct data.
   core::TestbedConfig cfg;
-  cfg.cluster = lossy_apt(0.005);
+  cfg.fault_plan = lossy_plan(0.005);
   cfg.herd.n_server_procs = 2;
   cfg.herd.n_clients = 4;
   cfg.herd.window = 2;
@@ -101,8 +110,12 @@ TEST(FailureInjection, HerdRetriesRecoverLostRequests) {
   cfg.workload.n_keys = 1000;
   cfg.verify_values = true;
   core::HerdTestbed bed(cfg);
+  core::ClientResilience res;  // fixed-interval retries, no jitter
+  res.retry_timeout = sim::us(50);
+  res.backoff_multiplier = 1.0;
+  res.jitter = 0.0;
   for (std::size_t c = 0; c < bed.num_clients(); ++c) {
-    bed.client(c).set_retry_timeout(sim::us(50));
+    bed.client(c).set_resilience(res);
   }
   auto r = bed.run(sim::ms(1), sim::ms(4));
   EXPECT_GT(r.ops, 1000u);

@@ -78,7 +78,8 @@ TEST(ResourceRegistry, AddEnablesStageStatsAndBeginWindowResets) {
   eng.run_until(ns(10));
   reg.begin_window();
   EXPECT_EQ(r.ops(), 0u);
-  EXPECT_EQ(r.busy_time(), 0u);
+  eng.run_until(ns(20));
+  EXPECT_EQ(r.utilization(), 0.0);  // busy time before the window is gone
 }
 
 TEST(ResourceClass, StripsHostComponents) {
@@ -222,7 +223,8 @@ TEST(FlightRecorder, CounterDeltasPerWindow) {
   sim::Engine eng;
   obs::ResourceRegistry reg;
   obs::MetricRegistry metrics;
-  obs::Counter& c = metrics.counter("rnic.tx_ops");
+  obs::Counter c;
+  metrics.link("rnic.tx_ops", &c);
   obs::FlightConfig fc;
   fc.interval = ns(100);
   obs::FlightRecorder fl(eng, reg, &metrics, fc);

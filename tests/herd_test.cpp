@@ -472,20 +472,5 @@ TEST(HerdEndToEnd, ResponsesLeaveInChains) {
   EXPECT_LT(pc.doorbells, chained);  // batching: fewer doorbells than WRs
 }
 
-TEST(HerdEndToEnd, ServiceAffinityIsOneQpPerCore) {
-  // EREW partitioning (Fig. 13): proc s owns exactly QP s — the explicit
-  // map the service asserts against when draining CQs and posting chains.
-  TestbedConfig cfg = small_config();
-  HerdTestbed bed(cfg);
-  const auto& aff = bed.service().affinity();
-  EXPECT_EQ(aff.n_cores(), cfg.herd.n_server_procs);
-  EXPECT_EQ(aff.n_qps(), cfg.herd.n_server_procs);
-  for (std::uint32_t s = 0; s < cfg.herd.n_server_procs; ++s) {
-    EXPECT_TRUE(aff.owns(s, s));
-    ASSERT_EQ(aff.qps_of(s).size(), 1u);
-    EXPECT_EQ(aff.qps_of(s).front(), s);
-  }
-}
-
 }  // namespace
 }  // namespace herd::core

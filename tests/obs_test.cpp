@@ -81,16 +81,6 @@ TEST(MetricRegistry, CallbackMetricsEvaluateAtSnapshotTime) {
   EXPECT_EQ(reg.snapshot().value("derived.total"), 7u);
 }
 
-TEST(MetricRegistry, OwnedCounterSurvivesRegistryGrowth) {
-  MetricRegistry reg;
-  Counter& first = reg.counter("owned.first");
-  for (int i = 0; i < 100; ++i) {
-    reg.counter("owned.n" + std::to_string(i));
-  }
-  first.inc(5);  // must not have been invalidated by growth
-  EXPECT_EQ(reg.snapshot().value("owned.first"), 5u);
-}
-
 // ---------------------------------------------------------------- snapshot
 
 TEST(Snapshot, JsonRoundTripPreservesEverything) {

@@ -926,7 +926,7 @@ TEST(Verbs, WrappingRangesAreAccessErrors) {
   wr.rkey = p.mr[1].rkey;
   wr.inline_data = true;
   EXPECT_THROW(p.qp[0]->post_send(wr), std::invalid_argument);
-  EXPECT_EQ(p.ctx(0).contract()->count(ContractRule::kSgeBounds), 1u);
+  EXPECT_EQ(p.ctx(0).contract().count(ContractRule::kSgeBounds), 1u);
   EXPECT_FALSE(p.ctx(0).check_local_access(p.mr[0].lkey, kWrapping, 16));
 
   EXPECT_THROW(p.ctx(0).register_mr(kWrapping, 16, {}), std::out_of_range);
@@ -1001,15 +1001,15 @@ TEST(Verbs, KeysAndIdsAreNotInterchangeable) {
   ASSERT_EQ(full->depth(), 2u);
   sender.reset();
   full.reset();
-  const std::uint64_t before = ctx.contract()->total();
+  const std::uint64_t before = ctx.contract().total();
   auto fresh = ctx.create_cq(2);
   auto sender2 = make_ud(*fresh);
   sender2->post_send(send);
   sender2->post_send(send);
   p.cl.engine().run();
   EXPECT_EQ(fresh->depth(), 2u);
-  EXPECT_EQ(ctx.contract()->total(), before)
-      << ctx.contract()->violations().back().format();
+  EXPECT_EQ(ctx.contract().total(), before)
+      << ctx.contract().violations().back().format();
 }
 
 // ---------------------------------------------------------------------------
@@ -1118,7 +1118,7 @@ TEST(VerbsRetirement, DestroyedQpWithRetirementsPendingIsNeverTouched) {
 
   EXPECT_EQ(nic.counters().tx_ops, 4u);
   EXPECT_EQ(u.cl.host(1).rnic().counters().dropped_packets, 4u);
-  EXPECT_EQ(u.cl.host(0).ctx().contract()->total(), 0u);
+  EXPECT_EQ(u.cl.host(0).ctx().contract().total(), 0u);
 }
 
 // ---------------------------------------------------------------------------

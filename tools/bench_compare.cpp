@@ -11,6 +11,8 @@
 //                               i.e. a 10% move in the bad direction fails).
 //   --metric-threshold=M=FRAC   Per-metric threshold override; repeatable
 //                               (e.g. --metric-threshold=avg_us=0.25).
+//                               FRAC must parse in full as a finite number
+//                               > 0, else it is a usage error.
 //   --help                      Print this help and exit 0.
 //
 // Direction is inferred from the metric name: throughput-like metrics
@@ -26,12 +28,14 @@
 // Exit codes: 0 = no regressions, 1 = regressions or invalid input,
 // 64 = usage error.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/bench_compare.hpp"
@@ -54,6 +58,14 @@ const char* kUsage =
     "  --help                      show this help\n"
     "\n"
     "exit: 0 = clean, 1 = regression or invalid input, 64 = usage\n";
+
+// Parses all of `v` as a threshold: a finite number > 0 with nothing after
+// it. False on an empty value or trailing junk.
+bool parse_threshold(std::string_view v, double& out) {
+  auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  return ec == std::errc() && end == v.data() + v.size() &&
+         std::isfinite(out) && out > 0;
+}
 
 bool load_json(const std::string& path, herd::obs::Json& out) {
   std::ifstream in(path);
@@ -109,8 +121,8 @@ int main(int argc, char** argv) {
     if (arg == "--dir") {
       dir_mode = true;
     } else if (arg.rfind("--threshold=", 0) == 0) {
-      opt.default_threshold = std::atof(arg.c_str() + 12);
-      if (opt.default_threshold <= 0) {
+      if (!parse_threshold(std::string_view(arg).substr(12),
+                           opt.default_threshold)) {
         std::fprintf(stderr, "bench_compare: bad --threshold: %s\n",
                      arg.c_str());
         return 64;
@@ -118,13 +130,14 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--metric-threshold=", 0) == 0) {
       std::string spec = arg.substr(19);
       auto eq = spec.find('=');
-      if (eq == std::string::npos || eq == 0) {
+      double t = 0;
+      if (eq == std::string::npos || eq == 0 ||
+          !parse_threshold(std::string_view(spec).substr(eq + 1), t)) {
         std::fprintf(stderr, "bench_compare: bad --metric-threshold: %s\n",
                      arg.c_str());
         return 64;
       }
-      opt.metric_thresholds[spec.substr(0, eq)] =
-          std::atof(spec.c_str() + eq + 1);
+      opt.metric_thresholds[spec.substr(0, eq)] = t;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "bench_compare: unknown option %s\n%s",
                    arg.c_str(), kUsage);

@@ -16,33 +16,104 @@
 #   chaos-trace    each seed's trace= column (trace bytes)
 #
 #   tools/same_bench_output.sh /path/to/parent/build build
+#   tools/same_bench_output.sh --rev REV build
+#
+# With --rev, the script builds REV itself: a detached `git worktree` of
+# this repository in a temporary directory, configured with BUILD_B's CMake
+# generator, build type, compiler and flags (read from its CMakeCache.txt)
+# and built offline (the bench binaries and chaos_runner only). The
+# worktree and its build are removed on exit, whether the run passed,
+# failed or was interrupted.
 #
 # Every output holds simulated results only, so a change that keeps the
 # model's behaviour writes the same bytes; a change to the engine's event
 # count alone moves only chaos-engine, one to the trace alone only
 # chaos-trace. Exits 0 when every class is identical, 1 when any differs, 2
-# on a usage error. A binary that exits nonzero is listed; its exit status is
-# part of the stdout class.
+# on a usage error or when REV does not build. A binary that exits nonzero
+# is listed; its exit status is part of the stdout class.
 set -u
 
-if [ $# -ne 2 ]; then
+usage() {
   echo "usage: $0 BUILD_A BUILD_B" >&2
+  echo "       $0 --rev REV BUILD_B" >&2
   exit 2
-fi
-for b in "$1" "$2"; do
-  if ! ls "$b"/bench/bench_* > /dev/null 2>&1; then
-    echo "$0: no bench binaries under $b/bench" >&2
-    exit 2
+}
+# has_suite BUILD: BUILD holds the bench binaries and chaos_runner.
+has_suite() {
+  if ! ls "$1"/bench/bench_* > /dev/null 2>&1; then
+    echo "$0: no bench binaries under $1/bench" >&2
+    return 1
   fi
-  if [ ! -x "$b/tools/chaos_runner" ]; then
-    echo "$0: no $b/tools/chaos_runner" >&2
-    exit 2
+  if [ ! -x "$1/tools/chaos_runner" ]; then
+    echo "$0: no $1/tools/chaos_runner" >&2
+    return 1
   fi
-done
+}
 
-build_a=$1
+rev=
+if [ "${1-}" = --rev ]; then
+  [ $# -eq 3 ] || usage
+  rev=$2
+  build_b=$3
+  if [ ! -f "$build_b/CMakeCache.txt" ]; then
+    echo "$0: no $build_b/CMakeCache.txt" >&2
+    exit 2
+  fi
+else
+  [ $# -eq 2 ] || usage
+  build_a=$1
+  build_b=$2
+  has_suite "$build_a" || exit 2
+fi
+has_suite "$build_b" || exit 2
+
 out=$(mktemp -d)
-trap 'rm -rf "$out"' EXIT
+repo=
+cleanup() {
+  if [ -n "$repo" ]; then
+    git -C "$repo" worktree remove --force "$out/rev/src" 2> /dev/null ||
+      git -C "$repo" worktree prune
+  fi
+  rm -rf "$out"
+}
+trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
+
+if [ -n "$rev" ]; then
+  repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel) || exit 2
+  if ! git -C "$repo" rev-parse --verify --quiet "$rev^{commit}" > /dev/null
+  then
+    echo "$0: $rev is not a commit of $repo" >&2
+    exit 2
+  fi
+  src=$out/rev/src
+  if ! git -C "$repo" worktree add --quiet --detach "$src" "$rev"; then
+    repo=
+    exit 2
+  fi
+  # BUILD_B's generator and the cache entries that shape the binaries.
+  gen=$(sed -n 's/^CMAKE_GENERATOR:INTERNAL=//p' "$build_b/CMakeCache.txt")
+  flags=()
+  while IFS= read -r entry; do
+    flags+=("-D$entry")
+  done < <(grep -E '^(CMAKE_BUILD_TYPE|CMAKE_CXX_COMPILER|CMAKE_CXX_FLAGS|HERD_[A-Z_]+):[A-Z]+=' \
+             "$build_b/CMakeCache.txt")
+  targets=(chaos_runner)
+  for f in "$src"/bench/bench_*.cpp; do
+    f=${f##*/}
+    targets+=("${f%.cpp}")
+  done
+  echo "building $rev in $out/rev/build" >&2
+  if ! { cmake -S "$src" -B "$out/rev/build" ${gen:+-G "$gen"} "${flags[@]}" &&
+         cmake --build "$out/rev/build" -j"$(nproc)" --target "${targets[@]}"
+       } > "$out/rev/build.log" 2>&1; then
+    tail -n 30 "$out/rev/build.log" >&2
+    echo "$0: $rev does not build" >&2
+    exit 2
+  fi
+  build_a=$out/rev/build
+fi
 
 # run SIDE BUILD MODE [bench flags...]: one suite into $out/SIDE/MODE.
 run() {
@@ -73,15 +144,15 @@ sweep() {
 }
 
 for side in a b; do
-  build=$1
-  [ "$side" = b ] && build=$2
+  build=$build_a
+  [ "$side" = b ] && build=$build_b
   run "$side" "$build" untraced
   run "$side" "$build" traced --bench-trace=64
 done
 # The four sweeps run side by side; each is one process.
 for side in a b; do
-  build=$1
-  [ "$side" = b ] && build=$2
+  build=$build_a
+  [ "$side" = b ] && build=$build_b
   sweep "$side" "$build" plain &
   sweep "$side" "$build" combined --crash-primary --overload-burst &
 done
