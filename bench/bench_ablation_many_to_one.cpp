@@ -29,5 +29,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("ablation_many_to_one", "Many-to-one inbound WRITE scaling",
-                {"WRITE_UC"}, run)
+HERD_BENCH_FIGURE("ablation_many_to_one", "Many-to-one inbound WRITE scaling",
+                  {"WRITE_UC"}, run)

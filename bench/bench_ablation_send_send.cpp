@@ -35,5 +35,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("ablation_send_send", "WRITE/SEND vs SEND/SEND over UD",
-                {"WRITE/SEND", "SEND/SEND"}, run)
+HERD_BENCH_FIGURE("ablation_send_send", "WRITE/SEND vs SEND/SEND over UD",
+                  {"WRITE/SEND", "SEND/SEND"}, run)

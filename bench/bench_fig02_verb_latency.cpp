@@ -37,5 +37,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig02", "Verb and ECHO latency vs payload size",
-                {"READ", "WRITE", "WR_INLINE", "ECHO"}, run)
+HERD_BENCH_FIGURE("fig02", "Verb and ECHO latency vs payload size",
+                  {"READ", "WRITE", "WR_INLINE", "ECHO"}, run)

@@ -36,5 +36,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig03", "Inbound verbs throughput vs payload size",
-                {"WRITE_UC", "WRITE_RC", "READ_RC"}, run)
+HERD_BENCH_FIGURE("fig03", "Inbound verbs throughput vs payload size",
+                  {"WRITE_UC", "WRITE_RC", "READ_RC"}, run)

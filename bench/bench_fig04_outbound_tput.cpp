@@ -47,5 +47,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig04", "Outbound verbs throughput vs payload size",
-                {"WR_UC_INLINE", "SEND_UD", "WRITE_UC", "READ_RC"}, run)
+HERD_BENCH_FIGURE("fig04", "Outbound verbs throughput vs payload size",
+                  {"WR_UC_INLINE", "SEND_UD", "WRITE_UC", "READ_RC"}, run)

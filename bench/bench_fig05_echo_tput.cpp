@@ -34,5 +34,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig05", "ECHO throughput across the optimization ladder",
-                {"SEND/SEND", "WR/WR", "WR/SEND"}, run)
+HERD_BENCH_FIGURE("fig05", "ECHO throughput across the optimization ladder",
+                  {"SEND/SEND", "WR/WR", "WR/SEND"}, run)

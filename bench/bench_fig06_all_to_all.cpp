@@ -36,5 +36,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig06", "UD vs UC all-to-all scalability",
-                {"In_WRITE_UC", "Out_WRITE_UC", "Out_SEND_UD"}, run)
+HERD_BENCH_FIGURE("fig06", "UD vs UC all-to-all scalability",
+                  {"In_WRITE_UC", "Out_WRITE_UC", "Out_SEND_UD"}, run)

@@ -38,7 +38,7 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig07", "Effect of prefetching on echo throughput",
-                {"N=2/no-prefetch", "N=2/prefetch", "N=8/no-prefetch",
-                 "N=8/prefetch"},
-                run)
+HERD_BENCH_FIGURE("fig07", "Effect of prefetching on echo throughput",
+                  {"N=2/no-prefetch", "N=2/prefetch", "N=8/no-prefetch",
+                   "N=8/prefetch"},
+                  run)

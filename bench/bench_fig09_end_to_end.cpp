@@ -43,9 +43,9 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig09", "End-to-end throughput, 48 B items, both clusters",
-                {"Apt-IB/HERD", "Apt-IB/Pilaf-em-OPT", "Apt-IB/FaRM-em",
-                 "Apt-IB/FaRM-em-VAR", "Susitna-RoCE/HERD",
-                 "Susitna-RoCE/Pilaf-em-OPT", "Susitna-RoCE/FaRM-em",
-                 "Susitna-RoCE/FaRM-em-VAR"},
-                run)
+HERD_BENCH_FIGURE("fig09", "End-to-end throughput, 48 B items, both clusters",
+                  {"Apt-IB/HERD", "Apt-IB/Pilaf-em-OPT", "Apt-IB/FaRM-em",
+                   "Apt-IB/FaRM-em-VAR", "Susitna-RoCE/HERD",
+                   "Susitna-RoCE/Pilaf-em-OPT", "Susitna-RoCE/FaRM-em",
+                   "Susitna-RoCE/FaRM-em-VAR"},
+                  run)

@@ -42,9 +42,9 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig10", "End-to-end throughput vs value size",
-                {"Apt-IB/HERD", "Apt-IB/Pilaf-em-OPT", "Apt-IB/FaRM-em",
-                 "Apt-IB/FaRM-em-VAR", "Susitna-RoCE/HERD",
-                 "Susitna-RoCE/Pilaf-em-OPT", "Susitna-RoCE/FaRM-em",
-                 "Susitna-RoCE/FaRM-em-VAR"},
-                run)
+HERD_BENCH_FIGURE("fig10", "End-to-end throughput vs value size",
+                  {"Apt-IB/HERD", "Apt-IB/Pilaf-em-OPT", "Apt-IB/FaRM-em",
+                   "Apt-IB/FaRM-em-VAR", "Susitna-RoCE/HERD",
+                   "Susitna-RoCE/Pilaf-em-OPT", "Susitna-RoCE/FaRM-em",
+                   "Susitna-RoCE/FaRM-em-VAR"},
+                  run)

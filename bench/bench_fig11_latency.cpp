@@ -49,5 +49,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig11", "End-to-end latency vs throughput",
-                {"HERD", "Pilaf-em-OPT", "FaRM-em", "FaRM-em-VAR"}, run)
+HERD_BENCH_FIGURE("fig11", "End-to-end latency vs throughput",
+                  {"HERD", "Pilaf-em-OPT", "FaRM-em", "FaRM-em-VAR"}, run)

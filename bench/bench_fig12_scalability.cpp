@@ -30,5 +30,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig12", "HERD throughput vs client count", {"WS=4", "WS=16"},
-                run)
+HERD_BENCH_FIGURE("fig12", "HERD throughput vs client count", {"WS=4", "WS=16"},
+                  run)

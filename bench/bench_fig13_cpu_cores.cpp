@@ -40,5 +40,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig13", "Throughput vs server CPU cores",
-                {"HERD", "Pilaf-em-OPT", "FaRM-em"}, run)
+HERD_BENCH_FIGURE("fig13", "Throughput vs server CPU cores",
+                  {"HERD", "Pilaf-em-OPT", "FaRM-em"}, run)

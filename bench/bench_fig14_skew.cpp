@@ -45,5 +45,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig14", "Per-core throughput under skew",
-                {"Uniform", "Zipf(.99)"}, run)
+HERD_BENCH_FIGURE("fig14", "Per-core throughput under skew",
+                  {"Uniform", "Zipf(.99)"}, run)

@@ -110,5 +110,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig15", "Failover throughput timeline",
-                {"timeline", "summary"}, run)
+HERD_BENCH_FIGURE("fig15", "Failover throughput timeline",
+                  {"timeline", "summary"}, run)

@@ -162,5 +162,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("fig16", "Overload goodput: admission control on vs off",
-                {"goodput", "summary"}, run)
+HERD_BENCH_FIGURE("fig16", "Overload goodput: admission control on vs off",
+                  {"goodput", "summary"}, run)

@@ -31,5 +31,5 @@ void run() {
 
 }  // namespace
 
-HERD_BENCH_MAIN("table2", "Cluster preset parameters and smoke latency",
-                {"Apt-IB", "Susitna-RoCE"}, run)
+HERD_BENCH_FIGURE("table2", "Cluster preset parameters and smoke latency",
+                  {"Apt-IB", "Susitna-RoCE"}, run)

@@ -55,7 +55,7 @@ void dirty_allocator() {
   bed.run(sim::us(50), sim::us(100));
 }
 
-// One bench server process's MICA partition (bench/bench_common.hpp).
+// One bench server process's MICA partition (bench/bench_common.cpp).
 kv::MicaCache::Config bench_partition() {
   kv::MicaCache::Config cfg;
   cfg.bucket_count_log2 = 15;

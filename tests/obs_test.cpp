@@ -600,7 +600,7 @@ TEST(TraceE2E, TailStagesSumExactlyToEndToEndLatency) {
   EXPECT_TRUE(server_side);
 }
 
-// The fig09 point as bench::run_herd runs it (bench/bench_common.hpp) at 5%
+// The fig09 point as bench::run_herd runs it (bench/bench_common.cpp) at 5%
 // PUT under --bench-trace=64: six processes, 51 clients, no request tokens.
 core::TestbedConfig bench_shaped_config(core::RequestMode mode) {
   core::TestbedConfig cfg;

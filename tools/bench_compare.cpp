@@ -12,7 +12,9 @@
 //   --metric-threshold=M=FRAC   Per-metric threshold override; repeatable
 //                               (e.g. --metric-threshold=avg_us=0.25).
 //                               FRAC must parse in full as a finite number
-//                               > 0, else it is a usage error.
+//                               > 0, and M must be a gated metric of some
+//                               compared document, else it is a usage
+//                               error.
 //   --help                      Print this help and exit 0.
 //
 // Direction is inferred from the metric name: throughput-like metrics
@@ -33,6 +35,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -85,13 +88,40 @@ bool load_json(const std::string& path, herd::obs::Json& out) {
   return true;
 }
 
-// Compares one baseline/current file pair; returns the number of failures
-// (regressions + validation problems) and prints each one.
-int compare_files(const std::string& base_path, const std::string& cur_path,
-                  const herd::obs::CompareOptions& opt) {
+// Adds the name of every metric compare_bench gates in `doc` (a number in
+// a point other than x and bottleneck_util) to `names`.
+void add_metric_names(const herd::obs::Json& doc,
+                      std::set<std::string>& names) {
+  const herd::obs::Json* series = doc.find("series");
+  if (series == nullptr) return;
+  for (const herd::obs::Json& s : series->elements()) {
+    const herd::obs::Json* points = s.find("points");
+    if (points == nullptr) continue;
+    for (const herd::obs::Json& p : points->elements()) {
+      for (const auto& [key, v] : p.items()) {
+        if (key != "x" && key != "bottleneck_util" && v.is_number()) {
+          names.insert(key);
+        }
+      }
+    }
+  }
+}
+
+// One baseline/current file pair (`name` in --dir mode) and, once loaded,
+// their documents.
+struct FilePair {
+  std::string base_path, cur_path, name;
+  bool missing = false;  // --dir mode: no such file in CURRENT_DIR
+  bool loaded = false;
   herd::obs::Json base, cur;
-  if (!load_json(base_path, base) || !load_json(cur_path, cur)) return 1;
-  herd::obs::CompareResult res = herd::obs::compare_bench(base, cur, opt);
+};
+
+// Compares one loaded file pair; returns the number of failures
+// (regressions + validation problems) and prints each one.
+int compare_files(const FilePair& f, const herd::obs::CompareOptions& opt) {
+  const std::string& base_path = f.base_path;
+  const std::string& cur_path = f.cur_path;
+  herd::obs::CompareResult res = herd::obs::compare_bench(f.base, f.cur, opt);
   for (const auto& p : res.problems) {
     std::fprintf(stderr, "INVALID %s vs %s: %s\n", base_path.c_str(),
                  cur_path.c_str(), p.c_str());
@@ -151,45 +181,75 @@ int main(int argc, char** argv) {
     return 64;
   }
 
-  if (!dir_mode) {
-    return compare_files(paths[0], paths[1], opt) == 0 ? 0 : 1;
-  }
-
   namespace fs = std::filesystem;
   std::error_code ec;
-  if (!fs::is_directory(paths[0], ec) || !fs::is_directory(paths[1], ec)) {
-    std::fprintf(stderr, "bench_compare: --dir needs two directories\n");
-    return 64;
-  }
-  std::vector<std::string> names;
-  for (const auto& e : fs::directory_iterator(paths[0])) {
-    std::string n = e.path().filename().string();
-    if (n.rfind("BENCH_", 0) == 0 && n.size() > 5 &&
-        n.substr(n.size() - 5) == ".json") {
-      names.push_back(n);
+  std::vector<FilePair> pairs;
+  if (!dir_mode) {
+    pairs.emplace_back().base_path = paths[0];
+    pairs.back().cur_path = paths[1];
+  } else {
+    if (!fs::is_directory(paths[0], ec) || !fs::is_directory(paths[1], ec)) {
+      std::fprintf(stderr, "bench_compare: --dir needs two directories\n");
+      return 64;
+    }
+    std::vector<std::string> names;
+    for (const auto& e : fs::directory_iterator(paths[0])) {
+      std::string n = e.path().filename().string();
+      if (n.rfind("BENCH_", 0) == 0 && n.size() > 5 &&
+          n.substr(n.size() - 5) == ".json") {
+        names.push_back(n);
+      }
+    }
+    std::sort(names.begin(), names.end());
+    if (names.empty()) {
+      std::fprintf(stderr, "bench_compare: no BENCH_*.json in %s\n",
+                   paths[0].c_str());
+      return 1;
+    }
+    for (const auto& n : names) {
+      FilePair& f = pairs.emplace_back();
+      f.base_path = (fs::path(paths[0]) / n).string();
+      f.cur_path = (fs::path(paths[1]) / n).string();
+      f.name = n;
     }
   }
-  std::sort(names.begin(), names.end());
-  if (names.empty()) {
-    std::fprintf(stderr, "bench_compare: no BENCH_*.json in %s\n",
-                 paths[0].c_str());
-    return 1;
+
+  // Every document loads before any is compared, so a --metric-threshold
+  // that names no metric of them (a typo) is rejected up front: it would
+  // gate nothing.
+  std::set<std::string> metrics;
+  for (FilePair& f : pairs) {
+    f.missing = dir_mode && !fs::exists(f.cur_path, ec);
+    f.loaded = !f.missing && load_json(f.base_path, f.base) &&
+               load_json(f.cur_path, f.cur);
+    if (f.loaded) {
+      add_metric_names(f.base, metrics);
+      add_metric_names(f.cur, metrics);
+    }
   }
+  for (const auto& [name, t] : opt.metric_thresholds) {
+    if (metrics.count(name) == 0) {
+      std::fprintf(stderr,
+                   "bench_compare: --metric-threshold: no compared document "
+                   "has a metric named '%s'\n",
+                   name.c_str());
+      return 64;
+    }
+  }
+
   int failures = 0;
-  for (const auto& n : names) {
-    std::string base_path = (fs::path(paths[0]) / n).string();
-    std::string cur_path = (fs::path(paths[1]) / n).string();
-    if (!fs::exists(cur_path, ec)) {
+  for (const FilePair& f : pairs) {
+    if (f.missing) {
       std::fprintf(stderr,
                    "REGRESSION %s: present in baseline but missing from %s\n",
-                   n.c_str(), paths[1].c_str());
+                   f.name.c_str(), paths[1].c_str());
       ++failures;
-      continue;
+    } else {
+      failures += f.loaded ? compare_files(f, opt) : 1;
     }
-    failures += compare_files(base_path, cur_path, opt);
   }
-  if (failures == 0) {
-    std::printf("bench_compare: %zu file(s) clean\n", names.size());
+  if (dir_mode && failures == 0) {
+    std::printf("bench_compare: %zu file(s) clean\n", pairs.size());
   }
   return failures == 0 ? 0 : 1;
 }

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Runs the bench suite and the chaos sweeps of two build trees and says
-# whether they wrote the same bytes: every build/bench/bench_* binary,
-# untraced and with --bench-trace=64, at --bench-measure-ms=0.25 and one
-# fixed --git-rev, $(nproc) binaries at a time; then tools/chaos_runner
-# --seeds 100 --verbose, plain and with --crash-primary --overload-burst.
-# Prints one verdict per output class:
+# whether they wrote the same bytes: every figure of `bench/herd_bench
+# --list` (or, in a tree from before herd_bench, every bench/bench_*
+# binary, named by its figure id), untraced and with --bench-trace=64, at
+# --bench-measure-ms=0.25 and one fixed --git-rev, $(nproc) figures at a
+# time; then tools/chaos_runner --seeds 100 --verbose, plain and with
+# --crash-primary --overload-burst. Prints one verdict per output class:
 #
 #   BENCH          BENCH_<figure>.json
 #   TIMESERIES     TIMESERIES_<figure>.json
 #   TRACE          TRACE_<figure>.json (traced runs only)
-#   stdout         each binary's stdout and exit status
+#   stdout         each figure's stdout and exit status (<id>.txt)
 #   chaos-history  each seed's history= column, with the sweep's summary
 #                  lines, counters and exit status
 #   chaos-engine   each seed's engine= column (event counts)
@@ -21,16 +22,16 @@
 # With --rev, the script builds REV itself: a detached `git worktree` of
 # this repository in a temporary directory, configured with BUILD_B's CMake
 # generator, build type, compiler and flags (read from its CMakeCache.txt)
-# and built offline (the bench binaries and chaos_runner only). The
-# worktree and its build are removed on exit, whether the run passed,
-# failed or was interrupted.
+# and built offline (herd_bench, or REV's per-figure bench binaries, and
+# chaos_runner only). The worktree and its build are removed on exit,
+# whether the run passed, failed or was interrupted.
 #
 # Every output holds simulated results only, so a change that keeps the
 # model's behaviour writes the same bytes; a change to the engine's event
 # count alone moves only chaos-engine, one to the trace alone only
 # chaos-trace. Exits 0 when every class is identical, 1 when any differs, 2
-# on a usage error or when REV does not build. A binary that exits nonzero
-# is listed; its exit status is part of the stdout class.
+# on a usage error or when REV does not build. A run that exits nonzero is
+# listed; its exit status is part of the stdout class.
 set -u
 
 usage() {
@@ -38,10 +39,21 @@ usage() {
   echo "       $0 --rev REV BUILD_B" >&2
   exit 2
 }
-# has_suite BUILD: BUILD holds the bench binaries and chaos_runner.
+# figures BUILD: one "ID COMMAND..." line per figure of BUILD; an old
+# tree's bench_figNN_* binary runs figure figNN.
+figures() {
+  if [ -x "$1/bench/herd_bench" ]; then
+    "$1/bench/herd_bench" --list | sed "s|.*|& $1/bench/herd_bench &|"
+  else
+    ls -d "$1"/bench/bench_* | sed -E 'h; s|.*/||
+      s/^bench_((fig|table)[0-9]+)_.*/\1/; s/^bench_//; G; s/\n/ /'
+  fi
+}
+
+# has_suite BUILD: BUILD holds the bench figures and chaos_runner.
 has_suite() {
-  if ! ls "$1"/bench/bench_* > /dev/null 2>&1; then
-    echo "$0: no bench binaries under $1/bench" >&2
+  if [ -z "$(figures "$1" 2> /dev/null)" ]; then
+    echo "$0: no bench figures under $1/bench" >&2
     return 1
   fi
   if [ ! -x "$1/tools/chaos_runner" ]; then
@@ -99,11 +111,9 @@ if [ -n "$rev" ]; then
     flags+=("-D$entry")
   done < <(grep -E '^(CMAKE_BUILD_TYPE|CMAKE_CXX_COMPILER|CMAKE_CXX_FLAGS|HERD_[A-Z_]+):[A-Z]+=' \
              "$build_b/CMakeCache.txt")
-  targets=(chaos_runner)
-  for f in "$src"/bench/bench_*.cpp; do
-    f=${f##*/}
-    targets+=("${f%.cpp}")
-  done
+  targets=(chaos_runner herd_bench)
+  grep -q herd_bench "$src/bench/CMakeLists.txt" ||
+    targets=(chaos_runner $(cd "$src/bench" && ls bench_*.cpp | sed 's/[.]cpp$//'))
   echo "building $rev in $out/rev/build" >&2
   if ! { cmake -S "$src" -B "$out/rev/build" ${gen:+-G "$gen"} "${flags[@]}" &&
          cmake --build "$out/rev/build" -j"$(nproc)" --target "${targets[@]}"
@@ -121,14 +131,14 @@ run() {
   mkdir -p "$dir/files" "$dir/stdout"
   local build=$2
   shift 3
-  # xargs appends the binary last; the extra flags go through FLAGS.
-  printf '%s\n' "$build"/bench/bench_* | FLAGS="$*" xargs -n1 -P"$(nproc)" \
-    sh -c '
-      dir=$1; bin=$2; name=${bin##*/}
-      "$bin" --bench-measure-ms=0.25 --bench-out="$dir/files" \
-             --git-rev=same-bench-output $FLAGS \
-             > "$dir/stdout/$name.txt" 2> /dev/null
-      echo "exit=$?" >> "$dir/stdout/$name.txt"
+  # xargs appends one figure's id and command; the extra flags go through
+  # FLAGS.
+  figures "$build" | FLAGS="$*" xargs -L1 -P"$(nproc)" sh -c '
+      dir=$1; id=$2; shift 2
+      "$@" --bench-measure-ms=0.25 --bench-out="$dir/files" \
+           --git-rev=same-bench-output $FLAGS \
+           > "$dir/stdout/$id.txt" 2> /dev/null
+      echo "exit=$?" >> "$dir/stdout/$id.txt"
     ' sh "$dir"
 }
 
@@ -235,7 +245,7 @@ chaos_verdict trace
 
 failed=$(cd "$out" && grep -L '^exit=0$' */*/stdout/*.txt */chaos/*.txt)
 if [ -n "$failed" ]; then
-  echo "binaries that exited nonzero:"
+  echo "runs that exited nonzero:"
   printf '  %s\n' $failed
 fi
 exit "$status"
