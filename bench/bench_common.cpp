@@ -204,6 +204,13 @@ E2e run_emulated(const cluster::ClusterConfig& cc, baselines::System sys,
              {},     {}};
 }
 
+SystemRun run_system(const cluster::ClusterConfig& cc, int sys, E2eParams p) {
+  if (sys == 0) return {"HERD", run_herd(cc, p)};
+  auto s = static_cast<baselines::System>(sys - 1);
+  p.window = 8;
+  return {baselines::system_name(s), run_emulated(cc, s, p)};
+}
+
 bool register_figure(std::string id, std::string title,
                      std::vector<std::string> series, void (*run)()) {
   figures().emplace(id, Figure{{id, std::move(title), std::move(series)}, run});

@@ -136,6 +136,18 @@ E2e run_herd(const cluster::ClusterConfig& cc, const E2eParams& p);
 E2e run_emulated(const cluster::ClusterConfig& cc, baselines::System sys,
                  const E2eParams& p);
 
+/// One point of one compared system, and the series name it reports under.
+struct SystemRun {
+  const char* name;
+  E2e r;
+};
+
+/// Runs system `sys` of an end-to-end comparison: 0 is HERD (run_herd),
+/// 1.. the emulated baselines::System `sys - 1` (run_emulated). The
+/// emulated systems' READ-based clients need deeper windows to saturate, so
+/// they run at window 8 whatever `p` says.
+SystemRun run_system(const cluster::ClusterConfig& cc, int sys, E2eParams p);
+
 /// A cluster profile with the --bench-canary RNIC fault planted, if any.
 inline cluster::ClusterConfig with_canary(cluster::ClusterConfig c) {
   c.rnic.per_wr_doorbell = options().per_wr_doorbell;

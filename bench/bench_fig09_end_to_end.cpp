@@ -21,16 +21,7 @@ void run() {
         E2eParams p;
         p.put_fraction = put_fraction;
         p.value_size = 32;
-        bench::E2e r;
-        const char* name = "HERD";
-        if (sys == 0) {
-          r = bench::run_herd(cc, p);
-        } else {
-          auto s = static_cast<baselines::System>(sys - 1);
-          name = baselines::system_name(s);
-          p.window = 8;  // READ-based clients need deeper windows to saturate
-          r = bench::run_emulated(cc, s, p);
-        }
+        auto [name, r] = bench::run_system(cc, sys, p);
         // One series per cluster x system; x = PUT percentage.
         bench::report().add_point(std::string(cc.name) + "/" + name,
                                   p.put_fraction * 100,

@@ -22,16 +22,7 @@ void run() {
         E2eParams p;
         p.put_fraction = 0.05;
         p.value_size = value_size;
-        bench::E2e r;
-        const char* name = "HERD";
-        if (sys == 0) {
-          r = bench::run_herd(cc, p);
-        } else {
-          auto s = static_cast<baselines::System>(sys - 1);
-          name = baselines::system_name(s);
-          p.window = 8;
-          r = bench::run_emulated(cc, s, p);
-        }
+        auto [name, r] = bench::run_system(cc, sys, p);
         bench::report().add_point(std::string(cc.name) + "/" + name,
                                   value_size, {{"Mops", r.mops}}, r.attr,
                                   r.tail);

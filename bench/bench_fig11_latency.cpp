@@ -22,16 +22,7 @@ void run() {
       p.put_fraction = 0.05;
       p.value_size = 32;
       p.n_clients = n_clients;
-      bench::E2e r;
-      const char* name = "HERD";
-      if (sys == 0) {
-        r = bench::run_herd(bench::apt(), p);
-      } else {
-        auto s = static_cast<baselines::System>(sys - 1);
-        name = baselines::system_name(s);
-        p.window = 8;
-        r = bench::run_emulated(bench::apt(), s, p);
-      }
+      auto [name, r] = bench::run_system(bench::apt(), sys, p);
       // Latency-vs-throughput curve. x = client count (the independent
       // variable, unique per point); achieved Mops rides as a metric so the
       // perf gate covers throughput too — plot Mops vs avg_us to reproduce

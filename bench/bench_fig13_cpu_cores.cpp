@@ -20,18 +20,9 @@ void run() {
       E2eParams p;
       p.value_size = 32;
       p.n_server_procs = cores;
-      bench::E2e r;
-      const char* name = "HERD";
-      if (sys == 0) {
-        p.put_fraction = 0.50;
-        r = bench::run_herd(bench::apt(), p);
-      } else {
-        auto s = static_cast<baselines::System>(sys - 1);
-        name = baselines::system_name(s);
-        p.put_fraction = 1.0;  // 100% PUT provisioning
-        p.window = 8;
-        r = bench::run_emulated(bench::apt(), s, p);
-      }
+      // HERD runs its real mix; the emulated systems 100% PUT provisioning.
+      p.put_fraction = sys == 0 ? 0.50 : 1.0;
+      auto [name, r] = bench::run_system(bench::apt(), sys, p);
       bench::report().add_point(name, cores, {{"Mops", r.mops}}, r.attr,
                                 r.tail);
     }

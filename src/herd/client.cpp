@@ -29,6 +29,7 @@ HerdClient::HerdClient(cluster::Host& host, std::uint32_t id,
       id_(id),
       service_(&service),
       cfg_(service.config()),
+      wire_(service.wire()),
       cpu_(service.cpu()),
       wl_(wl),
       core_(host.ctx().engine(),
@@ -157,12 +158,7 @@ void HerdClient::issue(const workload::Op& op) {
   sim::Tick cost = cpu_.post_recv + kComposeCost + cpu_.post_send;
   core_.run(cost, [this, op, s, r, cost]() {
     // 1. RECV for the response, on the s-th UD QP (§4.3).
-    std::uint64_t rbuf = resp_base_ +
-                         (std::uint64_t{s} * cfg_.window +
-                          recv_slot_[s]++ % cfg_.window) *
-                             kRespStride;
-    ud_qps_[s]->post_recv(
-        {.wr_id = rbuf, .sge = {rbuf, kRespStride, arena_mr_.lkey}});
+    post_credit(s);
 
     sim::Tick now = host_->ctx().engine().now();
     std::uint64_t seq = next_seq_++;
@@ -260,13 +256,13 @@ void HerdClient::post_request(std::uint32_t s, const InFlight& fl) {
   req.is_put = op.type == workload::OpType::kPut;
   req.is_delete = op.type == workload::OpType::kDelete;
   req.token = static_cast<std::uint32_t>(fl.seq);
-  if (cfg_.replicate) {
+  if (wire_.epoch) {
     // Stamp the believed shard epoch; retries re-encode, so a map refresh
     // between attempts is picked up automatically.
     req.epoch = static_cast<std::uint32_t>(
         shards_.at(shards_.shard_of(op.key)).epoch);
   }
-  if (cfg_.overload.enable) {
+  if (wire_.overload) {
     // Tenant id keys the server's per-tenant quota and DRR queue; the
     // absolute deadline lets it drop this attempt unserved once the client
     // will no longer accept the answer.
@@ -277,21 +273,17 @@ void HerdClient::post_request(std::uint32_t s, const InFlight& fl) {
     req.value = std::span<const std::byte>(value, op.value_len);
     workload::WorkloadGenerator::fill_value(op.rank, {value, op.value_len});
   }
-  std::uint32_t wire =
-      request_wire_bytes(req.is_put ? op.value_len : 0, cfg_.request_tokens,
-                         cfg_.replicate, cfg_.overload.enable);
-  std::uint32_t start = encode_request(slot, req, cfg_.request_tokens,
-                                       cfg_.replicate, cfg_.overload.enable);
+  std::uint32_t start = encode_request(slot, req, wire_);
+  std::uint32_t len = kSlotBytes - start;  // the request is right-aligned
 
   const auto& cal = host_->rnic().cal();
   if (cfg_.mode == RequestMode::kWriteUc) {
     verbs::SendWr wr;
     wr.opcode = verbs::Opcode::kWrite;
-    wr.sge = {stage + start, wire, arena_mr_.lkey};
-    wr.remote_addr =
-        service_->region().slot_addr(s, id_, fl.r) + (kSlotBytes - wire);
+    wr.sge = {stage + start, len, arena_mr_.lkey};
+    wr.remote_addr = service_->region().slot_addr(s, id_, fl.r) + start;
     wr.rkey = service_->region_mr().rkey;
-    wr.inline_data = wire <= cal.max_inline;
+    wr.inline_data = len <= cal.max_inline;
     wr.signaled = false;
     // Every post of the op stamps its one trace context: retries,
     // redirects and failover re-sends are hops of one trace.
@@ -300,8 +292,8 @@ void HerdClient::post_request(std::uint32_t s, const InFlight& fl) {
   } else {
     verbs::SendWr wr;
     wr.opcode = verbs::Opcode::kSend;
-    wr.sge = {stage + start, wire, arena_mr_.lkey};
-    wr.inline_data = wire <= cal.max_inline;
+    wr.sge = {stage + start, len, arena_mr_.lkey};
+    wr.inline_data = len <= cal.max_inline;
     wr.signaled = false;
     wr.ah = service_->proc_ah(s);
     wr.trace = fl.trace;
@@ -488,12 +480,7 @@ void HerdClient::reissue(InFlight fl, std::uint32_t to, const char* stage) {
               // target's QP; the response now arrives on `to`'s UD QP, and a
               // UD SEND with no posted RECV is silently dropped (RNR). Post
               // a credit there or every response to this request is lost.
-              std::uint64_t rbuf = resp_base_ +
-                                   (std::uint64_t{to} * cfg_.window +
-                                    recv_slot_[to]++ % cfg_.window) *
-                                       kRespStride;
-              ud_qps_[to]->post_recv(
-                  {.wr_id = rbuf, .sge = {rbuf, kRespStride, arena_mr_.lkey}});
+              post_credit(to);
               post_request(to, fl);
             });
   arm_timer(to, seq);
@@ -548,6 +535,12 @@ void HerdClient::retry_after_shed(std::uint32_t s, std::uint64_t seq) {
             [this, s, fl = *it]() { post_request(s, fl); });
 }
 
+void HerdClient::post_credit(std::uint32_t s) {
+  repost_recv(s, resp_base_ + (std::uint64_t{s} * cfg_.window +
+                               recv_slot_[s]++ % cfg_.window) *
+                                  kRespStride);
+}
+
 void HerdClient::repost_recv(std::uint32_t s, std::uint64_t buf) {
   ud_qps_[s]->post_recv(
       {.wr_id = buf, .sge = {buf, kRespStride, arena_mr_.lkey}});
@@ -591,13 +584,13 @@ void HerdClient::handle_response(const verbs::Wc& wc) {
   }
   auto buf = host_->memory().span(
       wc.wr_id + verbs::kGrhBytes, wc.byte_len - verbs::kGrhBytes);
-  auto resp = decode_response(buf, cfg_.request_tokens);
+  auto resp = decode_response(buf, wire_);
 
   // Match the response to its request: FIFO per (client, proc) on a
   // lossless fabric; by correlation token when tokens are enabled (a lost
   // request can let a later one overtake it, §2.2.3's retry caveat).
   InFlight fl;
-  if (cfg_.request_tokens) {
+  if (wire_.token) {
     if (!resp) {
       ++stats_.bad_responses;
       repost_recv(s, wc.wr_id);

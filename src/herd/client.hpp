@@ -190,6 +190,12 @@ class HerdClient {
   /// wait is charged to ("redirect_rtt" / "failover_wait").
   void reissue(InFlight fl, std::uint32_t to,
                const char* stage = "failover_wait");
+  /// Posts a fresh RECV credit for one response on proc `s`'s UD QP: the
+  /// next buffer of that proc's ring. Every request post that expects a
+  /// response (first issue and reissue to a new target) takes one.
+  void post_credit(std::uint32_t s);
+  /// Posts RECV buffer `buf` on proc `s`'s UD QP: a fresh credit, or a
+  /// consumed buffer re-armed because its response completed nothing.
   void repost_recv(std::uint32_t s, std::uint64_t buf);
 
   cluster::Host* host_;
@@ -197,6 +203,7 @@ class HerdClient {
   std::uint32_t id_;
   HerdService* service_;
   HerdConfig cfg_;
+  WireFormat wire_;  // the service's
   cluster::CpuModel cpu_;
   workload::WorkloadGenerator wl_;
   cluster::SequentialCore core_;

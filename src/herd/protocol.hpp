@@ -28,6 +28,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "herd/config.hpp"
 #include "kv/keyhash.hpp"
 
 namespace herd::core {
@@ -111,27 +112,39 @@ static_assert(kRespLenOff + 2 == kRespHeader,
               "response header fields must exactly fill kRespHeader");
 static_assert(kRedirectEpochOff + 4 == kRedirectBytes,
               "redirect fields must exactly fill kRedirectBytes");
-/// Largest PUT value once the epoch header is on the wire (the 1 KB slot
-/// must still hold value + token + epoch + LEN + keyhash).
-inline constexpr std::uint32_t kMaxValueReplicated =
-    kSlotBytes - kReqTrailer - kTokenBytes - kEpochBytes;
-static_assert(kMaxValueReplicated ==
-                  kSlotBytes - kReqTrailer - kTokenBytes - kEpochBytes,
-              "replicated value cap must account for every request header");
-static_assert(kMaxValueReplicated <= kMaxValue,
-              "headers never make the replicated cap exceed the paper cap");
+/// Which optional headers a deployment puts on the wire. Built once from
+/// the HerdConfig (WireFormat::of) and handed to every encode/decode, so
+/// the client and the server cannot disagree on a slot's layout; it owns
+/// every header-size sum.
+struct WireFormat {
+  bool token = false;     // kTokenBytes, HerdConfig.request_tokens
+  bool epoch = false;     // kEpochBytes, HerdConfig.replicate
+  bool overload = false;  // kOverloadBytes, HerdConfig.overload.enable
 
-/// Largest PUT value for a given set of optional headers (never above the
-/// paper's 1000-byte cap).
-inline constexpr std::uint32_t max_value_bytes(bool with_token,
-                                               bool with_epoch,
-                                               bool with_overload) {
-  std::uint32_t v = kSlotBytes - kReqTrailer -
-                    (with_token ? kTokenBytes : 0) -
-                    (with_epoch ? kEpochBytes : 0) -
-                    (with_overload ? kOverloadBytes : 0);
-  return v > kMaxValue ? kMaxValue : v;
-}
+  static constexpr WireFormat of(const HerdConfig& cfg) {
+    return {cfg.request_tokens, cfg.replicate, cfg.overload.enable};
+  }
+
+  /// Request bytes after the value: optional headers + LEN + keyhash.
+  constexpr std::uint32_t trailer_bytes() const {
+    return kReqTrailer + (token ? kTokenBytes : 0) +
+           (epoch ? kEpochBytes : 0) + (overload ? kOverloadBytes : 0);
+  }
+  /// Bytes a request occupies on the wire (and at the tail of its slot).
+  constexpr std::uint32_t request_bytes(std::uint32_t value_len) const {
+    return trailer_bytes() + value_len;
+  }
+  /// Largest PUT value the 1 KB slot still holds with these headers (never
+  /// above the paper's 1000-byte cap).
+  constexpr std::uint32_t max_value() const {
+    std::uint32_t v = kSlotBytes - trailer_bytes();
+    return v > kMaxValue ? kMaxValue : v;
+  }
+  /// Response bytes before the value: status + LEN (+ token).
+  constexpr std::uint32_t response_header_bytes() const {
+    return kRespHeader + (token ? kTokenBytes : 0);
+  }
+};
 
 struct Request {
   kv::KeyHash key{};
@@ -144,16 +157,6 @@ struct Request {
   std::span<const std::byte> value{};  // PUT payload (views caller memory)
 };
 
-/// Bytes a request occupies on the wire (and at the tail of its slot).
-inline std::uint32_t request_wire_bytes(std::uint32_t value_len,
-                                        bool with_token = false,
-                                        bool with_epoch = false,
-                                        bool with_overload = false) {
-  return kReqTrailer + value_len + (with_token ? kTokenBytes : 0) +
-         (with_epoch ? kEpochBytes : 0) +
-         (with_overload ? kOverloadBytes : 0);
-}
-
 /// Encodes a request right-aligned into `slot` (typically a full 1 KB slot;
 /// any frame >= the wire size works — SEND-mode frames are exactly-sized).
 /// Returns the offset within the slot where the encoded bytes begin. A
@@ -161,29 +164,26 @@ inline std::uint32_t request_wire_bytes(std::uint32_t value_len,
 /// written.
 inline std::uint32_t encode_request(std::span<std::byte> slot,
                                     const Request& req,
-                                    bool with_token = false,
-                                    bool with_epoch = false,
-                                    bool with_overload = false) {
+                                    const WireFormat& wire) {
   auto vlen = static_cast<std::uint32_t>(req.value.size());
-  std::uint32_t wire =
-      request_wire_bytes(vlen, with_token, with_epoch, with_overload);
-  if (wire > slot.size()) {
+  std::uint32_t bytes = wire.request_bytes(vlen);
+  if (bytes > slot.size()) {
     throw std::length_error("encode_request: request outgrows its frame");
   }
-  auto start = static_cast<std::uint32_t>(slot.size() - wire);
+  auto start = static_cast<std::uint32_t>(slot.size() - bytes);
   std::byte* p = slot.data() + start;
   if (vlen > 0) std::memcpy(p, req.value.data(), vlen);
   p += vlen;
-  if (with_overload) {
+  if (wire.overload) {
     std::memcpy(p + kOvTenantOff, &req.tenant, kOvTenantBytes);
     std::memcpy(p + kOvDeadlineOff, &req.deadline, kOvDeadlineBytes);
     p += kOverloadBytes;
   }
-  if (with_token) {
+  if (wire.token) {
     std::memcpy(p, &req.token, kTokenBytes);
     p += kTokenBytes;
   }
-  if (with_epoch) {
+  if (wire.epoch) {
     std::memcpy(p, &req.epoch, kEpochBytes);
     p += kEpochBytes;
   }
@@ -200,12 +200,8 @@ inline std::uint32_t encode_request(std::span<std::byte> slot,
 /// still zero (no request present). PUTs with LEN == 0 are indistinguishable
 /// from GETs by design — HERD encodes "GET" as LEN == 0.
 inline std::optional<Request> decode_request(std::span<const std::byte> slot,
-                                              bool with_token = false,
-                                              bool with_epoch = false,
-                                              bool with_overload = false) {
-  std::uint32_t trailer = kReqTrailer + (with_token ? kTokenBytes : 0) +
-                          (with_epoch ? kEpochBytes : 0) +
-                          (with_overload ? kOverloadBytes : 0);
+                                              const WireFormat& wire) {
+  std::uint32_t trailer = wire.trailer_bytes();
   if (slot.size() < trailer) return std::nullopt;
   const std::byte* tail = slot.data() + slot.size() - kReqTrailer;
   Request req;
@@ -213,15 +209,15 @@ inline std::optional<Request> decode_request(std::span<const std::byte> slot,
   std::memcpy(&req.key.lo, tail + kReqKeyLoOff, 8);
   if (req.key.is_zero()) return std::nullopt;
   const std::byte* p = tail;
-  if (with_epoch) {
+  if (wire.epoch) {
     p -= kEpochBytes;
     std::memcpy(&req.epoch, p, kEpochBytes);
   }
-  if (with_token) {
+  if (wire.token) {
     p -= kTokenBytes;
     std::memcpy(&req.token, p, kTokenBytes);
   }
-  if (with_overload) {
+  if (wire.overload) {
     p -= kOverloadBytes;
     std::memcpy(&req.tenant, p + kOvTenantOff, kOvTenantBytes);
     std::memcpy(&req.deadline, p + kOvDeadlineOff, kOvDeadlineBytes);
@@ -248,41 +244,38 @@ inline void clear_slot(std::span<std::byte> slot) {
               kv::kKeyHashBytes);
 }
 
+struct Response {
+  RespStatus status = RespStatus::kOk;
+  std::uint32_t token = 0;             // correlation id (token mode only)
+  std::span<const std::byte> value{};  // views caller memory
+};
+
 /// Encodes a response into `buf`; returns bytes used.
 inline std::uint32_t encode_response(std::span<std::byte> buf,
-                                     RespStatus status,
-                                     std::span<const std::byte> value,
-                                     bool with_token = false,
-                                     std::uint32_t token = 0) {
-  buf[kRespStatusOff] = static_cast<std::byte>(status);
-  auto len = static_cast<std::uint16_t>(value.size());
+                                     const Response& resp,
+                                     const WireFormat& wire) {
+  buf[kRespStatusOff] = static_cast<std::byte>(resp.status);
+  auto len = static_cast<std::uint16_t>(resp.value.size());
   std::memcpy(buf.data() + kRespLenOff, &len, 2);
-  std::uint32_t off = kRespHeader;
-  if (with_token) {
-    std::memcpy(buf.data() + off, &token, kTokenBytes);
-    off += kTokenBytes;
+  if (wire.token) {
+    std::memcpy(buf.data() + kRespHeader, &resp.token, kTokenBytes);
   }
-  if (!value.empty()) {
-    std::memcpy(buf.data() + off, value.data(), value.size());
+  std::uint32_t off = wire.response_header_bytes();
+  if (!resp.value.empty()) {
+    std::memcpy(buf.data() + off, resp.value.data(), resp.value.size());
   }
   return off + len;
 }
 
-struct Response {
-  RespStatus status = RespStatus::kOk;
-  std::uint32_t token = 0;
-  std::span<const std::byte> value{};
-};
-
 inline std::optional<Response> decode_response(std::span<const std::byte> buf,
-                                               bool with_token = false) {
-  std::uint32_t header = kRespHeader + (with_token ? kTokenBytes : 0);
+                                               const WireFormat& wire) {
+  std::uint32_t header = wire.response_header_bytes();
   if (buf.size() < header) return std::nullopt;
   Response r;
   r.status = static_cast<RespStatus>(buf[kRespStatusOff]);
   std::uint16_t len;
   std::memcpy(&len, buf.data() + kRespLenOff, 2);
-  if (with_token) {
+  if (wire.token) {
     std::memcpy(&r.token, buf.data() + kRespHeader, kTokenBytes);
   }
   if (len > kMaxValue || buf.size() < header + len) return std::nullopt;

@@ -50,6 +50,7 @@ HerdService::HerdService(cluster::Host& host, const HerdConfig& cfg,
     : host_(&host),
       probe_(&host.ctx().probe()),
       cfg_(cfg),
+      wire_(WireFormat::of(cfg)),
       cpu_(cpu),
       region_(/*base=*/0, cfg.n_server_procs, cfg.n_clients, cfg.window),
       shard_map_(cfg.n_server_procs, cfg.replicate),
@@ -384,8 +385,7 @@ void HerdService::recover_proc(std::uint32_t s) {
       for (std::uint32_t r = 0; r < cfg_.window; ++r) {
         std::uint64_t slot_addr = region_.slot_addr(s, c, r);
         auto slot = host_->memory().span(slot_addr, kSlotBytes);
-        auto req = decode_request(slot, cfg_.request_tokens, cfg_.replicate,
-                                  cfg_.overload.enable);
+        auto req = decode_request(slot, wire_);
         if (!req) continue;
         // Replicated: the process restarts empty and is no longer a
         // primary, so every landed-while-dead request was failed over or is
@@ -411,10 +411,8 @@ void HerdService::recover_proc(std::uint32_t s) {
           clear_slot(slot);
           continue;
         }
-        std::uint32_t i =
-            make_pending(c, *req, landed_trace_[region_.slot_index(s, c, r)]);
-        pending(i).slot_addr = slot_addr;
-        p.arrivals.push_back(i);
+        p.arrivals.push_back(make_pending(
+            c, *req, landed_trace_[region_.slot_index(s, c, r)], slot_addr, 0));
       }
     }
   }
@@ -604,7 +602,9 @@ void HerdService::reset_stats() {
 
 std::uint32_t HerdService::make_pending(std::uint32_t client,
                                         const Request& req,
-                                        obs::TraceCtx trace) {
+                                        obs::TraceCtx trace,
+                                        std::uint64_t slot_addr,
+                                        std::uint64_t recv_addr) {
   std::uint32_t i;
   if (free_pending_.empty()) {
     i = pending_size_++;
@@ -621,8 +621,8 @@ std::uint32_t HerdService::make_pending(std::uint32_t client,
   pend.request = req;
   pend.value.assign(req.value.begin(), req.value.end());
   pend.request.value = {};
-  pend.slot_addr = 0;
-  pend.recv_addr = 0;
+  pend.slot_addr = slot_addr;
+  pend.recv_addr = recv_addr;
   pend.detected = host_->ctx().engine().now();
   pend.trace = trace;
   return i;
@@ -642,8 +642,7 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr,
     return;
   }
   auto slot = host_->memory().span(slot_addr, kSlotBytes);
-  auto req = decode_request(slot, cfg_.request_tokens, cfg_.replicate,
-                            cfg_.overload.enable);
+  auto req = decode_request(slot, wire_);
   if (!req) {
     ++p.stats.bad_requests;
     return;
@@ -654,11 +653,8 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr,
   }
   p.next_r[id.client]++;
 
-  std::uint32_t i = make_pending(id.client, *req, trace);
-  pending(i).slot_addr = slot_addr;
-  probe_->mark(trace, p.core->name(), {.tail = "net_in"},
-               pending(i).detected);
-  if (!try_admit(s, i)) return;  // shed at the door
+  std::uint32_t i = make_pending(id.client, *req, trace, slot_addr, 0);
+  if (!intake(s, i)) return;  // shed at the door
   // Idle-poll quantization: if the process was mid-round, detection costs up
   // to a partial scan of the chunk.
   sim::Tick jitter = 0;
@@ -669,15 +665,16 @@ void HerdService::on_region_write(std::uint32_t s, std::uint64_t addr,
   schedule_advance(s, jitter);
 }
 
-bool HerdService::try_admit(std::uint32_t s, std::uint32_t i) {
+bool HerdService::intake(std::uint32_t s, std::uint32_t i) {
   Proc& p = *procs_[s];
+  const Pending& pend = pending(i);
+  probe_->mark(pend.trace, p.core->name(), {.tail = "net_in"}, pend.detected);
   if (!shed_enabled_) {
     // Overload off (or the drop-shedding canary disarmed it): the paper's
     // unprotected FIFO path, byte-for-byte.
     p.arrivals.push_back(i);
     return true;
   }
-  const Pending& pend = pending(i);
   std::uint32_t tenant = pend.request.tenant < cfg_.overload.n_tenants
                              ? pend.request.tenant
                              : 0;
@@ -759,8 +756,7 @@ void HerdService::on_recv_ready(std::uint32_t s) {
       // The payload sits past the GRH; byte_len includes the GRH.
       auto frame =
           buf.subspan(verbs::kGrhBytes, wc.byte_len - verbs::kGrhBytes);
-      auto req = decode_request(frame, cfg_.request_tokens, cfg_.replicate,
-                                cfg_.overload.enable);
+      auto req = decode_request(frame, wire_);
       // Identify the client by the (port, QPN) of the sending UD QP —
       // clients in SEND mode send requests from the same UD QP they receive
       // responses on, which they registered via set_client_ah().
@@ -771,11 +767,8 @@ void HerdService::on_recv_ready(std::uint32_t s) {
         repost_recv(s, addr);
         continue;
       }
-      std::uint32_t pend = make_pending(it->second, *req, wc.trace);
-      pending(pend).recv_addr = addr;
-      probe_->mark(wc.trace, p.core->name(), {.tail = "net_in"},
-                   pending(pend).detected);
-      if (!try_admit(s, pend)) continue;  // shed at the door
+      std::uint32_t pend = make_pending(it->second, *req, wc.trace, 0, addr);
+      if (!intake(s, pend)) continue;  // shed at the door
       admitted = true;
     }
   }
@@ -1151,7 +1144,7 @@ void HerdService::forward_mutation(Fwd f) {
 void HerdService::deliver_forward(const Fwd& f) {
   // Replication-aware shedding, by construction: forwarded backup writes
   // arrive over the cross-core ring, never through the request region, so
-  // they bypass try_admit() entirely. A backup under overload still applies
+  // they bypass intake() entirely. A backup under overload still applies
   // every mutation its primary already committed — shedding here would
   // silently diverge the replicas.
   auto& engine = host_->ctx().engine();
@@ -1237,8 +1230,7 @@ void HerdService::post_response(std::uint32_t s, std::uint32_t client,
   std::uint64_t addr =
       p.resp_base + (p.resp_slot++ % kResponseRing) * kRespStride;
   auto buf = host_->memory().span(addr, kRespStride);
-  std::uint32_t len =
-      encode_response(buf, status, value, cfg_.request_tokens, token);
+  std::uint32_t len = encode_response(buf, {status, token, value}, wire_);
 
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kSend;

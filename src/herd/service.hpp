@@ -76,6 +76,8 @@ class HerdService {
   const RequestRegion& region() const { return region_; }
   const verbs::Mr& region_mr() const { return region_mr_; }
   const HerdConfig& config() const { return cfg_; }
+  /// The request/response layout every client of this service speaks.
+  const WireFormat& wire() const { return wire_; }
   const cluster::CpuModel& cpu() const { return cpu_; }
   cluster::Host& host() { return *host_; }
 
@@ -340,21 +342,24 @@ class HerdService {
   Replica* find_replica(std::uint32_t proc, std::uint32_t shard);
   /// A request the poll loop (or recv CQ) just found: takes a free pool
   /// slot, copies the PUT payload out of the slot/recv buffer, stamps the
-  /// detection tick and the trace context its WR carried, and returns the
-  /// slot's index. The caller sets slot_addr or recv_addr.
+  /// detection tick, the trace context its WR carried and the slot
+  /// (WRITE mode) or recv buffer (SEND mode) it arrived in, and returns
+  /// the slot's index.
   std::uint32_t make_pending(std::uint32_t client, const Request& req,
-                             obs::TraceCtx trace);
+                             obs::TraceCtx trace, std::uint64_t slot_addr,
+                             std::uint64_t recv_addr);
   /// Returns pool slot `i` to the free list: the request was answered,
   /// dropped, or died with its process.
   void release(std::uint32_t i) { free_pending_.push_back(i); }
   void on_region_write(std::uint32_t s, std::uint64_t addr,
                        obs::TraceCtx trace);
   void on_recv_ready(std::uint32_t s);
-  /// Admission control: enqueues request `i` (DRR tenant queues in
+  /// The live intake of both modes: marks request `i`'s arrival
+  /// ("net_in"), then admission control enqueues it (DRR tenant queues in
   /// overload mode, plain arrivals otherwise) or sheds it with a
   /// kOverloaded reply and releases it. Returns true iff admitted. Runs
-  /// BEFORE any MICA or dedup work.
-  bool try_admit(std::uint32_t s, std::uint32_t i);
+  /// BEFORE any MICA or dedup work. Recovery's rescan bypasses it.
+  bool intake(std::uint32_t s, std::uint32_t i);
   /// Replies kOverloaded with a retry-after hint and re-arms the slot.
   void shed(std::uint32_t s, const Pending& p, overload::Admit why);
   /// Next request to feed the pipeline: bypass queue first, then DRR.
@@ -404,6 +409,7 @@ class HerdService {
   cluster::Host* host_;
   obs::RequestProbe* probe_;  // the cluster's, via host_->ctx()
   HerdConfig cfg_;
+  WireFormat wire_;
   cluster::CpuModel cpu_;
   RequestRegion region_;
   ShardMap shard_map_;

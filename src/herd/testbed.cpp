@@ -38,16 +38,13 @@ std::vector<std::string> TestbedConfig::validate() const {
         "herd.inline_threshold " + std::to_string(herd.inline_threshold) +
         " > fabric.mtu " + std::to_string(cluster.fabric.mtu));
   }
-  std::uint32_t max_value = max_value_bytes(herd.request_tokens,
-                                            herd.replicate,
-                                            herd.overload.enable);
+  std::uint32_t max_value = WireFormat::of(herd).max_value();
   if (workload.value_len == 0 || workload.value_len > max_value) {
     problems.push_back(
         "workload.value_len must be in [1, " + std::to_string(max_value) +
         "]" +
-        (herd.replicate || herd.overload.enable
-             ? " (optional wire headers shrink the slot)"
-             : "") +
+        (max_value < kMaxValue ? " (optional wire headers shrink the slot)"
+                               : "") +
         ", got " + std::to_string(workload.value_len));
   }
   if (workload.n_keys == 0) {

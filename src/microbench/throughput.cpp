@@ -38,8 +38,8 @@ class WindowPump {
 
   static constexpr std::uint32_t kTailSampleEvery = 16;  // of signaled verbs
 
-  /// `ordinal` numbers the run's pumps from 1; it salts the trace ids of
-  /// sampled verbs so concurrent pumps never collide.
+  /// `ordinal` numbers the run's pumps from 1; it salts the tail and trace
+  /// ids of sampled verbs so concurrent pumps never collide.
   WindowPump(cluster::Cluster& cl, cluster::SequentialCore& core,
              verbs::Cq& cq, const TputSpec& spec, std::uint32_t ordinal,
              MakeFn make)
@@ -66,15 +66,15 @@ class WindowPump {
       bool signaled = seq_ % spec_.signal_every == 0;
       batch.push_back(make_(signaled));
       if (signaled && (seq_ / spec_.signal_every) % kTailSampleEvery == 0) {
-        batch.back().second.wr_id = seq_;
-        // Under trace capture, one trace id per sampled verb (ordinal salt
-        // keeps concurrent pumps apart): its PCIe, RNIC and wire hops on
-        // both hosts carry it.
-        if (trace_capture()) {
-          batch.back().second.trace.trace_id =
-              (std::uint64_t{ordinal_} << 32) | seq_;
-        }
-        tail_->begin(seq_, eng_->now());
+        // One id per sampled verb, salted by the ordinal: every pump of the
+        // run shares the cluster's tail profiler, so a bare seq_ would
+        // restart another pump's live sample. Under trace capture it is
+        // also the trace id its PCIe, RNIC and wire hops on both hosts
+        // carry.
+        std::uint64_t id = (std::uint64_t{ordinal_} << 32) | seq_;
+        batch.back().second.wr_id = id;
+        if (trace_capture()) batch.back().second.trace.trace_id = id;
+        tail_->begin(id, eng_->now());
       }
     }
     std::size_t i = 0;

@@ -16,7 +16,11 @@
 // telescoping is exact. The chain-flush amortizer uses charge() to bill
 // each coalesced response its share of the doorbell post cost without
 // breaking the telescope. The microbenchmarks profile their own verb round
-// trips here directly.
+// trips here directly, each sampled verb under its pump's salted id
+// ((pump ordinal << 32) | verb sequence, the same id its trace carries): the
+// run's pumps share one profiler, and begin() on a live id restarts it, so
+// a bare per-pump sequence would let one pump's completion close another
+// pump's sample.
 #pragma once
 
 #include <cstdint>

@@ -38,7 +38,7 @@ TEST(Testbed, MaxValuePutsWithSamplingStayInTheirSlot) {
   cfg.herd.replicate = true;
   cfg.herd.overload.enable = true;
   cfg.workload.get_fraction = 0;
-  cfg.workload.value_len = max_value_bytes(true, true, true);
+  cfg.workload.value_len = WireFormat::of(cfg.herd).max_value();
   cfg.trace_sample_every = 4;
   HerdTestbed bed(cfg);
   auto r = bed.run(sim::us(200), sim::us(800));
@@ -118,7 +118,7 @@ TEST(HerdEndToEnd, SendSendModeRejectedRequestsReturnRecvCredits) {
   // ...two well-formed GETs from a sender that is not a client...
   Request get;
   get.key = kv::hash_of_rank(0);
-  encode_request(host.memory().span(base, 64), get);
+  encode_request(host.memory().span(base, 64), get, bed.service().wire());
   send(64);
   send(64);
   // ...and one too large for the RECV buffer (an error CQE).

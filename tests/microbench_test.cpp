@@ -160,6 +160,20 @@ TEST(OutboundTput, TracesOnlyUnderCapture) {
   EXPECT_TRUE(traced.snapshot.format() == untraced.snapshot.format());
 }
 
+TEST(OutboundTput, TailSamplesFollowLittlesLaw) {
+  // The run's 16 pumps share the cluster's tail profiler, and each pump
+  // numbers its verbs from 1. Keyed by that bare sequence, all 16 would
+  // restart sample 64, 128, ... and the first completion to arrive would
+  // close it, so the p99 would read a fraction of a round trip. Keyed
+  // apart, a sampled verb waits behind the whole window: Little's law puts
+  // the latency at 16 procs x window 8 / Mops.
+  TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 8, 4};
+  const RunRecord r = outbound_tput(kApt, wr, 16);
+  ASSERT_FALSE(r.tail.is_null());
+  const double little_us = 16.0 * 8 / r.value;
+  EXPECT_GE(r.tail.find("p99_total_us")->as_double(), 0.5 * little_us);
+}
+
 TEST(InboundTput, WritesBeatReadsByAboutATHird) {
   // "WRITEs achieve 35 Mops, which is about 34% higher than the maximum
   //  READ throughput (26 Mops)" (§3.2.2).

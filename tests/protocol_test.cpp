@@ -16,14 +16,19 @@
 namespace herd::core {
 namespace {
 
+constexpr WireFormat kPlain{};
+constexpr WireFormat kToken{.token = true};
+constexpr WireFormat kAllHeaders{.token = true, .epoch = true,
+                                 .overload = true};
+
 TEST(Protocol, GetEncodesEighteenBytes) {
   // "A GET request consists only of a 16-byte keyhash" (+ our LEN=0 marker).
-  EXPECT_EQ(request_wire_bytes(0), 18u);
+  EXPECT_EQ(kPlain.request_bytes(0), 18u);
 }
 
 TEST(Protocol, EmptySlotDecodesToNothing) {
   std::vector<std::byte> slot(kSlotBytes, std::byte{0});
-  EXPECT_FALSE(decode_request(slot).has_value());
+  EXPECT_FALSE(decode_request(slot, kPlain).has_value());
 }
 
 TEST(Protocol, GetRoundTrip) {
@@ -31,9 +36,9 @@ TEST(Protocol, GetRoundTrip) {
   Request req;
   req.key = kv::hash_of_rank(3);
   req.is_put = false;
-  std::uint32_t start = encode_request(slot, req);
+  std::uint32_t start = encode_request(slot, req, kPlain);
   EXPECT_EQ(start, kSlotBytes - 18);
-  auto dec = decode_request(slot);
+  auto dec = decode_request(slot, kPlain);
   ASSERT_TRUE(dec.has_value());
   EXPECT_FALSE(dec->is_put);
   EXPECT_TRUE(dec->key == req.key);
@@ -51,9 +56,9 @@ TEST_P(ProtocolValueSizeTest, PutRoundTripsEverySize) {
   req.key = kv::hash_of_rank(len);
   req.is_put = true;
   req.value = value;
-  std::uint32_t start = encode_request(slot, req);
+  std::uint32_t start = encode_request(slot, req, kPlain);
   EXPECT_EQ(start, kSlotBytes - 18 - len);
-  auto dec = decode_request(slot);
+  auto dec = decode_request(slot, kPlain);
   ASSERT_TRUE(dec.has_value());
   EXPECT_TRUE(dec->is_put);
   EXPECT_TRUE(dec->key == req.key);
@@ -71,7 +76,7 @@ TEST(Protocol, KeyhashOccupiesSlotTail) {
   std::vector<std::byte> slot(kSlotBytes, std::byte{0});
   Request req;
   req.key = kv::hash_of_rank(8);
-  encode_request(slot, req);
+  encode_request(slot, req, kPlain);
   kv::KeyHash tail;
   std::memcpy(&tail.hi, slot.data() + kSlotBytes - 16, 8);
   std::memcpy(&tail.lo, slot.data() + kSlotBytes - 8, 8);
@@ -82,23 +87,23 @@ TEST(Protocol, ClearSlotReArms) {
   std::vector<std::byte> slot(kSlotBytes, std::byte{0});
   Request req;
   req.key = kv::hash_of_rank(9);
-  encode_request(slot, req);
-  ASSERT_TRUE(decode_request(slot).has_value());
+  encode_request(slot, req, kPlain);
+  ASSERT_TRUE(decode_request(slot, kPlain).has_value());
   clear_slot(slot);
-  EXPECT_FALSE(decode_request(slot).has_value());
+  EXPECT_FALSE(decode_request(slot, kPlain).has_value());
 }
 
 TEST(Protocol, ExactlySizedSendFrameDecodes) {
   // SEND-mode frames are exactly the wire size, not a full slot.
   std::vector<std::byte> value(40);
   workload::WorkloadGenerator::fill_value(1, value);
-  std::vector<std::byte> frame(request_wire_bytes(40));
+  std::vector<std::byte> frame(kPlain.request_bytes(40));
   Request req;
   req.key = kv::hash_of_rank(1);
   req.is_put = true;
   req.value = value;
-  EXPECT_EQ(encode_request(frame, req), 0u);
-  auto dec = decode_request(frame);
+  EXPECT_EQ(encode_request(frame, req, kPlain), 0u);
+  auto dec = decode_request(frame, kPlain);
   ASSERT_TRUE(dec.has_value());
   EXPECT_EQ(dec->value.size(), 40u);
 }
@@ -107,11 +112,11 @@ TEST(Protocol, CorruptLenRejected) {
   std::vector<std::byte> slot(kSlotBytes, std::byte{0});
   Request req;
   req.key = kv::hash_of_rank(2);
-  encode_request(slot, req);
+  encode_request(slot, req, kPlain);
   // Overwrite LEN with something beyond kMaxValue.
   std::uint16_t bad = kMaxValue + 100;
   std::memcpy(slot.data() + kSlotBytes - kReqTrailer, &bad, 2);
-  EXPECT_FALSE(decode_request(slot).has_value());
+  EXPECT_FALSE(decode_request(slot, kPlain).has_value());
 }
 
 TEST(Protocol, LenLargerThanFrameRejected) {
@@ -121,16 +126,16 @@ TEST(Protocol, LenLargerThanFrameRejected) {
   std::memcpy(frame.data() + 32 - 18, &len, 2);
   std::memcpy(frame.data() + 32 - 16, &key.hi, 8);
   std::memcpy(frame.data() + 32 - 8, &key.lo, 8);
-  EXPECT_FALSE(decode_request(frame).has_value());
+  EXPECT_FALSE(decode_request(frame, kPlain).has_value());
 }
 
 TEST(Protocol, ResponseRoundTrip) {
   std::vector<std::byte> buf(1024);
   std::vector<std::byte> value(64);
   workload::WorkloadGenerator::fill_value(4, value);
-  std::uint32_t n = encode_response(buf, RespStatus::kOk, value);
+  std::uint32_t n = encode_response(buf, {RespStatus::kOk, 0, value}, kPlain);
   EXPECT_EQ(n, kRespHeader + 64);
-  auto dec = decode_response(std::span<const std::byte>(buf).first(n));
+  auto dec = decode_response(std::span<const std::byte>(buf).first(n), kPlain);
   ASSERT_TRUE(dec.has_value());
   EXPECT_EQ(dec->status, RespStatus::kOk);
   ASSERT_EQ(dec->value.size(), 64u);
@@ -139,8 +144,8 @@ TEST(Protocol, ResponseRoundTrip) {
 
 TEST(Protocol, NotFoundResponse) {
   std::vector<std::byte> buf(16);
-  std::uint32_t n = encode_response(buf, RespStatus::kNotFound, {});
-  auto dec = decode_response(std::span<const std::byte>(buf).first(n));
+  std::uint32_t n = encode_response(buf, {RespStatus::kNotFound}, kPlain);
+  auto dec = decode_response(std::span<const std::byte>(buf).first(n), kPlain);
   ASSERT_TRUE(dec.has_value());
   EXPECT_EQ(dec->status, RespStatus::kNotFound);
   EXPECT_TRUE(dec->value.empty());
@@ -148,7 +153,7 @@ TEST(Protocol, NotFoundResponse) {
 
 TEST(Protocol, TruncatedResponseRejected) {
   std::vector<std::byte> buf(2, std::byte{0});
-  EXPECT_FALSE(decode_response(buf).has_value());
+  EXPECT_FALSE(decode_response(buf, kPlain).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -160,9 +165,9 @@ TEST(Protocol, DeleteRoundTrip) {
   Request req;
   req.key = kv::hash_of_rank(11);
   req.is_delete = true;
-  std::uint32_t start = encode_request(slot, req);
+  std::uint32_t start = encode_request(slot, req, kPlain);
   EXPECT_EQ(start, kSlotBytes - 18);
-  auto dec = decode_request(slot);
+  auto dec = decode_request(slot, kPlain);
   ASSERT_TRUE(dec.has_value());
   EXPECT_TRUE(dec->is_delete);
   EXPECT_FALSE(dec->is_put);
@@ -176,10 +181,10 @@ TEST(Protocol, DeleteRoundTripWithToken) {
   req.key = kv::hash_of_rank(12);
   req.is_delete = true;
   req.token = 0xCAFE1234;
-  std::uint32_t start = encode_request(slot, req, /*with_token=*/true);
-  EXPECT_EQ(start, kSlotBytes - request_wire_bytes(0, true));
-  EXPECT_EQ(request_wire_bytes(0, true), 22u);  // GET/DELETE + 4-byte token
-  auto dec = decode_request(slot, /*with_token=*/true);
+  std::uint32_t start = encode_request(slot, req, kToken);
+  EXPECT_EQ(start, kSlotBytes - kToken.request_bytes(0));
+  EXPECT_EQ(kToken.request_bytes(0), 22u);  // GET/DELETE + 4-byte token
+  auto dec = decode_request(slot, kToken);
   ASSERT_TRUE(dec.has_value());
   EXPECT_TRUE(dec->is_delete);
   EXPECT_EQ(dec->token, 0xCAFE1234u);
@@ -197,8 +202,8 @@ TEST(Protocol, PutRoundTripWithToken) {
   req.is_put = true;
   req.token = 42;
   req.value = value;
-  encode_request(slot, req, /*with_token=*/true);
-  auto dec = decode_request(slot, /*with_token=*/true);
+  encode_request(slot, req, kToken);
+  auto dec = decode_request(slot, kToken);
   ASSERT_TRUE(dec.has_value());
   EXPECT_TRUE(dec->is_put);
   EXPECT_EQ(dec->token, 42u);
@@ -214,8 +219,8 @@ TEST(Protocol, TokenModeMismatchDetectable) {
   req.key = kv::hash_of_rank(13);
   req.is_delete = true;
   req.token = 99;
-  encode_request(slot, req, /*with_token=*/true);
-  auto dec = decode_request(slot, /*with_token=*/false);
+  encode_request(slot, req, kToken);
+  auto dec = decode_request(slot, kPlain);
   ASSERT_TRUE(dec.has_value());
   EXPECT_TRUE(dec->is_delete);  // sentinel survives; token simply not read
   EXPECT_EQ(dec->token, 0u);
@@ -229,8 +234,8 @@ TEST(Protocol, TruncatedTokenModeDeleteRejected) {
   Request req;
   req.key = kv::hash_of_rank(14);
   req.is_delete = true;
-  encode_request(frame, req, /*with_token=*/false);
-  EXPECT_FALSE(decode_request(frame, /*with_token=*/true).has_value());
+  encode_request(frame, req, kPlain);
+  EXPECT_FALSE(decode_request(frame, kToken).has_value());
 }
 
 TEST(Protocol, ResponseRoundTripWithToken) {
@@ -238,11 +243,9 @@ TEST(Protocol, ResponseRoundTripWithToken) {
   std::vector<std::byte> value(32);
   workload::WorkloadGenerator::fill_value(6, value);
   std::uint32_t n =
-      encode_response(buf, RespStatus::kOk, value, /*with_token=*/true,
-                      /*token=*/0xBEEF);
+      encode_response(buf, {RespStatus::kOk, /*token=*/0xBEEF, value}, kToken);
   EXPECT_EQ(n, kRespHeader + kTokenBytes + 32);
-  auto dec = decode_response(std::span<const std::byte>(buf).first(n),
-                             /*with_token=*/true);
+  auto dec = decode_response(std::span<const std::byte>(buf).first(n), kToken);
   ASSERT_TRUE(dec.has_value());
   EXPECT_EQ(dec->status, RespStatus::kOk);
   EXPECT_EQ(dec->token, 0xBEEFu);
@@ -252,11 +255,10 @@ TEST(Protocol, ResponseRoundTripWithToken) {
 
 TEST(Protocol, DeletedAckResponseWithTokenHasNoValue) {
   std::vector<std::byte> buf(64);
-  std::uint32_t n = encode_response(buf, RespStatus::kNotFound, {},
-                                    /*with_token=*/true, /*token=*/7);
+  std::uint32_t n =
+      encode_response(buf, {RespStatus::kNotFound, /*token=*/7}, kToken);
   EXPECT_EQ(n, kRespHeader + kTokenBytes);
-  auto dec = decode_response(std::span<const std::byte>(buf).first(n),
-                             /*with_token=*/true);
+  auto dec = decode_response(std::span<const std::byte>(buf).first(n), kToken);
   ASSERT_TRUE(dec.has_value());
   EXPECT_EQ(dec->status, RespStatus::kNotFound);
   EXPECT_EQ(dec->token, 7u);
@@ -267,7 +269,7 @@ TEST(Protocol, EncodeRejectsRequestLargerThanFrame) {
   // A full-size value plus token, epoch and overload headers outgrows the
   // 1 KB slot: the encoder must refuse it without writing a byte, inside
   // the slot or in front of it.
-  ASSERT_GT(request_wire_bytes(kMaxValue, true, true, true), kSlotBytes);
+  ASSERT_GT(kAllHeaders.request_bytes(kMaxValue), kSlotBytes);
   std::vector<std::byte> value(kMaxValue, std::byte{1});
   Request req;
   req.key = kv::hash_of_rank(9);
@@ -275,16 +277,16 @@ TEST(Protocol, EncodeRejectsRequestLargerThanFrame) {
   req.value = value;
   std::vector<std::byte> buf(2 * kSlotBytes, std::byte{0x5a});
   std::span<std::byte> slot(buf.data() + kSlotBytes, kSlotBytes);
-  EXPECT_THROW(encode_request(slot, req, true, true, true), std::length_error);
+  EXPECT_THROW(encode_request(slot, req, kAllHeaders), std::length_error);
   for (std::byte b : buf) ASSERT_EQ(b, std::byte{0x5a});
 
   // A SEND frame one byte short of the wire size is refused too; the exact
   // size fits.
   req.value = std::span<const std::byte>(value.data(), 40);
-  std::vector<std::byte> frame(request_wire_bytes(40, true) - 1);
-  EXPECT_THROW(encode_request(frame, req, true), std::length_error);
+  std::vector<std::byte> frame(kToken.request_bytes(40) - 1);
+  EXPECT_THROW(encode_request(frame, req, kToken), std::length_error);
   frame.resize(frame.size() + 1);
-  EXPECT_EQ(encode_request(frame, req, true), 0u);
+  EXPECT_EQ(encode_request(frame, req, kToken), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -328,13 +330,16 @@ constexpr int kMutations = 3000;  // per header combination / payload kind
 TEST(ProtocolFuzz, MutatedRequestsDecodeInBoundsOrNotAtAll) {
   sim::Pcg32 rng(0xfa57);
   for (std::uint32_t combo = 0; combo < 8; ++combo) {
-    const bool tok = combo & 1, ep = combo & 2, ov = combo & 4;
-    SCOPED_TRACE(::testing::Message() << "token=" << tok << " epoch=" << ep
-                                      << " overload=" << ov);
+    const WireFormat wf{.token = (combo & 1) != 0,
+                        .epoch = (combo & 2) != 0,
+                        .overload = (combo & 4) != 0};
+    SCOPED_TRACE(::testing::Message() << "token=" << wf.token << " epoch="
+                                      << wf.epoch << " overload="
+                                      << wf.overload);
     int decoded = 0;
     for (int i = 0; i < kMutations; ++i) {
       std::vector<std::byte> value(rng.next_u32() %
-                                   (max_value_bytes(tok, ep, ov) + 1));
+                                   (wf.max_value() + 1));
       workload::WorkloadGenerator::fill_value(i, value);
       Request req;
       req.key = kv::hash_of_rank(i);
@@ -349,11 +354,10 @@ TEST(ProtocolFuzz, MutatedRequestsDecodeInBoundsOrNotAtAll) {
       std::vector<std::byte> wire(
           rng.next_u32() % 2 == 0
               ? kSlotBytes
-              : request_wire_bytes(
-                    static_cast<std::uint32_t>(req.value.size()), tok, ep, ov));
-      encode_request(wire, req, tok, ep, ov);
+              : wf.request_bytes(static_cast<std::uint32_t>(req.value.size())));
+      encode_request(wire, req, wf);
       std::vector<std::byte> hostile = mutate(wire, rng);
-      auto dec = decode_request(hostile, tok, ep, ov);
+      auto dec = decode_request(hostile, wf);
       if (!dec) continue;
       ++decoded;
       EXPECT_FALSE(dec->key.is_zero());
@@ -368,8 +372,8 @@ TEST(ProtocolFuzz, MutatedRequestsDecodeInBoundsOrNotAtAll) {
 
 TEST(ProtocolFuzz, MutatedResponsesDecodeInBoundsOrNotAtAll) {
   sim::Pcg32 rng(0xbeef);
-  for (bool tok : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "token=" << tok);
+  for (const WireFormat& wf : {kPlain, kToken}) {
+    SCOPED_TRACE(::testing::Message() << "token=" << wf.token);
     int decoded = 0;
     for (int i = 0; i < kMutations; ++i) {
       // A value response, or a kWrongEpoch redirect / kOverloaded
@@ -387,9 +391,9 @@ TEST(ProtocolFuzz, MutatedResponsesDecodeInBoundsOrNotAtAll) {
         workload::WorkloadGenerator::fill_value(i, value);
       }
       std::vector<std::byte> wire(kRespHeader + kTokenBytes + kMaxValue);
-      wire.resize(encode_response(wire, status, value, tok, rng.next_u32()));
+      wire.resize(encode_response(wire, {status, rng.next_u32(), value}, wf));
       std::vector<std::byte> hostile = mutate(wire, rng);
-      auto dec = decode_response(hostile, tok);
+      auto dec = decode_response(hostile, wf);
       if (!dec) continue;
       ++decoded;
       EXPECT_LE(dec->value.size(), kMaxValue);

@@ -100,8 +100,9 @@ TEST(Protocol, EpochHeaderRoundTrips) {
   req.token = 0xDEADBEEFu;
   req.epoch = 41;
   req.value = payload;
-  core::encode_request(slot, req, /*with_token=*/true, /*with_epoch=*/true);
-  auto got = core::decode_request(slot, true, true);
+  constexpr core::WireFormat kReplicated{.token = true, .epoch = true};
+  core::encode_request(slot, req, kReplicated);
+  auto got = core::decode_request(slot, kReplicated);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->key, req.key);
   EXPECT_TRUE(got->is_put);
@@ -112,15 +113,15 @@ TEST(Protocol, EpochHeaderRoundTrips) {
 }
 
 TEST(Protocol, MaxReplicatedValueStillFitsTheSlot) {
-  EXPECT_EQ(core::kMaxValueReplicated,
+  constexpr core::WireFormat kReplicated{.token = true, .epoch = true};
+  EXPECT_EQ(kReplicated.max_value(),
             core::kSlotBytes - core::kReqTrailer - core::kTokenBytes -
                 core::kEpochBytes);
-  EXPECT_EQ(core::request_wire_bytes(core::kMaxValueReplicated, true, true),
+  EXPECT_EQ(kReplicated.request_bytes(kReplicated.max_value()),
             core::kSlotBytes);
   // The unreplicated maximum would overflow a slot once the epoch header
-  // is on the wire — the validation rule this constant exists for.
-  EXPECT_GT(core::request_wire_bytes(core::kMaxValue, true, true),
-            core::kSlotBytes);
+  // is on the wire — the validation rule max_value() exists for.
+  EXPECT_GT(kReplicated.request_bytes(core::kMaxValue), core::kSlotBytes);
 }
 
 TEST(Protocol, RedirectRoundTrips) {

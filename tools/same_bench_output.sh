@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Runs the bench suite and the chaos sweeps of two build trees and says
 # whether they wrote the same bytes: every figure of `bench/herd_bench
-# --list` (or, in a tree from before herd_bench, every bench/bench_*
-# binary, named by its figure id), untraced and with --bench-trace=64, at
-# --bench-measure-ms=0.25 and one fixed --git-rev, $(nproc) figures at a
-# time; then tools/chaos_runner --seeds 100 --verbose, plain and with
-# --crash-primary --overload-burst. Prints one verdict per output class:
+# --list`, untraced and with --bench-trace=64, at --bench-measure-ms=0.25
+# and one fixed --git-rev, $(nproc) figures at a time; then
+# tools/chaos_runner --seeds 100 --verbose, plain and with --crash-primary
+# --overload-burst. Prints one verdict per output class:
 #
 #   BENCH          BENCH_<figure>.json
 #   TIMESERIES     TIMESERIES_<figure>.json
@@ -22,9 +21,9 @@
 # With --rev, the script builds REV itself: a detached `git worktree` of
 # this repository in a temporary directory, configured with BUILD_B's CMake
 # generator, build type, compiler and flags (read from its CMakeCache.txt)
-# and built offline (herd_bench, or REV's per-figure bench binaries, and
-# chaos_runner only). The worktree and its build are removed on exit,
-# whether the run passed, failed or was interrupted.
+# and built offline (herd_bench and chaos_runner only). The worktree and
+# its build are removed on exit, whether the run passed, failed or was
+# interrupted.
 #
 # Every output holds simulated results only, so a change that keeps the
 # model's behaviour writes the same bytes; a change to the engine's event
@@ -39,15 +38,9 @@ usage() {
   echo "       $0 --rev REV BUILD_B" >&2
   exit 2
 }
-# figures BUILD: one "ID COMMAND..." line per figure of BUILD; an old
-# tree's bench_figNN_* binary runs figure figNN.
+# figures BUILD: one "ID COMMAND..." line per figure of BUILD.
 figures() {
-  if [ -x "$1/bench/herd_bench" ]; then
-    "$1/bench/herd_bench" --list | sed "s|.*|& $1/bench/herd_bench &|"
-  else
-    ls -d "$1"/bench/bench_* | sed -E 'h; s|.*/||
-      s/^bench_((fig|table)[0-9]+)_.*/\1/; s/^bench_//; G; s/\n/ /'
-  fi
+  "$1/bench/herd_bench" --list | sed "s|.*|& $1/bench/herd_bench &|"
 }
 
 # has_suite BUILD: BUILD holds the bench figures and chaos_runner.
@@ -111,12 +104,9 @@ if [ -n "$rev" ]; then
     flags+=("-D$entry")
   done < <(grep -E '^(CMAKE_BUILD_TYPE|CMAKE_CXX_COMPILER|CMAKE_CXX_FLAGS|HERD_[A-Z_]+):[A-Z]+=' \
              "$build_b/CMakeCache.txt")
-  targets=(chaos_runner herd_bench)
-  grep -q herd_bench "$src/bench/CMakeLists.txt" ||
-    targets=(chaos_runner $(cd "$src/bench" && ls bench_*.cpp | sed 's/[.]cpp$//'))
   echo "building $rev in $out/rev/build" >&2
   if ! { cmake -S "$src" -B "$out/rev/build" ${gen:+-G "$gen"} "${flags[@]}" &&
-         cmake --build "$out/rev/build" -j"$(nproc)" --target "${targets[@]}"
+         cmake --build "$out/rev/build" -j"$(nproc)" --target chaos_runner herd_bench
        } > "$out/rev/build.log" 2>&1; then
     tail -n 30 "$out/rev/build.log" >&2
     echo "$0: $rev does not build" >&2
