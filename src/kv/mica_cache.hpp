@@ -91,17 +91,40 @@ class MicaCache {
   static constexpr std::uint32_t kAssoc = 8;
 
  private:
-  struct IndexEntry {
-    std::uint64_t tag = 0;      // keyhash.hi; 0 = empty way
-    std::uint64_t offset = 0;   // monotonic log offset of the entry
-  };
-  struct Bucket {
+  // One index way in one 64-bit word, as MICA's mica.h packs a slot: an
+  // in-use bit, a tag from keyhash.hi, and the low bits of the entry's
+  // monotonic log offset. The offset decodes as the latest position at or
+  // before log_head_ with those low bits; any live entry is at most one log
+  // (less than 2^40 bytes) behind the head, so it decodes exactly.
+  using IndexEntry = std::uint64_t;
+  static constexpr int kOffsetBits = 40;
+  static constexpr int kTagBits = 64 - 1 - kOffsetBits;
+  static constexpr std::uint64_t kOffsetMask =
+      (std::uint64_t{1} << kOffsetBits) - 1;
+  static constexpr std::uint64_t kInUse = std::uint64_t{1} << 63;
+
+  // Eight ways fill one cache line: a GET's first access is one line.
+  struct alignas(64) Bucket {
     IndexEntry ways[kAssoc];
   };
+  static_assert(sizeof(Bucket) == 64);
 
   // Log entry layout: [KeyHash (16)] [value_len (4)] [value bytes] padded to
   // 8-byte alignment; entries never straddle the wrap boundary.
   static constexpr std::size_t kEntryHeader = kKeyHashBytes + 4;
+
+  /// What a way holds above its offset bits when it is `key`'s: the in-use
+  /// bit and the top kTagBits of keyhash.hi.
+  static std::uint64_t tag_of(const KeyHash& key) {
+    return kInUse | (key.hi >> (64 - kTagBits) << kOffsetBits);
+  }
+  static bool tag_matches(IndexEntry way, std::uint64_t tag) {
+    return (way & ~kOffsetMask) == tag;
+  }
+  std::uint64_t offset_of(IndexEntry way) const {
+    return log_head_ - ((log_head_ - way) & kOffsetMask);
+  }
+  static const Config& checked(const Config& cfg);
 
   Bucket& bucket_for(const KeyHash& key) {
     return buckets_[key.lo & bucket_mask_];
@@ -109,7 +132,9 @@ class MicaCache {
   const Bucket& bucket_for(const KeyHash& key) const {
     return buckets_[key.lo & bucket_mask_];
   }
-  bool offset_live(std::uint64_t offset, std::size_t entry_bytes) const;
+  bool offset_live(std::uint64_t offset) const;
+  /// The keyhash of the log entry at byte `pos` of the log.
+  KeyHash stored_key(std::size_t pos) const;
   std::uint64_t append_log(const KeyHash& key,
                            std::span<const std::byte> value);
 

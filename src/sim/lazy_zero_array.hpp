@@ -19,18 +19,19 @@
 
 namespace herd::sim {
 
-namespace detail {
-/// Maps `bytes` of zero pages (nullptr for 0 bytes); throws std::bad_alloc.
-void* map_zero_pages(std::size_t bytes);
-void unmap_zero_pages(void* p, std::size_t bytes);
-void advise_huge_pages(void* p, std::size_t bytes);
-}  // namespace detail
-
 /// How the kernel should back an array's pages. kHuge asks for transparent
 /// huge pages: worth it for an array that is touched whole and read at
 /// random, where it saves a TLB miss per read. A hint; ignored where THP is
 /// off.
 enum class PageHint { kDefault, kHuge };
+
+namespace detail {
+/// Maps `bytes` of zero pages (nullptr for 0 bytes); throws std::bad_alloc.
+/// A kHuge mapping starts on a 2 MiB boundary and is advised for huge
+/// pages.
+void* map_zero_pages(std::size_t bytes, PageHint hint);
+void unmap_zero_pages(void* p, std::size_t bytes);
+}  // namespace detail
 
 /// `T` must read as its default value when all of its bytes are zero.
 template <typename T>
@@ -40,13 +41,9 @@ class LazyZeroArray {
 
  public:
   explicit LazyZeroArray(std::size_t n, PageHint hint = PageHint::kDefault)
-      : data_(static_cast<T*>(detail::map_zero_pages(bytes_for(n)))),
+      : data_(static_cast<T*>(detail::map_zero_pages(bytes_for(n), hint))),
         size_(n),
-        hint_(hint) {
-    if (hint == PageHint::kHuge) {
-      detail::advise_huge_pages(data_, n * sizeof(T));
-    }
-  }
+        hint_(hint) {}
 
   /// Copies the first min(prefix, src.size()) elements of `src`, with its
   /// page hint; the rest stay untouched zero pages, so a copy costs only

@@ -26,11 +26,15 @@ void LatencyHistogram::clear() {
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
-  if (!other.buckets_.empty()) {
-    if (buckets_.empty()) allocate();
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      buckets_[i] += other.buckets_[i];
-    }
+  // An empty histogram adds nothing: its sum is +0.0 and its min and max
+  // are the identities.
+  if (other.count_ == 0) return;
+  if (buckets_.empty()) allocate();
+  // Every sample of `other` lies in [min_, max_], so no bucket outside
+  // their range holds one.
+  std::size_t last = bucket_index(other.max_);
+  for (std::size_t i = bucket_index(other.min_); i <= last; ++i) {
+    buckets_[i] += other.buckets_[i];
   }
   count_ += other.count_;
   min_ = std::min(min_, other.min_);

@@ -1,17 +1,20 @@
 // Laziness tests: host DMA arenas and MICA caches are zeroed lazily, so
 // building one faults in almost none of its pages, and a replica snapshot
 // of a cache faults in only what its source has written. Both hold after
-// an earlier testbed has come and gone and left the allocator dirty.
+// an earlier testbed has come and gone and left the allocator dirty. An
+// array hinted for huge pages starts on a huge-page boundary.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
 
 #include "herd/testbed.hpp"
 #include "kv/mica_cache.hpp"
+#include "sim/lazy_zero_array.hpp"
 #include "verbs/memory.hpp"
 #include "workload/workload.hpp"
 
@@ -63,9 +66,10 @@ kv::MicaCache::Config bench_partition() {
   return cfg;
 }
 
-// 2^15 buckets of kAssoc ways, each way a 16-byte (tag, offset) entry.
+// 2^15 buckets of kAssoc ways, each way one 8-byte (in-use, tag, offset)
+// word: 2 MiB.
 constexpr std::size_t kIndexBytes =
-    (std::size_t{1} << 15) * kv::MicaCache::kAssoc * 16;
+    (std::size_t{1} << 15) * kv::MicaCache::kAssoc * 8;
 
 std::vector<std::byte> value_of(std::uint64_t rank) {
   std::vector<std::byte> v(32 + rank % 64);
@@ -125,6 +129,28 @@ TEST(LazyArena, CacheCopyServesEveryKeyAndFaultsOnlyItsWrittenPrefix) {
     ASSERT_EQ(a.found, rank <= kKeys) << "rank " << rank;
     ASSERT_EQ(a.value_len, b.value_len);
     ASSERT_EQ(std::memcmp(want, got, a.value_len), 0) << "rank " << rank;
+  }
+}
+
+// A huge page backs only a 2 MiB-aligned range, so a kHuge array starts on
+// one whatever its size, and reads and writes as any other.
+TEST(LazyArena, HugeHintArraysStartOn2MiBBoundaries) {
+  constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
+  for (std::size_t bytes : {std::size_t{64}, std::size_t{2} << 20,
+                            (std::size_t{3} << 20) + 4096 + 100}) {
+    // Interleave a small default map, so the next address is unaligned.
+    sim::LazyZeroArray<std::byte> pad(4096);
+    sim::LazyZeroArray<std::byte> a(bytes, sim::PageHint::kHuge);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) % kHugePage, 0u)
+        << bytes << " bytes";
+    ASSERT_EQ(a[0], std::byte{0});
+    ASSERT_EQ(a[bytes - 1], std::byte{0});
+    a[0] = std::byte{1};
+    a[bytes - 1] = std::byte{2};
+    sim::LazyZeroArray<std::byte> copy(a, bytes);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(copy.data()) % kHugePage, 0u);
+    EXPECT_EQ(copy[0], std::byte{1});
+    EXPECT_EQ(copy[bytes - 1], std::byte{2});
   }
 }
 

@@ -103,6 +103,14 @@ TEST(MicaCache, TooSmallLogRejected) {
   EXPECT_THROW(MicaCache{cfg}, std::invalid_argument);
 }
 
+TEST(MicaCache, LogBeyond40BitOffsetsRejected) {
+  // A way keeps 40 offset bits; a live entry decodes exactly only while a
+  // whole log is less than 2^40 bytes. Checked before anything is mapped.
+  MicaCache::Config cfg = tiny();
+  cfg.log_bytes = std::size_t{1} << 40;
+  EXPECT_THROW(MicaCache{cfg}, std::invalid_argument);
+}
+
 TEST(MicaCache, SmallBufferThrows) {
   MicaCache c(tiny());
   c.put(hash_of_rank(6), value_of(6, 64));
@@ -212,6 +220,13 @@ TEST(MicaCache, StatsAccounting) {
   EXPECT_EQ(c.stats().get_misses, 1u);
 }
 
+bool same_stats(const MicaCache::Stats& a, const MicaCache::Stats& b) {
+  return a.gets == b.gets && a.get_hits == b.get_hits &&
+         a.get_misses == b.get_misses && a.get_stale == b.get_stale &&
+         a.puts == b.puts && a.index_evictions == b.index_evictions &&
+         a.log_wraps == b.log_wraps;
+}
+
 // The host prefetch hints HERD's pipeline issues must not change what the
 // cache does: the same seeded mix of puts, gets and erases, with log wraps
 // and lossy-index evictions, runs on two caches, and one of them gets
@@ -223,21 +238,13 @@ TEST(MicaCache, PrefetchIsAPureHint) {
   MicaCache plain(cfg);
   MicaCache hinted(cfg);
   sim::Pcg32 rng(17);
-  auto same_stats = [&] {
-    const MicaCache::Stats& a = plain.stats();
-    const MicaCache::Stats& b = hinted.stats();
-    return a.gets == b.gets && a.get_hits == b.get_hits &&
-           a.get_misses == b.get_misses && a.get_stale == b.get_stale &&
-           a.puts == b.puts && a.index_evictions == b.index_evictions &&
-           a.log_wraps == b.log_wraps;
-  };
   for (int i = 0; i < 20000; ++i) {
     // Ranks past 600 are never put: absent keys.
     for (std::uint32_t r : {rng.next_below(700), rng.next_below(700),
                             1000 + rng.next_below(100)}) {
       hinted.prefetch_bucket(hash_of_rank(r));
     }
-    ASSERT_TRUE(same_stats()) << "op " << i;
+    ASSERT_TRUE(same_stats(plain.stats(), hinted.stats())) << "op " << i;
     std::uint64_t r = rng.next_below(600);
     KeyHash key = hash_of_rank(r);
     double what = rng.next_double();
@@ -259,12 +266,301 @@ TEST(MicaCache, PrefetchIsAPureHint) {
     }
     ASSERT_EQ(plain.log_head(), hinted.log_head());
   }
-  EXPECT_TRUE(same_stats());
+  EXPECT_TRUE(same_stats(plain.stats(), hinted.stats()));
   EXPECT_GT(plain.stats().log_wraps, 0u);
   EXPECT_GT(plain.stats().index_evictions, 0u);
   EXPECT_GT(plain.stats().get_stale, 0u);
   EXPECT_GT(plain.stats().get_hits, 0u);
   EXPECT_GT(plain.stats().get_misses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The packed index: one 64-bit word per way (in-use bit, 23-bit tag from the
+// top of keyhash.hi, low 40 bits of the log offset).
+
+// The index as it stood with 16-byte ways: a full 64-bit tag (keyhash.hi,
+// 0 = empty) and a full 64-bit log offset each, over the same log, the same
+// eviction RNG and the same counters. Packing the ways must not change a
+// verdict while no two keys of one bucket share a packed tag.
+class WideMica {
+ public:
+  explicit WideMica(const MicaCache::Config& cfg)
+      : mask_((std::uint64_t{1} << cfg.bucket_count_log2) - 1),
+        ways_((mask_ + 1) * MicaCache::kAssoc),
+        log_(cfg.log_bytes),
+        rng_state_(cfg.seed | 1) {}
+
+  MicaCache::GetResult get(const KeyHash& key, std::span<std::byte> out) {
+    ++stats_.gets;
+    MicaCache::GetResult r;
+    r.accesses = 1;
+    for (Way& way : bucket(key)) {
+      if (way.tag != key.hi) continue;
+      r.accesses = 2;
+      std::size_t pos = way.offset % log_.size();
+      KeyHash stored;
+      std::memcpy(&stored.hi, log_.data() + pos, 8);
+      std::memcpy(&stored.lo, log_.data() + pos + 8, 8);
+      std::uint32_t len;
+      std::memcpy(&len, log_.data() + pos + 16, 4);
+      if (!live(way.offset) || !(stored == key)) {
+        way.tag = 0;
+        ++stats_.get_stale;
+        return r;
+      }
+      std::memcpy(out.data(), log_.data() + pos + kHeader, len);
+      r.found = true;
+      r.value_len = len;
+      ++stats_.get_hits;
+      return r;
+    }
+    ++stats_.get_misses;
+    return r;
+  }
+
+  MicaCache::PutResult put(const KeyHash& key,
+                           std::span<const std::byte> value) {
+    ++stats_.puts;
+    MicaCache::PutResult r;
+    r.accesses = 1;
+    std::uint64_t offset = append(key, value);
+    std::span<Way> b = bucket(key);
+    Way* empty = nullptr;
+    for (Way& way : b) {
+      if (way.tag == key.hi) {
+        way.offset = offset;
+        return r;
+      }
+      if (way.tag == 0 && empty == nullptr) empty = &way;
+    }
+    if (empty != nullptr) {
+      *empty = Way{key.hi, offset};
+      return r;
+    }
+    rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    b[(rng_state_ >> 33) % MicaCache::kAssoc] = Way{key.hi, offset};
+    ++stats_.index_evictions;
+    r.evicted = true;
+    return r;
+  }
+
+  bool erase(const KeyHash& key) {
+    for (Way& way : bucket(key)) {
+      if (way.tag == key.hi) {
+        way.tag = 0;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  const MicaCache::Stats& stats() const { return stats_; }
+  std::uint64_t log_head() const { return head_; }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    std::uint64_t offset = 0;
+  };
+  static constexpr std::size_t kHeader = kKeyHashBytes + 4;
+
+  std::span<Way> bucket(const KeyHash& key) {
+    return std::span(ways_).subspan((key.lo & mask_) * MicaCache::kAssoc,
+                                    MicaCache::kAssoc);
+  }
+  bool live(std::uint64_t offset) const {
+    return offset < head_ && head_ <= offset + log_.size();
+  }
+  std::uint64_t append(const KeyHash& key, std::span<const std::byte> value) {
+    std::size_t need = (kHeader + value.size() + 7) & ~std::size_t{7};
+    std::size_t pos = head_ % log_.size();
+    if (pos + need > log_.size()) {
+      head_ += log_.size() - pos;
+      pos = 0;
+      ++stats_.log_wraps;
+    }
+    std::uint64_t offset = head_;
+    std::memcpy(log_.data() + pos, &key.hi, 8);
+    std::memcpy(log_.data() + pos + 8, &key.lo, 8);
+    auto len = static_cast<std::uint32_t>(value.size());
+    std::memcpy(log_.data() + pos + 16, &len, 4);
+    std::ranges::copy(value, log_.begin() + static_cast<std::ptrdiff_t>(
+                                                 pos + kHeader));
+    head_ += need;
+    return offset;
+  }
+
+  std::uint64_t mask_;
+  std::vector<Way> ways_;
+  std::vector<std::byte> log_;
+  std::uint64_t head_ = 0;
+  MicaCache::Stats stats_;
+  std::uint64_t rng_state_;
+};
+
+// The top 23 bits of keyhash.hi: what a packed way keeps of a key.
+std::uint64_t packed_tag(const KeyHash& key) { return key.hi >> 41; }
+
+// Seeded PUT/GET/DELETE streams over 1-4 buckets (8-32 ways for 48 keys:
+// evictions on most puts) and a 4 KiB log (a wrap every few puts, so many
+// stale entries), with a replica snapshot taken mid-stream. The packed
+// cache and the 16-byte-way reference agree on every result, every value
+// byte, every counter and the log head.
+TEST(MicaPackedIndex, AgreesWithSixteenByteWays) {
+  constexpr std::uint64_t kKeys = 48;
+  constexpr int kOps = 20000;
+  for (std::uint32_t log2 : {0u, 1u, 2u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "buckets " << (1u << log2) << " seed " << seed);
+      MicaCache::Config cfg;
+      cfg.bucket_count_log2 = log2;
+      cfg.log_bytes = 4 << 10;
+      cfg.seed = seed;
+      auto packed = std::make_unique<MicaCache>(cfg);
+      WideMica wide(cfg);
+      std::vector<KeyHash> keys;
+      for (std::uint64_t r = 0; r < kKeys; ++r) {
+        keys.push_back(hash_of_rank(seed * 1000 + r));
+      }
+      // The precondition for agreement: tags unique within each bucket.
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+          bool same_bucket = ((keys[i].lo ^ keys[j].lo) & ((1u << log2) - 1))
+                             == 0;
+          ASSERT_FALSE(same_bucket &&
+                       packed_tag(keys[i]) == packed_tag(keys[j]));
+        }
+      }
+      sim::Pcg32 rng(seed);
+      for (int i = 0; i < kOps; ++i) {
+        if (i == kOps / 2) {
+          packed = std::make_unique<MicaCache>(*packed);
+        }
+        std::uint64_t r = rng.next_below(kKeys);
+        const KeyHash& key = keys[r];
+        double what = rng.next_double();
+        if (what < 0.5) {
+          // Mostly small values, now and then one near the 1 KB limit.
+          std::uint32_t len = rng.next_below(8) == 0
+                                  ? 700 + rng.next_below(325)
+                                  : rng.next_below(200);
+          auto value = value_of(r * 100003 + static_cast<std::uint64_t>(i),
+                                len);
+          auto a = packed->put(key, value);
+          auto b = wide.put(key, value);
+          ASSERT_EQ(a.evicted, b.evicted) << "op " << i;
+          ASSERT_EQ(a.accesses, b.accesses) << "op " << i;
+        } else if (what < 0.6) {
+          ASSERT_EQ(packed->erase(key), wide.erase(key)) << "op " << i;
+        } else {
+          std::byte a[MicaCache::kMaxValue];
+          std::byte b[MicaCache::kMaxValue];
+          auto ga = packed->get(key, a);
+          auto gb = wide.get(key, b);
+          ASSERT_EQ(ga.found, gb.found) << "op " << i;
+          ASSERT_EQ(ga.value_len, gb.value_len) << "op " << i;
+          ASSERT_EQ(ga.accesses, gb.accesses) << "op " << i;
+          ASSERT_EQ(std::memcmp(a, b, ga.value_len), 0) << "op " << i;
+        }
+        ASSERT_TRUE(same_stats(packed->stats(), wide.stats())) << "op " << i;
+        ASSERT_EQ(packed->log_head(), wide.log_head()) << "op " << i;
+      }
+      // The streams reached every path the comparison is meant to cover.
+      EXPECT_GT(wide.stats().log_wraps, 100u);
+      EXPECT_GT(wide.stats().index_evictions, 100u);
+      EXPECT_GT(wide.stats().get_stale, 100u);
+      EXPECT_GT(wide.stats().get_hits, 100u);
+      EXPECT_GT(wide.stats().get_misses, 100u);
+    }
+  }
+}
+
+// Two keys of one bucket whose keyhashes differ only below the tag. A PUT
+// matches a way on its tag alone, as MICA's insert does, so the second key
+// takes the first one's way. GET and DELETE confirm the tag against the
+// keyhash in the log: one key's GET or DELETE neither reads nor drops the
+// other's live entry.
+TEST(MicaPackedIndex, SharedTagPutTakesTheWayGetAndDeleteLeaveIt) {
+  MicaCache::Config cfg;
+  cfg.bucket_count_log2 = 2;
+  cfg.log_bytes = 64 << 10;
+  MicaCache c(cfg);
+  const KeyHash a{0xABCDEF0000000001ULL, 0x10};
+  const KeyHash b{0xABCDEF0000000002ULL, 0x14};  // same bucket, lo & 3
+  const KeyHash other{0x1234560000000001ULL, 0x18};
+  ASSERT_EQ(packed_tag(a), packed_tag(b));
+  ASSERT_NE(packed_tag(a), packed_tag(other));
+  auto va = value_of(1, 40);
+  auto vb = value_of(2, 24);
+  std::byte out[64];
+  auto holds = [&](const KeyHash& key, const std::vector<std::byte>& want) {
+    auto g = c.get(key, out);
+    return g.found && g.value_len == want.size() &&
+           std::memcmp(out, want.data(), want.size()) == 0;
+  };
+
+  c.put(other, value_of(3, 8));
+  c.put(a, va);
+  ASSERT_TRUE(holds(a, va));
+  EXPECT_FALSE(c.put(b, vb).evicted);  // took a's way, not a free one
+  EXPECT_TRUE(holds(b, vb));
+
+  MicaCache::Stats before = c.stats();
+  auto g = c.get(a, out);
+  EXPECT_FALSE(g.found);
+  EXPECT_EQ(g.accesses, 2);  // it read the log entry to find out
+  EXPECT_EQ(c.stats().get_misses, before.get_misses + 1);
+  EXPECT_EQ(c.stats().get_stale, before.get_stale);
+  EXPECT_TRUE(holds(b, vb));  // a's GET left b's way in place
+
+  EXPECT_FALSE(c.erase(a));
+  EXPECT_TRUE(holds(b, vb));  // and so did a's DELETE
+  EXPECT_TRUE(holds(other, value_of(3, 8)));
+
+  EXPECT_TRUE(c.erase(b));
+  EXPECT_FALSE(c.get(b, out).found);
+  EXPECT_FALSE(c.get(a, out).found);
+  c.put(a, va);
+  EXPECT_TRUE(holds(a, va));
+  EXPECT_FALSE(c.get(b, out).found);
+  EXPECT_TRUE(holds(other, value_of(3, 8)));
+}
+
+// An offset keeps only its low 40 bits and decodes relative to the head. An
+// entry less than one lap behind reads back; one more than a lap behind is
+// stale, and the way is dropped.
+TEST(MicaPackedIndex, EntryMoreThanALapBehindIsStale) {
+  MicaCache::Config cfg;
+  cfg.bucket_count_log2 = 1;
+  cfg.log_bytes = 4 << 10;
+  MicaCache c(cfg);
+  const KeyHash key{hash_of_rank(7).hi, 0};  // bucket 0
+  auto value = value_of(7, 100);
+  c.put(key, value);
+  const std::uint64_t at = c.log_head() - 120;  // 20 + 100, padded to 8
+  std::uint64_t filler = 0;
+  auto fill_to = [&](std::uint64_t head) {
+    while (c.log_head() < head) {
+      KeyHash f = hash_of_rank(1000 + filler);
+      f.lo = (filler++ << 1) | 1;  // bucket 1: never key's way
+      c.put(f, value_of(filler, 100));
+    }
+  };
+  std::byte out[128];
+  fill_to(at + cfg.log_bytes / 2);
+  auto g = c.get(key, out);
+  ASSERT_TRUE(g.found);
+  EXPECT_EQ(std::memcmp(out, value.data(), value.size()), 0);
+
+  fill_to(at + 2 * cfg.log_bytes + 1);
+  EXPECT_GT(c.stats().log_wraps, 1u);
+  MicaCache::Stats before = c.stats();
+  EXPECT_FALSE(c.get(key, out).found);
+  EXPECT_EQ(c.stats().get_stale, before.get_stale + 1);
+  EXPECT_FALSE(c.get(key, out).found);  // the way is gone: a plain miss
+  EXPECT_EQ(c.stats().get_stale, before.get_stale + 1);
+  EXPECT_EQ(c.stats().get_misses, before.get_misses + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -85,6 +85,90 @@ TEST(LatencyHistogram, MergeAccumulates) {
   EXPECT_NEAR(a.mean_ns(), (10 + 1000 + 2000) / 3.0, 0.01);
 }
 
+// Merge adds only the buckets between the source's min and max. Whatever
+// the ranges, merging must answer every read exactly as recording every
+// sample into one histogram does. Samples are whole nanoseconds, so the
+// sums, and with them the means, are exact in either order.
+TEST(LatencyHistogram, MergeOfRangesEqualsRecordingEverySample) {
+  auto expect_same = [](const LatencyHistogram& got,
+                        const LatencyHistogram& want, const char* what) {
+    SCOPED_TRACE(what);
+    ASSERT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    EXPECT_EQ(got.mean_ns(), want.mean_ns());
+    // One quantile per rank: equal at every rank means equal buckets.
+    auto n = static_cast<double>(want.count());
+    for (std::uint64_t k = 1; k <= want.count(); ++k) {
+      double q = (static_cast<double>(k) - 0.5) / n;
+      ASSERT_EQ(got.quantile_ns(q), want.quantile_ns(q)) << "rank " << k;
+    }
+  };
+  Pcg32 rng(11);
+  // Samples in [lo, hi) ns; n of them, with z extra zeros.
+  auto fill = [&](LatencyHistogram& h, LatencyHistogram& all,
+                  std::uint32_t lo, std::uint32_t hi, int n, int z) {
+    for (int i = 0; i < n; ++i) {
+      Tick t = ns(lo + rng.next_below(hi - lo));
+      h.record(t);
+      all.record(t);
+    }
+    h.record_zeros(static_cast<std::uint64_t>(z));
+    all.record_zeros(static_cast<std::uint64_t>(z));
+  };
+  struct Case {
+    const char* what;
+    std::uint32_t a_lo, a_hi;
+    int a_n, a_zeros;
+    std::uint32_t b_lo, b_hi;
+    int b_n, b_zeros;
+  };
+  for (const Case& c : {
+           Case{"disjoint, low into high", 5000, 9000, 200, 0, 10, 50, 150, 0},
+           Case{"disjoint, high into low", 10, 50, 150, 0, 5000, 9000, 200, 0},
+           Case{"overlapping", 100, 10000, 300, 0, 1000, 50000, 300, 0},
+           Case{"one inside the other", 10, 90000, 300, 0, 400, 600, 100, 0},
+           Case{"zeros only into samples", 100, 900, 100, 0, 0, 0, 0, 7},
+           Case{"samples into zeros only", 0, 0, 0, 5, 100, 900, 100, 0},
+           Case{"zeros only into zeros only", 0, 0, 0, 4, 0, 0, 0, 3},
+           Case{"zeros with samples", 1, 40, 50, 6, 20, 700, 50, 2},
+       }) {
+    LatencyHistogram a, b, all;
+    fill(a, all, c.a_lo, c.a_hi, c.a_n, c.a_zeros);
+    fill(b, all, c.b_lo, c.b_hi, c.b_n, c.b_zeros);
+    a.merge(b);
+    expect_same(a, all, c.what);
+  }
+
+  // A never-recorded and a cleared histogram add nothing, in either
+  // direction; several merges into a fresh histogram add up.
+  LatencyHistogram parts[3], all;
+  fill(parts[0], all, 30, 70, 100, 0);
+  fill(parts[1], all, 60, 6000, 100, 3);
+  fill(parts[2], all, 9000, 20000, 100, 0);
+  LatencyHistogram cleared;
+  cleared.record(ns(123));
+  cleared.clear();
+  LatencyHistogram sum;
+  sum.merge(cleared);
+  sum.merge(LatencyHistogram{});
+  for (const LatencyHistogram& p : parts) sum.merge(p);
+  sum.merge(cleared);
+  expect_same(sum, all, "chain");
+  cleared.merge(sum);
+  expect_same(cleared, all, "into a cleared histogram");
+
+  // The last bucket, where bucket_index clamps.
+  LatencyHistogram top, top_all;
+  top.record(std::numeric_limits<Tick>::max());
+  top_all.record(std::numeric_limits<Tick>::max());
+  LatencyHistogram low;
+  low.record(ns(5));
+  top_all.record(ns(5));
+  top.merge(low);
+  expect_same(top, top_all, "largest tick");
+}
+
 TEST(LatencyHistogram, ClearResets) {
   LatencyHistogram h;
   h.record(ns(5));

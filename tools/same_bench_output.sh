@@ -4,7 +4,8 @@
 # --list`, untraced and with --bench-trace=64, at --bench-measure-ms=0.25
 # and one fixed --git-rev, $(nproc) figures at a time; then
 # tools/chaos_runner --seeds 100 --verbose, plain and with --crash-primary
-# --overload-burst. Prints one verdict per output class:
+# --overload-burst; then the two golden tests of tests/chaos_test. Prints
+# one verdict per output class:
 #
 #   BENCH          BENCH_<figure>.json
 #   TIMESERIES     TIMESERIES_<figure>.json
@@ -14,6 +15,10 @@
 #                  lines, counters and exit status
 #   chaos-engine   each seed's engine= column (event counts)
 #   chaos-trace    each seed's trace= column (trace bytes)
+#   golden-chaos   ChaosGolden.FingerprintsMatchCommittedGoldens: the
+#                  fingerprints it computed and its exit status
+#   golden-trace   ChaosTrace.FaultPathTraceMatchesGolden: the trace it
+#                  computed and its exit status
 #
 #   tools/same_bench_output.sh /path/to/parent/build build
 #   tools/same_bench_output.sh --rev REV build
@@ -21,16 +26,19 @@
 # With --rev, the script builds REV itself: a detached `git worktree` of
 # this repository in a temporary directory, configured with BUILD_B's CMake
 # generator, build type, compiler and flags (read from its CMakeCache.txt)
-# and built offline (herd_bench and chaos_runner only). The worktree and
-# its build are removed on exit, whether the run passed, failed or was
-# interrupted.
+# and built offline (herd_bench, chaos_runner and chaos_test only). The
+# worktree and its build are removed on exit, whether the run passed,
+# failed or was interrupted.
 #
 # Every output holds simulated results only, so a change that keeps the
 # model's behaviour writes the same bytes; a change to the engine's event
 # count alone moves only chaos-engine, one to the trace alone only
-# chaos-trace. Exits 0 when every class is identical, 1 when any differs, 2
-# on a usage error or when REV does not build. A run that exits nonzero is
-# listed; its exit status is part of the stdout class.
+# chaos-trace. Each tree's golden tests compare against that tree's committed
+# goldens; the verdict compares what the two trees computed, so it holds
+# even where a golden file differs between them. Exits 0 when every class
+# is identical, 1 when any differs, 2 on a usage error or when REV does not
+# build. A run that exits nonzero is listed; its exit status is part of its
+# class (stdout for a figure).
 set -u
 
 usage() {
@@ -43,16 +51,20 @@ figures() {
   "$1/bench/herd_bench" --list | sed "s|.*|& $1/bench/herd_bench &|"
 }
 
-# has_suite BUILD: BUILD holds the bench figures and chaos_runner.
+# has_suite BUILD: BUILD holds the bench figures, chaos_runner and
+# chaos_test.
 has_suite() {
   if [ -z "$(figures "$1" 2> /dev/null)" ]; then
     echo "$0: no bench figures under $1/bench" >&2
     return 1
   fi
-  if [ ! -x "$1/tools/chaos_runner" ]; then
-    echo "$0: no $1/tools/chaos_runner" >&2
-    return 1
-  fi
+  local bin
+  for bin in tools/chaos_runner tests/chaos_test; do
+    if [ ! -x "$1/$bin" ]; then
+      echo "$0: no $1/$bin" >&2
+      return 1
+    fi
+  done
 }
 
 rev=
@@ -106,7 +118,7 @@ if [ -n "$rev" ]; then
              "$build_b/CMakeCache.txt")
   echo "building $rev in $out/rev/build" >&2
   if ! { cmake -S "$src" -B "$out/rev/build" ${gen:+-G "$gen"} "${flags[@]}" &&
-         cmake --build "$out/rev/build" -j"$(nproc)" --target chaos_runner herd_bench
+         cmake --build "$out/rev/build" -j"$(nproc)" --target chaos_runner chaos_test herd_bench
        } > "$out/rev/build.log" 2>&1; then
     tail -n 30 "$out/rev/build.log" >&2
     echo "$0: $rev does not build" >&2
@@ -149,12 +161,30 @@ for side in a b; do
   run "$side" "$build" untraced
   run "$side" "$build" traced --bench-trace=64
 done
-# The four sweeps run side by side; each is one process.
+GOLDEN_TESTS=(ChaosGolden.FingerprintsMatchCommittedGoldens
+              ChaosTrace.FaultPathTraceMatchesGolden)
+# goldens SIDE BUILD: each golden test of BUILD's chaos_test, run in
+# $out/SIDE/golden/TEST, where it leaves the .actual.txt it computed; its
+# exit status goes to status.txt there.
+goldens() {
+  local bin test
+  bin=$(cd "$2" && pwd)/tests/chaos_test
+  for test in "${GOLDEN_TESTS[@]}"; do
+    mkdir -p "$out/$1/golden/$test"
+    (cd "$out/$1/golden/$test" &&
+       "$bin" --gtest_filter="$test" > /dev/null 2>&1
+     echo "exit=$?" > status.txt)
+  done
+}
+
+# The four sweeps and both trees' goldens run side by side; each is one
+# process.
 for side in a b; do
   build=$build_a
   [ "$side" = b ] && build=$build_b
   sweep "$side" "$build" plain &
   sweep "$side" "$build" combined --crash-primary --overload-burst &
+  goldens "$side" "$build" &
 done
 wait
 
@@ -233,7 +263,33 @@ chaos_verdict history
 chaos_verdict engine
 chaos_verdict trace
 
-failed=$(cd "$out" && grep -L '^exit=0$' */*/stdout/*.txt */chaos/*.txt)
+# golden_verdict CLASS TEST: compares what TEST computed and its exit
+# status in both trees, and says where it passed.
+golden_verdict() {
+  local class=$1 test=$2 side passed=() where
+  for side in a b; do
+    if grep -qx 'exit=0' "$out/$side/golden/$test/status.txt"; then
+      passed+=("$side")
+    fi
+  done
+  case "${passed[*]}" in
+    "a b") where="passes in both" ;;
+    a) where="fails in B" ;;
+    b) where="fails in A" ;;
+    *) where="fails in both" ;;
+  esac
+  if diff -r -q "$out/a/golden/$test" "$out/b/golden/$test" > /dev/null; then
+    printf '%-14s identical (%s)\n' "$class" "$where"
+  else
+    printf '%-14s DIFFERENT (%s)\n' "$class" "$where"
+    status=1
+  fi
+}
+golden_verdict golden-chaos "${GOLDEN_TESTS[0]}"
+golden_verdict golden-trace "${GOLDEN_TESTS[1]}"
+
+failed=$(cd "$out" &&
+         grep -L '^exit=0$' */*/stdout/*.txt */chaos/*.txt */golden/*/status.txt)
 if [ -n "$failed" ]; then
   echo "runs that exited nonzero:"
   printf '  %s\n' $failed
