@@ -1,5 +1,6 @@
 #include "kv/mica_cache.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -8,6 +9,7 @@ namespace herd::kv {
 
 namespace {
 std::size_t round_up8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
+std::size_t ceil_div(std::size_t n, std::size_t d) { return (n + d - 1) / d; }
 }  // namespace
 
 const MicaCache::Config& MicaCache::checked(const Config& cfg) {
@@ -26,18 +28,33 @@ MicaCache::MicaCache(const Config& cfg)
       // Preload touches every bucket, and lookups land on them at random.
       buckets_(std::size_t{1} << cfg.bucket_count_log2, sim::PageHint::kHuge),
       log_(cfg.log_bytes),
+      page_ways_(ceil_div(cfg.log_bytes, kLogPage)),
       rng_state_(cfg.seed | 1) {}
 
 MicaCache::MicaCache(const MicaCache& other)
     : cfg_(other.cfg_),
       bucket_mask_(other.bucket_mask_),
       buckets_(other.buckets_, other.buckets_.size()),
-      // Below capacity the head has never wrapped, so every byte at or past
-      // it is still zero; the prefix copy clamps at capacity once it has.
-      log_(other.log_, other.log_head_),
+      // Once the log has wrapped, the prefix copy clamps at capacity. Before
+      // that, the pages some way points into are copied below.
+      log_(other.log_, other.first_lap_ ? 0 : other.log_head_),
       log_head_(other.log_head_),
+      first_lap_(other.first_lap_),
+      page_ways_(other.page_ways_,
+                 first_lap_ ? ceil_div(log_head_, kLogPage) : 0),
+      pages_released_(other.pages_released_),
       stats_(other.stats_),
-      rng_state_(other.rng_state_) {}
+      rng_state_(other.rng_state_) {
+  if (!first_lap_) return;
+  // The other written pages hold only superseded entries, and reading a
+  // released one would fault it back in.
+  for (std::size_t p = 0; p * kLogPage < log_head_; ++p) {
+    if (page_ways_[p] == 0) continue;
+    std::size_t at = p * kLogPage;
+    std::memcpy(log_.data() + at, other.log_.data() + at,
+                std::min(kLogPage, log_.size() - at));
+  }
+}
 
 bool MicaCache::offset_live(std::uint64_t offset) const {
   // FIFO eviction: the cells of the entry at `offset` are reused by
@@ -64,6 +81,12 @@ std::uint64_t MicaCache::append_log(const KeyHash& key,
     pos = 0;
     ++stats_.log_wraps;
   }
+  if (first_lap_ && log_head_ >= log_.size()) {
+    // The second lap starts here (an entry that ends the log exactly takes
+    // no skip): drop the counts.
+    first_lap_ = false;
+    page_ways_.release(0, page_ways_.size());
+  }
   std::uint64_t offset = log_head_;
   std::memcpy(log_.data() + pos, &key.hi, 8);
   std::memcpy(log_.data() + pos + 8, &key.lo, 8);
@@ -74,6 +97,37 @@ std::uint64_t MicaCache::append_log(const KeyHash& key,
   }
   log_head_ += need;
   return offset;
+}
+
+void MicaCache::store(IndexEntry& way, IndexEntry entry) {
+  if (first_lap_) {
+    // Count the new entry first: the old one may share its first page.
+    if (entry != 0) count_pages(entry, +1);
+    if ((way & kInUse) != 0) count_pages(way, -1);
+  }
+  way = entry;
+}
+
+void MicaCache::count_pages(IndexEntry way, int delta) {
+  const std::size_t pos = offset_of(way);  // below capacity on the first lap
+  const std::size_t first = pos / kLogPage;
+  std::size_t last = first;
+  // Only an entry that starts less than its largest size before a page's
+  // end can run onto the next page; the length is read only for those.
+  if (pos % kLogPage + kEntryHeader + kMaxValue > kLogPage) {
+    std::uint32_t len;
+    std::memcpy(&len, log_.data() + pos + kKeyHashBytes, 4);
+    last = (pos + kEntryHeader + len - 1) / kLogPage;
+  }
+  for (std::size_t p = first; p <= last; ++p) {
+    page_ways_[p] = static_cast<std::uint8_t>(page_ways_[p] + delta);
+    // A page the head is still in gets the next entry before the head
+    // leaves it, so checking here, on the way down, finds every dead page.
+    if (page_ways_[p] == 0 && (p + 1) * kLogPage <= log_head_) {
+      log_.release(p * kLogPage, kLogPage);
+      ++pages_released_;
+    }
+  }
 }
 
 MicaCache::GetResult MicaCache::get(const KeyHash& key,
@@ -89,7 +143,7 @@ MicaCache::GetResult MicaCache::get(const KeyHash& key,
     std::uint64_t offset = offset_of(way);
     if (!offset_live(offset)) {
       // The log lapped this entry: treat as miss and drop the index entry.
-      way = 0;
+      store(way, 0);
       ++stats_.get_stale;
       return r;
     }
@@ -131,19 +185,19 @@ MicaCache::PutResult MicaCache::put(const KeyHash& key,
   IndexEntry* empty = nullptr;
   for (IndexEntry& way : b.ways) {
     if (tag_matches(way, tag)) {  // overwrite in place
-      way = entry;
+      store(way, entry);
       return r;
     }
     if ((way & kInUse) == 0 && empty == nullptr) empty = &way;
   }
   if (empty != nullptr) {
-    *empty = entry;
+    store(*empty, entry);
     return r;
   }
   // Lossy index: evict a random way (MICA cache mode).
   rng_state_ = rng_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
   auto victim = static_cast<std::size_t>((rng_state_ >> 33) % kAssoc);
-  b.ways[victim] = entry;
+  store(b.ways[victim], entry);
   ++stats_.index_evictions;
   r.evicted = true;
   return r;
@@ -160,7 +214,7 @@ bool MicaCache::erase(const KeyHash& key) {
     if (offset_live(offset) && !(stored_key(offset % log_.size()) == key)) {
       continue;
     }
-    way = 0;
+    store(way, 0);
     return true;
   }
   return false;

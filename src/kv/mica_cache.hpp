@@ -53,8 +53,9 @@ class MicaCache {
 
   /// The index and log read as zeros; a page costs RSS only once touched.
   explicit MicaCache(const Config& cfg);
-  /// Replica snapshot: copies the index and only the log's written prefix,
-  /// so the copy's untouched log pages stay untouched too.
+  /// Replica snapshot: copies the index and only the log pages an index way
+  /// points into (the whole written log once it has wrapped), so the copy's
+  /// untouched and released log pages stay untouched too.
   MicaCache(const MicaCache& other);
   MicaCache& operator=(const MicaCache&) = delete;
 
@@ -86,6 +87,12 @@ class MicaCache {
   void reset_stats() { stats_ = Stats{}; }
   std::size_t log_capacity() const { return log_.size(); }
   std::uint64_t log_head() const { return log_head_; }
+  /// The log's address range, to ask the kernel which pages are resident.
+  std::span<const std::byte> log_bytes() const {
+    return {log_.data(), log_.size()};
+  }
+  /// Log pages returned to the kernel, a replica's source's included.
+  std::uint64_t log_pages_released() const { return pages_released_; }
 
   static constexpr std::uint32_t kMaxValue = 1024;  // HERD items are <= 1 KB
   static constexpr std::uint32_t kAssoc = 8;
@@ -113,6 +120,21 @@ class MicaCache {
   // 8-byte alignment; entries never straddle the wrap boundary.
   static constexpr std::size_t kEntryHeader = kKeyHashBytes + 4;
 
+  // First-lap page release. A PUT appends and a superseded entry is dropped
+  // from the index only, so until the log first wraps, each kLogPage page
+  // counts the index ways whose entry overlaps it (an entry spans at most
+  // two pages, and at most one way points at it). A page whose count falls
+  // to zero behind the head holds only superseded entries; it goes back to
+  // the kernel and reads as zeros. Every read of log bytes goes through a
+  // live way, so none lands on a released page. From the first wrap on, the
+  // head rewrites every page on each lap, and the counts are dropped.
+  static constexpr std::size_t kLogPage = 4096;
+  static_assert(kEntryHeader + kMaxValue <= kLogPage);
+  // An entry takes at least its header rounded up to 8 bytes (24), so at
+  // most 172 overlap one page: a count fits a byte.
+  static_assert(kLogPage / ((kEntryHeader + 7) & ~std::size_t{7}) + 2 <=
+                UINT8_MAX);
+
   /// What a way holds above its offset bits when it is `key`'s: the in-use
   /// bit and the top kTagBits of keyhash.hi.
   static std::uint64_t tag_of(const KeyHash& key) {
@@ -137,12 +159,20 @@ class MicaCache {
   KeyHash stored_key(std::size_t pos) const;
   std::uint64_t append_log(const KeyHash& key,
                            std::span<const std::byte> value);
+  /// Points `way` at `entry` (0 clears it), keeping the page counts.
+  void store(IndexEntry& way, IndexEntry entry);
+  /// Adds `delta` to the count of each page the in-use `way`'s entry
+  /// overlaps, and releases a page that falls to zero behind the head.
+  void count_pages(IndexEntry way, int delta);
 
   Config cfg_;
   std::uint64_t bucket_mask_;
   sim::LazyZeroArray<Bucket> buckets_;
   sim::LazyZeroArray<std::byte> log_;
   std::uint64_t log_head_ = 0;  // monotonic; head % size = write position
+  bool first_lap_ = true;       // the log has not wrapped: pages are counted
+  sim::LazyZeroArray<std::uint8_t> page_ways_;  // per kLogPage page
+  std::uint64_t pages_released_ = 0;
   Stats stats_;
   std::uint64_t rng_state_;
 };

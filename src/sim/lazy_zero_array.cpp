@@ -8,6 +8,11 @@ namespace herd::sim::detail {
 namespace {
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
+std::size_t page_size() {
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
 std::size_t round_up(std::size_t n, std::size_t to) {
   return (n + to - 1) / to * to;
 }
@@ -26,7 +31,7 @@ void* map_zero_pages(std::size_t bytes, PageHint hint) {
   // A huge page backs only a 2 MiB-aligned range, and the kernel aligns
   // only some anonymous maps itself: map one huge page extra and unmap
   // the ragged ends around the aligned start.
-  auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::size_t page = page_size();
   std::size_t used = round_up(bytes, page);
   if (used > SIZE_MAX - kHugePage) throw std::bad_alloc();
   char* raw = map_anonymous(used + kHugePage);
@@ -41,6 +46,16 @@ void* map_zero_pages(std::size_t bytes, PageHint hint) {
 
 void unmap_zero_pages(void* p, std::size_t bytes) {
   if (p != nullptr) ::munmap(p, bytes);
+}
+
+void release_zero_pages(void* p, std::size_t bytes) {
+  std::size_t page = page_size();
+  auto begin = reinterpret_cast<std::uintptr_t>(p);
+  std::uintptr_t first = round_up(begin, page);
+  std::uintptr_t end = (begin + bytes) / page * page;
+  if (first >= end) return;
+  // A private anonymous page dropped this way reads back as zeros.
+  ::madvise(reinterpret_cast<void*>(first), end - first, MADV_DONTNEED);
 }
 
 }  // namespace herd::sim::detail

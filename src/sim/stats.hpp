@@ -15,16 +15,22 @@ namespace herd::sim {
 
 /// Log-linear latency histogram over ticks, HdrHistogram-style: buckets are
 /// linear within a power-of-two range, giving a bounded (<~1.6%) relative
-/// quantile error with O(1) record cost and fixed memory. The buckets are
-/// allocated by the first record, record_zeros or merge that adds a sample:
-/// most histograms a testbed registers never record one.
+/// quantile error with O(1) record cost. Only the buckets from the lowest
+/// to the highest octave recorded are stored, and zero samples are counted
+/// apart: most histograms a testbed registers never record a sample, and
+/// the rest span a few of the 53 octaves.
 class LatencyHistogram {
  public:
   /// Inline: resources record into their stage histograms on every
   /// admission.
   void record(Tick t) {
-    if (buckets_.empty()) allocate();
-    ++buckets_[bucket_index(t)];
+    if (t == 0) {
+      ++zeros_;
+    } else {
+      std::size_t i = bucket_index(t);
+      if (i - lo_ >= buckets_.size()) widen(i, i);  // wraps below lo_
+      ++buckets_[i - lo_];
+    }
     ++count_;
     min_ = std::min(min_, t);
     max_ = std::max(max_, t);
@@ -35,14 +41,15 @@ class LatencyHistogram {
   /// zeros recorded in place.
   void record_zeros(std::uint64_t n) {
     if (n == 0) return;
-    if (buckets_.empty()) allocate();
-    buckets_[0] += n;
+    zeros_ += n;
     count_ += n;
     min_ = 0;
   }
+  /// Zeroes the counts and keeps the stored range, so a histogram that is
+  /// cleared between runs records the next one without reallocating.
   void clear();
 
-  /// Accumulates another histogram (same fixed bucket layout).
+  /// Accumulates another histogram (same bucket layout).
   void merge(const LatencyHistogram& other);
 
   std::uint64_t count() const { return count_; }
@@ -59,9 +66,8 @@ class LatencyHistogram {
  private:
   static constexpr int kSubBits = 5;   // 32 linear sub-buckets per octave
   static constexpr int kOctaves = 52;  // covers ticks up to ~2^57 ps
-  static constexpr std::size_t kBuckets =
-      (std::size_t{1} << kSubBits) +
-      (static_cast<std::size_t>(kOctaves) << kSubBits);
+  static constexpr std::size_t kOctave = std::size_t{1} << kSubBits;
+  static constexpr std::size_t kBuckets = kOctave + (kOctaves * kOctave);
   static std::size_t bucket_index(Tick t) {
     constexpr std::size_t base = 1u << kSubBits;
     if (t < base) return static_cast<std::size_t>(t);
@@ -74,9 +80,13 @@ class LatencyHistogram {
     return std::min(idx, kBuckets - 1);
   }
   static Tick bucket_upper(std::size_t idx);
-  void allocate() { buckets_.assign(kBuckets, 0); }
+  /// Grows the stored range by whole octaves to hold buckets [first, last].
+  void widen(std::size_t first, std::size_t last);
 
-  std::vector<std::uint64_t> buckets_;  // empty until the first sample
+  // buckets_[i] counts bucket lo_ + i; bucket 0 (exact zeros) is zeros_.
+  std::vector<std::uint64_t> buckets_;  // empty until a nonzero sample
+  std::size_t lo_ = 0;                  // a multiple of kOctave
+  std::uint64_t zeros_ = 0;
   std::uint64_t count_ = 0;
   Tick min_ = std::numeric_limits<Tick>::max();
   Tick max_ = 0;

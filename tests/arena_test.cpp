@@ -1,20 +1,26 @@
 // Laziness tests: host DMA arenas and MICA caches are zeroed lazily, so
 // building one faults in almost none of its pages, and a replica snapshot
-// of a cache faults in only what its source has written. Both hold after
-// an earlier testbed has come and gone and left the allocator dirty. An
-// array hinted for huge pages starts on a huge-page boundary.
+// of a cache faults in only what its source has written and still points
+// at. Both hold after an earlier testbed has come and gone and left the
+// allocator dirty. Log pages that only superseded entries sit on go back to
+// the kernel. An array hinted for huge pages starts on a huge-page
+// boundary.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "herd/testbed.hpp"
 #include "kv/mica_cache.hpp"
 #include "sim/lazy_zero_array.hpp"
+#include "sim/rng.hpp"
 #include "verbs/memory.hpp"
 #include "workload/workload.hpp"
 
@@ -77,6 +83,69 @@ std::vector<std::byte> value_of(std::uint64_t rank) {
   return v;
 }
 
+// The puts made to a cache built empty, and where its log holds each key's
+// newest entry: a 20-byte header and the value, padded to 8 bytes, appended
+// at the head from offset 0 (the log never wraps here, and the index never
+// evicts).
+struct LogModel {
+  struct Entry {
+    std::uint64_t offset;
+    std::vector<std::byte> value;
+  };
+  std::map<std::uint64_t, Entry> newest;  // by rank
+  std::uint64_t head = 0;
+
+  void put(kv::MicaCache& cache, std::uint64_t rank,
+           std::vector<std::byte> value) {
+    cache.put(kv::hash_of_rank(rank), value);
+    std::uint64_t offset = head;
+    head += (20 + value.size() + 7) & ~std::uint64_t{7};
+    newest[rank] = Entry{offset, std::move(value)};
+  }
+
+  // Overwrites a random nine in ten of the keys, in rank order, `rounds`
+  // times, each time with fresh bytes: each round supersedes most entries
+  // of the last one and leaves the rest scattered behind.
+  void overwrite(kv::MicaCache& cache, int rounds, std::uint64_t seed) {
+    sim::Pcg32 rng(seed);
+    std::vector<std::uint64_t> ranks;
+    for (const auto& [rank, e] : newest) ranks.push_back(rank);
+    for (int round = 1; round <= rounds; ++round) {
+      for (std::uint64_t rank : ranks) {
+        if (rng.next_below(10) == 0) continue;
+        std::vector<std::byte> v(32 + rank % 64);
+        workload::WorkloadGenerator::fill_value(
+            rank * 1000 + static_cast<std::uint64_t>(round), v);
+        put(cache, rank, std::move(v));
+      }
+    }
+  }
+
+  // The log pages some newest entry overlaps, and the head's page.
+  std::set<std::uint64_t> live_pages(std::uint64_t page) const {
+    std::set<std::uint64_t> live{head / page};
+    for (const auto& [rank, e] : newest) {
+      std::uint64_t end = e.offset + 20 + e.value.size();
+      for (std::uint64_t p = e.offset / page; p <= (end - 1) / page; ++p) {
+        live.insert(p);
+      }
+    }
+    return live;
+  }
+
+  // Every key reads its newest value.
+  void expect_served_by(kv::MicaCache& cache) const {
+    std::byte out[kv::MicaCache::kMaxValue];
+    for (const auto& [rank, e] : newest) {
+      auto g = cache.get(kv::hash_of_rank(rank), out);
+      ASSERT_TRUE(g.found) << "rank " << rank;
+      ASSERT_EQ(g.value_len, e.value.size()) << "rank " << rank;
+      ASSERT_EQ(std::memcmp(out, e.value.data(), e.value.size()), 0)
+          << "rank " << rank;
+    }
+  }
+};
+
 TEST(LazyArena, NewHostMemoryAndCacheFaultAlmostNoPages) {
   dirty_allocator();
   constexpr std::size_t kHostBytes = 256u << 20;
@@ -102,8 +171,9 @@ TEST(LazyArena, CacheCopyServesEveryKeyAndFaultsOnlyItsWrittenPrefix) {
   dirty_allocator();
   constexpr std::uint64_t kKeys = 4000;
   kv::MicaCache src(bench_partition());
+  LogModel model;
   for (std::uint64_t rank = 1; rank <= kKeys; ++rank) {
-    src.put(kv::hash_of_rank(rank), value_of(rank));
+    model.put(src, rank, value_of(rank));
   }
   ASSERT_LT(src.log_head(), src.log_capacity() / 16);
 
@@ -130,6 +200,60 @@ TEST(LazyArena, CacheCopyServesEveryKeyAndFaultsOnlyItsWrittenPrefix) {
     ASSERT_EQ(a.value_len, b.value_len);
     ASSERT_EQ(std::memcmp(want, got, a.value_len), 0) << "rank " << rank;
   }
+
+  // Overwrite most keys many times: most of the written log is released,
+  // and a copy reads and writes only the pages some entry lives on.
+  model.overwrite(src, 20, 7);
+  ASSERT_EQ(src.log_head(), model.head);
+  ASSERT_LT(src.log_head(), src.log_capacity());
+  ASSERT_EQ(src.stats().index_evictions, 0u);
+  const auto live = static_cast<long>(model.live_pages(4096).size());
+  ASSERT_LT(live * 4, pages(src.log_head()));
+  before = minor_faults();
+  kv::MicaCache recopy(src);
+  faults = minor_faults() - before;
+  written = pages(kIndexBytes) + live;
+  if (!kAsan) {
+    EXPECT_LT(faults, written + written / 4)
+        << "the written log is " << pages(src.log_head()) << " pages";
+  }
+  EXPECT_EQ(recopy.log_head(), src.log_head());
+  model.expect_served_by(recopy);
+  model.expect_served_by(src);
+}
+
+// Overwritten entries leave the log pages they sat on: once the head has
+// passed a page and no index way points into it, the kernel has it back.
+// mincore over the written log finds no more resident pages than the newest
+// entries overlap, plus the head's page, and every key still reads its
+// newest value.
+TEST(LazyArena, OverwrittenLogPagesAreReturned) {
+  const long page = sysconf(_SC_PAGESIZE);
+  if (page != 4096) GTEST_SKIP() << "the cache releases 4 KiB pages";
+  kv::MicaCache cache(bench_partition());
+  LogModel model;
+  for (std::uint64_t rank = 1; rank <= 4000; ++rank) {
+    model.put(cache, rank, value_of(rank));
+  }
+  model.overwrite(cache, 20, 3);
+  ASSERT_EQ(cache.log_head(), model.head);
+  ASSERT_LT(cache.log_head(), cache.log_capacity());
+  ASSERT_EQ(cache.stats().index_evictions, 0u);
+
+  // The written pages up to the head's; none past it was ever touched.
+  std::span<const std::byte> log = cache.log_bytes();
+  std::size_t written = static_cast<std::size_t>(pages(cache.log_head() + 1));
+  std::vector<unsigned char> resident(written);
+  ASSERT_EQ(mincore(const_cast<std::byte*>(log.data()),
+                    written * static_cast<std::size_t>(page), resident.data()),
+            0);
+  long in_core = 0;
+  for (unsigned char r : resident) in_core += r & 1;
+  const auto live = static_cast<long>(model.live_pages(4096).size());
+  EXPECT_LE(in_core, live) << "of " << written << " written pages";
+  EXPECT_GE(static_cast<long>(cache.log_pages_released()),
+            static_cast<long>(written) - live);
+  model.expect_served_by(cache);
 }
 
 // A huge page backs only a 2 MiB-aligned range, so a kHuge array starts on

@@ -11,6 +11,7 @@
 #include "kv/mica_cache.hpp"
 #include "kv/partition.hpp"
 #include "sim/rng.hpp"
+#include "sim/zipf.hpp"
 #include "workload/workload.hpp"
 
 namespace herd::kv {
@@ -401,13 +402,75 @@ class WideMica {
 // The top 23 bits of keyhash.hi: what a packed way keeps of a key.
 std::uint64_t packed_tag(const KeyHash& key) { return key.hi >> 41; }
 
+// `n` keys of `seed` whose packed tags are unique within each of the
+// 2^log2 buckets: the precondition for the packed cache and the reference
+// to agree.
+std::vector<KeyHash> distinct_tag_keys(std::uint64_t seed, std::uint32_t log2,
+                                       std::uint64_t n = 48) {
+  std::vector<KeyHash> keys;
+  for (std::uint64_t r = 0; r < n; ++r) {
+    keys.push_back(hash_of_rank(seed * 1000 + r));
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      bool same_bucket = ((keys[i].lo ^ keys[j].lo) & ((1u << log2) - 1)) == 0;
+      EXPECT_FALSE(same_bucket && packed_tag(keys[i]) == packed_tag(keys[j]));
+    }
+  }
+  return keys;
+}
+
+// Runs `ops` seeded PUT/GET/DELETE ops over `keys` through `packed` and the
+// reference side by side. `rank(rng)` picks each op's key; `put_share` of
+// the ops are PUTs, the next tenth DELETEs, the rest GETs. The first time
+// `copy_now(op, packed)` holds before an op, `packed` is replaced by a replica
+// copy of itself. After every op the two agree on every result, every value
+// byte, every counter and the log head.
+template <class Rank, class CopyNow>
+void agree_with_reference(std::unique_ptr<MicaCache>& packed, WideMica& wide,
+                          const std::vector<KeyHash>& keys, sim::Pcg32& rng,
+                          int ops, double put_share, Rank rank,
+                          CopyNow copy_now) {
+  bool copied = false;
+  for (int i = 0; i < ops; ++i) {
+    if (!copied && copy_now(i, *packed)) {
+      packed = std::make_unique<MicaCache>(*packed);
+      copied = true;
+    }
+    std::uint64_t r = rank(rng);
+    const KeyHash& key = keys[r];
+    double what = rng.next_double();
+    if (what < put_share) {
+      // Mostly small values, now and then one near the 1 KB limit.
+      std::uint32_t len = rng.next_below(8) == 0 ? 700 + rng.next_below(325)
+                                                 : rng.next_below(200);
+      auto value = value_of(r * 100003 + static_cast<std::uint64_t>(i), len);
+      auto a = packed->put(key, value);
+      auto b = wide.put(key, value);
+      ASSERT_EQ(a.evicted, b.evicted) << "op " << i;
+      ASSERT_EQ(a.accesses, b.accesses) << "op " << i;
+    } else if (what < put_share + 0.1) {
+      ASSERT_EQ(packed->erase(key), wide.erase(key)) << "op " << i;
+    } else {
+      std::byte a[MicaCache::kMaxValue];
+      std::byte b[MicaCache::kMaxValue];
+      auto ga = packed->get(key, a);
+      auto gb = wide.get(key, b);
+      ASSERT_EQ(ga.found, gb.found) << "op " << i;
+      ASSERT_EQ(ga.value_len, gb.value_len) << "op " << i;
+      ASSERT_EQ(ga.accesses, gb.accesses) << "op " << i;
+      ASSERT_EQ(std::memcmp(a, b, ga.value_len), 0) << "op " << i;
+    }
+    ASSERT_TRUE(same_stats(packed->stats(), wide.stats())) << "op " << i;
+    ASSERT_EQ(packed->log_head(), wide.log_head()) << "op " << i;
+  }
+}
+
 // Seeded PUT/GET/DELETE streams over 1-4 buckets (8-32 ways for 48 keys:
 // evictions on most puts) and a 4 KiB log (a wrap every few puts, so many
 // stale entries), with a replica snapshot taken mid-stream. The packed
-// cache and the 16-byte-way reference agree on every result, every value
-// byte, every counter and the log head.
+// cache and the 16-byte-way reference agree throughout.
 TEST(MicaPackedIndex, AgreesWithSixteenByteWays) {
-  constexpr std::uint64_t kKeys = 48;
   constexpr int kOps = 20000;
   for (std::uint32_t log2 : {0u, 1u, 2u}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -419,59 +482,75 @@ TEST(MicaPackedIndex, AgreesWithSixteenByteWays) {
       cfg.seed = seed;
       auto packed = std::make_unique<MicaCache>(cfg);
       WideMica wide(cfg);
-      std::vector<KeyHash> keys;
-      for (std::uint64_t r = 0; r < kKeys; ++r) {
-        keys.push_back(hash_of_rank(seed * 1000 + r));
-      }
-      // The precondition for agreement: tags unique within each bucket.
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-          bool same_bucket = ((keys[i].lo ^ keys[j].lo) & ((1u << log2) - 1))
-                             == 0;
-          ASSERT_FALSE(same_bucket &&
-                       packed_tag(keys[i]) == packed_tag(keys[j]));
-        }
-      }
+      const std::vector<KeyHash> keys = distinct_tag_keys(seed, log2);
       sim::Pcg32 rng(seed);
-      for (int i = 0; i < kOps; ++i) {
-        if (i == kOps / 2) {
-          packed = std::make_unique<MicaCache>(*packed);
-        }
-        std::uint64_t r = rng.next_below(kKeys);
-        const KeyHash& key = keys[r];
-        double what = rng.next_double();
-        if (what < 0.5) {
-          // Mostly small values, now and then one near the 1 KB limit.
-          std::uint32_t len = rng.next_below(8) == 0
-                                  ? 700 + rng.next_below(325)
-                                  : rng.next_below(200);
-          auto value = value_of(r * 100003 + static_cast<std::uint64_t>(i),
-                                len);
-          auto a = packed->put(key, value);
-          auto b = wide.put(key, value);
-          ASSERT_EQ(a.evicted, b.evicted) << "op " << i;
-          ASSERT_EQ(a.accesses, b.accesses) << "op " << i;
-        } else if (what < 0.6) {
-          ASSERT_EQ(packed->erase(key), wide.erase(key)) << "op " << i;
-        } else {
-          std::byte a[MicaCache::kMaxValue];
-          std::byte b[MicaCache::kMaxValue];
-          auto ga = packed->get(key, a);
-          auto gb = wide.get(key, b);
-          ASSERT_EQ(ga.found, gb.found) << "op " << i;
-          ASSERT_EQ(ga.value_len, gb.value_len) << "op " << i;
-          ASSERT_EQ(ga.accesses, gb.accesses) << "op " << i;
-          ASSERT_EQ(std::memcmp(a, b, ga.value_len), 0) << "op " << i;
-        }
-        ASSERT_TRUE(same_stats(packed->stats(), wide.stats())) << "op " << i;
-        ASSERT_EQ(packed->log_head(), wide.log_head()) << "op " << i;
-      }
+      ASSERT_NO_FATAL_FAILURE(agree_with_reference(
+          packed, wide, keys, rng, kOps, 0.5,
+          [&](sim::Pcg32& g) {
+            return g.next_below(static_cast<std::uint32_t>(keys.size()));
+          },
+          [](int op, const MicaCache&) { return op == kOps / 2; }));
       // The streams reached every path the comparison is meant to cover.
       EXPECT_GT(wide.stats().log_wraps, 100u);
       EXPECT_GT(wide.stats().index_evictions, 100u);
       EXPECT_GT(wide.stats().get_stale, 100u);
       EXPECT_GT(wide.stats().get_hits, 100u);
       EXPECT_GT(wide.stats().get_misses, 100u);
+    }
+  }
+}
+
+// First-lap page release against the same reference, on overwrite-heavy
+// streams of Zipf-skewed keys over a 256 KiB log (64 pages). A released
+// page reads as zeros, so a page released while a way still points into it,
+// or a count the stream gets wrong, shows up as a GET or DELETE that
+// disagrees with the reference.
+//  - 48 keys in 1-4 buckets: evictions on most puts, so most first-lap pages
+//    come to hold only superseded entries and go back to the kernel before
+//    the log wraps; later laps write over them again. The replica copy is
+//    taken on the first lap, with pages already released, and keeps
+//    releasing.
+//  - 400 keys in 64 buckets: no evictions, and cold keys outlive a lap, so
+//    many ways are lapped when they are overwritten, read or deleted. They
+//    point at bytes a later lap wrote, and must lower no count.
+TEST(MicaPackedIndex, ReleasedLogPagesAgreeWithSixteenByteWays) {
+  constexpr int kOps = 12000;
+  struct Case {
+    std::uint32_t log2;
+    std::uint64_t keys;
+  };
+  for (Case c : {Case{0, 48}, Case{1, 48}, Case{2, 48}, Case{6, 400}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "buckets " << (1u << c.log2)
+                                        << " keys " << c.keys << " seed "
+                                        << seed);
+      MicaCache::Config cfg;
+      cfg.bucket_count_log2 = c.log2;
+      cfg.log_bytes = 256 << 10;
+      cfg.seed = seed;
+      auto packed = std::make_unique<MicaCache>(cfg);
+      WideMica wide(cfg);
+      const std::vector<KeyHash> keys = distinct_tag_keys(seed, c.log2, c.keys);
+      sim::ZipfGenerator zipf(keys.size(), 0.99, seed);
+      sim::Pcg32 rng(seed);
+      std::uint64_t released_at_copy = 0;
+      ASSERT_NO_FATAL_FAILURE(agree_with_reference(
+          packed, wide, keys, rng, kOps, 0.7,
+          [&](sim::Pcg32&) { return zipf.next(); },
+          [&](int, const MicaCache& m) {
+            released_at_copy = m.log_pages_released();
+            return m.log_head() >= cfg.log_bytes / 2;
+          }));
+      EXPECT_GE(wide.stats().log_wraps, 5u);
+      EXPECT_GT(wide.stats().get_hits, 500u);
+      if (c.keys == 48) {
+        // Of the 64 pages, a third were released before the copy, and most
+        // of the rest after it, on the first lap.
+        EXPECT_GT(released_at_copy, 16u);
+        EXPECT_GT(packed->log_pages_released(), released_at_copy + 16);
+      } else {
+        EXPECT_GT(wide.stats().get_stale, 50u);
+      }
     }
   }
 }

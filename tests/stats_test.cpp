@@ -1,9 +1,12 @@
 // Unit tests: latency histogram, throughput meter, RNG, Zipf sampler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -167,6 +170,194 @@ TEST(LatencyHistogram, MergeOfRangesEqualsRecordingEverySample) {
   top_all.record(ns(5));
   top.merge(low);
   expect_same(top, top_all, "largest tick");
+}
+
+// The histogram as it stood before range storage: all 1696 buckets, zeros
+// in bucket 0, a merge over every bucket. The range-stored one must answer
+// every read exactly as this does.
+class FullHistogram {
+ public:
+  void record(Tick t) {
+    ++buckets_[index(t)];
+    ++count_;
+    min_ = std::min(min_, t);
+    max_ = std::max(max_, t);
+    sum_ns_ += to_ns(t);
+  }
+  void record_zeros(std::uint64_t n) {
+    if (n == 0) return;
+    buckets_[0] += n;
+    count_ += n;
+    min_ = 0;
+  }
+  void clear() { *this = FullHistogram{}; }
+  void merge(const FullHistogram& other) {
+    if (other.count_ == 0) return;
+    for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
+    count_ += other.count_;
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+    sum_ns_ += other.sum_ns_;
+  }
+  std::uint64_t count() const { return count_; }
+  Tick min() const { return count_ ? min_ : 0; }
+  Tick max() const { return max_; }
+  double mean_ns() const {
+    return count_ == 0 ? 0.0 : sum_ns_ / static_cast<double>(count_);
+  }
+  double quantile_ns(double q) const {
+    if (count_ == 0) return 0.0;
+    q = std::clamp(q, 0.0, 1.0);
+    auto target = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(count_)));
+    if (target == 0) target = 1;
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      seen += buckets_[i];
+      if (seen >= target) return to_ns(std::min(upper(i), max_));
+    }
+    return to_ns(max_);
+  }
+
+ private:
+  static constexpr std::size_t kBuckets = 1696;  // 32 + 52 octaves of 32
+  static std::size_t index(Tick t) {
+    if (t < 32) return static_cast<std::size_t>(t);
+    int msb = 63 - std::countl_zero(static_cast<std::uint64_t>(t));
+    auto octave = static_cast<std::size_t>(msb - 5);
+    auto sub = static_cast<std::size_t>(t >> (msb - 5)) & 31;
+    return std::min(32 + (octave << 5) + sub, kBuckets - 1);
+  }
+  static Tick upper(std::size_t idx) {
+    if (idx < 32) return static_cast<Tick>(idx);
+    std::size_t octave = (idx - 32) >> 5;
+    std::size_t sub = (idx - 32) & 31;
+    Tick lo = Tick{32} << octave;
+    return lo + (static_cast<Tick>(sub) + 1) * (lo >> 5) - 1;
+  }
+
+  std::vector<std::uint64_t> buckets_ = std::vector<std::uint64_t>(kBuckets);
+  std::uint64_t count_ = 0;
+  Tick min_ = std::numeric_limits<Tick>::max();
+  Tick max_ = 0;
+  double sum_ns_ = 0.0;
+};
+
+// A range-stored histogram and its full-bucket reference, fed alike.
+struct Twin {
+  LatencyHistogram got;
+  FullHistogram want;
+  void record(Tick t) {
+    got.record(t);
+    want.record(t);
+  }
+  void record_zeros(std::uint64_t n) {
+    got.record_zeros(n);
+    want.record_zeros(n);
+  }
+  void merge(const Twin& other) {
+    got.merge(other.got);
+    want.merge(other.want);
+  }
+  void clear() {
+    got.clear();
+    want.clear();
+  }
+  // Count, min, max, the bits of the mean and the quantile at every rank.
+  void expect_same(const char* what) const {
+    SCOPED_TRACE(what);
+    ASSERT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_ns()),
+              std::bit_cast<std::uint64_t>(want.mean_ns()));
+    auto n = static_cast<double>(want.count());
+    for (double q : {0.0, 1.0}) {
+      ASSERT_EQ(got.quantile_ns(q), want.quantile_ns(q)) << "q " << q;
+    }
+    for (std::uint64_t k = 1; k <= want.count(); ++k) {
+      double q = (static_cast<double>(k) - 0.5) / n;
+      ASSERT_EQ(got.quantile_ns(q), want.quantile_ns(q)) << "rank " << k;
+    }
+  }
+};
+
+// Range storage keeps only the octaves between the lowest and highest
+// nonzero sample, and zeros apart. Random ticks of every magnitude, with
+// zeros, exact ticks 1-31 and the largest tick mixed in; record_zeros;
+// merges of disjoint, nested and empty ranges both ways; clear() and reuse
+// over another range: every read agrees with the full-bucket reference.
+TEST(LatencyHistogram, RangeStorageAnswersAsFullBuckets) {
+  Pcg32 rng(29);
+  // A tick of about 2^lo..2^hi, now and then 0, an exact tick below 32 or
+  // the largest tick.
+  auto draw = [&](int lo, int hi) -> Tick {
+    std::uint32_t pick = rng.next_below(20);
+    if (pick == 0) return 0;
+    if (pick == 1) return rng.next_below(32);
+    if (pick == 2 && hi >= 63) return std::numeric_limits<Tick>::max();
+    int bits = lo + static_cast<int>(rng.next_below(
+                        static_cast<std::uint32_t>(hi - lo + 1)));
+    Tick t = rng.next_u64();
+    return bits >= 64 ? t : t >> (64 - bits);
+  };
+  auto fill = [&](Twin& h, int n, int lo, int hi) {
+    for (int i = 0; i < n; ++i) h.record(draw(lo, hi));
+  };
+
+  Twin wide;
+  fill(wide, 3000, 1, 64);
+  wide.record_zeros(17);
+  wide.expect_same("every magnitude");
+
+  Twin low, high, mid, narrow, zeros, never;
+  fill(low, 400, 6, 12);
+  fill(high, 400, 30, 40);
+  fill(mid, 400, 8, 36);
+  fill(narrow, 100, 20, 22);
+  zeros.record_zeros(9);
+  zeros.record(0);
+
+  Twin a = low;
+  a.merge(high);
+  a.expect_same("disjoint, high into low");
+  Twin b = high;
+  b.merge(low);
+  b.expect_same("disjoint, low into high");
+  Twin c = mid;
+  c.merge(narrow);
+  c.expect_same("nested, narrow into wide");
+  Twin d = narrow;
+  d.merge(mid);
+  d.expect_same("nested, wide into narrow");
+  Twin e = narrow;
+  e.merge(never);
+  e.merge(zeros);
+  e.expect_same("empty and zeros-only into samples");
+  Twin f = never;
+  f.merge(zeros);
+  f.expect_same("zeros-only into empty");
+  f.merge(wide);
+  f.merge(a);
+  f.expect_same("samples into zeros-only");
+
+  // Cleared, a histogram keeps its stored range and reads as empty; reused
+  // over a range below and above it, and merged from, it still agrees.
+  Twin g = b;
+  g.clear();
+  g.expect_same("cleared");
+  fill(g, 300, 2, 7);
+  g.record_zeros(4);
+  fill(g, 300, 45, 64);
+  g.expect_same("reused below and above");
+  Twin h = narrow;
+  h.merge(g);
+  h.expect_same("reused into narrow");
+  g.clear();
+  fill(g, 50, 21, 21);
+  Twin i = low;
+  i.merge(g);
+  i.expect_same("cleared and refilled narrow into low");
 }
 
 TEST(LatencyHistogram, ClearResets) {

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Runs the bench suite and the chaos sweeps of two build trees and says
-# whether they wrote the same bytes: every figure of `bench/herd_bench
+# Runs the bench suite, the chaos sweeps and the tests of two build trees
+# and says whether they behave the same: every figure of `bench/herd_bench
 # --list`, untraced and with --bench-trace=64, at --bench-measure-ms=0.25
 # and one fixed --git-rev, $(nproc) figures at a time; then
 # tools/chaos_runner --seeds 100 --verbose, plain and with --crash-primary
-# --overload-burst; then the two golden tests of tests/chaos_test. Prints
-# one verdict per output class:
+# --overload-burst; then the two golden tests of tests/chaos_test; then each
+# tree's whole ctest suite. Prints one verdict per output class:
 #
 #   BENCH          BENCH_<figure>.json
 #   TIMESERIES     TIMESERIES_<figure>.json
@@ -19,6 +19,8 @@
 #                  fingerprints it computed and its exit status
 #   golden-trace   ChaosTrace.FaultPathTraceMatchesGolden: the trace it
 #                  computed and its exit status
+#   test-verdicts  each test both trees' ctest has passes in both or fails
+#                  in both; the tests only one tree has are listed
 #
 #   tools/same_bench_output.sh /path/to/parent/build build
 #   tools/same_bench_output.sh --rev REV build
@@ -26,9 +28,9 @@
 # With --rev, the script builds REV itself: a detached `git worktree` of
 # this repository in a temporary directory, configured with BUILD_B's CMake
 # generator, build type, compiler and flags (read from its CMakeCache.txt)
-# and built offline (herd_bench, chaos_runner and chaos_test only). The
-# worktree and its build are removed on exit, whether the run passed,
-# failed or was interrupted.
+# and built offline (every target, since ctest runs them all). The worktree
+# and its build are removed on exit, whether the run passed, failed or was
+# interrupted.
 #
 # Every output holds simulated results only, so a change that keeps the
 # model's behaviour writes the same bytes; a change to the engine's event
@@ -51,8 +53,8 @@ figures() {
   "$1/bench/herd_bench" --list | sed "s|.*|& $1/bench/herd_bench &|"
 }
 
-# has_suite BUILD: BUILD holds the bench figures, chaos_runner and
-# chaos_test.
+# has_suite BUILD: BUILD holds the bench figures, chaos_runner, chaos_test
+# and a ctest suite.
 has_suite() {
   if [ -z "$(figures "$1" 2> /dev/null)" ]; then
     echo "$0: no bench figures under $1/bench" >&2
@@ -65,6 +67,10 @@ has_suite() {
       return 1
     fi
   done
+  if [ ! -f "$1/CTestTestfile.cmake" ]; then
+    echo "$0: no $1/CTestTestfile.cmake" >&2
+    return 1
+  fi
 }
 
 rev=
@@ -118,7 +124,7 @@ if [ -n "$rev" ]; then
              "$build_b/CMakeCache.txt")
   echo "building $rev in $out/rev/build" >&2
   if ! { cmake -S "$src" -B "$out/rev/build" ${gen:+-G "$gen"} "${flags[@]}" &&
-         cmake --build "$out/rev/build" -j"$(nproc)" --target chaos_runner chaos_test herd_bench
+         cmake --build "$out/rev/build" -j"$(nproc)"
        } > "$out/rev/build.log" 2>&1; then
     tail -n 30 "$out/rev/build.log" >&2
     echo "$0: $rev does not build" >&2
@@ -287,6 +293,60 @@ golden_verdict() {
 }
 golden_verdict golden-chaos "${GOLDEN_TESTS[0]}"
 golden_verdict golden-trace "${GOLDEN_TESTS[1]}"
+
+# ctests SIDE BUILD: BUILD's whole ctest suite, $(nproc) tests at a time;
+# every test's name goes to $out/SIDE/tests/all.txt and the names of those
+# that did not pass to failed.txt.
+ctests() {
+  local dir="$out/$1/tests"
+  mkdir -p "$dir"
+  (cd "$2" && ctest -N) | sed -n 's/^ *Test *#[0-9]*: //p' |
+    LC_ALL=C sort > "$dir/all.txt"
+  (cd "$2" && ctest -j"$(nproc)") > "$dir/ctest.log" 2>&1
+  sed -n '/^The following tests FAILED:/,$ s/^[[:space:]]*[0-9]* - \(.*\) ([^()]*)$/\1/p' \
+    "$dir/ctest.log" | LC_ALL=C sort -u > "$dir/failed.txt"
+}
+# The two suites run one after the other, each on every CPU.
+ctests a "$build_a"
+ctests b "$build_b"
+
+# lines TEXT: how many lines TEXT has (0 when empty).
+lines() { printf '%s' "$1" | grep -c '^' || true; }
+
+# test_verdict: compares the verdicts of the tests both trees have, and
+# lists the tests only one of them has.
+test_verdict() {
+  local a="$out/a/tests" b="$out/b/tests" both differ t side only
+  both=$(LC_ALL=C comm -12 "$a/all.txt" "$b/all.txt")
+  # The common tests that did not pass in exactly one tree.
+  differ=$(LC_ALL=C comm -3 "$a/failed.txt" "$b/failed.txt" | tr -d '\t' |
+           LC_ALL=C sort | LC_ALL=C comm -12 <(printf '%s\n' "$both") -)
+  if [ -z "$differ" ]; then
+    printf '%-14s identical (%d tests in both, %d failing in both)\n' \
+      test-verdicts "$(lines "$both")" \
+      "$(lines "$(LC_ALL=C comm -12 "$a/failed.txt" "$b/failed.txt")")"
+  else
+    printf '%-14s DIFFERENT in %d of %d tests\n' test-verdicts \
+      "$(lines "$differ")" "$(lines "$both")"
+    while IFS= read -r t; do
+      side=A
+      grep -qxF -- "$t" "$b/failed.txt" && side=B
+      echo "  fails only in $side: $t"
+    done <<< "$differ"
+    status=1
+  fi
+  for side in B A; do
+    if [ "$side" = B ]; then
+      only=$(LC_ALL=C comm -13 "$a/all.txt" "$b/all.txt")
+    else
+      only=$(LC_ALL=C comm -23 "$a/all.txt" "$b/all.txt")
+    fi
+    [ -n "$only" ] || continue
+    echo "  only in $side ($(lines "$only")):"
+    printf '%s\n' "$only" | sed 's/^/    /'
+  done
+}
+test_verdict
 
 failed=$(cd "$out" &&
          grep -L '^exit=0$' */*/stdout/*.txt */chaos/*.txt */golden/*/status.txt)
