@@ -1,7 +1,5 @@
 #include "kv/mica_cache.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <stdexcept>
 
@@ -9,15 +7,15 @@ namespace herd::kv {
 
 namespace {
 std::size_t round_up8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
-std::size_t ceil_div(std::size_t n, std::size_t d) { return (n + d - 1) / d; }
 }  // namespace
 
 const MicaCache::Config& MicaCache::checked(const Config& cfg) {
   if (cfg.log_bytes < kEntryHeader + kMaxValue + 8) {
     throw std::invalid_argument("MicaCache: log too small for one max entry");
   }
-  if (cfg.log_bytes > kOffsetMask) {
-    throw std::invalid_argument("MicaCache: log of 2^40 bytes or more");
+  if (cfg.bucket_count_log2 > kMaxBucketCountLog2) {
+    throw std::invalid_argument(
+        "MicaCache: index too large for 40-bit slot ids");
   }
   return cfg;
 }
@@ -25,109 +23,119 @@ const MicaCache::Config& MicaCache::checked(const Config& cfg) {
 MicaCache::MicaCache(const Config& cfg)
     : cfg_(checked(cfg)),
       bucket_mask_((std::uint64_t{1} << cfg.bucket_count_log2) - 1),
+      class_slots_(
+          static_cast<std::uint32_t>((bucket_mask_ + 1) * kAssoc + 1)),
       // Preload touches every bucket, and lookups land on them at random.
       buckets_(std::size_t{1} << cfg.bucket_count_log2, sim::PageHint::kHuge),
-      log_(cfg.log_bytes),
-      page_ways_(ceil_div(cfg.log_bytes, kLogPage)),
       rng_state_(cfg.seed | 1) {}
 
 MicaCache::MicaCache(const MicaCache& other)
     : cfg_(other.cfg_),
       bucket_mask_(other.bucket_mask_),
+      class_slots_(other.class_slots_),
       buckets_(other.buckets_, other.buckets_.size()),
-      // Once the log has wrapped, the prefix copy clamps at capacity. Before
-      // that, the pages some way points into are copied below.
-      log_(other.log_, other.first_lap_ ? 0 : other.log_head_),
       log_head_(other.log_head_),
-      first_lap_(other.first_lap_),
-      page_ways_(other.page_ways_,
-                 first_lap_ ? ceil_div(log_head_, kLogPage) : 0),
-      pages_released_(other.pages_released_),
       stats_(other.stats_),
       rng_state_(other.rng_state_) {
-  if (!first_lap_) return;
-  // The other written pages hold only superseded entries, and reading a
-  // released one would fault it back in.
-  for (std::size_t p = 0; p * kLogPage < log_head_; ++p) {
-    if (page_ways_[p] == 0) continue;
-    std::size_t at = p * kLogPage;
-    std::memcpy(log_.data() + at, other.log_.data() + at,
-                std::min(kLogPage, log_.size() - at));
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    const SlotClass& from = other.classes_[c];
+    if (!from.slots) continue;
+    SlotClass& to = classes_[c];
+    to.slots.emplace(*from.slots, 0);
+    to.free.emplace(*from.free, from.free_top);
+    to.free_top = from.free_top;
+    to.high_water = from.high_water;
+    slot_base_[c] = to.slots->data();
   }
+  // The slots the index points at, lapped entries' too: the rest are free.
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    for (IndexEntry way : buckets_[i].ways) {
+      if ((way & kInUse) == 0) continue;
+      std::memcpy(slot_of(way), other.slot_of(way),
+                  class_slot_bytes(class_of(way)));
+    }
+  }
+}
+
+std::vector<MicaCache::SlotClassUse> MicaCache::slot_classes() const {
+  std::vector<SlotClassUse> out;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    const SlotClass& sc = classes_[c];
+    if (!sc.slots) continue;
+    out.push_back({{sc.slots->data(), sc.slots->size()},
+                   class_slot_bytes(c),
+                   std::size_t{sc.high_water} - sc.free_top,
+                   sc.high_water});
+  }
+  return out;
 }
 
 bool MicaCache::offset_live(std::uint64_t offset) const {
   // FIFO eviction: the cells of the entry at `offset` are reused by
   // monotonic positions starting at offset + log size, so the entry is
   // intact while the write head has not passed that point.
-  return offset < log_head_ && log_head_ <= offset + log_.size();
+  return offset < log_head_ && log_head_ <= offset + cfg_.log_bytes;
 }
 
-KeyHash MicaCache::stored_key(std::size_t pos) const {
-  const std::byte* p = log_.data() + pos;
-  KeyHash stored;
-  std::memcpy(&stored.hi, p, 8);
-  std::memcpy(&stored.lo, p + 8, 8);
-  return stored;
-}
-
-std::uint64_t MicaCache::append_log(const KeyHash& key,
-                                    std::span<const std::byte> value) {
-  std::size_t need = round_up8(kEntryHeader + value.size());
-  std::size_t pos = log_head_ % log_.size();
-  if (pos + need > log_.size()) {
-    // Entries are contiguous: skip the tail fragment and wrap.
-    log_head_ += log_.size() - pos;
-    pos = 0;
-    ++stats_.log_wraps;
-  }
-  if (first_lap_ && log_head_ >= log_.size()) {
-    // The second lap starts here (an entry that ends the log exactly takes
-    // no skip): drop the counts.
-    first_lap_ = false;
-    page_ways_.release(0, page_ways_.size());
-  }
-  std::uint64_t offset = log_head_;
-  std::memcpy(log_.data() + pos, &key.hi, 8);
-  std::memcpy(log_.data() + pos + 8, &key.lo, 8);
-  auto len = static_cast<std::uint32_t>(value.size());
-  std::memcpy(log_.data() + pos + 16, &len, 4);
-  if (!value.empty()) {
-    std::memcpy(log_.data() + pos + kEntryHeader, value.data(), value.size());
-  }
-  log_head_ += need;
+std::uint64_t MicaCache::stored_offset(const std::byte* slot) {
+  std::uint64_t offset;
+  std::memcpy(&offset, slot, 8);
   return offset;
 }
 
-void MicaCache::store(IndexEntry& way, IndexEntry entry) {
-  if (first_lap_) {
-    // Count the new entry first: the old one may share its first page.
-    if (entry != 0) count_pages(entry, +1);
-    if ((way & kInUse) != 0) count_pages(way, -1);
-  }
-  way = entry;
+KeyHash MicaCache::stored_key(const std::byte* slot) {
+  KeyHash stored;
+  std::memcpy(&stored.hi, slot + 8, 8);
+  std::memcpy(&stored.lo, slot + 16, 8);
+  return stored;
 }
 
-void MicaCache::count_pages(IndexEntry way, int delta) {
-  const std::size_t pos = offset_of(way);  // below capacity on the first lap
-  const std::size_t first = pos / kLogPage;
-  std::size_t last = first;
-  // Only an entry that starts less than its largest size before a page's
-  // end can run onto the next page; the length is read only for those.
-  if (pos % kLogPage + kEntryHeader + kMaxValue > kLogPage) {
-    std::uint32_t len;
-    std::memcpy(&len, log_.data() + pos + kKeyHashBytes, 4);
-    last = (pos + kEntryHeader + len - 1) / kLogPage;
+std::uint64_t MicaCache::append_log(std::size_t need) {
+  const std::size_t capacity = cfg_.log_bytes;
+  std::size_t pos = log_head_ % capacity;
+  if (pos + need > capacity) {
+    // Entries are contiguous: skip the tail fragment and wrap.
+    log_head_ += capacity - pos;
+    pos = 0;
+    ++stats_.log_wraps;
   }
-  for (std::size_t p = first; p <= last; ++p) {
-    page_ways_[p] = static_cast<std::uint8_t>(page_ways_[p] + delta);
-    // A page the head is still in gets the next entry before the head
-    // leaves it, so checking here, on the way down, finds every dead page.
-    if (page_ways_[p] == 0 && (p + 1) * kLogPage <= log_head_) {
-      log_.release(p * kLogPage, kLogPage);
-      ++pages_released_;
+  const std::uint64_t offset = log_head_;
+  log_head_ += need;
+  // An entry that ends the log exactly starts the next lap with no skip.
+  if (pos + need == capacity) ++stats_.log_wraps;
+  return offset;
+}
+
+void MicaCache::open_class(std::size_t cls) {
+  SlotClass& sc = classes_[cls];
+  sc.slots.emplace(std::size_t{class_slots_} * class_slot_bytes(cls));
+  sc.free.emplace(class_slots_);
+  slot_base_[cls] = sc.slots->data();
+}
+
+std::uint64_t MicaCache::take_slot(std::size_t cls) {
+  SlotClass& sc = classes_[cls];
+  if (!sc.slots) open_class(cls);
+  std::uint32_t index;
+  if (sc.free_top > 0) {
+    index = (*sc.free)[--sc.free_top];
+  } else {
+    // Past the (index ways + 1) bound, a slot is held that no way frees.
+    if (sc.high_water == class_slots_) {
+      throw std::logic_error("MicaCache: slot class exhausted");
     }
+    index = sc.high_water++;
   }
+  return (std::uint64_t{cls} << kSlotIndexBits) | index;
+}
+
+void MicaCache::store(IndexEntry& way, IndexEntry entry) {
+  if ((way & kInUse) != 0) {
+    SlotClass& sc = classes_[class_of(way)];
+    const auto index = static_cast<std::uint32_t>(way & kSlotIndexMask);
+    (*sc.free)[sc.free_top++] = index;
+  }
+  way = entry;
 }
 
 MicaCache::GetResult MicaCache::get(const KeyHash& key,
@@ -140,8 +148,8 @@ MicaCache::GetResult MicaCache::get(const KeyHash& key,
   for (IndexEntry& way : b.ways) {
     if (!tag_matches(way, tag)) continue;
     r.accesses = 2;  // log entry fetch
-    std::uint64_t offset = offset_of(way);
-    if (!offset_live(offset)) {
+    const std::byte* slot = slot_of(way);
+    if (!offset_live(stored_offset(slot))) {
       // The log lapped this entry: treat as miss and drop the index entry.
       store(way, 0);
       ++stats_.get_stale;
@@ -149,14 +157,13 @@ MicaCache::GetResult MicaCache::get(const KeyHash& key,
     }
     // A live entry of another key with the same tag is not this key's, and
     // not stale either: leave it for its own key.
-    std::size_t pos = offset % log_.size();
-    if (!(stored_key(pos) == key)) continue;
+    if (!(stored_key(slot) == key)) continue;
     std::uint32_t len;
-    std::memcpy(&len, log_.data() + pos + kKeyHashBytes, 4);
+    std::memcpy(&len, slot + 8 + kKeyHashBytes, 4);
     if (len > out.size()) {
       throw std::length_error("MicaCache::get: output buffer too small");
     }
-    std::memcpy(out.data(), log_.data() + pos + kEntryHeader, len);
+    std::memcpy(out.data(), slot + kSlotHeader, len);
     r.found = true;
     r.value_len = len;
     ++stats_.get_hits;
@@ -178,7 +185,18 @@ MicaCache::PutResult MicaCache::put(const KeyHash& key,
   PutResult r;
   r.accesses = 1;  // bucket access (log append is sequential/write-combined)
   const std::uint64_t tag = tag_of(key);
-  const IndexEntry entry = tag | (append_log(key, value) & kOffsetMask);
+  const std::size_t need = round_up8(kEntryHeader + value.size());
+  const IndexEntry entry = tag | take_slot(need / 8 - 3);
+  std::byte* slot = slot_of(entry);
+  const std::uint64_t offset = append_log(need);
+  std::memcpy(slot, &offset, 8);
+  std::memcpy(slot + 8, &key.hi, 8);
+  std::memcpy(slot + 16, &key.lo, 8);
+  auto len = static_cast<std::uint32_t>(value.size());
+  std::memcpy(slot + 8 + kKeyHashBytes, &len, 4);
+  if (!value.empty()) {
+    std::memcpy(slot + kSlotHeader, value.data(), value.size());
+  }
 
   // As MICA's insert: the tag alone picks the way to overwrite.
   Bucket& b = bucket_for(key);
@@ -210,8 +228,8 @@ bool MicaCache::erase(const KeyHash& key) {
     if (!tag_matches(way, tag)) continue;
     // As in get: a live entry of another key with the same tag stays. A
     // lapped one goes, whoever it was.
-    std::uint64_t offset = offset_of(way);
-    if (offset_live(offset) && !(stored_key(offset % log_.size()) == key)) {
+    const std::byte* slot = slot_of(way);
+    if (offset_live(stored_offset(slot)) && !(stored_key(slot) == key)) {
       continue;
     }
     store(way, 0);

@@ -7,10 +7,18 @@
 // GETs take at most two random memory accesses (index bucket, then log
 // entry); PUTs take one (the bucket) plus a sequential log append — the
 // access counts HERD's prefetch pipeline is built around.
+//
+// The simulator keeps the log as offset arithmetic only: the head, the
+// capacity and the tail-skip wrap, which decide when an entry is lapped.
+// An entry's bytes live in a slot of its own, reused once no index way
+// points at it, so resident entry bytes track the index, not the log.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "kv/keyhash.hpp"
 #include "sim/lazy_zero_array.hpp"
@@ -51,11 +59,22 @@ class MicaCache {
     std::uint8_t accesses = 0;
   };
 
-  /// The index and log read as zeros; a page costs RSS only once touched.
+  /// One size class of entry slots a cache has opened.
+  struct SlotClassUse {
+    /// The class's whole slot array, to ask the kernel which pages are
+    /// resident; slots are handed out from its start.
+    std::span<const std::byte> slots;
+    std::size_t slot_bytes = 0;
+    std::size_t in_use = 0;      // slots an index way holds
+    std::size_t high_water = 0;  // slots [0, high_water) were handed out
+  };
+
+  /// The index reads as zeros, and no slot is mapped until a PUT needs its
+  /// class; a page costs RSS only once touched.
   explicit MicaCache(const Config& cfg);
-  /// Replica snapshot: copies the index and only the log pages an index way
-  /// points into (the whole written log once it has wrapped), so the copy's
-  /// untouched and released log pages stay untouched too.
+  /// Replica snapshot: copies the index, and of each slot class only the
+  /// slots an index way points at (under the same ids) and the free list,
+  /// so the copy's pages that hold only free slots stay untouched.
   MicaCache(const MicaCache& other);
   MicaCache& operator=(const MicaCache&) = delete;
 
@@ -85,30 +104,32 @@ class MicaCache {
   /// history — the chaos harness reads index_evictions/log_wraps/get_stale
   /// to tell cache lossiness apart from lost writes.
   void reset_stats() { stats_ = Stats{}; }
-  std::size_t log_capacity() const { return log_.size(); }
+  std::size_t log_capacity() const { return cfg_.log_bytes; }
   std::uint64_t log_head() const { return log_head_; }
-  /// The log's address range, to ask the kernel which pages are resident.
-  std::span<const std::byte> log_bytes() const {
-    return {log_.data(), log_.size()};
-  }
-  /// Log pages returned to the kernel, a replica's source's included.
-  std::uint64_t log_pages_released() const { return pages_released_; }
+  /// The slot classes opened so far, smallest slots first.
+  std::vector<SlotClassUse> slot_classes() const;
 
   static constexpr std::uint32_t kMaxValue = 1024;  // HERD items are <= 1 KB
   static constexpr std::uint32_t kAssoc = 8;
 
  private:
   // One index way in one 64-bit word, as MICA's mica.h packs a slot: an
-  // in-use bit, a tag from keyhash.hi, and the low bits of the entry's
-  // monotonic log offset. The offset decodes as the latest position at or
-  // before log_head_ with those low bits; any live entry is at most one log
-  // (less than 2^40 bytes) behind the head, so it decodes exactly.
+  // in-use bit, a tag from keyhash.hi, and a 40-bit slot id where MICA
+  // keeps the low bits of the log offset. The id names the entry's size
+  // class in its top kClassBits and the slot within the class below.
   using IndexEntry = std::uint64_t;
-  static constexpr int kOffsetBits = 40;
-  static constexpr int kTagBits = 64 - 1 - kOffsetBits;
-  static constexpr std::uint64_t kOffsetMask =
-      (std::uint64_t{1} << kOffsetBits) - 1;
+  static constexpr int kSlotIdBits = 40;
+  static constexpr int kSlotIndexBits = 32;
+  static constexpr int kClassBits = kSlotIdBits - kSlotIndexBits;
+  static constexpr int kTagBits = 64 - 1 - kSlotIdBits;
+  static constexpr std::uint64_t kSlotIdMask =
+      (std::uint64_t{1} << kSlotIdBits) - 1;
+  static constexpr std::uint64_t kSlotIndexMask =
+      (std::uint64_t{1} << kSlotIndexBits) - 1;
   static constexpr std::uint64_t kInUse = std::uint64_t{1} << 63;
+  /// A class holds one slot per index way and one more (below), and a slot
+  /// index has kSlotIndexBits.
+  static constexpr std::uint32_t kMaxBucketCountLog2 = kSlotIndexBits - 4;
 
   // Eight ways fill one cache line: a GET's first access is one line.
   struct alignas(64) Bucket {
@@ -116,35 +137,41 @@ class MicaCache {
   };
   static_assert(sizeof(Bucket) == 64);
 
-  // Log entry layout: [KeyHash (16)] [value_len (4)] [value bytes] padded to
-  // 8-byte alignment; entries never straddle the wrap boundary.
+  // An entry takes round_up8(kEntryHeader + value_len) bytes of the log:
+  // [KeyHash (16)] [value_len (4)] [value bytes], padded to 8 bytes, never
+  // straddling the wrap boundary. Its slot holds the same bytes after the
+  // entry's monotonic log offset: [offset (8)] [KeyHash] [value_len]
+  // [value]. Class c holds the entries of log size 8 * (c + 3) in slots of
+  // 8 * (c + 4) bytes.
   static constexpr std::size_t kEntryHeader = kKeyHashBytes + 4;
+  static constexpr std::size_t kSlotHeader = 8 + kEntryHeader;
+  static constexpr std::size_t kClasses =
+      (kEntryHeader + kMaxValue + 7) / 8 - 2;
+  static_assert(kClasses <= (std::size_t{1} << kClassBits));
+  static std::size_t class_slot_bytes(std::size_t cls) {
+    return 8 * (cls + 4);
+  }
 
-  // First-lap page release. A PUT appends and a superseded entry is dropped
-  // from the index only, so until the log first wraps, each kLogPage page
-  // counts the index ways whose entry overlaps it (an entry spans at most
-  // two pages, and at most one way points at it). A page whose count falls
-  // to zero behind the head holds only superseded entries; it goes back to
-  // the kernel and reads as zeros. Every read of log bytes goes through a
-  // live way, so none lands on a released page. From the first wrap on, the
-  // head rewrites every page on each lap, and the counts are dropped.
-  static constexpr std::size_t kLogPage = 4096;
-  static_assert(kEntryHeader + kMaxValue <= kLogPage);
-  // An entry takes at least its header rounded up to 8 bytes (24), so at
-  // most 172 overlap one page: a count fits a byte.
-  static_assert(kLogPage / ((kEntryHeader + 7) & ~std::size_t{7}) + 2 <=
-                UINT8_MAX);
+  // Slot store. A slot is taken for each PUT's entry and freed in one
+  // place, store(), when the way holding it is overwritten, evicted or
+  // cleared; a lapped entry keeps its slot until then. Every way in use
+  // holds one slot, and a PUT writes its entry before the way it replaces
+  // frees one, so a class never holds more than (index ways + 1) slots:
+  // that is its array's size. Freed slots are reused last-in first-out.
+  struct SlotClass {
+    std::optional<sim::LazyZeroArray<std::byte>> slots;
+    std::optional<sim::LazyZeroArray<std::uint32_t>> free;  // a stack
+    std::uint32_t free_top = 0;
+    std::uint32_t high_water = 0;
+  };
 
-  /// What a way holds above its offset bits when it is `key`'s: the in-use
-  /// bit and the top kTagBits of keyhash.hi.
+  /// What a way holds above its slot id when it is `key`'s: the in-use bit
+  /// and the top kTagBits of keyhash.hi.
   static std::uint64_t tag_of(const KeyHash& key) {
-    return kInUse | (key.hi >> (64 - kTagBits) << kOffsetBits);
+    return kInUse | (key.hi >> (64 - kTagBits) << kSlotIdBits);
   }
   static bool tag_matches(IndexEntry way, std::uint64_t tag) {
-    return (way & ~kOffsetMask) == tag;
-  }
-  std::uint64_t offset_of(IndexEntry way) const {
-    return log_head_ - ((log_head_ - way) & kOffsetMask);
+    return (way & ~kSlotIdMask) == tag;
   }
   static const Config& checked(const Config& cfg);
 
@@ -154,25 +181,34 @@ class MicaCache {
   const Bucket& bucket_for(const KeyHash& key) const {
     return buckets_[key.lo & bucket_mask_];
   }
+  /// The size class of the slot `way` (in use) points at.
+  static std::size_t class_of(IndexEntry way) {
+    return static_cast<std::size_t>((way & kSlotIdMask) >> kSlotIndexBits);
+  }
+  /// The slot `way` (in use) points at.
+  std::byte* slot_of(IndexEntry way) const {
+    const std::size_t cls = class_of(way);
+    return slot_base_[cls] + (way & kSlotIndexMask) * class_slot_bytes(cls);
+  }
+  static std::uint64_t stored_offset(const std::byte* slot);
+  static KeyHash stored_key(const std::byte* slot);
   bool offset_live(std::uint64_t offset) const;
-  /// The keyhash of the log entry at byte `pos` of the log.
-  KeyHash stored_key(std::size_t pos) const;
-  std::uint64_t append_log(const KeyHash& key,
-                           std::span<const std::byte> value);
-  /// Points `way` at `entry` (0 clears it), keeping the page counts.
+  /// Advances the head past an entry of `need` log bytes; returns the
+  /// entry's offset.
+  std::uint64_t append_log(std::size_t need);
+  /// A free slot of class `cls`, as a slot id.
+  std::uint64_t take_slot(std::size_t cls);
+  void open_class(std::size_t cls);
+  /// Points `way` at `entry` (0 clears it), freeing the slot it held.
   void store(IndexEntry& way, IndexEntry entry);
-  /// Adds `delta` to the count of each page the in-use `way`'s entry
-  /// overlaps, and releases a page that falls to zero behind the head.
-  void count_pages(IndexEntry way, int delta);
 
   Config cfg_;
   std::uint64_t bucket_mask_;
+  std::uint32_t class_slots_;  // index ways + 1
   sim::LazyZeroArray<Bucket> buckets_;
-  sim::LazyZeroArray<std::byte> log_;
-  std::uint64_t log_head_ = 0;  // monotonic; head % size = write position
-  bool first_lap_ = true;       // the log has not wrapped: pages are counted
-  sim::LazyZeroArray<std::uint8_t> page_ways_;  // per kLogPage page
-  std::uint64_t pages_released_ = 0;
+  std::uint64_t log_head_ = 0;  // monotonic; head % capacity = write position
+  std::array<std::byte*, kClasses> slot_base_{};  // the get/put path's view
+  std::array<SlotClass, kClasses> classes_;
   Stats stats_;
   std::uint64_t rng_state_;
 };

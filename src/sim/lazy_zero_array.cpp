@@ -48,14 +48,4 @@ void unmap_zero_pages(void* p, std::size_t bytes) {
   if (p != nullptr) ::munmap(p, bytes);
 }
 
-void release_zero_pages(void* p, std::size_t bytes) {
-  std::size_t page = page_size();
-  auto begin = reinterpret_cast<std::uintptr_t>(p);
-  std::uintptr_t first = round_up(begin, page);
-  std::uintptr_t end = (begin + bytes) / page * page;
-  if (first >= end) return;
-  // A private anonymous page dropped this way reads back as zeros.
-  ::madvise(reinterpret_cast<void*>(first), end - first, MADV_DONTNEED);
-}
-
 }  // namespace herd::sim::detail

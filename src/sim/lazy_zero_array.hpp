@@ -7,9 +7,7 @@
 // anonymous memory instead, so an untouched page costs address space, not
 // RSS. It maps pages directly rather than calling calloc: glibc recycles
 // freed heap chunks and memsets them, which would fault every page back in
-// once an earlier testbed has come and gone. A range whose contents are
-// dead can be handed back (`release`): its pages read as zeros again and
-// cost no RSS until written.
+// once an earlier testbed has come and gone.
 #pragma once
 
 #include <algorithm>
@@ -33,9 +31,6 @@ namespace detail {
 /// pages.
 void* map_zero_pages(std::size_t bytes, PageHint hint);
 void unmap_zero_pages(void* p, std::size_t bytes);
-/// Returns the whole pages inside [p, p + bytes) to the kernel; they read
-/// as zeros again.
-void release_zero_pages(void* p, std::size_t bytes);
 }  // namespace detail
 
 /// `T` must read as its default value when all of its bytes are zero.
@@ -62,13 +57,6 @@ class LazyZeroArray {
   LazyZeroArray(const LazyZeroArray&) = delete;
   LazyZeroArray& operator=(const LazyZeroArray&) = delete;
   ~LazyZeroArray() { detail::unmap_zero_pages(data_, size_ * sizeof(T)); }
-
-  /// Elements [first, first + n) read as their default value again, and
-  /// the whole pages among them cost no RSS until written. Elements on a
-  /// page that reaches outside the range keep their values.
-  void release(std::size_t first, std::size_t n) {
-    detail::release_zero_pages(data_ + first, n * sizeof(T));
-  }
 
   std::size_t size() const { return size_; }
   T* data() { return data_; }

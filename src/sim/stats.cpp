@@ -23,6 +23,10 @@ void LatencyHistogram::widen(std::size_t first, std::size_t last) {
   std::size_t hi =
       std::max((last / kOctave + 1) * kOctave, lo_ + buckets_.size());
   if (lo == lo_ && hi == lo_ + buckets_.size()) return;  // already held
+  // A spare octave on each side: the next sample just outside the range
+  // lands in it instead of reallocating again.
+  lo = lo >= kOctave ? lo - kOctave : 0;
+  hi = std::min(hi + kOctave, kBuckets);
   std::vector<std::uint64_t> wider(hi - lo, 0);
   std::copy(buckets_.begin(), buckets_.end(),
             wider.begin() + static_cast<std::ptrdiff_t>(lo_ - lo));

@@ -80,7 +80,8 @@ class LatencyHistogram {
     return std::min(idx, kBuckets - 1);
   }
   static Tick bucket_upper(std::size_t idx);
-  /// Grows the stored range by whole octaves to hold buckets [first, last].
+  /// Grows the stored range by whole octaves to hold buckets [first, last]
+  /// and, when it reallocates, one more octave on each side.
   void widen(std::size_t first, std::size_t last);
 
   // buckets_[i] counts bucket lo_ + i; bucket 0 (exact zeros) is zeros_.

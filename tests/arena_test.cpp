@@ -2,9 +2,9 @@
 // building one faults in almost none of its pages, and a replica snapshot
 // of a cache faults in only what its source has written and still points
 // at. Both hold after an earlier testbed has come and gone and left the
-// allocator dirty. Log pages that only superseded entries sit on go back to
-// the kernel. An array hinted for huge pages starts on a huge-page
-// boundary.
+// allocator dirty. An overwritten entry's slot is reused, so the slot pages
+// a cache keeps resident follow its index, not its log. An array hinted for
+// huge pages starts on a huge-page boundary.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <sys/resource.h>
@@ -14,7 +14,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "herd/testbed.hpp"
@@ -72,7 +71,7 @@ kv::MicaCache::Config bench_partition() {
   return cfg;
 }
 
-// 2^15 buckets of kAssoc ways, each way one 8-byte (in-use, tag, offset)
+// 2^15 buckets of kAssoc ways, each way one 8-byte (in-use, tag, slot id)
 // word: 2 MiB.
 constexpr std::size_t kIndexBytes =
     (std::size_t{1} << 15) * kv::MicaCache::kAssoc * 8;
@@ -83,33 +82,33 @@ std::vector<std::byte> value_of(std::uint64_t rank) {
   return v;
 }
 
-// The puts made to a cache built empty, and where its log holds each key's
-// newest entry: a 20-byte header and the value, padded to 8 bytes, appended
-// at the head from offset 0 (the log never wraps here, and the index never
-// evicts).
+// The puts made to a cache built empty: each key's newest value, and where
+// the log head stands (a 20-byte header and the value, padded to 8 bytes,
+// per put; the log never wraps here, and the index never evicts).
 struct LogModel {
-  struct Entry {
-    std::uint64_t offset;
-    std::vector<std::byte> value;
-  };
-  std::map<std::uint64_t, Entry> newest;  // by rank
+  std::map<std::uint64_t, std::vector<std::byte>> newest;  // by rank
   std::uint64_t head = 0;
 
   void put(kv::MicaCache& cache, std::uint64_t rank,
            std::vector<std::byte> value) {
     cache.put(kv::hash_of_rank(rank), value);
-    std::uint64_t offset = head;
     head += (20 + value.size() + 7) & ~std::uint64_t{7};
-    newest[rank] = Entry{offset, std::move(value)};
+    newest[rank] = std::move(value);
+  }
+
+  void erase(kv::MicaCache& cache, std::uint64_t rank) {
+    ASSERT_TRUE(cache.erase(kv::hash_of_rank(rank))) << "rank " << rank;
+    newest.erase(rank);
   }
 
   // Overwrites a random nine in ten of the keys, in rank order, `rounds`
-  // times, each time with fresh bytes: each round supersedes most entries
-  // of the last one and leaves the rest scattered behind.
+  // times, each time with fresh bytes of the key's own length: each round
+  // supersedes most entries of the last one and leaves the rest scattered
+  // behind.
   void overwrite(kv::MicaCache& cache, int rounds, std::uint64_t seed) {
     sim::Pcg32 rng(seed);
     std::vector<std::uint64_t> ranks;
-    for (const auto& [rank, e] : newest) ranks.push_back(rank);
+    for (const auto& [rank, v] : newest) ranks.push_back(rank);
     for (int round = 1; round <= rounds; ++round) {
       for (std::uint64_t rank : ranks) {
         if (rng.next_below(10) == 0) continue;
@@ -121,30 +120,38 @@ struct LogModel {
     }
   }
 
-  // The log pages some newest entry overlaps, and the head's page.
-  std::set<std::uint64_t> live_pages(std::uint64_t page) const {
-    std::set<std::uint64_t> live{head / page};
-    for (const auto& [rank, e] : newest) {
-      std::uint64_t end = e.offset + 20 + e.value.size();
-      for (std::uint64_t p = e.offset / page; p <= (end - 1) / page; ++p) {
-        live.insert(p);
-      }
-    }
-    return live;
-  }
-
   // Every key reads its newest value.
   void expect_served_by(kv::MicaCache& cache) const {
     std::byte out[kv::MicaCache::kMaxValue];
-    for (const auto& [rank, e] : newest) {
+    for (const auto& [rank, v] : newest) {
       auto g = cache.get(kv::hash_of_rank(rank), out);
       ASSERT_TRUE(g.found) << "rank " << rank;
-      ASSERT_EQ(g.value_len, e.value.size()) << "rank " << rank;
-      ASSERT_EQ(std::memcmp(out, e.value.data(), e.value.size()), 0)
-          << "rank " << rank;
+      ASSERT_EQ(g.value_len, v.size()) << "rank " << rank;
+      ASSERT_EQ(std::memcmp(out, v.data(), v.size()), 0) << "rank " << rank;
     }
   }
 };
+
+// The pages of each slot class of `cache` the kernel holds resident.
+std::vector<long> resident_slot_pages(const kv::MicaCache& cache) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<long> out;
+  for (const kv::MicaCache::SlotClassUse& u : cache.slot_classes()) {
+    std::vector<unsigned char> resident((u.slots.size() + page - 1) / page);
+    EXPECT_EQ(mincore(const_cast<std::byte*>(u.slots.data()),
+                      resident.size() * page, resident.data()),
+              0);
+    long in_core = 0;
+    for (unsigned char r : resident) in_core += r & 1;
+    out.push_back(in_core);
+  }
+  return out;
+}
+
+// The pages the first `n` slots of class `u` span.
+long slot_pages(const kv::MicaCache::SlotClassUse& u, std::size_t n) {
+  return pages(n * u.slot_bytes);
+}
 
 TEST(LazyArena, NewHostMemoryAndCacheFaultAlmostNoPages) {
   dirty_allocator();
@@ -153,7 +160,7 @@ TEST(LazyArena, NewHostMemoryAndCacheFaultAlmostNoPages) {
   auto mem = std::make_unique<verbs::HostMemory>(kHostBytes);
   auto cache = std::make_unique<kv::MicaCache>(bench_partition());
   long faults = minor_faults() - before;
-  long total = pages(kHostBytes + kIndexBytes + (32u << 20));
+  long total = pages(kHostBytes + kIndexBytes);
   if (!kAsan) {
     EXPECT_LT(faults, total / 50) << "of " << total << " pages";
   }
@@ -175,17 +182,21 @@ TEST(LazyArena, CacheCopyServesEveryKeyAndFaultsOnlyItsWrittenPrefix) {
   for (std::uint64_t rank = 1; rank <= kKeys; ++rank) {
     model.put(src, rank, value_of(rank));
   }
-  ASSERT_LT(src.log_head(), src.log_capacity() / 16);
 
   long before = minor_faults();
   kv::MicaCache copy(src);
   long faults = minor_faults() - before;
-  // The index is copied whole; the log only up to its head. Reading the
-  // source's never-touched index pages faults a few more.
-  long written = pages(kIndexBytes) + pages(src.log_head());
+  // The index is copied whole; of each slot class, the slots handed out so
+  // far. Reading the source's never-touched index pages faults a few more.
+  long written = pages(kIndexBytes);
+  for (const auto& u : src.slot_classes()) {
+    ASSERT_EQ(u.in_use, u.high_water);
+    written += slot_pages(u, u.high_water);
+  }
   if (!kAsan) {
     EXPECT_LT(faults, written + written / 4)
-        << "log alone is " << pages(src.log_capacity()) << " pages";
+        << "slots alone reserve " << pages(copy.slot_classes()[0].slots.size())
+        << " pages in the first class";
   }
 
   EXPECT_EQ(copy.log_head(), src.log_head());
@@ -201,35 +212,46 @@ TEST(LazyArena, CacheCopyServesEveryKeyAndFaultsOnlyItsWrittenPrefix) {
     ASSERT_EQ(std::memcmp(want, got, a.value_len), 0) << "rank " << rank;
   }
 
-  // Overwrite most keys many times: most of the written log is released,
-  // and a copy reads and writes only the pages some entry lives on.
+  // Overwrite most keys many times, then delete every key whose entry
+  // takes more than 88 log bytes (values over 68 bytes): their four slot
+  // classes hold only free slots. A copy writes only the slots some way
+  // points at, so it leaves every page of those classes untouched.
   model.overwrite(src, 20, 7);
+  for (std::uint64_t rank = 1; rank <= kKeys; ++rank) {
+    if (32 + rank % 64 > 68) model.erase(src, rank);
+  }
   ASSERT_EQ(src.log_head(), model.head);
-  ASSERT_LT(src.log_head(), src.log_capacity());
   ASSERT_EQ(src.stats().index_evictions, 0u);
-  const auto live = static_cast<long>(model.live_pages(4096).size());
-  ASSERT_LT(live * 4, pages(src.log_head()));
   before = minor_faults();
   kv::MicaCache recopy(src);
   faults = minor_faults() - before;
-  written = pages(kIndexBytes) + live;
+  written = pages(kIndexBytes);
+  const std::vector<kv::MicaCache::SlotClassUse> classes =
+      src.slot_classes();
+  const std::vector<long> resident = resident_slot_pages(recopy);
+  ASSERT_EQ(resident.size(), classes.size());
+  int emptied = 0;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const kv::MicaCache::SlotClassUse& u = classes[c];
+    long held = u.in_use == 0 ? 0 : slot_pages(u, u.high_water);
+    EXPECT_LE(resident[c], held) << u.slot_bytes << "-byte slots";
+    emptied += u.in_use == 0 ? 1 : 0;
+    written += held + pages((u.high_water - u.in_use) * 4);  // free list
+  }
+  EXPECT_EQ(emptied, 4);
   if (!kAsan) {
-    EXPECT_LT(faults, written + written / 4)
-        << "the written log is " << pages(src.log_head()) << " pages";
+    EXPECT_LT(faults, written + written / 4);
   }
   EXPECT_EQ(recopy.log_head(), src.log_head());
   model.expect_served_by(recopy);
   model.expect_served_by(src);
 }
 
-// Overwritten entries leave the log pages they sat on: once the head has
-// passed a page and no index way points into it, the kernel has it back.
-// mincore over the written log finds no more resident pages than the newest
-// entries overlap, plus the head's page, and every key still reads its
-// newest value.
-TEST(LazyArena, OverwrittenLogPagesAreReturned) {
-  const long page = sysconf(_SC_PAGESIZE);
-  if (page != 4096) GTEST_SKIP() << "the cache releases 4 KiB pages";
+// Overwritten entries give their slots back: over 4000 keys overwritten
+// many times, mincore over the slot arrays finds no more resident pages
+// than (in-use ways + 1) slots span in each class, plus one per class, and
+// every key still reads its newest value.
+TEST(LazyArena, OverwrittenEntriesReuseTheirSlots) {
   kv::MicaCache cache(bench_partition());
   LogModel model;
   for (std::uint64_t rank = 1; rank <= 4000; ++rank) {
@@ -237,22 +259,20 @@ TEST(LazyArena, OverwrittenLogPagesAreReturned) {
   }
   model.overwrite(cache, 20, 3);
   ASSERT_EQ(cache.log_head(), model.head);
-  ASSERT_LT(cache.log_head(), cache.log_capacity());
   ASSERT_EQ(cache.stats().index_evictions, 0u);
 
-  // The written pages up to the head's; none past it was ever touched.
-  std::span<const std::byte> log = cache.log_bytes();
-  std::size_t written = static_cast<std::size_t>(pages(cache.log_head() + 1));
-  std::vector<unsigned char> resident(written);
-  ASSERT_EQ(mincore(const_cast<std::byte*>(log.data()),
-                    written * static_cast<std::size_t>(page), resident.data()),
-            0);
-  long in_core = 0;
-  for (unsigned char r : resident) in_core += r & 1;
-  const auto live = static_cast<long>(model.live_pages(4096).size());
-  EXPECT_LE(in_core, live) << "of " << written << " written pages";
-  EXPECT_GE(static_cast<long>(cache.log_pages_released()),
-            static_cast<long>(written) - live);
+  const std::vector<kv::MicaCache::SlotClassUse> classes =
+      cache.slot_classes();
+  const std::vector<long> resident = resident_slot_pages(cache);
+  ASSERT_EQ(resident.size(), classes.size());
+  std::size_t in_use = 0;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const kv::MicaCache::SlotClassUse& u = classes[c];
+    in_use += u.in_use;
+    EXPECT_LE(resident[c], slot_pages(u, u.in_use + 1) + 1)
+        << u.slot_bytes << "-byte slots, " << u.high_water << " handed out";
+  }
+  EXPECT_EQ(in_use, model.newest.size());
   model.expect_served_by(cache);
 }
 

@@ -104,12 +104,20 @@ TEST(MicaCache, TooSmallLogRejected) {
   EXPECT_THROW(MicaCache{cfg}, std::invalid_argument);
 }
 
-TEST(MicaCache, LogBeyond40BitOffsetsRejected) {
-  // A way keeps 40 offset bits; a live entry decodes exactly only while a
-  // whole log is less than 2^40 bytes. Checked before anything is mapped.
+TEST(MicaCache, IndexBeyond40BitSlotIdsRejected) {
+  // A way keeps a 40-bit slot id: 8 bits of size class and 32 of slot
+  // index, and each class holds one slot per way and one more, so 2^28
+  // buckets is the largest index. Checked before anything is mapped.
   MicaCache::Config cfg = tiny();
-  cfg.log_bytes = std::size_t{1} << 40;
+  cfg.bucket_count_log2 = 29;
   EXPECT_THROW(MicaCache{cfg}, std::invalid_argument);
+  // The log is offset arithmetic only: its size is not bounded by a way.
+  cfg.bucket_count_log2 = 0;
+  cfg.log_bytes = std::size_t{1} << 40;
+  MicaCache c(cfg);
+  c.put(hash_of_rank(3), value_of(3, 16));
+  std::byte out[16];
+  EXPECT_TRUE(c.get(hash_of_rank(3), out).found);
 }
 
 TEST(MicaCache, SmallBufferThrows) {
@@ -160,6 +168,27 @@ TEST(MicaCache, LogWrapInvalidatesLappedEntries) {
   EXPECT_FALSE(g.found);
 }
 
+// The head reaches the end of the log exactly, with no tail to skip: the
+// next lap has begun, and the wrap counts as one.
+TEST(MicaCache, LogWrapCountsAnEntryThatEndsTheLogExactly) {
+  MicaCache::Config cfg;
+  cfg.bucket_count_log2 = 8;  // 2048 ways: no eviction
+  cfg.log_bytes = 4 << 10;
+  MicaCache c(cfg);
+  // 44-byte values take 20 + 44 = 64 log bytes: 64 of them fill 4 KiB.
+  for (std::uint64_t r = 1; r <= 64; ++r) {
+    c.put(hash_of_rank(r), value_of(r, 44));
+  }
+  ASSERT_EQ(c.log_head(), cfg.log_bytes);
+  c.put(hash_of_rank(65), value_of(65, 44));
+  EXPECT_EQ(c.stats().log_wraps, 1u);
+  EXPECT_EQ(c.stats().index_evictions, 0u);
+  std::byte out[64];
+  EXPECT_FALSE(c.get(hash_of_rank(1), out).found);  // lapped by rank 65
+  EXPECT_EQ(c.stats().get_stale, 1u);
+  EXPECT_TRUE(c.get(hash_of_rank(2), out).found);
+}
+
 TEST(MicaCache, NeverReturnsWrongBytes) {
   // Adversarial churn: whatever the cache returns must be exactly what the
   // most recent put for that key stored.
@@ -208,6 +237,50 @@ TEST_P(MicaValueSizeTest, RoundTripsEverySize) {
 INSTANTIATE_TEST_SUITE_P(Sizes, MicaValueSizeTest,
                          ::testing::Values(0, 1, 7, 8, 15, 16, 32, 100, 255,
                                            512, 1000, 1024));
+
+// Slots in use, over every class a cache has opened.
+std::size_t slots_in_use(const MicaCache& c) {
+  std::size_t n = 0;
+  for (const MicaCache::SlotClassUse& u : c.slot_classes()) n += u.in_use;
+  return n;
+}
+
+// A one-bucket index filled with entries of one size and then put under
+// eviction pressure, at every value size. The ninth PUT writes its entry
+// while all eight ways still hold theirs, so its class needs the one slot
+// beyond the ways; evictions then free exactly one slot per PUT, and every
+// key the index keeps reads its newest value.
+TEST(MicaCache, FullOneBucketIndexUnderEvictionAtEveryValueSize) {
+  MicaCache::Config cfg;
+  cfg.bucket_count_log2 = 0;
+  cfg.log_bytes = 64 << 10;  // a few laps at the largest sizes
+  constexpr std::uint64_t kKeys = 24;
+  std::vector<KeyHash> keys;
+  for (std::uint64_t r = 0; r < kKeys; ++r) {
+    keys.push_back(KeyHash{((r + 1) << 41) | 5, 9 + r});  // distinct tags
+  }
+  std::byte out[MicaCache::kMaxValue];
+  for (std::uint32_t len = 0; len <= MicaCache::kMaxValue; ++len) {
+    SCOPED_TRACE(::testing::Message() << "value_len " << len);
+    MicaCache c(cfg);
+    std::vector<std::vector<std::byte>> newest(kKeys);
+    for (std::uint64_t r = 0; r < kKeys; ++r) {
+      newest[r] = value_of(len * 1000 + r, len);
+      c.put(keys[r], newest[r]);
+      ASSERT_EQ(slots_in_use(c), std::min<std::uint64_t>(r + 1, 8));
+    }
+    ASSERT_EQ(c.stats().index_evictions, kKeys - 8);
+    std::vector<MicaCache::SlotClassUse> classes = c.slot_classes();
+    ASSERT_EQ(classes.size(), 1u);
+    EXPECT_EQ(classes[0].high_water, 9u);
+    for (std::uint64_t r = 0; r < kKeys; ++r) {
+      auto g = c.get(keys[r], out);
+      if (!g.found) continue;
+      ASSERT_EQ(g.value_len, len);
+      ASSERT_TRUE(std::ranges::equal(std::span(out, len), newest[r]));
+    }
+  }
+}
 
 TEST(MicaCache, StatsAccounting) {
   MicaCache c(tiny());
@@ -277,7 +350,8 @@ TEST(MicaCache, PrefetchIsAPureHint) {
 
 // ---------------------------------------------------------------------------
 // The packed index: one 64-bit word per way (in-use bit, 23-bit tag from the
-// top of keyhash.hi, low 40 bits of the log offset).
+// top of keyhash.hi, 40-bit id of the slot holding the entry and its log
+// offset).
 
 // The index as it stood with 16-byte ways: a full 64-bit tag (keyhash.hi,
 // 0 = empty) and a full 64-bit log offset each, over the same log, the same
@@ -357,6 +431,10 @@ class WideMica {
 
   const MicaCache::Stats& stats() const { return stats_; }
   std::uint64_t log_head() const { return head_; }
+  std::size_t ways_in_use() const {
+    return static_cast<std::size_t>(std::ranges::count_if(
+        ways_, [](const Way& w) { return w.tag != 0; }));
+  }
 
  private:
   struct Way {
@@ -381,6 +459,7 @@ class WideMica {
       ++stats_.log_wraps;
     }
     std::uint64_t offset = head_;
+    if (pos + need == log_.size()) ++stats_.log_wraps;  // ends the log
     std::memcpy(log_.data() + pos, &key.hi, 8);
     std::memcpy(log_.data() + pos + 8, &key.lo, 8);
     auto len = static_cast<std::uint32_t>(value.size());
@@ -425,7 +504,8 @@ std::vector<KeyHash> distinct_tag_keys(std::uint64_t seed, std::uint32_t log2,
 // the ops are PUTs, the next tenth DELETEs, the rest GETs. The first time
 // `copy_now(op, packed)` holds before an op, `packed` is replaced by a replica
 // copy of itself. After every op the two agree on every result, every value
-// byte, every counter and the log head.
+// byte, every counter and the log head, and `packed` holds one slot per
+// index way in use.
 template <class Rank, class CopyNow>
 void agree_with_reference(std::unique_ptr<MicaCache>& packed, WideMica& wide,
                           const std::vector<KeyHash>& keys, sim::Pcg32& rng,
@@ -463,6 +543,7 @@ void agree_with_reference(std::unique_ptr<MicaCache>& packed, WideMica& wide,
     }
     ASSERT_TRUE(same_stats(packed->stats(), wide.stats())) << "op " << i;
     ASSERT_EQ(packed->log_head(), wide.log_head()) << "op " << i;
+    ASSERT_EQ(slots_in_use(*packed), wide.ways_in_use()) << "op " << i;
   }
 }
 
@@ -500,20 +581,19 @@ TEST(MicaPackedIndex, AgreesWithSixteenByteWays) {
   }
 }
 
-// First-lap page release against the same reference, on overwrite-heavy
-// streams of Zipf-skewed keys over a 256 KiB log (64 pages). A released
-// page reads as zeros, so a page released while a way still points into it,
-// or a count the stream gets wrong, shows up as a GET or DELETE that
-// disagrees with the reference.
-//  - 48 keys in 1-4 buckets: evictions on most puts, so most first-lap pages
-//    come to hold only superseded entries and go back to the kernel before
-//    the log wraps; later laps write over them again. The replica copy is
-//    taken on the first lap, with pages already released, and keeps
-//    releasing.
+// The slot store against the same reference, on overwrite-heavy streams
+// of Zipf-skewed keys over a 256 KiB log: every op agrees, and after every
+// op the cache holds exactly one slot per way in use. A slot freed while a
+// way still holds it is handed to the next PUT of its size and read back
+// through the old way as the wrong entry; one never freed is counted.
+//  - 48 keys in 1-4 buckets: evictions on most puts, so most slots are
+//    freed by an eviction rather than an overwrite. The replica copy is
+//    taken halfway through the first lap and goes on taking and freeing
+//    slots under the ids it copied.
 //  - 400 keys in 64 buckets: no evictions, and cold keys outlive a lap, so
-//    many ways are lapped when they are overwritten, read or deleted. They
-//    point at bytes a later lap wrote, and must lower no count.
-TEST(MicaPackedIndex, ReleasedLogPagesAgreeWithSixteenByteWays) {
+//    many ways are lapped when they are overwritten, read or deleted, and
+//    their slots are freed only then.
+TEST(MicaPackedIndex, SlotsFollowTheWaysOfSixteenByteWays) {
   constexpr int kOps = 12000;
   struct Case {
     std::uint32_t log2;
@@ -533,21 +613,16 @@ TEST(MicaPackedIndex, ReleasedLogPagesAgreeWithSixteenByteWays) {
       const std::vector<KeyHash> keys = distinct_tag_keys(seed, c.log2, c.keys);
       sim::ZipfGenerator zipf(keys.size(), 0.99, seed);
       sim::Pcg32 rng(seed);
-      std::uint64_t released_at_copy = 0;
       ASSERT_NO_FATAL_FAILURE(agree_with_reference(
           packed, wide, keys, rng, kOps, 0.7,
           [&](sim::Pcg32&) { return zipf.next(); },
           [&](int, const MicaCache& m) {
-            released_at_copy = m.log_pages_released();
             return m.log_head() >= cfg.log_bytes / 2;
           }));
       EXPECT_GE(wide.stats().log_wraps, 5u);
       EXPECT_GT(wide.stats().get_hits, 500u);
       if (c.keys == 48) {
-        // Of the 64 pages, a third were released before the copy, and most
-        // of the rest after it, on the first lap.
-        EXPECT_GT(released_at_copy, 16u);
-        EXPECT_GT(packed->log_pages_released(), released_at_copy + 16);
+        EXPECT_GT(wide.stats().index_evictions, 1000u);
       } else {
         EXPECT_GT(wide.stats().get_stale, 50u);
       }
@@ -606,9 +681,9 @@ TEST(MicaPackedIndex, SharedTagPutTakesTheWayGetAndDeleteLeaveIt) {
   EXPECT_TRUE(holds(other, value_of(3, 8)));
 }
 
-// An offset keeps only its low 40 bits and decodes relative to the head. An
-// entry less than one lap behind reads back; one more than a lap behind is
-// stale, and the way is dropped.
+// A slot keeps its entry's monotonic log offset, and staleness is decided on
+// it alone: an entry less than one lap behind the head reads back; one more
+// than a lap behind is stale, and the way is dropped.
 TEST(MicaPackedIndex, EntryMoreThanALapBehindIsStale) {
   MicaCache::Config cfg;
   cfg.bucket_count_log2 = 1;
