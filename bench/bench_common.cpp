@@ -135,23 +135,13 @@ int bench_main(int argc, char** argv, const Figure& f) {
 
 obs::BenchReport& report() { return *running_report; }
 
-obs::Json publish(const microbench::RunRecord& r) {
+obs::Json publish(const cluster::RunRecord& r) {
   report().set_snapshot(r.snapshot);
   if (!r.timeseries.is_null()) report().set_timeseries(r.timeseries);
   if (options().trace_every > 0 && !r.trace_json.empty()) {
     report().set_trace(r.trace_json);
   }
   return r.tail;
-}
-
-obs::Json publish(const core::HerdTestbed& bed) {
-  cluster::require_contract_clean(bed.cluster());
-  microbench::RunRecord r;
-  r.snapshot = bed.snapshot();
-  r.timeseries = bed.timeseries_json();
-  if (options().trace_every > 0) r.trace_json = bed.trace_json();
-  r.tail = obs::tail_json(bed.tail().quantile("ok", 0.99));
-  return publish(r);
 }
 
 E2e run_herd(const cluster::ClusterConfig& cc, const E2eParams& p) {
@@ -177,12 +167,12 @@ E2e run_herd(const cluster::ClusterConfig& cc, const E2eParams& p) {
   cfg.workload.n_keys = 1u << 16;
   cfg.workload.zipf = p.zipf;
   cfg.trace_sample_every = options().trace_every;
-  // 16 flight windows per measure window, however tiny the CI run.
-  cfg.flight_interval = measure / 16 > 0 ? measure / 16 : 1;
+  cfg.flight_interval = obs::flight_interval_for(measure);
   core::HerdTestbed bed(cfg);
   auto r = bed.run(warmup_ticks(), measure);
-  return E2e{r.mops,           r.avg_latency_us,  r.p5_latency_us,
-             r.p95_latency_us, bed.attribution(), publish(bed)};
+  const cluster::RunRecord rec = bed.cluster().record();
+  return E2e{r.mops,           r.avg_latency_us, r.p5_latency_us,
+             r.p95_latency_us, rec.attr,         publish(rec)};
 }
 
 E2e run_emulated(const cluster::ClusterConfig& cc, baselines::System sys,
@@ -198,8 +188,9 @@ E2e run_emulated(const cluster::ClusterConfig& cc, baselines::System sys,
   baselines::EmulatedKvTestbed bed(cfg);
   auto r = bed.run(warmup_ticks(), measure_ticks());
   cluster::require_contract_clean(bed.cluster());
-  // Emulated testbeds do not register their resources yet; attribution stays
-  // empty and the bench point simply carries no `bottleneck` field.
+  // The window's attribution stays unpublished until its meters obey the
+  // operational laws (ROADMAP items 2 and 19): the point carries no
+  // `bottleneck` field.
   return E2e{r.mops, r.avg_latency_us, r.p5_latency_us, r.p95_latency_us,
              {},     {}};
 }

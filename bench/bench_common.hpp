@@ -8,17 +8,18 @@
 // points land in their series in the order they ran, and the last run that
 // publishes supplies the registry snapshot, flight recording and trace.
 //
-// A run reaches the report one way: a microbench driver returns a
-// microbench::RunRecord, a HERD experiment leaves its evidence on the
-// core::HerdTestbed, and publish() takes either, sets the report's registry
-// snapshot, flight recording and trace, and hands back the p99 tail for the
-// point (whose attribution comes from the record or the testbed). The
-// emulated baselines (run_emulated) publish nothing yet.
+// A run reaches the report one way: every testbed measures through
+// cluster::Cluster::measure() (warm-up, one window on every registered
+// resource, the flight recorder) and hands its evidence over as one
+// cluster::RunRecord: a microbench driver returns it, and a HERD experiment
+// takes it with bed.cluster().record(). publish() sets the report's registry
+// snapshot, flight recording and trace from the record and hands back the
+// p99 tail for the point (whose attribution is the record's). The emulated
+// baselines (run_emulated) measure the same way but publish nothing yet.
 //
-// Every published run first passes cluster::require_contract_clean():
-// microbench drivers in microbench::finish, HERD testbeds in publish(), and
-// the emulated baselines in run_emulated. A run that misused the verbs API
-// throws instead of reporting.
+// Every published run first passes cluster::require_contract_clean(), inside
+// Cluster::record() (and directly in run_emulated). A run that misused the
+// verbs API throws instead of reporting.
 //
 // `herd_bench <figure> [flags]` runs one figure, so its output is a function
 // of its flags alone (`herd_bench --list` prints the figure ids; a missing
@@ -97,11 +98,7 @@ inline sim::Tick warmup_ticks() {
 /// (Null when nothing was sampled) for the caller's point. Each call
 /// overwrites the last, so a figure's files carry the evidence of the last
 /// run it published.
-obs::Json publish(const microbench::RunRecord& r);
-
-/// As above, for a HERD testbed's last run(). Throws if the run violated
-/// the verbs contract.
-obs::Json publish(const core::HerdTestbed& bed);
+obs::Json publish(const cluster::RunRecord& r);
 
 // --- end-to-end drivers ----------------------------------------------------
 

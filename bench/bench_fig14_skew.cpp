@@ -27,18 +27,18 @@ void run() {
     cfg.herd.mica.log_bytes = 32u << 20;
 
     const sim::Tick measure = bench::measure_ticks();
-    cfg.flight_interval = measure / 16 > 0 ? measure / 16 : 1;
+    cfg.flight_interval = obs::flight_interval_for(measure);
     cfg.trace_sample_every = bench::options().trace_every;
 
     core::HerdTestbed bed(cfg);
     bed.run(bench::warmup_ticks(), measure);
     const std::vector<double> per_core = bed.per_proc_mops();
-    const obs::Attribution attr = bed.attribution();
-    const obs::Json tail = bench::publish(bed);
+    const cluster::RunRecord rec = bed.cluster().record();
+    const obs::Json tail = bench::publish(rec);
     for (std::size_t s = 0; s < per_core.size(); ++s) {
       bench::report().add_point(zipf ? "Zipf(.99)" : "Uniform",
                                 static_cast<double>(s),
-                                {{"Mops", per_core[s]}}, attr, tail);
+                                {{"Mops", per_core[s]}}, rec.attr, tail);
     }
   }
 }

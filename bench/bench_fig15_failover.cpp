@@ -61,7 +61,7 @@ void run() {
     promotions += r.promotions;
     failovers += r.failovers;
   }
-  const obs::Json tail = bench::publish(bed);
+  const obs::Json tail = bench::publish(bed.cluster().record());
 
   double pre = 0;
   for (int i = 0; i < kCrashSlice; ++i) pre += mops[static_cast<std::size_t>(i)];

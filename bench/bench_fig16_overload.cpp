@@ -110,12 +110,13 @@ void run() {
       core::HerdTestbed bed(overload_bench_cfg(true, kClients[i]));
       auto r = bed.run(warmup, measure);
       on_mops[i] = r.mops;
-      attrs[i] = bed.attribution();
       sheds += r.overload_sheds;
       shed_deadline += r.shed_deadline;
       // Every shielded point publishes; the deepest-overload one, last, is
       // the snapshot and trace the report keeps.
-      tails[i] = bench::publish(bed);
+      const cluster::RunRecord rec = bed.cluster().record();
+      attrs[i] = rec.attr;
+      tails[i] = bench::publish(rec);
     }
     {
       // Not gated on the verbs contract (it does not publish): with nothing

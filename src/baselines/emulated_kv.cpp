@@ -462,18 +462,16 @@ void EmulatedKvTestbed::client_finish(Client& c, std::uint64_t op_id) {
 
 EmulatedKvTestbed::RunResult EmulatedKvTestbed::run(sim::Tick warmup,
                                                     sim::Tick measure) {
-  auto& engine = cluster_->engine();
   for (auto& c : clients_) {
     c->running = true;
     client_pump(*c);
   }
-  engine.run_until(engine.now() + warmup);
-  for (auto& c : clients_) {
-    c->completed = c->gets = c->puts = 0;
-    c->latency.clear();
-  }
-  sim::Tick start = engine.now();
-  engine.run_until(start + measure);
+  cluster_->measure(warmup, measure, [this] {
+    for (auto& c : clients_) {
+      c->completed = c->gets = c->puts = 0;
+      c->latency.clear();
+    }
+  });
 
   RunResult r;
   sim::LatencyHistogram merged;

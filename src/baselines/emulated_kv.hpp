@@ -66,6 +66,8 @@ class EmulatedKvTestbed {
     std::uint64_t puts = 0;
   };
 
+  /// Starts the clients, then Cluster::measure()s `warmup` and a window of
+  /// `measure` with the clients' counters reset at its start.
   RunResult run(sim::Tick warmup, sim::Tick measure);
 
   cluster::Cluster& cluster() { return *cluster_; }

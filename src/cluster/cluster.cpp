@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/bench_report.hpp"
+
 namespace herd::cluster {
 
 ClusterConfig ClusterConfig::apt() {
@@ -128,6 +130,39 @@ std::string Cluster::contract_diagnostics() const {
     }
   }
   return out;
+}
+
+void Cluster::record_flight(obs::FlightConfig cfg) {
+  if (flight_) {
+    throw std::logic_error("Cluster: the flight recorder is already armed");
+  }
+  flight_ = std::make_unique<obs::FlightRecorder>(engine_, resources_,
+                                                  &registry_, std::move(cfg));
+}
+
+void Cluster::measure(sim::Tick warmup, sim::Tick window,
+                      const std::function<void()>& open_window) {
+  engine_.run_until(engine_.now() + warmup);
+  open_window();
+  resources_.begin_window();
+  if (flight_) flight_->start();
+  engine_.run_until(engine_.now() + window);
+  attr_ = obs::attribute(resources_);
+  if (flight_) flight_->stop();
+  measured_ = window;
+}
+
+RunRecord Cluster::record() const {
+  require_contract_clean(*this);
+  RunRecord rec;
+  rec.snapshot = snapshot();
+  rec.attr = attr_;
+  rec.timeseries = timeseries_json();
+  rec.tail = obs::tail_json(tail().quantile("ok", 0.99));
+  if (probe_.sampling() || tracer().size() > 0) {
+    rec.trace_json = probe_.chrome_json(engine_.now());
+  }
+  return rec;
 }
 
 void require_contract_clean(const Cluster& cl) {

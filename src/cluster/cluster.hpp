@@ -4,18 +4,24 @@
 // obs::RequestProbe (tracer + tail profiler); the probe reaches the HERD
 // client and service through each host's verbs::Context.
 //
+// The cluster also owns the one measurement protocol (measure()) and the
+// one evidence record (record()) of the microbenches, the HERD testbed and
+// the emulated baselines.
+//
 // `ClusterConfig` presets mirror Table 2: Apt (56 Gbps InfiniBand,
 // ConnectX-3 on PCIe 3.0 x8) and Susitna (40 Gbps RoCE, ConnectX-3 on
 // PCIe 2.0 x8).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cpu.hpp"
 #include "fabric/fabric.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probe.hpp"
 #include "pcie/pcie.hpp"
@@ -50,6 +56,17 @@ struct ClusterConfig {
 /// baselines, the echo microbench and the chaos harness all pack clients
 /// onto hosts this way.
 inline constexpr std::uint32_t kClientsPerHost = 3;
+
+/// A measured run's headline number and evidence (the "why" behind it).
+/// Cluster::record() fills everything but `value`.
+struct RunRecord {
+  double value = 0;        // Mops of the microbench rate drivers
+  obs::Snapshot snapshot;  // every linked metric
+  obs::Attribution attr;   // the last measure() window's (empty: none)
+  obs::Json timeseries;    // "herd-timeseries/1" (Null: no recorder)
+  obs::Json tail;          // p99 "ok" stage breakdown (Null: none sampled)
+  std::string trace_json;  // "herd-trace/2" (empty: nothing traced)
+};
 
 /// One machine: DRAM, a PCIe link, an RNIC, and a verbs context.
 class Host {
@@ -124,6 +141,29 @@ class Cluster {
   /// Formatted violations, one per line, prefixed with the host index.
   std::string contract_diagnostics() const;
 
+  /// Records every later measure() window at `cfg`. The recorder lives as
+  /// long as the engine, which still fires its stopped ticks (as no-ops).
+  /// Throws std::logic_error if one is already armed.
+  void record_flight(obs::FlightConfig cfg);
+
+  /// Runs `warmup`, calls `open_window` (the caller resets or latches its
+  /// counters), opens a window on every registered resource and runs
+  /// `window` under the flight recorder, if armed, keeping its attribution.
+  void measure(sim::Tick warmup, sim::Tick window,
+               const std::function<void()>& open_window);
+
+  const obs::Attribution& attribution() const { return attr_; }
+  sim::Tick measured() const { return measured_; }  // last window's length
+  /// The last recorded window's timeseries (Null: no recorder armed).
+  obs::Json timeseries_json() const {
+    return flight_ ? flight_->to_json() : obs::Json();
+  }
+
+  /// require_contract_clean(), then the run's evidence. The trace is
+  /// exported when the probe samples or the tracer holds anything, with
+  /// in-flight sampled requests closed at now.
+  RunRecord record() const;
+
  private:
   ClusterConfig cfg_;
   // Declared before engine_: pending events hold payloads, and the slab
@@ -135,6 +175,9 @@ class Cluster {
   obs::RequestProbe probe_;
   fabric::Fabric fabric_;
   std::vector<std::unique_ptr<Host>> hosts_;
+  std::unique_ptr<obs::FlightRecorder> flight_;
+  obs::Attribution attr_;
+  sim::Tick measured_ = 0;
 };
 
 /// Throws std::logic_error carrying the full diagnostics if any host's

@@ -343,26 +343,18 @@ HerdTestbed::HerdTestbed(const TestbedConfig& cfg) : cfg_(cfg) {
   if (cfg_.trace_sample_every > 0) {
     cluster_->probe().enable(cfg_.trace_sample_every);
   }
+  if (cfg_.flight_interval > 0) {
+    cluster_->record_flight(
+        {cfg_.flight_interval, cfg_.flight_ring, "herd-testbed"});
+  }
 }
 
 HerdTestbed::RunResult HerdTestbed::run(sim::Tick warmup, sim::Tick measure) {
-  auto& engine = cluster_->engine();
   for (auto& c : clients_) c->start();
-  engine.run_until(engine.now() + warmup);
-
-  for (auto& c : clients_) c->reset_stats();
-  service_->reset_stats();
-  if (cfg_.flight_interval > 0 && !flight_) {
-    obs::FlightConfig fc;
-    fc.interval = cfg_.flight_interval;
-    fc.ring = cfg_.flight_ring;
-    fc.source = "herd-testbed";
-    flight_ = std::make_unique<obs::FlightRecorder>(
-        engine, cluster_->resources(), &cluster_->metrics(), fc);
-  }
-  attr_ = obs::measure_window(engine, cluster_->resources(), flight_.get(),
-                              measure);
-  last_window_ = measure;
+  cluster_->measure(warmup, measure, [this] {
+    for (auto& c : clients_) c->reset_stats();
+    service_->reset_stats();
+  });
 
   RunResult r;
   sim::LatencyHistogram merged;
@@ -412,12 +404,12 @@ std::string HerdTestbed::contract_diagnostics() const {
 }
 
 std::vector<double> HerdTestbed::per_proc_mops() const {
+  const sim::Tick window = cluster_->measured();
   std::vector<double> out(proc_requests_.size());
   for (std::size_t s = 0; s < out.size(); ++s) {
-    out[s] = last_window_ == 0
-                 ? 0.0
-                 : static_cast<double>(proc_requests_[s]) /
-                       sim::to_sec(last_window_) / 1e6;
+    out[s] = window == 0 ? 0.0
+                         : static_cast<double>(proc_requests_[s]) /
+                               sim::to_sec(window) / 1e6;
   }
   return out;
 }

@@ -16,7 +16,6 @@
 #include "herd/client.hpp"
 #include "herd/config.hpp"
 #include "herd/service.hpp"
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "workload/workload.hpp"
@@ -197,7 +196,8 @@ class HerdTestbed {
     friend bool operator==(const RunResult&, const RunResult&) = default;
   };
 
-  /// Starts the clients, warms up, measures for `measure` simulated time.
+  /// Starts the clients, then Cluster::measure()s: warms up, resets the
+  /// client and service stats and measures for `measure` simulated time.
   RunResult run(sim::Tick warmup, sim::Tick measure);
 
   /// Per-server-process throughput over the last run window (Fig. 14).
@@ -231,12 +231,12 @@ class HerdTestbed {
   }
 
   /// Bottleneck attribution over the last run()'s measure window.
-  const obs::Attribution& attribution() const { return attr_; }
+  const obs::Attribution& attribution() const {
+    return cluster_->attribution();
+  }
   /// "herd-timeseries/1" document of the last run()'s measure window
   /// (Null when flight_interval == 0).
-  obs::Json timeseries_json() const {
-    return flight_ ? flight_->to_json() : obs::Json();
-  }
+  obs::Json timeseries_json() const { return cluster_->timeseries_json(); }
 
   /// The armed injector (nullptr when fault_plan was empty).
   fault::FaultInjector* fault() { return fault_.get(); }
@@ -255,11 +255,6 @@ class HerdTestbed {
   std::unique_ptr<fault::FaultInjector> fault_;
   std::unique_ptr<HerdService> service_;
   std::vector<std::unique_ptr<HerdClient>> clients_;
-  /// One recorder for every run(): its stopped ticks stay queued on the
-  /// engine across windows, so it lives as long as the testbed.
-  std::unique_ptr<obs::FlightRecorder> flight_;
-  obs::Attribution attr_;
-  sim::Tick last_window_ = 0;
   std::vector<std::uint64_t> proc_requests_;
 };
 

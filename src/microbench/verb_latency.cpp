@@ -19,7 +19,7 @@ namespace {
 constexpr std::uint32_t kTailSampleEvery = 16;
 
 /// Ping-pong driver for one signaled verb type. Contract gating and
-/// snapshotting are the caller's job (finish()).
+/// snapshotting are the caller's job (Cluster::record()).
 double signaled_latency(cluster::Cluster& cl, verbs::Opcode opcode,
                         bool inlined, std::uint32_t payload,
                         std::uint32_t iters) {
@@ -161,8 +161,8 @@ double echo_latency(cluster::Cluster& cl, std::uint32_t payload,
 }  // namespace
 
 /// Fig. 2: each variant gets a fresh two-host cluster so QP caches and
-/// resource occupancy never bleed between measurements. finish() runs per
-/// cluster; the record keeps the last (ECHO or WRITE-inline) cluster's
+/// resource occupancy never bleed between measurements. Each cluster is
+/// recorded; the record keeps the last (ECHO or WRITE-inline) cluster's
 /// evidence.
 LatencyResult verb_latency(const cluster::ClusterConfig& cfg,
                            std::uint32_t payload, std::uint32_t iters) {
@@ -171,25 +171,25 @@ LatencyResult verb_latency(const cluster::ClusterConfig& cfg,
     cluster::Cluster cl(cfg, 2, 64 << 10);
     r.read_us =
         signaled_latency(cl, verbs::Opcode::kRead, false, payload, iters);
-    finish(cl, r.record);
+    r.record = cl.record();
   }
   {
     cluster::Cluster cl(cfg, 2, 64 << 10);
     r.write_us =
         signaled_latency(cl, verbs::Opcode::kWrite, false, payload, iters);
-    finish(cl, r.record);
+    r.record = cl.record();
   }
   if (payload <= cfg.rnic.max_inline) {
     {
       cluster::Cluster cl(cfg, 2, 64 << 10);
       r.write_inline_us =
           signaled_latency(cl, verbs::Opcode::kWrite, true, payload, iters);
-      finish(cl, r.record);
+      r.record = cl.record();
     }
     {
       cluster::Cluster cl(cfg, 2, 64 << 10);
       r.echo_us = echo_latency(cl, payload, iters);
-      finish(cl, r.record);
+      r.record = cl.record();
     }
   }
   return r;

@@ -104,7 +104,7 @@ struct Attribution {
 
 /// Computes the attribution over all registered resources at engine-now,
 /// using each resource's current measurement window (begin_window() marks
-/// the start; measure_window() does this at measure start).
+/// the start; cluster::Cluster::measure() does this at measure start).
 Attribution attribute(const ResourceRegistry& reg);
 
 struct FlightConfig {
@@ -174,16 +174,12 @@ class FlightRecorder {
   std::deque<Window> ring_;
 };
 
-/// The measurement protocol every experiment shares: opens a fresh window
-/// on every registered resource, starts `flight` (nullptr = no recording),
-/// runs the engine for `measure` of simulated time, attributes the window
-/// and stops the recorder. The recorder stays the caller's: one engine may
-/// run several windows, and a stopped recorder's queued ticks still fire
-/// later (as epoch-checked no-ops), so it must stay alive for as long as
-/// the engine runs.
-Attribution measure_window(sim::Engine& engine,
-                           const ResourceRegistry& resources,
-                           FlightRecorder* flight, sim::Tick measure);
+/// The flight-recorder interval for a measurement window of `measure`: 16
+/// fixed-width windows however small `measure` is, so tiny CI runs still
+/// carry a usable timeline.
+inline sim::Tick flight_interval_for(sim::Tick measure) {
+  return measure / 16 > 0 ? measure / 16 : 1;
+}
 
 /// Schema check for a "herd-timeseries/1" document (the shared checker used
 /// by tests and tools/bench_schema_check, mirroring validate_bench_json).

@@ -54,6 +54,8 @@ class RequestProbe {
   /// Samples every `sample_every`-th begin_request call; 1 samples every
   /// request, 0 (the default) none.
   void enable(std::uint64_t sample_every) { sample_every_ = sample_every; }
+  /// True while enable() has sampling on.
+  bool sampling() const { return sample_every_ != 0; }
 
   /// Rolls the sampler for a request posted on `track` at `start`; a hit
   /// returns {trace_id, root}. Every sampled request must reach

@@ -107,6 +107,33 @@ TEST(Baselines, SusitnaSlowerThanApt) {
   EXPECT_GT(apt.mops, sus.mops);
 }
 
+TEST(Baselines, RunMeasuresThroughTheClusterWindow) {
+  // The emulated testbed measures through Cluster::measure(), as HERD and
+  // the microbenches do: after run(), its cluster holds the window's
+  // attribution, and each run opens a fresh window.
+  EmulatedKvTestbed bed(small(System::kFarmEm, 0.95));
+  const auto a = bed.run(sim::ms(1), sim::ms(1));
+  const obs::Attribution first = bed.cluster().attribution();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(bed.cluster().measured(), sim::ms(1));
+  for (const obs::StageBreakdown& s : first.stages) {
+    EXPECT_GT(s.utilization, 0.0) << s.stage;
+    EXPECT_LE(s.utilization, 1.0) << s.stage;
+  }
+
+  const auto b = bed.run(0, sim::ms(1));
+  const obs::Attribution& second = bed.cluster().attribution();
+  ASSERT_GT(a.ops, 0u);
+  EXPECT_NEAR(static_cast<double>(b.ops) / static_cast<double>(a.ops), 1.0,
+              0.1);
+  // Resource ops count the second window only, not both.
+  ASSERT_FALSE(second.empty());
+  EXPECT_EQ(second.bottleneck, first.bottleneck);
+  EXPECT_NEAR(static_cast<double>(second.stages.front().ops) /
+                  static_cast<double>(first.stages.front().ops),
+              1.0, 0.1);
+}
+
 TEST(Baselines, SystemNames) {
   EXPECT_STREQ(system_name(System::kPilafEmOpt), "Pilaf-em-OPT");
   EXPECT_STREQ(system_name(System::kFarmEm), "FaRM-em");

@@ -1,6 +1,9 @@
 // Unit tests: cluster wiring and Table-2 presets.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+
 #include "cluster/cluster.hpp"
 
 namespace herd::cluster {
@@ -59,6 +62,66 @@ TEST(Cluster, EveryHostRunsTheContractChecker) {
 TEST(Cluster, HostOutOfRangeThrows) {
   Cluster cl(ClusterConfig::apt(), 2, 4096);
   EXPECT_THROW(cl.host(5), std::out_of_range);
+}
+
+TEST(Cluster, MeasureKeepsOneRecorderAcrossWindows) {
+  // The cluster owns the flight recorder for as long as its engine runs: a
+  // stopped recorder still has a tick queued, which fires (as a no-op) in
+  // the next window or when the engine runs on after the last one. A
+  // recorder that died with the window it recorded would be read after
+  // free here (ASan).
+  Cluster cl(ClusterConfig::apt(), 2, 4096);
+  sim::Resource* pio = nullptr;
+  for (const obs::ResourceRegistry::Entry& e : cl.resources().entries()) {
+    if (e.name == "pcie.host0.pio") pio = e.resource;
+  }
+  ASSERT_NE(pio, nullptr);
+  // Half-busy traffic: 50 ns of PIO every 100 ns, forever.
+  sim::Engine& eng = cl.engine();
+  std::function<void()> traffic = [&] {
+    pio->acquire(sim::ns(50));
+    eng.schedule_after(sim::ns(100), traffic);
+  };
+  traffic();
+
+  obs::FlightConfig fc;
+  fc.interval = sim::us(1);
+  fc.source = "cluster-test";
+  cl.record_flight(fc);
+  EXPECT_THROW(cl.record_flight(fc), std::logic_error);
+
+  int opened = 0;
+  cl.measure(sim::us(2), sim::us(4), [&] { ++opened; });
+  EXPECT_EQ(cl.timeseries_json().find("windows")->size(), 4u);
+
+  // No warm-up: the first window's stopped tick is still queued when the
+  // second window opens.
+  const sim::Tick second_open = eng.now();
+  cl.measure(0, sim::us(8), [&] { ++opened; });
+  const obs::Json second = cl.timeseries_json();
+  eng.run_until(eng.now() + sim::us(10));  // the engine runs on
+
+  EXPECT_EQ(opened, 2);
+  EXPECT_EQ(cl.measured(), sim::us(8));
+  // The second timeseries covers the second window only.
+  const auto& wins = second.find("windows")->elements();
+  ASSERT_EQ(wins.size(), 8u);
+  EXPECT_EQ(wins.front().find("t_begin_ns")->as_uint(), second_open);
+  EXPECT_EQ(wins.back().find("t_end_ns")->as_uint(), second_open + sim::us(8));
+  EXPECT_EQ(second.find("dropped_windows")->as_uint(), 0u);
+  // Running on records nothing more.
+  EXPECT_EQ(cl.timeseries_json().dump(), second.dump());
+  // The attribution is the second window's: 80 half-busy ops.
+  const obs::Attribution& attr = cl.attribution();
+  EXPECT_EQ(attr.bottleneck, "pcie.pio");
+  EXPECT_NEAR(attr.bottleneck_utilization, 0.5, 0.01);
+  ASSERT_FALSE(attr.stages.empty());
+  EXPECT_EQ(attr.stages.front().ops, 80u);
+  // And the record carries both.
+  const RunRecord rec = cl.record();
+  EXPECT_EQ(rec.timeseries.dump(), second.dump());
+  EXPECT_EQ(rec.attr.bottleneck, "pcie.pio");
+  EXPECT_TRUE(rec.trace_json.empty());  // nothing sampled, nothing traced
 }
 
 TEST(HostMemory, WatchesFireOnOverlappingDmaOnly) {

@@ -142,7 +142,8 @@ TEST(RunRecord, BackToBackRunsShareNoEvidence) {
 }
 
 TEST(OutboundTput, TracesOnlyUnderCapture) {
-  // finish() exports whatever the cluster's tracer recorded. Untraced, the
+  // Cluster::record() exports whatever the cluster's tracer recorded.
+  // Untraced, the
   // driver stamps no trace ids, so nothing is recorded; under capture the
   // tail-sampled verbs' hops are, each under its own trace id.
   TputSpec wr{verbs::Opcode::kWrite, verbs::Transport::kUc, true, 32, 8, 4};
